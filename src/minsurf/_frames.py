@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FrameConstructionError
-from .product import g_inner, orientation_form, tangent_project_arr
+from .algebra import ScalarEps
+from .product import J_product, g_inner, orientation_form, tangent_project_arr
 
 # deterministic, generic reference pairs; retried in order
 _REFERENCES = [
@@ -142,13 +142,10 @@ def normal_frame(base, Fx, Fy, p: int, eps: int, b: int, cond_tol: float = 1e-6)
     return N, Nt, ~ok
 
 
-def normal_frame_point(base, Fx, Fy, p: int, eps: int, b: int):
-    """Single-point convenience wrapper; raises if no frame exists."""
-    N, Nt, bad = normal_frame(base[None], Fx[None], Fy[None], p, eps, b)
-    if bad[0]:
-        raise FrameConstructionError(
-            "no reference pair yields a well-conditioned normal frame")
-    return N[0], Nt[0]
+def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
+    """(A - eps i B)/scale: F_z from (F_x, F_y) with scale 2, and the
+    complex normal xi from (N, Ntilde) with scale sqrt(2)."""
+    return ScalarEps(A / scale, -eps * B / scale, eps)
 
 
 def structure_oriented_frame(base, Fx, Fy, p: int, eps: int, b: int):
@@ -159,15 +156,11 @@ def structure_oriented_frame(base, Fx, Fy, p: int, eps: int, b: int):
     is flipped globally if the cross components dominate.  Returns
     (N, Ntilde, bad, diag) with the decomposition diagnostics.
     """
-    from .algebra import ScalarEps
-    from .product import J_product, g_inner
-
     N, Nt, bad = normal_frame(base, Fx, Fy, p, eps, b)
-    sq2 = np.sqrt(2.0)
-    Fz = ScalarEps(Fx / 2.0, -eps * Fy / 2.0, eps)
+    Fz = complex_vector(Fx, Fy, eps, 2.0)
     J1Fz = J_product(1, base, Fz, p)
     J2Fz = J_product(2, base, Fz, p)
-    xi = ScalarEps(N / sq2, -eps * Nt / sq2, eps)
+    xi = complex_vector(N, Nt, eps, np.sqrt(2.0))
 
     def e2(z):
         return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)

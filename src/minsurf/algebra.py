@@ -61,6 +61,9 @@ class ScalarEps:
     """Number a + i*b with i**2 = -eps; components scalar or ndarray."""
 
     __slots__ = ("re", "im", "eps")
+    # make numpy defer to the reflected operators, so ndarray * ScalarEps
+    # is a ScalarEps rather than an object array of ScalarEps
+    __array_ufunc__ = None
 
     def __init__(self, re, im=0.0, eps: int = 1):
         if eps not in (1, -1):
@@ -186,12 +189,6 @@ def cross_arr(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 def j_arr(x: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """(Para-)complex structure j_x(v) = -cross_p(x, v) on quadric tangents."""
     return -cross_arr(x, v, p)
-
-
-def normalize_to_quadric(v: np.ndarray, p: int) -> np.ndarray:
-    """Rescale (...,3) vectors with <v,v>_p > 0 onto the quadric."""
-    n = inner_arr(v, v, p)
-    return v / np.sqrt(n)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ class RunConfig:
         cfg = cls(**d)
         if cfg.theorem is not None and cfg.theorem not in gordon.FAMILY_TABLE:
             raise ValueError(f"unknown theorem {cfg.theorem!r}")
+        if cfg.example is not None and cfg.example not in surfaces.EXAMPLES:
+            raise ValueError(f"unknown example {cfg.example!r}; "
+                             f"known: {sorted(surfaces.EXAMPLES)}")
+        if cfg.hx is not None or cfg.hy is not None:
+            if not cfg.nx:
+                raise ValueError("--h needs --grid")
+            if not all(h is None or h > 0 for h in (cfg.hx, cfg.hy)):
+                raise ValueError("--h spacings must be positive")
         return cfg
 
 
@@ -121,7 +129,7 @@ def _load_grid(cfg: RunConfig) -> immersion.ImmersionGrid:
         return immersion.grid_from_json(cfg.input)
     if cfg.example:
         spec = None
-        if cfg.nx and cfg.hx:
+        if cfg.hx:
             box = surfaces.EXAMPLES[cfg.example].default_box
             spec = GridSpec(cfg.nx, cfg.ny or cfg.nx, cfg.hx,
                             cfg.hy or cfg.hx, (box[0][0], box[1][0]))
@@ -194,13 +202,7 @@ def cmd_verify(cfg: RunConfig):
         Hres = immersion.mean_curvature_residual(F)
         norms["minimality"] = fundata.field_sup(Hres, trimmed)
 
-        C1f, C2f = immersion.kahler_fields(F)
-        tol_cls = immersion.class_tol(F, np.where(ok, C.u, 0.0))
-        lag1 = ok & (np.abs(C1f) <= tol_cls)
-        lag2 = ok & (np.abs(C2f) <= tol_cls)
-        s = (-1.0) ** (F.p + 1)
-        cx1 = ok & (np.abs(F.eps * C1f ** 2 + s) <= tol_cls)
-        cx2 = ok & (np.abs(F.eps * C2f ** 2 + s) <= tol_cls)
+        lag1, lag2, cx1, cx2 = immersion.class_masks(F)
         cls = report["classification"]
         cls["lagrangian1_fraction"] = _fraction(lag1, ok)
         cls["lagrangian2_fraction"] = _fraction(lag2, ok)
@@ -215,14 +217,9 @@ def cmd_verify(cfg: RunConfig):
         if len(cand):
             take = cand[rng.choice(len(cand), size=min(100, len(cand)),
                                    replace=False)]
-            gvals = []
-            for i, j in take:
-                try:
-                    gvals.append(immersion.gauss_equation_residual(F, int(i), int(j)))
-                except MinsurfError:
-                    pass
-            if gvals:
-                norms["gauss"] = float(max(gvals))
+            gvals = immersion.gauss_residual_field(F)[tuple(take.T)]
+            if np.any(np.isfinite(gvals)):
+                norms["gauss"] = float(np.nanmax(gvals))
 
         # fundamental data, when the surface is minimal enough to admit it
         if norms["minimality"] <= tols["minimality"]:
@@ -319,8 +316,7 @@ def run_pipeline(cfg: RunConfig):
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
     eps, p, b, kind, branch, qn = gordon.FAMILY_TABLE[theorem]
-    nonlin = np.sinh if "sinh" in kind else np.sin
-    signs = gordon.KINDS[kind][2]
+    nonlin, _, signs = gordon.KINDS[kind]
     nx = cfg.nx or 33
     data = PIPELINE_DATA[theorem]
 
@@ -411,16 +407,12 @@ def run_pipeline(cfg: RunConfig):
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if cfg.command == "verify":
             code, report = cmd_verify(cfg)
         else:
             code, report = run_pipeline(cfg)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else 0
     except MinsurfError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL

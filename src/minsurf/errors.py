@@ -42,10 +42,6 @@ class NonMinimal(MinsurfError):
     """Operation requires a minimal immersion but |H| exceeds tolerance."""
 
 
-class ComplexLocus(MinsurfError):
-    """Operation undefined on the (para-)complex stratum (gamma ~ 0)."""
-
-
 class EmptyInterior(MinsurfError):
     """No valid interior points remain after masking."""
 

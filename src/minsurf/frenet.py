@@ -25,8 +25,14 @@ import scipy.optimize as sopt
 
 from .algebra import ScalarEps, inner_arr, unit_i
 from .errors import CompatViolation, DriftExceeded, FrameConstructionError
-from .fundata import FundamentalData, compat_residuals, crop_to_mask, extract
-from .immersion import ImmersionGrid, dz_field_full
+from .fundata import (
+    FundamentalData,
+    compat_residuals,
+    crop_to_mask,
+    extract,
+    field_sup,
+)
+from .immersion import ImmersionGrid, dz
 from .product import J_product, g_inner
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
@@ -85,11 +91,11 @@ _NFIELD = 16
 
 def _pack_data(D: FundamentalData) -> np.ndarray:
     out = np.empty(D.shape + (_NFIELD,))
-    e2u = np.exp(2.0 * D.u)
+    e2u = D.e2u()
     if D.u_z is not None:
         uz = D.u_z
     else:
-        uz = dz_field_full(D.u, D.hx, D.hy, D.eps)
+        uz = dz(D.u, D.hx, D.hy, D.eps, edges=True)
     cols = [e2u, D.C1, D.C2,
             D.gamma1.re, D.gamma1.im, D.gamma2.re, D.gamma2.im,
             D.f1.re, D.f1.im, D.f2.re, D.f2.im,
@@ -377,8 +383,7 @@ def roundtrip_report(D: FundamentalData, window=None, **kwargs) -> RoundTripRepo
     common = D.mask[sl] & D2.mask
 
     def sup(a):
-        x = np.where(common, np.abs(a), np.nan)
-        return float(np.nanmax(x)) if np.any(np.isfinite(x)) else float("nan")
+        return field_sup(a, common)
 
     diffs = {
         "u": sup(D.u[sl] - D2.u),

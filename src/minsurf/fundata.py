@@ -28,21 +28,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import binary_dilation
 
-from ._frames import structure_oriented_frame
+from ._frames import complex_vector
 from .algebra import ScalarEps, exp_eps, unit_i
 from .errors import EmptyInterior, NonMinimal, SignatureError
 from .immersion import (
     ImmersionGrid,
     conformal_fields,
-    d_xx,
-    d_yy,
-    dz_field,
-    dzbar_field,
+    dz,
+    fz_field,
     grad_norm2_induced,
     jets,
     kahler_fields,
     laplacian_induced,
     mean_curvature_residual,
+    oriented_frame,
+    zzbar,
 )
 from .product import J_product, g_inner
 
@@ -87,11 +87,10 @@ class FundamentalData:
     def __post_init__(self):
         if self.eps == 1 and self.b != 1:
             raise SignatureError("Riemannian induced metric forces b = +1")
-        shape = np.asarray(self.u).shape
         if self.complex1 is None:
-            self.complex1 = np.zeros(shape, dtype=bool)
+            self.complex1 = np.zeros(self.shape, dtype=bool)
         if self.complex2 is None:
-            self.complex2 = np.zeros(shape, dtype=bool)
+            self.complex2 = np.zeros(self.shape, dtype=bool)
 
     @property
     def shape(self):
@@ -103,11 +102,11 @@ class FundamentalData:
     def uz(self) -> ScalarEps:
         if self.u_z is not None:
             return self.u_z
-        return dz_field(self.u, self.hx, self.hy, self.eps)
+        return dz(self.u, self.hx, self.hy, self.eps)
 
-    def gamma_norm2(self, j: int) -> np.ndarray:
-        g = self.gamma1 if j == 1 else self.gamma2
-        return g.abs2()
+    def kahler_pair(self, j: int):
+        """(C_j, C_j') with j' the other index."""
+        return (self.C1, self.C2) if j == 1 else (self.C2, self.C1)
 
     def copy_fields(self) -> dict:
         return dict(p=self.p, eps=self.eps, b=self.b, hx=self.hx, hy=self.hy,
@@ -124,28 +123,28 @@ def _se_copy(z: ScalarEps) -> ScalarEps:
     return ScalarEps(np.array(z.re, copy=True), np.array(z.im, copy=True), z.eps)
 
 
+def se_where(mask, z: ScalarEps, fill) -> ScalarEps:
+    """z where mask holds, fill elsewhere."""
+    return ScalarEps(np.where(mask, z.re, fill), np.where(mask, z.im, fill),
+                     z.eps)
+
+
 def _se_div(num: ScalarEps, den: ScalarEps, valid: np.ndarray) -> ScalarEps:
     """Field division with an explicit validity mask (nan outside)."""
     d2 = den.abs2()
     safe = valid & np.isfinite(d2) & (np.abs(d2) > 1e-300)
     d2s = np.where(safe, d2, 1.0)
     z = num * den.conj()
-    re = np.where(safe, z.re / d2s, np.nan)
-    im = np.where(safe, z.im / d2s, np.nan)
-    return ScalarEps(re, im, num.eps)
+    return se_where(safe, ScalarEps(z.re / d2s, z.im / d2s, num.eps), np.nan)
 
 
 def se_sup(z: ScalarEps, mask=None) -> float:
     """Sup of the Euclidean modulus sqrt(re^2 + im^2) over a mask."""
-    m = np.sqrt(z.re ** 2 + z.im ** 2)
-    if mask is not None:
-        m = np.where(mask, m, np.nan)
-    if not np.any(np.isfinite(m)):
-        return float("nan")
-    return float(np.nanmax(m))
+    return field_sup(np.sqrt(z.re ** 2 + z.im ** 2), mask)
 
 
 def field_sup(a: np.ndarray, mask=None) -> float:
+    """Sup of |a| over a mask; nan when no finite value remains."""
     a = np.abs(np.asarray(a, dtype=float))
     if mask is not None:
         a = np.where(mask, a, np.nan)
@@ -157,6 +156,18 @@ def field_sup(a: np.ndarray, mask=None) -> float:
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
+
+def _a_pair(uz: ScalarEps, Cs, fs, gammas, valids, hx, hy, eps):
+    """The two defining expressions of the connection form,
+    A = 2 u_z - (2 eps i C_1 f_1 + gamma_1z)/gamma_1
+      = -2 u_z + (2 eps i C_2 f_2 + gamma_2z)/gamma_2,
+    each divided only where its validity mask holds."""
+    i_unit = unit_i(eps)
+    q1, q2 = (_se_div(2.0 * eps * i_unit * ScalarEps(C, 0.0, eps) * f
+                      + dz(g, hx, hy, eps), g, m)
+              for C, f, g, m in zip(Cs, fs, gammas, valids))
+    return 2.0 * uz - q1, -2.0 * uz + q2
+
 
 def fd_tol(D_or_grid, u) -> np.ndarray:
     """Scale-aware threshold for gamma ~ 0 stratification."""
@@ -186,14 +197,11 @@ def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
             raise NonMinimal(
                 f"max |H| = {worst:.3e} exceeds tolerance {minimal_tol:.3e}")
 
-    N, Nt, bad, fdiag = F._cached(
-        f"frame_{b}",
-        lambda: structure_oriented_frame(F.values, J.Fx, J.Fy, F.p, eps, b))
+    N, Nt, bad, fdiag = oriented_frame(F, b)
     ok = ok & ~bad
 
-    sq2 = np.sqrt(2.0)
-    xi = ScalarEps(N / sq2, -eps * Nt / sq2, eps)
-    Fz = ScalarEps(J.Fx / 2.0, -eps * J.Fy / 2.0, eps)
+    xi = complex_vector(N, Nt, eps, np.sqrt(2.0))
+    Fz = fz_field(F)
     Fzz = ScalarEps((J.Fxx - eps * J.Fyy) / 4.0, -eps * J.Fxy / 2.0, eps)
 
     J1Fz = J_product(1, F.values, Fz, F.p)
@@ -212,11 +220,8 @@ def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
     tau = fd_tol(F, u)
     cx1 = ok & (np.abs(gamma1.abs2()) <= tau)
     cx2 = ok & (np.abs(gamma2.abs2()) <= tau)
-    for g, f_, cx in ((gamma1, f1, cx1), (gamma2, f2, cx2)):
-        g.re = np.where(cx, 0.0, g.re)
-        g.im = np.where(cx, 0.0, g.im)
-        f_.re = np.where(cx, 0.0, f_.re)
-        f_.im = np.where(cx, 0.0, f_.im)
+    gamma1, f1 = (se_where(~cx1, z, 0.0) for z in (gamma1, f1))
+    gamma2, f2 = (se_where(~cx2, z, 0.0) for z in (gamma2, f2))
     C1 = np.where(cx1, np.sign(C1), C1)
     C2 = np.where(cx2, np.sign(C2), C2)
     # guard ring of radius 2h around the strata: gamma-divisions are
@@ -225,33 +230,22 @@ def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
     cx1 = binary_dilation(cx1, iterations=2)
     cx2 = binary_dilation(cx2, iterations=2)
 
-    uz = dz_field(u, F.hx, F.hy, eps)
-    i_unit = unit_i(eps)
-    g1z = dz_field(gamma1, F.hx, F.hy, eps)
-    g2z = dz_field(gamma2, F.hx, F.hy, eps)
-    A1 = 2.0 * uz - _se_div(2.0 * eps * i_unit * ScalarEps(C1, 0.0, eps) * f1 + g1z,
-                            gamma1, ok & ~cx1)
-    A2 = -2.0 * uz + _se_div(2.0 * eps * i_unit * ScalarEps(C2, 0.0, eps) * f2 + g2z,
-                             gamma2, ok & ~cx2)
+    A1, A2 = _a_pair(dz(u, F.hx, F.hy, eps), (C1, C2), (f1, f2),
+                     (gamma1, gamma2), (ok & ~cx1, ok & ~cx2), F.hx, F.hy, eps)
     both = ok & ~cx1 & ~cx2 & np.isfinite(A1.re) & np.isfinite(A2.re)
     A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                   np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
 
     diag = {
-        "A_disagreement": se_sup(A1 - A2, both) if np.any(both) else float("nan"),
+        "A_disagreement": se_sup(A1 - A2, both),
         "frame_bad_points": int(np.sum(bad & C.ok)),
         "mean_curvature_sup": field_sup(Hres, ok),
         "complex_points_raw": n_raw,
         "complex_points_guarded": (int(np.sum(cx1)), int(np.sum(cx2))),
         **fdiag,
     }
-    for name, fld in (("gamma1", gamma1), ("gamma2", gamma2)):
-        fld.re = np.where(ok, fld.re, np.nan)
-        fld.im = np.where(ok, fld.im, np.nan)
-    for fld in (f1, f2):
-        fld.re = np.where(ok, fld.re, np.nan)
-        fld.im = np.where(ok, fld.im, np.nan)
-
+    gamma1, gamma2, f1, f2 = (se_where(ok, z, np.nan)
+                              for z in (gamma1, gamma2, f1, f2))
     return FundamentalData(F.p, eps, b, F.hx, F.hy, u, C1, C2,
                            gamma1, gamma2, f1, f2, A, ok, cx1, cx2,
                            F.origin, None, diag,
@@ -281,7 +275,7 @@ def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
     if not np.isscalar(theta):
         th = np.asarray(theta, dtype=float)
         if th.shape == D.shape:
-            A = A + unit_i(D.eps) * dz_field(th, D.hx, D.hy, D.eps)
+            A = A + unit_i(D.eps) * dz(th, D.hx, D.hy, D.eps)
     out["A"] = A
     new = FundamentalData(**out)
     new.diagnostics = dict(D.diagnostics)
@@ -328,23 +322,25 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
     base = D.mask if region is None else (D.mask & region)
     if not np.any(base):
         raise EmptyInterior("no valid points in the data mask")
+    uzzb = zzbar(D.u, D.hx, D.hy, eps)
+    re_term = 2.0 * dz(D.A, D.hx, D.hy, eps, conj=True).re  # Abar_z + A_zbar
 
     for j in (1, 2):
         jp = 3 - j
         sj = (-1.0) ** (j + 1)
         m = base & ~cxs[j]
         # (C_j)_z + 2 i eps b e^{-2u} conj(gamma_j) f_j = 0
-        Cz = dz_field(Cs[j], D.hx, D.hy, eps)
+        Cz = dz(Cs[j], D.hx, D.hy, eps)
         r = Cz + 2.0 * eps * b * i_unit * ScalarEps(em2u, 0.0, eps) \
             * gammas[j].conj() * fs[j]
         norms[f"kahler_{j}"] = se_sup(r, m)
         # (gbar_j)_z - (-1)^{j+1} gbar_j A = 0
-        gbz = dz_field(gammas[j].conj(), D.hx, D.hy, eps)
+        gbz = dz(gammas[j].conj(), D.hx, D.hy, eps)
         r = gbz - sj * gammas[j].conj() * D.A
         norms[f"derivofgamma_{j}"] = se_sup(r, m)
         # (fbar_j)_z - (-1)^{j+1} fbar_j A
         #   - i eps (-1)^{p+1} e^{2u} gbar_j C_{j'} / 4 = 0
-        fbz = dz_field(fs[j].conj(), D.hx, D.hy, eps)
+        fbz = dz(fs[j].conj(), D.hx, D.hy, eps)
         r = fbz - sj * fs[j].conj() * D.A \
             - 0.25 * eps * sgn_p1 * i_unit * ScalarEps(e2u * Cs[jp], 0.0, eps) \
             * gammas[j].conj()
@@ -356,28 +352,16 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
         # integrability: 2 u_zzb + 4 eps b e^{-2u}|f_j|^2
         #   + (-1)^j (Abar_z + A_zb) + eps (-1)^p e^{2u} C1 C2 / 2 = 0
         # (the |f|^2 term carries b, which drops out in the b=1 frames)
-        uzzb = (d_xx(D.u, D.hx) + eps * d_yy(D.u, D.hy)) / 4.0
-        Azb = dzbar_field(D.A, D.hx, D.hy, eps)
-        re_term = 2.0 * Azb.re  # Abar_z + A_zbar = 2 Re(A_zbar)
         r = 2.0 * uzzb + 4.0 * eps * b * em2u * fs[j].abs2() \
             + ((-1.0) ** j) * re_term + 0.5 * eps * ((-1.0) ** p) * e2u * D.C1 * D.C2
         norms[f"integrability_{j}"] = field_sup(r, m)
 
-    # A-consistency between the two defining expressions
-    uz = D.uz()
+    # A-consistency between the two defining expressions (nan when the
+    # strata leave no point where both are defined)
     m12 = base & ~cxs[1] & ~cxs[2]
-    if np.any(m12):
-        g1z = dz_field(D.gamma1, D.hx, D.hy, eps)
-        g2z = dz_field(D.gamma2, D.hx, D.hy, eps)
-        A1 = 2.0 * uz - _se_div(
-            2.0 * eps * i_unit * ScalarEps(D.C1, 0.0, eps) * D.f1 + g1z,
-            D.gamma1, m12)
-        A2 = -2.0 * uz + _se_div(
-            2.0 * eps * i_unit * ScalarEps(D.C2, 0.0, eps) * D.f2 + g2z,
-            D.gamma2, m12)
-        norms["a_consistency"] = se_sup(A1 - A2, m12)
-    else:
-        norms["a_consistency"] = float("nan")
+    A1, A2 = _a_pair(D.uz(), (D.C1, D.C2), (D.f1, D.f2),
+                     (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
+    norms["a_consistency"] = se_sup(A1 - A2, m12)
 
     return CompatReport(norms, int(np.sum(base)))
 
@@ -395,10 +379,18 @@ def curvature_from_data(D: FundamentalData):
     Kperp = 4 eps e^{-4u} (|f1|^2 - |f2|^2) on minimal data.
     """
     eps = D.eps
-    uzzb = (d_xx(D.u, D.hx) + eps * d_yy(D.u, D.hy)) / 4.0
-    K = -4.0 * np.exp(-2.0 * D.u) * uzzb
+    K = -4.0 * np.exp(-2.0 * D.u) * zzbar(D.u, D.hx, D.hy, eps)
     Kperp = 4.0 * eps * np.exp(-4.0 * D.u) * (D.f1.abs2() - D.f2.abs2())
     return K, Kperp
+
+
+def _curvature_term(D: FundamentalData, j: int, K, Kperp):
+    """eps K + eps b (-1)^{j+1} Kperp + (-1)^{p+1} C1 C2, with (K, Kperp)
+    from curvature_from_data unless both are given."""
+    if K is None or Kperp is None:
+        K, Kperp = curvature_from_data(D)
+    return (D.eps * K + D.eps * D.b * (-1.0) ** (j + 1) * Kperp
+            + (-1.0) ** (D.p + 1) * D.C1 * D.C2)
 
 
 def f_norm_identity(D: FundamentalData, K=None, Kperp=None):
@@ -406,31 +398,19 @@ def f_norm_identity(D: FundamentalData, K=None, Kperp=None):
     + (-1)^{p+1} C1 C2); NotApplicable on all-complex data."""
     if np.all(~D.mask | (D.complex1 & D.complex2)):
         return NotApplicable
-    if K is None or Kperp is None:
-        K, Kperp = curvature_from_data(D)
     e4u = np.exp(4.0 * D.u)
-    sgn = (-1.0) ** (D.p + 1)
-    out = {}
-    for j, f_ in ((1, D.f1), (2, D.f2)):
-        rhs = (D.b * e4u / 8.0) * (D.eps * K
-                                   + D.eps * D.b * (-1.0) ** (j + 1) * Kperp
-                                   + sgn * D.C1 * D.C2)
-        out[j] = np.where(D.mask, f_.abs2() - rhs, np.nan)
-    return out
+    return {j: np.where(D.mask, f_.abs2() - (D.b * e4u / 8.0)
+                        * _curvature_term(D, j, K, Kperp), np.nan)
+            for j, f_ in ((1, D.f1), (2, D.f2))}
 
 
 def grad_c_residual(D: FundamentalData, j: int, K=None, Kperp=None) -> np.ndarray:
     """|grad C_j|^2 - (eps C_j^2 + (-1)^{p+1})(K + eps b (-1)^{j+1} Kperp
     + (-1)^{p+1} C_j C_{j'})."""
-    if K is None or Kperp is None:
-        K, Kperp = curvature_from_data(D)
-    C = D.C1 if j == 1 else D.C2
-    Cp = D.C2 if j == 1 else D.C1
-    sgn = (-1.0) ** (D.p + 1)
+    C, _ = D.kahler_pair(j)
     lhs = grad_norm2_induced(C, D.u, D.eps, D.hx, D.hy)
-    rhs = (D.eps * C ** 2 + sgn) * (D.eps * K
-                                    + D.eps * D.b * (-1.0) ** (j + 1) * Kperp
-                                    + sgn * C * Cp)
+    rhs = (D.eps * C ** 2 + (-1.0) ** (D.p + 1)) \
+        * _curvature_term(D, j, K, Kperp)
     return np.where(D.mask, lhs - rhs, np.nan)
 
 
@@ -444,8 +424,7 @@ def lap_c_residual(D: FundamentalData, j: int, K=None, Kperp=None) -> np.ndarray
     """
     if K is None or Kperp is None:
         K, Kperp = curvature_from_data(D)
-    C = D.C1 if j == 1 else D.C2
-    Cp = D.C2 if j == 1 else D.C1
+    C, Cp = D.kahler_pair(j)
     sgn = (-1.0) ** (D.p + 1)
     lap = laplacian_induced(C, D.u, D.eps, D.hx, D.hy)
     r = lap - 2.0 * D.eps * C * (K + D.b * (-1.0) ** (j + 1) * Kperp) \
@@ -459,8 +438,7 @@ def arctan_c_residual(D: FundamentalData, j: int) -> np.ndarray:
     Riemannian data (eps=1) gives the familiar -C_{j'}; on Lorentzian
     patches the sign follows eps (this is forced by the mixed sin-Gordon
     pair the tan-branch data satisfies)."""
-    C = D.C1 if j == 1 else D.C2
-    Cp = D.C2 if j == 1 else D.C1
+    C, Cp = D.kahler_pair(j)
     lap = laplacian_induced(np.arctan(C), D.u, D.eps, D.hx, D.hy)
     return np.where(D.mask, lap + D.eps * Cp, np.nan)
 
@@ -470,7 +448,7 @@ def log_sqrt_residual(D: FundamentalData, m: int, K=None, Kperp=None) -> np.ndar
     data on the p=1 product."""
     if K is None or Kperp is None:
         K, Kperp = curvature_from_data(D)
-    Cmp = D.C2 if m == 1 else D.C1
+    _, Cmp = D.kahler_pair(m)
     lap = laplacian_induced(np.log(np.sqrt(1.0 + Cmp ** 2)), D.u, D.eps,
                             D.hx, D.hy)
     return np.where(D.mask, lap - (K + (-1.0) ** m * Kperp), np.nan)

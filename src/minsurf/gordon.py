@@ -30,8 +30,8 @@ from .errors import (
     DomainViolation,
     EmptyMask,
 )
-from .fundata import FundamentalData
-from .immersion import GridSpec, dz_field
+from .fundata import FundamentalData, se_where
+from .immersion import GridSpec, diff2, dz, wirtinger, zzbar
 
 KINDS = {
     "sinh_plus": (np.sinh, np.cosh, (1.0, 1.0)),
@@ -67,21 +67,15 @@ class GordonSolution:
         if self.mask is None:
             self.mask = np.ones(np.asarray(self.v).shape, dtype=bool)
 
-    @property
-    def spec(self) -> GridSpec:
-        n, m = self.v.shape
-        return GridSpec(n, m, self.hx, self.hy, self.origin)
-
     def dz(self, which: str) -> ScalarEps:
         """d/dz of v or w, using exact derivatives when available."""
         f = self.v if which == "v" else self.w
         fx = self.v_x if which == "v" else self.w_x
         fy = self.v_y if which == "v" else self.w_y
         if fx is not None and fy is not None:
-            i = unit_i(self.eps)
-            return (ScalarEps(fx, 0.0, self.eps)
-                    - self.eps * i * ScalarEps(fy, 0.0, self.eps)) * 0.5
-        return dz_field(f, self.hx, self.hy, self.eps)
+            return wirtinger(ScalarEps(fx, 0.0, self.eps),
+                             ScalarEps(fy, 0.0, self.eps), self.eps, False)
+        return dz(f, self.hx, self.hy, self.eps)
 
 
 def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy,
@@ -93,16 +87,9 @@ def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy,
 
 
 def _component_residual(N, s, eps, u, hx, hy, forcing=None):
-    out = np.full_like(u, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        uxx = (u[2:, 1:-1] - 2 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / hx ** 2
-        uyy = (u[1:-1, 2:] - 2 * u[1:-1, 1:-1] + u[1:-1, :-2]) / hy ** 2
-        uzzb = (uxx + eps * uyy) / 4.0
-        r = uzzb + 0.5 * s * N(2.0 * u[1:-1, 1:-1])
-        if forcing is not None:
-            r = r - forcing[1:-1, 1:-1]
-    out[1:-1, 1:-1] = r
-    return out
+        r = zzbar(u, hx, hy, eps) + 0.5 * s * N(2.0 * u)
+        return r if forcing is None else r - forcing
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +106,14 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
 
     hx, hy = spec.hx, spec.hy
     ni, nj = nx - 2, ny - 2
-    idx = lambda i, j: i * nj + j  # noqa: E731  (interior indexing)
 
-    # 5-point Laplacian on the interior (Dirichlet rows eliminated)
-    main = np.full(ni * nj, -2.0 / hx ** 2 - 2.0 / hy ** 2)
-    Lap = sp.lil_matrix((ni * nj, ni * nj))
-    Lap.setdiag(main)
-    for i in range(ni):
-        for j in range(nj):
-            k = idx(i, j)
-            if i > 0:
-                Lap[k, idx(i - 1, j)] = 1.0 / hx ** 2
-            if i < ni - 1:
-                Lap[k, idx(i + 1, j)] = 1.0 / hx ** 2
-            if j > 0:
-                Lap[k, idx(i, j - 1)] = 1.0 / hy ** 2
-            if j < nj - 1:
-                Lap[k, idx(i, j + 1)] = 1.0 / hy ** 2
-    Lap = Lap.tocsr()
+    def second_diff(n, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h ** 2
+
+    # 5-point Laplacian on the interior (Dirichlet rows eliminated),
+    # unknowns ordered i * nj + j
+    Lap = (sp.kron(second_diff(ni, hx), sp.identity(nj))
+           + sp.kron(sp.identity(ni), second_diff(nj, hy))).tocsr()
 
     def bdry_contrib():
         c = np.zeros((ni, nj))
@@ -207,21 +184,14 @@ def _leapfrog(N, s, spec: GridSpec, init, bc, forcing):
     v0_fn, vy0_fn = init
     u = np.empty((nx, ny))
     u[:, 0] = v0_fn(xs)
-    vy0 = vy0_fn(xs)
-
-    def dxx(col):
-        out = np.zeros(nx)
-        out[1:-1] = (col[2:] - 2 * col[1:-1] + col[:-2]) / hx ** 2
-        return out
-
-    # second-order first step; PDE: v_yy = v_xx + 2 s N(2v) - 4 f
-    acc0 = dxx(u[:, 0]) + 2.0 * s * N(2.0 * u[:, 0]) - 4.0 * f[:, 0]
-    u[:, 1] = u[:, 0] + hy * vy0 + 0.5 * hy ** 2 * acc0
-    u[0, 1] = bc(xs[0], ys[1])
-    u[-1, 1] = bc(xs[-1], ys[1])
-    for j in range(1, ny - 1):
-        acc = dxx(u[:, j]) + 2.0 * s * N(2.0 * u[:, j]) - 4.0 * f[:, j]
-        u[:, j + 1] = 2.0 * u[:, j] - u[:, j - 1] + hy ** 2 * acc
+    for j in range(ny - 1):
+        # PDE: v_yy = v_xx + 2 s N(2v) - 4 f (the nan edge values of diff2
+        # are overwritten by the boundary data)
+        acc = diff2(u[:, j], hx, 0) + 2.0 * s * N(2.0 * u[:, j]) - 4.0 * f[:, j]
+        if j == 0:  # second-order first step
+            u[:, 1] = u[:, 0] + hy * vy0_fn(xs) + 0.5 * hy ** 2 * acc
+        else:
+            u[:, j + 1] = 2.0 * u[:, j] - u[:, j - 1] + hy ** 2 * acc
         u[0, j + 1] = bc(xs[0], ys[j + 1])
         u[-1, j + 1] = bc(xs[-1], ys[j + 1])
     return u
@@ -270,26 +240,27 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     X, Y = spec.mesh()
     fva = None if fv is None else np.asarray(fv(X, Y), dtype=float) * np.ones_like(v)
     fwa = None if fw is None else np.asarray(fw(X, Y), dtype=float) * np.ones_like(w)
-    rv = _component_residual(N, signs[0], eps, v, spec.hx, spec.hy, fva)
-    rw = _component_residual(N, signs[1], eps, w, spec.hx, spec.hy, fwa)
-    res = float(max(np.nanmax(np.abs(rv)), np.nanmax(np.abs(rw))))
+    res = _pair_residual(kind, eps, spec, v, w, fva, fwa)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
                           res, None, converged, iters)
+
+
+def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:
+    """Max-norm of the discrete residuals of both equations of the pair."""
+    N, _, signs = KINDS[kind]
+    rv = _component_residual(N, signs[0], eps, v, spec.hx, spec.hy, fv)
+    rw = _component_residual(N, signs[1], eps, w, spec.hx, spec.hy, fw)
+    return float(max(np.nanmax(np.abs(rv)), np.nanmax(np.abs(rw))))
 
 
 def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
                          v_x=None, v_y=None, w_x=None, w_y=None,
                          forcing=None) -> GordonSolution:
     """Wrap externally computed (v, w) fields (closed forms, ODE oracles)."""
-    N, _, signs = KINDS[kind]
-    rv = _component_residual(N, signs[0], eps, np.asarray(v, float),
-                             spec.hx, spec.hy, forcing)
-    rw = _component_residual(N, signs[1], eps, np.asarray(w, float),
-                             spec.hx, spec.hy, forcing)
-    res = float(max(np.nanmax(np.abs(rv)), np.nanmax(np.abs(rw))))
-    return GordonSolution(kind, eps, np.asarray(v, float), np.asarray(w, float),
-                          spec.hx, spec.hy, spec.origin, res, None, True, (0, 0),
-                          v_x, v_y, w_x, w_y)
+    v, w = np.asarray(v, float), np.asarray(w, float)
+    res = _pair_residual(kind, eps, spec, v, w, forcing, forcing)
+    return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
+                          res, None, True, (0, 0), v_x, v_y, w_x, w_y)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +298,16 @@ def vw_from_C(C1, C2, branch: str):
 # ---------------------------------------------------------------------------
 # the explicit families
 # ---------------------------------------------------------------------------
+
+# branch -> (phi, (log phi)', sigma) with e^{2u} = 4 phi(v+w) phi(v-w),
+# u_z = ((log phi)'(S) S_z summed over S = v +- w)/2 and the Kahler
+# functions sigma (log phi)' of (v-w, v+w); the tan branch (sigma = -1)
+# swaps the roles of v+w and v-w in C_j, gamma_j and f_j.
+BRANCHES = {
+    "coth": (np.sinh, lambda s: 1.0 / np.tanh(s), 1),
+    "tanh": (np.cosh, np.tanh, 1),
+    "tan": (np.cos, lambda s: -np.tan(s), -1),
+}
 
 # theorem -> (eps, p, b, equation kind, branch, norm of the phase q(t))
 # The equation kinds for A2/B1/B2 are the ones under which the generated
@@ -412,62 +393,26 @@ def build_family(theorem: str, sol: GordonSolution, t: float = 0.0,
     i_unit = unit_i(eps)
     q = family_phase(eps, t, qnorm)
 
+    phi, dlog, sigma = BRANCHES[branch]
+    Sa, Sb, Saz, Sbz = (Sm, Sp, Smz, Spz) if sigma > 0 else (Sp, Sm, Spz, Smz)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if branch == "coth":
-            C1 = 1.0 / np.tanh(Sm)
-            C2 = 1.0 / np.tanh(Sp)
-            e2u = 4.0 * np.sinh(Sp) * np.sinh(Sm)
-            if theorem == "A2":
-                e2u = -e2u
-            r1 = np.sinh(Sp) / np.sinh(Sm)
-            r2 = np.sinh(Sm) / np.sinh(Sp)
-            cothp, cothm = 1.0 / np.tanh(Sp), 1.0 / np.tanh(Sm)
-            A = 0.5 * (ScalarEps(cothp, 0.0, eps) * Spz
-                       - ScalarEps(cothm, 0.0, eps) * Smz)
-            uz = 0.5 * (ScalarEps(cothp, 0.0, eps) * Spz
-                        + ScalarEps(cothm, 0.0, eps) * Smz)
-            g1 = np.sqrt(2.0) * q * _sqrt_signed(r1, eps)
-            g2 = np.sqrt(2.0) * q * _sqrt_signed(r2, eps)
-            f1 = -i_unit * g1 * Smz
-            f2 = -i_unit * g2 * Spz
-        elif branch == "tanh":
-            C1 = np.tanh(Sm)
-            C2 = np.tanh(Sp)
-            e2u = 4.0 * np.cosh(Sp) * np.cosh(Sm)
-            r1 = np.cosh(Sp) / np.cosh(Sm)
-            r2 = np.cosh(Sm) / np.cosh(Sp)
-            A = 0.5 * (ScalarEps(np.tanh(Sp), 0.0, eps) * Spz
-                       - ScalarEps(np.tanh(Sm), 0.0, eps) * Smz)
-            uz = 0.5 * (ScalarEps(np.tanh(Sp), 0.0, eps) * Spz
-                        + ScalarEps(np.tanh(Sm), 0.0, eps) * Smz)
-            g1 = np.sqrt(2.0) * q * _sqrt_signed(r1, eps)
-            g2 = np.sqrt(2.0) * q * _sqrt_signed(r2, eps)
-            f1 = -i_unit * g1 * Smz
-            f2 = -i_unit * g2 * Spz
-        else:  # tan branch (C families)
-            C1 = np.tan(Sp)
-            C2 = np.tan(Sm)
-            e2u = 4.0 * np.cos(Sp) * np.cos(Sm)
-            r1 = np.cos(Sm) / np.cos(Sp)
-            r2 = np.cos(Sp) / np.cos(Sm)
-            A = 0.5 * (ScalarEps(np.tan(Sp), 0.0, eps) * Spz
-                       - ScalarEps(np.tan(Sm), 0.0, eps) * Smz)
-            uz = -0.5 * (ScalarEps(np.tan(Sp), 0.0, eps) * Spz
-                         + ScalarEps(np.tan(Sm), 0.0, eps) * Smz)
-            g1 = np.sqrt(2.0) * q * _sqrt_signed(r1, eps)
-            g2 = np.sqrt(2.0) * q * _sqrt_signed(r2, eps)
-            f1 = i_unit * g1 * Spz
-            f2 = i_unit * g2 * Smz
-
+        C1, C2 = sigma * dlog(Sa), sigma * dlog(Sb)
+        e2u = 4.0 * phi(Sp) * phi(Sm)
+        if theorem == "A2":
+            e2u = -e2u
+        lp = ScalarEps(dlog(Sp), 0.0, eps) * Spz
+        lm = ScalarEps(dlog(Sm), 0.0, eps) * Smz
+        A = (0.5 * sigma) * (lp - lm)
+        uz = 0.5 * (lp + lm)
+        g1 = np.sqrt(2.0) * q * _sqrt_signed(phi(Sb) / phi(Sa), eps)
+        g2 = np.sqrt(2.0) * q * _sqrt_signed(phi(Sa) / phi(Sb), eps)
+        f1 = (-sigma * i_unit) * g1 * Saz
+        f2 = (-sigma * i_unit) * g2 * Sbz
         u = np.where(mask, 0.5 * np.log(np.where(mask, e2u, 1.0)), np.nan)
 
-    def masked(z: ScalarEps) -> ScalarEps:
-        return ScalarEps(np.where(mask, z.re, np.nan),
-                         np.where(mask, z.im, np.nan), eps)
-
-    D = FundamentalData(p, eps, b, sol.hx, sol.hy, u,
-                        np.where(mask, C1, np.nan), np.where(mask, C2, np.nan),
-                        masked(g1), masked(g2), masked(f1), masked(f2),
-                        masked(A), mask, None, None, sol.origin,
-                        masked(uz), {}, {"theorem": theorem, "t": t})
-    return D
+    g1, g2, f1, f2, A, uz = (se_where(mask, z, np.nan)
+                             for z in (g1, g2, f1, f2, A, uz))
+    return FundamentalData(p, eps, b, sol.hx, sol.hy, u,
+                           np.where(mask, C1, np.nan), np.where(mask, C2, np.nan),
+                           g1, g2, f1, f2, A, mask, None, None, sol.origin,
+                           uz, {}, {"theorem": theorem, "t": t})

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frames import structure_oriented_frame
-from .algebra import ScalarEps, inner_arr
+from ._frames import complex_vector, structure_oriented_frame
+from .algebra import ScalarEps, inner_arr, j_arr, unit_i
 from .errors import (
     BoundaryError,
     DegenerateMetric,
@@ -117,28 +117,25 @@ class ImmersionGrid:
 # finite differences (interior valid, nan boundary)
 # ---------------------------------------------------------------------------
 
-def d_x(a: np.ndarray, hx: float) -> np.ndarray:
+def diff(a: np.ndarray, h: float, axis: int,
+         edges: bool = False) -> np.ndarray:
+    """First difference along axis 0 (x) or 1 (y): central inside; at the
+    two edge lines nan, or second-order one-sided stencils when edges."""
+    a = np.swapaxes(a, 0, axis)
     out = np.full_like(a, np.nan)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * hx)
-    return out
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    if edges:
+        out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+        out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    return np.swapaxes(out, 0, axis)
 
 
-def d_y(a: np.ndarray, hy: float) -> np.ndarray:
+def diff2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Central second difference along axis 0 (x) or 1 (y); nan edges."""
+    a = np.swapaxes(a, 0, axis)
     out = np.full_like(a, np.nan)
-    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * hy)
-    return out
-
-
-def d_xx(a: np.ndarray, hx: float) -> np.ndarray:
-    out = np.full_like(a, np.nan)
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (hx * hx)
-    return out
-
-
-def d_yy(a: np.ndarray, hy: float) -> np.ndarray:
-    out = np.full_like(a, np.nan)
-    out[:, 1:-1] = (a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]) / (hy * hy)
-    return out
+    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (h * h)
+    return np.swapaxes(out, 0, axis)
 
 
 def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -148,66 +145,39 @@ def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
     return out
 
 
-def d_x_full(a: np.ndarray, hx: float) -> np.ndarray:
-    """d/dx with second-order one-sided stencils at the edges."""
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * hx)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * hx)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * hx)
-    return out
+def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
+              conj: bool) -> ScalarEps:
+    """d/dz = (d/dx - eps i d/dy)/2 (d/dzbar with conj) from the partials."""
+    t = eps * unit_i(eps) * fy
+    return (fx + t if conj else fx - t) * 0.5
 
 
-def d_y_full(a: np.ndarray, hy: float) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * hy)
-    out[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * hy)
-    out[:, -1] = (3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]) / (2.0 * hy)
-    return out
+def dz(f, hx: float, hy: float, eps: int, conj: bool = False,
+       edges: bool = False) -> ScalarEps:
+    """d/dz (d/dzbar with conj) of a real or ScalarEps grid field."""
+    re, im = (f.re, f.im) if isinstance(f, ScalarEps) else (f, None)
+
+    def partial(h, axis):
+        d_im = np.zeros_like(f) if im is None else diff(im, h, axis, edges)
+        return ScalarEps(diff(re, h, axis, edges), d_im, eps)
+    return wirtinger(partial(hx, 0), partial(hy, 1), eps, conj)
 
 
-def dz_field_full(f, hx: float, hy: float, eps: int) -> ScalarEps:
-    """d/dz with one-sided edge stencils (full-grid validity)."""
-    if isinstance(f, ScalarEps):
-        fx = ScalarEps(d_x_full(f.re, hx), d_x_full(f.im, hx), eps)
-        fy = ScalarEps(d_y_full(f.re, hy), d_y_full(f.im, hy), eps)
-    else:
-        fx = ScalarEps(d_x_full(f, hx), np.zeros_like(f), eps)
-        fy = ScalarEps(d_y_full(f, hy), np.zeros_like(f), eps)
-    return (fx - eps * ScalarEps(0.0, 1.0, eps) * fy) * 0.5
-
-
-def dz_field(f, hx: float, hy: float, eps: int) -> ScalarEps:
-    """d/dz of a real or ScalarEps grid field, central differences."""
-    if isinstance(f, ScalarEps):
-        fx = ScalarEps(d_x(f.re, hx), d_x(f.im, hx), eps)
-        fy = ScalarEps(d_y(f.re, hy), d_y(f.im, hy), eps)
-    else:
-        fx = ScalarEps(d_x(f, hx), np.zeros_like(f), eps)
-        fy = ScalarEps(d_y(f, hy), np.zeros_like(f), eps)
-    return (fx - eps * ScalarEps(0.0, 1.0, eps) * fy) * 0.5
-
-
-def dzbar_field(f, hx: float, hy: float, eps: int) -> ScalarEps:
-    if isinstance(f, ScalarEps):
-        fx = ScalarEps(d_x(f.re, hx), d_x(f.im, hx), eps)
-        fy = ScalarEps(d_y(f.re, hy), d_y(f.im, hy), eps)
-    else:
-        fx = ScalarEps(d_x(f, hx), np.zeros_like(f), eps)
-        fy = ScalarEps(d_y(f, hy), np.zeros_like(f), eps)
-    return (fx + eps * ScalarEps(0.0, 1.0, eps) * fy) * 0.5
+def zzbar(f: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
+    """f_{z zbar} = (f_xx + eps f_yy)/4 of a real field, nan edges."""
+    return (diff2(f, hx, 0) + eps * diff2(f, hy, 1)) / 4.0
 
 
 def laplacian_induced(f: np.ndarray, u: np.ndarray, eps: int,
                       hx: float, hy: float) -> np.ndarray:
     """Induced-metric Laplacian D f = 4 eps e^{-2u} f_{z zbar} of a real field."""
-    fzzb = (d_xx(f, hx) + eps * d_yy(f, hy)) / 4.0
-    return 4.0 * eps * np.exp(-2.0 * u) * fzzb
+    return 4.0 * eps * np.exp(-2.0 * u) * zzbar(f, hx, hy, eps)
 
 
 def grad_norm2_induced(f: np.ndarray, u: np.ndarray, eps: int,
                        hx: float, hy: float) -> np.ndarray:
     """|grad f|^2 = e^{-2u} (f_x^2 + eps f_y^2) for the induced metric."""
-    return np.exp(-2.0 * u) * (d_x(f, hx) ** 2 + eps * d_y(f, hy) ** 2)
+    return np.exp(-2.0 * u) * (diff(f, hx, 0) ** 2 + eps * diff(f, hy, 1) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +197,8 @@ def jets(F: ImmersionGrid) -> GridJets:
     """Whole-grid first and second central differences of the samples."""
     def make():
         V = F.values
-        return GridJets(d_x(V, F.hx), d_y(V, F.hy),
-                        d_xx(V, F.hx), d_xy(V, F.hx, F.hy), d_yy(V, F.hy))
+        return GridJets(diff(V, F.hx, 0), diff(V, F.hy, 1), diff2(V, F.hx, 0),
+                        d_xy(V, F.hx, F.hy), diff2(V, F.hy, 1))
     return F._cached("jets", make)
 
 
@@ -312,7 +282,6 @@ def kahler_fields(F: ImmersionGrid):
         J = jets(F)
         C = conformal_fields(F)
         p = F.p
-        from .algebra import j_arr
         w1 = inner_arr(j_arr(F.values[..., 0, :], J.Fx[..., 0, :], p),
                        J.Fy[..., 0, :], p)
         w2 = inner_arr(j_arr(F.values[..., 1, :], J.Fx[..., 1, :], p),
@@ -354,26 +323,29 @@ def class_tol(F: ImmersionGrid, u) -> np.ndarray:
     return 10.0 * h2 * np.maximum(1.0, np.exp(-2.0 * np.asarray(u)))
 
 
-def classify_point(F: ImmersionGrid, i: int, j: int, tol=None) -> PointClass:
+def class_masks(F: ImmersionGrid):
+    """(lagrangian_1, lagrangian_2, complex_1, complex_2) boolean fields on
+    the non-degenerate samples, thresholded by class_tol."""
+    def make():
+        C = conformal_fields(F)
+        C1, C2 = kahler_fields(F)
+        tol = class_tol(F, np.where(C.ok, C.u, 0.0))
+        s = (-1.0) ** (F.p + 1)
+        with np.errstate(invalid="ignore"):
+            return tuple(C.ok & (np.abs(x) <= tol) for x in
+                         (C1, C2, C.eps_sign * C1 * C1 + s,
+                          C.eps_sign * C2 * C2 + s))
+    return F._cached("classes", make)
+
+
+def classify_point(F: ImmersionGrid, i: int, j: int) -> PointClass:
     _check_interior(F, i, j)
-    C = conformal_fields(F)
-    if not C.ok[i, j]:
+    if not conformal_fields(F).ok[i, j]:
         return PointClass(False, False, False, False, True,
                           float("nan"), float("nan"))
-    C1f, C2f = kahler_fields(F)
-    c1, c2 = float(C1f[i, j]), float(C2f[i, j])
-    if tol is None:
-        tol = float(class_tol(F, C.u[i, j]))
-    eps = int(C.eps_sign[i, j])
-    s = (-1.0) ** (F.p + 1)
-    return PointClass(
-        is_lagrangian_1=abs(c1) <= tol,
-        is_lagrangian_2=abs(c2) <= tol,
-        is_complex_1=abs(eps * c1 * c1 + s) <= tol,
-        is_complex_2=abs(eps * c2 * c2 + s) <= tol,
-        is_degenerate=False,
-        C1=c1, C2=c2,
-    )
+    C1, C2 = kahler_fields(F)
+    return PointClass(*(bool(m[i, j]) for m in class_masks(F)), False,
+                      float(C1[i, j]), float(C2[i, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,82 +403,85 @@ def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
 
 
 def oriented_frame(F: ImmersionGrid, b: int = 1):
-    """Grid-wide oriented normal frame (cached per b)."""
+    """Grid-wide oriented normal frame (N, Ntilde, bad, diag), cached per b."""
     def make():
         J = jets(F)
         return structure_oriented_frame(F.values, J.Fx, J.Fy, F.p, F.eps, b)
     return F._cached(f"frame_{b}", make)
 
 
+def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
+    """K = -4 e^{-2u} u_{z zbar}, the Gauss curvature of the induced metric
+    (the eps-weighted variant is eps*K; see curvature_from_data)."""
+    def make():
+        C = conformal_fields(F)
+        return -4.0 * np.exp(-2.0 * C.u) * zzbar(C.u, F.hx, F.hy, C.eps_sign)
+    return F._cached("K", make)
+
+
+def normal_curvature_field(F: ImmersionGrid, b: int = 1) -> np.ndarray:
+    """Kperp = G([A_Ntilde, A_N] e1, e2), the Ricci commutator of the shape
+    operators in the frame e_k = e^{-u} F_k.  With a_kl = G(h_kl, N) and
+    b_kl = G(h_kl, Ntilde) in that frame it reads
+    a11 b12 - a12 b11 + eps (a12 b22 - a22 b12)."""
+    def make():
+        C = conformal_fields(F)
+        emu = np.exp(-C.u)[..., None, None]
+        he = [emu * emu * h for h in second_fundamental_fields(F)[:3]]
+        N, Nt, _, _ = oriented_frame(F, b)
+        a11, a12, a22 = (g_inner(h, N, F.p) for h in he)
+        b11, b12, b22 = (g_inner(h, Nt, F.p) for h in he)
+        return a11 * b12 - a12 * b11 + C.eps_sign * (a12 * b22 - a22 * b12)
+    return F._cached(f"Kperp_{b}", make)
+
+
+def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
+    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan where
+    gauss_equation_residual raises."""
+    def make():
+        C = conformal_fields(F)
+        eps = C.eps_sign
+        K = gauss_curvature_field(F)
+        C1, C2 = kahler_fields(F)
+        h11, h12, h22, H = second_fundamental_fields(F)
+        emu2 = np.exp(-2.0 * C.u)[..., None, None]
+        hee = [emu2 * h11, emu2 * h12, emu2 * h22]
+        habs2 = (g_inner(hee[0], hee[0], F.p) + g_inner(hee[2], hee[2], F.p)
+                 + 2.0 * eps * g_inner(hee[1], hee[1], F.p))
+        Hn2 = g_inner(H, H, F.p)
+        sgn = (-1.0) ** F.p
+        r = np.abs(K - eps * sgn * C1 * C2 - 2.0 * Hn2 + habs2 / 2.0)
+        valid = C.ok & np.isfinite(K) & ~oriented_frame(F)[2]
+        out = np.full_like(r, np.nan)
+        out[2:-2, 2:-2] = np.where(valid, r, np.nan)[2:-2, 2:-2]
+        return out
+    return F._cached("gauss", make)
+
+
 def curvatures(F: ImmersionGrid, i: int, j: int, b: int = 1):
-    """(K, Kperp) with K from the conformal-factor Laplacian and Kperp
-    from the Ricci commutator of the shape operators."""
+    """(K, Kperp) at an interior sample: K from the conformal-factor
+    Laplacian and Kperp from the Ricci commutator of the shape operators."""
     _check_interior(F, i, j, ring=2)
-    C = conformal_fields(F)
-    if not C.ok[i, j]:
+    if not conformal_fields(F).ok[i, j]:
         raise DegenerateMetric(f"degenerate sample ({i},{j})")
-    eps = int(C.eps_sign[i, j])
-    # K = -4 e^{-2u} u_{z zbar}: the Gauss curvature of the induced
-    # metric (the eps-weighted variant is eps*K; see curvature_from_data)
-    u = C.u
-    uxx = (u[i + 1, j] - 2 * u[i, j] + u[i - 1, j]) / F.hx ** 2
-    uyy = (u[i, j + 1] - 2 * u[i, j] + u[i, j - 1]) / F.hy ** 2
-    if not np.isfinite(uxx + uyy):
+    K = gauss_curvature_field(F)[i, j]
+    if not np.isfinite(K):
         raise DegenerateMetric(f"degenerate neighbor ring at ({i},{j})")
-    K = -np.exp(-2.0 * u[i, j]) * (uxx + eps * uyy)
-
-    h11, h12, h22, H = second_fundamental_fields(F)
-    emu = np.exp(-C.u[i, j])
-    J = jets(F)
-    e1 = emu * J.Fx[i, j]
-    e2 = emu * J.Fy[i, j]
-    Nfield, Ntfield, badf, _ = oriented_frame(F, b)
-    if badf[i, j]:
+    if oriented_frame(F, b)[2][i, j]:
         raise DegenerateMetric(f"no normal frame at sample ({i},{j})")
-    N, Nt = Nfield[i, j], Ntfield[i, j]
-    he = np.empty((2, 2, 2, 3))
-    he[0, 0] = emu * emu * h11[i, j]
-    he[0, 1] = he[1, 0] = emu * emu * h12[i, j]
-    he[1, 1] = emu * emu * h22[i, j]
-    enorm = np.array([1.0, eps])
-
-    def shape_op(v):
-        # matrix of A_v in the (e1, e2) frame: A_v e_i = sum_j M[j,i] e_j
-        M = np.empty((2, 2))
-        for a in range(2):
-            for c in range(2):
-                M[c, a] = g_inner(he[a, c], v, F.p) / enorm[c]
-        return M
-
-    A1 = shape_op(N)
-    A2 = shape_op(Nt)
-    Cm = A2 @ A1 - A1 @ A2
-    # Kperp = G([A_v2, A_v1] e1, e2) with v1 = N, v2 = Ntilde
-    Kperp = Cm[1, 0] * enorm[1]
-    return float(K), float(Kperp)
+    return float(K), float(normal_curvature_field(F, b)[i, j])
 
 
 def gauss_equation_residual(F: ImmersionGrid, i: int, j: int) -> float:
     """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| at an interior sample."""
-    K, _ = curvatures(F, i, j)
-    C = conformal_fields(F)
-    eps = int(C.eps_sign[i, j])
-    C1f, C2f = kahler_fields(F)
-    h11, h12, h22, H = second_fundamental_fields(F)
-    emu2 = np.exp(-2.0 * C.u[i, j])
-    hee = [emu2 * h11[i, j], emu2 * h12[i, j], emu2 * h22[i, j]]
-    habs2 = (g_inner(hee[0], hee[0], F.p) + g_inner(hee[2], hee[2], F.p)
-             + 2.0 * eps * g_inner(hee[1], hee[1], F.p))
-    Hn2 = g_inner(H[i, j], H[i, j], F.p)
-    sgn = (-1.0) ** F.p
-    return float(abs(K - eps * sgn * C1f[i, j] * C2f[i, j]
-                     - 2.0 * Hn2 + habs2 / 2.0))
+    curvatures(F, i, j)  # raises where the residual is undefined
+    return float(gauss_residual_field(F)[i, j])
 
 
 def fz_field(F: ImmersionGrid) -> ScalarEps:
     """F_z = (F_x - eps i F_y)/2 as a ScalarEps-valued product-vector field."""
     J = jets(F)
-    return ScalarEps(J.Fx / 2.0, -F.eps * J.Fy / 2.0, F.eps)
+    return complex_vector(J.Fx, J.Fy, F.eps, 2.0)
 
 
 def hopf_fields(F: ImmersionGrid):
@@ -517,8 +492,7 @@ def hopf_fields(F: ImmersionGrid):
         J1Fz = J_product(1, base, Fz, F.p)
         J2Fz = J_product(2, base, Fz, F.p)
         theta = g_inner(J1Fz, J2Fz, F.p) * 0.5
-        dbar = dzbar_field(theta, F.hx, F.hy, F.eps)
-        return theta, dbar
+        return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
     return F._cached("hopf", make)
 
 

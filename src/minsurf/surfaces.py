@@ -23,8 +23,7 @@ import numpy as np
 
 from .algebra import inner_arr
 from .errors import UnsupportedSignature
-from .immersion import GridSpec, ImmersionGrid, jets
-from .product import g_inner
+from .immersion import GridSpec, ImmersionGrid, conformal_fields
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,6 @@ class HoloFn:
     eps: int
     value: Callable
     deriv: Callable
-    deriv2: Callable = None
 
     def partials(self, a, b):
         c, d = self.deriv(a, b)
@@ -290,27 +288,26 @@ def degeneracy_locus(F: ImmersionGrid):
     tolerance; the contour is the set of zero crossings of G(F_x,F_x)
     along grid edges, located by linear interpolation.
     """
-    J = jets(F)
-    gxx = g_inner(J.Fx, J.Fx, F.p)
+    gxx = conformal_fields(F).gxx
     tol = F.deg_tol()
     with np.errstate(invalid="ignore"):
         mask = np.abs(gxx) <= tol
     mask &= np.isfinite(gxx)
     xs, ys = F.axes()
-    pts = []
-    g = gxx
-    fin = np.isfinite(g)
-    for i in range(1, F.nx - 2):
-        for j in range(1, F.ny - 1):
-            if fin[i, j] and fin[i + 1, j] and g[i, j] * g[i + 1, j] < 0:
-                t = g[i, j] / (g[i, j] - g[i + 1, j])
-                pts.append((xs[i] + t * F.hx, ys[j]))
-    for i in range(1, F.nx - 1):
-        for j in range(1, F.ny - 2):
-            if fin[i, j] and fin[i, j + 1] and g[i, j] * g[i, j + 1] < 0:
-                t = g[i, j] / (g[i, j] - g[i, j + 1])
-                pts.append((xs[i], ys[j] + t * F.hy))
-    return mask, np.array(pts).reshape(-1, 2)
+
+    def crossings(g0, g1):
+        # sign changes between the interior samples g0 and their neighbors
+        # g1, in row-major order of the sample index (offset by 1)
+        with np.errstate(invalid="ignore"):
+            hit = np.isfinite(g0) & np.isfinite(g1) & (g0 * g1 < 0)
+        i, j = np.nonzero(hit)
+        return i + 1, j + 1, g0[hit] / (g0[hit] - g1[hit])
+
+    i, j, t = crossings(gxx[1:-2, 1:-1], gxx[2:-1, 1:-1])
+    along_x = np.stack([xs[i] + t * F.hx, ys[j]], axis=-1)
+    i, j, t = crossings(gxx[1:-1, 1:-2], gxx[1:-1, 2:-1])
+    along_y = np.stack([xs[i], ys[j] + t * F.hy], axis=-1)
+    return mask, np.concatenate([along_x, along_y])
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,21 @@ class TestScalarEps:
         m = z.abs2()
         assert np.allclose(m, [1 - 0.25, 4 - 1])
 
+    @given(a=finite, b=finite, xs=st.lists(finite, min_size=1, max_size=5),
+           eps=st.sampled_from([1, -1]))
+    def test_mixed_numpy_operands(self, a, b, xs, eps):
+        # ndarray and numpy-scalar operands on either side give a ScalarEps
+        # with array components, never an object array of ScalarEps
+        z = ScalarEps(a, b, eps)
+        arr = np.array(xs)
+        for x in (arr, np.float64(xs[0])):
+            for got, re, im in ((x * z, x * a, x * b), (z * x, a * x, b * x),
+                                (x + z, x + a, b), (z - x, a - x, b),
+                                (x - z, x - a, -b)):
+                assert isinstance(got, ScalarEps) and got.eps == eps
+                np.testing.assert_array_equal(got.re, re)
+                np.testing.assert_array_equal(got.im, im)
+
 
 class TestInner:
     def test_euclidean(self):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from minsurf.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from minsurf.immersion import grid_to_json
@@ -47,6 +48,19 @@ class TestVerify:
     def test_missing_source_is_usage_error(self, capsys):
         code, _ = run(["verify"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ["--example", "nope"],
+        ["--example", "slice:first", "--h", "0", "--grid", "17"],
+        ["--example", "slice:first", "--h", "0.1,-0.1", "--grid", "17"],
+        ["--example", "slice:first", "--h", "0.1"],
+    ])
+    def test_bad_argument_is_usage_error(self, args, capsys):
+        code = main(["verify", *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"
