@@ -5,9 +5,10 @@
     minsurf pipeline --theorem A1|A2|B1|B2|C1|C2 [--grid NXxNY] [--t REAL]
                      [--tol NAME=VALUE]... [--out DIR] [--seed N]
 
-Both commands accept --config PATH (JSON with the same keys).  Reports
-are JSON with a fixed schema version; exit codes: 0 pass, 1 tolerance or
-domain failure, 2 usage / I-O error.
+Both commands accept --config PATH (JSON with the same keys); a flag or
+key the command does not read is a usage error.  Reports are JSON with a
+fixed schema version; exit codes: 0 pass, 1 tolerance or domain failure,
+2 usage / I-O error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ SCHEMA_VERSION = 1
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+# RunConfig keys each subcommand reads, and the flags of the grid keys
+READS = {
+    "verify": {"example", "input", "nx", "ny", "hx", "hy", "tol", "out",
+               "seed"},
+    "pipeline": {"theorem", "nx", "ny", "t", "tol", "out", "seed"},
+}
+FLAGS = {"nx": "grid", "ny": "grid", "hx": "h", "hy": "h"}
 
 
 @dataclass
@@ -55,6 +65,11 @@ class RunConfig:
         unknown = set(d) - cls.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        command = d.get("command")
+        unread = set(d) - {"command"} - READS.get(command, cls.keys())
+        if unread:
+            names = sorted({f"{k} (--{FLAGS.get(k, k)})" for k in unread})
+            raise ValueError(f"{command} does not read {', '.join(names)}")
         cfg = cls(**d)
         if cfg.theorem is not None and cfg.theorem not in gordon.FAMILY_TABLE:
             raise ValueError(f"unknown theorem {cfg.theorem!r}")
@@ -96,10 +111,10 @@ def parse_args(argv) -> RunConfig:
         sp.add_argument("--grid", help="NXxNY")
         sp.add_argument("--h", help="HX,HY")
         sp.add_argument("--theorem", choices=sorted(gordon.FAMILY_TABLE))
-        sp.add_argument("--t", type=float, default=0.0)
+        sp.add_argument("--t", type=float)
         sp.add_argument("--tol", action="append", default=[])
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--config")
     ns = ap.parse_args(argv)
     base = {}
@@ -112,13 +127,12 @@ def parse_args(argv) -> RunConfig:
         parts = ns.h.split(",")
         hx = float(parts[0])
         hy = float(parts[1]) if len(parts) > 1 else hx
-    cli_part = dict(command=ns.command, example=ns.example, input=ns.input,
-                    nx=nx, ny=ny, hx=hx, hy=hy, theorem=ns.theorem, t=ns.t,
-                    tol=_parse_tols(ns.tol), out=ns.out, seed=ns.seed)
-    merged = dict(base)
-    for k, v in cli_part.items():
-        if v not in (None, {}, []) or k not in merged:
-            merged[k] = v
+    given = dict(example=ns.example, input=ns.input, nx=nx, ny=ny, hx=hx,
+                 hy=hy, theorem=ns.theorem, t=ns.t, tol=_parse_tols(ns.tol),
+                 out=ns.out, seed=ns.seed)
+    # only explicit values count; RunConfig holds the defaults
+    merged = dict(base, command=ns.command)
+    merged.update({k: v for k, v in given.items() if v not in (None, {})})
     return RunConfig.from_dict(merged)
 
 
@@ -356,8 +370,8 @@ def run_pipeline(cfg: RunConfig):
     mx = min(5, (spec.nx - 5) // 2)
     my = min(5, (spec.ny - 5) // 2)
     D = fundata.restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
-    rt = frenet.roundtrip_report(D)
-    grid, rec = frenet.reconstruct(D, commutator_stride=8)
+    rt = frenet.roundtrip_report(D, commutator_stride=8)
+    grid, rec = rt.grid, rt.rec
 
     h = max(D.hx, D.hy)
     tols = {"roundtrip": 200.0 * h * h}

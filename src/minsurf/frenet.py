@@ -8,10 +8,11 @@ The first-order frame system in the state (F, F_z, xi) reads
     xibar_z= 2 eps e^{-2u} b f1 F_zb - A xibar + (-1)^{p+1} (i b C2 g1 / 2) F
 
 with Fhat = (F1, -F2).  Real x/y derivatives are recovered from
-Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb), and the grid is filled by a
-classical RK4 sweep along the first row followed by RK4 sweeps up every
-column; coefficient values at half-steps come from cubic interpolation
-of the data lines.  The drift of the quadric constraints <F_k, F_k> = 1
+Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb), and the grid is filled by
+classical RK4: a serial sweep along the first row, then a lock-step
+sweep that advances all columns together, one batched step per y index;
+coefficient values at half-steps come from cubic interpolation of the
+data lines.  The drift of the quadric constraints <F_k, F_k> = 1
 is tracked per step and reported; the mixed-partial commutator of the
 two step directions quantifies (non-)integrability of the data.
 """
@@ -107,26 +108,35 @@ def _pack_data(D: FundamentalData) -> np.ndarray:
     return out
 
 
-def _half(line: np.ndarray, k: int) -> np.ndarray:
-    """Cubic interpolation of a data line at k + 1/2."""
-    n = line.shape[0]
-    if 1 <= k <= n - 3:
-        return (-line[k - 1] + 9.0 * line[k] + 9.0 * line[k + 1]
-                - line[k + 2]) / 16.0
-    if k == 0:
-        return (5.0 * line[0] + 15.0 * line[1] - 5.0 * line[2]
-                + line[3]) / 16.0
-    return (5.0 * line[n - 1] + 15.0 * line[n - 2] - 5.0 * line[n - 3]
-            + line[n - 4]) / 16.0
+def _halves(lines: np.ndarray) -> np.ndarray:
+    """Cubic interpolation of data lines at every half step k + 1/2.
+
+    The lines run along axis 0; trailing axes (columns, fields) ride along.
+    """
+    n = lines.shape[0]
+    out = np.empty((n - 1,) + lines.shape[1:])
+    out[0] = (5.0 * lines[0] + 15.0 * lines[1] - 5.0 * lines[2]
+              + lines[3]) / 16.0
+    out[1:n - 2] = (-lines[:n - 3] + 9.0 * lines[1:n - 2]
+                    + 9.0 * lines[2:n - 1] - lines[3:]) / 16.0
+    out[n - 2] = (5.0 * lines[n - 1] + 15.0 * lines[n - 2]
+                  - 5.0 * lines[n - 3] + lines[n - 4]) / 16.0
+    return out
 
 
 def _rhs(s: np.ndarray, dat: np.ndarray, p: int, eps: int, b: int,
          direction: str) -> np.ndarray:
-    F = s[0:6].reshape(2, 3)
-    Fz = ScalarEps(s[6:12].reshape(2, 3), s[12:18].reshape(2, 3), eps)
-    xi = ScalarEps(s[18:24].reshape(2, 3), s[24:30].reshape(2, 3), eps)
+    """Frame-system derivative for a batch: s (m, 30), dat (m, 16)."""
+    m = s.shape[0]
+    F = s[:, 0:6].reshape(m, 2, 3)
+    Fz = ScalarEps(s[:, 6:12].reshape(m, 2, 3),
+                   s[:, 12:18].reshape(m, 2, 3), eps)
+    xi = ScalarEps(s[:, 18:24].reshape(m, 2, 3),
+                   s[:, 24:30].reshape(m, 2, 3), eps)
     i_u = unit_i(eps)
 
+    # data columns, shaped (m, 1, 1) to broadcast against (m, 2, 3)
+    dat = dat.T[..., None, None]
     e2u = dat[0]
     em2u = 1.0 / e2u
     C1, C2 = dat[1], dat[2]
@@ -141,7 +151,7 @@ def _rhs(s: np.ndarray, dat: np.ndarray, p: int, eps: int, b: int,
     sp1 = (-1.0) ** (p + 1)
     Fse = ScalarEps(F, np.zeros_like(F), eps)
     Fhat = F.copy()
-    Fhat[1] *= -1.0
+    Fhat[:, 1] *= -1.0
     Fhat_se = ScalarEps(Fhat, np.zeros_like(Fhat), eps)
     Fzb = Fz.conj()
 
@@ -162,14 +172,13 @@ def _rhs(s: np.ndarray, dat: np.ndarray, p: int, eps: int, b: int,
         dFz = i_u * (Fzz - Fzzb)
         dxi = i_u * (xi_z - xi_zb)
 
-    return np.concatenate([dF.ravel(), dFz.re.ravel(), dFz.im.ravel(),
-                           dxi.re.ravel(), dxi.im.ravel()])
+    return np.concatenate([a.reshape(m, 6) for a in (
+        dF, dFz.re, dFz.im, dxi.re, dxi.im)], axis=1)
 
 
-def _rk4_step(s, line, k, h, p, eps, b, direction):
-    d0 = line[k]
-    dh = _half(line, k)
-    d1 = line[k + 1]
+def _rk4_step(s, d0, dh, d1, h, p, eps, b, direction):
+    """One RK4 step of states s (m, 30); d0, dh, d1 (m, 16) hold the data
+    at the start, middle and end of each state's step."""
     k1 = _rhs(s, d0, p, eps, b, direction)
     k2 = _rhs(s + 0.5 * h * k1, dh, p, eps, b, direction)
     k3 = _rhs(s + 0.5 * h * k2, dh, p, eps, b, direction)
@@ -301,18 +310,18 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
         init = initial_frame(D, i0, j0)
     p, eps, b = D.p, D.eps, D.b
 
-    DAT = _pack_data(D)
+    W = _pack_data(D)[i0:i1, j0:j1]
+    Hx = _halves(W)                     # Hx[k, l]: between (k, l), (k+1, l)
+    Hy = _halves(W.swapaxes(0, 1))      # Hy[l, k]: between (k, l), (k, l+1)
+    hx, hy = D.hx, D.hy
     states = np.empty((n1, n2, STATE_LEN))
-    s = init.pack()
-    states[0, 0] = s
-    row = DAT[i0:i1, j0]
-    for k in range(n1 - 1):
-        states[k + 1, 0] = _rk4_step(states[k, 0], row, k, D.hx, p, eps, b, "x")
-    for k in range(n1):
-        col = DAT[i0 + k, j0:j1]
-        for l in range(n2 - 1):
-            states[k, l + 1] = _rk4_step(states[k, l], col, l, D.hy,
-                                         p, eps, b, "y")
+    states[0, 0] = init.pack()
+    for k in range(n1 - 1):             # first row: a batch of one
+        states[k + 1, :1] = _rk4_step(states[k, :1], W[k, :1], Hx[k, :1],
+                                      W[k + 1, :1], hx, p, eps, b, "x")
+    for l in range(n2 - 1):             # all columns in lock-step
+        states[:, l + 1] = _rk4_step(states[:, l], W[:, l], Hy[l],
+                                     W[:, l + 1], hy, p, eps, b, "y")
 
     values = states[..., 0:6].reshape(n1, n2, 2, 3)
     if project:
@@ -330,22 +339,26 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
 
     report = ReconstructReport(drift, steps, budget)
     if commutator_stride > 0:
-        cmax, csum, ncells = 0.0, 0.0, 0
+        # x-then-y against y-then-x over the cells (k, l), (k+1, l+1) with
+        # k and l on the stride; each strided row is one batch
+        ls = np.arange(0, n2 - 1, commutator_stride)
+        d = []
         for k in range(0, n1 - 1, commutator_stride):
-            rowk = DAT[i0:i1, j0:j1]
-            for l in range(0, n2 - 1, commutator_stride):
-                s0 = states[k, l]
-                sx = _rk4_step(s0, rowk[:, l], k, D.hx, p, eps, b, "x")
-                sxy = _rk4_step(sx, rowk[k + 1], l, D.hy, p, eps, b, "y")
-                sy = _rk4_step(s0, rowk[k], l, D.hy, p, eps, b, "y")
-                syx = _rk4_step(sy, rowk[:, l + 1], k, D.hx, p, eps, b, "x")
-                d = float(np.max(np.abs(sxy - syx)))
-                cmax = max(cmax, d)
-                csum += d
-                ncells += 1
-        report.commutator_max = cmax
-        report.commutator_cumulative = csum
-        report.cells_checked = ncells
+            s0 = states[k, ls]
+            sx = _rk4_step(s0, W[k, ls], Hx[k, ls], W[k + 1, ls],
+                           hx, p, eps, b, "x")
+            sxy = _rk4_step(sx, W[k + 1, ls], Hy[ls, k + 1],
+                            W[k + 1, ls + 1], hy, p, eps, b, "y")
+            sy = _rk4_step(s0, W[k, ls], Hy[ls, k], W[k, ls + 1],
+                           hy, p, eps, b, "y")
+            syx = _rk4_step(sy, W[k, ls + 1], Hx[k, ls + 1],
+                            W[k + 1, ls + 1], hx, p, eps, b, "x")
+            d.append(np.max(np.abs(sxy - syx), axis=1))
+        d = np.concatenate(d)
+        report.commutator_max = float(d.max())
+        # summed in cell order, not pairwise
+        report.commutator_cumulative = float(np.add.accumulate(d)[-1])
+        report.cells_checked = d.size
 
     xs0 = D.origin[0] + i0 * D.hx
     ys0 = D.origin[1] + j0 * D.hy
@@ -358,9 +371,17 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
 @dataclass
 class RoundTripReport:
     diffs: dict
-    drift: float
-    drift_budget: float
     n_compared: int
+    grid: ImmersionGrid          # the reconstruction the diffs compare
+    rec: ReconstructReport
+
+    @property
+    def drift(self) -> float:
+        return self.rec.drift
+
+    @property
+    def drift_budget(self) -> float:
+        return self.rec.drift_budget
 
     def max(self) -> float:
         vals = [v for v in self.diffs.values() if np.isfinite(v)]
@@ -372,9 +393,15 @@ class RoundTripReport:
                 "n_compared": self.n_compared, "max": self.max()}
 
 
-def roundtrip_report(D: FundamentalData, window=None, **kwargs) -> RoundTripReport:
-    """reconstruct -> extract and compare the gauge-invariant fields."""
-    grid, rec = reconstruct(D, window=window, **kwargs)
+def roundtrip_report(D: FundamentalData, window=None,
+                     commutator_stride: int = 0, **kwargs) -> RoundTripReport:
+    """reconstruct -> extract and compare the gauge-invariant fields.
+
+    The report keeps the reconstructed grid and its ReconstructReport, so
+    a caller needs no second integration.
+    """
+    grid, rec = reconstruct(D, window=window,
+                            commutator_stride=commutator_stride, **kwargs)
     D2 = extract(grid, b=D.b)
     if window is None:
         window = crop_to_mask(D)
@@ -394,5 +421,4 @@ def roundtrip_report(D: FundamentalData, window=None, **kwargs) -> RoundTripRepo
         "f1_norm2": sup(D.f1.abs2()[sl] - D2.f1.abs2()),
         "f2_norm2": sup(D.f2.abs2()[sl] - D2.f2.abs2()),
     }
-    return RoundTripReport(diffs, rec.drift, rec.drift_budget,
-                           int(np.sum(common)))
+    return RoundTripReport(diffs, int(np.sum(common)), grid, rec)

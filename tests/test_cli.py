@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from minsurf.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from minsurf import frenet
+from minsurf.cli import (
+    EXIT_FAIL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    main,
+    parse_args,
+    run_pipeline,
+)
 from minsurf.immersion import grid_to_json
 from minsurf.surfaces import build_example
 
@@ -50,13 +58,34 @@ class TestVerify:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("args", [
-        ["--example", "nope"],
-        ["--example", "slice:first", "--h", "0", "--grid", "17"],
-        ["--example", "slice:first", "--h", "0.1,-0.1", "--grid", "17"],
-        ["--example", "slice:first", "--h", "0.1"],
+        ["verify", "--example", "nope"],
+        ["verify", "--example", "slice:first", "--h", "0", "--grid", "17"],
+        ["verify", "--example", "slice:first", "--h", "0.1,-0.1",
+         "--grid", "17"],
+        ["verify", "--example", "slice:first", "--h", "0.1"],
+        # flags and config keys the subcommand does not read
+        ["pipeline", "--theorem", "C1", "--grid", "17", "--h", "0.1"],
+        ["pipeline", "--theorem", "C1", "--example", "slice:first"],
+        ["pipeline", "--theorem", "C1", "--input", "grid.json"],
+        ["verify", "--example", "slice:first", "--grid", "17",
+         "--theorem", "C1", "--t", "3"],
+        ["verify", "--example", "slice:first", "--t", "0"],
+        ["verify", "--example", "slice:first", {"theorem": "C1"}],
+        ["verify", {"example": "slice:first", "t": 0.5}],
+        ["pipeline", "--theorem", "C1", "--grid", "17", {"hx": 0.1}],
+        ["pipeline", {"theorem": "C1", "input": "grid.json"}],
     ])
-    def test_bad_argument_is_usage_error(self, args, capsys):
-        code = main(["verify", *args])
+    def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
+        # a dict stands for a --config file holding it
+        cfgp = tmp_path / "c.json"
+        argv = []
+        for a in args:
+            if isinstance(a, dict):
+                cfgp.write_text(json.dumps(a))
+                argv += ["--config", str(cfgp)]
+            else:
+                argv.append(a)
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.err.startswith("error: ")
@@ -109,6 +138,36 @@ class TestPipeline:
         assert np.allclose(us["0.0"][0], us["1.3"][0], equal_nan=True)
         assert np.allclose(us["0.0"][1], us["1.3"][1], equal_nan=True)
         assert not np.allclose(us["0.0"][2], us["1.3"][2], equal_nan=True)
+
+    def test_config_values_are_read(self, tmp_path):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"theorem": "C1", "t": 1.3, "seed": 5}))
+        cfg = parse_args(["pipeline", "--config", str(cfgp)])
+        assert (cfg.t, cfg.seed) == (1.3, 5)
+        cfg = parse_args(["pipeline", "--config", str(cfgp), "--t", "0.2",
+                          "--seed", "6", "--tol", "roundtrip=1"])
+        assert (cfg.t, cfg.seed, cfg.tol) == (0.2, 6, {"roundtrip": 1.0})
+
+    @pytest.mark.parametrize("theorem", ["A1", "A2", "B1", "B2", "C1", "C2"])
+    def test_one_integration_feeds_both_blocks(self, theorem, monkeypatch):
+        calls = {"reconstruct": 0, "initial_frame": 0}
+
+        def counted(name):
+            fn = getattr(frenet, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(frenet, name, counted(name))
+        _, report = run_pipeline(parse_args(
+            ["pipeline", "--theorem", theorem, "--grid", "33"]))
+        assert calls == {"reconstruct": 1, "initial_frame": 1}
+        rt, rec = report["roundtrip"], report["reconstruction"]
+        assert rt["drift"] == rec["drift"]
+        assert rt["drift_budget"] == rec["drift_budget"]
 
     def test_requires_theorem(self, capsys):
         code, _ = run(["pipeline", "--grid", "17"], capsys)
