@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import ScalarEps
-from .product import J_product, g_inner, orientation_form, tangent_project_arr
+from .product import J_product, g_inner, orientation_dual, tangent_project_arr
 
 # deterministic, generic reference pairs; retried in order
 _REFERENCES = [
@@ -31,10 +31,7 @@ def _continuity_signs(W: np.ndarray) -> np.ndarray:
     """Sign field aligning a vector field (defined up to sign) between
     grid neighbors, anchored at the grid center (the boundary ring may
     be nan, so chains run outward from the middle)."""
-    shape = W.shape[:-2]
-    if len(shape) != 2:
-        return np.ones(shape)
-    n, m = shape
+    n, m = W.shape[:2]
     ia, ja = n // 2, m // 2
 
     def rel(a, b):
@@ -42,27 +39,34 @@ def _continuity_signs(W: np.ndarray) -> np.ndarray:
         s = np.sign(d)
         return np.where(np.isfinite(d) & (s != 0), s, 1.0)
 
+    # grids are at least 5 x 5, so no chain below is empty
     s = np.ones((n, m))
-    if m > 1:
-        s[ia, ja + 1:] = np.cumprod(rel(W[ia, ja + 1:], W[ia, ja:-1]), axis=0)
-        if ja > 0:
-            left = np.cumprod(rel(W[ia, ja - 1::-1], W[ia, ja:0:-1]), axis=0)
-            s[ia, :ja] = left[::-1]
-    if n > 1:
-        down = np.cumprod(rel(W[ia + 1:], W[ia:-1]), axis=0) * s[ia][None, :]
-        s[ia + 1:] = down
-        if ia > 0:
-            up = np.cumprod(rel(W[ia - 1::-1], W[ia:0:-1]), axis=0) * s[ia][None, :]
-            s[:ia] = up[::-1]
+    s[ia, ja + 1:] = np.cumprod(rel(W[ia, ja + 1:], W[ia, ja:-1]), axis=0)
+    s[ia, :ja] = np.cumprod(rel(W[ia, ja - 1::-1], W[ia, ja:0:-1]),
+                            axis=0)[::-1]
+    s[ia + 1:] = np.cumprod(rel(W[ia + 1:], W[ia:-1]), axis=0) * s[ia]
+    s[:ia] = np.cumprod(rel(W[ia - 1::-1], W[ia:0:-1]), axis=0)[::-1] * s[ia]
     return s
 
 
-def _project_normal(base, Fx, Fy, gxx, gyy, raw, p):
-    """Project a raw ambient pair field onto the normal bundle of the surface."""
-    tang = tangent_project_arr(base, raw, p)
-    cx = g_inner(tang, Fx, p) / gxx
-    cy = g_inner(tang, Fy, p) / gyy
-    return tang - cx[..., None, None] * Fx - cy[..., None, None] * Fy
+def normal_projector(base, Fx, Fy, p: int):
+    """The map V -> normal part of (..., 2, 3) product vectors V along a
+    surface with coordinate tangents Fx, Fy at base: V minus its position
+    components and its G-projection onto span(Fx, Fy), by the full 2x2 Gram
+    system.  Fx and Fy lose the position components that finite-difference
+    tangents keep first."""
+    Tx = tangent_project_arr(base, Fx, p)
+    Ty = tangent_project_arr(base, Fy, p)
+    gxx, gxy, gyy = g_inner(Tx, Tx, p), g_inner(Tx, Ty, p), g_inner(Ty, Ty, p)
+    det = gxx * gyy - gxy * gxy
+
+    def normal_part(V):
+        W = tangent_project_arr(base, V, p)
+        wx, wy = g_inner(W, Tx, p), g_inner(W, Ty, p)
+        cx = (gyy * wx - gxy * wy) / det
+        cy = (gxx * wy - gxy * wx) / det
+        return W - cx[..., None, None] * Tx - cy[..., None, None] * Ty
+    return normal_part
 
 
 def normal_frame(base, Fx, Fy, p: int, eps: int, b: int, cond_tol: float = 1e-6):
@@ -70,75 +74,56 @@ def normal_frame(base, Fx, Fy, p: int, eps: int, b: int, cond_tol: float = 1e-6)
 
     base, Fx, Fy: (...,2,3) arrays.  Returns (N, Ntilde, bad) where bad
     is a boolean mask of points where the frame could not be built.
-    One reference pair is used for the whole grid (mixing references
+    N comes from one reference pair for the whole grid (mixing references
     pointwise would splice discontinuous frames together); the pair
-    with the fewest ill-conditioned points wins.
+    with the fewest ill-conditioned points wins.  Ntilde is the normal
+    G-orthogonal to N that orients (F_x, F_y, N, Ntilde) positively.
     """
     gxx = g_inner(Fx, Fx, p)
     gyy = g_inner(Fy, Fy, p)
-    shape = base.shape[:-2]
     usable = np.isfinite(gxx) & (np.abs(gxx) > 0) & (np.abs(gyy) > 0)
     best = None
-
-    for r1, r2 in _REFERENCES:
-        raw1 = np.broadcast_to(np.stack([r1, r2]), base.shape).copy()
-        raw2 = np.broadcast_to(np.stack([r2, -r1]), base.shape).copy()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nu1 = _project_normal(base, Fx, Fy, gxx, gyy, raw1, p)
-            nu2 = _project_normal(base, Fx, Fy, gxx, gyy, raw2, p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normal_part = normal_projector(base, Fx, Fy, p)
+        for r1, r2 in _REFERENCES:
+            nu1 = normal_part(np.broadcast_to(np.stack([r1, r2]), base.shape))
+            nu2 = normal_part(np.broadcast_to(np.stack([r2, -r1]), base.shape))
             scale = (np.einsum("...ki,...ki->...", nu1, nu1)
                      + np.einsum("...ki,...ki->...", nu2, nu2))
             if eps == 1:
-                # normal bundle negative definite: Gram-Schmidt directly
+                # normal bundle negative definite: N along nu1
                 n11 = g_inner(nu1, nu1, p)
                 ok = usable & (-n11 > cond_tol * scale)
                 Ncand = nu1 / np.sqrt(np.where(ok, -n11, 1.0))[..., None, None]
-                c = g_inner(nu2, Ncand, p) \
-                    / np.where(ok, g_inner(Ncand, Ncand, p), 1.0)
-                nu2p = nu2 - c[..., None, None] * Ncand
-                n22 = g_inner(nu2p, nu2p, p)
-                ok &= (-n22 > cond_tol * scale)
-                Ntcand = nu2p / np.sqrt(np.where(ok, -n22, 1.0))[..., None, None]
             else:
-                # Lorentzian normal bundle: diagonalize the 2x2 Gram form
-                S = np.zeros(shape + (2, 2))
-                S[..., 0, 0] = np.nan_to_num(g_inner(nu1, nu1, p))
-                S[..., 0, 1] = S[..., 1, 0] = np.nan_to_num(g_inner(nu1, nu2, p))
-                S[..., 1, 1] = np.nan_to_num(g_inner(nu2, nu2, p))
-                lam, Q = np.linalg.eigh(S)
+                # Lorentzian normal bundle: N is the eigenvector of the 2x2
+                # Gram form whose eigenvalue has the sign of |N|^2 = b
+                nu = np.stack([nu1, nu2], axis=-3)
+                S = g_inner(nu[..., :, None, :, :], nu[..., None, :, :, :], p)
+                lam, Q = np.linalg.eigh(np.nan_to_num(S))
                 ok = usable & (lam[..., 1] > cond_tol * scale) \
                     & (-lam[..., 0] > cond_tol * scale)
-                wplus = (Q[..., 0, 1][..., None, None] * nu1
-                         + Q[..., 1, 1][..., None, None] * nu2)
-                wminus = (Q[..., 0, 0][..., None, None] * nu1
-                          + Q[..., 1, 0][..., None, None] * nu2)
+                c = 1 if b == 1 else 0
+                w = (Q[..., 0, c][..., None, None] * nu1
+                     + Q[..., 1, c][..., None, None] * nu2)
                 # eigenvectors are defined up to sign; align by continuity
-                wplus = wplus * _continuity_signs(wplus)[..., None, None]
-                wminus = wminus * _continuity_signs(wminus)[..., None, None]
-                wplus = wplus / np.sqrt(np.where(ok, lam[..., 1], 1.0))[..., None, None]
-                wminus = wminus / np.sqrt(np.where(ok, -lam[..., 0], 1.0))[..., None, None]
-                # |N|^2 = -eps*b = b, |Ntilde|^2 = -b
-                if b == 1:
-                    Ncand, Ntcand = wplus, wminus
-                else:
-                    Ncand, Ntcand = wminus, wplus
-        n_bad = int(np.sum(usable & ~ok))
-        if best is None or n_bad < best[0]:
-            best = (n_bad, Ncand, Ntcand, ok)
-        if n_bad == 0:
-            break
+                w = w * _continuity_signs(w)[..., None, None]
+                Ncand = w / np.sqrt(np.where(ok, b * lam[..., c], 1.0))[..., None, None]
+            n_bad = int(np.sum(usable & ~ok))
+            if best is None or n_bad < best[0]:
+                best = (n_bad, Ncand, ok)
+            if n_bad == 0:
+                break
 
-    _, N, Nt, ok = best
+        _, N, ok = best
+        # G(V, V) = vol(F_x, F_y, N, V) has the sign -b of |Ntilde|^2, so
+        # -b V is positively oriented
+        V = orientation_dual(base, Fx, Fy, N, p)
+        nvv = g_inner(V, V, p)
+        ok = ok & (b * nvv < 0)
+        Nt = -b * V / np.sqrt(np.where(ok, -b * nvv, 1.0))[..., None, None]
     N = np.where(ok[..., None, None], N, np.nan)
     Nt = np.where(ok[..., None, None], Nt, np.nan)
-
-    # orientation: global flip by majority vote of the 4-form sign
-    # (a pointwise flip would break continuity where the form crosses 0;
-    # the structure equations fix the final sign class downstream)
-    orient = orientation_form(base, Fx, Fy, N, Nt, p)
-    votes = np.sign(orient[np.isfinite(orient)])
-    if votes.size and np.sum(votes) < 0:
-        Nt = -Nt
     return N, Nt, ~ok
 
 
@@ -167,11 +152,9 @@ def structure_oriented_frame(base, Fx, Fy, p: int, eps: int, b: int):
 
     good = e2(g_inner(J1Fz, xi.conj(), p)) + e2(g_inner(J2Fz, xi, p))
     cross = e2(g_inner(J1Fz, xi, p)) + e2(g_inner(J2Fz, xi.conj(), p))
-    flipped = False
-    if np.nansum(cross) > np.nansum(good):
-        Nt = -Nt
-        flipped = True
-        good, cross = cross, good
+    flipped = bool(np.nansum(cross) > np.nansum(good))
+    if flipped:
+        Nt, good, cross = -Nt, cross, good
     tot = np.nansum(good)
     diag = {
         "orientation_flipped": flipped,

@@ -3,7 +3,7 @@
     minsurf verify   [--example ID | --input PATH] [--grid NXxNY]
                      [--h HX,HY] [--tol NAME=VALUE]... [--out DIR] [--seed N]
     minsurf pipeline --theorem A1|A2|B1|B2|C1|C2 [--grid NXxNY] [--t REAL]
-                     [--tol NAME=VALUE]... [--out DIR] [--seed N]
+                     [--tol NAME=VALUE]... [--out DIR]
 
 Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
@@ -36,7 +36,7 @@ EXIT_USAGE = 2
 READS = {
     "verify": {"example", "input", "nx", "ny", "hx", "hy", "tol", "out",
                "seed"},
-    "pipeline": {"theorem", "nx", "ny", "t", "tol", "out", "seed"},
+    "pipeline": {"theorem", "nx", "ny", "t", "tol", "out"},
 }
 FLAGS = {"nx": "grid", "ny": "grid", "hx": "h", "hy": "h"}
 
@@ -76,6 +76,8 @@ class RunConfig:
         if cfg.example is not None and cfg.example not in surfaces.EXAMPLES:
             raise ValueError(f"unknown example {cfg.example!r}; "
                              f"known: {sorted(surfaces.EXAMPLES)}")
+        if any(n is not None and n < 5 for n in (cfg.nx, cfg.ny)):
+            raise ValueError("--grid dimensions must be at least 5")
         if cfg.hx is not None or cfg.hy is not None:
             if not cfg.nx:
                 raise ValueError("--h needs --grid")
@@ -384,7 +386,6 @@ def run_pipeline(cfg: RunConfig):
         "theorem": theorem,
         "t": cfg.t,
         "grid": [spec.nx, spec.ny],
-        "seed": cfg.seed,
         "gordon": {"kind": kind, "eps": eps, "residual": sol.residual_norm,
                    "converged": bool(sol.converged),
                    "iterations": list(sol.iterations)},

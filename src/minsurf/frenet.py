@@ -7,14 +7,17 @@ The first-order frame system in the state (F, F_z, xi) reads
     xi_z   = 2 eps e^{-2u} b f2 F_zb + A xi + (-1)^{p+1} (i b C1 g2 / 2) F
     xibar_z= 2 eps e^{-2u} b f1 F_zb - A xibar + (-1)^{p+1} (i b C2 g1 / 2) F
 
-with Fhat = (F1, -F2).  Real x/y derivatives are recovered from
-Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb), and the grid is filled by
-classical RK4: a serial sweep along the first row, then a lock-step
-sweep that advances all columns together, one batched step per y index;
-coefficient values at half-steps come from cubic interpolation of the
-data lines.  The drift of the quadric constraints <F_k, F_k> = 1
-is tracked per step and reported; the mixed-partial commutator of the
-two step directions quantifies (non-)integrability of the data.
+with Fhat = (F1, -F2).  The frame at the window origin is built in closed
+form from the data there (initial_frame), so the data determine the
+reconstruction up to congruence and no solver or seed enters.  Real x/y
+derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb),
+and the grid is filled by classical RK4: a serial sweep along the first
+row, then a lock-step sweep that advances all columns together, one
+batched step per y index; coefficient values at half-steps come from
+cubic interpolation of the data lines.  The drift of the quadric
+constraints <F_k, F_k> = 1 is tracked per step and reported; the
+mixed-partial commutator of the two step directions quantifies
+(non-)integrability of the data.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as sopt
 
 from .algebra import ScalarEps, inner_arr, unit_i
 from .errors import CompatViolation, DriftExceeded, FrameConstructionError
@@ -41,11 +43,11 @@ STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
 
 @dataclass
 class FrameState:
-    """Frame of the immersion at one parameter point."""
+    """Frame of the immersion at one parameter point (or a batch of them)."""
 
-    F: np.ndarray          # (2,3) real positions
-    Fz: ScalarEps          # (2,3) components
-    xi: ScalarEps          # (2,3) components
+    F: np.ndarray          # (..., 2, 3) real positions
+    Fz: ScalarEps          # (..., 2, 3) components
+    xi: ScalarEps          # (..., 2, 3) components
     p: int
     eps: int
     b: int
@@ -57,29 +59,43 @@ class FrameState:
 
     @classmethod
     def unpack(cls, s: np.ndarray, p: int, eps: int, b: int) -> "FrameState":
-        F = s[0:6].reshape(2, 3)
-        Fz = ScalarEps(s[6:12].reshape(2, 3), s[12:18].reshape(2, 3), eps)
-        xi = ScalarEps(s[18:24].reshape(2, 3), s[24:30].reshape(2, 3), eps)
-        return cls(F, Fz, xi, p, eps, b)
+        """State vector(s) (..., 30) -> frame(s), batch axes kept."""
+        def part(k):
+            return s[..., 6 * k:6 * k + 6].reshape(s.shape[:-1] + (2, 3))
+        return cls(part(0), ScalarEps(part(1), part(2), eps),
+                   ScalarEps(part(3), part(4), eps), p, eps, b)
+
+    def gram(self) -> list:
+        """Left sides of the six Gram relations G(F_z,F_z), G(F_z,F_zbar),
+        G(xi,xi), G(xi,xibar), G(F_z,xi), G(F_z,xibar); gram_targets holds
+        the right sides."""
+        Fz, xi, p = self.Fz, self.xi, self.p
+        return [g_inner(Fz, Fz, p), g_inner(Fz, Fz.conj(), p),
+                g_inner(xi, xi, p), g_inner(xi, xi.conj(), p),
+                g_inner(Fz, xi, p), g_inner(Fz, xi.conj(), p)]
+
+    def gram_targets(self, e2u: float) -> tuple:
+        return (0.0, e2u / 2.0, 0.0, -self.eps * self.b, 0.0, 0.0)
+
+    def structure(self, C1, C2, g1, g2) -> tuple:
+        """Residuals of J1 F_z = i C1 F_z + eps g1 xi and
+        J2 F_z = i C2 F_z + eps g2 xibar."""
+        Fz, xi, eps = self.Fz, self.xi, self.eps
+        i_u = unit_i(eps)
+        return (J_product(1, self.F, Fz, self.p) - i_u * C1 * Fz
+                - eps * g1 * xi,
+                J_product(2, self.F, Fz, self.p) - i_u * C2 * Fz
+                - eps * g2 * xi.conj())
 
     def invariant_residuals(self, e2u: float) -> dict:
         """Deviations from the frame Gram relations at conformal factor e2u."""
-        p, eps, b = self.p, self.eps, self.b
-        out = {}
-        out["quadric_1"] = abs(inner_arr(self.F[0], self.F[0], p) - 1.0)
-        out["quadric_2"] = abs(inner_arr(self.F[1], self.F[1], p) - 1.0)
-        gzz = g_inner(self.Fz, self.Fz, p)
-        out["isotropy"] = float(np.hypot(gzz.re, gzz.im))
-        gzzb = g_inner(self.Fz, self.Fz.conj(), p)
-        out["norm_fz"] = float(np.hypot(gzzb.re - e2u / 2.0, gzzb.im))
-        gxx = g_inner(self.xi, self.xi, p)
-        out["xi_isotropy"] = float(np.hypot(gxx.re, gxx.im))
-        gxxb = g_inner(self.xi, self.xi.conj(), p)
-        out["norm_xi"] = float(np.hypot(gxxb.re + eps * b, gxxb.im))
-        gfx = g_inner(self.Fz, self.xi, p)
-        gfxb = g_inner(self.Fz, self.xi.conj(), p)
-        out["orthogonality"] = float(max(np.hypot(gfx.re, gfx.im),
-                                         np.hypot(gfxb.re, gfxb.im)))
+        p = self.p
+        out = {"quadric_1": abs(inner_arr(self.F[0], self.F[0], p) - 1.0),
+               "quadric_2": abs(inner_arr(self.F[1], self.F[1], p) - 1.0)}
+        dev = [float(np.hypot(z.re - t, z.im))
+               for z, t in zip(self.gram(), self.gram_targets(e2u))]
+        out.update(zip(("isotropy", "norm_fz", "xi_isotropy", "norm_xi"), dev))
+        out["orthogonality"] = max(dev[4:])
         return out
 
 
@@ -128,11 +144,8 @@ def _rhs(s: np.ndarray, dat: np.ndarray, p: int, eps: int, b: int,
          direction: str) -> np.ndarray:
     """Frame-system derivative for a batch: s (m, 30), dat (m, 16)."""
     m = s.shape[0]
-    F = s[:, 0:6].reshape(m, 2, 3)
-    Fz = ScalarEps(s[:, 6:12].reshape(m, 2, 3),
-                   s[:, 12:18].reshape(m, 2, 3), eps)
-    xi = ScalarEps(s[:, 18:24].reshape(m, 2, 3),
-                   s[:, 24:30].reshape(m, 2, 3), eps)
+    fs = FrameState.unpack(s, p, eps, b)
+    F, Fz, xi = fs.F, fs.Fz, fs.xi
     i_u = unit_i(eps)
 
     # data columns, shaped (m, 1, 1) to broadcast against (m, 2, 3)
@@ -190,83 +203,71 @@ def _rk4_step(s, d0, dh, d1, h, p, eps, b, direction):
 # initial frame from the data values at the window origin
 # ---------------------------------------------------------------------------
 
-def initial_frame(D: FundamentalData, i0: int = None, j0: int = None,
-                  seed: int = 7, restarts: int = 12) -> FrameState:
-    """Solve the frame constraint system at a grid point numerically.
+def initial_frame(D: FundamentalData, i0: int = None,
+                  j0: int = None) -> FrameState:
+    """Frame at a grid point, in closed form from the data there.
 
-    Places both factors at (0,0,1) and solves for F_z and xi components
-    in the tangent planes so that all Gram relations and both structure
-    equations J_k F_z = i C_k F_z + eps gamma_k (xi or xibar) hold for
-    the data values at the chosen sample.
+    Both factors sit at (0,0,1).  The structure equations are linear in the
+    8 tangent components of (F_z, xi) in each factor, solved by a plane: an
+    orbit of the isometries fixing (0,0,1), times a scale.  G = g (+) -g has
+    no cross-factor terms, so the six Gram relations are linear in the two
+    squared scales of one vector per plane: an eigenvector of
+    Re G(F_z, F_zbar) on it, both tried (for p = 1 the form is indefinite).
     """
-    if i0 is None or j0 is None:
-        iw = crop_to_mask(D)
-        i0 = iw[0] if i0 is None else i0
-        j0 = iw[2] if j0 is None else j0
+    if i0 is None:
+        i0, _, j0, _ = crop_to_mask(D)
     p, eps, b = D.p, D.eps, D.b
-    vals = dict(
-        e2u=float(np.exp(2.0 * D.u[i0, j0])),
-        C1=float(D.C1[i0, j0]), C2=float(D.C2[i0, j0]),
-        g1=ScalarEps(float(D.gamma1.re[i0, j0]), float(D.gamma1.im[i0, j0]), eps),
-        g2=ScalarEps(float(D.gamma2.re[i0, j0]), float(D.gamma2.im[i0, j0]), eps),
-    )
-    if not np.isfinite(vals["e2u"] + vals["C1"] + vals["C2"]):
+    e2u = float(np.exp(2.0 * D.u[i0, j0]))
+    C1, C2 = float(D.C1[i0, j0]), float(D.C2[i0, j0])
+    g1, g2 = (ScalarEps(float(g.re[i0, j0]), float(g.im[i0, j0]), eps)
+              for g in (D.gamma1, D.gamma2))
+    if not np.isfinite(e2u + C1 + C2 + g1.re + g1.im + g2.re + g2.im):
         raise FrameConstructionError(f"data invalid at sample ({i0},{j0})")
+    origin = np.zeros(STATE_LEN)
+    origin[[2, 5]] = 1.0                    # both factors at (0,0,1)
+    # the unknowns x (..., 16): (e1, e2) components of F_z, xi in the state
+    slots = 6 + np.add.outer(np.arange(0, 24, 3), [0, 1]).ravel()
 
-    base = np.stack([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])])
-    t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    i_u = unit_i(eps)
+    def frames(x):
+        s = np.broadcast_to(origin, x.shape[:-1] + (STATE_LEN,)).copy()
+        s[..., slots] = x
+        return FrameState.unpack(s, p, eps, b)
 
-    def build(x):
-        # x: 16 reals -> (Fz, xi) with factor components in span(t1, t2)
-        def comp(c):
-            re = c[0] * t[0] + c[2] * t[1]
-            im = c[1] * t[0] + c[3] * t[1]
-            return re, im
-        a_re, a_im = comp(x[0:4])
-        b_re, b_im = comp(x[4:8])
-        c_re, c_im = comp(x[8:12])
-        d_re, d_im = comp(x[12:16])
-        Fz = ScalarEps(np.stack([a_re, b_re]), np.stack([a_im, b_im]), eps)
-        xi = ScalarEps(np.stack([c_re, d_re]), np.stack([c_im, d_im]), eps)
-        return Fz, xi
+    def reals(zs):
+        return np.stack([c for z in zs for c in (z.re, z.im)])
 
-    def residuals(x):
-        Fz, xi = build(x)
-        res = []
+    # the structure equations are linear: their values on the unit vectors
+    # are the columns of their matrix; each factor has its own block
+    unit = frames(np.eye(16))
+    S = reals(unit.structure(C1, C2, g1, g2))               # (4, 16, 2, 3)
+    unknowns = np.arange(16).reshape(4, 2, 2)   # (quantity, factor, e1/e2)
+    candidates = []
+    for k in (0, 1):
+        idx = unknowns[:, k].ravel()
+        null = np.zeros((2, 16))
+        null[:, idx] = np.linalg.svd(S[:, idx, k].transpose(0, 2, 1)
+                                     .reshape(-1, 8))[2][-2:]
+        # Re G(F_z, F_zbar) on the plane, from its values at n0, n1, n0 + n1
+        q = frames(np.stack([*null, null[0] + null[1]])).gram()[1].re
+        q01 = (q[2] - q[0] - q[1]) / 2.0
+        Q = np.array([[q[0], q01], [q01, q[1]]])
+        candidates.append(np.linalg.eigh(Q)[1].T @ null)
 
-        def push(z):
-            res.append(np.atleast_1d(z.re).ravel())
-            res.append(np.atleast_1d(z.im).ravel())
-
-        push(g_inner(Fz, Fz, p))
-        push(g_inner(Fz, Fz.conj(), p) - vals["e2u"] / 2.0)
-        push(g_inner(xi, xi, p))
-        push(g_inner(xi, xi.conj(), p) + eps * b)
-        push(g_inner(Fz, xi, p))
-        push(g_inner(Fz, xi.conj(), p))
-        J1Fz = J_product(1, base, Fz, p)
-        J2Fz = J_product(2, base, Fz, p)
-        push(J1Fz - i_u * vals["C1"] * Fz - eps * vals["g1"] * xi)
-        push(J2Fz - i_u * vals["C2"] * Fz - eps * vals["g2"] * xi.conj())
-        return np.concatenate(res)
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        x0 = rng.normal(scale=1.0, size=16)
-        sol = sopt.least_squares(residuals, x0, method="lm",
-                                 xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                 max_nfev=4000)
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if sol.cost < 1e-22:
-            break
-    if best is None or best.cost > 1e-18:
-        raise FrameConstructionError(
-            f"frame solve failed (residual {np.sqrt(2 * best.cost):.3e})")
-    Fz, xi = build(best.x)
-    return FrameState(base.copy(), Fz, xi, p, eps, b)
+    rhs = np.ravel([(t, 0.0) for t in unit.gram_targets(e2u)])
+    best = np.inf
+    for n1 in candidates[0]:
+        for n2 in candidates[1]:
+            M = reals(frames(np.stack([n1, n2])).gram())     # (12, 2)
+            lam = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            if np.any(lam <= 0.0):
+                continue
+            fs = frames(np.sqrt(lam[0]) * n1 + np.sqrt(lam[1]) * n2)
+            res = np.sqrt(np.sum(reals(fs.structure(C1, C2, g1, g2)) ** 2)
+                          + np.sum((reals(fs.gram()) - rhs) ** 2))
+            if res <= np.sqrt(2e-18):
+                return fs
+            best = min(best, res)
+    raise FrameConstructionError(f"frame solve failed (residual {best:.3e})")
 
 
 # ---------------------------------------------------------------------------

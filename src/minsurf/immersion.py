@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frames import complex_vector, structure_oriented_frame
+from ._frames import (
+    complex_vector,
+    normal_projector,
+    structure_oriented_frame,
+)
 from .algebra import ScalarEps, inner_arr, j_arr, unit_i
 from .errors import (
     BoundaryError,
@@ -361,29 +365,11 @@ def second_fundamental_fields(F: ImmersionGrid):
     def make():
         J = jets(F)
         C = conformal_fields(F)
-        p = F.p
-        V = F.values
-
-        def proj(D):
-            # remove flat-space normal components (factor positions) ...
-            out = D.copy()
-            for k in (0, 1):
-                coef = inner_arr(D[..., k, :], V[..., k, :], p)
-                out[..., k, :] = D[..., k, :] - coef[..., None] * V[..., k, :]
-            # ... then surface-tangential components
-            with np.errstate(invalid="ignore"):
-                cx = g_inner(out, J.Fx, p) / C.gxx
-                cy = g_inner(out, J.Fy, p) / C.gyy
-            out = out - cx[..., None, None] * J.Fx - cy[..., None, None] * J.Fy
-            return out
-
-        h11 = proj(J.Fxx)
-        h12 = proj(J.Fxy)
-        h22 = proj(J.Fyy)
-        with np.errstate(invalid="ignore"):
-            e2u = C.e2u
-            eps = C.eps_sign
-            H = 0.5 * (h11 + eps[..., None, None] * h22) / e2u[..., None, None]
+        normal_part = normal_projector(F.values, J.Fx, J.Fy, F.p)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            h11, h12, h22 = (normal_part(D) for D in (J.Fxx, J.Fxy, J.Fyy))
+            H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
+                / C.e2u[..., None, None]
         return h11, h12, h22, H
     return F._cached("second_ff", make)
 
@@ -538,6 +524,17 @@ def grid_to_json(F: ImmersionGrid, path=None):
     return doc
 
 
+def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
+    """ImmersionGrid from a file's values, origin and fields d (p, eps, hx,
+    hy); coordinates must be finite and spacings positive."""
+    hx, hy = float(d["hx"]), float(d["hy"])
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
+            and 0 < hx < np.inf and 0 < hy < np.inf):
+        raise ValueError("grid coordinates and origin must be finite and "
+                         "spacings positive")
+    return ImmersionGrid(int(d["p"]), int(d["eps"]), values, hx, hy, origin)
+
+
 def grid_from_json(src) -> ImmersionGrid:
     if isinstance(src, dict):
         doc = src
@@ -546,10 +543,11 @@ def grid_from_json(src) -> ImmersionGrid:
             doc = json.load(fh)
     if doc.get("schema") != GRID_SCHEMA:
         raise ValueError(f"not a {GRID_SCHEMA} document")
-    return ImmersionGrid(int(doc["p"]), int(doc["eps"]),
-                         np.array(doc["values"], dtype=float),
-                         float(doc["hx"]), float(doc["hy"]),
-                         tuple(doc["origin"]))
+    try:
+        return _loaded_grid(doc, np.array(doc["values"], dtype=float),
+                            tuple(float(o) for o in doc["origin"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed grid document: {exc!r}") from None
 
 
 def grid_to_csv(F: ImmersionGrid, path):
@@ -572,18 +570,25 @@ def grid_from_csv(path) -> ImmersionGrid:
         header = fh.readline().strip()
         if not header.startswith(f"# {GRID_SCHEMA}"):
             raise ValueError(f"not a {GRID_SCHEMA} csv file")
-        kv = dict(tok.split("=") for tok in header.split()[2:])
+        kv = dict(tok.split("=", 1) for tok in header.split()[2:])
+        missing = {"p", "eps", "nx", "ny", "hx", "hy", "ox", "oy"} - set(kv)
+        if missing:
+            raise ValueError(f"csv header lacks {sorted(missing)}")
         nx, ny = int(kv["nx"]), int(kv["ny"])
         rd = csv.reader(fh)
         next(rd)  # column header
-        vals = np.empty((nx, ny, 2, 3))
-        for row in rd:
-            i, j = int(row[0]), int(row[1])
-            vals[i, j, 0] = [float(c) for c in row[4:7]]
-            vals[i, j, 1] = [float(c) for c in row[7:10]]
-    return ImmersionGrid(int(kv["p"]), int(kv["eps"]), vals,
-                         float(kv["hx"]), float(kv["hy"]),
-                         (float(kv["ox"]), float(kv["oy"])))
+        rows = np.array(list(rd), dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 10:
+        raise ValueError("csv rows must hold i, j, x, y and six coordinates")
+    ij = rows[:, :2]
+    flat = ij[:, 0] * ny + ij[:, 1]
+    order = np.argsort(flat)
+    if not (np.all((ij >= 0) & (ij < (nx, ny)) & (ij == np.round(ij)))
+            and np.array_equal(flat[order], np.arange(nx * ny))):
+        raise ValueError(f"csv rows must hold each index (i, j) in "
+                         f"[0, {nx}) x [0, {ny}) once")
+    vals = rows[order, 4:].reshape(nx, ny, 2, 3)
+    return _loaded_grid(kv, vals, (float(kv["ox"]), float(kv["oy"])))
 
 
 def grid_to_obj(F: ImmersionGrid, path_factor1, path_factor2):

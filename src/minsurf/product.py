@@ -80,26 +80,31 @@ def omega_product(k: int, base: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int
     return w1 - w2 if k == 1 else w1 + w2
 
 
-def orientation_form(base, X, Y, Z, W, p: int):
-    """Value of pi1*w ^ pi2*w on four product vectors (fixes orientation)."""
-    def a(A, B):
-        return factor_omega(A[..., 0, :], B[..., 0, :], base[..., 0, :], p)
+def orientation_dual(base, X, Y, Z, p: int):
+    """The tangent vector V with G(V, W) = (pi1*w ^ pi2*w)(X, Y, Z, W) for
+    every tangent W, the orientation form of the product; V is G-orthogonal
+    to X, Y and Z.
 
-    def b(A, B):
-        return factor_omega(A[..., 1, :], B[..., 1, :], base[..., 1, :], p)
+    The 4-form is a sum of products w1(A, B) w2(C, D) of the factor Kahler
+    forms, and G(j U1 (+) -j U2, W) = w1(U1, W1) + w2(U2, W2).
+    """
+    V = np.empty_like(X)
+    for k, sign in ((0, 1.0), (1, -1.0)):
+        o = 1 - k
 
-    return (a(X, Y) * b(Z, W) - a(X, Z) * b(Y, W) + a(X, W) * b(Y, Z)
-            + a(Y, Z) * b(X, W) - a(Y, W) * b(X, Z) + a(Z, W) * b(X, Y))
+        def w(A, B):
+            return factor_omega(A[..., o, :], B[..., o, :], base[..., o, :],
+                                p)[..., None]
+        U = (w(Y, Z) * X[..., k, :] - w(X, Z) * Y[..., k, :]
+             + w(X, Y) * Z[..., k, :])
+        V[..., k, :] = sign * j_arr(base[..., k, :], U, p)
+    return V
 
 
 def tangent_project_arr(base: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
     """Project raw (...,2,3) vectors onto the product tangent spaces."""
-    out = V.copy()
-    for k in (0, 1):
-        pos = base[..., k, :]
-        coef = inner_arr(V[..., k, :], pos, p) / inner_arr(pos, pos, p)
-        out[..., k, :] = V[..., k, :] - coef[..., None] * pos
-    return out
+    coef = inner_arr(V, base, p) / inner_arr(base, base, p)
+    return V - coef[..., None] * base
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,14 @@ from minsurf.cli import (
     parse_args,
     run_pipeline,
 )
-from minsurf.immersion import grid_to_json
+from minsurf.immersion import grid_to_csv, grid_to_json
 from minsurf.surfaces import build_example
+
+
+def one_nan(values):
+    a = np.array(values)
+    a[3, 4, 0, 1] = np.nan
+    return a.tolist()
 
 
 def run(args, capsys):
@@ -74,6 +80,11 @@ class TestVerify:
         ["verify", {"example": "slice:first", "t": 0.5}],
         ["pipeline", "--theorem", "C1", "--grid", "17", {"hx": 0.1}],
         ["pipeline", {"theorem": "C1", "input": "grid.json"}],
+        ["pipeline", "--theorem", "C1", "--seed", "3"],
+        # grid dimensions below 5
+        ["verify", "--example", "slice:first", "--grid", "0"],
+        ["verify", "--example", "slice:first", "--grid", "17x0"],
+        ["pipeline", "--theorem", "C1", "--grid", "4"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         # a dict stands for a --config file holding it
@@ -86,6 +97,32 @@ class TestVerify:
             else:
                 argv.append(a)
         code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt, edit", [
+        ("csv", lambda rows: rows[:-40]),
+        ("csv", lambda rows: rows[:2] + [["17"] + rows[2][1:]] + rows[3:]),
+        ("csv", lambda rows: rows[:2] + [rows[2][:4] + ["nan"] + rows[2][5:]]
+         + rows[3:]),
+        ("json", lambda doc: {**doc, "values": one_nan(doc["values"])}),
+        ("json", lambda doc: {k: v for k, v in doc.items() if k != "hx"}),
+        ("json", lambda doc: {**doc, "p": None}),
+    ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
+            "json-nan", "json-no-hx", "json-null-p"])
+    def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
+                                            capsys):
+        F = build_example("slice:first", nx=17)
+        path = tmp_path / f"grid.{fmt}"
+        if fmt == "csv":
+            grid_to_csv(F, path)
+            rows = [r.split(",") for r in path.read_text().splitlines()]
+            path.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n")
+        else:
+            path.write_text(json.dumps(edit(grid_to_json(F))))
+        code = main(["verify", "--input", str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.err.startswith("error: ")
@@ -141,12 +178,15 @@ class TestPipeline:
 
     def test_config_values_are_read(self, tmp_path):
         cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps({"theorem": "C1", "t": 1.3, "seed": 5}))
-        cfg = parse_args(["pipeline", "--config", str(cfgp)])
-        assert (cfg.t, cfg.seed) == (1.3, 5)
+        cfgp.write_text(json.dumps({"theorem": "C1", "t": 1.3}))
+        assert parse_args(["pipeline", "--config", str(cfgp)]).t == 1.3
         cfg = parse_args(["pipeline", "--config", str(cfgp), "--t", "0.2",
-                          "--seed", "6", "--tol", "roundtrip=1"])
-        assert (cfg.t, cfg.seed, cfg.tol) == (0.2, 6, {"roundtrip": 1.0})
+                          "--tol", "roundtrip=1"])
+        assert (cfg.t, cfg.tol) == (0.2, {"roundtrip": 1.0})
+        cfgp.write_text(json.dumps({"example": "slice:first", "seed": 5}))
+        assert parse_args(["verify", "--config", str(cfgp)]).seed == 5
+        cfg = parse_args(["verify", "--config", str(cfgp), "--seed", "6"])
+        assert cfg.seed == 6
 
     @pytest.mark.parametrize("theorem", ["A1", "A2", "B1", "B2", "C1", "C2"])
     def test_one_integration_feeds_both_blocks(self, theorem, monkeypatch):

@@ -1,9 +1,20 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from conftest import ratio_table
+from conftest import FAMILY_CASES, pipeline_family, ratio_table
 
+import minsurf
 from minsurf.algebra import ScalarEps
-from minsurf.errors import CompatViolation, DriftExceeded
+from minsurf.errors import (
+    CompatViolation,
+    DriftExceeded,
+    FrameConstructionError,
+)
 from minsurf.frenet import (
     FrameState,
     initial_frame,
@@ -24,13 +35,58 @@ def flat_lagrangian(n=21, h=0.05):
                            mask=np.ones((n, n), bool))
 
 
+def isometry(p, theta):
+    """An isometry of S2_p fixing (0,0,1): a rotation (p=0), a boost (p=1)."""
+    R = np.eye(3)
+    if p == 0:
+        R[:2, :2] = [[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]]
+    else:
+        R[:2, :2] = [[np.cosh(theta), np.sinh(theta)],
+                     [np.sinh(theta), np.cosh(theta)]]
+    return R
+
+
+FRAME_HASH = """
+import hashlib
+from conftest import pipeline_family
+from minsurf import frenet, gordon
+h = hashlib.sha256()
+for theorem in sorted(gordon.FAMILY_TABLE):
+    D = pipeline_family(theorem, 33)
+    h.update(frenet.initial_frame(D).pack().tobytes())
+print(h.hexdigest())
+"""
+
+
 class TestInitialFrame:
     def test_invariants_exact(self, family_cache):
-        for theorem in ("A1", "C1", "B1"):
-            D = family_cache(theorem, 33)
+        for theorem, n in itertools.product(sorted(FAMILY_CASES), (33, 65)):
+            D = family_cache(theorem, n)
             fs = initial_frame(D, 0, 0)
             res = fs.invariant_residuals(float(np.exp(2 * D.u[0, 0])))
-            assert max(res.values()) < 1e-10, (theorem, res)
+            g1, g2 = (ScalarEps(g.re[0, 0], g.im[0, 0], D.eps)
+                      for g in (D.gamma1, D.gamma2))
+            for k, E in enumerate(fs.structure(D.C1[0, 0], D.C2[0, 0],
+                                               g1, g2)):
+                res[f"structure_{k + 1}"] = np.max(np.hypot(E.re, E.im))
+            assert max(res.values()) < 1e-12, (theorem, res)
+
+    def test_same_frame_in_every_process(self):
+        tests = Path(__file__).parent
+        src = Path(minsurf.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests), str(src)]))
+        hashes = {subprocess.run([sys.executable, "-c", FRAME_HASH], env=env,
+                                 capture_output=True, text=True,
+                                 check=True).stdout for _ in range(2)}
+        assert len(hashes) == 1, hashes
+
+    def test_inconsistent_data_raises(self):
+        D = flat_lagrangian()
+        bad = FundamentalData(**{**D.copy_fields(), "gamma1": 1.5 * D.gamma1})
+        with pytest.raises(FrameConstructionError):
+            initial_frame(bad, 0, 0)
 
     def test_flat_case(self):
         D = flat_lagrangian()
@@ -102,21 +158,21 @@ class TestReconstruct:
                                  compat_tol=np.inf, check_drift=False)
         assert rep_bad.commutator_max > 10 * good
 
-    def test_congruence_freedom(self, family_cache):
-        # different admissible initial frames: same scalar invariants
-        D = family_cache("C1", 33)
-        g1, _ = reconstruct(D, init=initial_frame(D, 0, 0, seed=3))
-        g2, _ = reconstruct(D, init=initial_frame(D, 0, 0, seed=11))
-        assert not np.allclose(g1.values, g2.values)  # genuinely different
-        from minsurf.immersion import conformal_fields, kahler_fields
-        u1 = conformal_fields(g1).u
-        u2 = conformal_fields(g2).u
-        m = np.isfinite(u1) & np.isfinite(u2)
-        assert np.max(np.abs(u1[m] - u2[m])) < 1e-7
-        C11, C12 = kahler_fields(g1)
-        C21, C22 = kahler_fields(g2)
-        assert np.nanmax(np.abs(np.where(m, C11 - C21, np.nan))) < 1e-6
-        assert np.nanmax(np.abs(np.where(m, C12 - C22, np.nan))) < 1e-6
+    def test_congruence_freedom(self):
+        # a second admissible frame, moved by an isometry fixing (0,0,1) in
+        # each factor: the roundtrip diffs must not see the difference
+        for theorem in sorted(FAMILY_CASES):
+            D = pipeline_family(theorem, 33)
+            fs = initial_frame(D)
+            R = np.stack([isometry(D.p, 0.7), isometry(D.p, -0.4)])
+            moved = FrameState.unpack(np.einsum(
+                "kab,qkb->qka", R, fs.pack().reshape(5, 2, 3)).ravel(),
+                D.p, D.eps, D.b)
+            rt1 = roundtrip_report(D, init=fs)
+            rt2 = roundtrip_report(D, init=moved)
+            assert not np.allclose(rt1.grid.values, rt2.grid.values)
+            for k, v in rt1.diffs.items():
+                assert abs(v - rt2.diffs[k]) <= 1e-9, (theorem, k)
 
 
 class TestRoundTripFamilies:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minsurf.algebra import QuadricPoint, Vec3P
+from minsurf.algebra import QuadricPoint, Vec3P, inner_arr, j_arr
 from minsurf.errors import BaseMismatch
 from minsurf.product import (
     J_product,
@@ -13,6 +13,7 @@ from minsurf.product import (
     metric_G,
     omega_k,
     omega_product,
+    orientation_dual,
     tangent_project,
     tangent_project_arr,
 )
@@ -37,6 +38,26 @@ def random_tangents(rng, base, p):
 def base_at_poles(p=0):
     q = QuadricPoint.from_array([0, 0, 1], p)
     return ProductPoint(q, q)
+
+
+class TestOrientationDual:
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_represents_the_volume_form(self, p):
+        rng = np.random.default_rng(5)
+        base = random_product_points(rng, 50, p)
+        X, Y, Z, W = (random_tangents(rng, base, p) for _ in range(4))
+
+        def w(k, A, B):
+            return inner_arr(j_arr(base[:, k], A[:, k], p), B[:, k], p)
+
+        # (pi1*w ^ pi2*w)(X, Y, Z, W)
+        vol = sum(s * w(0, A, B) * w(1, C, D) for s, A, B, C, D in (
+            (1, X, Y, Z, W), (-1, X, Z, Y, W), (1, X, W, Y, Z),
+            (1, Y, Z, X, W), (-1, Y, W, X, Z), (1, Z, W, X, Y)))
+        V = orientation_dual(base, X, Y, Z, p)
+        assert np.allclose(g_inner(V, W, p), vol, rtol=1e-12, atol=1e-12)
+        for A in (X, Y, Z):
+            assert np.allclose(g_inner(V, A, p), 0.0, atol=1e-12)
 
 
 class TestApplyJ:
