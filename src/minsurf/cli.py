@@ -404,13 +404,14 @@ def run_pipeline(cfg: RunConfig):
         with open(os.path.join(cfg.out, "report.json"), "w") as fh:
             json.dump(report, fh, indent=1)
         with open(os.path.join(cfg.out, "gordon.json"), "w") as fh:
-            json.dump({"schema": "minsurf-gordon-1", "eq_kind": sol.eq_kind,
-                       "eps": sol.eps, "hx": sol.hx, "hy": sol.hy,
-                       "origin": list(sol.origin),
-                       "residual_norm": sol.residual_norm,
-                       "converged": bool(sol.converged),
-                       "mask": sol.mask.astype(int).tolist(),
-                       "v": sol.v.tolist(), "w": sol.w.tolist()}, fh)
+            fh.write(json.dumps({
+                "schema": "minsurf-gordon-1", "eq_kind": sol.eq_kind,
+                "eps": sol.eps, "hx": sol.hx, "hy": sol.hy,
+                "origin": list(sol.origin),
+                "residual_norm": sol.residual_norm,
+                "converged": bool(sol.converged),
+                "mask": sol.mask.astype(int).tolist(),
+                "v": sol.v.tolist(), "w": sol.w.tolist()}))
         fundata.fundata_to_json(D, os.path.join(cfg.out, "fundata.json"))
         immersion.grid_to_csv(grid, os.path.join(cfg.out, "grid.csv"))
         immersion.grid_to_json(grid, os.path.join(cfg.out, "grid.json"))

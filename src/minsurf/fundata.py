@@ -486,7 +486,7 @@ def fundata_to_json(D: FundamentalData, path=None):
     }
     if path is not None:
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))   # json.dump's text, C-encoded
     return doc
 
 

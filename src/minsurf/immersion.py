@@ -13,8 +13,8 @@ induced Laplacian is  D f = 4 eps e^{-2u} f_{z zbar}.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,27 +507,30 @@ GRID_SCHEMA = "minsurf-grid-1"
 
 
 def grid_to_json(F: ImmersionGrid, path=None):
-    doc = {
-        "schema": GRID_SCHEMA,
-        "p": F.p,
-        "eps": F.eps,
-        "nx": F.nx,
-        "ny": F.ny,
-        "hx": F.hx,
-        "hy": F.hy,
-        "origin": list(F.origin),
-        "values": F.values.tolist(),
-    }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-    return doc
+    """The grid document; with ``path``, write it there instead.
+
+    The file holds json.dump's text of the document, written one grid row
+    at a time through the C encoder of json.dumps.
+    """
+    head = {"schema": GRID_SCHEMA, "p": F.p, "eps": F.eps, "nx": F.nx,
+            "ny": F.ny, "hx": F.hx, "hy": F.hy, "origin": list(F.origin)}
+    if path is None:
+        return {**head, "values": F.values.tolist()}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(head)[:-1] + ', "values": [')
+        for i in range(F.nx):
+            fh.write((", " if i else "") + json.dumps(F.values[i].tolist()))
+        fh.write("]}")
 
 
 def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
-    """ImmersionGrid from a file's values, origin and fields d (p, eps, hx,
-    hy); coordinates must be finite and spacings positive."""
+    """ImmersionGrid from a file's values, origin and fields d (p, eps, nx,
+    ny, hx, hy); values must have shape (nx, ny, 2, 3), coordinates must be
+    finite and spacings positive."""
     hx, hy = float(d["hx"]), float(d["hy"])
+    if values.shape != (int(d["nx"]), int(d["ny"]), 2, 3):
+        raise ValueError(f"grid values have shape {values.shape}, not "
+                         f"(nx, ny, 2, 3) = ({d['nx']}, {d['ny']}, 2, 3)")
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
             and 0 < hx < np.inf and 0 < hy < np.inf):
         raise ValueError("grid coordinates and origin must be finite and "
@@ -551,18 +554,18 @@ def grid_from_json(src) -> ImmersionGrid:
 
 
 def grid_to_csv(F: ImmersionGrid, path):
-    xs, ys = F.axes()
+    """Write a '#' header line, then one CRLF-terminated row (i, j, x, y,
+    six coordinates) per sample; floats are written as their reprs."""
+    xs, ys = (list(map(repr, a.tolist())) for a in F.axes())
+    row = "%d,%d,%s,%s,%r,%r,%r,%r,%r,%r\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# {GRID_SCHEMA} p={F.p} eps={F.eps} nx={F.nx} ny={F.ny} "
-                 f"hx={F.hx!r} hy={F.hy!r} ox={F.origin[0]!r} oy={F.origin[1]!r}\n")
-        wr = csv.writer(fh)
-        wr.writerow(["i", "j", "x", "y", "a1", "a2", "a3", "b1", "b2", "b3"])
-        for i in range(F.nx):
-            for j in range(F.ny):
-                v = F.values[i, j]
-                wr.writerow([i, j, repr(float(xs[i])), repr(float(ys[j])),
-                             *[repr(float(c)) for c in v[0]],
-                             *[repr(float(c)) for c in v[1]]])
+                 f"hx={F.hx!r} hy={F.hy!r} ox={F.origin[0]!r} oy={F.origin[1]!r}\n"
+                 "i,j,x,y,a1,a2,a3,b1,b2,b3\r\n")
+        for i, x in enumerate(xs):
+            fh.write("".join(
+                row % (i, j, x, ys[j], *v)
+                for j, v in enumerate(F.values[i].reshape(F.ny, 6).tolist())))
 
 
 def grid_from_csv(path) -> ImmersionGrid:
@@ -575,10 +578,14 @@ def grid_from_csv(path) -> ImmersionGrid:
         if missing:
             raise ValueError(f"csv header lacks {sorted(missing)}")
         nx, ny = int(kv["nx"]), int(kv["ny"])
-        rd = csv.reader(fh)
-        next(rd)  # column header
-        rows = np.array(list(rd), dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 10:
+        fh.readline()  # column header
+        with warnings.catch_warnings():
+            # an empty body is rejected below, by its shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
+                              comments=None)
+    if rows.shape[1] != 10:
         raise ValueError("csv rows must hold i, j, x, y and six coordinates")
     ij = rows[:, :2]
     flat = ij[:, 0] * ny + ij[:, 1]
@@ -593,15 +600,15 @@ def grid_from_csv(path) -> ImmersionGrid:
 
 def grid_to_obj(F: ImmersionGrid, path_factor1, path_factor2):
     """Write one quad mesh per factor (vertex coordinates are ambient R^3)."""
+    ny = F.ny
+    verts = "v %.12g %.12g %.12g\n" * ny
+    faces = "f %d %d %d %d\n" * (ny - 1)
+    a = np.arange(1, ny)    # 1-based first corner of each quad of row 0
+    quads = np.stack([a, a + ny, a + ny + 1, a + 1], axis=1).ravel()
     for k, path in ((0, path_factor1), (1, path_factor2)):
         with open(path, "w") as fh:
-            fh.write(f"# minsurf factor {k + 1} mesh {F.nx}x{F.ny}\n")
+            fh.write(f"# minsurf factor {k + 1} mesh {F.nx}x{ny}\n")
             for i in range(F.nx):
-                for j in range(F.ny):
-                    v = F.values[i, j, k]
-                    fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
+                fh.write(verts % tuple(F.values[i, :, k].ravel().tolist()))
             for i in range(F.nx - 1):
-                for j in range(F.ny - 1):
-                    a = i * F.ny + j + 1
-                    b = (i + 1) * F.ny + j + 1
-                    fh.write(f"f {a} {b} {b + 1} {a + 1}\n")
+                fh.write(faces % tuple((quads + i * ny).tolist()))

@@ -110,10 +110,16 @@ class TestVerify:
         ("json", lambda doc: {**doc, "values": one_nan(doc["values"])}),
         ("json", lambda doc: {k: v for k, v in doc.items() if k != "hx"}),
         ("json", lambda doc: {**doc, "p": None}),
+        ("json", lambda doc: {**doc, "nx": doc["nx"] + 1}),
+        ("csv", lambda rows: rows[:2] + [rows[2][:9]] + rows[3:]),
+        ("csv", lambda rows: rows[:2] + [rows[2][:4] + ["abc"] + rows[2][5:]]
+         + rows[3:]),
+        ("csv", lambda rows: rows[:2]),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
-            "json-nan", "json-no-hx", "json-null-p"])
+            "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
+            "csv-9-columns", "csv-non-numeric", "csv-empty-body"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
-                                            capsys):
+                                            capsys, recwarn):
         F = build_example("slice:first", nx=17)
         path = tmp_path / f"grid.{fmt}"
         if fmt == "csv":
@@ -127,6 +133,8 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert not recwarn.list, [str(w.message) for w in recwarn]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"

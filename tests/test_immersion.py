@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,34 @@ class TestIO:
         grid_to_csv(F, path)
         G = grid_from_csv(str(path))
         assert np.array_equal(F.values, G.values)
+
+    @pytest.mark.parametrize("edit", [
+        lambda body: [",".join(f'"{c}"' for c in r.split(",")) for r in body],
+        lambda body: [""] + body[::-1] + [""],
+    ], ids=["quoted-fields", "blank-lines-rows-reversed"])
+    def test_csv_body_variants_accepted(self, edit, tmp_path):
+        F = slice_grid(9)
+        path = tmp_path / "grid.csv"
+        grid_to_csv(F, path)
+        head, cols, *body = path.read_text().splitlines()
+        path.write_text("\n".join([head, cols] + edit(body)) + "\n")
+        G = grid_from_csv(str(path))
+        assert np.array_equal(F.values, G.values)
+
+    @pytest.mark.parametrize("write", [
+        grid_to_json, grid_to_csv,
+        lambda F, path: grid_to_obj(F, path, path)],
+        ids=["json", "csv", "obj"])
+    def test_writers_hold_one_grid_row(self, write, tmp_path):
+        # whole-grid nested lists or text peak at several times the array
+        F = slice_grid(129)
+        tracemalloc.start()
+        try:
+            write(F, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < F.values.nbytes / 2
 
     def test_obj_output(self, tmp_path):
         F = slice_grid(9)
