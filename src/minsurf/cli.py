@@ -309,21 +309,21 @@ PIPELINE_DATA = {
 def _edge_profile(sigma, nonlin, a0, ys):
     """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0."""
     m = 40
-    hy = (ys[1] - ys[0]) / m if len(ys) > 1 else 1e-3
+    hy = float(ys[1] - ys[0]) / m
     out = np.empty_like(ys)
-    g, dg = a0, 0.0
+    g, dg = float(a0), 0.0
     out[0] = g
-    def f(state):
-        return np.array([state[1], 2.0 * sigma * nonlin(2.0 * state[0])])
-    state = np.array([g, dg])
+    def f(g):
+        return 2.0 * sigma * float(nonlin(2.0 * g))
     for k in range(1, len(ys)):
         for _ in range(m):
-            k1 = f(state)
-            k2 = f(state + 0.5 * hy * k1)
-            k3 = f(state + 0.5 * hy * k2)
-            k4 = f(state + hy * k3)
-            state = state + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k] = state[0]
+            k1, l1 = dg, f(g)
+            k2, l2 = dg + 0.5 * hy * l1, f(g + 0.5 * hy * k1)
+            k3, l3 = dg + 0.5 * hy * l2, f(g + 0.5 * hy * k2)
+            k4, l4 = dg + hy * l3, f(g + hy * k3)
+            g, dg = (g + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
+                     dg + (hy / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4))
+        out[k] = g
     return out
 
 
@@ -372,7 +372,7 @@ def run_pipeline(cfg: RunConfig):
     mx = min(5, (spec.nx - 5) // 2)
     my = min(5, (spec.ny - 5) // 2)
     D = fundata.restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
-    rt = frenet.roundtrip_report(D, commutator_stride=8)
+    rt = frenet.roundtrip_report(D)
     grid, rec = rt.grid, rt.rec
 
     h = max(D.hx, D.hy)

@@ -10,14 +10,14 @@ The first-order frame system in the state (F, F_z, xi) reads
 with Fhat = (F1, -F2).  The frame at the window origin is built in closed
 form from the data there (initial_frame), so the data determine the
 reconstruction up to congruence and no solver or seed enters.  Real x/y
-derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb),
-and the grid is filled by classical RK4: a serial sweep along the first
-row, then a lock-step sweep that advances all columns together, one
-batched step per y index; coefficient values at half-steps come from
-cubic interpolation of the data lines.  The drift of the quadric
-constraints <F_k, F_k> = 1 is tracked per step and reported; the
-mixed-partial commutator of the two step directions quantifies
-(non-)integrability of the data.
+derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb).
+The system is real-linear and acts alike on every ambient coordinate of a
+factor, so a classical RK4 step of one factor across one grid cell is a
+5x5 propagator, built in closed form for all cells at once (half-step
+coefficients by cubic interpolation of the data lines).  Propagator
+products fill the first row, then all columns in lock-step.  The drift of
+<F_k, F_k> = 1 is reported; the mixed-partial commutator of the two step
+directions around every cell quantifies (non-)integrability of the data.
 """
 
 from __future__ import annotations
@@ -140,63 +140,77 @@ def _halves(lines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs(s: np.ndarray, dat: np.ndarray, p: int, eps: int, b: int,
-         direction: str) -> np.ndarray:
-    """Frame-system derivative for a batch: s (m, 30), dat (m, 16)."""
-    m = s.shape[0]
-    fs = FrameState.unpack(s, p, eps, b)
-    F, Fz, xi = fs.F, fs.Fz, fs.xi
+def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
+                  direction: str) -> np.ndarray:
+    """Coefficient matrices M (..., 2, 5, 5) of the frame system at data
+    dat (..., 16), one block per factor.
+
+    On each ambient coordinate of a factor, the x- or y-derivative of
+    (F, Re F_z, Im F_z, Re xi, Im xi) is M times it.  Multiplication by
+    a + i b is the block [[a, -eps b], [b, a]], conjugation diag(1, -1);
+    the factors differ only through Fhat in F_zzb.
+    """
+    d = np.moveaxis(dat, -1, 0)
+    e2u, C1, C2 = d[0], d[1], d[2]
+    g1, g2, f1, f2, A, uz = (ScalarEps(d[k], d[k + 1], eps)
+                             for k in range(3, 15, 2))
     i_u = unit_i(eps)
-
-    # data columns, shaped (m, 1, 1) to broadcast against (m, 2, 3)
-    dat = dat.T[..., None, None]
-    e2u = dat[0]
-    em2u = 1.0 / e2u
-    C1, C2 = dat[1], dat[2]
-    g1 = ScalarEps(dat[3], dat[4], eps)
-    g2 = ScalarEps(dat[5], dat[6], eps)
-    f1 = ScalarEps(dat[7], dat[8], eps)
-    f2 = ScalarEps(dat[9], dat[10], eps)
-    A = ScalarEps(dat[11], dat[12], eps)
-    uz = ScalarEps(dat[13], dat[14], eps)
-
-    sp = (-1.0) ** p
     sp1 = (-1.0) ** (p + 1)
-    Fse = ScalarEps(F, np.zeros_like(F), eps)
-    Fhat = F.copy()
-    Fhat[:, 1] *= -1.0
-    Fhat_se = ScalarEps(Fhat, np.zeros_like(Fhat), eps)
-    Fzb = Fz.conj()
+    w = 2.0 * eps * (1.0 / e2u) * b
 
-    Fzz = 2.0 * uz * Fz + f1 * xi + f2 * xi.conj() \
-        + (eps * sp * b / 2.0) * (g1 * g2) * Fse
-    Fzzb = (sp1 * eps * C1 * C2 * e2u / 4.0) * Fse - (e2u / 4.0) * Fhat_se
-    xi_z = (2.0 * eps * em2u * b) * f2 * Fzb + A * xi \
-        + sp1 * (0.5 * b * C1) * i_u * g2 * Fse
-    xi_zb = (2.0 * eps * em2u * b) * f1.conj() * Fz - A.conj() * xi \
-        - sp1 * (0.5 * b * C2) * i_u * g1.conj() * Fse
+    def block(z):
+        return np.stack([np.stack([z.re, -eps * z.im], -1),
+                         np.stack([z.im, z.re], -1)], -2)
 
+    conj = np.diag([1.0, -1.0])
+    # d/dz (Mz) and d/dzb (Mzb) of (F_z, xi) on the columns (F, F_z, xi);
+    # F is real, so its column is the first one of a block
+    Mz = np.zeros(e2u.shape + (4, 5))
+    Mz[..., 0:2, 0] = block((-sp1 * eps * b / 2.0) * (g1 * g2))[..., 0]
+    Mz[..., 0:2, 1:3] = block(2.0 * uz)
+    Mz[..., 0:2, 3:5] = block(f1) + block(f2) @ conj
+    Mz[..., 2:4, 0] = block(sp1 * (0.5 * b * C1) * i_u * g2)[..., 0]
+    Mz[..., 2:4, 1:3] = block(w * f2) @ conj
+    Mz[..., 2:4, 3:5] = block(A)
+    Mzb = np.zeros_like(Mz)
+    Mzb[..., 0, 0] = sp1 * eps * C1 * C2 * e2u / 4.0
+    Mzb[..., 2:4, 0] = block(-sp1 * (0.5 * b * C2) * i_u * g1.conj())[..., 0]
+    Mzb[..., 2:4, 1:3] = block(w * f1.conj())
+    Mzb[..., 2:4, 3:5] = -block(A.conj())
+    fhat = (e2u / 4.0)[..., None] * np.array([1.0, -1.0])   # in F_zzb
+
+    M = np.zeros(e2u.shape + (2, 5, 5))
     if direction == "x":
-        dF = 2.0 * Fz.re
-        dFz = Fzz + Fzzb
-        dxi = xi_z + xi_zb
+        M[..., 0, 1] = 2.0
+        M[..., 1:, :] = (Mz + Mzb)[..., None, :, :]
+        M[..., 1, 0] -= fhat
     else:
-        dF = -2.0 * eps * Fz.im
-        dFz = i_u * (Fzz - Fzzb)
-        dxi = i_u * (xi_z - xi_zb)
+        M[..., 0, 2] = -2.0 * eps
+        times_i = np.kron(np.eye(2), block(i_u))
+        M[..., 1:, :] = (times_i @ (Mz - Mzb))[..., None, :, :]
+        M[..., 2, 0] += fhat
+    return M
 
-    return np.concatenate([a.reshape(m, 6) for a in (
-        dF, dFz.re, dFz.im, dxi.re, dxi.im)], axis=1)
 
-
-def _rk4_step(s, d0, dh, d1, h, p, eps, b, direction):
-    """One RK4 step of states s (m, 30); d0, dh, d1 (m, 16) hold the data
-    at the start, middle and end of each state's step."""
-    k1 = _rhs(s, d0, p, eps, b, direction)
-    k2 = _rhs(s + 0.5 * h * k1, dh, p, eps, b, direction)
-    k3 = _rhs(s + 0.5 * h * k2, dh, p, eps, b, direction)
-    k4 = _rhs(s + h * k3, d1, p, eps, b, direction)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _propagators(lines: np.ndarray, h: float, p: int, eps: int, b: int,
+                 direction: str) -> np.ndarray:
+    """One classical RK4 step as a matrix (n-1, ..., 2, 5, 5) from each of
+    the data lines (n, ..., 16) to the next, from the coefficients at the
+    start, middle and end of the step; built a few lines at a time, so the
+    temporaries stay small on any grid."""
+    half = _halves(lines)
+    eye = np.eye(5)
+    out = np.empty(half.shape[:-1] + (2, 5, 5))
+    step = max(1, 512 * _NFIELD // lines[0].size)     # ~512 cells a batch
+    for j in range(0, len(half), step):
+        M = _frame_matrix(lines[j:j + step + 1], p, eps, b, direction)
+        Mh = _frame_matrix(half[j:j + step], p, eps, b, direction)
+        k2 = Mh @ (eye + (h / 2.0) * M[:-1])
+        k3 = Mh @ (eye + (h / 2.0) * k2)
+        k4 = M[1:] @ (eye + h * k3)
+        out[j:j + step] = eye + (h / 6.0) * (M[:-1] + 2.0 * k2 + 2.0 * k3
+                                             + k4)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +293,15 @@ class ReconstructReport:
     drift: float
     steps: int
     drift_budget: float
-    commutator_max: float = float("nan")
-    commutator_cumulative: float = float("nan")
-    cells_checked: int = 0
+    commutator_max: float
+    commutator_cumulative: float
+    cells_checked: int
 
 
 def reconstruct(D: FundamentalData, init: FrameState = None,
                 window=None, compat_tol: float = None,
                 drift_factor: float = 100.0, check_drift: bool = True,
-                project: bool = False, commutator_stride: int = 0):
+                project: bool = False):
     """Integrate the frame system over the data grid.
 
     Returns (ImmersionGrid, ReconstructReport).  Raises CompatViolation
@@ -312,19 +326,18 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
     p, eps, b = D.p, D.eps, D.b
 
     W = _pack_data(D)[i0:i1, j0:j1]
-    Hx = _halves(W)                     # Hx[k, l]: between (k, l), (k+1, l)
-    Hy = _halves(W.swapaxes(0, 1))      # Hy[l, k]: between (k, l), (k, l+1)
-    hx, hy = D.hx, D.hy
-    states = np.empty((n1, n2, STATE_LEN))
-    states[0, 0] = init.pack()
-    for k in range(n1 - 1):             # first row: a batch of one
-        states[k + 1, :1] = _rk4_step(states[k, :1], W[k, :1], Hx[k, :1],
-                                      W[k + 1, :1], hx, p, eps, b, "x")
+    # Px[k, l] steps (k, l) -> (k+1, l), Py[k, l] steps (k, l) -> (k, l+1)
+    Px = _propagators(W, D.hx, p, eps, b, "x")
+    Py = _propagators(W.swapaxes(0, 1), D.hy, p, eps, b, "y").swapaxes(0, 1)
+    # states (n1, n2, factor, (F, Re F_z, Im F_z, Re xi, Im xi), coordinate)
+    S = np.empty((n1, n2, 2, 5, 3))
+    S[0, 0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
+    for k in range(n1 - 1):             # first row
+        S[k + 1, 0] = Px[k, 0] @ S[k, 0]
     for l in range(n2 - 1):             # all columns in lock-step
-        states[:, l + 1] = _rk4_step(states[:, l], W[:, l], Hy[l],
-                                     W[:, l + 1], hy, p, eps, b, "y")
+        S[:, l + 1] = Py[:, l] @ S[:, l]
 
-    values = states[..., 0:6].reshape(n1, n2, 2, 3)
+    values = S[..., 0, :]
     if project:
         nrm = inner_arr(values, values, p)
         values = values / np.sqrt(np.abs(nrm))[..., None]
@@ -338,28 +351,16 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
             f"quadric drift {drift:.3e} exceeds budget {budget:.3e} "
             f"({steps} steps at h={h:.3e}); refine the grid")
 
-    report = ReconstructReport(drift, steps, budget)
-    if commutator_stride > 0:
-        # x-then-y against y-then-x over the cells (k, l), (k+1, l+1) with
-        # k and l on the stride; each strided row is one batch
-        ls = np.arange(0, n2 - 1, commutator_stride)
-        d = []
-        for k in range(0, n1 - 1, commutator_stride):
-            s0 = states[k, ls]
-            sx = _rk4_step(s0, W[k, ls], Hx[k, ls], W[k + 1, ls],
-                           hx, p, eps, b, "x")
-            sxy = _rk4_step(sx, W[k + 1, ls], Hy[ls, k + 1],
-                            W[k + 1, ls + 1], hy, p, eps, b, "y")
-            sy = _rk4_step(s0, W[k, ls], Hy[ls, k], W[k, ls + 1],
-                           hy, p, eps, b, "y")
-            syx = _rk4_step(sy, W[k, ls + 1], Hx[k, ls + 1],
-                            W[k + 1, ls + 1], hx, p, eps, b, "x")
-            d.append(np.max(np.abs(sxy - syx), axis=1))
-        d = np.concatenate(d)
-        report.commutator_max = float(d.max())
-        # summed in cell order, not pairwise
-        report.commutator_cumulative = float(np.add.accumulate(d)[-1])
-        report.cells_checked = d.size
+    # x-then-y against y-then-x around every cell (k, l), (k+1, l+1), a
+    # grid row at a time; the sweep holds the first y-step, S[k, l+1]
+    d = np.empty((n1 - 1, n2 - 1))
+    for k in range(n1 - 1):
+        e = Py[k + 1] @ (Px[k, :-1] @ S[k, :-1]) - Px[k, 1:] @ S[k, 1:]
+        d[k] = np.abs(e).max(axis=(1, 2, 3))
+    # summed in cell order, not pairwise
+    report = ReconstructReport(drift, steps, budget, float(d.max()),
+                               float(np.add.accumulate(d.ravel())[-1]),
+                               d.size)
 
     xs0 = D.origin[0] + i0 * D.hx
     ys0 = D.origin[1] + j0 * D.hy
@@ -395,14 +396,13 @@ class RoundTripReport:
 
 
 def roundtrip_report(D: FundamentalData, window=None,
-                     commutator_stride: int = 0, **kwargs) -> RoundTripReport:
+                     **kwargs) -> RoundTripReport:
     """reconstruct -> extract and compare the gauge-invariant fields.
 
     The report keeps the reconstructed grid and its ReconstructReport, so
     a caller needs no second integration.
     """
-    grid, rec = reconstruct(D, window=window,
-                            commutator_stride=commutator_stride, **kwargs)
+    grid, rec = reconstruct(D, window=window, **kwargs)
     D2 = extract(grid, b=D.b)
     if window is None:
         window = crop_to_mask(D)

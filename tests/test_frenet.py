@@ -9,7 +9,8 @@ import pytest
 from conftest import FAMILY_CASES, pipeline_family, ratio_table
 
 import minsurf
-from minsurf.algebra import ScalarEps
+from minsurf import frenet, gordon
+from minsurf.algebra import ScalarEps, unit_i
 from minsurf.errors import (
     CompatViolation,
     DriftExceeded,
@@ -102,12 +103,99 @@ class TestInitialFrame:
         assert np.allclose(fs2.xi.im, fs.xi.im)
 
 
+def frame_rhs(fs, dat, direction):
+    """The frame equations of the frenet module docstring in ScalarEps
+    arithmetic: the x- or y-derivative of frames fs (m, 2, 3) at data dat
+    (m, 16), packed as a state (m, 30)."""
+    p, eps, b = fs.p, fs.eps, fs.b
+    d = dat.T[..., None, None]
+    e2u, C1, C2 = d[0], d[1], d[2]
+    g1, g2, f1, f2, A, uz = (ScalarEps(d[k], d[k + 1], eps)
+                             for k in range(3, 15, 2))
+    i = unit_i(eps)
+    sgn = (-1.0) ** p
+    F = ScalarEps(fs.F, 0.0 * fs.F, eps)
+    Fhat = ScalarEps(fs.F * np.array([[1.0], [-1.0]]), 0.0 * fs.F, eps)
+    Fz, xi = fs.Fz, fs.xi
+    Fzz = (2.0 * uz * Fz + f1 * xi + f2 * xi.conj()
+           + eps * sgn * b / 2.0 * g1 * g2 * F)
+    Fzzb = -sgn * eps * C1 * C2 * e2u / 4.0 * F - e2u / 4.0 * Fhat
+    xi_z = (2.0 * eps / e2u * b * f2 * Fz.conj() + A * xi
+            - sgn * i * b * C1 * g2 / 2.0 * F)
+    xibar_z = (2.0 * eps / e2u * b * f1 * Fz.conj() - A * xi.conj()
+               - sgn * i * b * C2 * g1 / 2.0 * F)
+    # Q_x = Q_z + Q_zb, Q_y = i (Q_z - Q_zb)
+    pairs = [(Fz, Fz.conj()), (Fzz, Fzzb), (xi_z, xibar_z.conj())]
+    dF, dFz, dxi = ([qz + qzb for qz, qzb in pairs] if direction == "x"
+                    else [i * (qz - qzb) for qz, qzb in pairs])
+    m = dat.shape[0]
+    return np.concatenate([a.reshape(m, 6) for a in (
+        dF.re, dFz.re, dFz.im, dxi.re, dxi.im)], axis=1)
+
+
+def matrix_rhs(M, s):
+    """M (m, 2, 5, 5) applied to packed states s (m, 30)."""
+    blocks = s.reshape(-1, 5, 2, 3).swapaxes(1, 2)
+    return (M @ blocks).swapaxes(1, 2).reshape(-1, 30)
+
+
+@pytest.fixture(scope="module")
+def families33():
+    return {t: pipeline_family(t, 33) for t in sorted(gordon.FAMILY_TABLE)}
+
+
+class TestFrameMatrix:
+    """frenet's closed-form coefficient matrices and RK4 propagators
+    against the ScalarEps form of the frame equations."""
+
+    @staticmethod
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_matrix_is_frame_system(self, families33, theorem, direction):
+        D = families33[theorem]
+        dat = frenet._pack_data(D).reshape(-1, 16)
+        s = np.random.default_rng(0).standard_normal((dat.shape[0], 30))
+        want = frame_rhs(frenet.FrameState.unpack(s, D.p, D.eps, D.b), dat,
+                         direction)
+        got = matrix_rhs(frenet._frame_matrix(dat, D.p, D.eps, D.b,
+                                              direction), s)
+        assert self.rel(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_propagator_is_rk4_step(self, families33, theorem, direction):
+        D = families33[theorem]
+        W = frenet._pack_data(D)
+        h = D.hx
+        if direction == "y":
+            W, h = W.swapaxes(0, 1), D.hy
+        d0, dh, d1 = (a.reshape(-1, 16)
+                      for a in (W[:-1], frenet._halves(W), W[1:]))
+        s = np.random.default_rng(1).standard_normal((d0.shape[0], 30))
+
+        def rhs(s, dat):
+            return frame_rhs(frenet.FrameState.unpack(s, D.p, D.eps, D.b),
+                             dat, direction)
+        k1 = rhs(s, d0)
+        k2 = rhs(s + 0.5 * h * k1, dh)
+        k3 = rhs(s + 0.5 * h * k2, dh)
+        k4 = rhs(s + h * k3, d1)
+        want = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        P = frenet._propagators(W, h, D.p, D.eps, D.b, direction)
+        P = P.reshape(-1, 2, 5, 5)
+        assert self.rel(matrix_rhs(P, s), want) <= 1e-14
+
+
 class TestReconstruct:
     def test_lagrangian_product_of_geodesics(self):
         D = flat_lagrangian()
-        grid, rep = reconstruct(D, commutator_stride=5)
+        grid, rep = reconstruct(D)
         assert rep.drift < 1e-7
         assert rep.commutator_max < 1e-12
+        assert rep.cells_checked == (grid.nx - 1) * (grid.ny - 1)
         K, Kp = curvatures(grid, grid.nx // 2, grid.ny // 2)
         assert abs(K) < 1e-8 and abs(Kp) < 1e-8
         # factor curves are geodesics: second x-derivative of factor 1
@@ -150,12 +238,11 @@ class TestReconstruct:
     def test_commutator_tracks_inconsistency(self, family_cache):
         # consistent data: tiny commutator; corrupted data: much larger
         D = family_cache("C1", 33)
-        _, rep = reconstruct(D, commutator_stride=8)
+        _, rep = reconstruct(D)
         good = rep.commutator_max
         bad = FundamentalData(**{**D.copy_fields(),
                                  "f1": 1.5 * D.f1})
-        _, rep_bad = reconstruct(bad, commutator_stride=8,
-                                 compat_tol=np.inf, check_drift=False)
+        _, rep_bad = reconstruct(bad, compat_tol=np.inf, check_drift=False)
         assert rep_bad.commutator_max > 10 * good
 
     def test_congruence_freedom(self):

@@ -174,7 +174,7 @@ class TestClassification:
     def test_family_point_neither(self, family_cache):
         from minsurf.frenet import reconstruct
         D = family_cache("A1", 33)
-        grid, _ = reconstruct(D, commutator_stride=0)
+        grid, _ = reconstruct(D)
         pc = classify_point(grid, grid.nx // 2, grid.ny // 2)
         assert not (pc.is_lagrangian_1 or pc.is_lagrangian_2)
         assert not (pc.is_complex_1 or pc.is_complex_2)
