@@ -6,32 +6,25 @@ for eps = -1.  Components may be floats or numpy arrays, so a single
 ScalarEps value can represent a whole grid field or a vector; all
 arithmetic is vectorized.
 
-Vectors in R^3 carry a signature index p in {0, 1, 2} selecting the
-pseudo inner product
+Vectors in R^3 are numpy arrays of shape (..., 3), the trailing axis
+holding the coordinates; every function takes the signature index
+p in {0, 1, 2} as an argument, selecting the pseudo inner product
 
     <u, v>_p = -sum_{i<=p} u_i v_i + sum_{i>p} u_i v_i.
 
 The quadric S2_p is the unit level set <x, x>_p = 1.  On it, the
 (para-)complex structure is j_x(v) = -x x v for p = 0 (Euclidean cross
 product) and j_x(v) = -x (x) v for p = 1, where u (x) v is the Lorentzian
-cross product I_{1,2} (u x v).
+cross product I_{1,2} (u x v).  Reversing the coordinates is an
+anti-isometry, <u[::-1], v[::-1]>_{3-p} = -<u, v>_p, which is how p = 2
+geometry is reached from the p = 1 conventions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    SignatureError,
-    TangencyError,
-    UnsupportedSignature,
-    ZeroDivisorError,
-)
-
-TOL_POINT = 1e-9    # on-quadric tolerance
-TOL_TANGENT = 1e-8  # tangency tolerance
+from .errors import SignatureError, UnsupportedSignature, ZeroDivisorError
 
 _I12 = np.array([-1.0, 1.0, 1.0])
 
@@ -144,11 +137,6 @@ class ScalarEps:
     def __repr__(self):
         return f"ScalarEps({self.re!r}, {self.im!r}, eps={self.eps})"
 
-    def isclose(self, other, tol=1e-12) -> bool:
-        o = self._coerce(other)
-        return bool(np.all(np.abs(self.re - o.re) <= tol)
-                    and np.all(np.abs(self.im - o.im) <= tol))
-
 
 def unit_i(eps: int) -> ScalarEps:
     """The imaginary unit with i**2 = -eps."""
@@ -183,105 +171,9 @@ def cross_arr(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
         return c * _I12
     raise UnsupportedSignature(
         "cross product convention for p=2 is not defined; "
-        "use signature_flip to move to the complementary model")
+        "reverse the coordinates and use p = 3 - p")
 
 
 def j_arr(x: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """(Para-)complex structure j_x(v) = -cross_p(x, v) on quadric tangents."""
+    """(Para-)complex structure j_x(v) = -cross_arr(x, v, p) of S2_p."""
     return -cross_arr(x, v, p)
-
-
-# ---------------------------------------------------------------------------
-# typed wrappers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Vec3P:
-    """Vector in R^3 tagged with the signature index of its ambient form."""
-
-    x1: float
-    x2: float
-    x3: float
-    p: int
-
-    def __post_init__(self):
-        if self.p not in (0, 1, 2):
-            raise UnsupportedSignature(f"p={self.p} not in {{0,1,2}}")
-
-    @classmethod
-    def from_array(cls, a, p: int) -> "Vec3P":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]), p)
-
-    def array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    def _check(self, other: "Vec3P"):
-        if self.p != other.p:
-            raise SignatureError(
-                f"signature mismatch: p={self.p} vs p={other.p}")
-
-    def __add__(self, other: "Vec3P") -> "Vec3P":
-        self._check(other)
-        return Vec3P.from_array(self.array() + other.array(), self.p)
-
-    def __sub__(self, other: "Vec3P") -> "Vec3P":
-        self._check(other)
-        return Vec3P.from_array(self.array() - other.array(), self.p)
-
-    def __mul__(self, s: float) -> "Vec3P":
-        return Vec3P.from_array(self.array() * s, self.p)
-
-    __rmul__ = __mul__
-
-
-def inner_p(u: Vec3P, v: Vec3P) -> float:
-    """Pseudo inner product <u, v>_p; raises SignatureError on mismatch."""
-    u._check(v)
-    return float(inner_arr(u.array(), v.array(), u.p))
-
-
-def cross_p(u: Vec3P, v: Vec3P) -> Vec3P:
-    """Signature cross product (standard for p=0, Lorentzian for p=1)."""
-    u._check(v)
-    return Vec3P.from_array(cross_arr(u.array(), v.array(), u.p), u.p)
-
-
-@dataclass(frozen=True)
-class QuadricPoint:
-    """Point on the quadric S2_p = {<x, x>_p = 1}."""
-
-    pos: Vec3P
-
-    def __post_init__(self):
-        n = inner_p(self.pos, self.pos)
-        if abs(n - 1.0) > TOL_POINT:
-            raise TangencyError(
-                f"point is off the quadric: <x,x>_p = {n:.3e}, expected 1")
-
-    @property
-    def p(self) -> int:
-        return self.pos.p
-
-    @classmethod
-    def from_array(cls, a, p: int) -> "QuadricPoint":
-        return cls(Vec3P.from_array(a, p))
-
-
-def j_apply(x: QuadricPoint, v: Vec3P, tol: float = TOL_TANGENT) -> Vec3P:
-    """Apply the (para-)complex structure j at x to a tangent vector v."""
-    x.pos._check(v)
-    t = inner_p(x.pos, v)
-    if abs(t) > tol:
-        raise TangencyError(f"vector not tangent at x: <x,v>_p = {t:.3e}")
-    return Vec3P.from_array(j_arr(x.pos.array(), v.array(), x.p), x.p)
-
-
-def signature_flip(v: Vec3P) -> Vec3P:
-    """Anti-isometry to the complementary model: reversed coordinates, p -> 3-p.
-
-    Satisfies <flip u, flip v>_{3-p} = -<u, v>_p, which is how p=2
-    geometry is reached from the p=1 (and p=0 from p=3) conventions.
-    """
-    a = v.array()[::-1].copy()
-    return Vec3P.from_array(a, 3 - v.p)

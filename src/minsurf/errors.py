@@ -17,14 +17,6 @@ class ZeroDivisorError(MinsurfError):
     """Division by a split-complex zero divisor (re**2 == im**2)."""
 
 
-class TangencyError(MinsurfError):
-    """Vector is not tangent to the quadric at the given point."""
-
-
-class BaseMismatch(MinsurfError):
-    """Tangent vectors live at different base points."""
-
-
 class BoundaryError(MinsurfError):
     """Grid index too close to the boundary for the requested stencil."""
 

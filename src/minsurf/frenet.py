@@ -300,13 +300,14 @@ class ReconstructReport:
 
 def reconstruct(D: FundamentalData, init: FrameState = None,
                 window=None, compat_tol: float = None,
-                drift_factor: float = 100.0, check_drift: bool = True,
-                project: bool = False):
+                drift_factor: float = 100.0, check_drift: bool = True):
     """Integrate the frame system over the data grid.
 
     Returns (ImmersionGrid, ReconstructReport).  Raises CompatViolation
-    when the data fails its compatibility system and DriftExceeded when
-    the quadric constraints drift beyond drift_factor * h^4 * steps.
+    when the data fails its compatibility system, FrameConstructionError
+    when the window spans fewer than 5 samples in either direction and
+    DriftExceeded when the quadric constraints drift beyond
+    drift_factor * h^4 * steps.
     """
     h = max(D.hx, D.hy)
     if compat_tol is None:
@@ -321,6 +322,11 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
         window = crop_to_mask(D)
     i0, i1, j0, j1 = window
     n1, n2 = i1 - i0, j1 - j0
+    # 4 samples for the cubic half steps, 5 for the output ImmersionGrid
+    if min(n1, n2) < 5:
+        raise FrameConstructionError(
+            f"window ({i0}, {i1}, {j0}, {j1}) spans {n1} x {n2} samples; "
+            f"reconstruction needs at least 5 in each direction")
     if init is None:
         init = initial_frame(D, i0, j0)
     p, eps, b = D.p, D.eps, D.b
@@ -338,15 +344,11 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
         S[:, l + 1] = Py[:, l] @ S[:, l]
 
     values = S[..., 0, :]
-    if project:
-        nrm = inner_arr(values, values, p)
-        values = values / np.sqrt(np.abs(nrm))[..., None]
-
     qres = np.abs(inner_arr(values, values, p) - 1.0)
     drift = float(np.max(qres))
     steps = (n1 - 1) + n1 * (n2 - 1)
     budget = drift_factor * h ** 4 * steps
-    if check_drift and not project and drift > budget:
+    if check_drift and drift > budget:
         raise DriftExceeded(
             f"quadric drift {drift:.3e} exceeds budget {budget:.3e} "
             f"({steps} steps at h={h:.3e}); refine the grid")

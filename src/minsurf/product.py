@@ -13,19 +13,10 @@ structures extend bilinearly / componentwise to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import (
-    QuadricPoint,
-    ScalarEps,
-    Vec3P,
-    inner_arr,
-    j_arr,
-    TOL_TANGENT,
-)
-from .errors import BaseMismatch, SignatureError, TangencyError
+from .algebra import ScalarEps, inner_arr, j_arr
+from .errors import SignatureError
 
 
 # ---------------------------------------------------------------------------
@@ -105,104 +96,3 @@ def tangent_project_arr(base: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
     """Project raw (...,2,3) vectors onto the product tangent spaces."""
     coef = inner_arr(V, base, p) / inner_arr(base, base, p)
     return V - coef[..., None] * base
-
-
-# ---------------------------------------------------------------------------
-# typed per-point API
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductPoint:
-    a: QuadricPoint
-    b: QuadricPoint
-
-    def __post_init__(self):
-        if self.a.p != self.b.p:
-            raise SignatureError("factors carry different signature indices")
-
-    @property
-    def p(self) -> int:
-        return self.a.p
-
-    def array(self) -> np.ndarray:
-        return np.stack([self.a.pos.array(), self.b.pos.array()])
-
-
-@dataclass(frozen=True)
-class ProductTangent:
-    X1: Vec3P
-    X2: Vec3P
-    base: ProductPoint
-
-    def __post_init__(self):
-        if self.X1.p != self.base.p or self.X2.p != self.base.p:
-            raise SignatureError("tangent components mismatch base signature")
-        arr = self.array()
-        bas = self.base.array()
-        for k in (0, 1):
-            t = inner_arr(arr[k], bas[k], self.base.p)
-            if abs(t) > TOL_TANGENT:
-                raise TangencyError(
-                    f"component {k + 1} not tangent: <X,pos>_p = {t:.3e}")
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    def array(self) -> np.ndarray:
-        return np.stack([self.X1.array(), self.X2.array()])
-
-    @classmethod
-    def from_array(cls, arr, base: ProductPoint) -> "ProductTangent":
-        return cls(Vec3P.from_array(arr[0], base.p),
-                   Vec3P.from_array(arr[1], base.p), base)
-
-
-def _same_base(X: ProductTangent, Y: ProductTangent):
-    if not np.array_equal(X.base.array(), Y.base.array()):
-        raise BaseMismatch("tangent vectors based at different points")
-
-
-def apply_J(k: int, X: ProductTangent) -> ProductTangent:
-    """J1 X = (jX1, jX2); J2 X = (jX1, -jX2)."""
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
-    out = J_product(k, X.base.array(), X.array(), X.p)
-    return ProductTangent.from_array(out, X.base)
-
-
-def metric_G(X: ProductTangent, Y: ProductTangent) -> float:
-    """Neutral metric G(X, Y) = g(X1, Y1) - g(X2, Y2)."""
-    _same_base(X, Y)
-    return float(g_inner(X.array(), Y.array(), X.p))
-
-
-def omega_k(k: int, X: ProductTangent, Y: ProductTangent) -> float:
-    """Symplectic forms Omega_1 = w (-) w and Omega_2 = w (+) w."""
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
-    _same_base(X, Y)
-    return float(omega_product(k, X.base.array(), X.array(), Y.array(), X.p))
-
-
-def tangent_project(P: ProductPoint, V) -> ProductTangent:
-    """Project a raw pair of vectors onto the tangent space at P."""
-    if isinstance(V, ProductTangent):
-        arr = V.array()
-    else:
-        arr = np.asarray(V, dtype=float)
-    out = tangent_project_arr(P.array(), arr, P.p)
-    return ProductTangent.from_array(out, P)
-
-
-def gram_signature(base: ProductPoint, vectors, tol: float = 1e-10):
-    """(n_plus, n_minus, n_zero) eigenvalue signs of the G-Gram matrix."""
-    arrs = [v.array() for v in vectors]
-    n = len(arrs)
-    M = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = g_inner(arrs[i], arrs[j], base.p)
-    ev = np.linalg.eigvalsh(M)
-    return (int(np.sum(ev > tol)), int(np.sum(ev < -tol)),
-            int(np.sum(np.abs(ev) <= tol)))

@@ -230,10 +230,15 @@ class TestReconstruct:
         with pytest.raises(DriftExceeded):
             reconstruct(D, drift_factor=1e-12)
 
-    def test_projection_flag(self):
+    def test_narrow_window_rejected(self):
+        # the cubic half steps need 4 samples, the output grid 5
         D = flat_lagrangian()
-        grid, _ = reconstruct(D, project=True)
-        assert grid.quadric_residual() < 1e-12
+        for window in ((0, 3, 0, 21), (0, 21, 0, 3), (0, 4, 0, 21)):
+            with pytest.raises(FrameConstructionError,
+                               match=r"window \(0, .*at least 5"):
+                reconstruct(D, window=window)
+        grid, _ = reconstruct(D, window=(0, 5, 0, 5))
+        assert grid.values.shape == (5, 5, 2, 3)
 
     def test_commutator_tracks_inconsistency(self, family_cache):
         # consistent data: tiny commutator; corrupted data: much larger
