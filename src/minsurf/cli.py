@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -307,14 +308,19 @@ PIPELINE_DATA = {
 
 
 def _edge_profile(sigma, nonlin, a0, ys):
-    """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0."""
+    """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0.
+
+    ``nonlin`` is np.sinh or np.sin; the steps call its ``math`` twin on
+    Python floats.
+    """
+    scalar = getattr(math, nonlin.__name__)
     m = 40
     hy = float(ys[1] - ys[0]) / m
     out = np.empty_like(ys)
     g, dg = float(a0), 0.0
     out[0] = g
     def f(g):
-        return 2.0 * sigma * float(nonlin(2.0 * g))
+        return 2.0 * sigma * scalar(2.0 * g)
     for k in range(1, len(ys)):
         for _ in range(m):
             k1, l1 = dg, f(g)
@@ -388,7 +394,8 @@ def run_pipeline(cfg: RunConfig):
         "grid": [spec.nx, spec.ny],
         "gordon": {"kind": kind, "eps": eps, "residual": sol.residual_norm,
                    "converged": bool(sol.converged),
-                   "iterations": list(sol.iterations)},
+                   "iterations": list(sol.iterations),
+                   "history": sol.meta["history"]},
         "mask_points": int(np.sum(D.mask)),
         "roundtrip": rt.to_json(),
         "reconstruction": {

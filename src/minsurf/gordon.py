@@ -8,7 +8,8 @@ Equation kinds (always a pair of real fields v, w):
     sin_mixed :  v_zzb + sin(2v)/2 = 0    and  w_zzb - sin(2w)/2 = 0
 
 For eps = +1 the conformal variable is complex and 4 v_zzb = v_xx + v_yy
-(elliptic, damped-Newton with Dirichlet data); for eps = -1 it is
+(elliptic: damped Newton with Dirichlet data, each step solved by MINRES
+preconditioned with a DST-I fast Poisson solve); for eps = -1 it is
 para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
 y from initial data on y = 0).  An optional forcing turns either solver
 into a manufactured-solution test bench: the discrete equation is
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dstn
 
 from .algebra import ScalarEps, exp_eps, unit_i
 from .errors import (
@@ -96,76 +96,149 @@ def _component_residual(N, s, eps, u, hx, hy, forcing=None):
 # elliptic path: damped Newton on the 5-point discretization
 # ---------------------------------------------------------------------------
 
+def _dirichlet_poisson(b, hx, hy):
+    """Solve Lap u = b for the interior 5-point Laplacian, zero Dirichlet data.
+
+    The DST-I diagonalises both second differences (orthonormal, so it is
+    its own inverse); the eigenvalues are -4/h^2 sin^2(pi k / (2 (n + 1))).
+    """
+    def eig(n, h):
+        k = np.arange(1, n + 1)
+        return -4.0 / h ** 2 * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+
+    lam = eig(b.shape[0], hx)[:, None] + eig(b.shape[1], hy)[None, :]
+    return dstn(dstn(b, type=1, norm="ortho") / lam, type=1, norm="ortho")
+
+
+_KRYLOV_RTOL = 1e-13
+_KRYLOV_MAXITER = 200
+
+
+def _krylov_step(d, r, hx, hy):
+    """Solve (Lap + diag(d)) du = -r by preconditioned MINRES.
+
+    J = Lap + diag(d) is symmetric but may be indefinite.  The
+    preconditioner -Lap^-1 is SPD and makes the preconditioned operator a
+    compact perturbation of -I, so the iteration count does not grow with
+    the grid.  The loop is the Paige-Saunders recurrence, stopped once the
+    preconditioned residual norm has dropped by the factor _KRYLOV_RTOL.
+    Returns (du, converged, iterations).
+    """
+    pad = np.zeros((r.shape[0] + 2, r.shape[1] + 2))
+
+    def jac(x):
+        pad[1:-1, 1:-1] = x
+        return 4.0 * zzbar(pad, hx, hy, 1)[1:-1, 1:-1] + d * x
+
+    def prec(x):
+        return -_dirichlet_poisson(x, hx, hy)
+
+    x = np.zeros_like(r)
+    w = w2 = np.zeros_like(r)
+    r1 = r2 = -r
+    y = prec(r2)
+    beta1 = beta = np.sqrt(np.vdot(r2, y))
+    if beta1 == 0.0:
+        return x, True, 0
+    oldb = dbar = epsln = 0.0
+    phibar, cs, sn = beta1, -1.0, 0.0
+    for it in range(1, _KRYLOV_MAXITER + 1):
+        v = y / beta
+        y = jac(v)
+        if it > 1:
+            y -= (beta / oldb) * r1
+        alfa = np.vdot(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = prec(r2)
+        oldb, beta = beta, np.sqrt(np.vdot(r2, y))
+        # apply the previous rotation, then the new one, to the tridiagonal
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = np.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= _KRYLOV_RTOL * beta1:
+            return x, True, it
+    return x, False, _KRYLOV_MAXITER
+
+
 def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
                      max_iter, tol):
+    """Damped Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
+
+    Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points.  The
+    initial iterate is the harmonic extension of the boundary data (plus
+    forcing); each step solves J du = -r by `_krylov_step`, followed by
+    Armijo backtracking on |r|_2.  Newton stops once
+
+        max|r| <= max(4 tol, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
+
+    the second term being the round-off floor of the 5-point residual at
+    this h: rounding u by eps_mach |u| per point moves the 5-point
+    Laplacian by up to 4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating
+    the stencil in floating point adds as much again.  Returns
+    (u, converged, iterations, history); history holds, per iteration,
+    max|r| at its start, the Armijo lambda of its step and the MINRES
+    iteration count (lambda None when no step was taken).
+    """
     nx, ny = spec.nx, spec.ny
     X, Y = spec.mesh()
-    g = np.asarray(bc(X, Y), dtype=float) * np.ones((nx, ny))
-    f = np.zeros((nx, ny)) if forcing is None else \
-        np.asarray(forcing(X, Y), dtype=float) * np.ones((nx, ny))
-
     hx, hy = spec.hx, spec.hy
-    ni, nj = nx - 2, ny - 2
+    u = np.asarray(bc(X, Y), dtype=float) * np.ones((nx, ny))
+    f = None if forcing is None else \
+        np.asarray(forcing(X, Y), dtype=float) * np.ones((nx, ny))
+    floor_coef = 8.0 * np.finfo(float).eps * (1.0 / hx ** 2 + 1.0 / hy ** 2)
 
-    def second_diff(n, h):
-        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h ** 2
+    def residual(u):
+        return 4.0 * _component_residual(N, s, 1, u, hx, hy, f)[1:-1, 1:-1]
 
-    # 5-point Laplacian on the interior (Dirichlet rows eliminated),
-    # unknowns ordered i * nj + j
-    Lap = (sp.kron(second_diff(ni, hx), sp.identity(nj))
-           + sp.kron(sp.identity(ni), second_diff(nj, hy))).tocsr()
-
-    def bdry_contrib():
-        c = np.zeros((ni, nj))
-        c[0, :] += g[0, 1:-1] / hx ** 2
-        c[-1, :] += g[-1, 1:-1] / hx ** 2
-        c[:, 0] += g[1:-1, 0] / hy ** 2
-        c[:, -1] += g[1:-1, -1] / hy ** 2
-        return c.ravel()
-
-    bc_vec = bdry_contrib()
-    fi = f[1:-1, 1:-1].ravel()
-
-    def residual(ui):
-        # 4 * (v_zzb + s/2 N(2v) - f) = Lap v + 2 s N(2v) - 4 f
-        return Lap @ ui + bc_vec + 2.0 * s * N(2.0 * ui) - 4.0 * fi
+    def stop(u):
+        return max(4.0 * tol, floor_coef * np.max(np.abs(u)))
 
     # initial iterate: harmonic extension of the boundary data (+forcing)
-    u0 = spla.spsolve(Lap.tocsc(), 4.0 * fi - bc_vec)
-    ui = u0
-    r = residual(ui)
+    u[1:-1, 1:-1] = 0.0
+    lap_g = 4.0 * zzbar(u, hx, hy, 1)[1:-1, 1:-1]
+    rhs = -lap_g if f is None else 4.0 * f[1:-1, 1:-1] - lap_g
+    u[1:-1, 1:-1] = _dirichlet_poisson(rhs, hx, hy)
+    r = residual(u)
     it = 0
     converged = False
+    history = []
     for it in range(1, max_iter + 1):
-        rn = np.max(np.abs(r))
-        if rn <= 4.0 * tol:
+        rn = float(np.max(np.abs(r)))
+        step = {"residual": rn, "lam": None, "krylov": 0}
+        history.append(step)
+        if rn <= stop(u):
             converged = True
             break
-        J = Lap + sp.diags(4.0 * s * dN(2.0 * ui))
-        try:
-            du = spla.spsolve(J.tocsc(), -r)
-        except Exception:
+        d = 4.0 * s * dN(2.0 * u[1:-1, 1:-1])
+        du, ok, step["krylov"] = _krylov_step(d, r, hx, hy)
+        if not ok:
             break
         # Armijo backtracking on the residual norm
         lam, ok = 1.0, False
         r2 = np.linalg.norm(r)
         for _ in range(30):
-            un = ui + lam * du
+            un = u.copy()
+            un[1:-1, 1:-1] += lam * du
             rn_ = residual(un)
             if np.linalg.norm(rn_) <= (1.0 - 1e-4 * lam) * r2:
-                ui, r, ok = un, rn_, True
+                u, r, ok = un, rn_, True
+                step["lam"] = lam
                 break
             lam *= 0.5
         if not ok:
             break
     else:
         it = max_iter
-    if np.max(np.abs(r)) <= 4.0 * tol:
+    if np.max(np.abs(r)) <= stop(u):
         converged = True
-
-    u = g.copy()
-    u[1:-1, 1:-1] = ui.reshape(ni, nj)
-    return u, converged, it
+    return u, converged, it, history
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +295,10 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
         if boundary is None:
             raise ValueError("elliptic solve requires Dirichlet boundary data")
         gv, gw = boundary
-        v, cv, iv = _newton_elliptic(N, dN, signs[0], spec, gv, fv, max_iter, tol)
-        w, cw, iw = _newton_elliptic(N, dN, signs[1], spec, gw, fw, max_iter, tol)
+        v, cv, iv, hv = _newton_elliptic(N, dN, signs[0], spec, gv, fv,
+                                         max_iter, tol)
+        w, cw, iw, hw = _newton_elliptic(N, dN, signs[1], spec, gw, fw,
+                                         max_iter, tol)
         converged = cv and cw
         iters = (iv, iw)
     elif eps == -1:
@@ -234,6 +309,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
         v = _leapfrog(N, signs[0], spec, vi, gv, fv)
         w = _leapfrog(N, signs[1], spec, wi, gw, fw)
         converged, iters = True, (spec.ny, spec.ny)
+        hv, hw = [], []
     else:
         raise ValueError("eps must be +1 or -1")
 
@@ -242,7 +318,8 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     fwa = None if fw is None else np.asarray(fw(X, Y), dtype=float) * np.ones_like(w)
     res = _pair_residual(kind, eps, spec, v, w, fva, fwa)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, None, converged, iters)
+                          res, None, converged, iters,
+                          meta={"history": {"v": hv, "w": hw}})
 
 
 def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:

@@ -169,6 +169,12 @@ class TestPipeline:
         assert report["pass"] is True
         assert report["reconstruction"]["drift"] <= \
             report["reconstruction"]["drift_budget"]
+        gd = report["gordon"]
+        for which, it in zip("vw", gd["iterations"]):
+            hist = gd["history"][which]
+            assert len(hist) == it
+            assert all(sorted(e) == ["krylov", "lam", "residual"]
+                       for e in hist)
 
     def test_t_invariance_across_runs(self, tmp_path, capsys):
         us = {}
@@ -227,3 +233,5 @@ class TestPipeline:
         assert code == EXIT_PASS
         gordon_doc = json.loads((tmp_path / "gordon.json").read_text())
         assert gordon_doc["eps"] == -1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["gordon"]["history"] == {"v": [], "w": []}

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from conftest import ratio_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minsurf.gordon as G
+from minsurf import cli
 from minsurf.errors import BranchMismatch, CFLViolation, DomainViolation, EmptyMask
 from minsurf.fundata import compat_residuals, field_sup, se_sup
 from minsurf.gordon import (
@@ -76,6 +79,139 @@ class TestSolveElliptic:
         sol = solve_gordon("sinh_plus", 1, spec, boundary=(big, big),
                            max_iter=2)
         assert not sol.converged
+
+
+def kron_laplacian(ni, nj, hx, hy):
+    """Interior 5-point Laplacian, unknowns ordered i * nj + j."""
+    def second_diff(n, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h ** 2
+    return (sp.kron(second_diff(ni, hx), sp.identity(nj))
+            + sp.kron(sp.identity(ni), second_diff(nj, hy))).tocsc()
+
+
+def sparse_newton(kind, which, spec, bc, max_iter=40, tol=1e-11):
+    """Damped Newton with a sparse LU per step: the solver's reference."""
+    N, dN, signs = G.KINDS[kind]
+    s = signs[which]
+    hx, hy = spec.hx, spec.hy
+    X, Y = spec.mesh()
+    g = np.asarray(bc(X, Y), dtype=float) * np.ones(X.shape)
+    ni, nj = spec.nx - 2, spec.ny - 2
+    Lap = kron_laplacian(ni, nj, hx, hy)
+    c = np.zeros((ni, nj))
+    c[0, :] += g[0, 1:-1] / hx ** 2
+    c[-1, :] += g[-1, 1:-1] / hx ** 2
+    c[:, 0] += g[1:-1, 0] / hy ** 2
+    c[:, -1] += g[1:-1, -1] / hy ** 2
+    c = c.ravel()
+    floor = 8.0 * np.finfo(float).eps * (1 / hx ** 2 + 1 / hy ** 2)
+
+    def residual(ui):
+        return Lap @ ui + c + 2.0 * s * N(2.0 * ui)
+
+    def stop(ui):
+        return max(4.0 * tol, floor * max(np.max(np.abs(ui)),
+                                          np.max(np.abs(g))))
+
+    ui = spla.spsolve(Lap, -c)
+    r = residual(ui)
+    converged = False
+    for it in range(1, max_iter + 1):
+        if np.max(np.abs(r)) <= stop(ui):
+            converged = True
+            break
+        du = spla.spsolve(Lap + sp.diags(4.0 * s * dN(2.0 * ui)), -r)
+        lam, r2 = 1.0, np.linalg.norm(r)
+        for _ in range(30):
+            rn = residual(ui + lam * du)
+            if np.linalg.norm(rn) <= (1.0 - 1e-4 * lam) * r2:
+                ui, r = ui + lam * du, rn
+                break
+            lam *= 0.5
+        else:
+            break
+    if np.max(np.abs(r)) <= stop(ui):
+        converged = True
+    u = g.copy()
+    u[1:-1, 1:-1] = ui.reshape(ni, nj)
+    return u, converged, it
+
+
+def pipeline_gordon(theorem, n, **kwargs):
+    kind = G.FAMILY_TABLE[theorem][3]
+    data = cli.PIPELINE_DATA[theorem]
+    spec = GridSpec.from_box(n, n, *data["box"])
+    sol = solve_gordon(kind, 1, spec, boundary=(data["gv"], data["gw"]),
+                       **kwargs)
+    return sol, spec, kind, data
+
+
+class TestEllipticKrylov:
+    @pytest.mark.parametrize("nx, ny", [(17, 17), (33, 21), (65, 65)])
+    def test_dirichlet_poisson_matches_sparse_lu(self, nx, ny):
+        spec = GridSpec.from_box(nx, ny, (0.0, 1.0), (0.0, 1.0))
+        b = np.random.default_rng(nx * ny).standard_normal((nx - 2, ny - 2))
+        want = spla.spsolve(kron_laplacian(nx - 2, ny - 2, spec.hx, spec.hy),
+                            b.ravel()).reshape(b.shape)
+        got = G._dirichlet_poisson(b, spec.hx, spec.hy)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("theorem", ["A1", "C1"])
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_matches_sparse_direct_newton(self, theorem, n):
+        sol, spec, kind, data = pipeline_gordon(theorem, n)
+        v, cv, iv = sparse_newton(kind, 0, spec, data["gv"])
+        w, cw, iw = sparse_newton(kind, 1, spec, data["gw"])
+        assert np.max(np.abs(sol.v - v)) <= 1e-13
+        assert np.max(np.abs(sol.w - w)) <= 1e-13
+        assert sol.iterations == (iv, iw)
+        assert sol.converged == (cv and cw)
+
+    def test_indefinite_jacobian_step(self):
+        # sinh_plus at v ~ 2: J = Lap + 4 cosh(2v) has eigenvalues of both
+        # signs, since 4 cosh(4) ~ 109 exceeds |lambda_min(Lap)| ~ 2 pi^2
+        spec = unit_spec(33)
+        hx, hy = spec.hx, spec.hy
+        X, Y = spec.mesh()
+        u = (2.0 + 0.05 * np.sin(np.pi * X) * np.cos(3 * Y))[1:-1, 1:-1]
+        d = 4.0 * np.cosh(2.0 * u)
+        J = kron_laplacian(31, 31, hx, hy) + sp.diags(d.ravel())
+        lam = np.linalg.eigvalsh(J.toarray())
+        assert lam[0] < 0.0 < lam[-1]
+        r = np.random.default_rng(7).standard_normal(u.shape)
+        want = spla.spsolve(J, -r.ravel()).reshape(u.shape)
+        du, ok, its = G._krylov_step(d, r, hx, hy)
+        assert ok and its > 0
+        assert np.max(np.abs(du - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_krylov_failure_not_converged(self, monkeypatch):
+        monkeypatch.setattr(G, "_KRYLOV_MAXITER", 1)
+        sol, *_ = pipeline_gordon("C1", 33)
+        assert not sol.converged
+        step = sol.meta["history"]["v"][-1]
+        assert step["lam"] is None and step["krylov"] == 1
+
+    @pytest.mark.parametrize("theorem, iters", [("A1", (4, 3)),
+                                                ("C1", (4, 4))])
+    def test_newton_counts_and_h_dependent_stop(self, theorem, iters):
+        for n in (33, 65):
+            sol, *_ = pipeline_gordon(theorem, n)
+            assert sol.converged and sol.iterations == iters, n
+        sol, *_ = pipeline_gordon(theorem, 129)
+        assert sol.converged
+
+    @pytest.mark.parametrize("theorem", ["A1", "C1"])
+    def test_krylov_counts_mesh_independent(self, theorem):
+        for n in (33, 65, 129):
+            sol, *_ = pipeline_gordon(theorem, n)
+            hists = [sol.meta["history"][k] for k in "vw"]
+            for hist, it in zip(hists, sol.iterations):
+                assert len(hist) == it
+                assert all(0 < e["krylov"] <= 20 for e in hist[:-1]), (n, hist)
+                assert hist[-1]["lam"] is None
+            # the Newton loop and residual_norm use one stencil
+            assert max(h[-1]["residual"] for h in hists) == \
+                4.0 * sol.residual_norm
 
 
 class TestSolveHyperbolic:
