@@ -274,8 +274,8 @@ def cmd_verify(cfg: RunConfig):
         os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "report.json"), "w") as fh:
             json.dump(report, fh, indent=1)
-        immersion.grid_to_csv(F, os.path.join(cfg.out, "grid.csv"))
-        immersion.grid_to_json(F, os.path.join(cfg.out, "grid.json"))
+        immersion.write_grid(F, os.path.join(cfg.out, "grid.json"),
+                             os.path.join(cfg.out, "grid.csv"))
     return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
 
 
@@ -420,8 +420,8 @@ def run_pipeline(cfg: RunConfig):
                 "mask": sol.mask.astype(int).tolist(),
                 "v": sol.v.tolist(), "w": sol.w.tolist()}))
         fundata.fundata_to_json(D, os.path.join(cfg.out, "fundata.json"))
-        immersion.grid_to_csv(grid, os.path.join(cfg.out, "grid.csv"))
-        immersion.grid_to_json(grid, os.path.join(cfg.out, "grid.json"))
+        immersion.write_grid(grid, os.path.join(cfg.out, "grid.json"),
+                             os.path.join(cfg.out, "grid.csv"))
         immersion.grid_to_obj(grid, os.path.join(cfg.out, "factor1.obj"),
                               os.path.join(cfg.out, "factor2.obj"))
     return (EXIT_PASS if passed else EXIT_FAIL), report

@@ -13,6 +13,7 @@ induced Laplacian is  D f = 4 eps e^{-2u} f_{z zbar}.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -505,29 +506,71 @@ def hopf_differential(F: ImmersionGrid, i: int, j: int,
 
 GRID_SCHEMA = "minsurf-grid-1"
 
+# json.dumps's spelling of the floats whose repr is not JSON
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_head(F: ImmersionGrid) -> dict:
+    return {"schema": GRID_SCHEMA, "p": F.p, "eps": F.eps, "nx": F.nx,
+            "ny": F.ny, "hx": F.hx, "hy": F.hy, "origin": list(F.origin)}
+
+
+def write_grid(F: ImmersionGrid, json_path=None, csv_path=None):
+    """Write the grid to the JSON and/or CSV file given, one grid row at a
+    time; each coordinate is formatted (as its repr) once for both files.
+
+    The JSON file holds json.dumps's text of ``grid_to_json(F)``.  The CSV
+    file holds a '#' header line, then one CRLF-terminated row (i, j, x, y,
+    six coordinates) per sample.
+    """
+    xs, ys = (list(map(repr, a.tolist())) for a in F.axes())
+    vals = ", ".join(["[[%s, %s, %s], [%s, %s, %s]]"] * F.ny)
+    # str.format fills i and x; the coordinates then go in through %
+    row = "".join(f"{{i}},{j},{{x}},{y},%s,%s,%s,%s,%s,%s\r\n"
+                  for j, y in enumerate(ys))
+    finite = bool(np.all(np.isfinite(F.values)))
+    with contextlib.ExitStack() as files:
+        fj = fc = None
+        if json_path is not None:
+            fj = files.enter_context(open(json_path, "w"))
+            fj.write(json.dumps(_json_head(F))[:-1] + ', "values": [')
+        if csv_path is not None:
+            fc = files.enter_context(open(csv_path, "w", newline=""))
+            fc.write(f"# {GRID_SCHEMA} p={F.p} eps={F.eps} nx={F.nx} "
+                     f"ny={F.ny} hx={F.hx!r} hy={F.hy!r} ox={F.origin[0]!r} "
+                     f"oy={F.origin[1]!r}\n"
+                     "i,j,x,y,a1,a2,a3,b1,b2,b3\r\n")
+        for i, x in enumerate(xs):
+            text = tuple(map(repr, F.values[i].ravel().tolist()))
+            if fj is not None:
+                jtext = text if finite else tuple(
+                    _JSON_NONFINITE.get(t, t) for t in text)
+                fj.write((", [" if i else "[") + vals % jtext + "]")
+            if fc is not None:
+                fc.write(row.format(i=i, x=x) % text)
+        if fj is not None:
+            fj.write("]}")
+
 
 def grid_to_json(F: ImmersionGrid, path=None):
-    """The grid document; with ``path``, write it there instead.
-
-    The file holds json.dump's text of the document, written one grid row
-    at a time through the C encoder of json.dumps.
-    """
-    head = {"schema": GRID_SCHEMA, "p": F.p, "eps": F.eps, "nx": F.nx,
-            "ny": F.ny, "hx": F.hx, "hy": F.hy, "origin": list(F.origin)}
+    """The grid document; with ``path``, write it there instead."""
     if path is None:
-        return {**head, "values": F.values.tolist()}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(head)[:-1] + ', "values": [')
-        for i in range(F.nx):
-            fh.write((", " if i else "") + json.dumps(F.values[i].tolist()))
-        fh.write("]}")
+        return {**_json_head(F), "values": F.values.tolist()}
+    write_grid(F, json_path=path)
+
+
+def grid_to_csv(F: ImmersionGrid, path):
+    """Write the grid's CSV file (see write_grid)."""
+    write_grid(F, csv_path=path)
 
 
 def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     """ImmersionGrid from a file's values, origin and fields d (p, eps, nx,
     ny, hx, hy); values must have shape (nx, ny, 2, 3), coordinates must be
-    finite and spacings positive."""
+    finite, spacings positive and the origin two numbers."""
     hx, hy = float(d["hx"]), float(d["hy"])
+    if len(origin) != 2:
+        raise ValueError(f"grid origin holds {len(origin)} numbers, not 2")
     if values.shape != (int(d["nx"]), int(d["ny"]), 2, 3):
         raise ValueError(f"grid values have shape {values.shape}, not "
                          f"(nx, ny, 2, 3) = ({d['nx']}, {d['ny']}, 2, 3)")
@@ -538,34 +581,76 @@ def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     return ImmersionGrid(int(d["p"]), int(d["eps"]), values, hx, hy, origin)
 
 
-def grid_from_json(src) -> ImmersionGrid:
-    if isinstance(src, dict):
-        doc = src
-    else:
-        with open(src) as fh:
-            doc = json.load(fh)
+def _decode_grid(text: str) -> dict:
+    """json.loads(text) for a grid document, except that the rows of its
+    "values" list are read one at a time and come as float arrays, so the
+    nested lists of the whole grid are never built.
+
+    As with json.loads, any whitespace and key order are accepted, NaN and
+    Infinity are read, the last of duplicated keys wins and trailing data is
+    an error.  A document that is not an object is rejected.
+    """
+    scan = json.JSONDecoder().raw_decode
+    ws = json.decoder.WHITESPACE.match
+
+    def skip(idx):
+        return ws(text, idx).end()
+
+    def delimiter(idx, close):
+        # the ',' or closing bracket after an item: (index past it, closed)
+        idx = skip(idx)
+        if text[idx:idx + 1] not in ("," + close):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        return idx + 1, text[idx] == close
+
+    idx = skip(0)
+    if text[idx:idx + 1] != "{":
+        raise ValueError(f"not a {GRID_SCHEMA} document")
+    doc = {}
+    idx = skip(idx + 1)
+    closed = text[idx:idx + 1] == "}"
+    idx += closed
+    while not closed:
+        idx = skip(idx)
+        if text[idx:idx + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in "
+                                       "double quotes", text, idx)
+        key, idx = scan(text, idx)
+        idx = skip(idx)
+        if text[idx:idx + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        idx = skip(idx + 1)
+        if key == "values" and text[idx:idx + 1] == "[":
+            rows, idx = [], skip(idx + 1)
+            done = text[idx:idx + 1] == "]"
+            idx += done
+            while not done:
+                row, idx = scan(text, skip(idx))
+                try:
+                    row = np.array(row, dtype=float)
+                except (ValueError, TypeError, OverflowError):
+                    pass  # kept as read: converting "values" reports it
+                rows.append(row)
+                idx, done = delimiter(idx, "]")
+            doc[key] = rows
+        else:
+            doc[key], idx = scan(text, idx)
+        idx, closed = delimiter(idx, "}")
+    if skip(idx) != len(text):
+        raise json.JSONDecodeError("Extra data", text, skip(idx))
+    return doc
+
+
+def grid_from_json(path) -> ImmersionGrid:
+    with open(path) as fh:
+        doc = _decode_grid(fh.read())
     if doc.get("schema") != GRID_SCHEMA:
         raise ValueError(f"not a {GRID_SCHEMA} document")
     try:
-        return _loaded_grid(doc, np.array(doc["values"], dtype=float),
+        return _loaded_grid(doc, np.asarray(doc["values"], dtype=float),
                             tuple(float(o) for o in doc["origin"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed grid document: {exc!r}") from None
-
-
-def grid_to_csv(F: ImmersionGrid, path):
-    """Write a '#' header line, then one CRLF-terminated row (i, j, x, y,
-    six coordinates) per sample; floats are written as their reprs."""
-    xs, ys = (list(map(repr, a.tolist())) for a in F.axes())
-    row = "%d,%d,%s,%s,%r,%r,%r,%r,%r,%r\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {GRID_SCHEMA} p={F.p} eps={F.eps} nx={F.nx} ny={F.ny} "
-                 f"hx={F.hx!r} hy={F.hy!r} ox={F.origin[0]!r} oy={F.origin[1]!r}\n"
-                 "i,j,x,y,a1,a2,a3,b1,b2,b3\r\n")
-        for i, x in enumerate(xs):
-            fh.write("".join(
-                row % (i, j, x, ys[j], *v)
-                for j, v in enumerate(F.values[i].reshape(F.ny, 6).tolist())))
 
 
 def grid_from_csv(path) -> ImmersionGrid:

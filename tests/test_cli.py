@@ -115,9 +115,21 @@ class TestVerify:
         ("csv", lambda rows: rows[:2] + [rows[2][:4] + ["abc"] + rows[2][5:]]
          + rows[3:]),
         ("csv", lambda rows: rows[:2]),
+        ("json", lambda doc: [1, 2]),
+        ("json", lambda doc: 3),
+        ("json", lambda doc: json.dumps(doc)[:len(json.dumps(doc)) // 2]),
+        ("json", lambda doc: json.dumps(doc) + ' {"p": 0}'),
+        ("json", lambda doc: {**doc, "values": doc["values"][:3]
+                              + [doc["values"][3][:-1]] + doc["values"][4:]}),
+        ("json", lambda doc: {**doc, "values": [[[[10 ** 400]]]]}),
+        ("json", lambda doc: {**doc, "origin": []}),
+        ("json", lambda doc: {**doc, "origin": [0.0, 0.0, 7.0]}),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
-            "csv-9-columns", "csv-non-numeric", "csv-empty-body"])
+            "csv-9-columns", "csv-non-numeric", "csv-empty-body",
+            "json-top-level-list", "json-top-level-number", "json-truncated",
+            "json-trailing-data", "json-ragged-row", "json-int-overflow",
+            "json-no-origin", "json-origin-3d"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn):
         F = build_example("slice:first", nx=17)
@@ -127,7 +139,9 @@ class TestVerify:
             rows = [r.split(",") for r in path.read_text().splitlines()]
             path.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n")
         else:
-            path.write_text(json.dumps(edit(grid_to_json(F))))
+            # an edit returns a document, or the text to write
+            doc = edit(grid_to_json(F))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main(["verify", "--input", str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE

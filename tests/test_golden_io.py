@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from minsurf import immersion
+from minsurf.cli import main
 from minsurf.surfaces import EXAMPLES, build_example
 
 GOLDEN = Path(__file__).parent / "data" / "golden_io.json"
@@ -45,6 +46,40 @@ def golden():
 def test_files_unchanged(golden, name, tmp_path):
     write_files(name, tmp_path)
     assert digests(tmp_path) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_one_call_writes_both_golden_files(golden, name, tmp_path):
+    F = build_example(name, nx=NX, ny=NY)
+    immersion.write_grid(F, tmp_path / "grid.json", tmp_path / "grid.csv")
+    for f in ("grid.json", "grid.csv"):
+        assert hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() == \
+            golden[name][f], f
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "holo:2z1", "--grid", "17x19"],
+    ["pipeline", "--theorem", "B1", "--grid", "25"],
+], ids=["verify", "pipeline"])
+def test_cli_out_matches_separate_writers(argv, tmp_path, monkeypatch,
+                                          capsys):
+    grids = []
+    write_grid = immersion.write_grid
+
+    def recorded(F, *paths):
+        grids.append(F)
+        write_grid(F, *paths)
+
+    monkeypatch.setattr(immersion, "write_grid", recorded)
+    main(argv + ["--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(grids) == 1
+    immersion.grid_to_json(grids[0], tmp_path / "grid.json")
+    immersion.grid_to_csv(grids[0], tmp_path / "grid.csv")
+    for f in ("grid.json", "grid.csv"):
+        assert (tmp_path / "out" / f).read_bytes() == \
+            (tmp_path / f).read_bytes(), f
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

@@ -1,7 +1,11 @@
+import functools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minsurf.errors import (
     BoundaryError,
@@ -30,6 +34,7 @@ from minsurf.immersion import (
     kahler_functions,
     mean_curvature_residual,
     second_fundamental_form,
+    write_grid,
 )
 from minsurf.surfaces import (
     build_example,
@@ -256,6 +261,11 @@ class TestHopf:
             hopf_differential(F, 8, 8)
 
 
+@functools.cache
+def io_grid(name):
+    return build_example(name, nx=9, ny=11)
+
+
 class TestIO:
     def test_json_bit_exact(self, tmp_path):
         F = slice_grid(9)
@@ -300,6 +310,55 @@ class TestIO:
         finally:
             tracemalloc.stop()
         assert peak < F.values.nbytes / 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["slice:first", "holo:2z1", "paraholo:z2"]),
+           indent=st.sampled_from([None, 0, 2, "\t"]),
+           sort_keys=st.booleans(), values_first=st.booleans(),
+           duplicate=st.sampled_from([None, "hx", "values", "schema"]))
+    def test_json_reader_matches_json_loads(self, tmp_path_factory, name,
+                                            indent, sort_keys, values_first,
+                                            duplicate):
+        head = grid_to_json(io_grid(name))
+        values = head.pop("values")
+        doc = {"values": values, **head} if values_first \
+            else {**head, "values": values}
+        text = json.dumps(doc, indent=indent, sort_keys=sort_keys)
+        if duplicate:
+            # a first occurrence, not a valid value, that the later overrides
+            text = "{" + json.dumps(duplicate) + ': [["decoy"]], ' + text[1:]
+        path = tmp_path_factory.mktemp("layout") / "grid.json"
+        path.write_text(text)
+        want = json.loads(text)
+        G = grid_from_json(path)
+        ref = np.array(want["values"])
+        assert G.values.tobytes() == ref.tobytes()
+        assert G.values.shape == ref.shape
+        assert (G.p, G.eps, G.hx, G.hy, list(G.origin)) == \
+            (want["p"], want["eps"], want["hx"], want["hy"], want["origin"])
+
+    def test_json_reader_holds_one_grid_row(self, tmp_path):
+        # json.load's nested lists of the whole grid peak at about 12x
+        F = slice_grid(129)
+        path = tmp_path / "grid.json"
+        grid_to_json(F, path)
+        tracemalloc.start()
+        try:
+            grid_from_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * F.values.nbytes
+
+    def test_nonfinite_values_written_as_json_dumps_does(self, tmp_path):
+        F = slice_grid(9)
+        F.values[2, 3, 0] = [np.nan, np.inf, -np.inf]
+        write_grid(F, tmp_path / "grid.json", tmp_path / "grid.csv")
+        assert (tmp_path / "grid.json").read_text() == \
+            json.dumps(grid_to_json(F))
+        row = (tmp_path / "grid.csv").read_text().splitlines()[2 + 2 * 9 + 3]
+        assert row.split(",")[:7] == ["2", "3", "-0.5", "-0.25", "nan",
+                                      "inf", "-inf"]
 
     def test_obj_output(self, tmp_path):
         F = slice_grid(9)
