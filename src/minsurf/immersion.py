@@ -599,7 +599,7 @@ def _decode_grid(text: str) -> dict:
     def delimiter(idx, close):
         # the ',' or closing bracket after an item: (index past it, closed)
         idx = skip(idx)
-        if text[idx:idx + 1] not in ("," + close):
+        if text[idx:idx + 1] not in (",", close):
             raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
         return idx + 1, text[idx] == close
 

@@ -118,6 +118,9 @@ class TestVerify:
         ("json", lambda doc: [1, 2]),
         ("json", lambda doc: 3),
         ("json", lambda doc: json.dumps(doc)[:len(json.dumps(doc)) // 2]),
+        ("json", lambda doc: json.dumps(doc)[:-2]),
+        ("json", lambda doc: json.dumps(doc)[:-1]),
+        ("json", lambda doc: json.dumps({"schema": doc["schema"]})[:-1]),
         ("json", lambda doc: json.dumps(doc) + ' {"p": 0}'),
         ("json", lambda doc: {**doc, "values": doc["values"][:3]
                               + [doc["values"][3][:-1]] + doc["values"][4:]}),
@@ -128,6 +131,8 @@ class TestVerify:
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
             "json-top-level-list", "json-top-level-number", "json-truncated",
+            "json-truncated-after-row", "json-missing-close",
+            "json-cut-after-first-value",
             "json-trailing-data", "json-ragged-row", "json-int-overflow",
             "json-no-origin", "json-origin-3d"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,

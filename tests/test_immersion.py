@@ -337,6 +337,17 @@ class TestIO:
         assert (G.p, G.eps, G.hx, G.hy, list(G.origin)) == \
             (want["p"], want["eps"], want["hx"], want["hy"], want["origin"])
 
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_json_reader_rejects_every_truncation(self, tmp_path, indent):
+        vals = np.tile(np.array([[0, 0, 1.0], [0, 0, 1.0]]), (5, 5, 1, 1))
+        text = json.dumps(grid_to_json(ImmersionGrid(0, 1, vals, 0.1, 0.1)),
+                          indent=indent)
+        path = tmp_path / "grid.json"
+        for n in range(len(text)):
+            path.write_text(text[:n])
+            with pytest.raises(ValueError):
+                grid_from_json(path)
+
     def test_json_reader_holds_one_grid_row(self, tmp_path):
         # json.load's nested lists of the whole grid peak at about 12x
         F = slice_grid(129)
