@@ -210,9 +210,8 @@ def cmd_verify(cfg: RunConfig):
     else:
         # trim the conformal factor tail and a margin around invalid
         # bands, where relative FD error diverges
-        from scipy.ndimage import binary_dilation
         e2u_ref = np.nanmax(np.where(ok, np.abs(C.e2u), np.nan))
-        bad_band = binary_dilation(interior & ~ok, iterations=4)
+        bad_band = fundata.dilate(interior & ~ok, 4)
         trimmed = ok & ~bad_band & (np.abs(C.e2u) >= 0.05 * e2u_ref)
         fr["trimmed"] = _fraction(trimmed, interior)
         norms["iso_residual"] = fundata.field_sup(C.iso_residual, trimmed)
@@ -248,7 +247,7 @@ def cmd_verify(cfg: RunConfig):
                 for cx in (D.complex1, D.complex2):
                     frac = np.mean(cx[D.mask]) if np.any(D.mask) else 0.0
                     if 0.0 < frac < 0.5:
-                        excl |= binary_dilation(cx, iterations=6)
+                        excl |= fundata.dilate(cx, 6)
                 region = trimmed & ~excl
                 if not np.any(region & D.mask):
                     region = None

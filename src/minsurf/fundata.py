@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from ._frames import complex_vector
 from .algebra import ScalarEps, exp_eps, unit_i
@@ -153,6 +152,20 @@ def field_sup(a: np.ndarray, mask=None) -> float:
     return float(np.nanmax(a))
 
 
+def dilate(mask: np.ndarray, cells: int) -> np.ndarray:
+    """A boolean mask grown by `cells` steps to the 4 grid neighbours, with
+    nothing outside the grid; the mask itself when cells is 0."""
+    out = mask
+    for _ in range(cells):
+        grown = out.copy()
+        grown[1:] |= out[:-1]
+        grown[:-1] |= out[1:]
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        out = grown
+    return out
+
+
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
@@ -227,8 +240,8 @@ def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
     # guard ring of radius 2h around the strata: gamma-divisions are
     # excluded there (isolated zeros of gamma pollute the quotient)
     n_raw = (int(np.sum(cx1)), int(np.sum(cx2)))
-    cx1 = binary_dilation(cx1, iterations=2)
-    cx2 = binary_dilation(cx2, iterations=2)
+    cx1 = dilate(cx1, 2)
+    cx2 = dilate(cx2, 2)
 
     A1, A2 = _a_pair(dz(u, F.hx, F.hy, eps), (C1, C2), (f1, f2),
                      (gamma1, gamma2), (ok & ~cx1, ok & ~cx2), F.hx, F.hy, eps)

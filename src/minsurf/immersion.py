@@ -564,21 +564,39 @@ def grid_to_csv(F: ImmersionGrid, path):
     write_grid(F, csv_path=path)
 
 
+def _header_int(d: dict, key: str, allowed=None) -> int:
+    """Field `key` of a grid header as an int; ValueError unless it is an
+    integral number (in `allowed`, when given)."""
+    try:
+        n = int(float(d[key]))
+        integral = n == float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or (allowed is not None and n not in allowed):
+        want = "an integer" if allowed is None else f"one of {allowed}"
+        raise ValueError(f"grid {key} must be {want}, not {d[key]!r}")
+    return n
+
+
 def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     """ImmersionGrid from a file's values, origin and fields d (p, eps, nx,
-    ny, hx, hy); values must have shape (nx, ny, 2, 3), coordinates must be
-    finite, spacings positive and the origin two numbers."""
+    ny, hx, hy); p must be 0, 1 or 2, eps 1 or -1, nx and ny integers,
+    values of shape (nx, ny, 2, 3), coordinates finite, spacings positive
+    and the origin two numbers."""
+    p = _header_int(d, "p", (0, 1, 2))
+    eps = _header_int(d, "eps", (1, -1))
+    nx, ny = _header_int(d, "nx"), _header_int(d, "ny")
     hx, hy = float(d["hx"]), float(d["hy"])
     if len(origin) != 2:
         raise ValueError(f"grid origin holds {len(origin)} numbers, not 2")
-    if values.shape != (int(d["nx"]), int(d["ny"]), 2, 3):
+    if values.shape != (nx, ny, 2, 3):
         raise ValueError(f"grid values have shape {values.shape}, not "
-                         f"(nx, ny, 2, 3) = ({d['nx']}, {d['ny']}, 2, 3)")
+                         f"(nx, ny, 2, 3) = ({nx}, {ny}, 2, 3)")
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
             and 0 < hx < np.inf and 0 < hy < np.inf):
         raise ValueError("grid coordinates and origin must be finite and "
                          "spacings positive")
-    return ImmersionGrid(int(d["p"]), int(d["eps"]), values, hx, hy, origin)
+    return ImmersionGrid(p, eps, values, hx, hy, origin)
 
 
 def _decode_grid(text: str) -> dict:
@@ -662,7 +680,7 @@ def grid_from_csv(path) -> ImmersionGrid:
         missing = {"p", "eps", "nx", "ny", "hx", "hy", "ox", "oy"} - set(kv)
         if missing:
             raise ValueError(f"csv header lacks {sorted(missing)}")
-        nx, ny = int(kv["nx"]), int(kv["ny"])
+        nx, ny = _header_int(kv, "nx"), _header_int(kv, "ny")
         fh.readline()  # column header
         with warnings.catch_warnings():
             # an empty body is rejected below, by its shape

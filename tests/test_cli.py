@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,12 @@ def one_nan(values):
     a = np.array(values)
     a[3, 4, 0, 1] = np.nan
     return a.tolist()
+
+
+def csv_header(rows, old, new):
+    """CSV rows with the header token `old` replaced by `new`."""
+    head = rows[0][0].split()
+    return [[" ".join(new if t == old else t for t in head)]] + rows[1:]
 
 
 def run(args, capsys):
@@ -127,6 +138,11 @@ class TestVerify:
         ("json", lambda doc: {**doc, "values": [[[[10 ** 400]]]]}),
         ("json", lambda doc: {**doc, "origin": []}),
         ("json", lambda doc: {**doc, "origin": [0.0, 0.0, 7.0]}),
+        ("json", lambda doc: {**doc, "eps": 3}),
+        ("json", lambda doc: {**doc, "nx": doc["nx"] + 0.3}),
+        ("json", lambda doc: {**doc, "p": 5}),
+        ("csv", lambda rows: csv_header(rows, "eps=1", "eps=3")),
+        ("csv", lambda rows: csv_header(rows, "p=0", "p=5")),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -134,7 +150,8 @@ class TestVerify:
             "json-truncated-after-row", "json-missing-close",
             "json-cut-after-first-value",
             "json-trailing-data", "json-ragged-row", "json-int-overflow",
-            "json-no-origin", "json-origin-3d"])
+            "json-no-origin", "json-origin-3d", "json-eps-3",
+            "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn):
         F = build_example("slice:first", nx=17)
@@ -254,3 +271,24 @@ class TestPipeline:
         assert gordon_doc["eps"] == -1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["gordon"]["history"] == {"v": [], "w": []}
+
+
+class TestRuntimeImports:
+    def test_no_scipy_module_is_loaded(self):
+        # a fresh interpreter, so modules imported by the tests don't count
+        script = textwrap.dedent("""
+            import json, sys
+            from minsurf.cli import main
+            codes = [main(["pipeline", "--theorem", "A1", "--grid", "17"]),
+                     main(["verify", "--example", "slice:first",
+                           "--grid", "17"])]
+            print(json.dumps({"codes": codes, "scipy": sorted(
+                m for m in sys.modules if m.startswith("scipy"))}))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert got == {"codes": [EXIT_PASS, EXIT_PASS], "scipy": []}

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 from conftest import interior_region, ratio_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import binary_dilation
 
 from minsurf.algebra import ScalarEps
 from minsurf.errors import NonMinimal, SignatureError
@@ -11,6 +15,7 @@ from minsurf.fundata import (
     compat_residuals,
     crop_to_mask,
     curvature_from_data,
+    dilate,
     extract,
     f_norm_identity,
     field_sup,
@@ -266,6 +271,20 @@ class TestSerialization:
         i0, i1, j0, j1 = crop_to_mask(D)
         assert D.mask[i0:i1, j0:j1].all()
         assert (i1 - i0) >= 5 and (j1 - j0) >= 5
+
+
+class TestDilate:
+    @given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  max_side=40)),
+           cells=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_binary_dilation(self, mask, cells):
+        assert np.array_equal(dilate(mask, cells),
+                              binary_dilation(mask, iterations=cells))
+
+    def test_zero_cells_is_the_mask(self):
+        m = np.random.default_rng(0).random((9, 7)) < 0.2
+        assert dilate(m, 0) is m
 
 
 class TestHopfCrossCheck:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dst
 from conftest import ratio_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,17 @@ class TestEllipticKrylov:
                             b.ravel()).reshape(b.shape)
         got = G._dirichlet_poisson(b, spec.hx, spec.hy)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 63, 255])
+    def test_dst1_matrix(self, n):
+        S = G._dst1_matrix(n)
+        eye = np.eye(n)
+        assert np.max(np.abs(S.T @ S - eye)) <= 1e-14
+        assert np.max(np.abs(S @ S - eye)) <= 1e-14
+        assert np.max(np.abs(S - dst(eye, type=1, norm="ortho"))) <= 1e-14
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
 
     @pytest.mark.parametrize("theorem", ["A1", "C1"])
     @pytest.mark.parametrize("n", [33, 65])
