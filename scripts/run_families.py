@@ -18,16 +18,23 @@ def main():
     failures = []
     for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
         dest = os.path.join(out, theorem)
+        path = os.path.join(dest, "report.json")
+        if os.path.exists(path):
+            os.remove(path)         # never summarise an earlier run's report
         code = cli_main(["pipeline", "--theorem", theorem, "--grid", n,
                          "--out", dest])
-        with open(os.path.join(dest, "report.json")) as fh:
+        if code != 0:
+            failures.append(theorem)
+        if not os.path.exists(path):
+            # a run that raised before its verdict writes no report
+            print(f"{theorem}: exit={code}, no report")
+            continue
+        with open(path) as fh:
             rep = json.load(fh)
         rt = rep["roundtrip"]
         print(f"{theorem}: exit={code} roundtrip_max={rt['max']:.3e} "
               f"drift={rep['reconstruction']['drift']:.2e} "
               f"(budget {rep['reconstruction']['drift_budget']:.2e})")
-        if code != 0:
-            failures.append(theorem)
     if failures:
         print("FAILED:", failures)
         return 1

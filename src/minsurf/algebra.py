@@ -26,16 +26,16 @@ import numpy as np
 
 from .errors import SignatureError, UnsupportedSignature, ZeroDivisorError
 
-_I12 = np.array([-1.0, 1.0, 1.0])
+_SIG = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+_SIG.flags.writeable = False
 
 
 def sig_diag(p: int) -> np.ndarray:
-    """Diagonal of the signature-(p, 3-p) metric as a length-3 array."""
+    """Diagonal of the signature-(p, 3-p) metric as a read-only length-3
+    array, shared by every caller."""
     if p not in (0, 1, 2):
         raise UnsupportedSignature(f"signature index p={p} not in {{0,1,2}}")
-    d = np.ones(3)
-    d[:p] = -1.0
-    return d
+    return _SIG[int(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +163,21 @@ def inner_arr(u: np.ndarray, v: np.ndarray, p: int):
 
 
 def cross_arr(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Cross product for p=0, Lorentzian cross product for p=1."""
-    c = np.cross(u, v)
-    if p == 0:
-        return c
+    """Cross product for p=0, Lorentzian cross product for p=1.
+
+    Component by component, as np.cross computes it, into one array."""
+    if p not in (0, 1):
+        raise UnsupportedSignature(
+            "cross product convention for p=2 is not defined; "
+            "reverse the coordinates and use p = 3 - p")
+    u, v = np.asarray(u), np.asarray(v)
+    c = np.empty(np.broadcast_shapes(u.shape, v.shape), np.result_type(u, v))
+    for k, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[..., a], v[..., b], out=c[..., k])
+        c[..., k] -= u[..., b] * v[..., a]
     if p == 1:
-        return c * _I12
-    raise UnsupportedSignature(
-        "cross product convention for p=2 is not defined; "
-        "reverse the coordinates and use p = 3 - p")
+        np.negative(c[..., 0], out=c[..., 0])
+    return c
 
 
 def j_arr(x: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -40,6 +40,9 @@ READS = {
     "pipeline": {"theorem", "nx", "ny", "t", "tol", "out"},
 }
 FLAGS = {"nx": "grid", "ny": "grid", "hx": "h", "hy": "h"}
+# the tolerances each subcommand checks, the NAMEs of --tol NAME=VALUE
+TOLS = {"verify": {"quadric", "iso_residual", "minimality", "gauss", "compat"},
+        "pipeline": {"roundtrip"}}
 
 
 @dataclass
@@ -77,6 +80,17 @@ class RunConfig:
         if cfg.example is not None and cfg.example not in surfaces.EXAMPLES:
             raise ValueError(f"unknown example {cfg.example!r}; "
                              f"known: {sorted(surfaces.EXAMPLES)}")
+        if not isinstance(cfg.tol, dict):
+            raise ValueError("tol must map tolerance names to values")
+        names = TOLS.get(command, TOLS["verify"] | TOLS["pipeline"])
+        for k, v in cfg.tol.items():
+            if k not in names:
+                raise ValueError(f"unknown tolerance {k!r}; {command} "
+                                 f"checks {sorted(names)}")
+            if not isinstance(v, (int, float)) or not v >= 0:
+                raise ValueError(f"tolerance {k} must be >= 0, got {v!r}")
+        if not isinstance(cfg.t, (int, float)) or not math.isfinite(cfg.t):
+            raise ValueError(f"--t must be a finite number, got {cfg.t!r}")
         if any(n is not None and n < 5 for n in (cfg.nx, cfg.ny)):
             raise ValueError("--grid dimensions must be at least 5")
         if cfg.hx is not None or cfg.hy is not None:

@@ -150,33 +150,32 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
     a + i b is the block [[a, -eps b], [b, a]], conjugation diag(1, -1);
     the factors differ only through Fhat in F_zzb.
     """
-    d = np.moveaxis(dat, -1, 0)
-    e2u, C1, C2 = d[0], d[1], d[2]
-    g1, g2, f1, f2, A, uz = (ScalarEps(d[k], d[k + 1], eps)
-                             for k in range(3, 15, 2))
-    i_u = unit_i(eps)
+    (e2u, C1, C2, g1r, g1i, g2r, g2i, f1r, f1i, f2r, f2i, Ar, Ai,
+     uzr, uzi) = np.moveaxis(dat, -1, 0)[:15]
     sp1 = (-1.0) ** (p + 1)
     w = 2.0 * eps * (1.0 / e2u) * b
-
-    def block(z):
-        return np.stack([np.stack([z.re, -eps * z.im], -1),
-                         np.stack([z.im, z.re], -1)], -2)
-
-    conj = np.diag([1.0, -1.0])
-    # d/dz (Mz) and d/dzb (Mzb) of (F_z, xi) on the columns (F, F_z, xi);
-    # F is real, so its column is the first one of a block
+    c = -sp1 * eps * b / 2.0
+    q1 = sp1 * (0.5 * b * C1)
+    q2 = -sp1 * (0.5 * b * C2)
+    wf1r, wf1i, wf2r, wf2i = w * f1r, w * f1i, w * f2r, w * f2i
+    # d/dz (Mz) and d/dzb (Mzb) of (F_z, xi) on the columns (F, F_z, xi),
+    # written out block by block; F is real, so its column is the first
+    # one of a block
     Mz = np.zeros(e2u.shape + (4, 5))
-    Mz[..., 0:2, 0] = block((-sp1 * eps * b / 2.0) * (g1 * g2))[..., 0]
-    Mz[..., 0:2, 1:3] = block(2.0 * uz)
-    Mz[..., 0:2, 3:5] = block(f1) + block(f2) @ conj
-    Mz[..., 2:4, 0] = block(sp1 * (0.5 * b * C1) * i_u * g2)[..., 0]
-    Mz[..., 2:4, 1:3] = block(w * f2) @ conj
-    Mz[..., 2:4, 3:5] = block(A)
     Mzb = np.zeros_like(Mz)
     Mzb[..., 0, 0] = sp1 * eps * C1 * C2 * e2u / 4.0
-    Mzb[..., 2:4, 0] = block(-sp1 * (0.5 * b * C2) * i_u * g1.conj())[..., 0]
-    Mzb[..., 2:4, 1:3] = block(w * f1.conj())
-    Mzb[..., 2:4, 3:5] = -block(A.conj())
+    for B, r0, rows in (
+            (Mz, 0, ((c * (g1r * g2r - eps * g1i * g2i), 2.0 * uzr,
+                      -eps * (2.0 * uzi), f1r + f2r, eps * f2i - eps * f1i),
+                     (c * (g1r * g2i + g1i * g2r), 2.0 * uzi, 2.0 * uzr,
+                      f1i + f2i, f1r - f2r),
+                     (-(eps * q1 * g2i), wf2r, eps * wf2i, Ar, -eps * Ai),
+                     (q1 * g2r, wf2i, -wf2r, Ai, Ar))),
+            (Mzb, 2, ((eps * q2 * g1i, wf1r, eps * wf1i, -Ar, -eps * Ai),
+                      (q2 * g1r, -wf1i, wf1r, Ai, -Ar)))):
+        for r, row in enumerate(rows, r0):
+            for k, v in enumerate(row):
+                B[..., r, k] = v
     fhat = (e2u / 4.0)[..., None] * np.array([1.0, -1.0])   # in F_zzb
 
     M = np.zeros(e2u.shape + (2, 5, 5))
@@ -186,8 +185,10 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
         M[..., 1, 0] -= fhat
     else:
         M[..., 0, 2] = -2.0 * eps
-        times_i = np.kron(np.eye(2), block(i_u))
-        M[..., 1:, :] = (times_i @ (Mz - Mzb))[..., None, :, :]
+        # times i: the (re, im) rows of a block become (-eps im, re)
+        sign = np.array([[-eps], [1.0], [-eps], [1.0]])
+        times_i = (Mz - Mzb)[..., [1, 0, 3, 2], :] * sign
+        M[..., 1:, :] = times_i[..., None, :, :]
         M[..., 2, 0] += fhat
     return M
 

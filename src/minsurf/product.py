@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ScalarEps, inner_arr, j_arr
+from .algebra import ScalarEps, inner_arr, j_arr, sig_diag
 from .errors import SignatureError
 
 
@@ -38,9 +38,10 @@ def g_inner(X, Y, p: int):
         ri = g_inner(Xs.re, Ys.im, p)
         ir = g_inner(Xs.im, Ys.re, p)
         return ScalarEps(rr - Xs.eps * ii, ri + ir, Xs.eps)
-    a = inner_arr(X[..., 0, :], Y[..., 0, :], p)
-    b = inner_arr(X[..., 1, :], Y[..., 1, :], p)
-    return a - b
+    # one einsum for both factors; its sums match inner_arr's bit for bit,
+    # which a (..., 6) matmul against the signature does not
+    s = np.einsum("...ki,...ki->...k", X * sig_diag(p), Y)
+    return s[..., 0] - s[..., 1]
 
 
 def _eps_of(Z):
@@ -52,20 +53,26 @@ def factor_omega(Xk, Yk, base_k, p: int):
     return inner_arr(j_arr(base_k, Xk, p), Yk, p)
 
 
+def _check_k(k: int):
+    if k not in (1, 2):
+        raise ValueError(f"structure index k={k} not in {{1, 2}}")
+
+
 def J_product(k: int, base: np.ndarray, X, p: int):
     """Apply J_k at base (...,2,3) to a product vector X (array or ScalarEps)."""
+    _check_k(k)
     if isinstance(X, ScalarEps):
         return ScalarEps(J_product(k, base, X.re, p),
                          J_product(k, base, X.im, p), X.eps)
-    out = np.empty_like(X)
-    out[..., 0, :] = j_arr(base[..., 0, :], X[..., 0, :], p)
-    jx2 = j_arr(base[..., 1, :], X[..., 1, :], p)
-    out[..., 1, :] = jx2 if k == 1 else -jx2
+    out = j_arr(base, X, p)
+    if k == 2:
+        np.negative(out[..., 1, :], out=out[..., 1, :])
     return out
 
 
 def omega_product(k: int, base: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int):
     """Omega_k(X, Y) on (...,2,3) arrays at the given base points."""
+    _check_k(k)
     w1 = factor_omega(X[..., 0, :], Y[..., 0, :], base[..., 0, :], p)
     w2 = factor_omega(X[..., 1, :], Y[..., 1, :], base[..., 1, :], p)
     return w1 - w2 if k == 1 else w1 + w2

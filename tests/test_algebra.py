@@ -9,6 +9,7 @@ from minsurf.algebra import (
     exp_eps,
     inner_arr,
     j_arr,
+    sig_diag,
     unit_i,
 )
 from minsurf.errors import SignatureError, UnsupportedSignature, ZeroDivisorError
@@ -153,6 +154,48 @@ class TestCross:
     def test_p2_unsupported(self):
         with pytest.raises(UnsupportedSignature, match="reverse the coordinates"):
             cross_arr(vec(1, 0, 0), vec(0, 1, 0), 2)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("ushape, vshape", [
+        ((3,), (3,)), ((200, 3), (200, 3)), ((7, 2, 3), (2, 3)),
+        ((4, 1, 2, 3), (5, 2, 3)), ((3,), (6, 2, 3)),
+        ((9, 8, 2, 3), (9, 8, 2, 3))])
+    def test_equals_np_cross(self, p, ushape, vshape):
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=ushape), rng.normal(size=vshape)
+        assert np.array_equal(cross_arr(u, v, p), np_cross_arr(u, v, p))
+
+    def test_integer_vectors_keep_their_dtype(self):
+        c = cross_arr(np.array([1, 2, 3]), np.array([4, 5, 6]), 0)
+        assert c.dtype == np.cross([1, 2, 3], [4, 5, 6]).dtype
+        assert c.tolist() == [-3, 6, -3]
+
+
+def np_cross_arr(u, v, p):
+    """The np.cross form of cross_arr, the reference its component
+    formula must match bit for bit."""
+    return np.cross(u, v) * (np.array([-1.0, 1.0, 1.0]) if p == 1 else 1.0)
+
+
+class TestSigDiag:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_values_are_shared_and_read_only(self, p):
+        d = sig_diag(p)
+        assert d.tolist() == [-1.0] * p + [1.0] * (3 - p)
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0] = 5.0
+        assert np.shares_memory(d, sig_diag(p))
+
+    @pytest.mark.parametrize("p", [-1, 3, 1.5, None])
+    def test_bad_p_raises(self, p):
+        u = vec(1, 2, 3)
+        with pytest.raises(UnsupportedSignature):
+            sig_diag(p)
+        with pytest.raises(UnsupportedSignature):
+            inner_arr(u, u, p)
+        with pytest.raises(UnsupportedSignature):
+            cross_arr(u, u, p)
 
 
 class TestJ:

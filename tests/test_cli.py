@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from minsurf.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    TOLS,
+    cmd_verify,
     main,
     parse_args,
     run_pipeline,
@@ -96,6 +99,23 @@ class TestVerify:
         ["verify", "--example", "slice:first", "--grid", "0"],
         ["verify", "--example", "slice:first", "--grid", "17x0"],
         ["pipeline", "--theorem", "C1", "--grid", "4"],
+        # tolerance names the subcommand does not check, NaN or negative
+        # values (NaN turns a check off), on the command line and in config
+        ["verify", "--example", "slice:first", "--tol", "nosuch=1"],
+        ["verify", "--example", "slice:first", "--tol", "roundtrip=1"],
+        ["pipeline", "--theorem", "C1", "--tol", "gauss=1"],
+        ["verify", "--example", "slice:first", "--tol", "gauss=nan"],
+        ["verify", "--example", "slice:first", "--tol", "compat=-1e-3"],
+        ["pipeline", "--theorem", "C1", "--tol", "roundtrip=nan"],
+        ["verify", {"example": "slice:first", "tol": {"nosuch": 1}}],
+        ["verify", {"example": "slice:first", "tol": {"quadric": "1e-9"}}],
+        ["verify", {"example": "slice:first", "tol": [["quadric", 1e-9]]}],
+        ["pipeline", {"theorem": "C1", "tol": {"roundtrip": -1}}],
+        # a family parameter that is not a finite number
+        ["pipeline", "--theorem", "C1", "--t", "nan"],
+        ["pipeline", "--theorem", "C1", "--t", "inf"],
+        ["pipeline", "--theorem", "C1", "--t=-inf"],
+        ["pipeline", {"theorem": "C1", "t": "0.5"}],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         # a dict stands for a --config file holding it
@@ -184,6 +204,19 @@ class TestVerify:
                                     "nx": 17, "ny": 17}))
         code, summary = run(["verify", "--config", str(cfgp)], capsys)
         assert code == EXIT_PASS
+
+    def test_tolerance_names(self, capsys):
+        # TOLS names exactly the tolerances each command reports and checks
+        _, report = cmd_verify(parse_args(
+            ["verify", "--example", "slice:first", "--grid", "17"]))
+        assert set(report["tolerances"]) == TOLS["verify"]
+        _, report = run_pipeline(parse_args(
+            ["pipeline", "--theorem", "C1", "--grid", "17"]))
+        assert set(report["tolerances"]) == TOLS["pipeline"]
+        for command, names in TOLS.items():
+            for name in names:
+                cfg = parse_args([command, "--tol", f"{name}=0"])
+                assert cfg.tol == {name: 0.0}
 
     def test_tol_override(self, capsys):
         code, summary = run(["verify", "--example", "slice:first",
@@ -292,3 +325,36 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout.strip().splitlines()[-1])
         assert got == {"codes": [EXIT_PASS, EXIT_PASS], "scipy": []}
+
+
+class TestRunFamiliesScript:
+    def test_family_without_report_is_reported_and_skipped(
+            self, tmp_path, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / \
+            "run_families.py"
+        spec = importlib.util.spec_from_file_location("run_families", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def fake_main(argv):
+            # A1 raises before its verdict and writes no report
+            theorem, dest = argv[2], Path(argv[-1])
+            if theorem == "A1":
+                return EXIT_FAIL
+            dest.mkdir(parents=True, exist_ok=True)
+            (dest / "report.json").write_text(json.dumps({
+                "roundtrip": {"max": 1e-3},
+                "reconstruction": {"drift": 1e-5, "drift_budget": 1e-2}}))
+            return EXIT_PASS
+
+        # an earlier run's report must not stand in for A1's
+        (tmp_path / "A1").mkdir()
+        (tmp_path / "A1" / "report.json").write_text("{}")
+        monkeypatch.setattr(script, "cli_main", fake_main)
+        monkeypatch.setattr(sys, "argv",
+                            ["run_families.py", str(tmp_path), "65"])
+        assert script.main() == 1
+        out = capsys.readouterr().out
+        assert "A1: exit=1, no report" in out
+        assert "C2: exit=0 roundtrip_max=1.000e-03" in out
+        assert "FAILED: ['A1']" in out

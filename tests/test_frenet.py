@@ -139,6 +139,49 @@ def matrix_rhs(M, s):
     return (M @ blocks).swapaxes(1, 2).reshape(-1, 30)
 
 
+def block_frame_matrix(dat, p, eps, b, direction):
+    """frenet._frame_matrix assembled from stacked 2x2 blocks and matrix
+    products, the reference its entry-by-entry form must match."""
+    d = np.moveaxis(dat, -1, 0)
+    e2u, C1, C2 = d[0], d[1], d[2]
+    g1, g2, f1, f2, A, uz = (ScalarEps(d[k], d[k + 1], eps)
+                             for k in range(3, 15, 2))
+    i_u = unit_i(eps)
+    sp1 = (-1.0) ** (p + 1)
+    w = 2.0 * eps * (1.0 / e2u) * b
+
+    def block(z):
+        return np.stack([np.stack([z.re, -eps * z.im], -1),
+                         np.stack([z.im, z.re], -1)], -2)
+
+    conj = np.diag([1.0, -1.0])
+    Mz = np.zeros(e2u.shape + (4, 5))
+    Mz[..., 0:2, 0] = block((-sp1 * eps * b / 2.0) * (g1 * g2))[..., 0]
+    Mz[..., 0:2, 1:3] = block(2.0 * uz)
+    Mz[..., 0:2, 3:5] = block(f1) + block(f2) @ conj
+    Mz[..., 2:4, 0] = block(sp1 * (0.5 * b * C1) * i_u * g2)[..., 0]
+    Mz[..., 2:4, 1:3] = block(w * f2) @ conj
+    Mz[..., 2:4, 3:5] = block(A)
+    Mzb = np.zeros_like(Mz)
+    Mzb[..., 0, 0] = sp1 * eps * C1 * C2 * e2u / 4.0
+    Mzb[..., 2:4, 0] = block(-sp1 * (0.5 * b * C2) * i_u * g1.conj())[..., 0]
+    Mzb[..., 2:4, 1:3] = block(w * f1.conj())
+    Mzb[..., 2:4, 3:5] = -block(A.conj())
+    fhat = (e2u / 4.0)[..., None] * np.array([1.0, -1.0])
+
+    M = np.zeros(e2u.shape + (2, 5, 5))
+    if direction == "x":
+        M[..., 0, 1] = 2.0
+        M[..., 1:, :] = (Mz + Mzb)[..., None, :, :]
+        M[..., 1, 0] -= fhat
+    else:
+        M[..., 0, 2] = -2.0 * eps
+        times_i = np.kron(np.eye(2), block(i_u))
+        M[..., 1:, :] = (times_i @ (Mz - Mzb))[..., None, :, :]
+        M[..., 2, 0] += fhat
+    return M
+
+
 @pytest.fixture(scope="module")
 def families33():
     return {t: pipeline_family(t, 33) for t in sorted(gordon.FAMILY_TABLE)}
@@ -163,6 +206,19 @@ class TestFrameMatrix:
         got = matrix_rhs(frenet._frame_matrix(dat, D.p, D.eps, D.b,
                                               direction), s)
         assert self.rel(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_matrix_equals_block_assembly(self, families33, theorem,
+                                          direction):
+        D = families33[theorem]
+        rand = np.random.default_rng(2).standard_normal((3, 7, 16))
+        rand[..., 0] = np.exp(rand[..., 0])
+        for dat in (frenet._pack_data(D), rand):
+            got = frenet._frame_matrix(dat, D.p, D.eps, D.b, direction)
+            want = block_frame_matrix(dat, D.p, D.eps, D.b, direction)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("direction", ["x", "y"])
     @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))

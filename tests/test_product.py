@@ -37,6 +37,62 @@ def base_at_poles():
     return pair([0, 0, 1], [0, 0, 1])
 
 
+def two_call_g_inner(X, Y, p):
+    """g_inner as two inner_arr calls, the reference its one einsum must
+    match bit for bit."""
+    return (inner_arr(X[..., 0, :], Y[..., 0, :], p)
+            - inner_arr(X[..., 1, :], Y[..., 1, :], p))
+
+
+def two_call_J_product(k, base, X, p):
+    """J_product one factor at a time, the reference for its one call."""
+    out = np.empty_like(X)
+    out[..., 0, :] = j_arr(base[..., 0, :], X[..., 0, :], p)
+    jx2 = j_arr(base[..., 1, :], X[..., 1, :], p)
+    out[..., 1, :] = jx2 if k == 1 else -jx2
+    return out
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("xshape, yshape", [
+        ((2, 3), (2, 3)), ((300, 2, 3), (300, 2, 3)), ((7, 2, 3), (2, 3)),
+        ((4, 1, 2, 3), (5, 2, 3))])
+    def test_g_inner(self, p, xshape, yshape):
+        rng = np.random.default_rng(21)
+        X, Y = rng.normal(size=xshape), rng.normal(size=yshape)
+        assert np.array_equal(g_inner(X, Y, p), two_call_g_inner(X, Y, p))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_g_inner_normal_frame_pairs(self, p):
+        # the broadcast pair of _frames.normal_frame's Gram matrix
+        nu = np.random.default_rng(22).normal(size=(17, 19, 2, 2, 3))
+        X, Y = nu[..., :, None, :, :], nu[..., None, :, :, :]
+        got = g_inner(X, Y, p)
+        assert got.shape == (17, 19, 2, 2)
+        assert np.array_equal(got, two_call_g_inner(X, Y, p))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_J_product(self, k, p):
+        rng = np.random.default_rng(23)
+        base = random_product_points(rng, 40, p)
+        X = random_tangents(rng, base, p)
+        assert np.array_equal(J_product(k, base, X, p),
+                              two_call_J_product(k, base, X, p))
+        assert np.array_equal(J_product(k, base[0], X, p),
+                              two_call_J_product(k, base[0], X, p))
+
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_bad_structure_index(self, k):
+        base = base_at_poles()
+        X = pair([1, 0, 0], [0, 1, 0])
+        with pytest.raises(ValueError, match="structure index"):
+            J_product(k, base, X, 0)
+        with pytest.raises(ValueError, match="structure index"):
+            omega_product(k, base, X, X, 0)
+
+
 class TestOrientationDual:
     @pytest.mark.parametrize("p", [0, 1])
     def test_represents_the_volume_form(self, p):
