@@ -43,6 +43,16 @@ FLAGS = {"nx": "grid", "ny": "grid", "hx": "h", "hy": "h"}
 # the tolerances each subcommand checks, the NAMEs of --tol NAME=VALUE
 TOLS = {"verify": {"quadric", "iso_residual", "minimality", "gauss", "compat"},
         "pipeline": {"roundtrip"}}
+# the type of each scalar key; a number is an int or a float, never a bool
+NUMBER = (int, float)
+TYPES = {"example": str, "input": str, "theorem": str, "out": str,
+         "nx": int, "ny": int, "seed": int, "hx": NUMBER, "hy": NUMBER,
+         "t": NUMBER}
+KIND_NAMES = {str: "a string", int: "an integer", NUMBER: "a number"}
+
+
+def _is(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass
@@ -75,6 +85,12 @@ class RunConfig:
             names = sorted({f"{k} (--{FLAGS.get(k, k)})" for k in unread})
             raise ValueError(f"{command} does not read {', '.join(names)}")
         cfg = cls(**d)
+        for k, kind in TYPES.items():
+            v = getattr(cfg, k)
+            # where None is the default, it stands for "not given"
+            if not (_is(v, kind) or (v is None and getattr(cls, k) is None)):
+                raise ValueError(f"{k} must be {KIND_NAMES[kind]}, "
+                                 f"got {v!r}")
         if cfg.theorem is not None and cfg.theorem not in gordon.FAMILY_TABLE:
             raise ValueError(f"unknown theorem {cfg.theorem!r}")
         if cfg.example is not None and cfg.example not in surfaces.EXAMPLES:
@@ -87,17 +103,18 @@ class RunConfig:
             if k not in names:
                 raise ValueError(f"unknown tolerance {k!r}; {command} "
                                  f"checks {sorted(names)}")
-            if not isinstance(v, (int, float)) or not v >= 0:
+            if not _is(v, NUMBER) or not v >= 0:
                 raise ValueError(f"tolerance {k} must be >= 0, got {v!r}")
-        if not isinstance(cfg.t, (int, float)) or not math.isfinite(cfg.t):
+        if not math.isfinite(cfg.t):
             raise ValueError(f"--t must be a finite number, got {cfg.t!r}")
         if any(n is not None and n < 5 for n in (cfg.nx, cfg.ny)):
             raise ValueError("--grid dimensions must be at least 5")
         if cfg.hx is not None or cfg.hy is not None:
             if not cfg.nx:
                 raise ValueError("--h needs --grid")
-            if not all(h is None or h > 0 for h in (cfg.hx, cfg.hy)):
-                raise ValueError("--h spacings must be positive")
+            if not all(h is None or 0 < h < math.inf
+                       for h in (cfg.hx, cfg.hy)):
+                raise ValueError("--h spacings must be positive and finite")
         return cfg
 
 
@@ -138,10 +155,14 @@ def parse_args(argv) -> RunConfig:
     if ns.config:
         with open(ns.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("--config must hold a JSON object")
     nx, ny = _parse_grid(ns.grid)
     hx = hy = None
     if ns.h:
         parts = ns.h.split(",")
+        if len(parts) > 2:
+            raise ValueError(f"--h expects HX or HX,HY, got {ns.h!r}")
         hx = float(parts[0])
         hy = float(parts[1]) if len(parts) > 1 else hx
     given = dict(example=ns.example, input=ns.input, nx=nx, ny=ny, hx=hx,
@@ -346,51 +367,66 @@ def _edge_profile(sigma, nonlin, a0, ys):
     return out
 
 
-def run_pipeline(cfg: RunConfig):
-    theorem = cfg.theorem
-    if theorem is None:
-        raise ValueError("pipeline requires --theorem")
-    eps, p, b, kind, branch, qn = gordon.FAMILY_TABLE[theorem]
-    nonlin, _, signs = gordon.KINDS[kind]
-    nx = cfg.nx or 33
-    data = PIPELINE_DATA[theorem]
+def _edge(a, c, xspan):
+    """Edge datum a + c bump(x), flat to third order at both ends of xspan."""
+    x0, x1 = xspan
+    return lambda x: a + c * _bump((x - x0) / (x1 - x0))
 
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def gordon_stage(theorem, nx=33, ny=None):
+    """The pipeline's boundary data and Gordon solve: (spec, sol).
+
+    Elliptic families solve a Dirichlet problem on their box (ny = nx by
+    default); hyperbolic ones march from flat-edged x-profiles at y = 0
+    with hy = hx / 2, between edge columns from the 1-D y-reduction.
+    """
+    eps, p, b, kind, branch, qn = gordon.FAMILY_TABLE[theorem]
+    data = PIPELINE_DATA[theorem]
+    initial = None
     if eps == 1:
         box = data["box"]
-        ny = cfg.ny or nx
-        spec = GridSpec.from_box(nx, ny, box[0], box[1])
-        sol = gordon.solve_gordon(kind, eps, spec,
-                                  boundary=(data["gv"], data["gw"]))
+        spec = GridSpec.from_box(nx, ny or nx, box[0], box[1])
+        boundary = (data["gv"], data["gw"])
     else:
+        nonlin, _, signs = gordon.KINDS[kind]
         x0, x1 = data["xspan"]
         hx = (x1 - x0) / (nx - 1)
         div = 4 if data.get("yquarter") else 2
-        ny = cfg.ny or ((nx - 1) // div + 1)
-        hy = hx / 2.0
-        spec = GridSpec(nx, ny, hx, hy, (x0, 0.0))
+        spec = GridSpec(nx, ny or ((nx - 1) // div + 1), hx, hx / 2.0,
+                        (x0, 0.0))
         ys = spec.axes()[1]
         # 1-D y-reduction of the equation: g'' = 2 s N(2g)
         prof_v = _edge_profile(signs[0], nonlin, data["a_v"], ys)
         prof_w = _edge_profile(signs[1], nonlin, data["a_w"], ys)
+        boundary = (lambda x, y: np.interp(y, ys, prof_v),
+                    lambda x, y: np.interp(y, ys, prof_w))
+        initial = ((_edge(data["a_v"], data["c_v"], data["xspan"]), _zero),
+                   (_edge(data["a_w"], data["c_w"], data["xspan"]), _zero))
+    sol = gordon.solve_gordon(kind, eps, spec, boundary=boundary,
+                              initial=initial)
+    return spec, sol
 
-        def v0(x):
-            return data["a_v"] + data["c_v"] * _bump((x - x0) / (x1 - x0))
 
-        def w0(x):
-            return data["a_w"] + data["c_w"] * _bump((x - x0) / (x1 - x0))
-
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
-        bc_v = lambda x, y: np.interp(y, ys, prof_v)                # noqa: E731
-        bc_w = lambda x, y: np.interp(y, ys, prof_w)                # noqa: E731
-        sol = gordon.solve_gordon(kind, eps, spec,
-                                  boundary=(bc_v, bc_w),
-                                  initial=((v0, zero), (w0, zero)))
-
-    D = gordon.build_family(theorem, sol, t=cfg.t)
-    # keep clear of boundary layers of the discrete solves
+def family_stage(theorem, nx=33, ny=None, t=0.0):
+    """The family data of the Gordon solution, trimmed by up to 5 samples
+    on each side, clear of the boundary layers of the discrete solves:
+    (sol, D)."""
+    spec, sol = gordon_stage(theorem, nx, ny)
+    D = gordon.build_family(theorem, sol, t=t)
     mx = min(5, (spec.nx - 5) // 2)
     my = min(5, (spec.ny - 5) // 2)
-    D = fundata.restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
+    return sol, fundata.restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
+
+
+def run_pipeline(cfg: RunConfig):
+    theorem = cfg.theorem
+    if theorem is None:
+        raise ValueError("pipeline requires --theorem")
+    sol, D = family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
     rt = frenet.roundtrip_report(D)
     grid, rec = rt.grid, rt.rec
 
@@ -404,8 +440,9 @@ def run_pipeline(cfg: RunConfig):
         "command": "pipeline",
         "theorem": theorem,
         "t": cfg.t,
-        "grid": [spec.nx, spec.ny],
-        "gordon": {"kind": kind, "eps": eps, "residual": sol.residual_norm,
+        "grid": list(sol.v.shape),
+        "gordon": {"kind": sol.eq_kind, "eps": sol.eps,
+                   "residual": sol.residual_norm,
                    "converged": bool(sol.converged),
                    "iterations": list(sol.iterations),
                    "history": sol.meta["history"]},
@@ -452,7 +489,7 @@ def main(argv=None) -> int:
     except MinsurfError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     summary = {k: report.get(k) for k in

@@ -25,11 +25,6 @@ class DegenerateMetric(MinsurfError):
     """Pulled-back metric is (numerically) degenerate at the point."""
 
 
-class NegativeDefiniteMetric(DegenerateMetric):
-    """Pulled-back metric is negative definite; only the positive
-    convention e^{2u} > 0 is supported."""
-
-
 class NonMinimal(MinsurfError):
     """Operation requires a minimal immersion but |H| exceeds tolerance."""
 

@@ -26,12 +26,7 @@ from ._frames import (
     structure_oriented_frame,
 )
 from .algebra import ScalarEps, inner_arr, j_arr, unit_i
-from .errors import (
-    BoundaryError,
-    DegenerateMetric,
-    NegativeDefiniteMetric,
-    NonMinimal,
-)
+from .errors import BoundaryError, DegenerateMetric
 from .product import J_product, g_inner
 
 DEG_TOL_BASE = 1e-7  # scaled by squared chart extent
@@ -213,13 +208,6 @@ def _check_interior(F: ImmersionGrid, i: int, j: int, ring: int = 1):
             f"index ({i},{j}) lacks a {ring}-ring of interior neighbors")
 
 
-def jet(F: ImmersionGrid, i: int, j: int):
-    """(F_x, F_y, F_xx, F_xy, F_yy) at an interior sample, as (2,3) arrays."""
-    _check_interior(F, i, j)
-    J = jets(F)
-    return (J.Fx[i, j], J.Fy[i, j], J.Fxx[i, j], J.Fxy[i, j], J.Fyy[i, j])
-
-
 @dataclass
 class ConformalFields:
     gxx: np.ndarray
@@ -259,24 +247,6 @@ def conformal_fields(F: ImmersionGrid) -> ConformalFields:
     return F._cached("conformal", make)
 
 
-def conformal_data(F: ImmersionGrid, i: int, j: int):
-    """(eps, u, iso_residual) at an interior point.
-
-    Raises DegenerateMetric where |<F_x,F_x>| is below the chart
-    tolerance and NegativeDefiniteMetric where <F_x,F_x> < 0 (only the
-    positive convention e^{2u} > 0 is implemented).
-    """
-    _check_interior(F, i, j)
-    C = conformal_fields(F)
-    if C.degenerate[i, j]:
-        raise DegenerateMetric(f"metric degenerates at sample ({i},{j})")
-    if C.negdef[i, j]:
-        raise NegativeDefiniteMetric(
-            f"<F_x,F_x> < 0 at sample ({i},{j}); negative-definite or "
-            "axis-swapped Lorentzian charts are not supported")
-    return int(C.eps_sign[i, j]), float(C.u[i, j]), float(C.iso_residual[i, j])
-
-
 # ---------------------------------------------------------------------------
 # Kahler functions, Jacobians, classification
 # ---------------------------------------------------------------------------
@@ -299,27 +269,9 @@ def kahler_fields(F: ImmersionGrid):
     return F._cached("kahler", make)
 
 
-def kahler_functions(F: ImmersionGrid, i: int, j: int):
-    """(C1, C2) at an interior, non-degenerate sample."""
-    conformal_data(F, i, j)  # raises on degenerate points
-    C1, C2 = kahler_fields(F)
-    return float(C1[i, j]), float(C2[i, j])
-
-
 def jacobians(C1, C2):
     """Factor Jacobians ((C1+C2)/2, (-C1+C2)/2)."""
     return (C1 + C2) / 2.0, (-C1 + C2) / 2.0
-
-
-@dataclass
-class PointClass:
-    is_lagrangian_1: bool
-    is_lagrangian_2: bool
-    is_complex_1: bool
-    is_complex_2: bool
-    is_degenerate: bool
-    C1: float
-    C2: float
 
 
 def class_tol(F: ImmersionGrid, u) -> np.ndarray:
@@ -343,16 +295,6 @@ def class_masks(F: ImmersionGrid):
     return F._cached("classes", make)
 
 
-def classify_point(F: ImmersionGrid, i: int, j: int) -> PointClass:
-    _check_interior(F, i, j)
-    if not conformal_fields(F).ok[i, j]:
-        return PointClass(False, False, False, False, True,
-                          float("nan"), float("nan"))
-    C1, C2 = kahler_fields(F)
-    return PointClass(*(bool(m[i, j]) for m in class_masks(F)), False,
-                      float(C1[i, j]), float(C2[i, j]))
-
-
 # ---------------------------------------------------------------------------
 # second fundamental form, curvatures, structural identities
 # ---------------------------------------------------------------------------
@@ -373,14 +315,6 @@ def second_fundamental_fields(F: ImmersionGrid):
                 / C.e2u[..., None, None]
         return h11, h12, h22, H
     return F._cached("second_ff", make)
-
-
-def second_fundamental_form(F: ImmersionGrid, i: int, j: int):
-    """(h11, h12, h22, H, Hnorm2) at an interior non-degenerate sample."""
-    conformal_data(F, i, j)
-    h11, h12, h22, H = second_fundamental_fields(F)
-    Hn2 = float(g_inner(H[i, j], H[i, j], F.p))
-    return h11[i, j], h12[i, j], h22[i, j], H[i, j], Hn2
 
 
 def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
@@ -481,23 +415,6 @@ def hopf_fields(F: ImmersionGrid):
         theta = g_inner(J1Fz, J2Fz, F.p) * 0.5
         return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
     return F._cached("hopf", make)
-
-
-def hopf_differential(F: ImmersionGrid, i: int, j: int,
-                      minimal_tol: float = None):
-    """(theta, dbar_residual) at an interior sample of a minimal immersion."""
-    _check_interior(F, i, j, ring=2)
-    conformal_data(F, i, j)
-    if minimal_tol is None:
-        minimal_tol = 50.0 * max(F.hx, F.hy) ** 2
-    Hres = mean_curvature_residual(F)[i, j]
-    if not np.isfinite(Hres) or Hres > minimal_tol:
-        raise NonMinimal(
-            f"|H| = {Hres:.3e} exceeds tolerance {minimal_tol:.3e}")
-    theta, dbar = hopf_fields(F)
-    th = ScalarEps(theta.re[i, j], theta.im[i, j], F.eps)
-    res = np.sqrt(abs(dbar.re[i, j] ** 2 + dbar.im[i, j] ** 2))
-    return th, float(res)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,10 @@ def degeneracy_locus(F: ImmersionGrid):
 
     The mask marks interior cells with |G(F_x,F_x)| below the chart
     tolerance; the contour is the set of zero crossings of G(F_x,F_x)
-    along grid edges, located by linear interpolation.
+    along grid edges, located by linear interpolation.  A sign change
+    counts only where |G(F_x,F_x)| exceeds the tolerance at one end of
+    the edge, so round-off around an identically null G(F_x,F_x) is not
+    a crossing.
     """
     gxx = conformal_fields(F).gxx
     tol = F.deg_tol()
@@ -300,6 +303,7 @@ def degeneracy_locus(F: ImmersionGrid):
         # g1, in row-major order of the sample index (offset by 1)
         with np.errstate(invalid="ignore"):
             hit = np.isfinite(g0) & np.isfinite(g1) & (g0 * g1 < 0)
+        hit[hit] = np.maximum(np.abs(g0[hit]), np.abs(g1[hit])) > tol
         i, j = np.nonzero(hit)
         return i + 1, j + 1, g0[hit] / (g0[hit] - g1[hit])
 

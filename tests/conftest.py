@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import minsurf.gordon as gordon
-from minsurf import cli
 from minsurf.gordon import build_family, solution_from_fields
 from minsurf.immersion import GridSpec
 
@@ -35,25 +34,6 @@ def oracle_family(theorem, v0, w0, xmax, n, t=0.3):
     Z = np.zeros_like(V)
     sol = solution_from_fields(kind, eps, spec, V, W, VX, Z, WX, Z)
     return build_family(theorem, sol, t=t)
-
-
-class _Captured(Exception):
-    pass
-
-
-def pipeline_family(theorem, n):
-    """The trimmed family data run_pipeline passes to roundtrip_report."""
-    seen = {}
-
-    def stop(D, *args, **kwargs):
-        seen["D"] = D
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Captured):
-        mp.setattr(cli.frenet, "roundtrip_report", stop)
-        cli.run_pipeline(cli.parse_args(
-            ["pipeline", "--theorem", theorem, "--grid", str(n)]))
-    return seen["D"]
 
 
 # gentle profiles staying inside each admissible region with margin

@@ -1,0 +1,31 @@
+"""The package names that the benchmark under perfbench/ reads.
+
+``perfbench/bench_trace.py`` wraps each ``(module, function)`` of its
+``TARGETS``, and ``Tracer.install`` fails on a missing name;
+``perfbench/bench_workloads.py`` reads three pipeline helpers of ``cli``.
+These tests catch a rename or deletion in ``src`` that would break the
+benchmark, without running it.
+"""
+
+import importlib
+from pathlib import Path
+
+from minsurf import cli, gordon
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_trace_targets_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench_trace = importlib.import_module("bench_trace")
+    assert bench_trace.TARGETS
+    missing = [f"{m}.{f}" for m, f in bench_trace.TARGETS
+               if not callable(getattr(importlib.import_module(
+                   f"{bench_trace.PACKAGE}.{m}"), f, None))]
+    assert not missing
+
+
+def test_workload_helpers_exist():
+    assert set(cli.PIPELINE_DATA) == set(gordon.FAMILY_TABLE)
+    assert callable(cli._edge_profile)
+    assert callable(cli._bump)

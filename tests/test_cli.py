@@ -116,13 +116,30 @@ class TestVerify:
         ["pipeline", "--theorem", "C1", "--t", "inf"],
         ["pipeline", "--theorem", "C1", "--t=-inf"],
         ["pipeline", {"theorem": "C1", "t": "0.5"}],
+        # config files and flags of the wrong shape or type
+        ["verify", "--example", "holo:z", [1, 2]],
+        ["verify", "--example", "holo:z", {"nx": "abc"}],
+        ["verify", "--example", "holo:z", {"seed": "x"}],
+        ["verify", "--example", "holo:z", {"nx": 9, "hx": "0.1"}],
+        ["verify", {"example": ["holo:z"]}],
+        ["verify", "--example", "holo:z", {"tol": {"gauss": True}}],
+        ["verify", "--example", "holo:z", {"nx": 9.0}],
+        ["verify", "--example", "holo:z", {"nx": True}],
+        ["verify", "--example", "holo:z", {"seed": None}],
+        ["verify", "--example", "holo:z", {"out": 3}],
+        ["verify", {"input": ["grid.json"]}],
+        ["pipeline", {"theorem": 1}],
+        ["pipeline", "--theorem", "C1", {"t": True}],
+        ["pipeline", "--theorem", "C1", {"t": 10 ** 400}],
+        ["verify", "--example", "holo:z", "--h", "0.1,0.1,7", "--grid", "9"],
+        ["verify", "--example", "holo:z", "--h", "inf", "--grid", "9"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
-        # a dict stands for a --config file holding it
+        # a dict or list stands for a --config file holding it
         cfgp = tmp_path / "c.json"
         argv = []
         for a in args:
-            if isinstance(a, dict):
+            if isinstance(a, (dict, list)):
                 cfgp.write_text(json.dumps(a))
                 argv += ["--config", str(cfgp)]
             else:
@@ -131,6 +148,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("fmt, edit", [

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FAMILY_CASES, pipeline_family, ratio_table
+from conftest import FAMILY_CASES, ratio_table
 
 import minsurf
-from minsurf import frenet, gordon
+from minsurf import cli, frenet, gordon
 from minsurf.algebra import ScalarEps, unit_i
 from minsurf.errors import (
     CompatViolation,
@@ -50,11 +50,10 @@ def isometry(p, theta):
 
 FRAME_HASH = """
 import hashlib
-from conftest import pipeline_family
-from minsurf import frenet, gordon
+from minsurf import cli, frenet, gordon
 h = hashlib.sha256()
 for theorem in sorted(gordon.FAMILY_TABLE):
-    D = pipeline_family(theorem, 33)
+    D = cli.family_stage(theorem, 33)[1]
     h.update(frenet.initial_frame(D).pack().tobytes())
 print(h.hexdigest())
 """
@@ -184,7 +183,7 @@ def block_frame_matrix(dat, p, eps, b, direction):
 
 @pytest.fixture(scope="module")
 def families33():
-    return {t: pipeline_family(t, 33) for t in sorted(gordon.FAMILY_TABLE)}
+    return {t: cli.family_stage(t, 33)[1] for t in sorted(gordon.FAMILY_TABLE)}
 
 
 class TestFrameMatrix:
@@ -310,7 +309,7 @@ class TestReconstruct:
         # a second admissible frame, moved by an isometry fixing (0,0,1) in
         # each factor: the roundtrip diffs must not see the difference
         for theorem in sorted(FAMILY_CASES):
-            D = pipeline_family(theorem, 33)
+            D = cli.family_stage(theorem, 33)[1]
             fs = initial_frame(D)
             R = np.stack([isometry(D.p, 0.7), isometry(D.p, -0.4)])
             moved = FrameState.unpack(np.einsum(

@@ -28,30 +28,10 @@ def verify_numbers(name):
     return {"exit": code, "report": report}
 
 
-class _Captured(Exception):
-    pass
-
-
 def family_numbers(theorem):
-    """Run the pipeline up to the trimmed family data and record it."""
-    seen = {}
-
-    def solve(*args, **kwargs):
-        seen["sol"] = solve_gordon(*args, **kwargs)
-        return seen["sol"]
-
-    def stop(D, *args, **kwargs):
-        seen["D"] = D
-        raise _Captured
-
-    solve_gordon = cli.gordon.solve_gordon
-    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Captured):
-        mp.setattr(cli.gordon, "solve_gordon", solve)
-        mp.setattr(cli.frenet, "roundtrip_report", stop)
-        cli.run_pipeline(cli.parse_args(
-            ["pipeline", "--theorem", theorem, "--grid", str(N)]))
-    D = seen["D"]
-    return {"gordon_residual": seen["sol"].residual_norm,
+    """The pipeline's Gordon residual and trimmed family data."""
+    sol, D = cli.family_stage(theorem, N)
+    return {"gordon_residual": sol.residual_norm,
             "mask_points": int(D.mask.sum()),
             "compat": fundata.compat_residuals(D).norms}
 

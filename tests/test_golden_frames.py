@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import pipeline_family
 
 from minsurf import cli, frenet
 
@@ -45,7 +44,8 @@ def golden():
 
 @pytest.fixture(scope="module")
 def families():
-    return {t: pipeline_family(t, N) for t in sorted(cli.gordon.FAMILY_TABLE)}
+    return {t: cli.family_stage(t, N)[1]
+            for t in sorted(cli.gordon.FAMILY_TABLE)}
 
 
 @pytest.mark.parametrize("theorem", sorted(cli.gordon.FAMILY_TABLE))
@@ -73,7 +73,7 @@ def test_reconstruction_unchanged(golden, families, theorem):
 if __name__ == "__main__":
     doc = {}
     for theorem in sorted(cli.gordon.FAMILY_TABLE):
-        D = pipeline_family(theorem, N)
+        D = cli.family_stage(theorem, N)[1]
         init = frenet.initial_frame(D).pack().tolist()
         doc[theorem] = {"init": init, **sweep(D, init)}
     GOLDEN.write_text(json.dumps(doc, sort_keys=True) + "\n")

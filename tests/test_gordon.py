@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dst
-from conftest import ratio_table
+from conftest import ode_profile, ratio_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +65,6 @@ class TestSolveElliptic:
 
     def test_ode_reduction_oracle(self):
         # y-independent data reduces to v'' = -2 sinh 2v (x-profile)
-        from conftest import ode_profile
         n = 65
         spec = unit_spec(n, span=0.5)
         xs, _ = spec.axes()
@@ -138,15 +137,6 @@ def sparse_newton(kind, which, spec, bc, max_iter=40, tol=1e-11):
     return u, converged, it
 
 
-def pipeline_gordon(theorem, n, **kwargs):
-    kind = G.FAMILY_TABLE[theorem][3]
-    data = cli.PIPELINE_DATA[theorem]
-    spec = GridSpec.from_box(n, n, *data["box"])
-    sol = solve_gordon(kind, 1, spec, boundary=(data["gv"], data["gw"]),
-                       **kwargs)
-    return sol, spec, kind, data
-
-
 class TestEllipticKrylov:
     @pytest.mark.parametrize("nx, ny", [(17, 17), (33, 21), (65, 65)])
     def test_dirichlet_poisson_matches_sparse_lu(self, nx, ny):
@@ -171,9 +161,10 @@ class TestEllipticKrylov:
     @pytest.mark.parametrize("theorem", ["A1", "C1"])
     @pytest.mark.parametrize("n", [33, 65])
     def test_matches_sparse_direct_newton(self, theorem, n):
-        sol, spec, kind, data = pipeline_gordon(theorem, n)
-        v, cv, iv = sparse_newton(kind, 0, spec, data["gv"])
-        w, cw, iw = sparse_newton(kind, 1, spec, data["gw"])
+        spec, sol = cli.gordon_stage(theorem, n)
+        data = cli.PIPELINE_DATA[theorem]
+        v, cv, iv = sparse_newton(sol.eq_kind, 0, spec, data["gv"])
+        w, cw, iw = sparse_newton(sol.eq_kind, 1, spec, data["gw"])
         assert np.max(np.abs(sol.v - v)) <= 1e-13
         assert np.max(np.abs(sol.w - w)) <= 1e-13
         assert sol.iterations == (iv, iw)
@@ -198,7 +189,7 @@ class TestEllipticKrylov:
 
     def test_krylov_failure_not_converged(self, monkeypatch):
         monkeypatch.setattr(G, "_KRYLOV_MAXITER", 1)
-        sol, *_ = pipeline_gordon("C1", 33)
+        _, sol = cli.gordon_stage("C1", 33)
         assert not sol.converged
         step = sol.meta["history"]["v"][-1]
         assert step["lam"] is None and step["krylov"] == 1
@@ -207,15 +198,15 @@ class TestEllipticKrylov:
                                                 ("C1", (4, 4))])
     def test_newton_counts_and_h_dependent_stop(self, theorem, iters):
         for n in (33, 65):
-            sol, *_ = pipeline_gordon(theorem, n)
+            _, sol = cli.gordon_stage(theorem, n)
             assert sol.converged and sol.iterations == iters, n
-        sol, *_ = pipeline_gordon(theorem, 129)
+        _, sol = cli.gordon_stage(theorem, 129)
         assert sol.converged
 
     @pytest.mark.parametrize("theorem", ["A1", "C1"])
     def test_krylov_counts_mesh_independent(self, theorem):
         for n in (33, 65, 129):
-            sol, *_ = pipeline_gordon(theorem, n)
+            _, sol = cli.gordon_stage(theorem, n)
             hists = [sol.meta["history"][k] for k in "vw"]
             for hist, it in zip(hists, sol.iterations):
                 assert len(hist) == it
@@ -224,6 +215,21 @@ class TestEllipticKrylov:
             # the Newton loop and residual_norm use one stencil
             assert max(h[-1]["residual"] for h in hists) == \
                 4.0 * sol.residual_norm
+
+
+class TestPipelineEdgeProfile:
+    @pytest.mark.parametrize("theorem", ["A2", "B1", "B2", "C2"])
+    @pytest.mark.parametrize("n", [33, 65, 129])
+    def test_matches_dop853(self, theorem, n):
+        # cli._edge_profile's RK4 against an independent high-order solve
+        spec, sol = cli.gordon_stage(theorem, n)
+        nonlin, _, signs = G.KINDS[sol.eq_kind]
+        ys = spec.axes()[1]
+        data = cli.PIPELINE_DATA[theorem]
+        for sigma, a0 in zip(signs, (data["a_v"], data["a_w"])):
+            got = cli._edge_profile(sigma, nonlin, a0, ys)
+            want, _ = ode_profile(sigma, nonlin, a0, ys)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestSolveHyperbolic:

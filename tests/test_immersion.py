@@ -7,17 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minsurf.errors import (
-    BoundaryError,
-    DegenerateMetric,
-    NegativeDefiniteMetric,
-    NonMinimal,
-)
+from minsurf.errors import BoundaryError, DegenerateMetric
 from minsurf.immersion import (
     GridSpec,
     ImmersionGrid,
-    classify_point,
-    conformal_data,
+    class_masks,
     conformal_fields,
     curvatures,
     gauss_equation_residual,
@@ -26,16 +20,15 @@ from minsurf.immersion import (
     grid_to_csv,
     grid_to_json,
     grid_to_obj,
-    hopf_differential,
+    hopf_fields,
     jacobians,
-    jet,
     jets,
     kahler_fields,
-    kahler_functions,
     mean_curvature_residual,
-    second_fundamental_form,
+    second_fundamental_fields,
     write_grid,
 )
+from minsurf.product import g_inner
 from minsurf.surfaces import (
     build_example,
     make_geodesic_product,
@@ -67,7 +60,8 @@ class TestJets:
             F = slice_grid(n)
             xs, ys = F.axes()
             i = j = 3 * (n - 1) // 4  # the same (x, y) on both grids
-            Fx, Fy, *_ = jet(F, i, j)
+            J = jets(F)
+            Fx, Fy = J.Fx[i, j], J.Fy[i, j]
             _, sx, sy = stereographic_jet(xs[i], ys[j])
             errs[n] = max(np.max(np.abs(Fx[0] - sx)), np.max(np.abs(Fy[0] - sy)))
         assert errs[17] / errs[33] > 3.5
@@ -82,14 +76,19 @@ class TestJets:
                                     np.zeros(n)], axis=-1)[:, None, :]
         vals[..., 1, :] = np.array([0, 0, 1.0])
         F = ImmersionGrid(0, 1, vals, xs[1] - xs[0], xs[1] - xs[0])
-        _, _, Fxx, _, _ = jet(F, n // 2, n // 2)
+        Fxx = jets(F).Fxx[n // 2, n // 2]
         assert np.allclose(Fxx[0], -c * c * vals[n // 2, n // 2, 0],
                            atol=5e-3 * c * c)
 
     def test_boundary_error(self):
+        # the x-stencils are nan on the edge line; the pointwise
+        # curvatures refuse a sample there
         F = slice_grid(9)
+        J = jets(F)
+        for a in (J.Fx, J.Fxx, J.Fxy):
+            assert np.all(np.isnan(a[0, 4]))
         with pytest.raises(BoundaryError):
-            jet(F, 0, 4)
+            curvatures(F, 0, 4)
 
 
 class TestConformal:
@@ -97,8 +96,9 @@ class TestConformal:
         F = slice_grid(33)
         xs, ys = F.axes()
         i, j = 20, 12
-        eps, u, iso = conformal_data(F, i, j)
-        assert eps == 1
+        C = conformal_fields(F)
+        eps, u, iso = C.eps_sign[i, j], C.u[i, j], C.iso_residual[i, j]
+        assert C.ok[i, j] and eps == 1
         expected = 4.0 / (xs[i] ** 2 + ys[j] ** 2 + 1.0) ** 2
         h2 = max(F.hx, F.hy) ** 2
         assert np.exp(2 * u) == pytest.approx(expected, rel=5 * h2)
@@ -107,8 +107,9 @@ class TestConformal:
     def test_geodesic_product_lorentzian(self):
         spec = GridSpec.from_box(17, 17, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
-        eps, u, iso = conformal_data(F, 8, 8)
-        assert eps == -1
+        C = conformal_fields(F)
+        eps, u, iso = C.eps_sign[8, 8], C.u[8, 8], C.iso_residual[8, 8]
+        assert C.ok[8, 8] and eps == -1
         assert abs(u) < max(F.hx, F.hy) ** 2  # sin(h)/h chord factor
         assert iso < 1e-9
 
@@ -116,32 +117,40 @@ class TestConformal:
         # the affine graph degenerates on (x+1)^2 + y^2 = 1
         spec = GridSpec.from_box(65, 65, (-0.002, 0.002), (-0.002, 0.002))
         F = make_holo_graph(HOLO_FUNCTIONS["holo:2z1"], spec)
+        C = conformal_fields(F)
+        assert C.degenerate[32, 32] and not C.ok[32, 32]
         with pytest.raises(DegenerateMetric):
-            conformal_data(F, 32, 32)
+            curvatures(F, 32, 32)
 
     def test_negative_definite(self):
         spec = GridSpec.from_box(17, 17, (-1, 1), (-1, 1))
         F = make_slice("second", 0, spec)
-        with pytest.raises(NegativeDefiniteMetric):
-            conformal_data(F, 8, 8)
+        C = conformal_fields(F)
+        assert C.negdef[8, 8] and not C.ok[8, 8]
+        assert np.isnan(C.u[8, 8])
+        with pytest.raises(DegenerateMetric):
+            curvatures(F, 8, 8)
 
 
 class TestKahler:
     def test_slice_values(self):
         F = slice_grid(33)
-        C1, C2 = kahler_functions(F, 16, 16)
+        assert conformal_fields(F).ok[16, 16]
+        C1, C2 = (c[16, 16] for c in kahler_fields(F))
         assert C1 == pytest.approx(1.0, abs=1e-3)
         assert C2 == pytest.approx(1.0, abs=1e-3)
 
     def test_geodesic_product_lagrangian(self):
         spec = GridSpec.from_box(17, 17, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
-        C1, C2 = kahler_functions(F, 8, 8)
+        assert conformal_fields(F).ok[8, 8]
+        C1, C2 = (c[8, 8] for c in kahler_fields(F))
         assert abs(C1) < 1e-9 and abs(C2) < 1e-9
 
     def test_scaled_diagonal_complex(self):
         F = build_example("holo:halfz", nx=33)
-        C1, _ = kahler_functions(F, 16, 16)
+        assert conformal_fields(F).ok[16, 16]
+        C1 = kahler_fields(F)[0][16, 16]
         assert C1 ** 2 == pytest.approx(1.0, abs=1e-3)
 
     def test_jacobians_values(self):
@@ -158,57 +167,67 @@ class TestKahler:
         w1 = inner_arr(j_arr(F.values[i, j, 0], J.Fx[i, j, 0], 0),
                        J.Fy[i, j, 0], 0)
         jac1_direct = w1 / (C.eps_sign[i, j] * C.e2u[i, j])
-        C1, C2 = kahler_functions(F, i, j)
+        assert C.ok[i, j]
+        C1, C2 = (c[i, j] for c in kahler_fields(F))
         assert jac1_direct == pytest.approx((C1 + C2) / 2, rel=1e-10)
+
+
+def point_class(F, i, j):
+    """(lagrangian_1, lagrangian_2, complex_1, complex_2) at a sample."""
+    return tuple(bool(m[i, j]) for m in class_masks(F))
 
 
 class TestClassification:
     def test_slice_complex_both(self):
         F = slice_grid(65)
-        pc = classify_point(F, 32, 32)
-        assert pc.is_complex_1 and pc.is_complex_2
-        assert not pc.is_lagrangian_1
+        lag1, _, cx1, cx2 = point_class(F, 32, 32)
+        assert cx1 and cx2
+        assert not lag1
 
     def test_geodesic_lagrangian_both(self):
         spec = GridSpec.from_box(33, 33, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
-        pc = classify_point(F, 16, 16)
-        assert pc.is_lagrangian_1 and pc.is_lagrangian_2
-        assert not pc.is_complex_1 and not pc.is_complex_2
+        lag1, lag2, cx1, cx2 = point_class(F, 16, 16)
+        assert lag1 and lag2
+        assert not cx1 and not cx2
 
     def test_family_point_neither(self, family_cache):
         from minsurf.frenet import reconstruct
         D = family_cache("A1", 33)
         grid, _ = reconstruct(D)
-        pc = classify_point(grid, grid.nx // 2, grid.ny // 2)
-        assert not (pc.is_lagrangian_1 or pc.is_lagrangian_2)
-        assert not (pc.is_complex_1 or pc.is_complex_2)
-        assert abs(pc.C1) > 1.0
+        i, j = grid.nx // 2, grid.ny // 2
+        assert conformal_fields(grid).ok[i, j]
+        assert not any(point_class(grid, i, j))
+        assert abs(kahler_fields(grid)[0][i, j]) > 1.0
 
     def test_degenerate_flag(self):
         F = build_example("holo:iz", nx=17)
-        pc = classify_point(F, 8, 8)
-        assert pc.is_degenerate
+        assert not conformal_fields(F).ok[8, 8]
+        assert not any(point_class(F, 8, 8))
 
 
 class TestSecondFundamentalForm:
     def test_geodesic_product_totally_geodesic(self):
         spec = GridSpec.from_box(33, 33, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
-        h11, h12, h22, H, Hn2 = second_fundamental_form(F, 16, 16)
+        assert conformal_fields(F).ok[16, 16]
+        h11, h12, h22, H = (h[16, 16] for h in second_fundamental_fields(F))
+        Hn2 = g_inner(H, H, F.p)
         for hh in (h11, h12, h22, H):
             assert np.max(np.abs(hh)) < 1e-10
         assert abs(Hn2) < 1e-20
 
     def test_slice_totally_geodesic(self):
         F = slice_grid(33)
-        h11, h12, h22, H, _ = second_fundamental_form(F, 16, 16)
+        assert conformal_fields(F).ok[16, 16]
+        h11, _, _, H = (h[16, 16] for h in second_fundamental_fields(F))
         assert np.max(np.abs(h11)) < 1e-4
         assert np.max(np.abs(H)) < 1e-4
 
     def test_graph_minimal_not_geodesic(self):
         F = build_example("holo:2z1-safe", nx=65)
-        h11, _, _, H, _ = second_fundamental_form(F, 32, 32)
+        assert conformal_fields(F).ok[32, 32]
+        h11, _, _, H = (h[32, 32] for h in second_fundamental_fields(F))
         assert np.max(np.abs(H)) < 1e-3
         assert np.max(np.abs(h11)) > 1e-3
 
@@ -245,9 +264,11 @@ class TestHopf:
     def test_complex_curve_theta_vanishes(self):
         F = build_example("holo:2z1-safe", nx=33)
         h2 = max(F.hx, F.hy) ** 2
-        th, dbar = hopf_differential(F, 16, 16)
-        assert abs(th.re) < h2 and abs(th.im) < h2
-        assert dbar < 5 * h2
+        assert conformal_fields(F).ok[16, 16]
+        assert mean_curvature_residual(F)[16, 16] <= 50 * h2
+        theta, dbar = hopf_fields(F)
+        assert abs(theta.re[16, 16]) < h2 and abs(theta.im[16, 16]) < h2
+        assert np.hypot(dbar.re[16, 16], dbar.im[16, 16]) < 5 * h2
 
     def test_nonminimal_rejected(self):
         # perturbing the scaled diagonal off the Cauchy-Riemann locus
@@ -257,8 +278,8 @@ class TestHopf:
         vals = np.stack([stereographic(X, Y),
                          stereographic(X / 2 + 0.2 * X ** 2, Y / 2)], axis=2)
         F = ImmersionGrid(0, 1, vals, spec.hx, spec.hy, spec.origin)
-        with pytest.raises(NonMinimal):
-            hopf_differential(F, 8, 8)
+        assert conformal_fields(F).ok[8, 8]
+        assert mean_curvature_residual(F)[8, 8] > 50 * max(F.hx, F.hy) ** 2
 
 
 @functools.cache
