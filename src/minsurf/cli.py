@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    minsurf verify   [--example ID | --input PATH] [--grid NXxNY]
-                     [--h HX,HY] [--tol NAME=VALUE]... [--out DIR] [--seed N]
+    minsurf verify   (--example ID [--grid NXxNY] [--h HX,HY] | --input PATH)
+                     [--tol NAME=VALUE]... [--out DIR] [--seed N]
     minsurf pipeline --theorem A1|A2|B1|B2|C1|C2 [--grid NXxNY] [--t REAL]
                      [--tol NAME=VALUE]... [--out DIR]
 
@@ -55,6 +55,11 @@ def _is(v, kind) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def _names(keys) -> str:
+    """The keys with their flags, sorted, e.g. 'hx (--h), nx (--grid)'."""
+    return ", ".join(sorted({f"{k} (--{FLAGS.get(k, k)})" for k in keys}))
+
+
 @dataclass
 class RunConfig:
     command: str = ""
@@ -82,8 +87,7 @@ class RunConfig:
         command = d.get("command")
         unread = set(d) - {"command"} - READS.get(command, cls.keys())
         if unread:
-            names = sorted({f"{k} (--{FLAGS.get(k, k)})" for k in unread})
-            raise ValueError(f"{command} does not read {', '.join(names)}")
+            raise ValueError(f"{command} does not read {_names(unread)}")
         cfg = cls(**d)
         for k, kind in TYPES.items():
             v = getattr(cfg, k)
@@ -91,6 +95,11 @@ class RunConfig:
             if not (_is(v, kind) or (v is None and getattr(cls, k) is None)):
                 raise ValueError(f"{k} must be {KIND_NAMES[kind]}, "
                                  f"got {v!r}")
+        # an input file fixes the grid, its size and its spacings
+        clash = [k for k in ("example", "nx", "ny", "hx", "hy")
+                 if cfg.input is not None and getattr(cfg, k) is not None]
+        if clash:
+            raise ValueError(f"input (--input) excludes {_names(clash)}")
         if cfg.theorem is not None and cfg.theorem not in gordon.FAMILY_TABLE:
             raise ValueError(f"unknown theorem {cfg.theorem!r}")
         if cfg.example is not None and cfg.example not in surfaces.EXAMPLES:

@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frames import complex_vector
 from .algebra import ScalarEps, exp_eps, unit_i
 from .errors import EmptyInterior, NonMinimal, SignatureError
 from .immersion import (
     ImmersionGrid,
     conformal_fields,
     dz,
-    fz_field,
+    gauss_curvature,
     grad_norm2_induced,
     jets,
     kahler_fields,
@@ -43,7 +42,7 @@ from .immersion import (
     oriented_frame,
     zzbar,
 )
-from .product import J_product, g_inner
+from .product import g_inner
 
 
 class _NotApplicableType:
@@ -188,41 +187,32 @@ def fd_tol(D_or_grid, u) -> np.ndarray:
     return max(10.0 * h * h, 1e-8) * np.exp(2.0 * np.asarray(u))
 
 
-def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
-            check_minimal: bool = True) -> FundamentalData:
-    """Extract fundamental data from a sampled minimal immersion."""
+def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
+    """Extract fundamental data from a sampled minimal immersion; raises
+    NonMinimal where max |H| exceeds 50 h^2."""
     C = conformal_fields(F)
     J = jets(F)
     eps = F.eps
     if eps == 1 and b != 1:
         raise SignatureError("Riemannian induced metric forces b = +1")
     h = max(F.hx, F.hy)
-    if minimal_tol is None:
-        minimal_tol = 50.0 * h * h
+    tol = 50.0 * h * h
 
     ok = C.ok & (C.eps_sign == eps)
     Hres = mean_curvature_residual(F)
-    if check_minimal:
-        worst = field_sup(Hres, ok)
-        if not np.isfinite(worst):
-            raise EmptyInterior("no valid interior points")
-        if worst > minimal_tol:
-            raise NonMinimal(
-                f"max |H| = {worst:.3e} exceeds tolerance {minimal_tol:.3e}")
+    worst = field_sup(Hres, ok)
+    if not np.isfinite(worst):
+        raise EmptyInterior("no valid interior points")
+    if worst > tol:
+        raise NonMinimal(f"max |H| = {worst:.3e} exceeds tolerance {tol:.3e}")
 
-    N, Nt, bad, fdiag = oriented_frame(F, b)
-    ok = ok & ~bad
+    fr = oriented_frame(F, b)
+    ok = ok & ~fr.bad
 
-    xi = complex_vector(N, Nt, eps, np.sqrt(2.0))
-    Fz = fz_field(F)
     Fzz = ScalarEps((J.Fxx - eps * J.Fyy) / 4.0, -eps * J.Fxy / 2.0, eps)
-
-    J1Fz = J_product(1, F.values, Fz, F.p)
-    J2Fz = J_product(2, F.values, Fz, F.p)
-    gamma1 = g_inner(J1Fz, xi.conj(), F.p) * (-b)
-    gamma2 = g_inner(J2Fz, xi, F.p) * (-b)
-    f1 = g_inner(Fzz, xi.conj(), F.p) * (-eps * b)
-    f2 = g_inner(Fzz, xi, F.p) * (-eps * b)
+    gamma1, gamma2 = fr.g1 * (-b), fr.g2 * (-b)
+    f1 = g_inner(Fzz, fr.xi.conj(), F.p) * (-eps * b)
+    f2 = g_inner(Fzz, fr.xi, F.p) * (-eps * b)
 
     C1, C2 = kahler_fields(F)
     C1 = np.where(ok, C1, np.nan)
@@ -251,11 +241,11 @@ def extract(F: ImmersionGrid, b: int = 1, minimal_tol: float = None,
 
     diag = {
         "A_disagreement": se_sup(A1 - A2, both),
-        "frame_bad_points": int(np.sum(bad & C.ok)),
+        "frame_bad_points": int(np.sum(fr.bad & C.ok)),
         "mean_curvature_sup": field_sup(Hres, ok),
         "complex_points_raw": n_raw,
         "complex_points_guarded": (int(np.sum(cx1)), int(np.sum(cx2))),
-        **fdiag,
+        **fr.diag,
     }
     gamma1, gamma2, f1, f2 = (se_where(ok, z, np.nan)
                               for z in (gamma1, gamma2, f1, f2))
@@ -392,7 +382,7 @@ def curvature_from_data(D: FundamentalData):
     Kperp = 4 eps e^{-4u} (|f1|^2 - |f2|^2) on minimal data.
     """
     eps = D.eps
-    K = -4.0 * np.exp(-2.0 * D.u) * zzbar(D.u, D.hx, D.hy, eps)
+    K = gauss_curvature(D.u, D.hx, D.hy, eps)
     Kperp = 4.0 * eps * np.exp(-4.0 * D.u) * (D.f1.abs2() - D.f2.abs2())
     return K, Kperp
 
@@ -541,13 +531,12 @@ def restrict(D: FundamentalData, window) -> FundamentalData:
         cut_se(D.A), D.mask[sl].copy(), D.complex1[sl].copy(),
         D.complex2[sl].copy(),
         (D.origin[0] + i0 * D.hx, D.origin[1] + j0 * D.hy),
-        cut_se(D.u_z) if D.u_z is not None and not np.isscalar(D.u_z.re)
-        else D.u_z,
+        cut_se(D.u_z) if D.u_z is not None else None,
         dict(D.diagnostics), dict(D.meta))
     return new
 
 
-def crop_to_mask(D: FundamentalData, margin: int = 0):
+def crop_to_mask(D: FundamentalData):
     """Largest index window (i0, i1, j0, j1) with an all-valid mask."""
     mask = D.mask
     idx = np.argwhere(mask)
@@ -577,5 +566,4 @@ def crop_to_mask(D: FundamentalData, margin: int = 0):
             j1 -= 1
     if not mask[i0:i1, j0:j1].all() or i1 - i0 < 5 or j1 - j0 < 5:
         raise EmptyInterior("no all-valid window of size >= 5x5 in the mask")
-    return (int(i0 + margin), int(i1 - margin),
-            int(j0 + margin), int(j1 - margin))
+    return int(i0), int(i1), int(j0), int(j1)

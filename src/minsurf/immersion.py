@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frames import (
-    complex_vector,
-    normal_projector,
-    structure_oriented_frame,
-)
-from .algebra import ScalarEps, inner_arr, j_arr, unit_i
+from .algebra import ScalarEps, inner_arr, unit_i
 from .errors import BoundaryError, DegenerateMetric
-from .product import J_product, g_inner
+from .product import (
+    J_product,
+    factor_omega,
+    g_inner,
+    orientation_dual,
+    tangent_project_arr,
+)
 
 DEG_TOL_BASE = 1e-7  # scaled by squared chart extent
 
@@ -174,6 +175,11 @@ def laplacian_induced(f: np.ndarray, u: np.ndarray, eps: int,
     return 4.0 * eps * np.exp(-2.0 * u) * zzbar(f, hx, hy, eps)
 
 
+def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
+    """K = -4 e^{-2u} u_{z zbar} of the metric with conformal factor u."""
+    return -4.0 * np.exp(-2.0 * u) * zzbar(u, hx, hy, eps)
+
+
 def grad_norm2_induced(f: np.ndarray, u: np.ndarray, eps: int,
                        hx: float, hy: float) -> np.ndarray:
     """|grad f|^2 = e^{-2u} (f_x^2 + eps f_y^2) for the induced metric."""
@@ -257,10 +263,8 @@ def kahler_fields(F: ImmersionGrid):
         J = jets(F)
         C = conformal_fields(F)
         p = F.p
-        w1 = inner_arr(j_arr(F.values[..., 0, :], J.Fx[..., 0, :], p),
-                       J.Fy[..., 0, :], p)
-        w2 = inner_arr(j_arr(F.values[..., 1, :], J.Fx[..., 1, :], p),
-                       J.Fy[..., 1, :], p)
+        w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
+                               F.values[..., k, :], p) for k in (0, 1))
         den = C.eps_sign * C.e2u
         with np.errstate(invalid="ignore", divide="ignore"):
             C1 = (w1 - w2) / den
@@ -296,8 +300,42 @@ def class_masks(F: ImmersionGrid):
 
 
 # ---------------------------------------------------------------------------
-# second fundamental form, curvatures, structural identities
+# normal frame, second fundamental form, curvatures
 # ---------------------------------------------------------------------------
+
+# deterministic, generic reference pairs; retried in order
+_REFERENCES = [
+    (np.array([0.36723, 0.79542, 0.48312]), np.array([-0.62145, 0.41988, 0.66234])),
+    (np.array([0.91287, -0.17321, 0.36843]), np.array([0.21911, 0.84522, -0.48714])),
+    (np.array([-0.43627, 0.55118, 0.71042]), np.array([0.77653, 0.12894, 0.61672])),
+]
+# a projected reference pair must keep this fraction of its squared length
+_FRAME_TOL = 1e-6
+
+
+def normal_projector(F: ImmersionGrid):
+    """The map V -> normal part of (..., 2, 3) product vectors V along the
+    grid: V minus its position components and its G-projection onto
+    span(F_x, F_y), by the full 2x2 Gram system.  F_x and F_y lose the
+    position components that finite-difference tangents keep first.  The
+    cached map holds arrays only: holding F would make a reference cycle."""
+    def make():
+        J = jets(F)
+        base, p = F.values, F.p
+        Tx = tangent_project_arr(base, J.Fx, p)
+        Ty = tangent_project_arr(base, J.Fy, p)
+        gxx, gxy, gyy = g_inner(Tx, Tx, p), g_inner(Tx, Ty, p), g_inner(Ty, Ty, p)
+        det = gxx * gyy - gxy * gxy
+
+        def normal_part(V):
+            W = tangent_project_arr(base, V, p)
+            wx, wy = g_inner(W, Tx, p), g_inner(W, Ty, p)
+            cx = (gyy * wx - gxy * wy) / det
+            cy = (gxx * wy - gxy * wx) / det
+            return W - cx[..., None, None] * Tx - cy[..., None, None] * Ty
+        return normal_part
+    return F._cached("projector", make)
+
 
 def second_fundamental_fields(F: ImmersionGrid):
     """Whole-grid coordinate second fundamental form and mean curvature.
@@ -308,7 +346,7 @@ def second_fundamental_fields(F: ImmersionGrid):
     def make():
         J = jets(F)
         C = conformal_fields(F)
-        normal_part = normal_projector(F.values, J.Fx, J.Fy, F.p)
+        normal_part = normal_projector(F)
         with np.errstate(invalid="ignore", divide="ignore"):
             h11, h12, h22 = (normal_part(D) for D in (J.Fxx, J.Fxy, J.Fyy))
             H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
@@ -323,11 +361,145 @@ def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
     return np.sqrt(np.einsum("...ki,...ki->...", H, H))
 
 
-def oriented_frame(F: ImmersionGrid, b: int = 1):
-    """Grid-wide oriented normal frame (N, Ntilde, bad, diag), cached per b."""
-    def make():
+def _continuity_signs(W: np.ndarray) -> np.ndarray:
+    """Sign field aligning a vector field (defined up to sign) between
+    grid neighbors, anchored at the grid center (the boundary ring may
+    be nan, so chains run outward from the middle)."""
+    n, m = W.shape[:2]
+    ia, ja = n // 2, m // 2
+
+    def rel(a, b):
+        d = np.einsum("...ki,...ki->...", a, b)
+        s = np.sign(d)
+        return np.where(np.isfinite(d) & (s != 0), s, 1.0)
+
+    # grids are at least 5 x 5, so no chain below is empty
+    s = np.ones((n, m))
+    s[ia, ja + 1:] = np.cumprod(rel(W[ia, ja + 1:], W[ia, ja:-1]), axis=0)
+    s[ia, :ja] = np.cumprod(rel(W[ia, ja - 1::-1], W[ia, ja:0:-1]),
+                            axis=0)[::-1]
+    s[ia + 1:] = np.cumprod(rel(W[ia + 1:], W[ia:-1]), axis=0) * s[ia]
+    s[:ia] = np.cumprod(rel(W[ia - 1::-1], W[ia:0:-1]), axis=0)[::-1] * s[ia]
+    return s
+
+
+def normal_frame(F: ImmersionGrid, b: int):
+    """Normal pair (N, Ntilde, bad) with |N|^2 = -eps b, |Ntilde|^2 = -b.
+
+    bad is a boolean mask of points where the frame could not be built.
+    N projects one fixed ambient reference pair for the whole grid, so it
+    varies continuously wherever it is well conditioned (mixing references
+    pointwise would splice discontinuous frames together); the pair with
+    the fewest ill-conditioned points wins.  Ntilde is the normal
+    G-orthogonal to N that orients (F_x, F_y, N, Ntilde) positively for
+    the product orientation pi1*w ^ pi2*w.
+    """
+    p, eps, base = F.p, F.eps, F.values
+    C = conformal_fields(F)
+    usable = np.isfinite(C.gxx) & (np.abs(C.gxx) > 0) & (np.abs(C.gyy) > 0)
+    best = None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normal_part = normal_projector(F)
+        for r1, r2 in _REFERENCES:
+            nu1 = normal_part(np.broadcast_to(np.stack([r1, r2]), base.shape))
+            nu2 = normal_part(np.broadcast_to(np.stack([r2, -r1]), base.shape))
+            scale = (np.einsum("...ki,...ki->...", nu1, nu1)
+                     + np.einsum("...ki,...ki->...", nu2, nu2))
+            if eps == 1:
+                # normal bundle negative definite: N along nu1
+                n11 = g_inner(nu1, nu1, p)
+                ok = usable & (-n11 > _FRAME_TOL * scale)
+                Ncand = nu1 / np.sqrt(np.where(ok, -n11, 1.0))[..., None, None]
+            else:
+                # Lorentzian normal bundle: N is the eigenvector of the 2x2
+                # Gram form whose eigenvalue has the sign of |N|^2 = b
+                nu = np.stack([nu1, nu2], axis=-3)
+                S = g_inner(nu[..., :, None, :, :], nu[..., None, :, :, :], p)
+                lam, Q = np.linalg.eigh(np.nan_to_num(S))
+                ok = usable & (lam[..., 1] > _FRAME_TOL * scale) \
+                    & (-lam[..., 0] > _FRAME_TOL * scale)
+                c = 1 if b == 1 else 0
+                w = (Q[..., 0, c][..., None, None] * nu1
+                     + Q[..., 1, c][..., None, None] * nu2)
+                # eigenvectors are defined up to sign; align by continuity
+                w = w * _continuity_signs(w)[..., None, None]
+                Ncand = w / np.sqrt(np.where(ok, b * lam[..., c], 1.0))[..., None, None]
+            n_bad = int(np.sum(usable & ~ok))
+            if best is None or n_bad < best[0]:
+                best = (n_bad, Ncand, ok)
+            if n_bad == 0:
+                break
+
+        _, N, ok = best
+        # G(V, V) = vol(F_x, F_y, N, V) has the sign -b of |Ntilde|^2, so
+        # -b V is positively oriented
         J = jets(F)
-        return structure_oriented_frame(F.values, J.Fx, J.Fy, F.p, F.eps, b)
+        V = orientation_dual(base, J.Fx, J.Fy, N, p)
+        nvv = g_inner(V, V, p)
+        ok = ok & (b * nvv < 0)
+        Nt = -b * V / np.sqrt(np.where(ok, -b * nvv, 1.0))[..., None, None]
+    N = np.where(ok[..., None, None], N, np.nan)
+    Nt = np.where(ok[..., None, None], Nt, np.nan)
+    return N, Nt, ~ok
+
+
+def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
+    """(A - eps i B)/scale: F_z from (F_x, F_y) with scale 2, and the
+    complex normal xi from (N, Ntilde) with scale sqrt(2)."""
+    return ScalarEps(A / scale, -eps * B / scale, eps)
+
+
+def j_fz(F: ImmersionGrid):
+    """(J1 F_z, J2 F_z) with F_z = (F_x - eps i F_y)/2; large, so uncached."""
+    J = jets(F)
+    Fz = complex_vector(J.Fx, J.Fy, F.eps, 2.0)
+    return J_product(1, F.values, Fz, F.p), J_product(2, F.values, Fz, F.p)
+
+
+@dataclass
+class NormalFrame:
+    """Oriented normal frame, xi = (N - i eps Ntilde)/sqrt(2), and the
+    products g1 = G(J1 F_z, xibar), g2 = G(J2 F_z, xi) of the structure
+    equations J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z
+    + eps gamma2 xibar, so that gamma_j = -b g_j."""
+
+    N: np.ndarray
+    Nt: np.ndarray
+    xi: ScalarEps
+    bad: np.ndarray
+    g1: ScalarEps
+    g2: ScalarEps
+    diag: dict
+
+
+def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
+    """Grid-wide normal frame whose Ntilde-sign is fixed by the structure
+    equations, cached per b: xi must carry the xi-component of J1 F_z and
+    the xibar-component of J2 F_z, so the frame is flipped globally
+    (Ntilde -> -Ntilde maps xi to xibar) if the cross components dominate.
+    diag holds the decomposition diagnostics."""
+    def make():
+        # the reference-pair search frees its temporaries before the
+        # large J_k F_z fields are formed
+        N, Nt, bad = normal_frame(F, b)
+        p = F.p
+        J1Fz, J2Fz = j_fz(F)
+        xi = complex_vector(N, Nt, F.eps, np.sqrt(2.0))
+        g1, g2 = g_inner(J1Fz, xi.conj(), p), g_inner(J2Fz, xi, p)
+        c1, c2 = g_inner(J1Fz, xi, p), g_inner(J2Fz, xi.conj(), p)
+
+        def e2(z):
+            return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)
+
+        good = e2(g1) + e2(g2)
+        cross = e2(c1) + e2(c2)
+        flipped = bool(np.nansum(cross) > np.nansum(good))
+        if flipped:
+            Nt, xi, g1, g2, good, cross = -Nt, xi.conj(), c1, c2, cross, good
+        tot = np.nansum(good)
+        frac = float(np.nansum(cross) / tot) if tot > 0 else 0.0
+        return NormalFrame(N, Nt, xi, bad, g1, g2, {
+            "orientation_flipped": flipped, "cross_component_fraction": frac})
     return F._cached(f"frame_{b}", make)
 
 
@@ -336,7 +508,7 @@ def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
     (the eps-weighted variant is eps*K; see curvature_from_data)."""
     def make():
         C = conformal_fields(F)
-        return -4.0 * np.exp(-2.0 * C.u) * zzbar(C.u, F.hx, F.hy, C.eps_sign)
+        return gauss_curvature(C.u, F.hx, F.hy, C.eps_sign)
     return F._cached("K", make)
 
 
@@ -349,9 +521,9 @@ def normal_curvature_field(F: ImmersionGrid, b: int = 1) -> np.ndarray:
         C = conformal_fields(F)
         emu = np.exp(-C.u)[..., None, None]
         he = [emu * emu * h for h in second_fundamental_fields(F)[:3]]
-        N, Nt, _, _ = oriented_frame(F, b)
-        a11, a12, a22 = (g_inner(h, N, F.p) for h in he)
-        b11, b12, b22 = (g_inner(h, Nt, F.p) for h in he)
+        fr = oriented_frame(F, b)
+        a11, a12, a22 = (g_inner(h, fr.N, F.p) for h in he)
+        b11, b12, b22 = (g_inner(h, fr.Nt, F.p) for h in he)
         return a11 * b12 - a12 * b11 + C.eps_sign * (a12 * b22 - a22 * b12)
     return F._cached(f"Kperp_{b}", make)
 
@@ -372,7 +544,7 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
         Hn2 = g_inner(H, H, F.p)
         sgn = (-1.0) ** F.p
         r = np.abs(K - eps * sgn * C1 * C2 - 2.0 * Hn2 + habs2 / 2.0)
-        valid = C.ok & np.isfinite(K) & ~oriented_frame(F)[2]
+        valid = C.ok & np.isfinite(K) & ~oriented_frame(F).bad
         out = np.full_like(r, np.nan)
         out[2:-2, 2:-2] = np.where(valid, r, np.nan)[2:-2, 2:-2]
         return out
@@ -388,7 +560,7 @@ def curvatures(F: ImmersionGrid, i: int, j: int, b: int = 1):
     K = gauss_curvature_field(F)[i, j]
     if not np.isfinite(K):
         raise DegenerateMetric(f"degenerate neighbor ring at ({i},{j})")
-    if oriented_frame(F, b)[2][i, j]:
+    if oriented_frame(F, b).bad[i, j]:
         raise DegenerateMetric(f"no normal frame at sample ({i},{j})")
     return float(K), float(normal_curvature_field(F, b)[i, j])
 
@@ -399,19 +571,10 @@ def gauss_equation_residual(F: ImmersionGrid, i: int, j: int) -> float:
     return float(gauss_residual_field(F)[i, j])
 
 
-def fz_field(F: ImmersionGrid) -> ScalarEps:
-    """F_z = (F_x - eps i F_y)/2 as a ScalarEps-valued product-vector field."""
-    J = jets(F)
-    return complex_vector(J.Fx, J.Fy, F.eps, 2.0)
-
-
 def hopf_fields(F: ImmersionGrid):
     """Hopf quantity theta = G(J1 F_z, J2 F_z)/2 and its dbar-derivative."""
     def make():
-        Fz = fz_field(F)
-        base = F.values
-        J1Fz = J_product(1, base, Fz, F.p)
-        J2Fz = J_product(2, base, Fz, F.p)
+        J1Fz, J2Fz = j_fz(F)
         theta = g_inner(J1Fz, J2Fz, F.p) * 0.5
         return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
     return F._cached("hopf", make)

@@ -227,13 +227,10 @@ def make_slice(which: str, p: int, spec: GridSpec, q=None) -> ImmersionGrid:
         vals = np.stack([other, chart], axis=2)
     else:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    g = ImmersionGrid(p, eps, vals, spec.hx, spec.hy, spec.origin,
-                      {"name": f"slice:{which}" + (":ds2" if p else "")})
-    # the {q} x S^2 slice carries the negative-definite metric -g
-    if which == "second" and p == 0:
-        g.meta["negative_definite"] = True
-        g.eps = 1
-    return g
+    # the {q} x S^2 slice carries the negative-definite metric -g, which
+    # conformal_fields flags
+    return ImmersionGrid(p, eps, vals, spec.hx, spec.hy, spec.origin,
+                         {"name": f"slice:{which}" + (":ds2" if p else "")})
 
 
 _GEODESICS = {

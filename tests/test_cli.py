@@ -21,7 +21,7 @@ from minsurf.cli import (
     run_pipeline,
 )
 from minsurf.immersion import grid_to_csv, grid_to_json
-from minsurf.surfaces import build_example
+from minsurf.surfaces import EXAMPLES, build_example
 
 
 def one_nan(values):
@@ -150,6 +150,57 @@ class TestVerify:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "GRID", "--example", "holo:z"],
+        ["--input", "GRID", "--grid", "33"],
+        ["--input", "GRID", "--grid", "33x9"],
+        ["--input", "GRID", "--grid", "33", "--h", "0.01"],
+        ["--input", "GRID", {"nx": 33}],
+        [{"input": "GRID"}, "--example", "holo:z"],
+        [{"input": "GRID", "example": "holo:z"}],
+        [{"input": "GRID", "ny": 33}],
+        [{"input": "GRID", "hx": 0.01}],
+        [{"input": "GRID", "nx": 33, "hx": 0.01, "hy": 0.02}],
+    ])
+    def test_input_excludes_example_grid_and_h(self, args, tmp_path, capsys):
+        # GRID names a valid 17x17 grid file, which verifies on its own
+        path = tmp_path / "grid.json"
+        grid_to_json(build_example("holo:z", nx=17), path)
+        code, _ = run(["verify", "--input", str(path)], capsys)
+        assert code != EXIT_USAGE
+        cfgp = tmp_path / "c.json"
+        argv = ["verify"]
+        for a in args:
+            if isinstance(a, dict):
+                a = {k: str(path) if v == "GRID" else v for k, v in a.items()}
+                cfgp.write_text(json.dumps(a))
+                argv += ["--config", str(cfgp)]
+            else:
+                argv.append(str(path) if a == "GRID" else a)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: input (--input) excludes ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid, h, shape, spacing", [
+        ("9x11", "0.02,0.03", (9, 11), (0.02, 0.03)),
+        ("9", "0.02", (9, 9), (0.02, 0.02)),
+    ])
+    def test_example_on_given_grid_and_spacing(self, grid, h, shape, spacing,
+                                               tmp_path, capsys):
+        name = "holo:2z1-safe"
+        code = main(["verify", "--example", name, "--grid", grid, "--h", h,
+                     "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        (x0, _), (y0, _) = EXAMPLES[name].default_box
+        assert (doc["nx"], doc["ny"]) == shape
+        assert (doc["hx"], doc["hy"]) == spacing
+        # the default box's lower-left corner, not its centre
+        assert doc["origin"] == [x0, y0] != [0.0, 0.0]
 
     @pytest.mark.parametrize("fmt, edit", [
         ("csv", lambda rows: rows[:-40]),

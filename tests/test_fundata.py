@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation
 
 from minsurf.algebra import ScalarEps
-from minsurf.errors import NonMinimal, SignatureError
+from minsurf.errors import EmptyInterior, NonMinimal, SignatureError
 from minsurf.fundata import (
     FundamentalData,
     NotApplicable,
@@ -271,6 +271,27 @@ class TestSerialization:
         i0, i1, j0, j1 = crop_to_mask(D)
         assert D.mask[i0:i1, j0:j1].all()
         assert (i1 - i0) >= 5 and (j1 - j0) >= 5
+
+    def test_crop_to_mask_shrinks_past_borders_and_a_hole(self):
+        D = flat_lagrangian(n=12)
+        D.mask[0, :] = False        # an invalid border row
+        D.mask[11, :2] = False      # part of the last row
+        D.mask[3:6, 11] = False     # part of the last column
+        D.mask[4, 4] = False        # an interior hole
+        window = crop_to_mask(D)
+        # the last column, then the last row go first (most invalid
+        # points); the hole then shrinks the longer side until row 4 is
+        # a border row, which goes too
+        assert window == (5, 11, 3, 11)
+        i0, i1, j0, j1 = window
+        assert D.mask[i0:i1, j0:j1].all()
+        assert (i1 - i0) >= 5 and (j1 - j0) >= 5
+
+    def test_crop_to_mask_without_a_window(self):
+        D = flat_lagrangian(n=12)
+        D.mask[1::3, 1::3] = False  # every 5x5 window holds a hole
+        with pytest.raises(EmptyInterior):
+            crop_to_mask(D)
 
 
 class TestDilate:

@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minsurf.errors import BoundaryError, DegenerateMetric
+from minsurf.fundata import extract
 from minsurf.immersion import (
     GridSpec,
     ImmersionGrid,
@@ -15,6 +18,7 @@ from minsurf.immersion import (
     conformal_fields,
     curvatures,
     gauss_equation_residual,
+    gauss_residual_field,
     grid_from_csv,
     grid_from_json,
     grid_to_csv,
@@ -25,6 +29,7 @@ from minsurf.immersion import (
     jets,
     kahler_fields,
     mean_curvature_residual,
+    oriented_frame,
     second_fundamental_fields,
     write_grid,
 )
@@ -280,6 +285,34 @@ class TestHopf:
         F = ImmersionGrid(0, 1, vals, spec.hx, spec.hy, spec.origin)
         assert conformal_fields(F).ok[8, 8]
         assert mean_curvature_residual(F)[8, 8] > 50 * max(F.hx, F.hy) ** 2
+
+
+class TestGridCache:
+    def test_cached_fields_do_not_keep_the_grid_alive(self):
+        # a cached value that holds the grid makes a reference cycle, so
+        # every grid, and all it caches, outlives its last use until the
+        # cycle collector runs; with the collector off, the grid must go
+        # as soon as its last reference does
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            F = build_example("paraholo:z2", nx=17)
+            conformal_fields(F)
+            kahler_fields(F)
+            class_masks(F)
+            second_fundamental_fields(F)
+            oriented_frame(F, 1)
+            oriented_frame(F, -1)
+            gauss_residual_field(F)
+            hopf_fields(F)
+            D = extract(F)
+            assert D.mask.any()
+            ref = weakref.ref(F)
+            del F
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @functools.cache

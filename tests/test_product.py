@@ -65,7 +65,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_g_inner_normal_frame_pairs(self, p):
-        # the broadcast pair of _frames.normal_frame's Gram matrix
+        # the broadcast pair of immersion.normal_frame's Gram matrix
         nu = np.random.default_rng(22).normal(size=(17, 19, 2, 2, 3))
         X, Y = nu[..., :, None, :, :], nu[..., None, :, :, :]
         got = g_inner(X, Y, p)

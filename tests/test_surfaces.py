@@ -161,7 +161,10 @@ class TestConstructors:
     def test_second_slice_flagged(self):
         spec = GridSpec.from_box(9, 9, (-1, 1), (-1, 1))
         F = make_slice("second", 0, spec)
-        assert F.meta.get("negative_definite") is True
+        C = conformal_fields(F)
+        # the {q} x S^2 slice carries -g: every sample with a gxx is flagged
+        assert F.eps == 1
+        assert C.negdef[1:-1].all() and not C.ok.any()
 
     def test_lorentzian_slice_complex(self):
         F = build_example("slice:first-ds2", nx=33)
