@@ -9,11 +9,17 @@ Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
 fixed schema version; exit codes: 0 pass, 1 tolerance or domain failure,
 2 usage / I-O error.
+
+``verify --out`` writes grid.json and grid.csv from a forked child while
+the checks run, and joins it before returning; where os.fork is missing
+it writes them in-process after the checks.  The files and the exit codes
+are the same either way: a failed write exits 2 with its own message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import frenet, fundata, gordon, immersion, surfaces
-from .errors import MinsurfError
+from .errors import DomainViolation, MinsurfError
 from .immersion import GridSpec
 
 SCHEMA_VERSION = 1
@@ -204,8 +210,64 @@ def _fraction(mask, denom_mask):
     return float(np.sum(mask & denom_mask)) / n if n else float("nan")
 
 
+@contextlib.contextmanager
+def _grid_writer(F, out):
+    """Write ``F`` to ``out``/grid.json and ``out``/grid.csv while the body
+    runs.
+
+    ``immersion.write_grid`` formats every coordinate in Python, holding the
+    interpreter lock, so it runs in a forked child that the parent joins on
+    every way out of the body.  A child that fails sends its error text back
+    over a pipe; once the body has succeeded it is raised here as OSError.
+    Where os.fork is missing the grid is written in-process after the body.
+    """
+    paths = (os.path.join(out, "grid.json"), os.path.join(out, "grid.csv"))
+    if not hasattr(os, "fork"):
+        yield
+        immersion.write_grid(F, *paths)
+        return
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child must leave by os._exit whatever happens: returning or
+        # raising would run the caller's frames, and its exit handlers and
+        # buffered output, a second time
+        status = 1
+        try:
+            os.close(r)
+            immersion.write_grid(F, *paths)
+            status = 0
+        except BaseException as exc:
+            os.write(w, (str(exc) or type(exc).__name__).encode(
+                errors="replace"))
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        yield
+    finally:
+        # read to the end first: the child may block on a full pipe
+        with open(r, "rb") as fh:
+            error = fh.read().decode(errors="replace")
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error or status:
+        raise OSError(error or f"grid writer exited with status {status}")
+
+
 def cmd_verify(cfg: RunConfig):
     F = _load_grid(cfg)
+    if not cfg.out:
+        return _check_grid(F, cfg)
+    os.makedirs(cfg.out, exist_ok=True)
+    with _grid_writer(F, cfg.out):
+        code, report = _check_grid(F, cfg)
+        with open(os.path.join(cfg.out, "report.json"), "w") as fh:
+            json.dump(report, fh, indent=1)
+    return code, report
+
+
+def _check_grid(F, cfg: RunConfig):
+    """verify's checks of the grid F: (exit code, report)."""
     h = max(F.hx, F.hy)
     rng = np.random.default_rng(cfg.seed)
     tols = {
@@ -313,12 +375,6 @@ def cmd_verify(cfg: RunConfig):
         report["pass"] = not failures
 
     report["failures"] = failures
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=1)
-        immersion.write_grid(F, os.path.join(cfg.out, "grid.json"),
-                             os.path.join(cfg.out, "grid.csv"))
     return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
 
 
@@ -364,15 +420,21 @@ def _edge_profile(sigma, nonlin, a0, ys):
     out[0] = g
     def f(g):
         return 2.0 * sigma * scalar(2.0 * g)
-    for k in range(1, len(ys)):
-        for _ in range(m):
-            k1, l1 = dg, f(g)
-            k2, l2 = dg + 0.5 * hy * l1, f(g + 0.5 * hy * k1)
-            k3, l3 = dg + 0.5 * hy * l2, f(g + 0.5 * hy * k2)
-            k4, l4 = dg + hy * l3, f(g + hy * k3)
-            g, dg = (g + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-                     dg + (hy / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4))
-        out[k] = g
+    try:
+        for k in range(1, len(ys)):
+            for _ in range(m):
+                k1, l1 = dg, f(g)
+                k2, l2 = dg + 0.5 * hy * l1, f(g + 0.5 * hy * k1)
+                k3, l3 = dg + 0.5 * hy * l2, f(g + 0.5 * hy * k2)
+                k4, l4 = dg + hy * l3, f(g + hy * k3)
+                g, dg = (g + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
+                         dg + (hy / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4))
+            out[k] = g
+    except OverflowError:
+        raise DomainViolation(
+            f"the edge ODE g'' = 2 sigma {scalar.__name__}(2g) with sigma = "
+            f"{sigma:g}, g(0) = {a0!r} blows up before y = {ys[k]:g}, "
+            f"inside the y-span [{ys[0]:g}, {ys[-1]:g}]") from None
     return out
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import frenet
+from minsurf import frenet, immersion, surfaces
 from minsurf.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -20,6 +21,7 @@ from minsurf.cli import (
     parse_args,
     run_pipeline,
 )
+from minsurf.errors import DomainViolation
 from minsurf.immersion import grid_to_csv, grid_to_json
 from minsurf.surfaces import EXAMPLES, build_example
 
@@ -295,6 +297,87 @@ class TestVerify:
         assert "quadric" in summary["failures"]
 
 
+class TestVerifyGridWriter:
+    """verify --out writes grid.json and grid.csv from a forked child."""
+
+    ARGV = ["verify", "--example", "slice:first", "--grid", "17"]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_is_the_usage_error_line(self, tmp_path, capfd):
+        (tmp_path / "grid.csv").mkdir()
+        code = main(self.ARGV + ["--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        self.assert_no_child()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert str(tmp_path / "grid.csv") in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_killed_child_is_a_usage_error(self, tmp_path, capfd,
+                                           monkeypatch):
+        # runs in the child: it dies with no message sent back
+        monkeypatch.setattr(immersion, "write_grid",
+                            lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+        code = main(self.ARGV + ["--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        self.assert_no_child()
+        assert code == EXIT_USAGE
+        assert err == "error: grid writer exited with status -9\n"
+
+    @pytest.mark.parametrize("extra, expect", [
+        ([], EXIT_PASS),
+        (["--tol", "quadric=1e-30"], EXIT_FAIL),
+    ], ids=["pass", "fail"])
+    def test_child_is_reaped_after_a_verdict(self, extra, expect, tmp_path,
+                                             capfd):
+        code = main(self.ARGV + extra + ["--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        self.assert_no_child()
+        assert code == expect
+        # one summary line: the child flushed nothing a second time
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["pass"] is (expect == EXIT_PASS)
+        assert err == ""
+
+    def test_child_is_reaped_when_a_check_raises(self, tmp_path, capfd,
+                                                 monkeypatch):
+        def broken(F):
+            raise DomainViolation("broken check")
+
+        monkeypatch.setattr(surfaces, "degeneracy_locus", broken)
+        code = main(self.ARGV + ["--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        self.assert_no_child()
+        assert code == EXIT_FAIL
+        assert (out, err) == ("", "DomainViolation: broken check\n")
+        # the child finished its files before the parent returned
+        F = build_example("slice:first", nx=17)
+        grid_to_json(F, tmp_path / "ref.json")
+        assert (tmp_path / "grid.json").read_bytes() == \
+            (tmp_path / "ref.json").read_bytes()
+
+    def test_without_fork_the_same_bytes_are_written(self, tmp_path, capfd,
+                                                     monkeypatch):
+        main(self.ARGV + ["--out", str(tmp_path / "forked")])
+        monkeypatch.delattr(os, "fork")
+        main(self.ARGV + ["--out", str(tmp_path / "in-process")])
+        capfd.readouterr()
+        F = build_example("slice:first", nx=17)
+        grid_to_json(F, tmp_path / "grid.json")
+        grid_to_csv(F, tmp_path / "grid.csv")
+        for f in ("grid.json", "grid.csv", "report.json"):
+            expect = (tmp_path / "forked" / f).read_bytes()
+            assert (tmp_path / "in-process" / f).read_bytes() == expect, f
+            if f != "report.json":
+                assert (tmp_path / f).read_bytes() == expect, f
+
+
 class TestPipeline:
     def test_A1_artifacts(self, tmp_path, capsys):
         code, summary = run(["pipeline", "--theorem", "A1", "--grid", "25",
@@ -360,6 +443,17 @@ class TestPipeline:
         rt, rec = report["roundtrip"], report["reconstruction"]
         assert rt["drift"] == rec["drift"]
         assert rt["drift_budget"] == rec["drift_budget"]
+
+    def test_edge_ode_blow_up_is_a_domain_failure(self, capsys):
+        # ny = 33 stretches B2's y-span to 0.5; the edge profile from
+        # g(0) = 1.35 blows up before y = 0.43
+        code = main(["pipeline", "--theorem", "B2", "--grid", "33x33"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAIL
+        assert err.startswith("DomainViolation: the edge ODE g'' = 2 sigma "
+                              "sinh(2g)")
+        assert "y-span [0, 0.5]" in err
+        assert err.count("\n") == 1
 
     def test_requires_theorem(self, capsys):
         code, _ = run(["pipeline", "--grid", "17"], capsys)

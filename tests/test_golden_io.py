@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import immersion
+from minsurf import cli, immersion
 from minsurf.cli import main
 from minsurf.surfaces import EXAMPLES, build_example
 
@@ -57,20 +57,24 @@ def test_one_call_writes_both_golden_files(golden, name, tmp_path):
             golden[name][f], f
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--example", "holo:2z1", "--grid", "17x19"],
-    ["pipeline", "--theorem", "B1", "--grid", "25"],
+# verify starts its grid writer in the parent and writes from a forked
+# child, so the grid is recorded where the writer is started
+@pytest.mark.parametrize("argv, owner, writer", [
+    (["verify", "--example", "holo:2z1", "--grid", "17x19"],
+     cli, "_grid_writer"),
+    (["pipeline", "--theorem", "B1", "--grid", "25"],
+     immersion, "write_grid"),
 ], ids=["verify", "pipeline"])
-def test_cli_out_matches_separate_writers(argv, tmp_path, monkeypatch,
-                                          capsys):
+def test_cli_out_matches_separate_writers(argv, owner, writer, tmp_path,
+                                          monkeypatch, capsys):
     grids = []
-    write_grid = immersion.write_grid
+    write = getattr(owner, writer)
 
-    def recorded(F, *paths):
+    def recorded(F, *args):
         grids.append(F)
-        write_grid(F, *paths)
+        return write(F, *args)
 
-    monkeypatch.setattr(immersion, "write_grid", recorded)
+    monkeypatch.setattr(owner, writer, recorded)
     main(argv + ["--out", str(tmp_path / "out")])
     capsys.readouterr()
     monkeypatch.undo()
