@@ -33,6 +33,7 @@ from .immersion import (
     ImmersionGrid,
     conformal_fields,
     dz,
+    g_pair,
     gauss_curvature,
     grad_norm2_induced,
     jets,
@@ -42,7 +43,6 @@ from .immersion import (
     oriented_frame,
     zzbar,
 )
-from .product import g_inner
 
 
 class _NotApplicableType:
@@ -211,8 +211,7 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
 
     Fzz = ScalarEps((J.Fxx - eps * J.Fyy) / 4.0, -eps * J.Fxy / 2.0, eps)
     gamma1, gamma2 = fr.g1 * (-b), fr.g2 * (-b)
-    f1 = g_inner(Fzz, fr.xi.conj(), F.p) * (-eps * b)
-    f2 = g_inner(Fzz, fr.xi, F.p) * (-eps * b)
+    f1, f2 = (f * (-eps * b) for f in g_pair(Fzz, fr.xi, F.p))
 
     C1, C2 = kahler_fields(F)
     C1 = np.where(ok, C1, np.nan)

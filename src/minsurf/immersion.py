@@ -340,25 +340,40 @@ def normal_projector(F: ImmersionGrid):
 def second_fundamental_fields(F: ImmersionGrid):
     """Whole-grid coordinate second fundamental form and mean curvature.
 
-    Returns (h11, h12, h22, H) as (nx,ny,2,3) arrays; valid on the ok
-    mask of the conformal fields intersected with the interior.
+    Returns (h11, h12, h22, H) as (nx,ny,2,3) arrays, built uncached; valid
+    on the ok mask of the conformal fields intersected with the interior.
     """
+    J = jets(F)
+    C = conformal_fields(F)
+    normal_part = normal_projector(F)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h11, h12, h22 = (normal_part(D) for D in (J.Fxx, J.Fxy, J.Fyy))
+        H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
+            / C.e2u[..., None, None]
+    return h11, h12, h22, H
+
+
+def form_norms(F: ImmersionGrid):
+    """Cached per-sample contractions (|H|, G(H, H), |h|^2) of the second
+    fundamental form, with |H| Euclidean and |h|^2 taken in the frame
+    e_k = e^{-u} F_k; the (nx,ny,2,3) fields are dropped once read."""
     def make():
-        J = jets(F)
         C = conformal_fields(F)
-        normal_part = normal_projector(F)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            h11, h12, h22 = (normal_part(D) for D in (J.Fxx, J.Fxy, J.Fyy))
-            H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
-                / C.e2u[..., None, None]
-        return h11, h12, h22, H
-    return F._cached("second_ff", make)
+        h11, h12, h22, H = second_fundamental_fields(F)
+        emu2 = np.exp(-2.0 * C.u)[..., None, None]
+
+        def norm2(h):
+            e = emu2 * h
+            return g_inner(e, e, F.p)
+        return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
+                g_inner(H, H, F.p),
+                norm2(h11) + norm2(h22) + 2.0 * C.eps_sign * norm2(h12))
+    return F._cached("form_norms", make)
 
 
 def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
     """Euclidean length of the mean curvature vector per sample (nan=invalid)."""
-    _, _, _, H = second_fundamental_fields(F)
-    return np.sqrt(np.einsum("...ki,...ki->...", H, H))
+    return form_norms(F)[0]
 
 
 def _continuity_signs(W: np.ndarray) -> np.ndarray:
@@ -449,11 +464,19 @@ def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
     return ScalarEps(A / scale, -eps * B / scale, eps)
 
 
-def j_fz(F: ImmersionGrid):
-    """(J1 F_z, J2 F_z) with F_z = (F_x - eps i F_y)/2; large, so uncached."""
+def j_fz(F: ImmersionGrid, k: int):
+    """J_k F_z with F_z = (F_x - eps i F_y)/2; large, so uncached."""
     J = jets(F)
-    Fz = complex_vector(J.Fx, J.Fy, F.eps, 2.0)
-    return J_product(1, F.values, Fz, F.p), J_product(2, F.values, Fz, F.p)
+    return J_product(k, F.values, complex_vector(J.Fx, J.Fy, F.eps, 2.0), F.p)
+
+
+def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
+    """(G(Z, xibar), G(Z, xi)) from the four real products both share;
+    bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
+    rr, ii = g_inner(Z.re, xi.re, p), g_inner(Z.im, xi.im, p)
+    ri, ir = g_inner(Z.re, xi.im, p), g_inner(Z.im, xi.re, p)
+    return (ScalarEps(rr + Z.eps * ii, ir - ri, Z.eps),
+            ScalarEps(rr - Z.eps * ii, ri + ir, Z.eps))
 
 
 @dataclass
@@ -477,16 +500,14 @@ def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
     equations, cached per b: xi must carry the xi-component of J1 F_z and
     the xibar-component of J2 F_z, so the frame is flipped globally
     (Ntilde -> -Ntilde maps xi to xibar) if the cross components dominate.
-    diag holds the decomposition diagnostics."""
+    diag holds the decomposition diagnostics.  Each J_k F_z is contracted
+    with xi and xibar as it is formed, so one is alive at a time."""
     def make():
-        # the reference-pair search frees its temporaries before the
-        # large J_k F_z fields are formed
+        # normal_frame's temporaries are freed before any J_k F_z is formed
         N, Nt, bad = normal_frame(F, b)
-        p = F.p
-        J1Fz, J2Fz = j_fz(F)
         xi = complex_vector(N, Nt, F.eps, np.sqrt(2.0))
-        g1, g2 = g_inner(J1Fz, xi.conj(), p), g_inner(J2Fz, xi, p)
-        c1, c2 = g_inner(J1Fz, xi, p), g_inner(J2Fz, xi.conj(), p)
+        g1, c1 = g_pair(j_fz(F, 1), xi, F.p)
+        c2, g2 = g_pair(j_fz(F, 2), xi, F.p)
 
         def e2(z):
             return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)
@@ -536,12 +557,7 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
         eps = C.eps_sign
         K = gauss_curvature_field(F)
         C1, C2 = kahler_fields(F)
-        h11, h12, h22, H = second_fundamental_fields(F)
-        emu2 = np.exp(-2.0 * C.u)[..., None, None]
-        hee = [emu2 * h11, emu2 * h12, emu2 * h22]
-        habs2 = (g_inner(hee[0], hee[0], F.p) + g_inner(hee[2], hee[2], F.p)
-                 + 2.0 * eps * g_inner(hee[1], hee[1], F.p))
-        Hn2 = g_inner(H, H, F.p)
+        _, Hn2, habs2 = form_norms(F)
         sgn = (-1.0) ** F.p
         r = np.abs(K - eps * sgn * C1 * C2 - 2.0 * Hn2 + habs2 / 2.0)
         valid = C.ok & np.isfinite(K) & ~oriented_frame(F).bad
@@ -574,8 +590,7 @@ def gauss_equation_residual(F: ImmersionGrid, i: int, j: int) -> float:
 def hopf_fields(F: ImmersionGrid):
     """Hopf quantity theta = G(J1 F_z, J2 F_z)/2 and its dbar-derivative."""
     def make():
-        J1Fz, J2Fz = j_fz(F)
-        theta = g_inner(J1Fz, J2Fz, F.p) * 0.5
+        theta = g_inner(j_fz(F, 1), j_fz(F, 2), F.p) * 0.5
         return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
     return F._cached("hopf", make)
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import tracemalloc
 import signal
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import frenet, immersion, surfaces
+from minsurf import cli, frenet, immersion, surfaces
 from minsurf.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -288,6 +289,39 @@ class TestVerify:
             for name in names:
                 cfg = parse_args([command, "--tol", f"{name}=0"])
                 assert cfg.tol == {name: 0.0}
+
+    def test_parser_calls_are_independent(self, monkeypatch):
+        # one parser serves every call; the append action's shared
+        # default must not collect the --tol values of earlier calls
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", None)
+        args = ["verify", "--example", "holo:z"]
+        first = parse_args(args + ["--tol", "gauss=1", "--tol", "compat=2"])
+        second = parse_args(args + ["--tol", "minimality=3"])
+        third = parse_args(args)
+        assert first.tol == {"gauss": 1.0, "compat": 2.0}
+        assert second.tol == {"minimality": 3.0}
+        assert third.tol == {}
+
+    @pytest.mark.parametrize("grid", ["x17", "17xx3", "1.5", "17x"])
+    def test_malformed_grid_names_the_flag(self, grid, capsys):
+        code = main(["verify", "--example", "holo:z2", "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"error: --grid expects N or NXxNY, got {grid!r}\n"
+
+    def test_check_memory_bound(self):
+        # the checks cache scalar contractions, not (nx,ny,2,3) vector
+        # fields: their peak stays within 25 grids' worth of bytes
+        F = build_example("holo:2z1-safe", nx=129)
+        tracemalloc.start()
+        try:
+            code, _ = cli._check_grid(F, cli.RunConfig(
+                command="verify", example="holo:2z1-safe"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        assert peak <= 25 * F.values.nbytes
 
     def test_tol_override(self, capsys):
         code, summary = run(["verify", "--example", "slice:first",

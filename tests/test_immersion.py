@@ -17,6 +17,8 @@ from minsurf.immersion import (
     class_masks,
     conformal_fields,
     curvatures,
+    form_norms,
+    g_pair,
     gauss_equation_residual,
     gauss_residual_field,
     grid_from_csv,
@@ -33,6 +35,7 @@ from minsurf.immersion import (
     second_fundamental_fields,
     write_grid,
 )
+from minsurf.algebra import ScalarEps
 from minsurf.product import g_inner
 from minsurf.surfaces import (
     build_example,
@@ -235,6 +238,40 @@ class TestSecondFundamentalForm:
         h11, _, _, H = (h[32, 32] for h in second_fundamental_fields(F))
         assert np.max(np.abs(H)) < 1e-3
         assert np.max(np.abs(h11)) > 1e-3
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_g_pair_equals_two_g_inner(self, eps, p):
+        rng = np.random.default_rng(10 * p + eps + 1)
+
+        def field():
+            a = rng.standard_normal((7, 5, 2, 3))
+            a[rng.random(a.shape) < 0.05] = np.nan
+            return a
+        Z = ScalarEps(field(), field(), eps)
+        xi = ScalarEps(field(), field(), eps)
+        for got, want in zip(g_pair(Z, xi, p),
+                             (g_inner(Z, xi.conj(), p), g_inner(Z, xi, p))):
+            assert got.eps == want.eps == eps
+            assert np.array_equal(got.re, want.re, equal_nan=True)
+            assert np.array_equal(got.im, want.im, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["holo:2z1", "paraholo:sit",
+                                      "geodesic-product:ds2-mixed"])
+    def test_form_norms_equal_contracted_vectors(self, name):
+        # the reference: contract the whole (nx,ny,2,3) fields at once
+        F = build_example(name, nx=33)
+        C = conformal_fields(F)
+        h11, h12, h22, H = second_fundamental_fields(F)
+        emu2 = np.exp(-2.0 * C.u)[..., None, None]
+        hee = [emu2 * h11, emu2 * h12, emu2 * h22]
+        h_norm2 = (g_inner(hee[0], hee[0], F.p) + g_inner(hee[2], hee[2], F.p)
+                   + 2.0 * C.eps_sign * g_inner(hee[1], hee[1], F.p))
+        want = (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
+                g_inner(H, H, F.p), h_norm2)
+        for got, ref in zip(form_norms(F), want):
+            assert np.array_equal(got, ref, equal_nan=True)
+        assert mean_curvature_residual(F) is form_norms(F)[0]
 
 
 class TestCurvatures:
