@@ -17,10 +17,6 @@ class ZeroDivisorError(MinsurfError):
     """Division by a split-complex zero divisor (re**2 == im**2)."""
 
 
-class BoundaryError(MinsurfError):
-    """Grid index too close to the boundary for the requested stencil."""
-
-
 class DegenerateMetric(MinsurfError):
     """Pulled-back metric is (numerically) degenerate at the point."""
 

@@ -7,8 +7,8 @@ The first-order frame system in the state (F, F_z, xi) reads
     xi_z   = 2 eps e^{-2u} b f2 F_zb + A xi + (-1)^{p+1} (i b C1 g2 / 2) F
     xibar_z= 2 eps e^{-2u} b f1 F_zb - A xibar + (-1)^{p+1} (i b C2 g1 / 2) F
 
-with Fhat = (F1, -F2).  The frame at the window origin is built in closed
-form from the data there (initial_frame), so the data determine the
+with Fhat = (F1, -F2).  The frame at the record's first sample is built in
+closed form from the data there (initial_frame), so the data determine the
 reconstruction up to congruence and no solver or seed enters.  Real x/y
 derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb).
 The system is real-linear and acts alike on every ambient coordinate of a
@@ -34,11 +34,16 @@ from .fundata import (
     crop_to_mask,
     extract,
     field_sup,
+    restrict,
 )
 from .immersion import ImmersionGrid, dz
 from .product import J_product, g_inner
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
+# reconstruct's gates: compat residual <= _COMPAT_FACTOR h^2, quadric drift
+# <= _DRIFT_FACTOR h^4 per step
+_COMPAT_FACTOR = 50.0
+_DRIFT_FACTOR = 100.0
 
 
 @dataclass
@@ -215,12 +220,12 @@ def _propagators(lines: np.ndarray, h: float, p: int, eps: int, b: int,
 
 
 # ---------------------------------------------------------------------------
-# initial frame from the data values at the window origin
+# initial frame from the data values at the record's first sample
 # ---------------------------------------------------------------------------
 
-def initial_frame(D: FundamentalData, i0: int = None,
-                  j0: int = None) -> FrameState:
-    """Frame at a grid point, in closed form from the data there.
+def initial_frame(D: FundamentalData) -> FrameState:
+    """Frame at the record's first sample (0, 0), in closed form from the
+    data there.
 
     Both factors sit at (0,0,1).  The structure equations are linear in the
     8 tangent components of (F_z, xi) in each factor, solved by a plane: an
@@ -229,15 +234,13 @@ def initial_frame(D: FundamentalData, i0: int = None,
     squared scales of one vector per plane: an eigenvector of
     Re G(F_z, F_zbar) on it, both tried (for p = 1 the form is indefinite).
     """
-    if i0 is None:
-        i0, _, j0, _ = crop_to_mask(D)
     p, eps, b = D.p, D.eps, D.b
-    e2u = float(np.exp(2.0 * D.u[i0, j0]))
-    C1, C2 = float(D.C1[i0, j0]), float(D.C2[i0, j0])
-    g1, g2 = (ScalarEps(float(g.re[i0, j0]), float(g.im[i0, j0]), eps)
+    e2u = float(np.exp(2.0 * D.u[0, 0]))
+    C1, C2 = float(D.C1[0, 0]), float(D.C2[0, 0])
+    g1, g2 = (ScalarEps(float(g.re[0, 0]), float(g.im[0, 0]), eps)
               for g in (D.gamma1, D.gamma2))
     if not np.isfinite(e2u + C1 + C2 + g1.re + g1.im + g2.re + g2.im):
-        raise FrameConstructionError(f"data invalid at sample ({i0},{j0})")
+        raise FrameConstructionError("data invalid at the first sample")
     origin = np.zeros(STATE_LEN)
     origin[[2, 5]] = 1.0                    # both factors at (0,0,1)
     # the unknowns x (..., 16): (e1, e2) components of F_z, xi in the state
@@ -299,40 +302,38 @@ class ReconstructReport:
     cells_checked: int
 
 
-def reconstruct(D: FundamentalData, init: FrameState = None,
-                window=None, compat_tol: float = None,
-                drift_factor: float = 100.0, check_drift: bool = True):
-    """Integrate the frame system over the data grid.
+def reconstruct(D: FundamentalData, init: FrameState = None):
+    """Integrate the frame system over the whole record D, from init or
+    else initial_frame(D) at its first sample.
 
-    Returns (ImmersionGrid, ReconstructReport).  Raises CompatViolation
-    when the data fails its compatibility system, FrameConstructionError
-    when the window spans fewer than 5 samples in either direction and
+    Returns (ImmersionGrid, ReconstructReport).  Raises
+    FrameConstructionError when D.mask is not all true or D spans fewer
+    than 5 samples in either direction, CompatViolation when the data fails
+    its compatibility system by more than _COMPAT_FACTOR h^2 and
     DriftExceeded when the quadric constraints drift beyond
-    drift_factor * h^4 * steps.
+    _DRIFT_FACTOR h^4 per step.
     """
-    h = max(D.hx, D.hy)
-    if compat_tol is None:
-        compat_tol = 50.0 * h * h
-    rep = compat_residuals(D)
-    worst = rep.max()
-    if not np.isfinite(worst) or worst > compat_tol:
-        raise CompatViolation(
-            f"compat residual {worst:.3e} exceeds tolerance {compat_tol:.3e}")
-
-    if window is None:
-        window = crop_to_mask(D)
-    i0, i1, j0, j1 = window
-    n1, n2 = i1 - i0, j1 - j0
+    if not D.mask.all():
+        raise FrameConstructionError(
+            "the record's mask is not all true; reconstruct "
+            "fundata.restrict(D, fundata.crop_to_mask(D)) instead")
+    n1, n2 = D.shape
     # 4 samples for the cubic half steps, 5 for the output ImmersionGrid
     if min(n1, n2) < 5:
         raise FrameConstructionError(
-            f"window ({i0}, {i1}, {j0}, {j1}) spans {n1} x {n2} samples; "
-            f"reconstruction needs at least 5 in each direction")
+            f"the record spans {n1} x {n2} samples; reconstruction needs "
+            f"at least 5 in each direction")
+    h = max(D.hx, D.hy)
+    compat_tol = _COMPAT_FACTOR * h * h
+    worst = compat_residuals(D).max()
+    if not np.isfinite(worst) or worst > compat_tol:
+        raise CompatViolation(
+            f"compat residual {worst:.3e} exceeds tolerance {compat_tol:.3e}")
     if init is None:
-        init = initial_frame(D, i0, j0)
+        init = initial_frame(D)
     p, eps, b = D.p, D.eps, D.b
 
-    W = _pack_data(D)[i0:i1, j0:j1]
+    W = _pack_data(D)
     # Px[k, l] steps (k, l) -> (k+1, l), Py[k, l] steps (k, l) -> (k, l+1)
     Px = _propagators(W, D.hx, p, eps, b, "x")
     Py = _propagators(W.swapaxes(0, 1), D.hy, p, eps, b, "y").swapaxes(0, 1)
@@ -348,8 +349,8 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
     qres = np.abs(inner_arr(values, values, p) - 1.0)
     drift = float(np.max(qres))
     steps = (n1 - 1) + n1 * (n2 - 1)
-    budget = drift_factor * h ** 4 * steps
-    if check_drift and drift > budget:
+    budget = _DRIFT_FACTOR * h ** 4 * steps
+    if drift > budget:
         raise DriftExceeded(
             f"quadric drift {drift:.3e} exceeds budget {budget:.3e} "
             f"({steps} steps at h={h:.3e}); refine the grid")
@@ -365,9 +366,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None,
                                float(np.add.accumulate(d.ravel())[-1]),
                                d.size)
 
-    xs0 = D.origin[0] + i0 * D.hx
-    ys0 = D.origin[1] + j0 * D.hy
-    grid = ImmersionGrid(p, eps, values, D.hx, D.hy, (xs0, ys0),
+    grid = ImmersionGrid(p, eps, values, D.hx, D.hy, D.origin,
                          {"name": "reconstructed", "drift": drift,
                           "steps": steps})
     return grid, report
@@ -398,31 +397,29 @@ class RoundTripReport:
                 "n_compared": self.n_compared, "max": self.max()}
 
 
-def roundtrip_report(D: FundamentalData, window=None,
-                     **kwargs) -> RoundTripReport:
-    """reconstruct -> extract and compare the gauge-invariant fields.
+def roundtrip_report(D: FundamentalData,
+                     init: FrameState = None) -> RoundTripReport:
+    """Crop D to its largest all-valid window, reconstruct (from init, if
+    given) -> extract, and compare the gauge-invariant fields.
 
     The report keeps the reconstructed grid and its ReconstructReport, so
     a caller needs no second integration.
     """
-    grid, rec = reconstruct(D, window=window, **kwargs)
+    D = restrict(D, crop_to_mask(D))
+    grid, rec = reconstruct(D, init)
     D2 = extract(grid, b=D.b)
-    if window is None:
-        window = crop_to_mask(D)
-    i0, i1, j0, j1 = window
-    sl = (slice(i0, i1), slice(j0, j1))
-    common = D.mask[sl] & D2.mask
+    common = D2.mask          # D's mask is all true
 
     def sup(a):
         return field_sup(a, common)
 
     diffs = {
-        "u": sup(D.u[sl] - D2.u),
-        "C1": sup(D.C1[sl] - D2.C1),
-        "C2": sup(D.C2[sl] - D2.C2),
-        "gamma1_norm2": sup(D.gamma1.abs2()[sl] - D2.gamma1.abs2()),
-        "gamma2_norm2": sup(D.gamma2.abs2()[sl] - D2.gamma2.abs2()),
-        "f1_norm2": sup(D.f1.abs2()[sl] - D2.f1.abs2()),
-        "f2_norm2": sup(D.f2.abs2()[sl] - D2.f2.abs2()),
+        "u": sup(D.u - D2.u),
+        "C1": sup(D.C1 - D2.C1),
+        "C2": sup(D.C2 - D2.C2),
+        "gamma1_norm2": sup(D.gamma1.abs2() - D2.gamma1.abs2()),
+        "gamma2_norm2": sup(D.gamma2.abs2() - D2.gamma2.abs2()),
+        "f1_norm2": sup(D.f1.abs2() - D2.f1.abs2()),
+        "f2_norm2": sup(D.f2.abs2() - D2.f2.abs2()),
     }
     return RoundTripReport(diffs, int(np.sum(common)), grid, rec)

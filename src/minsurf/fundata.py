@@ -23,7 +23,7 @@ norms that require dividing by gamma.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .immersion import (
     g_pair,
     gauss_curvature,
     grad_norm2_induced,
-    jets,
+    hessian,
     kahler_fields,
     laplacian_induced,
     mean_curvature_residual,
@@ -106,19 +106,26 @@ class FundamentalData:
         """(C_j, C_j') with j' the other index."""
         return (self.C1, self.C2) if j == 1 else (self.C2, self.C1)
 
-    def copy_fields(self) -> dict:
-        return dict(p=self.p, eps=self.eps, b=self.b, hx=self.hx, hy=self.hy,
-                    u=self.u.copy(), C1=self.C1.copy(), C2=self.C2.copy(),
-                    gamma1=_se_copy(self.gamma1), gamma2=_se_copy(self.gamma2),
-                    f1=_se_copy(self.f1), f2=_se_copy(self.f2),
-                    A=_se_copy(self.A), mask=self.mask.copy(),
-                    complex1=self.complex1.copy(), complex2=self.complex2.copy(),
-                    origin=self.origin,
-                    u_z=_se_copy(self.u_z) if self.u_z is not None else None)
+
+# the per-sample fields of a FundamentalData, in fundata.json's key order,
+# with the kind of each; u_z, analytic and optional, rides along in restrict
+# and gauge_rotate but is not written
+_FIELDS = {"u": float, "C1": float, "C2": float,
+           "gamma1": ScalarEps, "gamma2": ScalarEps, "f1": ScalarEps,
+           "f2": ScalarEps, "A": ScalarEps,
+           "mask": bool, "complex1": bool, "complex2": bool}
 
 
-def _se_copy(z: ScalarEps) -> ScalarEps:
-    return ScalarEps(np.array(z.re, copy=True), np.array(z.im, copy=True), z.eps)
+def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
+    """D with fn applied to every per-sample array (to both parts of a
+    ScalarEps), then the given changes; diagnostics and meta are copied."""
+    def apply(z):
+        if isinstance(z, ScalarEps):
+            return ScalarEps(fn(z.re), fn(z.im), z.eps)
+        return None if z is None else fn(z)
+    new = {k: apply(getattr(D, k)) for k in (*_FIELDS, "u_z")}
+    return replace(D, **{**new, **changes}, diagnostics=dict(D.diagnostics),
+                   meta=dict(D.meta))
 
 
 def se_where(mask, z: ScalarEps, fill) -> ScalarEps:
@@ -191,7 +198,6 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """Extract fundamental data from a sampled minimal immersion; raises
     NonMinimal where max |H| exceeds 50 h^2."""
     C = conformal_fields(F)
-    J = jets(F)
     eps = F.eps
     if eps == 1 and b != 1:
         raise SignatureError("Riemannian induced metric forces b = +1")
@@ -209,7 +215,9 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     fr = oriented_frame(F, b)
     ok = ok & ~fr.bad
 
-    Fzz = ScalarEps((J.Fxx - eps * J.Fyy) / 4.0, -eps * J.Fxy / 2.0, eps)
+    Fxx, Fxy, Fyy = hessian(F)
+    Fzz = ScalarEps((Fxx - eps * Fyy) / 4.0, -eps * Fxy / 2.0, eps)
+    del Fxx, Fxy, Fyy
     gamma1, gamma2 = fr.g1 * (-b), fr.g2 * (-b)
     f1, f2 = (f * (-eps * b) for f in g_pair(Fzz, fr.xi, F.p))
 
@@ -248,10 +256,11 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     }
     gamma1, gamma2, f1, f2 = (se_where(ok, z, np.nan)
                               for z in (gamma1, gamma2, f1, f2))
-    return FundamentalData(F.p, eps, b, F.hx, F.hy, u, C1, C2,
-                           gamma1, gamma2, f1, f2, A, ok, cx1, cx2,
-                           F.origin, None, diag,
-                           {"source": F.meta.get("name", "grid")})
+    return FundamentalData(
+        p=F.p, eps=eps, b=b, hx=F.hx, hy=F.hy, u=u, C1=C1, C2=C2,
+        gamma1=gamma1, gamma2=gamma2, f1=f1, f2=f2, A=A, mask=ok,
+        complex1=cx1, complex2=cx2, origin=F.origin, diagnostics=diag,
+        meta={"source": F.meta.get("name", "grid")})
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +270,23 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
 def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
     """Frame rotation xi -> exp_eps(i theta) xi acting on the data.
 
-    theta may be a scalar or a grid field; u and C_j are unchanged,
-    gamma_1, f_1 pick up exp_eps(-i theta), gamma_2, f_2 exp_eps(i theta),
-    and A shifts by i theta_z for non-constant theta.
+    theta is a scalar or a field that broadcasts to D.shape (ValueError
+    otherwise); u and C_j are unchanged, gamma_1, f_1 pick up
+    exp_eps(-i theta), gamma_2, f_2 exp_eps(i theta), and A shifts by
+    i theta_z for a field theta.  The result shares no array with D.
     """
-    q_plus = exp_eps(theta, D.eps)
-    q_minus = exp_eps(-np.asarray(theta) if not np.isscalar(theta) else -theta,
-                      D.eps)
-    out = D.copy_fields()
-    out["gamma1"] = q_minus * D.gamma1
-    out["gamma2"] = q_plus * D.gamma2
-    out["f1"] = q_minus * D.f1
-    out["f2"] = q_plus * D.f2
-    A = D.A
-    if not np.isscalar(theta):
-        th = np.asarray(theta, dtype=float)
-        if th.shape == D.shape:
-            A = A + unit_i(D.eps) * dz(th, D.hx, D.hy, D.eps)
-    out["A"] = A
-    new = FundamentalData(**out)
-    new.diagnostics = dict(D.diagnostics)
-    new.meta = dict(D.meta)
-    return new
+    shifted = {}
+    if np.ndim(theta) > 0:
+        try:
+            theta = np.broadcast_to(np.asarray(theta, dtype=float), D.shape)
+        except ValueError:
+            raise ValueError(f"theta of shape {np.shape(theta)} does not "
+                             f"broadcast to the data shape {D.shape}") from None
+        shifted["A"] = D.A + unit_i(D.eps) * dz(theta, D.hx, D.hy, D.eps)
+    q_plus, q_minus = exp_eps(theta, D.eps), exp_eps(-theta, D.eps)
+    return _map_fields(D, np.copy, gamma1=q_minus * D.gamma1,
+                       gamma2=q_plus * D.gamma2, f1=q_minus * D.f1,
+                       f2=q_plus * D.f2, **shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +467,17 @@ def log_sqrt_residual(D: FundamentalData, m: int, K=None, Kperp=None) -> np.ndar
 FUNDATA_SCHEMA = "minsurf-fundata-1"
 
 
-def _se_to_json(z: ScalarEps):
-    return {"re": np.asarray(z.re).tolist(), "im": np.asarray(z.im).tolist()}
-
-
-def _se_from_json(d, eps) -> ScalarEps:
-    return ScalarEps(np.array(d["re"], dtype=float),
-                     np.array(d["im"], dtype=float), eps)
-
-
 def fundata_to_json(D: FundamentalData, path=None):
-    doc = {
-        "schema": FUNDATA_SCHEMA,
-        "p": D.p, "eps": D.eps, "b": D.b,
-        "hx": D.hx, "hy": D.hy, "origin": list(D.origin),
-        "u": D.u.tolist(), "C1": D.C1.tolist(), "C2": D.C2.tolist(),
-        "gamma1": _se_to_json(D.gamma1), "gamma2": _se_to_json(D.gamma2),
-        "f1": _se_to_json(D.f1), "f2": _se_to_json(D.f2),
-        "A": _se_to_json(D.A),
-        "mask": D.mask.astype(int).tolist(),
-        "complex1": D.complex1.astype(int).tolist(),
-        "complex2": D.complex2.astype(int).tolist(),
-        "meta": D.meta,
-    }
+    doc = {"schema": FUNDATA_SCHEMA, "p": D.p, "eps": D.eps, "b": D.b,
+           "hx": D.hx, "hy": D.hy, "origin": list(D.origin)}
+    for name, kind in _FIELDS.items():
+        a = getattr(D, name)
+        if kind is ScalarEps:
+            doc[name] = {"re": np.asarray(a.re).tolist(),
+                         "im": np.asarray(a.im).tolist()}
+        else:
+            doc[name] = a.astype(int).tolist() if kind is bool else a.tolist()
+    doc["meta"] = D.meta
     if path is not None:
         with open(path, "w") as fh:
             fh.write(json.dumps(doc))   # json.dump's text, C-encoded
@@ -501,38 +493,27 @@ def fundata_from_json(src) -> FundamentalData:
     if doc.get("schema") != FUNDATA_SCHEMA:
         raise ValueError(f"not a {FUNDATA_SCHEMA} document")
     eps = int(doc["eps"])
+
+    def read(v, kind):
+        if kind is ScalarEps:
+            return ScalarEps(np.array(v["re"], dtype=float),
+                             np.array(v["im"], dtype=float), eps)
+        return np.array(v, dtype=kind)
     return FundamentalData(
-        int(doc["p"]), eps, int(doc["b"]), float(doc["hx"]), float(doc["hy"]),
-        np.array(doc["u"], dtype=float), np.array(doc["C1"], dtype=float),
-        np.array(doc["C2"], dtype=float),
-        _se_from_json(doc["gamma1"], eps), _se_from_json(doc["gamma2"], eps),
-        _se_from_json(doc["f1"], eps), _se_from_json(doc["f2"], eps),
-        _se_from_json(doc["A"], eps),
-        np.array(doc["mask"], dtype=bool),
-        np.array(doc["complex1"], dtype=bool),
-        np.array(doc["complex2"], dtype=bool),
-        tuple(doc["origin"]), None, {}, doc.get("meta", {}),
-    )
+        p=int(doc["p"]), eps=eps, b=int(doc["b"]), hx=float(doc["hx"]),
+        hy=float(doc["hy"]), origin=tuple(doc["origin"]),
+        meta=doc.get("meta", {}),
+        **{name: read(doc[name], kind) for name, kind in _FIELDS.items()})
 
 
 def restrict(D: FundamentalData, window) -> FundamentalData:
-    """Slice a FundamentalData to an index window (i0, i1, j0, j1)."""
+    """Copy of D on the index window (i0, i1, j0, j1): every per-sample
+    field sliced, u_z too, and the origin moved to sample (i0, j0)."""
     i0, i1, j0, j1 = window
     sl = (slice(i0, i1), slice(j0, j1))
-
-    def cut_se(z):
-        return ScalarEps(np.array(z.re[sl]), np.array(z.im[sl]), z.eps)
-
-    new = FundamentalData(
-        D.p, D.eps, D.b, D.hx, D.hy,
-        D.u[sl].copy(), D.C1[sl].copy(), D.C2[sl].copy(),
-        cut_se(D.gamma1), cut_se(D.gamma2), cut_se(D.f1), cut_se(D.f2),
-        cut_se(D.A), D.mask[sl].copy(), D.complex1[sl].copy(),
-        D.complex2[sl].copy(),
-        (D.origin[0] + i0 * D.hx, D.origin[1] + j0 * D.hy),
-        cut_se(D.u_z) if D.u_z is not None else None,
-        dict(D.diagnostics), dict(D.meta))
-    return new
+    return _map_fields(D, lambda a: np.array(a[sl]),
+                       origin=(D.origin[0] + i0 * D.hx,
+                               D.origin[1] + j0 * D.hy))
 
 
 def crop_to_mask(D: FundamentalData):

@@ -511,7 +511,8 @@ def build_family(theorem: str, sol: GordonSolution, t: float = 0.0,
 
     g1, g2, f1, f2, A, uz = (se_where(mask, z, np.nan)
                              for z in (g1, g2, f1, f2, A, uz))
-    return FundamentalData(p, eps, b, sol.hx, sol.hy, u,
-                           np.where(mask, C1, np.nan), np.where(mask, C2, np.nan),
-                           g1, g2, f1, f2, A, mask, None, None, sol.origin,
-                           uz, {}, {"theorem": theorem, "t": t})
+    return FundamentalData(
+        p=p, eps=eps, b=b, hx=sol.hx, hy=sol.hy, u=u,
+        C1=np.where(mask, C1, np.nan), C2=np.where(mask, C2, np.nan),
+        gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=mask,
+        origin=sol.origin, u_z=uz, meta={"theorem": theorem, "t": t})

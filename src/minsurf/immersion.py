@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ScalarEps, inner_arr, unit_i
-from .errors import BoundaryError, DegenerateMetric
+from .errors import DegenerateMetric
 from .product import (
     J_product,
     factor_omega,
@@ -194,24 +194,20 @@ def grad_norm2_induced(f: np.ndarray, u: np.ndarray, eps: int,
 class GridJets:
     Fx: np.ndarray
     Fy: np.ndarray
-    Fxx: np.ndarray
-    Fxy: np.ndarray
-    Fyy: np.ndarray
 
 
 def jets(F: ImmersionGrid) -> GridJets:
-    """Whole-grid first and second central differences of the samples."""
+    """Whole-grid first central differences of the samples, cached."""
     def make():
-        V = F.values
-        return GridJets(diff(V, F.hx, 0), diff(V, F.hy, 1), diff2(V, F.hx, 0),
-                        d_xy(V, F.hx, F.hy), diff2(V, F.hy, 1))
+        return GridJets(diff(F.values, F.hx, 0), diff(F.values, F.hy, 1))
     return F._cached("jets", make)
 
 
-def _check_interior(F: ImmersionGrid, i: int, j: int, ring: int = 1):
-    if not (ring <= i < F.nx - ring and ring <= j < F.ny - ring):
-        raise BoundaryError(
-            f"index ({i},{j}) lacks a {ring}-ring of interior neighbors")
+def hessian(F: ImmersionGrid):
+    """Whole-grid second central differences (F_xx, F_xy, F_yy) of the
+    samples; built on each call, as their readers need them once."""
+    V = F.values
+    return diff2(V, F.hx, 0), d_xy(V, F.hx, F.hy), diff2(V, F.hy, 1)
 
 
 @dataclass
@@ -343,11 +339,10 @@ def second_fundamental_fields(F: ImmersionGrid):
     Returns (h11, h12, h22, H) as (nx,ny,2,3) arrays, built uncached; valid
     on the ok mask of the conformal fields intersected with the interior.
     """
-    J = jets(F)
     C = conformal_fields(F)
     normal_part = normal_projector(F)
     with np.errstate(invalid="ignore", divide="ignore"):
-        h11, h12, h22 = (normal_part(D) for D in (J.Fxx, J.Fxy, J.Fyy))
+        h11, h12, h22 = (normal_part(D) for D in hessian(F))
         H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
             / C.e2u[..., None, None]
     return h11, h12, h22, H
@@ -550,8 +545,9 @@ def normal_curvature_field(F: ImmersionGrid, b: int = 1) -> np.ndarray:
 
 
 def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
-    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan where
-    gauss_equation_residual raises."""
+    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan within
+    two samples of the edge, at degenerate samples and where there is no
+    normal frame."""
     def make():
         C = conformal_fields(F)
         eps = C.eps_sign
@@ -567,24 +563,13 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
     return F._cached("gauss", make)
 
 
-def curvatures(F: ImmersionGrid, i: int, j: int, b: int = 1):
-    """(K, Kperp) at an interior sample: K from the conformal-factor
-    Laplacian and Kperp from the Ricci commutator of the shape operators."""
-    _check_interior(F, i, j, ring=2)
-    if not conformal_fields(F).ok[i, j]:
-        raise DegenerateMetric(f"degenerate sample ({i},{j})")
-    K = gauss_curvature_field(F)[i, j]
-    if not np.isfinite(K):
-        raise DegenerateMetric(f"degenerate neighbor ring at ({i},{j})")
-    if oriented_frame(F, b).bad[i, j]:
-        raise DegenerateMetric(f"no normal frame at sample ({i},{j})")
-    return float(K), float(normal_curvature_field(F, b)[i, j])
-
-
 def gauss_equation_residual(F: ImmersionGrid, i: int, j: int) -> float:
-    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| at an interior sample."""
-    curvatures(F, i, j)  # raises where the residual is undefined
-    return float(gauss_residual_field(F)[i, j])
+    """gauss_residual_field at sample (i, j); raises DegenerateMetric where
+    that field is nan."""
+    r = gauss_residual_field(F)[i, j]
+    if np.isnan(r):
+        raise DegenerateMetric(f"no Gauss residual at sample ({i},{j})")
+    return float(r)
 
 
 def hopf_fields(F: ImmersionGrid):

@@ -29,11 +29,11 @@ from minsurf.gordon import build_family, family_mask, family_phase, solution_fro
 from minsurf.immersion import (
     GridSpec,
     conformal_fields,
-    curvatures,
     gauss_equation_residual,
     hopf_fields,
     kahler_fields,
     mean_curvature_residual,
+    normal_curvature_field,
     second_fundamental_fields,
 )
 from minsurf.product import (
@@ -412,7 +412,7 @@ def test_criterion_10_curvature_identity_battery(family_cache):
         D = extract(F)
         _, Kp_f = curvature_from_data(D)
         i = j = n // 2
-        _, Kp_c = curvatures(F, i, j)
+        Kp_c = normal_curvature_field(F)[i, j]
         vals[n] = abs(Kp_c - Kp_f[i, j])
     ratios["kperp_dual"] = vals[33] / vals[65]
 

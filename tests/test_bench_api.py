@@ -4,10 +4,13 @@
 ``TARGETS``, and ``Tracer.install`` fails on a missing name;
 ``perfbench/bench_workloads.py`` reads three pipeline helpers of ``cli``.
 These tests catch a rename or deletion in ``src`` that would break the
-benchmark, without running it.
+benchmark, without running it, and run one small families case, whose
+``fundata.restrict`` and ``compat_residuals`` calls the benchmark makes
+outside ``cli``.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 from minsurf import cli, gordon
@@ -29,3 +32,11 @@ def test_workload_helpers_exist():
     assert set(cli.PIPELINE_DATA) == set(gordon.FAMILY_TABLE)
     assert callable(cli._edge_profile)
     assert callable(cli._bump)
+
+
+def test_families_case_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench_workloads = importlib.import_module("bench_workloads")
+    out = bench_workloads.solve_family("C1", 25, 0.5)
+    assert out["mask_points"] > 0
+    assert math.isfinite(out["compat"]["max"])

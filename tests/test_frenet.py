@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -22,8 +23,12 @@ from minsurf.frenet import (
     reconstruct,
     roundtrip_report,
 )
-from minsurf.fundata import FundamentalData
-from minsurf.immersion import curvatures
+from minsurf.fundata import FundamentalData, restrict
+from minsurf.immersion import (
+    gauss_curvature_field,
+    hessian,
+    normal_curvature_field,
+)
 
 
 def flat_lagrangian(n=21, h=0.05):
@@ -63,7 +68,7 @@ class TestInitialFrame:
     def test_invariants_exact(self, family_cache):
         for theorem, n in itertools.product(sorted(FAMILY_CASES), (33, 65)):
             D = family_cache(theorem, n)
-            fs = initial_frame(D, 0, 0)
+            fs = initial_frame(D)
             res = fs.invariant_residuals(float(np.exp(2 * D.u[0, 0])))
             g1, g2 = (ScalarEps(g.re[0, 0], g.im[0, 0], D.eps)
                       for g in (D.gamma1, D.gamma2))
@@ -84,19 +89,19 @@ class TestInitialFrame:
 
     def test_inconsistent_data_raises(self):
         D = flat_lagrangian()
-        bad = FundamentalData(**{**D.copy_fields(), "gamma1": 1.5 * D.gamma1})
+        bad = dataclasses.replace(D, gamma1=1.5 * D.gamma1)
         with pytest.raises(FrameConstructionError):
-            initial_frame(bad, 0, 0)
+            initial_frame(bad)
 
     def test_flat_case(self):
         D = flat_lagrangian()
-        fs = initial_frame(D, 0, 0)
+        fs = initial_frame(D)
         res = fs.invariant_residuals(1.0)
         assert max(res.values()) < 1e-10
 
     def test_pack_unpack(self):
         D = flat_lagrangian()
-        fs = initial_frame(D, 0, 0)
+        fs = initial_frame(D)
         fs2 = FrameState.unpack(fs.pack(), fs.p, fs.eps, fs.b)
         assert np.allclose(fs2.F, fs.F)
         assert np.allclose(fs2.xi.im, fs.xi.im)
@@ -251,22 +256,21 @@ class TestReconstruct:
         assert rep.drift < 1e-7
         assert rep.commutator_max < 1e-12
         assert rep.cells_checked == (grid.nx - 1) * (grid.ny - 1)
-        K, Kp = curvatures(grid, grid.nx // 2, grid.ny // 2)
+        i = j = grid.nx // 2
+        K = gauss_curvature_field(grid)[i, j]
+        Kp = normal_curvature_field(grid)[i, j]
         assert abs(K) < 1e-8 and abs(Kp) < 1e-8
         # factor curves are geodesics: second x-derivative of factor 1
         # is parallel to the position
-        from minsurf.immersion import jets
-        J = jets(grid)
-        i = j = grid.nx // 2
         f1 = grid.values[i, j, 0]
-        cross = np.cross(J.Fxx[i, j, 0], f1)
+        cross = np.cross(hessian(grid)[0][i, j, 0], f1)
         assert np.max(np.abs(cross)) < 1e-5
 
     def test_exact_roundtrip_invariant_fields(self):
         # closed-form data: C and f recover exactly, u and |gamma|^2 up
         # to the finite-difference chord factor
         D = flat_lagrangian()
-        rt = roundtrip_report(D, window=(0, 21, 0, 21))
+        rt = roundtrip_report(D)
         assert rt.diffs["C1"] <= 1e-9
         assert rt.diffs["C2"] <= 1e-9
         assert rt.diffs["f1_norm2"] <= 1e-9
@@ -276,33 +280,46 @@ class TestReconstruct:
 
     def test_compat_violation_blocks(self):
         D = flat_lagrangian()
-        bad = FundamentalData(**{**D.copy_fields(), "gamma1": 1.5 * D.gamma1})
+        bad = dataclasses.replace(D, gamma1=1.5 * D.gamma1)
         with pytest.raises(CompatViolation):
             reconstruct(bad)
 
-    def test_drift_budget_enforced(self, family_cache):
+    def test_drift_budget_enforced(self, family_cache, monkeypatch):
         D = family_cache("A1", 33)
+        monkeypatch.setattr(frenet, "_DRIFT_FACTOR", 1e-12)
         with pytest.raises(DriftExceeded):
-            reconstruct(D, drift_factor=1e-12)
+            reconstruct(D)
 
     def test_narrow_window_rejected(self):
         # the cubic half steps need 4 samples, the output grid 5
         D = flat_lagrangian()
         for window in ((0, 3, 0, 21), (0, 21, 0, 3), (0, 4, 0, 21)):
             with pytest.raises(FrameConstructionError,
-                               match=r"window \(0, .*at least 5"):
-                reconstruct(D, window=window)
-        grid, _ = reconstruct(D, window=(0, 5, 0, 5))
+                               match=r"spans \d+ x \d+ samples.*at least 5"):
+                reconstruct(restrict(D, window))
+        grid, _ = reconstruct(restrict(D, (0, 5, 0, 5)))
         assert grid.values.shape == (5, 5, 2, 3)
 
-    def test_commutator_tracks_inconsistency(self, family_cache):
+    def test_partial_mask_rejected(self):
+        # reconstruct takes the record as given; the crop is the caller's
+        D = flat_lagrangian()
+        D.mask[0, 3] = False
+        with pytest.raises(FrameConstructionError, match="crop_to_mask"):
+            reconstruct(D)
+        rt = roundtrip_report(D)
+        assert rt.grid.values.shape[:2] == (20, 21)
+        assert rt.grid.origin == (D.hx, 0.0)
+
+    def test_commutator_tracks_inconsistency(self, family_cache,
+                                             monkeypatch):
         # consistent data: tiny commutator; corrupted data: much larger
         D = family_cache("C1", 33)
         _, rep = reconstruct(D)
         good = rep.commutator_max
-        bad = FundamentalData(**{**D.copy_fields(),
-                                 "f1": 1.5 * D.f1})
-        _, rep_bad = reconstruct(bad, compat_tol=np.inf, check_drift=False)
+        bad = dataclasses.replace(D, f1=1.5 * D.f1)
+        monkeypatch.setattr(frenet, "_COMPAT_FACTOR", np.inf)
+        monkeypatch.setattr(frenet, "_DRIFT_FACTOR", np.inf)
+        _, rep_bad = reconstruct(bad)
         assert rep_bad.commutator_max > 10 * good
 
     def test_congruence_freedom(self):

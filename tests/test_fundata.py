@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from conftest import interior_region, ratio_table
@@ -120,6 +123,31 @@ class TestGauge:
             if np.isfinite(r0.norms[k]):
                 assert abs(r1.norms[k] - r0.norms[k]) <= 1e-10
 
+    @pytest.mark.parametrize("theta", [0.4, "field"])
+    def test_result_shares_no_array(self, family_cache, theta):
+        D = family_cache("A1", 33)
+        if theta == "field":
+            theta = np.linspace(0.0, 1.0, D.shape[0])[:, None]
+        G = gauge_rotate(D, theta)
+        for name in SAMPLE_FIELDS + ("u_z",):
+            for a in arrays(getattr(D, name)):
+                for b in arrays(getattr(G, name)):
+                    assert not np.shares_memory(a, b), name
+
+    def test_broadcast_theta_shifts_A(self, family_cache):
+        # a theta of shape (nx, 1) acts as the same theta at full shape,
+        # A's connection term i theta_z included
+        D = family_cache("A1", 33)
+        col = 0.3 * np.sin(2.0 * np.arange(D.shape[0]) * D.hx)[:, None]
+        G = gauge_rotate(D, col)
+        assert_same_fields(gauge_rotate(D, col * np.ones(D.shape)), G)
+        assert compat_residuals(G).max() < 5 * compat_residuals(D).max()
+
+    def test_theta_of_wrong_shape_rejected(self, family_cache):
+        D = family_cache("A1", 33)
+        with pytest.raises(ValueError, match="broadcast"):
+            gauge_rotate(D, np.zeros(D.shape[0] + 1))
+
     def test_field_theta_shifts_A(self, family_cache):
         # non-constant theta: residuals still vanish because A picks up
         # the connection term i theta_z
@@ -140,8 +168,7 @@ class TestCompat:
 
     def test_corrupted_gamma_flagged(self):
         D = flat_lagrangian()
-        bad = FundamentalData(**{**D.copy_fields(),
-                                 "gamma1": 1.1 * D.gamma1})
+        bad = dataclasses.replace(D, gamma1=1.1 * D.gamma1)
         rep = compat_residuals(bad)
         # |1.1 gamma|^2 - |gamma|^2 = 0.21 |gamma|^2 = 0.105
         assert rep.norms["gammanorsec_1"] == pytest.approx(0.21 * 0.5, rel=1e-9)
@@ -246,23 +273,65 @@ class TestIdentities:
             assert r < 50 * max(D.hx, D.hy) ** 2
 
 
+# the per-sample fields of a FundamentalData, in fundata.json's key order
+SAMPLE_FIELDS = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A",
+                 "mask", "complex1", "complex2")
+
+
+def arrays(z):
+    return (z.re, z.im) if isinstance(z, ScalarEps) else (z,)
+
+
+def assert_bitwise(a, b):
+    """Same dtype, shape and bytes; nan where the other is nan."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    if a.dtype.kind == "f":
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        a, b = np.where(np.isnan(a), 0.0, a), np.where(np.isnan(b), 0.0, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_fields(D, E, sl=(slice(None), slice(None))):
+    """E's per-sample fields (u_z too, when D has it) are D's on sl."""
+    names = SAMPLE_FIELDS + (("u_z",) if D.u_z is not None else ())
+    for name in names:
+        for a, b in zip(arrays(getattr(D, name)), arrays(getattr(E, name)),
+                        strict=True):
+            assert_bitwise(a[sl], b)
+
+
 class TestSerialization:
-    def test_json_roundtrip(self, family_cache):
+    def test_json_roundtrip(self, family_cache, tmp_path):
         D = family_cache("C1", 33)
-        doc = fundata_to_json(D)
-        E = fundata_from_json(doc)
-        assert np.array_equal(np.where(D.mask, D.u, 0.0),
-                              np.where(E.mask, E.u, 0.0))
-        assert np.array_equal(np.where(D.mask, D.gamma1.re, 0.0),
-                              np.where(E.mask, E.gamma1.re, 0.0))
-        assert (E.p, E.eps, E.b) == (D.p, D.eps, D.b)
+        path = tmp_path / "fundata.json"
+        doc = fundata_to_json(D, path)
+        for E in (fundata_from_json(doc), fundata_from_json(path)):
+            assert_same_fields(dataclasses.replace(D, u_z=None), E)
+            assert E.u_z is None            # analytic u_z is not written
+            assert (E.p, E.eps, E.b, E.hx, E.hy) == (D.p, D.eps, D.b,
+                                                       D.hx, D.hy)
+            assert E.origin == D.origin and E.meta == D.meta
+
+    def test_json_key_order(self, family_cache, tmp_path):
+        path = tmp_path / "fundata.json"
+        fundata_to_json(family_cache("C1", 33), path)
+        keys = list(json.loads(path.read_text()))
+        assert keys == ["schema", "p", "eps", "b", "hx", "hy", "origin",
+                        *SAMPLE_FIELDS, "meta"]
 
     def test_restrict_window(self, family_cache):
         D = family_cache("C1", 33)
         E = restrict(D, (4, 20, 5, 25))
         assert E.shape == (16, 20)
+        assert_same_fields(D, E, (slice(4, 20), slice(5, 25)))
+        assert (E.p, E.eps, E.b, E.hx, E.hy) == (D.p, D.eps, D.b,
+                                                   D.hx, D.hy)
         assert E.origin == (D.origin[0] + 4 * D.hx, D.origin[1] + 5 * D.hy)
-        assert np.array_equal(E.u, D.u[4:20, 5:25])
+        assert E.meta == D.meta and E.diagnostics == D.diagnostics
+        assert not any(np.shares_memory(a, b) for name in SAMPLE_FIELDS
+                       for a in arrays(getattr(D, name))
+                       for b in arrays(getattr(E, name)))
 
     def test_crop_to_mask(self):
         D = flat_lagrangian(n=17)

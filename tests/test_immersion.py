@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minsurf.errors import BoundaryError, DegenerateMetric
+from minsurf.errors import DegenerateMetric
 from minsurf.fundata import extract
 from minsurf.immersion import (
     GridSpec,
     ImmersionGrid,
     class_masks,
     conformal_fields,
-    curvatures,
     form_norms,
     g_pair,
+    gauss_curvature_field,
     gauss_equation_residual,
     gauss_residual_field,
     grid_from_csv,
@@ -26,11 +26,13 @@ from minsurf.immersion import (
     grid_to_csv,
     grid_to_json,
     grid_to_obj,
+    hessian,
     hopf_fields,
     jacobians,
     jets,
     kahler_fields,
     mean_curvature_residual,
+    normal_curvature_field,
     oriented_frame,
     second_fundamental_fields,
     write_grid,
@@ -59,7 +61,7 @@ class TestJets:
         F = ImmersionGrid(0, 1, vals, 0.1, 0.1)
         J = jets(F)
         assert np.allclose(J.Fx[1:-1, 1:-1], 0.0)
-        assert np.allclose(J.Fyy[1:-1, 1:-1], 0.0)
+        assert np.allclose(hessian(F)[2][1:-1, 1:-1], 0.0)
 
     def test_richardson_refinement_against_chart(self):
         # F = (s(x, y), q): central differences converge to ds at O(h^2)
@@ -84,19 +86,19 @@ class TestJets:
                                     np.zeros(n)], axis=-1)[:, None, :]
         vals[..., 1, :] = np.array([0, 0, 1.0])
         F = ImmersionGrid(0, 1, vals, xs[1] - xs[0], xs[1] - xs[0])
-        Fxx = jets(F).Fxx[n // 2, n // 2]
+        Fxx = hessian(F)[0][n // 2, n // 2]
         assert np.allclose(Fxx[0], -c * c * vals[n // 2, n // 2, 0],
                            atol=5e-3 * c * c)
 
     def test_boundary_error(self):
-        # the x-stencils are nan on the edge line; the pointwise
-        # curvatures refuse a sample there
+        # the x-stencils are nan on the edge line; the pointwise Gauss
+        # residual refuses a sample there
         F = slice_grid(9)
-        J = jets(F)
-        for a in (J.Fx, J.Fxx, J.Fxy):
+        Fxx, Fxy, _ = hessian(F)
+        for a in (jets(F).Fx, Fxx, Fxy):
             assert np.all(np.isnan(a[0, 4]))
-        with pytest.raises(BoundaryError):
-            curvatures(F, 0, 4)
+        with pytest.raises(DegenerateMetric):
+            gauss_equation_residual(F, 0, 4)
 
 
 class TestConformal:
@@ -128,7 +130,7 @@ class TestConformal:
         C = conformal_fields(F)
         assert C.degenerate[32, 32] and not C.ok[32, 32]
         with pytest.raises(DegenerateMetric):
-            curvatures(F, 32, 32)
+            gauss_equation_residual(F, 32, 32)
 
     def test_negative_definite(self):
         spec = GridSpec.from_box(17, 17, (-1, 1), (-1, 1))
@@ -137,7 +139,7 @@ class TestConformal:
         assert C.negdef[8, 8] and not C.ok[8, 8]
         assert np.isnan(C.u[8, 8])
         with pytest.raises(DegenerateMetric):
-            curvatures(F, 8, 8)
+            gauss_equation_residual(F, 8, 8)
 
 
 class TestKahler:
@@ -274,22 +276,27 @@ class TestSecondFundamentalForm:
         assert mean_curvature_residual(F) is form_norms(F)[0]
 
 
+def curvatures_at(F, i, j):
+    """(K, Kperp) of the cached curvature fields at sample (i, j)."""
+    return gauss_curvature_field(F)[i, j], normal_curvature_field(F)[i, j]
+
+
 class TestCurvatures:
     def test_geodesic_product_flat(self):
         spec = GridSpec.from_box(33, 33, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
-        K, Kp = curvatures(F, 16, 16)
+        K, Kp = curvatures_at(F, 16, 16)
         assert abs(K) < 1e-9 and abs(Kp) < 1e-9
 
     def test_slice_unit_curvature(self):
         F = slice_grid(33)
-        K, Kp = curvatures(F, 16, 16)
+        K, Kp = curvatures_at(F, 16, 16)
         assert K == pytest.approx(1.0, abs=5e-3)
         assert abs(Kp) < 5e-3
 
     def test_ds2_slice_unit_curvature(self):
         F = build_example("slice:first-ds2", nx=33)
-        K, Kp = curvatures(F, 16, 16)
+        K, Kp = curvatures_at(F, 16, 16)
         assert K == pytest.approx(1.0, abs=5e-3)
         assert abs(Kp) < 5e-3
 
