@@ -7,10 +7,12 @@ convergence orders.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "tests")
+# the oracle families live beside the tests; find them from any directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import FAMILY_CASES, interior_region, oracle_family  # noqa: E402
 
 from minsurf.fundata import compat_residuals, extract  # noqa: E402

@@ -8,7 +8,8 @@
 Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
 fixed schema version; exit codes: 0 pass, 1 tolerance or domain failure,
-2 usage / I-O error.
+2 usage / I-O error.  ``pipeline`` takes its Gordon solve and family data
+from ``gordon.family_stage``; this module parses, checks and formats.
 
 ``verify --out`` writes grid.json and grid.csv from a forked child while
 the checks run, and joins it before returning; where os.fork is missing
@@ -29,7 +30,9 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import frenet, fundata, gordon, immersion, surfaces
-from .errors import DomainViolation, MinsurfError
+from .errors import MinsurfError
+# the benchmark's perfbench/bench_workloads.py reads these three from cli
+from .gordon import PIPELINE_DATA, _bump, _edge_profile  # noqa: F401
 from .immersion import GridSpec
 
 SCHEMA_VERSION = 1
@@ -389,126 +392,11 @@ def _check_grid(F, cfg: RunConfig):
     return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
 
 
-# ---------------------------------------------------------------------------
-# pipeline: gordon -> family -> reconstruct -> extract -> roundtrip
-# ---------------------------------------------------------------------------
-
-def _bump(x):
-    # flat to third order at both edges, with tame higher derivatives
-    return np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 4
-
-
-PIPELINE_DATA = {
-    # elliptic: Dirichlet pairs on [0, 0.5]^2 / [0, 1]^2
-    "A1": dict(box=((0.0, 0.5), (0.0, 0.5)),
-               gv=lambda x, y: 0.8 + 0.03 * np.cos(2 * np.pi * x)
-               + 0.02 * np.cos(2 * np.pi * y),
-               gw=lambda x, y: 0.15 + 0.015 * np.cos(2 * np.pi * x)),
-    "C1": dict(box=((0.0, 1.0), (0.0, 1.0)),
-               gv=lambda x, y: 0.5 + 0.05 * np.cos(2 * np.pi * x)
-               + 0.04 * np.sin(2 * np.pi * y),
-               gw=lambda x, y: 0.12 + 0.02 * np.cos(np.pi * y)),
-    # hyperbolic: x-profiles flat at the edges, 1-D edge columns
-    "A2": dict(xspan=(0.0, 1.0), a_v=0.12, c_v=0.04, a_w=0.9, c_w=0.03),
-    "B1": dict(xspan=(0.0, 1.0), a_v=0.25, c_v=0.05, a_w=0.4, c_w=0.04),
-    "B2": dict(xspan=(0.0, 1.0), a_v=1.35, c_v=0.03, a_w=0.22, c_w=0.02,
-               yquarter=True),
-    "C2": dict(xspan=(0.0, 1.0), a_v=0.5, c_v=0.06, a_w=0.12, c_w=0.03),
-}
-
-
-def _edge_profile(sigma, nonlin, a0, ys):
-    """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0.
-
-    ``nonlin`` is np.sinh or np.sin; the steps call its ``math`` twin on
-    Python floats.
-    """
-    scalar = getattr(math, nonlin.__name__)
-    m = 40
-    hy = float(ys[1] - ys[0]) / m
-    # 0.5 * hy * l1 multiplies as (0.5 * hy) * l1, so hoisting keeps bits
-    h2, h6, s2 = 0.5 * hy, hy / 6.0, 2.0 * sigma
-    out = np.empty_like(ys)
-    g, dg = float(a0), 0.0
-    out[0] = g
-    try:
-        for k in range(1, len(ys)):
-            for _ in range(m):
-                k1, l1 = dg, s2 * scalar(2.0 * g)
-                k2, l2 = dg + h2 * l1, s2 * scalar(2.0 * (g + h2 * k1))
-                k3, l3 = dg + h2 * l2, s2 * scalar(2.0 * (g + h2 * k2))
-                k4, l4 = dg + hy * l3, s2 * scalar(2.0 * (g + hy * k3))
-                g, dg = (g + h6 * (k1 + 2 * k2 + 2 * k3 + k4),
-                         dg + h6 * (l1 + 2 * l2 + 2 * l3 + l4))
-            out[k] = g
-    except OverflowError:
-        raise DomainViolation(
-            f"the edge ODE g'' = 2 sigma {scalar.__name__}(2g) with sigma = "
-            f"{sigma:g}, g(0) = {a0!r} blows up before y = {ys[k]:g}, "
-            f"inside the y-span [{ys[0]:g}, {ys[-1]:g}]") from None
-    return out
-
-
-def _edge(a, c, xspan):
-    """Edge datum a + c bump(x), flat to third order at both ends of xspan."""
-    x0, x1 = xspan
-    return lambda x: a + c * _bump((x - x0) / (x1 - x0))
-
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def gordon_stage(theorem, nx=33, ny=None):
-    """The pipeline's boundary data and Gordon solve: (spec, sol).
-
-    Elliptic families solve a Dirichlet problem on their box (ny = nx by
-    default); hyperbolic ones march from flat-edged x-profiles at y = 0
-    with hy = hx / 2, between edge columns from the 1-D y-reduction.
-    """
-    eps, p, b, kind, branch, qn = gordon.FAMILY_TABLE[theorem]
-    data = PIPELINE_DATA[theorem]
-    initial = None
-    if eps == 1:
-        box = data["box"]
-        spec = GridSpec.from_box(nx, ny or nx, box[0], box[1])
-        boundary = (data["gv"], data["gw"])
-    else:
-        nonlin, _, signs = gordon.KINDS[kind]
-        x0, x1 = data["xspan"]
-        hx = (x1 - x0) / (nx - 1)
-        div = 4 if data.get("yquarter") else 2
-        spec = GridSpec(nx, ny or ((nx - 1) // div + 1), hx, hx / 2.0,
-                        (x0, 0.0))
-        ys = spec.axes()[1]
-        # 1-D y-reduction of the equation: g'' = 2 s N(2g)
-        prof_v = _edge_profile(signs[0], nonlin, data["a_v"], ys)
-        prof_w = _edge_profile(signs[1], nonlin, data["a_w"], ys)
-        boundary = (lambda x, y: np.interp(y, ys, prof_v),
-                    lambda x, y: np.interp(y, ys, prof_w))
-        initial = ((_edge(data["a_v"], data["c_v"], data["xspan"]), _zero),
-                   (_edge(data["a_w"], data["c_w"], data["xspan"]), _zero))
-    sol = gordon.solve_gordon(kind, eps, spec, boundary=boundary,
-                              initial=initial)
-    return spec, sol
-
-
-def family_stage(theorem, nx=33, ny=None, t=0.0):
-    """The family data of the Gordon solution, trimmed by up to 5 samples
-    on each side, clear of the boundary layers of the discrete solves:
-    (sol, D)."""
-    spec, sol = gordon_stage(theorem, nx, ny)
-    D = gordon.build_family(theorem, sol, t=t)
-    mx = min(5, (spec.nx - 5) // 2)
-    my = min(5, (spec.ny - 5) // 2)
-    return sol, fundata.restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
-
-
 def run_pipeline(cfg: RunConfig):
     theorem = cfg.theorem
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
-    sol, D = family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
+    sol, D = gordon.family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
     rt = frenet.roundtrip_report(D)
     grid, rec = rt.grid, rt.rec
 
@@ -549,7 +437,7 @@ def run_pipeline(cfg: RunConfig):
                 "origin": list(sol.origin),
                 "residual_norm": sol.residual_norm,
                 "converged": bool(sol.converged),
-                "mask": sol.mask.astype(int).tolist(),
+                "mask": np.ones(sol.v.shape, dtype=int).tolist(),
                 "v": sol.v.tolist(), "w": sol.w.tolist()}))
         fundata.fundata_to_json(D, os.path.join(cfg.out, "fundata.json"))
         immersion.write_grid(grid, os.path.join(cfg.out, "grid.json"),

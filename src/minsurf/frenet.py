@@ -307,11 +307,11 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     else initial_frame(D) at its first sample.
 
     Returns (ImmersionGrid, ReconstructReport).  Raises
-    FrameConstructionError when D.mask is not all true or D spans fewer
-    than 5 samples in either direction, CompatViolation when the data fails
-    its compatibility system by more than _COMPAT_FACTOR h^2 and
-    DriftExceeded when the quadric constraints drift beyond
-    _DRIFT_FACTOR h^4 per step.
+    FrameConstructionError when D.mask is not all true, D spans fewer
+    than 5 samples in either direction or a packed coefficient is not
+    finite, CompatViolation when the data fails its compatibility system
+    by more than _COMPAT_FACTOR h^2 and DriftExceeded when the quadric
+    constraints drift beyond _DRIFT_FACTOR h^4 per step (or drift is nan).
     """
     if not D.mask.all():
         raise FrameConstructionError(
@@ -334,6 +334,11 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     p, eps, b = D.p, D.eps, D.b
 
     W = _pack_data(D)
+    bad = int(np.sum(~np.isfinite(W).all(axis=-1)))
+    if bad:
+        raise FrameConstructionError(
+            f"{bad} of {n1 * n2} samples carry non-finite data; "
+            f"reconstruction needs finite data at every sample")
     # Px[k, l] steps (k, l) -> (k+1, l), Py[k, l] steps (k, l) -> (k, l+1)
     Px = _propagators(W, D.hx, p, eps, b, "x")
     Py = _propagators(W.swapaxes(0, 1), D.hy, p, eps, b, "y").swapaxes(0, 1)
@@ -350,7 +355,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     drift = float(np.max(qres))
     steps = (n1 - 1) + n1 * (n2 - 1)
     budget = _DRIFT_FACTOR * h ** 4 * steps
-    if drift > budget:
+    if not drift <= budget:
         raise DriftExceeded(
             f"quadric drift {drift:.3e} exceeds budget {budget:.3e} "
             f"({steps} steps at h={h:.3e}); refine the grid")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import ScalarEps, exp_eps, unit_i
+from .algebra import ScalarEps, unit_i
 from .errors import EmptyInterior, NonMinimal, SignatureError
 from .immersion import (
     ImmersionGrid,
@@ -268,12 +268,15 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
 # ---------------------------------------------------------------------------
 
 def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
-    """Frame rotation xi -> exp_eps(i theta) xi acting on the data.
+    """Frame rotation xi -> q xi acting on the data, with q = cos theta
+    + i sin theta (eps = 1) or the boost cosh theta + i sinh theta
+    (eps = -1), so that |q|^2 = 1 and theta = 0 leaves D as it is.
 
     theta is a scalar or a field that broadcasts to D.shape (ValueError
-    otherwise); u and C_j are unchanged, gamma_1, f_1 pick up
-    exp_eps(-i theta), gamma_2, f_2 exp_eps(i theta), and A shifts by
-    i theta_z for a field theta.  The result shares no array with D.
+    otherwise); u and C_j are unchanged, gamma_1, f_1 pick up q(-theta),
+    gamma_2, f_2 q(theta), and A shifts by i theta_z for a field theta
+    (one-sided stencils on the edge lines).  The result shares no array
+    with D.
     """
     shifted = {}
     if np.ndim(theta) > 0:
@@ -282,8 +285,11 @@ def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
         except ValueError:
             raise ValueError(f"theta of shape {np.shape(theta)} does not "
                              f"broadcast to the data shape {D.shape}") from None
-        shifted["A"] = D.A + unit_i(D.eps) * dz(theta, D.hx, D.hy, D.eps)
-    q_plus, q_minus = exp_eps(theta, D.eps), exp_eps(-theta, D.eps)
+        shifted["A"] = D.A + unit_i(D.eps) * dz(theta, D.hx, D.hy, D.eps,
+                                                edges=True)
+    cos, sin = (np.cos, np.sin) if D.eps == 1 else (np.cosh, np.sinh)
+    q_plus, q_minus = (ScalarEps(cos(a), sin(a), D.eps)
+                       for a in (theta, -theta))
     return _map_fields(D, np.copy, gamma1=q_minus * D.gamma1,
                        gamma2=q_plus * D.gamma2, f1=q_minus * D.f1,
                        f2=q_plus * D.f2, **shifted)
@@ -517,33 +523,31 @@ def restrict(D: FundamentalData, window) -> FundamentalData:
 
 
 def crop_to_mask(D: FundamentalData):
-    """Largest index window (i0, i1, j0, j1) with an all-valid mask."""
+    """Largest-area index window (i0, i1, j0, j1) with an all-valid mask
+    and at least 5 samples on each side; EmptyInterior when there is none.
+
+    runs[j] counts the valid samples of column j that end at row i.  Each
+    maximal window ends at some row and is as tall as the run of one of
+    its columns, so a stack of rising runs meets every one of them (the
+    largest rectangle under a histogram, once per row).
+    """
     mask = D.mask
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        raise EmptyInterior("mask is empty")
-    i0, j0 = idx.min(axis=0)
-    i1, j1 = idx.max(axis=0) + 1
-    while i1 - i0 >= 5 and j1 - j0 >= 5:
-        sub = mask[i0:i1, j0:j1]
-        if sub.all():
-            break
-        sides = {
-            "i0": np.sum(~sub[0]), "i1": np.sum(~sub[-1]),
-            "j0": np.sum(~sub[:, 0]), "j1": np.sum(~sub[:, -1]),
-        }
-        worst = max(sides, key=sides.get)
-        if sides[worst] == 0:
-            # invalid points strictly inside; shrink the longer side
-            worst = "i0" if (i1 - i0) >= (j1 - j0) else "j0"
-        if worst == "i0":
-            i0 += 1
-        elif worst == "i1":
-            i1 -= 1
-        elif worst == "j0":
-            j0 += 1
-        else:
-            j1 -= 1
-    if not mask[i0:i1, j0:j1].all() or i1 - i0 < 5 or j1 - j0 < 5:
+    nx, ny = mask.shape
+    if mask.all() and min(nx, ny) >= 5:
+        return 0, nx, 0, ny
+    best, window = 0, None
+    runs = np.zeros(ny + 1, dtype=int)      # a zero run closes every row
+    for i in range(nx):
+        runs[:ny] = np.where(mask[i], runs[:ny] + 1, 0)
+        stack = []                          # (first column, run height)
+        for j, height in enumerate(runs.tolist()):
+            start = j
+            while stack and stack[-1][1] >= height:
+                start, top = stack.pop()
+                area = top * (j - start)
+                if min(top, j - start) >= 5 and area > best:
+                    best, window = area, (i + 1 - top, i + 1, start, j)
+            stack.append((start, height))
+    if window is None:
         raise EmptyInterior("no all-valid window of size >= 5x5 in the mask")
-    return int(i0), int(i1), int(j0), int(j1)
+    return window

@@ -14,10 +14,15 @@ para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
 y from initial data on y = 0).  An optional forcing turns either solver
 into a manufactured-solution test bench: the discrete equation is
 v_zzb + (s/2) N(2v) = forcing.
+
+The pipeline's six families (FAMILY_TABLE) take their boundary data from
+PIPELINE_DATA: gordon_stage solves each one's Gordon pair and family_stage
+builds its family data, trimmed clear of the solves' boundary layers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,7 +35,7 @@ from .errors import (
     DomainViolation,
     EmptyMask,
 )
-from .fundata import FundamentalData, se_where
+from .fundata import FundamentalData, restrict, se_where
 from .immersion import GridSpec, diff2, dz, wirtinger, zzbar
 
 KINDS = {
@@ -53,7 +58,6 @@ class GordonSolution:
     hy: float
     origin: tuple = (0.0, 0.0)
     residual_norm: float = float("nan")
-    mask: np.ndarray = None
     converged: bool = True
     iterations: tuple = (0, 0)
     # exact first derivatives when the construction provides them
@@ -62,10 +66,6 @@ class GordonSolution:
     w_x: np.ndarray = None
     w_y: np.ndarray = None
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(np.asarray(self.v).shape, dtype=bool)
 
     def dz(self, which: str) -> ScalarEps:
         """d/dz of v or w, using exact derivatives when available."""
@@ -78,12 +78,10 @@ class GordonSolution:
         return dz(f, self.hx, self.hy, self.eps)
 
 
-def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy,
-                      forcing=None) -> np.ndarray:
-    """Centered-difference residual of v_zzb + (s/2) N(2v) - f, interior."""
+def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy) -> np.ndarray:
+    """Centered-difference residual of v_zzb + (s/2) N(2v), interior."""
     N, _, signs = KINDS[kind]
-    s = signs[0]
-    return _component_residual(N, s, eps, u, hx, hy, forcing)
+    return _component_residual(N, signs[0], eps, u, hx, hy)
 
 
 def _component_residual(N, s, eps, u, hx, hy, forcing=None):
@@ -134,6 +132,8 @@ def _dirichlet_poisson(b, hx, hy):
 
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_MAXITER = 200
+_NEWTON_MAXITER = 40
+_NEWTON_TOL = 1e-11
 
 
 def _krylov_step(d, r, hx, hy):
@@ -189,8 +189,7 @@ def _krylov_step(d, r, hx, hy):
     return x, False, _KRYLOV_MAXITER
 
 
-def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
-                     max_iter, tol):
+def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
     """Damped Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
 
     Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points.  The
@@ -198,7 +197,7 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
     forcing); each step solves J du = -r by `_krylov_step`, followed by
     Armijo backtracking on |r|_2.  Newton stops once
 
-        max|r| <= max(4 tol, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
+        max|r| <= max(4 _NEWTON_TOL, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
 
     the second term being the round-off floor of the 5-point residual at
     this h: rounding u by eps_mach |u| per point moves the 5-point
@@ -220,7 +219,7 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
         return 4.0 * _component_residual(N, s, 1, u, hx, hy, f)[1:-1, 1:-1]
 
     def stop(u):
-        return max(4.0 * tol, floor_coef * np.max(np.abs(u)))
+        return max(4.0 * _NEWTON_TOL, floor_coef * np.max(np.abs(u)))
 
     # initial iterate: harmonic extension of the boundary data (+forcing)
     u[1:-1, 1:-1] = 0.0
@@ -231,7 +230,7 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
     it = 0
     converged = False
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAXITER + 1):
         rn = float(np.max(np.abs(r)))
         step = {"residual": rn, "lam": None, "krylov": 0}
         history.append(step)
@@ -257,7 +256,7 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing,
         if not ok:
             break
     else:
-        it = max_iter
+        it = _NEWTON_MAXITER
     if np.max(np.abs(r)) <= stop(u):
         converged = True
     return u, converged, it, history
@@ -297,8 +296,7 @@ def _leapfrog(N, s, spec: GridSpec, init, bc, forcing):
 # ---------------------------------------------------------------------------
 
 def solve_gordon(kind: str, eps: int, spec: GridSpec,
-                 boundary=None, initial=None, forcing=None,
-                 max_iter: int = 40, tol: float = 1e-11) -> GordonSolution:
+                 boundary=None, initial=None, forcing=None) -> GordonSolution:
     """Solve the chosen Gordon pair on the grid.
 
     eps=+1: ``boundary`` = (g_v, g_w) Dirichlet callables (x, y).
@@ -317,10 +315,8 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
         if boundary is None:
             raise ValueError("elliptic solve requires Dirichlet boundary data")
         gv, gw = boundary
-        v, cv, iv, hv = _newton_elliptic(N, dN, signs[0], spec, gv, fv,
-                                         max_iter, tol)
-        w, cw, iw, hw = _newton_elliptic(N, dN, signs[1], spec, gw, fw,
-                                         max_iter, tol)
+        v, cv, iv, hv = _newton_elliptic(N, dN, signs[0], spec, gv, fv)
+        w, cw, iw, hw = _newton_elliptic(N, dN, signs[1], spec, gw, fw)
         converged = cv and cw
         iters = (iv, iw)
     elif eps == -1:
@@ -340,7 +336,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     fwa = None if fw is None else np.asarray(fw(X, Y), dtype=float) * np.ones_like(w)
     res = _pair_residual(kind, eps, spec, v, w, fva, fwa)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, None, converged, iters,
+                          res, converged, iters,
                           meta={"history": {"v": hv, "w": hw}})
 
 
@@ -353,13 +349,12 @@ def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:
 
 
 def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
-                         v_x=None, v_y=None, w_x=None, w_y=None,
-                         forcing=None) -> GordonSolution:
+                         v_x=None, v_y=None, w_x=None, w_y=None) -> GordonSolution:
     """Wrap externally computed (v, w) fields (closed forms, ODE oracles)."""
     v, w = np.asarray(v, float), np.asarray(w, float)
-    res = _pair_residual(kind, eps, spec, v, w, forcing, forcing)
+    res = _pair_residual(kind, eps, spec, v, w, None, None)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, None, True, (0, 0), v_x, v_y, w_x, w_y)
+                          res, True, (0, 0), v_x, v_y, w_x, w_y)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +455,8 @@ def _sqrt_signed(r: np.ndarray, eps: int) -> ScalarEps:
     return ScalarEps(re, im, eps)
 
 
-def build_family(theorem: str, sol: GordonSolution, t: float = 0.0,
-                 strict: bool = False) -> FundamentalData:
+def build_family(theorem: str, sol: GordonSolution,
+                 t: float = 0.0) -> FundamentalData:
     """Fundamental data of the 1-parameter family attached to a Gordon pair."""
     if theorem not in FAMILY_TABLE:
         raise ValueError(f"unknown theorem {theorem!r}")
@@ -477,11 +472,7 @@ def build_family(theorem: str, sol: GordonSolution, t: float = 0.0,
     Sp, Sm = v + w, v - w
     if np.any(np.abs(Sp) > OVERFLOW_GUARD) or np.any(np.abs(Sm) > OVERFLOW_GUARD):
         raise DomainViolation("|v +- w| exceeds the overflow guard 350")
-    mask = family_mask(theorem, v, w) & sol.mask
-    if strict and not np.all(mask):
-        i, j = np.argwhere(~mask)[0]
-        raise DomainViolation(
-            f"grid point ({i},{j}) violates the {theorem} region inequalities")
+    mask = family_mask(theorem, v, w)
     if not np.any(mask):
         raise EmptyMask(f"no grid point satisfies the {theorem} region")
 
@@ -516,3 +507,113 @@ def build_family(theorem: str, sol: GordonSolution, t: float = 0.0,
         C1=np.where(mask, C1, np.nan), C2=np.where(mask, C2, np.nan),
         gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=mask,
         origin=sol.origin, u_z=uz, meta={"theorem": theorem, "t": t})
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's families: boundary data, Gordon solve, family data
+# ---------------------------------------------------------------------------
+
+def _bump(x):
+    # flat to third order at both edges, with tame higher derivatives
+    return np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 4
+
+
+PIPELINE_DATA = {
+    # elliptic: Dirichlet pairs on [0, 0.5]^2 / [0, 1]^2
+    "A1": dict(box=((0.0, 0.5), (0.0, 0.5)),
+               gv=lambda x, y: 0.8 + 0.03 * np.cos(2 * np.pi * x)
+               + 0.02 * np.cos(2 * np.pi * y),
+               gw=lambda x, y: 0.15 + 0.015 * np.cos(2 * np.pi * x)),
+    "C1": dict(box=((0.0, 1.0), (0.0, 1.0)),
+               gv=lambda x, y: 0.5 + 0.05 * np.cos(2 * np.pi * x)
+               + 0.04 * np.sin(2 * np.pi * y),
+               gw=lambda x, y: 0.12 + 0.02 * np.cos(np.pi * y)),
+    # hyperbolic: x-profiles flat at the edges, 1-D edge columns
+    "A2": dict(xspan=(0.0, 1.0), a_v=0.12, c_v=0.04, a_w=0.9, c_w=0.03),
+    "B1": dict(xspan=(0.0, 1.0), a_v=0.25, c_v=0.05, a_w=0.4, c_w=0.04),
+    "B2": dict(xspan=(0.0, 1.0), a_v=1.35, c_v=0.03, a_w=0.22, c_w=0.02,
+               yquarter=True),
+    "C2": dict(xspan=(0.0, 1.0), a_v=0.5, c_v=0.06, a_w=0.12, c_w=0.03),
+}
+
+
+def _edge_profile(sigma, nonlin, a0, ys):
+    """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0.
+
+    ``nonlin`` is np.sinh or np.sin; the steps call its ``math`` twin on
+    Python floats.
+    """
+    scalar = getattr(math, nonlin.__name__)
+    m = 40
+    hy = float(ys[1] - ys[0]) / m
+    # 0.5 * hy * l1 multiplies as (0.5 * hy) * l1, so hoisting keeps bits
+    h2, h6, s2 = 0.5 * hy, hy / 6.0, 2.0 * sigma
+    out = np.empty_like(ys)
+    g, dg = float(a0), 0.0
+    out[0] = g
+    try:
+        for k in range(1, len(ys)):
+            for _ in range(m):
+                k1, l1 = dg, s2 * scalar(2.0 * g)
+                k2, l2 = dg + h2 * l1, s2 * scalar(2.0 * (g + h2 * k1))
+                k3, l3 = dg + h2 * l2, s2 * scalar(2.0 * (g + h2 * k2))
+                k4, l4 = dg + hy * l3, s2 * scalar(2.0 * (g + hy * k3))
+                g, dg = (g + h6 * (k1 + 2 * k2 + 2 * k3 + k4),
+                         dg + h6 * (l1 + 2 * l2 + 2 * l3 + l4))
+            out[k] = g
+    except OverflowError:
+        raise DomainViolation(
+            f"the edge ODE g'' = 2 sigma {scalar.__name__}(2g) with sigma = "
+            f"{sigma:g}, g(0) = {a0!r} blows up before y = {ys[k]:g}, "
+            f"inside the y-span [{ys[0]:g}, {ys[-1]:g}]") from None
+    return out
+
+
+def _edge(a, c, xspan):
+    """Edge datum a + c bump(x), flat to third order at both ends of xspan."""
+    x0, x1 = xspan
+    return lambda x: a + c * _bump((x - x0) / (x1 - x0))
+
+
+def gordon_stage(theorem, nx=33, ny=None):
+    """The pipeline's boundary data and Gordon solve: (spec, sol).
+
+    Elliptic families solve a Dirichlet problem on their box (ny = nx by
+    default); hyperbolic ones march from flat-edged x-profiles at y = 0
+    with hy = hx / 2, between edge columns from the 1-D y-reduction.
+    """
+    eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
+    data = PIPELINE_DATA[theorem]
+    initial = None
+    if eps == 1:
+        box = data["box"]
+        spec = GridSpec.from_box(nx, ny or nx, box[0], box[1])
+        boundary = (data["gv"], data["gw"])
+    else:
+        nonlin, _, signs = KINDS[kind]
+        x0, x1 = data["xspan"]
+        hx = (x1 - x0) / (nx - 1)
+        div = 4 if data.get("yquarter") else 2
+        spec = GridSpec(nx, ny or ((nx - 1) // div + 1), hx, hx / 2.0,
+                        (x0, 0.0))
+        ys = spec.axes()[1]
+        # 1-D y-reduction of the equation: g'' = 2 s N(2g)
+        prof_v = _edge_profile(signs[0], nonlin, data["a_v"], ys)
+        prof_w = _edge_profile(signs[1], nonlin, data["a_w"], ys)
+        boundary = (lambda x, y: np.interp(y, ys, prof_v),
+                    lambda x, y: np.interp(y, ys, prof_w))
+        initial = ((_edge(data["a_v"], data["c_v"], (x0, x1)), np.zeros_like),
+                   (_edge(data["a_w"], data["c_w"], (x0, x1)), np.zeros_like))
+    sol = solve_gordon(kind, eps, spec, boundary=boundary, initial=initial)
+    return spec, sol
+
+
+def family_stage(theorem, nx=33, ny=None, t=0.0):
+    """The family data of the Gordon solution, trimmed by up to 5 samples
+    on each side, clear of the boundary layers of the discrete solves:
+    (sol, D)."""
+    spec, sol = gordon_stage(theorem, nx, ny)
+    D = build_family(theorem, sol, t=t)
+    mx = min(5, (spec.nx - 5) // 2)
+    my = min(5, (spec.ny - 5) // 2)
+    return sol, restrict(D, (mx, spec.nx - mx, my, spec.ny - my))

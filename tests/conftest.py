@@ -21,8 +21,7 @@ def ode_profile(sigma, nonlin, a0, xs, da0=0.0):
 def oracle_family(theorem, v0, w0, xmax, n, t=0.3):
     """Family data built from exact 1-D x-profiles of the Gordon pair."""
     eps, p, b, kind, branch, qn = gordon.FAMILY_TABLE[theorem]
-    nonlin = np.sinh if "sinh" in kind else np.sin
-    sv, sw = gordon.KINDS[kind][2]
+    nonlin, _, (sv, sw) = gordon.KINDS[kind]
     spec = GridSpec(n, n, xmax / (n - 1), xmax / (n - 1), (0.0, 0.0))
     xs, _ = spec.axes()
     v1, dv1 = ode_profile(-sv, nonlin, v0, xs)

@@ -2,18 +2,19 @@
 
 ``perfbench/bench_trace.py`` wraps each ``(module, function)`` of its
 ``TARGETS``, and ``Tracer.install`` fails on a missing name;
-``perfbench/bench_workloads.py`` reads three pipeline helpers of ``cli``.
-These tests catch a rename or deletion in ``src`` that would break the
-benchmark, without running it, and run one small families case, whose
-``fundata.restrict`` and ``compat_residuals`` calls the benchmark makes
-outside ``cli``.
+``perfbench/bench_workloads.py`` reads three pipeline helpers of ``cli``,
+which ``cli`` imports from ``gordon``.  These tests catch a rename or
+deletion in ``src`` that would break the benchmark, without running it,
+and run the small families case of every family: it repeats
+``gordon.family_stage``'s set-up in its own code, which must keep giving
+the stage's numbers exactly.
 """
 
 import importlib
 import math
 from pathlib import Path
 
-from minsurf import cli, gordon
+from minsurf import cli, fundata, gordon
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,14 +30,18 @@ def test_trace_targets_exist(monkeypatch):
 
 
 def test_workload_helpers_exist():
+    assert cli.PIPELINE_DATA is gordon.PIPELINE_DATA
+    assert cli._edge_profile is gordon._edge_profile
+    assert cli._bump is gordon._bump
     assert set(cli.PIPELINE_DATA) == set(gordon.FAMILY_TABLE)
-    assert callable(cli._edge_profile)
-    assert callable(cli._bump)
 
 
 def test_families_case_runs(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     bench_workloads = importlib.import_module("bench_workloads")
-    out = bench_workloads.solve_family("C1", 25, 0.5)
-    assert out["mask_points"] > 0
-    assert math.isfinite(out["compat"]["max"])
+    for theorem in sorted(gordon.FAMILY_TABLE):
+        out = bench_workloads.solve_family(theorem, 25, 0.5)
+        assert out["mask_points"] > 0
+        assert math.isfinite(out["compat"]["max"])
+        D = gordon.family_stage(theorem, 25, t=0.5)[1]
+        assert out["compat"] == fundata.compat_residuals(D).to_json(), theorem

@@ -10,7 +10,7 @@ import pytest
 from conftest import FAMILY_CASES, ratio_table
 
 import minsurf
-from minsurf import cli, frenet, gordon
+from minsurf import frenet, gordon
 from minsurf.algebra import ScalarEps, unit_i
 from minsurf.errors import (
     CompatViolation,
@@ -55,10 +55,10 @@ def isometry(p, theta):
 
 FRAME_HASH = """
 import hashlib
-from minsurf import cli, frenet, gordon
+from minsurf import frenet, gordon
 h = hashlib.sha256()
 for theorem in sorted(gordon.FAMILY_TABLE):
-    D = cli.family_stage(theorem, 33)[1]
+    D = gordon.family_stage(theorem, 33)[1]
     h.update(frenet.initial_frame(D).pack().tobytes())
 print(h.hexdigest())
 """
@@ -188,7 +188,7 @@ def block_frame_matrix(dat, p, eps, b, direction):
 
 @pytest.fixture(scope="module")
 def families33():
-    return {t: cli.family_stage(t, 33)[1] for t in sorted(gordon.FAMILY_TABLE)}
+    return {t: gordon.family_stage(t, 33)[1] for t in sorted(gordon.FAMILY_TABLE)}
 
 
 class TestFrameMatrix:
@@ -310,6 +310,15 @@ class TestReconstruct:
         assert rt.grid.values.shape[:2] == (20, 21)
         assert rt.grid.origin == (D.hx, 0.0)
 
+    def test_non_finite_data_rejected(self):
+        # a nan coefficient would spread through the sweeps, and a nan
+        # drift passes no gate: the record is refused before integrating
+        D = gordon.family_stage("C1", 33)[1]
+        D.A.re[3, 4] = np.nan
+        with pytest.raises(FrameConstructionError,
+                           match=r"^1 of 529 samples carry non-finite data"):
+            reconstruct(D)
+
     def test_commutator_tracks_inconsistency(self, family_cache,
                                              monkeypatch):
         # consistent data: tiny commutator; corrupted data: much larger
@@ -326,7 +335,7 @@ class TestReconstruct:
         # a second admissible frame, moved by an isometry fixing (0,0,1) in
         # each factor: the roundtrip diffs must not see the difference
         for theorem in sorted(FAMILY_CASES):
-            D = cli.family_stage(theorem, 33)[1]
+            D = gordon.family_stage(theorem, 33)[1]
             fs = initial_frame(D)
             R = np.stack([isometry(D.p, 0.7), isometry(D.p, -0.4)])
             moved = FrameState.unpack(np.einsum(

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation
 
+from minsurf import gordon
 from minsurf.algebra import ScalarEps
 from minsurf.errors import EmptyInterior, NonMinimal, SignatureError
+from minsurf.frenet import roundtrip_report
 from minsurf.fundata import (
     FundamentalData,
     NotApplicable,
@@ -43,6 +45,11 @@ def flat_lagrangian(n=17, h=0.05, gamma=1 / np.sqrt(2)):
                            gamma1=c(gamma), gamma2=c(gamma),
                            f1=c(0.0), f2=c(0.0), A=c(0.0),
                            mask=np.ones((n, n), bool))
+
+
+def with_mask(mask):
+    """A record carrying mask, for crop_to_mask, which reads nothing else."""
+    return dataclasses.replace(flat_lagrangian(n=5), mask=mask)
 
 
 class TestExtract:
@@ -95,11 +102,42 @@ class TestExtract:
 
 
 class TestGauge:
-    def test_identity_at_zero(self, family_cache):
-        D = family_cache("C1", 33)
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_identity_at_zero(self, family_cache, theorem):
+        # q(0) = 1 for both signatures: the Lorentzian rotation is a boost
+        D = family_cache(theorem, 33)
         G = gauge_rotate(D, 0.0)
-        assert se_sup(G.gamma1 - D.gamma1, D.mask) < 1e-15
-        assert se_sup(G.f2 - D.f2, D.mask) < 1e-15
+        for name in SAMPLE_FIELDS:
+            for a, b in zip(arrays(getattr(D, name)), arrays(getattr(G, name))):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_constant_rotation_keeps_compat(self, family_cache, theorem):
+        D = family_cache(theorem, 33)
+        G = gauge_rotate(D, 0.3)
+        for j in (1, 2):
+            g, gg = getattr(D, f"gamma{j}"), getattr(G, f"gamma{j}")
+            assert field_sup(gg.abs2() - g.abs2(), D.mask) < 1e-12
+        # a boost moves the Euclidean moduli of the residuals by at most
+        # e^|theta| either way; the scalar relations do not move
+        r0, r1 = compat_residuals(D).norms, compat_residuals(G).norms
+        for k in r0:
+            assert r1[k] <= np.exp(0.3) * r0[k] + 1e-10, k
+            assert r0[k] <= np.exp(0.3) * r1[k] + 1e-10, k
+        for k in ("gammanorsec_1", "gammanorsec_2"):
+            assert abs(r1[k] - r0[k]) <= 1e-10, k
+
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_field_rotation_round_trips(self, theorem):
+        # a rotated record is the same surface in another normal frame: it
+        # reconstructs, edges included, and round-trips like the original
+        D = gordon.family_stage(theorem, 33, t=0.3)[1]
+        xs, ys = GridSpec(*D.shape, D.hx, D.hy, D.origin).axes()
+        theta = 0.3 * np.sin(2.0 * xs)[:, None] + 0.2 * np.cos(3.0 * ys)
+        G = gauge_rotate(D, theta)
+        assert np.all(np.isfinite(G.A.re)) and np.all(np.isfinite(G.A.im))
+        rt0, rt1 = roundtrip_report(D).max(), roundtrip_report(G).max()
+        assert abs(rt1 - rt0) <= 0.05 * rt0
 
     @pytest.mark.parametrize("eps_src", ["C1", "B1"])
     def test_double_rotation(self, family_cache, eps_src):
@@ -348,13 +386,40 @@ class TestSerialization:
         D.mask[3:6, 11] = False     # part of the last column
         D.mask[4, 4] = False        # an interior hole
         window = crop_to_mask(D)
-        # the last column, then the last row go first (most invalid
-        # points); the hole then shrinks the longer side until row 4 is
-        # a border row, which goes too
-        assert window == (5, 11, 3, 11)
+        # rows 5-10 below the hole, all columns: 6 x 11 samples (rows
+        # 1-11 by columns 5-10 tie with it)
+        assert window == (5, 11, 0, 11)
         i0, i1, j0, j1 = window
         assert D.mask[i0:i1, j0:j1].all()
         assert (i1 - i0) >= 5 and (j1 - j0) >= 5
+
+    def test_crop_to_mask_past_one_invalid_column(self):
+        # one invalid column: the window is the wider side of it, whole
+        mask = np.ones((23, 55), bool)
+        mask[:, 36] = False
+        assert crop_to_mask(with_mask(mask)) == (0, 23, 0, 36)
+
+    @given(shape=st.tuples(st.integers(5, 12), st.integers(5, 12)),
+           holes=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_crop_to_mask_is_the_largest_window(self, shape, holes):
+        mask = np.ones(shape, bool)
+        for i, j in holes:
+            mask[i % shape[0], j % shape[1]] = False
+        best = max(((i1 - i0) * (j1 - j0)
+                    for i0 in range(shape[0])
+                    for i1 in range(i0 + 5, shape[0] + 1)
+                    for j0 in range(shape[1])
+                    for j1 in range(j0 + 5, shape[1] + 1)
+                    if mask[i0:i1, j0:j1].all()), default=None)
+        if best is None:
+            with pytest.raises(EmptyInterior):
+                crop_to_mask(with_mask(mask))
+            return
+        i0, i1, j0, j1 = crop_to_mask(with_mask(mask))
+        assert mask[i0:i1, j0:j1].all() and min(i1 - i0, j1 - j0) >= 5
+        assert (i1 - i0) * (j1 - j0) == best
 
     def test_crop_to_mask_without_a_window(self):
         D = flat_lagrangian(n=12)

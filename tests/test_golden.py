@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from minsurf import cli, fundata
+from minsurf import cli, fundata, gordon
 from minsurf.surfaces import EXAMPLES
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
@@ -30,7 +30,7 @@ def verify_numbers(name):
 
 def family_numbers(theorem):
     """The pipeline's Gordon residual and trimmed family data."""
-    sol, D = cli.family_stage(theorem, N)
+    sol, D = gordon.family_stage(theorem, N)
     return {"gordon_residual": sol.residual_norm,
             "mask_points": int(D.mask.sum()),
             "compat": fundata.compat_residuals(D).norms}
@@ -66,7 +66,7 @@ def test_verify_report_unchanged(golden, name):
     assert_close(got, golden["verify"][name])
 
 
-@pytest.mark.parametrize("theorem", sorted(cli.gordon.FAMILY_TABLE))
+@pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
 def test_family_data_unchanged(golden, theorem):
     got = json.loads(json.dumps(family_numbers(theorem)))
     assert_close(got, golden["families"][theorem])
@@ -75,6 +75,6 @@ def test_family_data_unchanged(golden, theorem):
 if __name__ == "__main__":
     doc = {"verify": {n: verify_numbers(n) for n in sorted(EXAMPLES)},
            "families": {t: family_numbers(t)
-                        for t in sorted(cli.gordon.FAMILY_TABLE)}}
+                        for t in sorted(gordon.FAMILY_TABLE)}}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import cli, frenet
+from minsurf import frenet, gordon
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frames.json"
 N = 33
@@ -44,17 +44,17 @@ def golden():
 
 @pytest.fixture(scope="module")
 def families():
-    return {t: cli.family_stage(t, N)[1]
-            for t in sorted(cli.gordon.FAMILY_TABLE)}
+    return {t: gordon.family_stage(t, N)[1]
+            for t in sorted(gordon.FAMILY_TABLE)}
 
 
-@pytest.mark.parametrize("theorem", sorted(cli.gordon.FAMILY_TABLE))
+@pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
 def test_initial_frame_unchanged(golden, families, theorem):
     got = frenet.initial_frame(families[theorem]).pack()
     np.testing.assert_array_equal(got, golden[theorem]["init"])
 
 
-@pytest.mark.parametrize("theorem", sorted(cli.gordon.FAMILY_TABLE))
+@pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
 def test_reconstruction_unchanged(golden, families, theorem):
     want = golden[theorem]
     got = sweep(families[theorem], want["init"])
@@ -72,8 +72,8 @@ def test_reconstruction_unchanged(golden, families, theorem):
 
 if __name__ == "__main__":
     doc = {}
-    for theorem in sorted(cli.gordon.FAMILY_TABLE):
-        D = cli.family_stage(theorem, N)[1]
+    for theorem in sorted(gordon.FAMILY_TABLE):
+        D = gordon.family_stage(theorem, N)[1]
         init = frenet.initial_frame(D).pack().tolist()
         doc[theorem] = {"init": init, **sweep(D, init)}
     GOLDEN.write_text(json.dumps(doc, sort_keys=True) + "\n")
