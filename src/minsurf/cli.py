@@ -7,9 +7,9 @@
 
 Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
-fixed schema version; exit codes: 0 pass, 1 tolerance or domain failure,
-2 usage / I-O error.  ``pipeline`` takes its Gordon solve and family data
-from ``gordon.family_stage``; this module parses, checks and formats.
+fixed schema version; exit codes: 0 pass, 1 a failed gate (fundata.GATES)
+or domain failure, 2 usage / I-O error.  This module parses, applies the
+gates and formats; a run stopped by a gate still writes its report.
 
 ``verify --out`` writes grid.json and grid.csv from a forked child while
 the checks run, and joins it before returning; where os.fork is missing
@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -49,9 +50,9 @@ READS = {
     "pipeline": {"theorem", "nx", "ny", "t", "tol", "out"},
 }
 FLAGS = {"nx": "grid", "ny": "grid", "hx": "h", "hy": "h"}
-# the tolerances each subcommand checks, the NAMEs of --tol NAME=VALUE
-TOLS = {"verify": {"quadric", "iso_residual", "minimality", "gauss", "compat"},
-        "pipeline": {"roundtrip"}}
+# the NAMEs of each subcommand's --tol NAME=VALUE; stage gates are fixed
+TOLS = {c: {name for name, g in fundata.GATES.items() if g[0] == c}
+        for c in ("verify", "pipeline")}
 # the type of each scalar key; a number is an int or a float, never a bool
 NUMBER = (int, float)
 TYPES = {"example": str, "input": str, "theorem": str, "out": str,
@@ -219,6 +220,12 @@ def _load_grid(cfg: RunConfig) -> immersion.ImmersionGrid:
     raise ValueError("verify needs --example or --input")
 
 
+def _tolerances(command, cfg: RunConfig, h) -> dict:
+    """The command's settable gates at grid spacing h, --tol applied."""
+    return {name: cfg.tol.get(name, fundata.tolerance(name, h))
+            for name in fundata.GATES if name in TOLS[command]}
+
+
 def _fraction(mask, denom_mask):
     n = int(np.sum(denom_mask))
     return float(np.sum(mask & denom_mask)) / n if n else float("nan")
@@ -282,16 +289,8 @@ def cmd_verify(cfg: RunConfig):
 
 def _check_grid(F, cfg: RunConfig):
     """verify's checks of the grid F: (exit code, report)."""
-    h = max(F.hx, F.hy)
     rng = np.random.default_rng(cfg.seed)
-    tols = {
-        "quadric": 1e-9,
-        "iso_residual": 200.0 * h * h,
-        "minimality": 100.0 * h * h,
-        "gauss": 500.0 * h * h,
-        "compat": 300.0 * h * h,
-    }
-    tols.update(cfg.tol)
+    tols = _tolerances("verify", cfg, max(F.hx, F.hy))
 
     C = immersion.conformal_fields(F)
     interior = np.zeros((F.nx, F.ny), dtype=bool)
@@ -378,7 +377,9 @@ def _check_grid(F, cfg: RunConfig):
                 report["extraction"] = {k: v for k, v in D.diagnostics.items()
                                         if np.isscalar(v) or isinstance(v, tuple)}
             except MinsurfError as exc:
+                # a check that could not run is not a pass
                 report["extraction_error"] = f"{type(exc).__name__}: {exc}"
+                failures.append("extraction")
 
         for name, val in norms.items():
             key = "compat" if name.startswith("compat_") else name
@@ -393,18 +394,12 @@ def _check_grid(F, cfg: RunConfig):
 
 
 def run_pipeline(cfg: RunConfig):
+    """pipeline's stages and gates: (exit code, report)."""
     theorem = cfg.theorem
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
     sol, D = gordon.family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
-    rt = frenet.roundtrip_report(D)
-    grid, rec = rt.grid, rt.rec
-
     h = max(D.hx, D.hy)
-    tols = {"roundtrip": 200.0 * h * h}
-    tols.update(cfg.tol)
-    worst = rt.max()
-    passed = np.isfinite(worst) and worst <= tols["roundtrip"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "pipeline",
@@ -417,20 +412,20 @@ def run_pipeline(cfg: RunConfig):
                    "iterations": list(sol.iterations),
                    "history": sol.meta["history"]},
         "mask_points": int(np.sum(D.mask)),
-        "roundtrip": rt.to_json(),
-        "reconstruction": {
-            "drift": rec.drift, "drift_budget": rec.drift_budget,
-            "steps": rec.steps, "commutator_max": rec.commutator_max,
-            "commutator_cumulative": rec.commutator_cumulative,
-        },
-        "tolerances": tols,
-        "pass": bool(passed),
+        "roundtrip": None,
+        "reconstruction": None,
+        "tolerances": _tolerances("pipeline", cfg, h),
+        "gates": {},
+        "failures": [],
     }
+    grid = _round_trip(D, h, report)
+    report["pass"] = not report["failures"]
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "report.json"), "w") as fh:
+        out = functools.partial(os.path.join, cfg.out)
+        with open(out("report.json"), "w") as fh:
             json.dump(report, fh, indent=1)
-        with open(os.path.join(cfg.out, "gordon.json"), "w") as fh:
+        with open(out("gordon.json"), "w") as fh:
             fh.write(json.dumps({
                 "schema": "minsurf-gordon-1", "eq_kind": sol.eq_kind,
                 "eps": sol.eps, "hx": sol.hx, "hy": sol.hy,
@@ -439,12 +434,39 @@ def run_pipeline(cfg: RunConfig):
                 "converged": bool(sol.converged),
                 "mask": np.ones(sol.v.shape, dtype=int).tolist(),
                 "v": sol.v.tolist(), "w": sol.w.tolist()}))
-        fundata.fundata_to_json(D, os.path.join(cfg.out, "fundata.json"))
-        immersion.write_grid(grid, os.path.join(cfg.out, "grid.json"),
-                             os.path.join(cfg.out, "grid.csv"))
-        immersion.grid_to_obj(grid, os.path.join(cfg.out, "factor1.obj"),
-                              os.path.join(cfg.out, "factor2.obj"))
-    return (EXIT_PASS if passed else EXIT_FAIL), report
+        fundata.fundata_to_json(D, out("fundata.json"))
+        if grid is not None:
+            immersion.write_grid(grid, out("grid.json"), out("grid.csv"))
+            immersion.grid_to_obj(grid, out("factor1.obj"), out("factor2.obj"))
+    return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
+
+
+def _round_trip(D, h, report):
+    """Crop, reconstruct, extract and compare D, each stage followed by its
+    gate, into report; the first gate that fails ends the run.  Returns
+    the reconstructed grid, or None."""
+    def failed(name, norm, tol):
+        report["gates"][name] = {"norm": norm, "tol": tol}
+        if not (np.isfinite(norm) and norm <= tol):
+            report["failures"].append(name)
+        return name in report["failures"]
+
+    D = fundata.restrict(D, fundata.crop_to_mask(D))
+    if failed("record_compat", fundata.compat_residuals(D).max(),
+              fundata.tolerance("record_compat", h)):
+        return None
+    grid, rec = frenet.reconstruct(D)
+    report["reconstruction"] = asdict(rec)
+    if failed("drift", rec.drift, rec.drift_budget):
+        return grid
+    D2 = fundata.extract(grid, b=D.b)
+    if failed("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
+              fundata.tolerance("reconstruction_H", h)):
+        return grid
+    rt = frenet.roundtrip_compare(D, D2, grid, rec)
+    report["roundtrip"] = rt.to_json()
+    failed("roundtrip", rt.max(), report["tolerances"]["roundtrip"])
+    return grid
 
 
 def main(argv=None) -> int:

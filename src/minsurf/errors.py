@@ -21,10 +21,6 @@ class DegenerateMetric(MinsurfError):
     """Pulled-back metric is (numerically) degenerate at the point."""
 
 
-class NonMinimal(MinsurfError):
-    """Operation requires a minimal immersion but |H| exceeds tolerance."""
-
-
 class EmptyInterior(MinsurfError):
     """No valid interior points remain after masking."""
 
@@ -43,14 +39,6 @@ class DomainViolation(MinsurfError):
 
 class EmptyMask(DomainViolation):
     """No grid point satisfies the admissible-region inequalities."""
-
-
-class CompatViolation(MinsurfError):
-    """Fundamental data fails the compatibility equations beyond tolerance."""
-
-
-class DriftExceeded(MinsurfError):
-    """Frame-integration constraint drift exceeded its budget."""
 
 
 class FrameConstructionError(MinsurfError):

@@ -383,8 +383,8 @@ def test_criterion_9_frenet_roundtrip(family_cache):
         reps = {}
         for n in (33, 65):
             D = family_cache(theorem, n)
-            rt = roundtrip_report(D)   # raises DriftExceeded past budget
-            assert rt.drift <= rt.drift_budget
+            rt = roundtrip_report(D)   # ungated: the drift is checked here
+            assert rt.rec.drift <= rt.rec.drift_budget
             reps[n] = rt.diffs
         ratios = ratio_table(reps[33], reps[65])
         assert min(ratios.values()) >= 3.0, (theorem, ratios)

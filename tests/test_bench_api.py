@@ -7,7 +7,9 @@ which ``cli`` imports from ``gordon``.  These tests catch a rename or
 deletion in ``src`` that would break the benchmark, without running it,
 and run the small families case of every family: it repeats
 ``gordon.family_stage``'s set-up in its own code, which must keep giving
-the stage's numbers exactly.
+the stage's numbers exactly.  ``Workload.evaluate`` indexes the keys of a
+pipeline report directly, so a report that fails a gate must still carry
+every one of them.
 """
 
 import importlib
@@ -45,3 +47,16 @@ def test_families_case_runs(monkeypatch):
         assert math.isfinite(out["compat"]["max"])
         D = gordon.family_stage(theorem, 25, t=0.5)[1]
         assert out["compat"] == fundata.compat_residuals(D).to_json(), theorem
+
+
+def test_pipeline_reports_evaluate(monkeypatch, tmp_path):
+    # A1 fails its record_compat gate at 65^2 and still returns a report
+    # the benchmark reads; C1 passes its re-checks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench_workloads = importlib.import_module("bench_workloads")
+    wl = bench_workloads.Workload("pipeline-65", 0, False, str(tmp_path))
+    for theorem, passed in (("A1", False), ("C1", True)):
+        result = cli.run_pipeline(cli.parse_args(
+            ["pipeline", "--theorem", theorem, "--grid", "65"]))
+        out = wl.evaluate(f"pipeline:{theorem}", result, 1.0)
+        assert (out.passed, out.problems) == (passed, []), theorem

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 import signal
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import cli, frenet, immersion, surfaces
+from minsurf import cli, frenet, fundata, immersion, surfaces
 from minsurf.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -21,7 +22,7 @@ from minsurf.cli import (
     parse_args,
     run_pipeline,
 )
-from minsurf.errors import DomainViolation
+from minsurf.errors import DomainViolation, EmptyInterior
 from minsurf.immersion import grid_to_csv, grid_to_json
 from minsurf.surfaces import EXAMPLES, build_example
 
@@ -58,13 +59,32 @@ class TestVerify:
         assert (tmp_path / "grid.json").exists()
 
     def test_degenerate_example_reported(self, tmp_path, capsys):
+        # extraction runs on the metric-valid part, whose data fail the
+        # compatibility system: a fail with the compat norms, not a pass
         code = main(["verify", "--example", "holo:2z1",
                      "--out", str(tmp_path)])
         capsys.readouterr()
-        assert code == EXIT_PASS
+        assert code == EXIT_FAIL
         report = json.loads((tmp_path / "report.json").read_text())
+        assert "extraction_error" not in report
+        assert "compat_integrability_2" in report["failures"]
+        assert all(f.startswith("compat_") for f in report["failures"])
         assert report["degeneracy_contour_points"] > 0
         assert report["fractions"]["negative_definite"] > 0
+
+    def test_extraction_error_is_a_failure(self, monkeypatch):
+        # a check that could not run is not a pass
+        def broken(F, b=1):
+            raise EmptyInterior("no valid interior points")
+
+        monkeypatch.setattr(fundata, "extract", broken)
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "slice:first", "--grid", "17"]))
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["extraction"]
+        assert report["extraction_error"] == \
+            "EmptyInterior: no valid interior points"
+        assert not any(k.startswith("compat_") for k in report["norms"])
 
     def test_corrupted_input_fails_with_named_norm(self, tmp_path, capsys):
         F = build_example("slice:first", nx=17)
@@ -500,6 +520,114 @@ class TestPipeline:
         assert gordon_doc["eps"] == -1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["gordon"]["history"] == {"v": [], "w": []}
+
+
+class TestPipelineGates:
+    """pipeline's fixed stage gates run in stage order; the first that
+    fails ends the run with exit 1 and a report naming it."""
+
+    @staticmethod
+    def pipeline(*args):
+        return run_pipeline(parse_args(["pipeline", "--theorem", *args]))
+
+    @pytest.mark.parametrize("theorem, grid, norm, tol", [
+        ("A1", "65", 9.863e-03, 3.052e-03),
+        ("A2", "33x65", 7.715e+02, 4.883e-02),
+    ])
+    def test_failed_gate_writes_its_report(self, theorem, grid, norm, tol,
+                                           tmp_path, capsys):
+        out = tmp_path / "out"
+        code, summary = run(["pipeline", "--theorem", theorem, "--grid", grid,
+                             "--out", str(out)], capsys)
+        assert code == EXIT_FAIL
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is summary["pass"] is False
+        assert report["failures"] == summary["failures"] == ["record_compat"]
+        gate = report["gates"]["record_compat"]
+        assert gate["norm"] == pytest.approx(norm, rel=5e-4)
+        assert gate["tol"] == pytest.approx(tol, rel=5e-4)
+        assert report["roundtrip"] is None
+        assert report["reconstruction"] is None
+        # the family's files are written; there is no reconstruction
+        assert (out / "fundata.json").exists()
+        assert not (out / "grid.json").exists()
+
+    def test_compat_violation_blocks(self, monkeypatch):
+        # A1's record fails its compatibility gate before the integration
+        def never(*args, **kwargs):
+            raise AssertionError("reconstruct ran past a failed gate")
+
+        monkeypatch.setattr(frenet, "reconstruct", never)
+        code, report = self.pipeline("A1", "--grid", "65")
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["record_compat"]
+        assert list(report["gates"]) == ["record_compat"]
+
+    def test_drift_budget_enforced(self, monkeypatch):
+        # a first frame 1% off the quadric drifts past 100 h^4 per step
+        first_frame = frenet.initial_frame
+
+        def off_quadric(D):
+            fs = first_frame(D)
+            fs.F = 1.01 * fs.F
+            return fs
+
+        def never(*args, **kwargs):
+            raise AssertionError("extract ran past a failed gate")
+
+        monkeypatch.setattr(frenet, "initial_frame", off_quadric)
+        monkeypatch.setattr(fundata, "extract", never)
+        code, report = self.pipeline("A1", "--grid", "33")
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["drift"]
+        rec = report["reconstruction"]
+        assert report["gates"]["drift"] == {"norm": rec["drift"],
+                                            "tol": rec["drift_budget"]}
+        assert rec["drift"] > 0.02 > rec["drift_budget"]
+        assert report["roundtrip"] is None
+
+    def test_nonminimal_reconstruction_fails(self):
+        # C1 at 129^2 rebuilds a surface whose |H| exceeds 50 h^2
+        code, report = self.pipeline("C1", "--grid", "129", "--t", "0.3")
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["reconstruction_H"]
+        assert list(report["gates"]) == ["record_compat", "drift",
+                                         "reconstruction_H"]
+        gate = report["gates"]["reconstruction_H"]
+        assert gate["norm"] == pytest.approx(5.010e-03, rel=5e-4)
+        assert gate["tol"] == pytest.approx(3.052e-03, rel=5e-4)
+        assert report["reconstruction"] is not None
+        assert report["roundtrip"] is None
+
+    def test_passing_run_reports_every_gate(self):
+        code, report = self.pipeline("C1", "--grid", "33")
+        assert code == EXIT_PASS
+        assert report["failures"] == []
+        assert list(report["gates"]) == ["record_compat", "drift",
+                                         "reconstruction_H", "roundtrip"]
+        for gate in report["gates"].values():
+            assert gate["norm"] <= gate["tol"]
+        assert report["gates"]["roundtrip"] == {
+            "norm": report["roundtrip"]["max"],
+            "tol": report["tolerances"]["roundtrip"]}
+
+
+class TestDocs:
+    def test_readme_tolerance_rows_match_gates(self):
+        # README's rows | command | NAME | default | --tol | checks |
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \| (yes|no) \|",
+                          readme.read_text(), flags=re.M)
+        power = {"": 0, "h²": 2, "h⁴": 4}
+        documented = {}
+        for command, name, default, settable in rows:
+            c, h = re.match(r"([0-9.e+-]+)(h[²⁴])?", default).groups()
+            documented[name] = (command, float(c), power[h or ""],
+                                settable == "yes")
+        assert documented == {
+            name: ("pipeline" if group == "stage" else group, c, k,
+                   name in TOLS.get(group, ()))
+            for name, (group, c, k) in fundata.GATES.items()}
 
 
 class TestRuntimeImports:

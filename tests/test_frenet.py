@@ -12,11 +12,7 @@ from conftest import FAMILY_CASES, ratio_table
 import minsurf
 from minsurf import frenet, gordon
 from minsurf.algebra import ScalarEps, unit_i
-from minsurf.errors import (
-    CompatViolation,
-    DriftExceeded,
-    FrameConstructionError,
-)
+from minsurf.errors import FrameConstructionError
 from minsurf.frenet import (
     FrameState,
     initial_frame,
@@ -278,18 +274,6 @@ class TestReconstruct:
         assert rt.diffs["u"] <= h2
         assert rt.diffs["gamma1_norm2"] <= h2
 
-    def test_compat_violation_blocks(self):
-        D = flat_lagrangian()
-        bad = dataclasses.replace(D, gamma1=1.5 * D.gamma1)
-        with pytest.raises(CompatViolation):
-            reconstruct(bad)
-
-    def test_drift_budget_enforced(self, family_cache, monkeypatch):
-        D = family_cache("A1", 33)
-        monkeypatch.setattr(frenet, "_DRIFT_FACTOR", 1e-12)
-        with pytest.raises(DriftExceeded):
-            reconstruct(D)
-
     def test_narrow_window_rejected(self):
         # the cubic half steps need 4 samples, the output grid 5
         D = flat_lagrangian()
@@ -319,15 +303,13 @@ class TestReconstruct:
                            match=r"^1 of 529 samples carry non-finite data"):
             reconstruct(D)
 
-    def test_commutator_tracks_inconsistency(self, family_cache,
-                                             monkeypatch):
-        # consistent data: tiny commutator; corrupted data: much larger
+    def test_commutator_tracks_inconsistency(self, family_cache):
+        # consistent data: tiny commutator; corrupted data: much larger.
+        # reconstruct gates nothing, so the corrupted record integrates
         D = family_cache("C1", 33)
         _, rep = reconstruct(D)
         good = rep.commutator_max
         bad = dataclasses.replace(D, f1=1.5 * D.f1)
-        monkeypatch.setattr(frenet, "_COMPAT_FACTOR", np.inf)
-        monkeypatch.setattr(frenet, "_DRIFT_FACTOR", np.inf)
         _, rep_bad = reconstruct(bad)
         assert rep_bad.commutator_max > 10 * good
 
@@ -355,7 +337,7 @@ class TestRoundTripFamilies:
         for n in (33, 65):
             D = family_cache(theorem, n)
             rt = roundtrip_report(D)
-            assert rt.drift <= rt.drift_budget
+            assert rt.rec.drift <= rt.rec.drift_budget
             reps[n] = rt.diffs
         ratios = ratio_table(reps[33], reps[65])
         assert min(ratios.values()) > 3.0, (theorem, ratios)
@@ -364,4 +346,4 @@ class TestRoundTripFamilies:
         rt = roundtrip_report(family_cache("B1", 33))
         h2 = max(0.4 / 32, 0.4 / 32) ** 2
         assert rt.max() < 50 * h2
-        assert rt.drift <= rt.drift_budget
+        assert rt.rec.drift <= rt.rec.drift_budget

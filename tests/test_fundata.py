@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation
 
-from minsurf import gordon
+from minsurf import cli, gordon
 from minsurf.algebra import ScalarEps
-from minsurf.errors import EmptyInterior, NonMinimal, SignatureError
+from minsurf.errors import EmptyInterior, SignatureError
 from minsurf.frenet import roundtrip_report
 from minsurf.fundata import (
     FundamentalData,
@@ -32,6 +32,7 @@ from minsurf.fundata import (
     log_sqrt_residual,
     restrict,
     se_sup,
+    tolerance,
 )
 from minsurf.immersion import GridSpec, ImmersionGrid
 from minsurf.surfaces import build_example, make_geodesic_product, stereographic
@@ -84,8 +85,12 @@ class TestExtract:
         vals = np.stack([stereographic(X, Y),
                          stereographic(X / 2 + 0.2 * X ** 2, Y / 2)], axis=2)
         F = ImmersionGrid(0, 1, vals, spec.hx, spec.hy, spec.origin)
-        with pytest.raises(NonMinimal):
-            extract(F)
+        # extract measures |H| and gates nothing; the gates reject it
+        sup = extract(F).diagnostics["mean_curvature_sup"]
+        assert sup > 5 * tolerance("reconstruction_H", spec.hx)
+        code, report = cli._check_grid(F, cli.RunConfig(command="verify"))
+        assert code == cli.EXIT_FAIL
+        assert "minimality" in report["failures"]
 
     def test_riemannian_forces_b(self):
         F = build_example("holo:2z1-safe", nx=17)
