@@ -33,10 +33,8 @@ from .immersion import (
     ImmersionGrid,
     conformal_fields,
     dz,
-    g_pair,
     gauss_curvature,
     grad_norm2_induced,
-    hessian,
     kahler_fields,
     laplacian_induced,
     mean_curvature_residual,
@@ -220,7 +218,8 @@ def fd_tol(D_or_grid, u) -> np.ndarray:
 def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """Extract fundamental data from a sampled immersion, ungated: the
     diagnostic mean_curvature_sup is the sup of |H| over the points whose
-    metric is valid with the declared signature (EmptyInterior if none)."""
+    metric is valid with the declared signature (EmptyInterior if none).
+    gamma_j and f_j scale oriented_frame's per-sample products."""
     C = conformal_fields(F)
     eps = F.eps
     if eps == 1 and b != 1:
@@ -234,11 +233,8 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     fr = oriented_frame(F, b)
     ok = ok & ~fr.bad
 
-    Fxx, Fxy, Fyy = hessian(F)
-    Fzz = ScalarEps((Fxx - eps * Fyy) / 4.0, -eps * Fxy / 2.0, eps)
-    del Fxx, Fxy, Fyy
     gamma1, gamma2 = fr.g1 * (-b), fr.g2 * (-b)
-    f1, f2 = (f * (-eps * b) for f in g_pair(Fzz, fr.xi, F.p))
+    f1, f2 = fr.zz1 * (-eps * b), fr.zz2 * (-eps * b)
 
     C1, C2 = kahler_fields(F)
     C1 = np.where(ok, C1, np.nan)
@@ -386,6 +382,7 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
         r = 2.0 * uzzb + 4.0 * eps * b * em2u * fs[j].abs2() \
             + ((-1.0) ** j) * re_term + 0.5 * eps * ((-1.0) ** p) * e2u * D.C1 * D.C2
         norms[f"integrability_{j}"] = field_sup(r, m)
+        del Cz, gbz, fbz, lhs, rhs, r   # not kept beside the A pair below
 
     # A-consistency between the two defining expressions (nan when the
     # strata leave no point where both are defined)

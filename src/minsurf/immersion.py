@@ -313,24 +313,24 @@ def normal_projector(F: ImmersionGrid):
     """The map V -> normal part of (..., 2, 3) product vectors V along the
     grid: V minus its position components and its G-projection onto
     span(F_x, F_y), by the full 2x2 Gram system.  F_x and F_y lose the
-    position components that finite-difference tangents keep first.  The
-    cached map holds arrays only: holding F would make a reference cycle."""
-    def make():
-        J = jets(F)
-        base, p = F.values, F.p
-        Tx = tangent_project_arr(base, J.Fx, p)
-        Ty = tangent_project_arr(base, J.Fy, p)
-        gxx, gxy, gyy = g_inner(Tx, Tx, p), g_inner(Tx, Ty, p), g_inner(Ty, Ty, p)
-        det = gxx * gyy - gxy * gxy
+    position components that finite-difference tangents keep first.  Built
+    on each call, as it holds two vector fields: callers drop it after use."""
+    J = jets(F)
+    base, p = F.values, F.p
+    Tx = tangent_project_arr(base, J.Fx, p)
+    Ty = tangent_project_arr(base, J.Fy, p)
+    gxx, gxy, gyy = g_inner(Tx, Tx, p), g_inner(Tx, Ty, p), g_inner(Ty, Ty, p)
+    det = gxx * gyy - gxy * gxy
 
-        def normal_part(V):
-            W = tangent_project_arr(base, V, p)
-            wx, wy = g_inner(W, Tx, p), g_inner(W, Ty, p)
-            cx = (gyy * wx - gxy * wy) / det
-            cy = (gxx * wy - gxy * wx) / det
-            return W - cx[..., None, None] * Tx - cy[..., None, None] * Ty
-        return normal_part
-    return F._cached("projector", make)
+    def normal_part(V):
+        W = tangent_project_arr(base, V, p)
+        wx, wy = g_inner(W, Tx, p), g_inner(W, Ty, p)
+        cx = (gyy * wx - gxy * wy) / det
+        cy = (gxx * wy - gxy * wx) / det
+        W -= cx[..., None, None] * Tx
+        W -= cy[..., None, None] * Ty
+        return W
+    return normal_part
 
 
 def second_fundamental_fields(F: ImmersionGrid):
@@ -338,6 +338,7 @@ def second_fundamental_fields(F: ImmersionGrid):
 
     Returns (h11, h12, h22, H) as (nx,ny,2,3) arrays, built uncached; valid
     on the ok mask of the conformal fields intersected with the interior.
+    form_norms forms the same fields one at a time.
     """
     C = conformal_fields(F)
     normal_part = normal_projector(F)
@@ -351,18 +352,26 @@ def second_fundamental_fields(F: ImmersionGrid):
 def form_norms(F: ImmersionGrid):
     """Cached per-sample contractions (|H|, G(H, H), |h|^2) of the second
     fundamental form, with |H| Euclidean and |h|^2 taken in the frame
-    e_k = e^{-u} F_k; the (nx,ny,2,3) fields are dropped once read."""
+    e_k = e^{-u} F_k.  The fields of second_fundamental_fields are formed
+    by the same operations, h12 after h11 and h22 are dropped."""
     def make():
         C = conformal_fields(F)
-        h11, h12, h22, H = second_fundamental_fields(F)
         emu2 = np.exp(-2.0 * C.u)[..., None, None]
 
         def norm2(h):
             e = emu2 * h
             return g_inner(e, e, F.p)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normal_part = normal_projector(F)
+            h11 = normal_part(diff2(F.values, F.hx, 0))
+            h22 = normal_part(diff2(F.values, F.hy, 1))
+            H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
+                / C.e2u[..., None, None]
+            n = norm2(h11) + norm2(h22)
+            del h11, h22
+            n12 = norm2(normal_part(d_xy(F.values, F.hx, F.hy)))
         return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
-                g_inner(H, H, F.p),
-                norm2(h11) + norm2(h22) + 2.0 * C.eps_sign * norm2(h12))
+                g_inner(H, H, F.p), n + 2.0 * C.eps_sign * n12)
     return F._cached("form_norms", make)
 
 
@@ -402,7 +411,8 @@ def normal_frame(F: ImmersionGrid, b: int):
     pointwise would splice discontinuous frames together); the pair with
     the fewest ill-conditioned points wins.  Ntilde is the normal
     G-orthogonal to N that orients (F_x, F_y, N, Ntilde) positively for
-    the product orientation pi1*w ^ pi2*w.
+    the product orientation pi1*w ^ pi2*w.  Built uncached; each pair's
+    vectors are dropped before the next, the projector before Ntilde.
     """
     p, eps, base = F.p, F.eps, F.values
     C = conformal_fields(F)
@@ -423,33 +433,38 @@ def normal_frame(F: ImmersionGrid, b: int):
             else:
                 # Lorentzian normal bundle: N is the eigenvector of the 2x2
                 # Gram form whose eigenvalue has the sign of |N|^2 = b
-                nu = np.stack([nu1, nu2], axis=-3)
-                S = g_inner(nu[..., :, None, :, :], nu[..., None, :, :, :], p)
-                lam, Q = np.linalg.eigh(np.nan_to_num(S))
+                s12 = g_inner(nu1, nu2, p)
+                S = np.stack([g_inner(nu1, nu1, p), s12, s12,
+                              g_inner(nu2, nu2, p)], axis=-1)
+                lam, Q = np.linalg.eigh(np.nan_to_num(
+                    S, copy=False).reshape(usable.shape + (2, 2)))
                 ok = usable & (lam[..., 1] > _FRAME_TOL * scale) \
                     & (-lam[..., 0] > _FRAME_TOL * scale)
                 c = 1 if b == 1 else 0
-                w = (Q[..., 0, c][..., None, None] * nu1
-                     + Q[..., 1, c][..., None, None] * nu2)
+                Ncand = np.multiply(nu1, Q[..., 0, c][..., None, None], out=nu1)
+                Ncand += np.multiply(nu2, Q[..., 1, c][..., None, None], out=nu2)
                 # eigenvectors are defined up to sign; align by continuity
-                w = w * _continuity_signs(w)[..., None, None]
-                Ncand = w / np.sqrt(np.where(ok, b * lam[..., c], 1.0))[..., None, None]
+                Ncand *= _continuity_signs(Ncand)[..., None, None]
+                Ncand /= np.sqrt(np.where(ok, b * lam[..., c], 1.0))[..., None, None]
             n_bad = int(np.sum(usable & ~ok))
             if best is None or n_bad < best[0]:
                 best = (n_bad, Ncand, ok)
+            del nu1, nu2, Ncand
             if n_bad == 0:
                 break
 
         _, N, ok = best
+        del normal_part
         # G(V, V) = vol(F_x, F_y, N, V) has the sign -b of |Ntilde|^2, so
         # -b V is positively oriented
         J = jets(F)
-        V = orientation_dual(base, J.Fx, J.Fy, N, p)
-        nvv = g_inner(V, V, p)
+        Nt = orientation_dual(base, J.Fx, J.Fy, N, p)
+        nvv = g_inner(Nt, Nt, p)
         ok = ok & (b * nvv < 0)
-        Nt = -b * V / np.sqrt(np.where(ok, -b * nvv, 1.0))[..., None, None]
-    N = np.where(ok[..., None, None], N, np.nan)
-    Nt = np.where(ok[..., None, None], Nt, np.nan)
+        Nt *= -b
+        Nt /= np.sqrt(np.where(ok, -b * nvv, 1.0))[..., None, None]
+    N[~ok] = np.nan
+    Nt[~ok] = np.nan
     return N, Nt, ~ok
 
 
@@ -465,6 +480,14 @@ def j_fz(F: ImmersionGrid, k: int):
     return J_product(k, F.values, complex_vector(J.Fx, J.Fy, F.eps, 2.0), F.p)
 
 
+def f_zz(F: ImmersionGrid) -> ScalarEps:
+    """F_zz = (F_xx - eps F_yy)/4 - eps i F_xy/2; uncached, and its real
+    part is formed before F_xy."""
+    V, eps = F.values, F.eps
+    re = (diff2(V, F.hx, 0) - eps * diff2(V, F.hy, 1)) / 4.0
+    return ScalarEps(re, -eps * d_xy(V, F.hx, F.hy) / 2.0, eps)
+
+
 def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
     """(G(Z, xibar), G(Z, xi)) from the four real products both share;
     bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
@@ -476,33 +499,34 @@ def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
 
 @dataclass
 class NormalFrame:
-    """Oriented normal frame, xi = (N - i eps Ntilde)/sqrt(2), and the
-    products g1 = G(J1 F_z, xibar), g2 = G(J2 F_z, xi) of the structure
-    equations J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z
-    + eps gamma2 xibar, so that gamma_j = -b g_j."""
+    """Per-sample products with the oriented xi = (N - i eps Ntilde)/sqrt(2):
+    g1 = G(J1 F_z, xibar), g2 = G(J2 F_z, xi) of the structure equations
+    J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z + eps gamma2 xibar,
+    so gamma_j = -b g_j; zz1 = G(F_zz, xibar), zz2 = G(F_zz, xi), so
+    f_j = -eps b zz_j.  No vector field: normal_frame rebuilds N, Ntilde."""
 
-    N: np.ndarray
-    Nt: np.ndarray
-    xi: ScalarEps
     bad: np.ndarray
     g1: ScalarEps
     g2: ScalarEps
+    zz1: ScalarEps
+    zz2: ScalarEps
     diag: dict
 
 
 def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
-    """Grid-wide normal frame whose Ntilde-sign is fixed by the structure
-    equations, cached per b: xi must carry the xi-component of J1 F_z and
-    the xibar-component of J2 F_z, so the frame is flipped globally
-    (Ntilde -> -Ntilde maps xi to xibar) if the cross components dominate.
-    diag holds the decomposition diagnostics.  Each J_k F_z is contracted
-    with xi and xibar as it is formed, so one is alive at a time."""
+    """Products of the grid-wide normal frame whose Ntilde-sign is fixed by
+    the structure equations, cached per b: xi must carry the xi-component
+    of J1 F_z and the xibar-component of J2 F_z, so the frame is flipped
+    globally (Ntilde -> -Ntilde maps xi to xibar) if the cross components
+    dominate (diag["orientation_flipped"]).  xi, each J_k F_z and F_zz
+    are contracted as they are formed and dropped."""
     def make():
-        # normal_frame's temporaries are freed before any J_k F_z is formed
         N, Nt, bad = normal_frame(F, b)
         xi = complex_vector(N, Nt, F.eps, np.sqrt(2.0))
+        del N, Nt
         g1, c1 = g_pair(j_fz(F, 1), xi, F.p)
         c2, g2 = g_pair(j_fz(F, 2), xi, F.p)
+        zz1, zz2 = g_pair(f_zz(F), xi, F.p)
 
         def e2(z):
             return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)
@@ -511,10 +535,11 @@ def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
         cross = e2(c1) + e2(c2)
         flipped = bool(np.nansum(cross) > np.nansum(good))
         if flipped:
-            Nt, xi, g1, g2, good, cross = -Nt, xi.conj(), c1, c2, cross, good
+            # xi -> xibar swaps each pair of products exactly
+            g1, g2, zz1, zz2, good, cross = c1, c2, zz2, zz1, cross, good
         tot = np.nansum(good)
         frac = float(np.nansum(cross) / tot) if tot > 0 else 0.0
-        return NormalFrame(N, Nt, xi, bad, g1, g2, {
+        return NormalFrame(bad, g1, g2, zz1, zz2, {
             "orientation_flipped": flipped, "cross_component_fraction": frac})
     return F._cached(f"frame_{b}", make)
 
@@ -537,9 +562,11 @@ def normal_curvature_field(F: ImmersionGrid, b: int = 1) -> np.ndarray:
         C = conformal_fields(F)
         emu = np.exp(-C.u)[..., None, None]
         he = [emu * emu * h for h in second_fundamental_fields(F)[:3]]
-        fr = oriented_frame(F, b)
-        a11, a12, a22 = (g_inner(h, fr.N, F.p) for h in he)
-        b11, b12, b22 = (g_inner(h, fr.Nt, F.p) for h in he)
+        N, Nt, _ = normal_frame(F, b)
+        if oriented_frame(F, b).diag["orientation_flipped"]:
+            Nt = -Nt    # the frame oriented_frame's products are taken in
+        a11, a12, a22 = (g_inner(h, N, F.p) for h in he)
+        b11, b12, b22 = (g_inner(h, Nt, F.p) for h in he)
         return a11 * b12 - a12 * b11 + C.eps_sign * (a12 * b22 - a22 * b12)
     return F._cached(f"Kperp_{b}", make)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from minsurf import cli, frenet, fundata, immersion, surfaces
+from minsurf.algebra import ScalarEps
 from minsurf.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -328,19 +330,52 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err == f"error: --grid expects N or NXxNY, got {grid!r}\n"
 
-    def test_check_memory_bound(self):
+    @pytest.mark.parametrize("name", ["slice:first", "holo:2z1-safe",
+                                      "paraholo:z2"])
+    def test_check_memory_bound(self, name):
         # the checks cache scalar contractions, not (nx,ny,2,3) vector
-        # fields: their peak stays within 25 grids' worth of bytes
-        F = build_example("holo:2z1-safe", nx=129)
+        # fields, and form each vector field where it is contracted: their
+        # peak stays within 13 grids' worth of bytes (paraholo:z2 runs the
+        # Lorentzian normal frame)
+        F = build_example(name, nx=129)
         tracemalloc.start()
         try:
             code, _ = cli._check_grid(F, cli.RunConfig(
-                command="verify", example="holo:2z1-safe"))
+                command="verify", example=name))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak <= 25 * F.values.nbytes
+        assert peak <= 13 * F.values.nbytes
+
+    @pytest.mark.parametrize("name", ["slice:first", "paraholo:z2"])
+    def test_check_caches_no_vector_field(self, name):
+        # after the checks, only the jets F_x, F_y are cached as product
+        # vectors; every other cached entry holds per-sample values
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, ScalarEps):
+                yield from (x.re, x.im)
+            elif isinstance(x, (tuple, list)):
+                for y in x:
+                    yield from arrays(y)
+            elif dataclasses.is_dataclass(x):
+                for f in dataclasses.fields(x):
+                    yield from arrays(getattr(x, f.name))
+            elif isinstance(x, dict):
+                for y in x.values():
+                    yield from arrays(y)
+            elif callable(x):
+                for cell in x.__closure__ or ():
+                    yield from arrays(cell.cell_contents)
+
+        F = build_example(name, nx=33)
+        cli._check_grid(F, cli.RunConfig(command="verify", example=name))
+        assert "jets" in F._cache and "frame_1" in F._cache
+        vector_entries = [key for key, v in F._cache.items() if key != "jets"
+                          and any(a.shape[-2:] == (2, 3) for a in arrays(v))]
+        assert vector_entries == []
 
     def test_tol_override(self, capsys):
         code, summary = run(["verify", "--example", "slice:first",

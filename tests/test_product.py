@@ -65,12 +65,18 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_g_inner_normal_frame_pairs(self, p):
-        # the broadcast pair of immersion.normal_frame's Gram matrix
+        # the Gram matrix of a normal pair (nu1, nu2) as one broadcast
+        # g_inner call; immersion.normal_frame takes its three entries by
+        # three calls, which must match it bit for bit
         nu = np.random.default_rng(22).normal(size=(17, 19, 2, 2, 3))
         X, Y = nu[..., :, None, :, :], nu[..., None, :, :, :]
         got = g_inner(X, Y, p)
         assert got.shape == (17, 19, 2, 2)
         assert np.array_equal(got, two_call_g_inner(X, Y, p))
+        nu1, nu2 = nu[..., 0, :, :], nu[..., 1, :, :]
+        for (r, c), (A, B) in {(0, 0): (nu1, nu1), (0, 1): (nu1, nu2),
+                               (1, 0): (nu1, nu2), (1, 1): (nu2, nu2)}.items():
+            assert np.array_equal(g_inner(A, B, p), got[..., r, c])
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("p", [0, 1])
