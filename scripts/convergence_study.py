@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Grid-refinement study of the compatibility residuals.
+"""Grid-refinement study of the compatibility residuals and the pointwise
+Kahler identities.
 
-Prints sup-norm residual tables at 33^2 / 65^2 / 129^2 for the example
-surfaces and the six explicit families, together with the observed
-convergence orders.
+Prints sup-norm residual tables at 33^2 / 65^2 / 129^2, with the observed
+convergence orders: the compatibility residuals of the example surfaces and
+of the six explicit families, then each family's identity residuals
+(fundata.identity_residuals).
 """
 
 import sys
@@ -15,7 +17,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import FAMILY_CASES, interior_region, oracle_family  # noqa: E402
 
-from minsurf.fundata import compat_residuals, extract  # noqa: E402
+from minsurf.fundata import (  # noqa: E402
+    compat_residuals,
+    extract,
+    field_sup,
+    identity_residuals,
+)
 from minsurf.immersion import GridSpec  # noqa: E402
 from minsurf.surfaces import EXAMPLES, build_example  # noqa: E402
 
@@ -56,11 +63,14 @@ def main():
         table(f"extracted: {name}", norms)
 
     for theorem, (v0, w0, xmax) in FAMILY_CASES.items():
-        norms = {}
+        norms, identities = {}, {}
         for n in NS:
             D = oracle_family(theorem, v0, w0, xmax, n)
             norms[n] = compat_residuals(D).norms
+            identities[n] = {k: field_sup(r)
+                             for k, r in identity_residuals(D).items()}
         table(f"family {theorem}", norms)
+        table(f"identities {theorem}", identities)
 
 
 if __name__ == "__main__":

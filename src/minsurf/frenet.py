@@ -37,7 +37,7 @@ from .fundata import (
     restrict,
     tolerance,
 )
-from .immersion import ImmersionGrid, dz
+from .immersion import ImmersionGrid
 from .product import J_product, g_inner
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
@@ -105,22 +105,17 @@ class FrameState:
 # data lines: packed coefficient table with cubic half-step interpolation
 # ---------------------------------------------------------------------------
 
-_NFIELD = 16
+_NFIELD = 15
 
 
 def _pack_data(D: FundamentalData) -> np.ndarray:
+    """The data lines (..., 15) of a record: e^{2u}, C_1, C_2, then the
+    (re, im) parts of gamma_1, gamma_2, f_1, f_2, A and u_z."""
     out = np.empty(D.shape + (_NFIELD,))
-    e2u = D.e2u()
-    if D.u_z is not None:
-        uz = D.u_z
-    else:
-        uz = dz(D.u, D.hx, D.hy, D.eps, edges=True)
-    cols = [e2u, D.C1, D.C2,
+    cols = [D.e2u(), D.C1, D.C2,
             D.gamma1.re, D.gamma1.im, D.gamma2.re, D.gamma2.im,
             D.f1.re, D.f1.im, D.f2.re, D.f2.im,
-            D.A.re, D.A.im,
-            np.broadcast_to(uz.re, D.shape), np.broadcast_to(uz.im, D.shape),
-            np.zeros(D.shape)]
+            D.A.re, D.A.im, D.u_z.re, D.u_z.im]
     for k, c in enumerate(cols):
         out[..., k] = c
     return out
@@ -145,7 +140,7 @@ def _halves(lines: np.ndarray) -> np.ndarray:
 def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
                   direction: str) -> np.ndarray:
     """Coefficient matrices M (..., 2, 5, 5) of the frame system at data
-    dat (..., 16), one block per factor.
+    dat (..., 15) from _pack_data, one block per factor.
 
     On each ambient coordinate of a factor, the x- or y-derivative of
     (F, Re F_z, Im F_z, Re xi, Im xi) is M times it.  Multiplication by
@@ -153,7 +148,7 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
     the factors differ only through Fhat in F_zzb.
     """
     (e2u, C1, C2, g1r, g1i, g2r, g2i, f1r, f1i, f2r, f2i, Ar, Ai,
-     uzr, uzi) = np.moveaxis(dat, -1, 0)[:15]
+     uzr, uzi) = np.moveaxis(dat, -1, 0)
     sp1 = (-1.0) ** (p + 1)
     w = 2.0 * eps * (1.0 / e2u) * b
     c = -sp1 * eps * b / 2.0
@@ -198,7 +193,7 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
 def _propagators(lines: np.ndarray, h: float, p: int, eps: int, b: int,
                  direction: str) -> np.ndarray:
     """One classical RK4 step as a matrix (n-1, ..., 2, 5, 5) from each of
-    the data lines (n, ..., 16) to the next, from the coefficients at the
+    the data lines (n, ..., 15) to the next, from the coefficients at the
     start, middle and end of the step; built a few lines at a time, so the
     temporaries stay small on any grid."""
     half = _halves(lines)

@@ -32,25 +32,14 @@ from .errors import EmptyInterior, SignatureError
 from .immersion import (
     ImmersionGrid,
     conformal_fields,
+    diff,
     dz,
     gauss_curvature,
-    grad_norm2_induced,
     kahler_fields,
-    laplacian_induced,
     mean_curvature_residual,
     oriented_frame,
     zzbar,
 )
-
-
-class _NotApplicableType:
-    """Marker for identities that degenerate on the given data."""
-
-    def __repr__(self):
-        return "NotApplicable"
-
-
-NotApplicable = _NotApplicableType()
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +48,9 @@ NotApplicable = _NotApplicableType()
 
 @dataclass
 class FundamentalData:
+    """The septuple on a grid, one array per field (_FIELDS); u_z, when not
+    given, is dz(u) with one-sided stencils on the edge lines."""
+
     p: int
     eps: int
     b: int
@@ -76,7 +68,7 @@ class FundamentalData:
     complex1: np.ndarray = None
     complex2: np.ndarray = None
     origin: tuple = (0.0, 0.0)
-    u_z: ScalarEps = None          # analytic d/dz of u when available
+    u_z: ScalarEps = None
     diagnostics: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -87,6 +79,8 @@ class FundamentalData:
             self.complex1 = np.zeros(self.shape, dtype=bool)
         if self.complex2 is None:
             self.complex2 = np.zeros(self.shape, dtype=bool)
+        if self.u_z is None:
+            self.u_z = dz(self.u, self.hx, self.hy, self.eps, edges=True)
 
     @property
     def shape(self):
@@ -95,23 +89,15 @@ class FundamentalData:
     def e2u(self) -> np.ndarray:
         return np.exp(2.0 * self.u)
 
-    def uz(self) -> ScalarEps:
-        if self.u_z is not None:
-            return self.u_z
-        return dz(self.u, self.hx, self.hy, self.eps)
-
-    def kahler_pair(self, j: int):
-        """(C_j, C_j') with j' the other index."""
-        return (self.C1, self.C2) if j == 1 else (self.C2, self.C1)
-
 
 # the per-sample fields of a FundamentalData, in fundata.json's key order,
-# with the kind of each; u_z, analytic and optional, rides along in restrict
-# and gauge_rotate but is not written
+# with the kind of each; restrict, gauge_rotate and the JSON I/O act on
+# exactly these
 _FIELDS = {"u": float, "C1": float, "C2": float,
            "gamma1": ScalarEps, "gamma2": ScalarEps, "f1": ScalarEps,
            "f2": ScalarEps, "A": ScalarEps,
-           "mask": bool, "complex1": bool, "complex2": bool}
+           "mask": bool, "complex1": bool, "complex2": bool,
+           "u_z": ScalarEps}
 
 
 def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
@@ -120,8 +106,8 @@ def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
     def apply(z):
         if isinstance(z, ScalarEps):
             return ScalarEps(fn(z.re), fn(z.im), z.eps)
-        return None if z is None else fn(z)
-    new = {k: apply(getattr(D, k)) for k in (*_FIELDS, "u_z")}
+        return fn(z)
+    new = {k: apply(getattr(D, k)) for k in _FIELDS}
     return replace(D, **{**new, **changes}, diagnostics=dict(D.diagnostics),
                    meta=dict(D.meta))
 
@@ -255,7 +241,8 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     cx1 = dilate(cx1, 2)
     cx2 = dilate(cx2, 2)
 
-    A1, A2 = _a_pair(dz(u, F.hx, F.hy, eps), (C1, C2), (f1, f2),
+    uz = dz(u, F.hx, F.hy, eps)
+    A1, A2 = _a_pair(uz, (C1, C2), (f1, f2),
                      (gamma1, gamma2), (ok & ~cx1, ok & ~cx2), F.hx, F.hy, eps)
     both = ok & ~cx1 & ~cx2 & np.isfinite(A1.re) & np.isfinite(A2.re)
     A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
@@ -274,7 +261,7 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     return FundamentalData(
         p=F.p, eps=eps, b=b, hx=F.hx, hy=F.hy, u=u, C1=C1, C2=C2,
         gamma1=gamma1, gamma2=gamma2, f1=f1, f2=f2, A=A, mask=ok,
-        complex1=cx1, complex2=cx2, origin=F.origin, diagnostics=diag,
+        complex1=cx1, complex2=cx2, origin=F.origin, u_z=uz, diagnostics=diag,
         meta={"source": F.meta.get("name", "grid")})
 
 
@@ -387,7 +374,7 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
     # A-consistency between the two defining expressions (nan when the
     # strata leave no point where both are defined)
     m12 = base & ~cxs[1] & ~cxs[2]
-    A1, A2 = _a_pair(D.uz(), (D.C1, D.C2), (D.f1, D.f2),
+    A1, A2 = _a_pair(D.u_z, (D.C1, D.C2), (D.f1, D.f2),
                      (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
     norms["a_consistency"] = se_sup(A1 - A2, m12)
 
@@ -412,74 +399,51 @@ def curvature_from_data(D: FundamentalData):
     return K, Kperp
 
 
-def _curvature_term(D: FundamentalData, j: int, K, Kperp):
-    """eps K + eps b (-1)^{j+1} Kperp + (-1)^{p+1} C1 C2, with (K, Kperp)
-    from curvature_from_data unless both are given."""
-    if K is None or Kperp is None:
-        K, Kperp = curvature_from_data(D)
-    return (D.eps * K + D.eps * D.b * (-1.0) ** (j + 1) * Kperp
-            + (-1.0) ** (D.p + 1) * D.C1 * D.C2)
+def identity_residuals(D: FundamentalData) -> dict:
+    """Residual fields of the pointwise Kahler identities, nan off D.mask,
+    keyed NAME_j for j = 1, 2 (j' the other index):
 
+        f_norm    |f_j|^2 - (b e^{4u}/8) T_j
+        grad_c    |grad C_j|^2 - (eps C_j^2 + (-1)^{p+1}) T_j
+        lap_c     Delta C_j - 2 eps C_j (K + b (-1)^{j+1} Kperp)
+                      + eps C_j' (1 - eps (-1)^{p+1} C_j^2)
+        arctan_c  Delta arctan(C_j) + eps C_j'
+        log_sqrt  Delta log sqrt(1 + C_j'^2) - (K + (-1)^j Kperp)
 
-def f_norm_identity(D: FundamentalData, K=None, Kperp=None):
-    """Residual of |f_j|^2 = (b e^{4u}/8)(K + eps b (-1)^{j+1} Kperp
-    + (-1)^{p+1} C1 C2); NotApplicable on all-complex data."""
-    if np.all(~D.mask | (D.complex1 & D.complex2)):
-        return NotApplicable
-    e4u = np.exp(4.0 * D.u)
-    return {j: np.where(D.mask, f_.abs2() - (D.b * e4u / 8.0)
-                        * _curvature_term(D, j, K, Kperp), np.nan)
-            for j, f_ in ((1, D.f1), (2, D.f2))}
+    with T_j = eps K + eps b (-1)^{j+1} Kperp + (-1)^{p+1} C_1 C_2, (K, Kperp)
+    from curvature_from_data, Delta f = 4 eps e^{-2u} f_zzb and |grad f|^2
+    = e^{-2u} (f_x^2 + eps f_y^2) of the induced metric.  f_norm is left out
+    on all-complex data, log_sqrt off Riemannian (eps = 1) p = 1 data.
 
-
-def grad_c_residual(D: FundamentalData, j: int, K=None, Kperp=None) -> np.ndarray:
-    """|grad C_j|^2 - (eps C_j^2 + (-1)^{p+1})(K + eps b (-1)^{j+1} Kperp
-    + (-1)^{p+1} C_j C_{j'})."""
-    C, _ = D.kahler_pair(j)
-    lhs = grad_norm2_induced(C, D.u, D.eps, D.hx, D.hy)
-    rhs = (D.eps * C ** 2 + (-1.0) ** (D.p + 1)) \
-        * _curvature_term(D, j, K, Kperp)
-    return np.where(D.mask, lhs - rhs, np.nan)
-
-
-def lap_c_residual(D: FundamentalData, j: int, K=None, Kperp=None) -> np.ndarray:
-    """Residual of Delta C_j = 2 eps C_j (K + b (-1)^{j+1} Kperp)
-    - eps C_{j'} (1 - eps (-1)^{p+1} C_j^2), with K the Gauss curvature.
-
-    For a Riemannian induced metric this is the usual form; the eps
-    placements are the ones under which the identity holds on every
-    explicit Lorentzian family as well (verified numerically at O(h^2)).
+    lap_c's eps placements are the ones under which it holds at O(h^2) on
+    every explicit family, Lorentzian ones too; arctan_c holds on the
+    tan-branch (sin-Gordon) families C1, C2 and stays O(1) on the others
+    (scripts/convergence_study.py prints every entry's order).
     """
-    if K is None or Kperp is None:
-        K, Kperp = curvature_from_data(D)
-    C, Cp = D.kahler_pair(j)
-    sgn = (-1.0) ** (D.p + 1)
-    lap = laplacian_induced(C, D.u, D.eps, D.hx, D.hy)
-    r = lap - 2.0 * D.eps * C * (K + D.b * (-1.0) ** (j + 1) * Kperp) \
-        + D.eps * Cp * (1.0 - D.eps * sgn * C ** 2)
-    return np.where(D.mask, r, np.nan)
+    eps, b, p, hx, hy = D.eps, D.b, D.p, D.hx, D.hy
+    K, Kperp = curvature_from_data(D)
+    e4u = np.exp(4.0 * D.u)
+    em2u = np.exp(-2.0 * D.u)
+    sgn = (-1.0) ** (p + 1)
+    has_f = not np.all(~D.mask | (D.complex1 & D.complex2))
 
-
-def arctan_c_residual(D: FundamentalData, j: int) -> np.ndarray:
-    """Residual of Delta arctan(C_j) = -eps C_{j'}.
-
-    Riemannian data (eps=1) gives the familiar -C_{j'}; on Lorentzian
-    patches the sign follows eps (this is forced by the mixed sin-Gordon
-    pair the tan-branch data satisfies)."""
-    C, Cp = D.kahler_pair(j)
-    lap = laplacian_induced(np.arctan(C), D.u, D.eps, D.hx, D.hy)
-    return np.where(D.mask, lap + D.eps * Cp, np.nan)
-
-
-def log_sqrt_residual(D: FundamentalData, m: int, K=None, Kperp=None) -> np.ndarray:
-    """Delta log sqrt(1 + C_{m'}^2) - (K + (-1)^m Kperp) for Riemannian
-    data on the p=1 product."""
-    if K is None or Kperp is None:
-        K, Kperp = curvature_from_data(D)
-    _, Cmp = D.kahler_pair(m)
-    lap = laplacian_induced(np.log(np.sqrt(1.0 + Cmp ** 2)), D.u, D.eps,
-                            D.hx, D.hy)
-    return np.where(D.mask, lap - (K + (-1.0) ** m * Kperp), np.nan)
+    def lap(g):
+        return 4.0 * eps * em2u * zzbar(g, hx, hy, eps)
+    out = {}
+    for j, C, Cp, f in ((1, D.C1, D.C2, D.f1), (2, D.C2, D.C1, D.f2)):
+        sj = (-1.0) ** (j + 1)
+        term = eps * K + eps * b * sj * Kperp + sgn * D.C1 * D.C2
+        if has_f:
+            out[f"f_norm_{j}"] = f.abs2() - (b * e4u / 8.0) * term
+        grad2 = em2u * (diff(C, hx, 0) ** 2 + eps * diff(C, hy, 1) ** 2)
+        out[f"grad_c_{j}"] = grad2 - (eps * C ** 2 + sgn) * term
+        out[f"lap_c_{j}"] = lap(C) - 2.0 * eps * C * (K + b * sj * Kperp) \
+            + eps * Cp * (1.0 - eps * sgn * C ** 2)
+        out[f"arctan_c_{j}"] = lap(np.arctan(C)) + eps * Cp
+        if eps == 1 and p == 1:
+            out[f"log_sqrt_{j}"] = lap(np.log(np.sqrt(1.0 + Cp ** 2))) \
+                - (K + (-1.0) ** j * Kperp)
+    return {k: np.where(D.mask, r, np.nan) for k, r in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +489,8 @@ def fundata_from_json(src) -> FundamentalData:
         p=int(doc["p"]), eps=eps, b=int(doc["b"]), hx=float(doc["hx"]),
         hy=float(doc["hy"]), origin=tuple(doc["origin"]),
         meta=doc.get("meta", {}),
-        **{name: read(doc[name], kind) for name, kind in _FIELDS.items()})
+        **{name: read(doc[name], kind) for name, kind in _FIELDS.items()
+           if name in doc})
 
 
 def restrict(D: FundamentalData, window) -> FundamentalData:

@@ -169,21 +169,9 @@ def zzbar(f: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
     return (diff2(f, hx, 0) + eps * diff2(f, hy, 1)) / 4.0
 
 
-def laplacian_induced(f: np.ndarray, u: np.ndarray, eps: int,
-                      hx: float, hy: float) -> np.ndarray:
-    """Induced-metric Laplacian D f = 4 eps e^{-2u} f_{z zbar} of a real field."""
-    return 4.0 * eps * np.exp(-2.0 * u) * zzbar(f, hx, hy, eps)
-
-
 def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
     """K = -4 e^{-2u} u_{z zbar} of the metric with conformal factor u."""
     return -4.0 * np.exp(-2.0 * u) * zzbar(u, hx, hy, eps)
-
-
-def grad_norm2_induced(f: np.ndarray, u: np.ndarray, eps: int,
-                       hx: float, hy: float) -> np.ndarray:
-    """|grad f|^2 = e^{-2u} (f_x^2 + eps f_y^2) for the induced metric."""
-    return np.exp(-2.0 * u) * (diff(f, hx, 0) ** 2 + eps * diff(f, hy, 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,8 @@ from minsurf.fundata import (
     curvature_from_data,
     extract,
     field_sup,
+    identity_residuals,
     se_sup,
-    arctan_c_residual,
-    grad_c_residual,
-    lap_c_residual,
-    log_sqrt_residual,
 )
 from minsurf.frenet import reconstruct, roundtrip_report
 from minsurf.gordon import build_family, family_mask, family_phase, solution_from_fields, solve_gordon
@@ -420,13 +417,10 @@ def test_criterion_10_curvature_identity_battery(family_cache):
     for theorem in ("A1", "C1"):
         norms = {}
         for n in (33, 65):
-            D = family_cache(theorem, n)
-            K, Kp = curvature_from_data(D)
+            out = identity_residuals(family_cache(theorem, n))
             norms[n] = {
-                "grad": max(field_sup(grad_c_residual(D, j, K, Kp))
-                            for j in (1, 2)),
-                "lap": max(field_sup(lap_c_residual(D, j, K, Kp))
-                           for j in (1, 2)),
+                "grad": max(field_sup(out[f"grad_c_{j}"]) for j in (1, 2)),
+                "lap": max(field_sup(out[f"lap_c_{j}"]) for j in (1, 2)),
             }
         for key in ("grad", "lap"):
             ratios[f"{key}_{theorem}"] = norms[33][key] / norms[65][key]
@@ -435,13 +429,13 @@ def test_criterion_10_curvature_identity_battery(family_cache):
     for theorem in ("C1", "C2"):
         vals = {}
         for n in (33, 65):
-            D = family_cache(theorem, n)
-            vals[n] = max(field_sup(arctan_c_residual(D, j)) for j in (1, 2))
+            out = identity_residuals(family_cache(theorem, n))
+            vals[n] = max(field_sup(out[f"arctan_c_{j}"]) for j in (1, 2))
         ratios[f"arctan_{theorem}"] = vals[33] / vals[65]
     vals = {}
     for n in (33, 65):
-        D = family_cache("C1", n)
-        vals[n] = max(field_sup(log_sqrt_residual(D, m)) for m in (1, 2))
+        out = identity_residuals(family_cache("C1", n))
+        vals[n] = max(field_sup(out[f"log_sqrt_{m}"]) for m in (1, 2))
     ratios["log_sqrt"] = vals[33] / vals[65]
 
     # holomorphy of the Hopf quantity on a reconstructed family surface

@@ -695,3 +695,10 @@ class TestScripts:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "== family C2 ==" in proc.stdout
+        # one identity table per family, a row for each identity
+        for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
+            block = proc.stdout.split(f"== identities {theorem} ==\n")[1]
+            rows = block.split("\n\n")[0].splitlines()[1:]
+            names = {row.split()[0] for row in rows}
+            assert {f"{name}_{j}" for name in ("f_norm", "grad_c", "lap_c")
+                    for j in (1, 2)} <= names, (theorem, rows)

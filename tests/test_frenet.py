@@ -106,7 +106,7 @@ class TestInitialFrame:
 def frame_rhs(fs, dat, direction):
     """The frame equations of the frenet module docstring in ScalarEps
     arithmetic: the x- or y-derivative of frames fs (m, 2, 3) at data dat
-    (m, 16), packed as a state (m, 30)."""
+    (m, 15), packed as a state (m, 30)."""
     p, eps, b = fs.p, fs.eps, fs.b
     d = dat.T[..., None, None]
     e2u, C1, C2 = d[0], d[1], d[2]
@@ -199,7 +199,7 @@ class TestFrameMatrix:
     @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
     def test_matrix_is_frame_system(self, families33, theorem, direction):
         D = families33[theorem]
-        dat = frenet._pack_data(D).reshape(-1, 16)
+        dat = frenet._pack_data(D).reshape(-1, 15)
         s = np.random.default_rng(0).standard_normal((dat.shape[0], 30))
         want = frame_rhs(frenet.FrameState.unpack(s, D.p, D.eps, D.b), dat,
                          direction)
@@ -212,7 +212,7 @@ class TestFrameMatrix:
     def test_matrix_equals_block_assembly(self, families33, theorem,
                                           direction):
         D = families33[theorem]
-        rand = np.random.default_rng(2).standard_normal((3, 7, 16))
+        rand = np.random.default_rng(2).standard_normal((3, 7, 15))
         rand[..., 0] = np.exp(rand[..., 0])
         for dat in (frenet._pack_data(D), rand):
             got = frenet._frame_matrix(dat, D.p, D.eps, D.b, direction)
@@ -228,7 +228,7 @@ class TestFrameMatrix:
         h = D.hx
         if direction == "y":
             W, h = W.swapaxes(0, 1), D.hy
-        d0, dh, d1 = (a.reshape(-1, 16)
+        d0, dh, d1 = (a.reshape(-1, 15)
                       for a in (W[:-1], frenet._halves(W), W[1:]))
         s = np.random.default_rng(1).standard_normal((d0.shape[0], 30))
 

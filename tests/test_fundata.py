@@ -15,26 +15,25 @@ from minsurf.errors import EmptyInterior, SignatureError
 from minsurf.frenet import roundtrip_report
 from minsurf.fundata import (
     FundamentalData,
-    NotApplicable,
-    arctan_c_residual,
     compat_residuals,
     crop_to_mask,
-    curvature_from_data,
     dilate,
     extract,
-    f_norm_identity,
     field_sup,
     fundata_from_json,
     fundata_to_json,
     gauge_rotate,
-    grad_c_residual,
-    lap_c_residual,
-    log_sqrt_residual,
+    identity_residuals,
     restrict,
     se_sup,
     tolerance,
 )
-from minsurf.immersion import GridSpec, ImmersionGrid
+from minsurf.immersion import (
+    GridSpec,
+    ImmersionGrid,
+    dz,
+    grid_from_json,
+)
 from minsurf.surfaces import build_example, make_geodesic_product, stereographic
 
 
@@ -172,7 +171,7 @@ class TestGauge:
         if theta == "field":
             theta = np.linspace(0.0, 1.0, D.shape[0])[:, None]
         G = gauge_rotate(D, theta)
-        for name in SAMPLE_FIELDS + ("u_z",):
+        for name in SAMPLE_FIELDS:
             for a in arrays(getattr(D, name)):
                 for b in arrays(getattr(G, name)):
                     assert not np.shares_memory(a, b), name
@@ -274,51 +273,62 @@ class TestDataLevelTheorems:
 class TestIdentities:
     def test_f_norm_trivial_and_marker(self):
         D = flat_lagrangian()
-        out = f_norm_identity(D)
-        assert field_sup(out[1], D.mask) < 1e-12
+        out = identity_residuals(D)
+        assert field_sup(out["f_norm_1"], D.mask) < 1e-12
         F = build_example("slice:first", nx=17)
         D = extract(F)
-        assert f_norm_identity(D) is NotApplicable
+        out = identity_residuals(D)
+        assert "f_norm_1" not in out and "f_norm_2" not in out
 
     @pytest.mark.parametrize("theorem", ["A1", "A2", "B1", "B2", "C1", "C2"])
     def test_family_identity_battery(self, family_cache, theorem):
         norms = {}
         for n in (33, 65):
-            D = family_cache(theorem, n)
-            K, Kp = curvature_from_data(D)
-            vals = {}
-            for j in (1, 2):
-                vals[f"grad{j}"] = field_sup(grad_c_residual(D, j, K, Kp))
-                vals[f"lap{j}"] = field_sup(lap_c_residual(D, j, K, Kp))
-            fn = f_norm_identity(D, K, Kp)
-            for j in (1, 2):
-                vals[f"fnorm{j}"] = field_sup(fn[j])
-            norms[n] = vals
+            out = identity_residuals(family_cache(theorem, n))
+            norms[n] = {f"{name}_{j}": field_sup(out[f"{name}_{j}"])
+                        for name in ("grad_c", "lap_c", "f_norm")
+                        for j in (1, 2)}
         ratios = ratio_table(norms[33], norms[65])
         assert min(ratios.values()) > 3.0, (theorem, ratios)
 
     def test_arctan_riemannian_p1(self, family_cache):
         D = family_cache("C1", 65)
+        out = identity_residuals(D)
         for j in (1, 2):
-            r = field_sup(arctan_c_residual(D, j))
+            r = field_sup(out[f"arctan_c_{j}"])
             assert r < 50 * max(D.hx, D.hy) ** 2
 
     def test_arctan_lorentzian_p_even(self, family_cache):
         D = family_cache("C2", 65)
+        out = identity_residuals(D)
         for j in (1, 2):
-            r = field_sup(arctan_c_residual(D, j))
+            r = field_sup(out[f"arctan_c_{j}"])
             assert r < 50 * max(D.hx, D.hy) ** 2
 
     def test_log_sqrt_riemannian_p1(self, family_cache):
         D = family_cache("C1", 65)
+        out = identity_residuals(D)
         for m in (1, 2):
-            r = field_sup(log_sqrt_residual(D, m))
+            r = field_sup(out[f"log_sqrt_{m}"])
             assert r < 50 * max(D.hx, D.hy) ** 2
+
+    def test_log_sqrt_only_on_riemannian_p1(self, family_cache):
+        # its stated domain is eps = 1, p = 1: C1 data, not C2 (eps = -1)
+        assert {"log_sqrt_1", "log_sqrt_2"} <= set(
+            identity_residuals(family_cache("C1", 33)))
+        assert not any(k.startswith("log_sqrt")
+                       for k in identity_residuals(family_cache("C2", 33)))
+
+    def test_nan_off_the_mask(self, family_cache):
+        D = family_cache("B2", 33)
+        assert not D.mask.all()
+        for k, r in identity_residuals(D).items():
+            assert np.isnan(r[~D.mask]).all(), k
 
 
 # the per-sample fields of a FundamentalData, in fundata.json's key order
 SAMPLE_FIELDS = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A",
-                 "mask", "complex1", "complex2")
+                 "mask", "complex1", "complex2", "u_z")
 
 
 def arrays(z):
@@ -336,9 +346,8 @@ def assert_bitwise(a, b):
 
 
 def assert_same_fields(D, E, sl=(slice(None), slice(None))):
-    """E's per-sample fields (u_z too, when D has it) are D's on sl."""
-    names = SAMPLE_FIELDS + (("u_z",) if D.u_z is not None else ())
-    for name in names:
+    """E's per-sample fields are D's on sl."""
+    for name in SAMPLE_FIELDS:
         for a, b in zip(arrays(getattr(D, name)), arrays(getattr(E, name)),
                         strict=True):
             assert_bitwise(a[sl], b)
@@ -350,11 +359,31 @@ class TestSerialization:
         path = tmp_path / "fundata.json"
         doc = fundata_to_json(D, path)
         for E in (fundata_from_json(doc), fundata_from_json(path)):
-            assert_same_fields(dataclasses.replace(D, u_z=None), E)
-            assert E.u_z is None            # analytic u_z is not written
+            assert_same_fields(D, E)        # the analytic u_z too
             assert (E.p, E.eps, E.b, E.hx, E.hy) == (D.p, D.eps, D.b,
                                                        D.hx, D.hy)
             assert E.origin == D.origin and E.meta == D.meta
+
+    @pytest.mark.parametrize("theorem", ["B2", "C1"])
+    def test_reloaded_record_reconstructs_the_run(self, theorem, tmp_path):
+        # the written u_z is the one the run integrated with, so the
+        # reloaded record rebuilds the run's grid bit for bit
+        code, _ = cli.run_pipeline(cli.parse_args(
+            ["pipeline", "--theorem", theorem, "--grid", "33", "--t", "0.3",
+             "--out", str(tmp_path)]))
+        assert code == cli.EXIT_PASS
+        rt = roundtrip_report(fundata_from_json(tmp_path / "fundata.json"))
+        assert_bitwise(rt.grid.values,
+                       grid_from_json(tmp_path / "grid.json").values)
+
+    def test_record_without_u_z_differentiates_u(self, family_cache):
+        # files written before u_z was a field: u_z = dz(u) to the edges
+        doc = fundata_to_json(family_cache("C1", 33))
+        del doc["u_z"]
+        E = fundata_from_json(doc)
+        uz = dz(E.u, E.hx, E.hy, E.eps, edges=True)
+        assert_bitwise(E.u_z.re, uz.re)
+        assert_bitwise(E.u_z.im, uz.im)
 
     def test_json_key_order(self, family_cache, tmp_path):
         path = tmp_path / "fundata.json"
