@@ -31,6 +31,7 @@ from .algebra import ScalarEps, unit_i
 from .errors import EmptyInterior, SignatureError
 from .immersion import (
     ImmersionGrid,
+    by_rows,
     conformal_fields,
     diff,
     dz,
@@ -38,6 +39,7 @@ from .immersion import (
     kahler_fields,
     mean_curvature_residual,
     oriented_frame,
+    row_blocks,
     zzbar,
 )
 
@@ -112,6 +114,13 @@ def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
                    meta=dict(D.meta))
 
 
+def _cut(z, rows: slice):
+    """Rows of a per-sample array or ScalarEps, as a view."""
+    if isinstance(z, ScalarEps):
+        return ScalarEps(z.re[rows], z.im[rows], z.eps)
+    return z[rows]
+
+
 def se_where(mask, z: ScalarEps, fill) -> ScalarEps:
     """z where mask holds, fill elsewhere."""
     return ScalarEps(np.where(mask, z.re, fill), np.where(mask, z.im, fill),
@@ -134,12 +143,28 @@ def se_sup(z: ScalarEps, mask=None) -> float:
 
 def field_sup(a: np.ndarray, mask=None) -> float:
     """Sup of |a| over a mask; nan when no finite value remains."""
+    return _sup([_peak(a, mask)])
+
+
+def _peak(a, mask=None):
+    """One block's share of field_sup, or of se_sup for a ScalarEps a: (the
+    largest |a| over the mask, nan ignored, -inf if none; whether a finite
+    value is there)."""
+    if isinstance(a, ScalarEps):
+        a = np.sqrt(a.re ** 2 + a.im ** 2)
     a = np.abs(np.asarray(a, dtype=float))
     if mask is not None:
         a = np.where(mask, a, np.nan)
-    if not np.any(np.isfinite(a)):
+    return (float(np.fmax.reduce(a, axis=None, initial=-np.inf)),
+            bool(np.any(np.isfinite(a))))
+
+
+def _sup(peaks) -> float:
+    """field_sup over the union of blocks, from their _peak pairs."""
+    peaks = list(peaks)
+    if not any(finite for _, finite in peaks):
         return float("nan")
-    return float(np.nanmax(a))
+    return max(top for top, _ in peaks)
 
 
 # every gate on a norm, name -> (command, c, k): the tolerance c h^k at
@@ -205,7 +230,9 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """Extract fundamental data from a sampled immersion, ungated: the
     diagnostic mean_curvature_sup is the sup of |H| over the points whose
     metric is valid with the declared signature (EmptyInterior if none).
-    gamma_j and f_j scale oriented_frame's per-sample products."""
+    gamma_j and f_j scale oriented_frame's per-sample products.  The
+    fields are formed a row block at a time (u_z and A from the block's
+    halo); the strata's guard rings are grown on the whole grid."""
     C = conformal_fields(F)
     eps = F.eps
     if eps == 1 and b != 1:
@@ -218,50 +245,66 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
 
     fr = oriented_frame(F, b)
     ok = ok & ~fr.bad
+    kahler = kahler_fields(F)
 
-    gamma1, gamma2 = fr.g1 * (-b), fr.g2 * (-b)
-    f1, f2 = fr.zz1 * (-eps * b), fr.zz2 * (-eps * b)
-
-    C1, C2 = kahler_fields(F)
-    C1 = np.where(ok, C1, np.nan)
-    C2 = np.where(ok, C2, np.nan)
-    u = np.where(ok, C.u, np.nan)
-
-    # (para-)complex strata: gamma_k = f_k = 0 and C_k snapped to +-1
-    tau = fd_tol(F, u)
-    cx1 = ok & (np.abs(gamma1.abs2()) <= tau)
-    cx2 = ok & (np.abs(gamma2.abs2()) <= tau)
-    gamma1, f1 = (se_where(~cx1, z, 0.0) for z in (gamma1, f1))
-    gamma2, f2 = (se_where(~cx2, z, 0.0) for z in (gamma2, f2))
-    C1 = np.where(cx1, np.sign(C1), C1)
-    C2 = np.where(cx2, np.sign(C2), C2)
+    def strata(B):
+        # gamma_j and f_j scale the frame products; on the (para-)complex
+        # strata gamma_k = f_k = 0 and C_k is snapped to +-1
+        r, m = B.rows, ok[B.rows]
+        u = np.where(m, C.u[r], np.nan)
+        tau = fd_tol(F, u)
+        out = (u,)
+        for g, zz, Cj in zip((fr.g1, fr.g2), (fr.zz1, fr.zz2), kahler):
+            gamma, f = _cut(g, r) * (-b), _cut(zz, r) * (-eps * b)
+            Cj = np.where(m, Cj[r], np.nan)
+            cx = m & (np.abs(gamma.abs2()) <= tau)
+            gamma, f = (se_where(~cx, z, 0.0) for z in (gamma, f))
+            out += (np.where(cx, np.sign(Cj), Cj), gamma.re, gamma.im, f.re,
+                    f.im, cx)
+        return out
+    (u, C1, g1_re, g1_im, f1_re, f1_im, cx1,
+     C2, g2_re, g2_im, f2_re, f2_im, cx2) = by_rows(ok.shape, strata)
+    gamma1, f1 = ScalarEps(g1_re, g1_im, eps), ScalarEps(f1_re, f1_im, eps)
+    gamma2, f2 = ScalarEps(g2_re, g2_im, eps), ScalarEps(f2_re, f2_im, eps)
     # guard ring of radius 2h around the strata: gamma-divisions are
     # excluded there (isolated zeros of gamma pollute the quotient)
     n_raw = (int(np.sum(cx1)), int(np.sum(cx2)))
     cx1 = dilate(cx1, 2)
     cx2 = dilate(cx2, 2)
+    valid1, valid2 = ok & ~cx1, ok & ~cx2
+    gaps = []
 
-    uz = dz(u, F.hx, F.hy, eps)
-    A1, A2 = _a_pair(uz, (C1, C2), (f1, f2),
-                     (gamma1, gamma2), (ok & ~cx1, ok & ~cx2), F.hx, F.hy, eps)
-    both = ok & ~cx1 & ~cx2 & np.isfinite(A1.re) & np.isfinite(A2.re)
-    A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
-                  np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
+    def block(B):
+        # u_z and the A pair on the block's rows, from its halo
+        h = B.halo
+        uz = dz(u[h], F.hx, F.hy, eps)
+        A1, A2 = _a_pair(uz, (C1[h], C2[h]), (_cut(f1, h), _cut(f2, h)),
+                         (_cut(gamma1, h), _cut(gamma2, h)),
+                         (valid1[h], valid2[h]), F.hx, F.hy, eps)
+        uz, A1, A2 = (_cut(z, B.own) for z in (uz, A1, A2))
+        both = valid1[B.rows] & valid2[B.rows] & np.isfinite(A1.re) \
+            & np.isfinite(A2.re)
+        gaps.append(_peak(A1 - A2, both))
+        return (uz.re, uz.im, np.where(np.isfinite(A1.re), A1.re, A2.re),
+                np.where(np.isfinite(A1.im), A1.im, A2.im))
+    uz_re, uz_im, A_re, A_im = by_rows(u.shape, block)
+    for z in (gamma1, gamma2, f1, f2):
+        z.re[~ok] = np.nan
+        z.im[~ok] = np.nan
 
     diag = {
-        "A_disagreement": se_sup(A1 - A2, both),
+        "A_disagreement": _sup(gaps),
         "frame_bad_points": int(np.sum(fr.bad & C.ok)),
         "mean_curvature_sup": H_sup,
         "complex_points_raw": n_raw,
         "complex_points_guarded": (int(np.sum(cx1)), int(np.sum(cx2))),
         **fr.diag,
     }
-    gamma1, gamma2, f1, f2 = (se_where(ok, z, np.nan)
-                              for z in (gamma1, gamma2, f1, f2))
     return FundamentalData(
         p=F.p, eps=eps, b=b, hx=F.hx, hy=F.hy, u=u, C1=C1, C2=C2,
-        gamma1=gamma1, gamma2=gamma2, f1=f1, f2=f2, A=A, mask=ok,
-        complex1=cx1, complex2=cx2, origin=F.origin, u_z=uz, diagnostics=diag,
+        gamma1=gamma1, gamma2=gamma2, f1=f1, f2=f2,
+        A=ScalarEps(A_re, A_im, eps), mask=ok, complex1=cx1, complex2=cx2,
+        origin=F.origin, u_z=ScalarEps(uz_re, uz_im, eps), diagnostics=diag,
         meta={"source": F.meta.get("name", "grid")})
 
 
@@ -316,26 +359,40 @@ class CompatReport:
 
 
 def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatReport:
-    """Sup-norms of every first-order compatibility equation.
+    """Sup-norms of every first-order compatibility equation, taken a row
+    block at a time: each block's residuals read its one-row halo, and the
+    block sups combine by max.
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (used by refinement studies to compare like with like).
     """
+    base = D.mask if region is None else (D.mask & region)
+    if not np.any(base):
+        raise EmptyInterior("no valid points in the data mask")
+    peaks = []
+    for B in row_blocks(*D.shape):
+        inside = np.zeros_like(base[B.halo])
+        inside[B.own] = base[B.rows]
+        peaks.append(_compat_peaks(_map_fields(D, lambda a: a[B.halo]),
+                                   inside))
+    return CompatReport({k: _sup(p[k] for p in peaks) for k in peaks[0]},
+                        int(np.sum(base)))
+
+
+def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
+    """The _peak of every compatibility residual of D over the mask base."""
     eps, b, p = D.eps, D.b, D.p
     i_unit = unit_i(eps)
     e2u = D.e2u()
     em2u = np.exp(-2.0 * D.u)
     sgn_p1 = (-1.0) ** (p + 1)
-    norms = {}
+    peaks = {}
 
     gammas = {1: D.gamma1, 2: D.gamma2}
     fs = {1: D.f1, 2: D.f2}
     Cs = {1: D.C1, 2: D.C2}
     cxs = {1: D.complex1, 2: D.complex2}
 
-    base = D.mask if region is None else (D.mask & region)
-    if not np.any(base):
-        raise EmptyInterior("no valid points in the data mask")
     uzzb = zzbar(D.u, D.hx, D.hy, eps)
     re_term = 2.0 * dz(D.A, D.hx, D.hy, eps, conj=True).re  # Abar_z + A_zbar
 
@@ -347,28 +404,28 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
         Cz = dz(Cs[j], D.hx, D.hy, eps)
         r = Cz + 2.0 * eps * b * i_unit * ScalarEps(em2u, 0.0, eps) \
             * gammas[j].conj() * fs[j]
-        norms[f"kahler_{j}"] = se_sup(r, m)
+        peaks[f"kahler_{j}"] = _peak(r, m)
         # (gbar_j)_z - (-1)^{j+1} gbar_j A = 0
         gbz = dz(gammas[j].conj(), D.hx, D.hy, eps)
         r = gbz - sj * gammas[j].conj() * D.A
-        norms[f"derivofgamma_{j}"] = se_sup(r, m)
+        peaks[f"derivofgamma_{j}"] = _peak(r, m)
         # (fbar_j)_z - (-1)^{j+1} fbar_j A
         #   - i eps (-1)^{p+1} e^{2u} gbar_j C_{j'} / 4 = 0
         fbz = dz(fs[j].conj(), D.hx, D.hy, eps)
         r = fbz - sj * fs[j].conj() * D.A \
             - 0.25 * eps * sgn_p1 * i_unit * ScalarEps(e2u * Cs[jp], 0.0, eps) \
             * gammas[j].conj()
-        norms[f"deroff_{j}"] = se_sup(r, m)
+        peaks[f"deroff_{j}"] = _peak(r, m)
         # |gamma_j|^2 = (eps b e^{2u}/2)(eps C_j^2 + (-1)^{p+1})
         lhs = gammas[j].abs2()
         rhs = 0.5 * eps * b * e2u * (eps * Cs[j] ** 2 + sgn_p1)
-        norms[f"gammanorsec_{j}"] = field_sup(lhs - rhs, base)
+        peaks[f"gammanorsec_{j}"] = _peak(lhs - rhs, base)
         # integrability: 2 u_zzb + 4 eps b e^{-2u}|f_j|^2
         #   + (-1)^j (Abar_z + A_zb) + eps (-1)^p e^{2u} C1 C2 / 2 = 0
         # (the |f|^2 term carries b, which drops out in the b=1 frames)
         r = 2.0 * uzzb + 4.0 * eps * b * em2u * fs[j].abs2() \
             + ((-1.0) ** j) * re_term + 0.5 * eps * ((-1.0) ** p) * e2u * D.C1 * D.C2
-        norms[f"integrability_{j}"] = field_sup(r, m)
+        peaks[f"integrability_{j}"] = _peak(r, m)
         del Cz, gbz, fbz, lhs, rhs, r   # not kept beside the A pair below
 
     # A-consistency between the two defining expressions (nan when the
@@ -376,9 +433,8 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
     m12 = base & ~cxs[1] & ~cxs[2]
     A1, A2 = _a_pair(D.u_z, (D.C1, D.C2), (D.f1, D.f2),
                      (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
-    norms["a_consistency"] = se_sup(A1 - A2, m12)
-
-    return CompatReport(norms, int(np.sum(base)))
+    peaks["a_consistency"] = _peak(A1 - A2, m12)
+    return peaks
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,70 @@ def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# row blocks
+# ---------------------------------------------------------------------------
+
+# the checks run over row blocks of at most this many samples (one grid row
+# at least), so their vector temporaries stay small on any grid: a 64 x 64
+# grid is one block, a 257 x 257 grid eighteen
+_BLOCK_SAMPLES = 4096
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """Rows `rows` of a grid, read through `halo`: those rows and the row
+    on each side of them that lies inside the grid, so that a 3 x 3 stencil
+    on the block's rows reads halo only.  `own` picks the block's rows out
+    of an array on halo."""
+
+    rows: slice
+    halo: slice
+    own: slice
+
+
+def row_blocks(nx: int, ny: int) -> list:
+    """The row blocks of an nx x ny grid, in order: as few as hold at most
+    _BLOCK_SAMPLES samples each (but one row at least), of equal heights
+    but for the last."""
+    most = max(1, _BLOCK_SAMPLES // ny)     # rows a block may hold
+    count = -(-nx // most)                  # the fewest blocks
+    height = -(-nx // count)
+    blocks = []
+    for i0 in range(0, nx, height):
+        i1 = min(i0 + height, nx)
+        a, b = max(i0 - 1, 0), min(i1 + 1, nx)
+        blocks.append(RowBlock(slice(i0, i1), slice(a, b),
+                               slice(i0 - a, i1 - a)))
+    return blocks
+
+
+def by_rows(shape, kernel):
+    """kernel(B) for each row block B of a grid of shape (nx, ny), in
+    order, with its tuple of per-sample arrays (rows first) stitched along
+    the rows; a one-block grid's arrays come back as the kernel made them."""
+    blocks = row_blocks(*shape)
+    if len(blocks) == 1:
+        return kernel(blocks[0])
+    out = None
+    for B in blocks:
+        parts = kernel(B)
+        if out is None:
+            out = tuple(np.empty(shape[:1] + a.shape[1:], a.dtype)
+                        for a in parts)
+        for whole, part in zip(out, parts):
+            whole[B.rows] = part
+    return out
+
+
+def _or_whole(F: ImmersionGrid, B: RowBlock = None) -> RowBlock:
+    """B, or the whole grid of F as one block."""
+    if B is None:
+        rows = slice(0, F.nx)
+        return RowBlock(rows, rows, rows)
+    return B
+
+
+# ---------------------------------------------------------------------------
 # jets and first-order data
 # ---------------------------------------------------------------------------
 
@@ -184,18 +248,21 @@ class GridJets:
     Fy: np.ndarray
 
 
-def jets(F: ImmersionGrid) -> GridJets:
-    """Whole-grid first central differences of the samples, cached."""
-    def make():
-        return GridJets(diff(F.values, F.hx, 0), diff(F.values, F.hy, 1))
-    return F._cached("jets", make)
+def jets(F: ImmersionGrid, B: RowBlock = None) -> GridJets:
+    """First central differences of the samples on the rows of block B (on
+    the whole grid without); built on each call."""
+    B = _or_whole(F, B)
+    V = F.values[B.halo]
+    return GridJets(diff(V, F.hx, 0)[B.own], diff(V[B.own], F.hy, 1))
 
 
-def hessian(F: ImmersionGrid):
-    """Whole-grid second central differences (F_xx, F_xy, F_yy) of the
-    samples; built on each call, as their readers need them once."""
-    V = F.values
-    return diff2(V, F.hx, 0), d_xy(V, F.hx, F.hy), diff2(V, F.hy, 1)
+def hessian(F: ImmersionGrid, B: RowBlock = None):
+    """Second central differences (F_xx, F_xy, F_yy) of the samples on the
+    rows of block B (on the whole grid without); built on each call."""
+    B = _or_whole(F, B)
+    V = F.values[B.halo]
+    return (diff2(V, F.hx, 0)[B.own], d_xy(V, F.hx, F.hy)[B.own],
+            diff2(V[B.own], F.hy, 1))
 
 
 @dataclass
@@ -212,54 +279,63 @@ class ConformalFields:
     negdef: np.ndarray        # gxx < 0 (negative-definite/flipped metric)
 
 
+def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
+    """ConformalFields' arrays on the rows of block B, degenerate below tol."""
+    J = jets(F, B)
+    p = F.p
+    gxx = g_inner(J.Fx, J.Fx, p)
+    gyy = g_inner(J.Fy, J.Fy, p)
+    gxy = g_inner(J.Fx, J.Fy, p)
+    with np.errstate(invalid="ignore"):
+        degenerate = (np.abs(gxx) <= tol) | (np.abs(gyy) <= tol)
+        negdef = (gxx < -tol)
+        ok = np.isfinite(gxx) & ~degenerate & ~negdef
+        eps_sign = np.where(degenerate | ~np.isfinite(gxx), 0.0,
+                            np.sign(gxx * gyy))
+        e2u = np.where(ok, gxx, np.nan)
+        u = 0.5 * np.log(np.where(ok, np.abs(e2u), 1.0))
+        u[~ok] = np.nan
+        iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) \
+            / np.abs(np.where(ok, e2u, 1.0))
+        iso[~ok] = np.nan
+    return gxx, gyy, gxy, e2u, u, eps_sign, iso, ok, degenerate, negdef
+
+
 def conformal_fields(F: ImmersionGrid) -> ConformalFields:
+    """The metric coefficients and conformal data per sample, cached;
+    formed a row block at a time, with the grid's deg_tol (a block's own
+    axes would give another)."""
     def make():
-        J = jets(F)
-        p = F.p
-        gxx = g_inner(J.Fx, J.Fx, p)
-        gyy = g_inner(J.Fy, J.Fy, p)
-        gxy = g_inner(J.Fx, J.Fy, p)
         tol = F.deg_tol()
-        with np.errstate(invalid="ignore"):
-            degenerate = (np.abs(gxx) <= tol) | (np.abs(gyy) <= tol)
-            negdef = (gxx < -tol)
-            ok = np.isfinite(gxx) & ~degenerate & ~negdef
-            eps_sign = np.where(degenerate | ~np.isfinite(gxx), 0.0,
-                                np.sign(gxx * gyy))
-            e2u = np.where(ok, gxx, np.nan)
-            u = 0.5 * np.log(np.where(ok, np.abs(e2u), 1.0))
-            u[~ok] = np.nan
-            iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) \
-                / np.abs(np.where(ok, e2u, 1.0))
-            iso[~ok] = np.nan
-        return ConformalFields(gxx, gyy, gxy, e2u, u, eps_sign, iso,
-                               ok, degenerate, negdef)
+        return ConformalFields(*by_rows(
+            (F.nx, F.ny), lambda B: _conformal_block(F, B, tol)))
     return F._cached("conformal", make)
 
 
 # ---------------------------------------------------------------------------
-# Kahler functions, Jacobians, classification
+# Kahler functions, classification
 # ---------------------------------------------------------------------------
 
+def _kahler_block(F: ImmersionGrid, B: RowBlock, C: ConformalFields):
+    """(C1, C2) on the rows of block B."""
+    J = jets(F, B)
+    base, p = F.values[B.rows], F.p
+    w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
+                           base[..., k, :], p) for k in (0, 1))
+    den = C.eps_sign[B.rows] * C.e2u[B.rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        C1 = (w1 - w2) / den
+        C2 = (w1 + w2) / den
+    return C1, C2
+
+
 def kahler_fields(F: ImmersionGrid):
-    """(C1, C2) grid fields from the isothermal pullback formulas."""
+    """(C1, C2) grid fields from the isothermal pullback formulas, cached;
+    formed a row block at a time."""
     def make():
-        J = jets(F)
         C = conformal_fields(F)
-        p = F.p
-        w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
-                               F.values[..., k, :], p) for k in (0, 1))
-        den = C.eps_sign * C.e2u
-        with np.errstate(invalid="ignore", divide="ignore"):
-            C1 = (w1 - w2) / den
-            C2 = (w1 + w2) / den
-        return C1, C2
+        return by_rows((F.nx, F.ny), lambda B: _kahler_block(F, B, C))
     return F._cached("kahler", make)
-
-
-def jacobians(C1, C2):
-    """Factor Jacobians ((C1+C2)/2, (-C1+C2)/2)."""
-    return (C1 + C2) / 2.0, (-C1 + C2) / 2.0
 
 
 def class_tol(F: ImmersionGrid, u) -> np.ndarray:
@@ -297,16 +373,15 @@ _REFERENCES = [
 _FRAME_TOL = 1e-6
 
 
-def normal_projector(F: ImmersionGrid):
-    """The map V -> normal part of (..., 2, 3) product vectors V along the
-    grid: V minus its position components and its G-projection onto
-    span(F_x, F_y), by the full 2x2 Gram system.  F_x and F_y lose the
-    position components that finite-difference tangents keep first.  Built
-    on each call, as it holds two vector fields: callers drop it after use."""
-    J = jets(F)
-    base, p = F.values, F.p
-    Tx = tangent_project_arr(base, J.Fx, p)
-    Ty = tangent_project_arr(base, J.Fy, p)
+def normal_projector(base, Fx, Fy, p: int):
+    """The map V -> normal part of (..., 2, 3) product vectors V at the
+    samples base with tangents Fx, Fy: V minus its position components and
+    its G-projection onto span(F_x, F_y), by the full 2x2 Gram system.  F_x
+    and F_y lose the position components that finite-difference tangents
+    keep first.  It holds two vector fields of the shape of base: the
+    checks build one per row block and drop it after use."""
+    Tx = tangent_project_arr(base, Fx, p)
+    Ty = tangent_project_arr(base, Fy, p)
     gxx, gxy, gyy = g_inner(Tx, Tx, p), g_inner(Tx, Ty, p), g_inner(Ty, Ty, p)
     det = gxx * gyy - gxy * gxy
 
@@ -326,10 +401,11 @@ def second_fundamental_fields(F: ImmersionGrid):
 
     Returns (h11, h12, h22, H) as (nx,ny,2,3) arrays, built uncached; valid
     on the ok mask of the conformal fields intersected with the interior.
-    form_norms forms the same fields one at a time.
+    form_norms forms the same fields a row block at a time.
     """
     C = conformal_fields(F)
-    normal_part = normal_projector(F)
+    J = jets(F)
+    normal_part = normal_projector(F.values, J.Fx, J.Fy, F.p)
     with np.errstate(invalid="ignore", divide="ignore"):
         h11, h12, h22 = (normal_part(D) for D in hessian(F))
         H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
@@ -337,30 +413,37 @@ def second_fundamental_fields(F: ImmersionGrid):
     return h11, h12, h22, H
 
 
+def _form_norms(F, C, rows, normal_part, hess):
+    """(|H|, G(H, H), |h|^2) on the grid rows `rows`, from the normal
+    projector and the Hessian (F_xx, F_xy, F_yy) there; the operations of
+    second_fundamental_fields, h12 formed after h11 and h22 are dropped."""
+    Fxx, Fxy, Fyy = hess
+    es, e2u = C.eps_sign[rows], C.e2u[rows]
+    emu2 = np.exp(-2.0 * C.u[rows])[..., None, None]
+
+    def norm2(h):
+        e = emu2 * h
+        return g_inner(e, e, F.p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h11 = normal_part(Fxx)
+        h22 = normal_part(Fyy)
+        H = 0.5 * (h11 + es[..., None, None] * h22) / e2u[..., None, None]
+        n = norm2(h11) + norm2(h22)
+        del h11, h22
+        n12 = norm2(normal_part(Fxy))
+    return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
+            g_inner(H, H, F.p), n + 2.0 * es * n12)
+
+
 def form_norms(F: ImmersionGrid):
     """Cached per-sample contractions (|H|, G(H, H), |h|^2) of the second
     fundamental form, with |H| Euclidean and |h|^2 taken in the frame
-    e_k = e^{-u} F_k.  The fields of second_fundamental_fields are formed
-    by the same operations, h12 after h11 and h22 are dropped."""
-    def make():
-        C = conformal_fields(F)
-        emu2 = np.exp(-2.0 * C.u)[..., None, None]
-
-        def norm2(h):
-            e = emu2 * h
-            return g_inner(e, e, F.p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normal_part = normal_projector(F)
-            h11 = normal_part(diff2(F.values, F.hx, 0))
-            h22 = normal_part(diff2(F.values, F.hy, 1))
-            H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
-                / C.e2u[..., None, None]
-            n = norm2(h11) + norm2(h22)
-            del h11, h22
-            n12 = norm2(normal_part(d_xy(F.values, F.hx, F.hy)))
-        return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
-                g_inner(H, H, F.p), n + 2.0 * C.eps_sign * n12)
-    return F._cached("form_norms", make)
+    e_k = e^{-u} F_k; formed by oriented_frame(F) a row block at a time,
+    with its products, so both share each block's normal projector and
+    Hessian."""
+    if "form_norms" not in F._cache:
+        oriented_frame(F)
+    return F._cache["form_norms"]
 
 
 def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
@@ -368,84 +451,81 @@ def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
     return form_norms(F)[0]
 
 
-def _continuity_signs(W: np.ndarray) -> np.ndarray:
-    """Sign field aligning a vector field (defined up to sign) between
-    grid neighbors, anchored at the grid center (the boundary ring may
-    be nan, so chains run outward from the middle)."""
-    n, m = W.shape[:2]
+def _relation(a, b):
+    """+1 or -1 per sample: the sign of the Euclidean product of two vector
+    fields defined up to sign, +1 where it is nan or 0."""
+    d = np.einsum("...ki,...ki->...", a, b)
+    s = np.sign(d)
+    return np.where(np.isfinite(d) & (s != 0), s, 1.0)
+
+
+def _continuity_signs(down: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """Sign field aligning a vector field W (defined up to sign) between
+    grid neighbors, anchored at the grid center (the boundary ring may be
+    nan, so chains run outward from the middle), from the relations
+    down[i] = _relation(W[i], W[i-1]) (down[0] unused) and, along the
+    center row ia, across[j] = _relation(W[ia, j+1], W[ia, j])."""
+    n, m = down.shape
     ia, ja = n // 2, m // 2
-
-    def rel(a, b):
-        d = np.einsum("...ki,...ki->...", a, b)
-        s = np.sign(d)
-        return np.where(np.isfinite(d) & (s != 0), s, 1.0)
-
     # grids are at least 5 x 5, so no chain below is empty
     s = np.ones((n, m))
-    s[ia, ja + 1:] = np.cumprod(rel(W[ia, ja + 1:], W[ia, ja:-1]), axis=0)
-    s[ia, :ja] = np.cumprod(rel(W[ia, ja - 1::-1], W[ia, ja:0:-1]),
-                            axis=0)[::-1]
-    s[ia + 1:] = np.cumprod(rel(W[ia + 1:], W[ia:-1]), axis=0) * s[ia]
-    s[:ia] = np.cumprod(rel(W[ia - 1::-1], W[ia:0:-1]), axis=0)[::-1] * s[ia]
+    s[ia, ja + 1:] = np.cumprod(across[ja:], axis=0)
+    s[ia, :ja] = np.cumprod(across[ja - 1::-1], axis=0)[::-1]
+    s[ia + 1:] = np.cumprod(down[ia + 1:], axis=0) * s[ia]
+    s[:ia] = np.cumprod(down[ia:0:-1], axis=0)[::-1] * s[ia]
     return s
 
 
-def normal_frame(F: ImmersionGrid, b: int):
-    """Normal pair (N, Ntilde, bad) with |N|^2 = -eps b, |Ntilde|^2 = -b.
-
-    bad is a boolean mask of points where the frame could not be built.
-    N projects one fixed ambient reference pair for the whole grid, so it
-    varies continuously wherever it is well conditioned (mixing references
-    pointwise would splice discontinuous frames together); the pair with
-    the fewest ill-conditioned points wins.  Ntilde is the normal
-    G-orthogonal to N that orients (F_x, F_y, N, Ntilde) positively for
-    the product orientation pi1*w ^ pi2*w.  Built uncached; each pair's
-    vectors are dropped before the next, the projector before Ntilde.
-    """
-    p, eps, base = F.p, F.eps, F.values
-    C = conformal_fields(F)
-    usable = np.isfinite(C.gxx) & (np.abs(C.gxx) > 0) & (np.abs(C.gyy) > 0)
-    best = None
+def _reference_normal(F, C, B, normal_part, b: int, pair: int):
+    """N of reference pair `pair` on the rows of block B (the whole grid
+    without) of F with conformal fields C, before it is scaled: (N, n2, ok,
+    ill), with n2 the |N|^2 to scale by, ok where the pair is well
+    conditioned and ill the usable samples where it is not.  N projects a
+    fixed ambient pair, so it varies continuously wherever it is well
+    conditioned; a Lorentzian N is an eigenvector, defined up to sign."""
+    B = _or_whole(F, B)
+    p, eps, shape = F.p, F.eps, F.values[B.rows].shape
+    gxx, gyy = C.gxx[B.rows], C.gyy[B.rows]
+    usable = np.isfinite(gxx) & (np.abs(gxx) > 0) & (np.abs(gyy) > 0)
+    r1, r2 = _REFERENCES[pair]
     with np.errstate(invalid="ignore", divide="ignore"):
-        normal_part = normal_projector(F)
-        for r1, r2 in _REFERENCES:
-            nu1 = normal_part(np.broadcast_to(np.stack([r1, r2]), base.shape))
-            nu2 = normal_part(np.broadcast_to(np.stack([r2, -r1]), base.shape))
-            scale = (np.einsum("...ki,...ki->...", nu1, nu1)
-                     + np.einsum("...ki,...ki->...", nu2, nu2))
-            if eps == 1:
-                # normal bundle negative definite: N along nu1
-                n11 = g_inner(nu1, nu1, p)
-                ok = usable & (-n11 > _FRAME_TOL * scale)
-                Ncand = nu1 / np.sqrt(np.where(ok, -n11, 1.0))[..., None, None]
-            else:
-                # Lorentzian normal bundle: N is the eigenvector of the 2x2
-                # Gram form whose eigenvalue has the sign of |N|^2 = b
-                s12 = g_inner(nu1, nu2, p)
-                S = np.stack([g_inner(nu1, nu1, p), s12, s12,
-                              g_inner(nu2, nu2, p)], axis=-1)
-                lam, Q = np.linalg.eigh(np.nan_to_num(
-                    S, copy=False).reshape(usable.shape + (2, 2)))
-                ok = usable & (lam[..., 1] > _FRAME_TOL * scale) \
-                    & (-lam[..., 0] > _FRAME_TOL * scale)
-                c = 1 if b == 1 else 0
-                Ncand = np.multiply(nu1, Q[..., 0, c][..., None, None], out=nu1)
-                Ncand += np.multiply(nu2, Q[..., 1, c][..., None, None], out=nu2)
-                # eigenvectors are defined up to sign; align by continuity
-                Ncand *= _continuity_signs(Ncand)[..., None, None]
-                Ncand /= np.sqrt(np.where(ok, b * lam[..., c], 1.0))[..., None, None]
-            n_bad = int(np.sum(usable & ~ok))
-            if best is None or n_bad < best[0]:
-                best = (n_bad, Ncand, ok)
-            del nu1, nu2, Ncand
-            if n_bad == 0:
-                break
+        nu1 = normal_part(np.broadcast_to(np.stack([r1, r2]), shape))
+        nu2 = normal_part(np.broadcast_to(np.stack([r2, -r1]), shape))
+        scale = (np.einsum("...ki,...ki->...", nu1, nu1)
+                 + np.einsum("...ki,...ki->...", nu2, nu2))
+        if eps == 1:
+            # normal bundle negative definite: N along nu1
+            n11 = g_inner(nu1, nu1, p)
+            ok = usable & (-n11 > _FRAME_TOL * scale)
+            return nu1, -n11, ok, usable & ~ok
+        # Lorentzian normal bundle: N is the eigenvector of the 2x2 Gram
+        # form whose eigenvalue has the sign of |N|^2 = b
+        s12 = g_inner(nu1, nu2, p)
+        S = np.stack([g_inner(nu1, nu1, p), s12, s12, g_inner(nu2, nu2, p)],
+                     axis=-1)
+        lam, Q = np.linalg.eigh(np.nan_to_num(
+            S, copy=False).reshape(usable.shape + (2, 2)))
+        ok = usable & (lam[..., 1] > _FRAME_TOL * scale) \
+            & (-lam[..., 0] > _FRAME_TOL * scale)
+        c = 1 if b == 1 else 0
+        N = np.multiply(nu1, Q[..., 0, c][..., None, None], out=nu1)
+        N += np.multiply(nu2, Q[..., 1, c][..., None, None], out=nu2)
+        return N, b * lam[..., c], ok, usable & ~ok
 
-        _, N, ok = best
-        del normal_part
+
+def normal_frame(F, B, J: GridJets, N, n2, ok, b: int):
+    """Normal pair (N, Ntilde, bad) on the rows of block B (the whole grid
+    without) from _reference_normal's (N, n2, ok) there and the jets J: N
+    scaled in place to |N|^2 = -eps b, and Ntilde, with |Ntilde|^2 = -b,
+    the normal G-orthogonal to N that orients (F_x, F_y, N, Ntilde)
+    positively for the product orientation pi1*w ^ pi2*w; both nan on bad,
+    the samples without a frame.  Ntilde is odd in N."""
+    B = _or_whole(F, B)
+    p, base = F.p, F.values[B.rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        N /= np.sqrt(np.where(ok, n2, 1.0))[..., None, None]
         # G(V, V) = vol(F_x, F_y, N, V) has the sign -b of |Ntilde|^2, so
         # -b V is positively oriented
-        J = jets(F)
         Nt = orientation_dual(base, J.Fx, J.Fy, N, p)
         nvv = g_inner(Nt, Nt, p)
         ok = ok & (b * nvv < 0)
@@ -462,20 +542,6 @@ def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
     return ScalarEps(A / scale, -eps * B / scale, eps)
 
 
-def j_fz(F: ImmersionGrid, k: int):
-    """J_k F_z with F_z = (F_x - eps i F_y)/2; large, so uncached."""
-    J = jets(F)
-    return J_product(k, F.values, complex_vector(J.Fx, J.Fy, F.eps, 2.0), F.p)
-
-
-def f_zz(F: ImmersionGrid) -> ScalarEps:
-    """F_zz = (F_xx - eps F_yy)/4 - eps i F_xy/2; uncached, and its real
-    part is formed before F_xy."""
-    V, eps = F.values, F.eps
-    re = (diff2(V, F.hx, 0) - eps * diff2(V, F.hy, 1)) / 4.0
-    return ScalarEps(re, -eps * d_xy(V, F.hx, F.hy) / 2.0, eps)
-
-
 def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
     """(G(Z, xibar), G(Z, xi)) from the four real products both share;
     bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
@@ -485,13 +551,65 @@ def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
             ScalarEps(rr - Z.eps * ii, ri + ir, Z.eps))
 
 
+def _frame_pass(F, C, b: int, pair: int, norms: bool):
+    """One pass over the row blocks of F with reference pair `pair`, each
+    block's normal projector and Hessian built once: (parts, across).
+
+    parts are the stitched per-sample arrays: _form_norms' three if norms,
+    then ill, bad, and the real and imaginary parts of G(J1 F_z, xibar),
+    G(J1 F_z, xi), G(J2 F_z, xibar), G(J2 F_z, xi), G(F_zz, xibar) and
+    G(F_zz, xi), with xi = (N - i eps Ntilde)/sqrt(2).  A Lorentzian N is
+    not aligned here: parts end with its relations `down` (see
+    _continuity_signs, taken before N is scaled and across block edges),
+    across holds those along the center row, and every product is odd in N.
+    """
+    p, eps, center = F.p, F.eps, F.nx // 2
+    seam = {"above": None, "across": None}
+
+    def block(B):
+        J = jets(F, B)
+        base = F.values[B.rows]
+        normal_part = normal_projector(base, J.Fx, J.Fy, p)
+        hess = hessian(F, B)
+        out = _form_norms(F, C, B.rows, normal_part, hess) if norms else ()
+        N, n2, ok, ill = _reference_normal(F, C, B, normal_part, b, pair)
+        del normal_part
+        if eps == -1:
+            down = np.ones(ill.shape)
+            down[1:] = _relation(N[1:], N[:-1])
+            if seam["above"] is not None:
+                down[0] = _relation(N[0], seam["above"])
+            seam["above"] = N[-1].copy()
+            if B.rows.start <= center < B.rows.stop:
+                row = N[center - B.rows.start]
+                seam["across"] = _relation(row[1:], row[:-1])
+        N, Nt, bad = normal_frame(F, B, J, N, n2, ok, b)
+        xi = complex_vector(N, Nt, eps, np.sqrt(2.0))
+        del N, Nt
+        Fz = complex_vector(J.Fx, J.Fy, eps, 2.0)
+        g1, c1 = g_pair(J_product(1, base, Fz, p), xi, p)
+        c2, g2 = g_pair(J_product(2, base, Fz, p), xi, p)
+        del Fz
+        Fxx, Fxy, Fyy = hess
+        # F_zz = (F_xx - eps F_yy)/4 - eps i F_xy/2
+        zz1, zz2 = g_pair(ScalarEps((Fxx - eps * Fyy) / 4.0,
+                                    -eps * Fxy / 2.0, eps), xi, p)
+        out += (ill, bad) + tuple(a for z in (g1, c1, c2, g2, zz1, zz2)
+                                  for a in (z.re, z.im))
+        if eps == -1:
+            out += (down,)
+        return out
+    return by_rows((F.nx, F.ny), block), seam["across"]
+
+
 @dataclass
 class NormalFrame:
     """Per-sample products with the oriented xi = (N - i eps Ntilde)/sqrt(2):
     g1 = G(J1 F_z, xibar), g2 = G(J2 F_z, xi) of the structure equations
     J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z + eps gamma2 xibar,
     so gamma_j = -b g_j; zz1 = G(F_zz, xibar), zz2 = G(F_zz, xi), so
-    f_j = -eps b zz_j.  No vector field: normal_frame rebuilds N, Ntilde."""
+    f_j = -eps b zz_j.  No vector field: the frame is that of reference
+    pair `pair` (see _reference_normal and normal_frame)."""
 
     bad: np.ndarray
     g1: ScalarEps
@@ -499,37 +617,75 @@ class NormalFrame:
     zz1: ScalarEps
     zz2: ScalarEps
     diag: dict
+    pair: int
+
+
+def _second_order(F: ImmersionGrid, b: int):
+    """Cache oriented_frame(F, b), and form_norms(F) unless it is cached.
+
+    Each reference pair tried costs one pass over the row blocks; the pair
+    with the fewest ill-conditioned points wins (mixing references
+    pointwise would splice discontinuous frames together), and a pair with
+    none ends the search.  A Lorentzian frame is then aligned by
+    continuity: N -> -N maps Ntilde, xi and every product to its negative,
+    so the signs multiply the products."""
+    eps = F.eps
+    C = conformal_fields(F)
+    norms = "form_norms" not in F._cache
+    best = None
+    for pair in range(len(_REFERENCES)):
+        parts, across = _frame_pass(F, C, b, pair, norms)
+        if norms:
+            F._cache["form_norms"], parts, norms = parts[:3], parts[3:], False
+        n_bad = int(np.sum(parts[0]))
+        if best is None or n_bad < best[0]:
+            best = (n_bad, pair, parts[1:], across)
+        del parts
+        if n_bad == 0:
+            break
+    _, pair, (bad, *rest), across = best
+    del best
+    down = rest.pop() if eps == -1 else None
+    g1, c1, c2, g2, zz1, zz2 = (ScalarEps(rest[k], rest[k + 1], eps)
+                                for k in range(0, 12, 2))
+    del rest
+
+    def e2(z):
+        return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)
+
+    # xi must carry the xi-component of J1 F_z and the xibar-component of
+    # J2 F_z: Ntilde -> -Ntilde maps xi to xibar and swaps each pair of
+    # products exactly, so the frame is flipped if the cross components
+    # dominate
+    good = e2(g1) + e2(g2)
+    cross = e2(c1) + e2(c2)
+    flipped = bool(np.nansum(cross) > np.nansum(good))
+    if flipped:
+        g1, g2, zz1, zz2, good, cross = c1, c2, zz2, zz1, cross, good
+    tot = np.nansum(good)
+    frac = float(np.nansum(cross) / tot) if tot > 0 else 0.0
+    del c1, c2, good, cross
+    if eps == -1:
+        s = _continuity_signs(down, across)
+        for z in (g1, g2, zz1, zz2):
+            z.re *= s
+            z.im *= s
+    F._cache[f"frame_{b}"] = NormalFrame(bad, g1, g2, zz1, zz2, {
+        "orientation_flipped": flipped, "cross_component_fraction": frac},
+        pair)
 
 
 def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
     """Products of the grid-wide normal frame whose Ntilde-sign is fixed by
-    the structure equations, cached per b: xi must carry the xi-component
-    of J1 F_z and the xibar-component of J2 F_z, so the frame is flipped
-    globally (Ntilde -> -Ntilde maps xi to xibar) if the cross components
-    dominate (diag["orientation_flipped"]).  xi, each J_k F_z and F_zz
-    are contracted as they are formed and dropped."""
-    def make():
-        N, Nt, bad = normal_frame(F, b)
-        xi = complex_vector(N, Nt, F.eps, np.sqrt(2.0))
-        del N, Nt
-        g1, c1 = g_pair(j_fz(F, 1), xi, F.p)
-        c2, g2 = g_pair(j_fz(F, 2), xi, F.p)
-        zz1, zz2 = g_pair(f_zz(F), xi, F.p)
-
-        def e2(z):
-            return np.where(np.isfinite(z.re), z.re ** 2 + z.im ** 2, 0.0)
-
-        good = e2(g1) + e2(g2)
-        cross = e2(c1) + e2(c2)
-        flipped = bool(np.nansum(cross) > np.nansum(good))
-        if flipped:
-            # xi -> xibar swaps each pair of products exactly
-            g1, g2, zz1, zz2, good, cross = c1, c2, zz2, zz1, cross, good
-        tot = np.nansum(good)
-        frac = float(np.nansum(cross) / tot) if tot > 0 else 0.0
-        return NormalFrame(bad, g1, g2, zz1, zz2, {
-            "orientation_flipped": flipped, "cross_component_fraction": frac})
-    return F._cached(f"frame_{b}", make)
+    the structure equations, cached per b: the frame is flipped globally
+    if the cross components dominate (diag["orientation_flipped"]).  Formed
+    a row block at a time, with form_norms unless it is cached
+    (_second_order): xi, each J_k F_z and F_zz exist for one block at a
+    time."""
+    key = f"frame_{b}"
+    if key not in F._cache or "form_norms" not in F._cache:
+        _second_order(F, b)
+    return F._cache[key]
 
 
 def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
@@ -539,24 +695,6 @@ def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
         C = conformal_fields(F)
         return gauss_curvature(C.u, F.hx, F.hy, C.eps_sign)
     return F._cached("K", make)
-
-
-def normal_curvature_field(F: ImmersionGrid, b: int = 1) -> np.ndarray:
-    """Kperp = G([A_Ntilde, A_N] e1, e2), the Ricci commutator of the shape
-    operators in the frame e_k = e^{-u} F_k.  With a_kl = G(h_kl, N) and
-    b_kl = G(h_kl, Ntilde) in that frame it reads
-    a11 b12 - a12 b11 + eps (a12 b22 - a22 b12)."""
-    def make():
-        C = conformal_fields(F)
-        emu = np.exp(-C.u)[..., None, None]
-        he = [emu * emu * h for h in second_fundamental_fields(F)[:3]]
-        N, Nt, _ = normal_frame(F, b)
-        if oriented_frame(F, b).diag["orientation_flipped"]:
-            Nt = -Nt    # the frame oriented_frame's products are taken in
-        a11, a12, a22 = (g_inner(h, N, F.p) for h in he)
-        b11, b12, b22 = (g_inner(h, Nt, F.p) for h in he)
-        return a11 * b12 - a12 * b11 + C.eps_sign * (a12 * b22 - a22 * b12)
-    return F._cached(f"Kperp_{b}", make)
 
 
 def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
@@ -585,14 +723,6 @@ def gauss_equation_residual(F: ImmersionGrid, i: int, j: int) -> float:
     if np.isnan(r):
         raise DegenerateMetric(f"no Gauss residual at sample ({i},{j})")
     return float(r)
-
-
-def hopf_fields(F: ImmersionGrid):
-    """Hopf quantity theta = G(J1 F_z, J2 F_z)/2 and its dbar-derivative."""
-    def make():
-        theta = g_inner(j_fz(F, 1), j_fz(F, 2), F.p) * 0.5
-        return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
-    return F._cached("hopf", make)
 
 
 # ---------------------------------------------------------------------------

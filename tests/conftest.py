@@ -5,8 +5,18 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import minsurf.gordon as gordon
+import minsurf.immersion as immersion
 from minsurf.gordon import build_family, solution_from_fields
-from minsurf.immersion import GridSpec
+from minsurf.immersion import (
+    GridSpec,
+    complex_vector,
+    conformal_fields,
+    dz,
+    jets,
+    oriented_frame,
+    second_fundamental_fields,
+)
+from minsurf.product import J_product, g_inner
 
 
 def ode_profile(sigma, nonlin, a0, xs, da0=0.0):
@@ -94,3 +104,46 @@ def ratio_table(coarse: dict, fine: dict, floor=1e-11):
         elif f > 0:
             out[k] = v / f
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-grid oracles for the immersion checks
+# ---------------------------------------------------------------------------
+
+def jacobians(C1, C2):
+    """Factor Jacobians ((C1+C2)/2, (-C1+C2)/2)."""
+    return (C1 + C2) / 2.0, (-C1 + C2) / 2.0
+
+
+def hopf_fields(F):
+    """Hopf quantity theta = G(J1 F_z, J2 F_z)/2 and its dbar-derivative."""
+    J = jets(F)
+    Fz = complex_vector(J.Fx, J.Fy, F.eps, 2.0)
+    theta = g_inner(J_product(1, F.values, Fz, F.p),
+                    J_product(2, F.values, Fz, F.p), F.p) * 0.5
+    return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
+
+
+def normal_curvature_field(F, b=1):
+    """Kperp = G([A_Ntilde, A_N] e1, e2), the Ricci commutator of the shape
+    operators in the frame e_k = e^{-u} F_k.  With a_kl = G(h_kl, N) and
+    b_kl = G(h_kl, Ntilde) in that frame it reads
+    a11 b12 - a12 b11 + eps (a12 b22 - a22 b12).
+
+    (N, Ntilde) is oriented_frame's frame on the whole grid: its reference
+    pair, flipped as it is, but not aligned by continuity, which Kperp does
+    not see (N -> -N maps Ntilde to -Ntilde)."""
+    C = conformal_fields(F)
+    emu = np.exp(-C.u)[..., None, None]
+    he = [emu * emu * h for h in second_fundamental_fields(F)[:3]]
+    fr = oriented_frame(F, b)
+    J = jets(F)
+    normal_part = immersion.normal_projector(F.values, J.Fx, J.Fy, F.p)
+    N, n2, ok, _ = immersion._reference_normal(F, C, None, normal_part, b,
+                                               fr.pair)
+    N, Nt, _ = immersion.normal_frame(F, None, J, N, n2, ok, b)
+    if fr.diag["orientation_flipped"]:
+        Nt = -Nt
+    a11, a12, a22 = (g_inner(h, N, F.p) for h in he)
+    b11, b12, b22 = (g_inner(h, Nt, F.p) for h in he)
+    return a11 * b12 - a12 * b11 + C.eps_sign * (a12 * b22 - a22 * b12)

@@ -8,7 +8,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import interior_region, ratio_table
+from conftest import (
+    hopf_fields,
+    interior_region,
+    normal_curvature_field,
+    ratio_table,
+)
 
 import minsurf.gordon as G
 from minsurf.algebra import cross_arr, inner_arr, j_arr
@@ -27,10 +32,8 @@ from minsurf.immersion import (
     GridSpec,
     conformal_fields,
     gauss_equation_residual,
-    hopf_fields,
     kahler_fields,
     mean_curvature_residual,
-    normal_curvature_field,
     second_fundamental_fields,
 )
 from minsurf.product import (

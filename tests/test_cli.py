@@ -330,28 +330,34 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err == f"error: --grid expects N or NXxNY, got {grid!r}\n"
 
-    @pytest.mark.parametrize("name", ["slice:first", "holo:2z1-safe",
-                                      "paraholo:z2"])
-    def test_check_memory_bound(self, name):
+    @pytest.mark.parametrize("name,n,bound", [
+        pytest.param("slice:first", 129, 8, id="slice:first"),
+        pytest.param("holo:2z1-safe", 129, 8, id="holo:2z1-safe"),
+        pytest.param("paraholo:z2", 129, 8, id="paraholo:z2"),
+        pytest.param("slice:first", 257, 9, id="slice:first-257")])
+    def test_check_memory_bound(self, name, n, bound):
         # the checks cache scalar contractions, not (nx,ny,2,3) vector
-        # fields, and form each vector field where it is contracted: their
-        # peak stays within 13 grids' worth of bytes (paraholo:z2 runs the
-        # Lorentzian normal frame)
-        F = build_example(name, nx=129)
+        # fields, and form each vector field a few grid rows at a time:
+        # their peak stays within `bound` grids' worth of bytes
+        # (paraholo:z2 runs the Lorentzian normal frame).  A first run on a
+        # small grid imports what the checks import lazily, so the bound
+        # measures the checks alone.
+        cfg = cli.RunConfig(command="verify", example=name)
+        cli._check_grid(build_example(name, nx=17), cfg)
+        F = build_example(name, nx=n)
         tracemalloc.start()
         try:
-            code, _ = cli._check_grid(F, cli.RunConfig(
-                command="verify", example=name))
+            code, _ = cli._check_grid(F, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak <= 13 * F.values.nbytes
+        assert peak <= bound * F.values.nbytes
 
     @pytest.mark.parametrize("name", ["slice:first", "paraholo:z2"])
     def test_check_caches_no_vector_field(self, name):
-        # after the checks, only the jets F_x, F_y are cached as product
-        # vectors; every other cached entry holds per-sample values
+        # after the checks, every cached entry holds per-sample values: no
+        # (nx, ny, 2, 3) product vector field is cached, the jets included
         def arrays(x):
             if isinstance(x, np.ndarray):
                 yield x
@@ -372,9 +378,9 @@ class TestVerify:
 
         F = build_example(name, nx=33)
         cli._check_grid(F, cli.RunConfig(command="verify", example=name))
-        assert "jets" in F._cache and "frame_1" in F._cache
-        vector_entries = [key for key, v in F._cache.items() if key != "jets"
-                          and any(a.shape[-2:] == (2, 3) for a in arrays(v))]
+        assert "frame_1" in F._cache and "jets" not in F._cache
+        vector_entries = [key for key, v in F._cache.items()
+                          if any(a.shape[-2:] == (2, 3) for a in arrays(v))]
         assert vector_entries == []
 
     def test_tol_override(self, capsys):

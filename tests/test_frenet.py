@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FAMILY_CASES, ratio_table
+from conftest import FAMILY_CASES, normal_curvature_field, ratio_table
 
 import minsurf
 from minsurf import frenet, gordon
@@ -20,11 +20,7 @@ from minsurf.frenet import (
     roundtrip_report,
 )
 from minsurf.fundata import FundamentalData, restrict
-from minsurf.immersion import (
-    gauss_curvature_field,
-    hessian,
-    normal_curvature_field,
-)
+from minsurf.immersion import gauss_curvature_field, hessian
 
 
 def flat_lagrangian(n=21, h=0.05):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import interior_region, ratio_table
+from conftest import hopf_fields, interior_region, ratio_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -480,7 +480,6 @@ class TestHopfCrossCheck:
     def test_theta_equals_gamma_product(self, family_cache):
         # the Hopf quantity from the immersion matches -eps b gamma1 gamma2 / 2
         from minsurf.frenet import reconstruct
-        from minsurf.immersion import hopf_fields
         D = family_cache("A1", 33)
         grid, _ = reconstruct(D)
         E = extract(grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import hopf_fields, jacobians, normal_curvature_field
 
-from minsurf.errors import DegenerateMetric
-from minsurf.fundata import extract
+from minsurf import fundata, immersion
+from minsurf.errors import DegenerateMetric, MinsurfError
+from minsurf.fundata import compat_residuals, extract
 from minsurf.immersion import (
     GridSpec,
     ImmersionGrid,
@@ -27,12 +30,9 @@ from minsurf.immersion import (
     grid_to_json,
     grid_to_obj,
     hessian,
-    hopf_fields,
-    jacobians,
     jets,
     kahler_fields,
     mean_curvature_residual,
-    normal_curvature_field,
     oriented_frame,
     second_fundamental_fields,
     write_grid,
@@ -357,6 +357,85 @@ class TestGridCache:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestRowBlocks:
+    """The checks run a few grid rows at a time; stitched, their fields
+    equal those of one block bit for bit (nan where those are nan)."""
+
+    @staticmethod
+    def fields(F):
+        out = {}
+
+        def put(key, v):
+            if isinstance(v, ScalarEps):
+                put(f"{key}.re", v.re)
+                put(f"{key}.im", v.im)
+            elif isinstance(v, (tuple, list)):
+                for k, x in enumerate(v):
+                    put(f"{key}.{k}", x)
+            else:
+                out[key] = v
+        C = conformal_fields(F)
+        for f in dataclasses.fields(C):
+            put(f"conformal.{f.name}", getattr(C, f.name))
+        put("kahler", kahler_fields(F))
+        put("classes", class_masks(F))
+        put("form_norms", form_norms(F))
+        for b in ((1, -1) if F.eps == -1 else (1,)):
+            fr = oriented_frame(F, b)
+            put(f"frame{b}", [fr.bad, fr.g1, fr.g2, fr.zz1, fr.zz2])
+            out[f"frame{b}.diag"], out[f"frame{b}.pair"] = fr.diag, fr.pair
+            try:
+                D = extract(F, b)
+                put(f"extract{b}", [getattr(D, k) for k in fundata._FIELDS])
+                out[f"extract{b}.diag"] = D.diagnostics
+                out[f"compat{b}"] = compat_residuals(D).norms
+            except MinsurfError as exc:
+                out[f"extract{b}"] = exc
+        put("K", gauss_curvature_field(F))
+        put("gauss", gauss_residual_field(F))
+        return out
+
+    @pytest.mark.parametrize("name,pair", [
+        ("slice:first", 0),
+        ("paraholo:z2", 0),     # its Lorentzian sign chain crosses blocks
+        ("paraholo:sit", 2),    # 4, 9 and 0 ill-conditioned points
+        ("holo:2z1", 1),        # 288, 286 and 288
+    ])
+    def test_stitched_fields_equal_one_block(self, name, pair, monkeypatch):
+        F = build_example(name, nx=33)
+        monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", F.nx * F.ny)
+        assert len(immersion.row_blocks(F.nx, F.ny)) == 1
+        whole = self.fields(F)
+        assert whole["frame1.pair"] == pair
+        monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", 3 * F.ny)
+        assert len(immersion.row_blocks(F.nx, F.ny)) == 11
+        blocked = self.fields(ImmersionGrid(F.p, F.eps, F.values, F.hx,
+                                            F.hy, F.origin))
+        assert blocked.keys() == whole.keys()
+        for key, want in whole.items():
+            got = blocked[key]
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, key
+                assert np.array_equal(got, want,
+                                      equal_nan=want.dtype.kind == "f"), key
+            else:
+                # repr is exact for floats and the same for every nan
+                assert repr(got) == repr(want), key
+
+    def test_blocks_cover_the_rows_once(self):
+        for nx, ny in ((5, 5), (64, 64), (65, 65), (257, 257), (7, 5000)):
+            blocks = immersion.row_blocks(nx, ny)
+            rows = [i for B in blocks for i in range(nx)[B.rows]]
+            assert rows == list(range(nx))
+            for B in blocks:
+                assert (B.rows.stop - B.rows.start) * ny \
+                    <= max(immersion._BLOCK_SAMPLES, ny)
+                assert B.halo.start == max(B.rows.start - 1, 0)
+                assert B.halo.stop == min(B.rows.stop + 1, nx)
+                assert range(nx)[B.halo][B.own] == range(nx)[B.rows]
+        assert len(immersion.row_blocks(64, 64)) == 1
 
 
 @functools.cache

@@ -66,7 +66,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_g_inner_normal_frame_pairs(self, p):
         # the Gram matrix of a normal pair (nu1, nu2) as one broadcast
-        # g_inner call; immersion.normal_frame takes its three entries by
+        # g_inner call; immersion._reference_normal takes its three entries by
         # three calls, which must match it bit for bit
         nu = np.random.default_rng(22).normal(size=(17, 19, 2, 2, 3))
         X, Y = nu[..., :, None, :, :], nu[..., None, :, :, :]
