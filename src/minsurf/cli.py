@@ -288,7 +288,9 @@ def cmd_verify(cfg: RunConfig):
 
 
 def _check_grid(F, cfg: RunConfig):
-    """verify's checks of the grid F: (exit code, report)."""
+    """verify's checks of the grid F: (exit code, report).  The
+    fundamental data stream into the compat residuals (StreamedData): the
+    whole-grid record of extract is never built."""
     rng = np.random.default_rng(cfg.seed)
     tols = _tolerances("verify", cfg, max(F.hx, F.hy))
 
@@ -359,7 +361,7 @@ def _check_grid(F, cfg: RunConfig):
         # fundamental data, when the surface is minimal enough to admit it
         if norms["minimality"] <= tols["minimality"]:
             try:
-                D = fundata.extract(F)
+                D = fundata.StreamedData(F)
                 # stay clear of isolated (para-)complex points, where the
                 # gamma-quotients converge only at first order
                 excl = np.zeros_like(D.mask)

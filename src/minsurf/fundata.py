@@ -91,6 +91,12 @@ class FundamentalData:
     def e2u(self) -> np.ndarray:
         return np.exp(2.0 * self.u)
 
+    def rows(self, rows: slice) -> "FundamentalData":
+        """The record on the grid rows `rows`, its fields views of D's (as
+        StreamedData.rows forms them)."""
+        return _map_fields(self, lambda a: a[rows],
+                           origin=_row_origin(self, rows))
+
 
 # the per-sample fields of a FundamentalData, in fundata.json's key order,
 # with the kind of each; restrict, gauge_rotate and the JSON I/O act on
@@ -112,6 +118,18 @@ def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
     new = {k: apply(getattr(D, k)) for k in _FIELDS}
     return replace(D, **{**new, **changes}, diagnostics=dict(D.diagnostics),
                    meta=dict(D.meta))
+
+
+def _arrays(D: FundamentalData):
+    """D's per-sample arrays in _FIELDS order, a ScalarEps as re, im."""
+    for name, kind in _FIELDS.items():
+        z = getattr(D, name)
+        yield from (z.re, z.im) if kind is ScalarEps else (z,)
+
+
+def _row_origin(D, rows: slice) -> tuple:
+    """The origin of D's record on the grid rows `rows`."""
+    return D.origin[0] + rows.start * D.hx, D.origin[1]
 
 
 def _cut(z, rows: slice):
@@ -226,86 +244,112 @@ def fd_tol(D_or_grid, u) -> np.ndarray:
     return max(10.0 * h * h, 1e-8) * np.exp(2.0 * np.asarray(u))
 
 
-def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
-    """Extract fundamental data from a sampled immersion, ungated: the
-    diagnostic mean_curvature_sup is the sup of |H| over the points whose
-    metric is valid with the declared signature (EmptyInterior if none).
-    gamma_j and f_j scale oriented_frame's per-sample products.  The
-    fields are formed a row block at a time (u_z and A from the block's
-    halo); the strata's guard rings are grown on the whole grid."""
-    C = conformal_fields(F)
-    eps = F.eps
-    if eps == 1 and b != 1:
-        raise SignatureError("Riemannian induced metric forces b = +1")
+class StreamedData:
+    """The fundamental data of F (extract's record) formed a few rows at a
+    time: the whole-grid fields are bools, and rows(r) forms every
+    per-sample field on the grid rows r.
 
-    ok = C.ok & (C.eps_sign == eps)
-    H_sup = field_sup(mean_curvature_residual(F), ok)
-    if not np.isfinite(H_sup):
-        raise EmptyInterior("no valid interior points")
+    Built, it holds the strata step: the mask (metric valid with the
+    declared signature, a normal frame there), the (para-)complex strata
+    with their guard rings of radius 2h (complex1, complex2; gamma-
+    divisions are excluded there, as isolated zeros of gamma pollute the
+    quotient), and the diagnostics but A_disagreement, which is the sup
+    over the rows formed so far.  EmptyInterior if no point has a valid
+    metric; mean_curvature_sup is the sup of |H| over those points.
+    """
 
-    fr = oriented_frame(F, b)
-    ok = ok & ~fr.bad
-    kahler = kahler_fields(F)
+    def __init__(self, F: ImmersionGrid, b: int = 1):
+        C = conformal_fields(F)
+        eps = F.eps
+        if eps == 1 and b != 1:
+            raise SignatureError("Riemannian induced metric forces b = +1")
+        ok = C.ok & (C.eps_sign == eps)
+        H_sup = field_sup(mean_curvature_residual(F), ok)
+        if not np.isfinite(H_sup):
+            raise EmptyInterior("no valid interior points")
+        fr = oriented_frame(F, b)
+        self.p, self.eps, self.b, self.hx, self.hy = F.p, eps, b, F.hx, F.hy
+        self.origin = F.origin
+        self.meta = {"source": F.meta.get("name", "grid")}
+        self.mask = ok & ~fr.bad
+        self._sources = C.u, fr, kahler_fields(F)
+        self._gaps = []
+        cx1, cx2 = by_rows(ok.shape, lambda B: tuple(
+            cx for *_, cx in self._snapped(B.rows)[1]))
+        self.complex1, self.complex2 = dilate(cx1, 2), dilate(cx2, 2)
+        self._diag = {
+            "frame_bad_points": int(np.sum(fr.bad & C.ok)),
+            "mean_curvature_sup": H_sup,
+            "complex_points_raw": (int(np.sum(cx1)), int(np.sum(cx2))),
+            "complex_points_guarded": (int(np.sum(self.complex1)),
+                                       int(np.sum(self.complex2))),
+            **fr.diag,
+        }
 
-    def strata(B):
-        # gamma_j and f_j scale the frame products; on the (para-)complex
-        # strata gamma_k = f_k = 0 and C_k is snapped to +-1
-        r, m = B.rows, ok[B.rows]
-        u = np.where(m, C.u[r], np.nan)
-        tau = fd_tol(F, u)
-        out = (u,)
+    @property
+    def diagnostics(self) -> dict:
+        return {"A_disagreement": _sup(self._gaps), **self._diag}
+
+    def _snapped(self, r: slice):
+        """u and, for j = 1, 2, (C_j, gamma_j, f_j, raw stratum j) on the
+        grid rows r: gamma_j and f_j scale oriented_frame's products, and on
+        the stratum gamma_j = f_j = 0 and C_j is snapped to +-1."""
+        u, fr, kahler = self._sources
+        m, eps, b = self.mask[r], self.eps, self.b
+        u = np.where(m, u[r], np.nan)
+        tau = fd_tol(self, u)
+        out = []
         for g, zz, Cj in zip((fr.g1, fr.g2), (fr.zz1, fr.zz2), kahler):
             gamma, f = _cut(g, r) * (-b), _cut(zz, r) * (-eps * b)
             Cj = np.where(m, Cj[r], np.nan)
             cx = m & (np.abs(gamma.abs2()) <= tau)
             gamma, f = (se_where(~cx, z, 0.0) for z in (gamma, f))
-            out += (np.where(cx, np.sign(Cj), Cj), gamma.re, gamma.im, f.re,
-                    f.im, cx)
-        return out
-    (u, C1, g1_re, g1_im, f1_re, f1_im, cx1,
-     C2, g2_re, g2_im, f2_re, f2_im, cx2) = by_rows(ok.shape, strata)
-    gamma1, f1 = ScalarEps(g1_re, g1_im, eps), ScalarEps(f1_re, f1_im, eps)
-    gamma2, f2 = ScalarEps(g2_re, g2_im, eps), ScalarEps(f2_re, f2_im, eps)
-    # guard ring of radius 2h around the strata: gamma-divisions are
-    # excluded there (isolated zeros of gamma pollute the quotient)
-    n_raw = (int(np.sum(cx1)), int(np.sum(cx2)))
-    cx1 = dilate(cx1, 2)
-    cx2 = dilate(cx2, 2)
-    valid1, valid2 = ok & ~cx1, ok & ~cx2
-    gaps = []
+            out.append((np.where(cx, np.sign(Cj), Cj), gamma, f, cx))
+        return u, out
 
-    def block(B):
-        # u_z and the A pair on the block's rows, from its halo
-        h = B.halo
-        uz = dz(u[h], F.hx, F.hy, eps)
-        A1, A2 = _a_pair(uz, (C1[h], C2[h]), (_cut(f1, h), _cut(f2, h)),
-                         (_cut(gamma1, h), _cut(gamma2, h)),
-                         (valid1[h], valid2[h]), F.hx, F.hy, eps)
-        uz, A1, A2 = (_cut(z, B.own) for z in (uz, A1, A2))
-        both = valid1[B.rows] & valid2[B.rows] & np.isfinite(A1.re) \
-            & np.isfinite(A2.re)
-        gaps.append(_peak(A1 - A2, both))
-        return (uz.re, uz.im, np.where(np.isfinite(A1.re), A1.re, A2.re),
-                np.where(np.isfinite(A1.im), A1.im, A2.im))
-    uz_re, uz_im, A_re, A_im = by_rows(u.shape, block)
-    for z in (gamma1, gamma2, f1, f2):
-        z.re[~ok] = np.nan
-        z.im[~ok] = np.nan
+    def rows(self, rows: slice) -> FundamentalData:
+        """The record on the grid rows `rows`, extract's there: u_z and the
+        A pair read the snapped fields one row beyond each end of `rows`,
+        so they hold on its first and last rows too (nan on the grid's edge
+        lines, as on the whole grid)."""
+        nx, eps, hx, hy = len(self.mask), self.eps, self.hx, self.hy
+        lo = max(rows.start - 1, 0)
+        src, own = (slice(lo, min(rows.stop + 1, nx)),
+                    slice(rows.start - lo, rows.stop - lo))
+        u, ((C1, g1, f1, _), (C2, g2, f2, _)) = self._snapped(src)
+        valid = tuple(self.mask[src] & ~cx[src]
+                      for cx in (self.complex1, self.complex2))
+        uz = dz(u, hx, hy, eps)
+        A1, A2 = _a_pair(uz, (C1, C2), (f1, f2), (g1, g2), valid, hx, hy,
+                         eps)
+        u, C1, C2, g1, g2, f1, f2, uz, A1, A2 = (
+            _cut(z, own) for z in (u, C1, C2, g1, g2, f1, f2, uz, A1, A2))
+        valid = tuple(v[own] for v in valid)
+        self._gaps.append(_peak(A1 - A2, valid[0] & valid[1]
+                                & np.isfinite(A1.re) & np.isfinite(A2.re)))
+        A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
+                      np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
+        m = self.mask[rows]
+        g1, g2, f1, f2 = (se_where(m, z, np.nan) for z in (g1, g2, f1, f2))
+        return FundamentalData(
+            p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u, C1=C1, C2=C2,
+            gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=m,
+            complex1=self.complex1[rows], complex2=self.complex2[rows],
+            origin=_row_origin(self, rows), u_z=uz, meta=dict(self.meta))
 
-    diag = {
-        "A_disagreement": _sup(gaps),
-        "frame_bad_points": int(np.sum(fr.bad & C.ok)),
-        "mean_curvature_sup": H_sup,
-        "complex_points_raw": n_raw,
-        "complex_points_guarded": (int(np.sum(cx1)), int(np.sum(cx2))),
-        **fr.diag,
-    }
+
+def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
+    """The fundamental data of F as one record, ungated: StreamedData's
+    rows, a row block at a time, stitched (diagnostics and strata as
+    StreamedData has them)."""
+    X = StreamedData(F, b)
+    it = iter(by_rows(X.mask.shape,
+                      lambda B: tuple(_arrays(X.rows(B.rows)))))
     return FundamentalData(
-        p=F.p, eps=eps, b=b, hx=F.hx, hy=F.hy, u=u, C1=C1, C2=C2,
-        gamma1=gamma1, gamma2=gamma2, f1=f1, f2=f2,
-        A=ScalarEps(A_re, A_im, eps), mask=ok, complex1=cx1, complex2=cx2,
-        origin=F.origin, u_z=ScalarEps(uz_re, uz_im, eps), diagnostics=diag,
-        meta={"source": F.meta.get("name", "grid")})
+        p=X.p, eps=X.eps, b=X.b, hx=X.hx, hy=X.hy, origin=X.origin,
+        diagnostics=X.diagnostics, meta=X.meta,
+        **{name: ScalarEps(next(it), next(it), X.eps) if kind is ScalarEps
+           else next(it) for name, kind in _FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +402,11 @@ class CompatReport:
                 "n_points": self.n_points, "max": self.max()}
 
 
-def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatReport:
-    """Sup-norms of every first-order compatibility equation, taken a row
-    block at a time: each block's residuals read its one-row halo, and the
-    block sups combine by max.
+def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
+    """Sup-norms of every first-order compatibility equation of D, a
+    FundamentalData or a StreamedData, taken a row block at a time: each
+    block's residuals read D.rows of its one-row halo, and the block sups
+    combine by max, so a StreamedData is never formed on the whole grid.
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (used by refinement studies to compare like with like).
@@ -370,11 +415,10 @@ def compat_residuals(D: FundamentalData, region: np.ndarray = None) -> CompatRep
     if not np.any(base):
         raise EmptyInterior("no valid points in the data mask")
     peaks = []
-    for B in row_blocks(*D.shape):
+    for B in row_blocks(*base.shape):
         inside = np.zeros_like(base[B.halo])
         inside[B.own] = base[B.rows]
-        peaks.append(_compat_peaks(_map_fields(D, lambda a: a[B.halo]),
-                                   inside))
+        peaks.append(_compat_peaks(D.rows(B.halo), inside))
     return CompatReport({k: _sup(p[k] for p in peaks) for k in peaks[0]},
                         int(np.sum(base)))
 

@@ -267,9 +267,10 @@ def hessian(F: ImmersionGrid, B: RowBlock = None):
 
 @dataclass
 class ConformalFields:
+    """The conformal data per sample that later stages read; gyy and gxy
+    exist per block only (_conformal_block, _reference_normal)."""
+
     gxx: np.ndarray
-    gyy: np.ndarray
-    gxy: np.ndarray
     e2u: np.ndarray
     u: np.ndarray
     eps_sign: np.ndarray      # sign(gxx * gyy); 0 where degenerate
@@ -298,7 +299,7 @@ def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
         iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) \
             / np.abs(np.where(ok, e2u, 1.0))
         iso[~ok] = np.nan
-    return gxx, gyy, gxy, e2u, u, eps_sign, iso, ok, degenerate, negdef
+    return gxx, e2u, u, eps_sign, iso, ok, degenerate, negdef
 
 
 def conformal_fields(F: ImmersionGrid) -> ConformalFields:
@@ -476,16 +477,18 @@ def _continuity_signs(down: np.ndarray, across: np.ndarray) -> np.ndarray:
     return s
 
 
-def _reference_normal(F, C, B, normal_part, b: int, pair: int):
+def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
+                      pair: int):
     """N of reference pair `pair` on the rows of block B (the whole grid
-    without) of F with conformal fields C, before it is scaled: (N, n2, ok,
-    ill), with n2 the |N|^2 to scale by, ok where the pair is well
-    conditioned and ill the usable samples where it is not.  N projects a
-    fixed ambient pair, so it varies continuously wherever it is well
-    conditioned; a Lorentzian N is an eigenvector, defined up to sign."""
+    without) of F with conformal fields C and jets J there, before it is
+    scaled: (N, n2, ok, ill), with n2 the |N|^2 to scale by, ok where the
+    pair is well conditioned and ill the usable samples where it is not.
+    N projects a fixed ambient pair, so it varies continuously wherever it
+    is well conditioned; a Lorentzian N is an eigenvector, defined up to
+    sign."""
     B = _or_whole(F, B)
     p, eps, shape = F.p, F.eps, F.values[B.rows].shape
-    gxx, gyy = C.gxx[B.rows], C.gyy[B.rows]
+    gxx, gyy = C.gxx[B.rows], g_inner(J.Fy, J.Fy, p)
     usable = np.isfinite(gxx) & (np.abs(gxx) > 0) & (np.abs(gyy) > 0)
     r1, r2 = _REFERENCES[pair]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -572,7 +575,8 @@ def _frame_pass(F, C, b: int, pair: int, norms: bool):
         normal_part = normal_projector(base, J.Fx, J.Fy, p)
         hess = hessian(F, B)
         out = _form_norms(F, C, B.rows, normal_part, hess) if norms else ()
-        N, n2, ok, ill = _reference_normal(F, C, B, normal_part, b, pair)
+        N, n2, ok, ill = _reference_normal(F, C, B, J, normal_part, b,
+                                           pair)
         del normal_part
         if eps == -1:
             down = np.ones(ill.shape)

@@ -139,8 +139,8 @@ def normal_curvature_field(F, b=1):
     fr = oriented_frame(F, b)
     J = jets(F)
     normal_part = immersion.normal_projector(F.values, J.Fx, J.Fy, F.p)
-    N, n2, ok, _ = immersion._reference_normal(F, C, None, normal_part, b,
-                                               fr.pair)
+    N, n2, ok, _ = immersion._reference_normal(F, C, None, J, normal_part,
+                                               b, fr.pair)
     N, Nt, _ = immersion.normal_frame(F, None, J, N, n2, ok, b)
     if fr.diag["orientation_flipped"]:
         Nt = -Nt

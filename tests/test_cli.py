@@ -79,7 +79,7 @@ class TestVerify:
         def broken(F, b=1):
             raise EmptyInterior("no valid interior points")
 
-        monkeypatch.setattr(fundata, "extract", broken)
+        monkeypatch.setattr(fundata, "StreamedData", broken)
         code, report = cmd_verify(parse_args(
             ["verify", "--example", "slice:first", "--grid", "17"]))
         assert code == EXIT_FAIL
@@ -331,17 +331,20 @@ class TestVerify:
         assert err == f"error: --grid expects N or NXxNY, got {grid!r}\n"
 
     @pytest.mark.parametrize("name,n,bound", [
-        pytest.param("slice:first", 129, 8, id="slice:first"),
-        pytest.param("holo:2z1-safe", 129, 8, id="holo:2z1-safe"),
-        pytest.param("paraholo:z2", 129, 8, id="paraholo:z2"),
-        pytest.param("slice:first", 257, 9, id="slice:first-257")])
+        pytest.param("slice:first", 129, 7.5, id="slice:first"),
+        pytest.param("holo:2z1-safe", 129, 7.5, id="holo:2z1-safe"),
+        pytest.param("paraholo:z2", 129, 7.5, id="paraholo:z2"),
+        pytest.param("slice:first", 257, 5, id="slice:first-257"),
+        pytest.param("holo:2z1-safe", 257, 5, id="holo:2z1-safe-257"),
+        pytest.param("paraholo:z2", 257, 5, id="paraholo:z2-257")])
     def test_check_memory_bound(self, name, n, bound):
         # the checks cache scalar contractions, not (nx,ny,2,3) vector
-        # fields, and form each vector field a few grid rows at a time:
-        # their peak stays within `bound` grids' worth of bytes
-        # (paraholo:z2 runs the Lorentzian normal frame).  A first run on a
-        # small grid imports what the checks import lazily, so the bound
-        # measures the checks alone.
+        # fields, form each vector field a few grid rows at a time and
+        # stream the fundamental data into the compat residuals: their peak
+        # stays within `bound` grids' worth of bytes (paraholo:z2 runs the
+        # Lorentzian normal frame).  A first run on a small grid imports
+        # what the checks import lazily, so the bound measures the checks
+        # alone.
         cfg = cli.RunConfig(command="verify", example=name)
         cli._check_grid(build_example(name, nx=17), cfg)
         F = build_example(name, nx=n)
@@ -353,6 +356,24 @@ class TestVerify:
             tracemalloc.stop()
         assert code == EXIT_PASS
         assert peak <= bound * F.values.nbytes
+
+    def test_check_builds_no_whole_grid_record(self, monkeypatch):
+        # verify's compat residuals read the fundamental data a few rows at
+        # a time; extract still returns the record of the whole grid
+        shapes = []
+        post_init = fundata.FundamentalData.__post_init__
+
+        def recording(D):
+            post_init(D)
+            shapes.append(D.shape)
+        monkeypatch.setattr(fundata.FundamentalData, "__post_init__",
+                            recording)
+        F = build_example("slice:first", nx=129)
+        code, report = cli._check_grid(
+            F, cli.RunConfig(command="verify", example="slice:first"))
+        assert code == EXIT_PASS and "compat_gammanorsec_1" in report["norms"]
+        assert shapes and (F.nx, F.ny) not in shapes
+        assert fundata.extract(F).shape == shapes[-1] == (F.nx, F.ny)
 
     @pytest.mark.parametrize("name", ["slice:first", "paraholo:z2"])
     def test_check_caches_no_vector_field(self, name):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import hopf_fields, jacobians, normal_curvature_field
 
-from minsurf import fundata, immersion
+from minsurf import cli, fundata, immersion
 from minsurf.errors import DegenerateMetric, MinsurfError
 from minsurf.fundata import compat_residuals, extract
 from minsurf.immersion import (
@@ -361,7 +361,8 @@ class TestGridCache:
 
 class TestRowBlocks:
     """The checks run a few grid rows at a time; stitched, their fields
-    equal those of one block bit for bit (nan where those are nan)."""
+    equal those of one block bit for bit (nan where those are nan), and
+    verify's streamed fundamental data equal extract's record."""
 
     @staticmethod
     def fields(F):
@@ -395,6 +396,28 @@ class TestRowBlocks:
                 out[f"extract{b}"] = exc
         put("K", gauss_curvature_field(F))
         put("gauss", gauss_residual_field(F))
+        # verify's streamed data: the mask, strata, region and compat norms
+        # of its one pass, and its extraction report, equal to those of
+        # extract's whole record
+        seen = {}
+
+        def spy(D, region=None):
+            seen.update(D=D, region=region, rep=compat_residuals(D, region))
+            return seen["rep"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fundata, "compat_residuals", spy)
+            _, report = cli._check_grid(F, cli.RunConfig(command="verify"))
+        D, region = seen["D"], seen["region"]
+        R = extract(F)
+        put("verify", [D.mask, D.complex1, D.complex2, region])
+        out["verify.compat"] = seen["rep"].norms
+        out["verify.extraction"] = report["extraction"]
+        for got, want in ((D.mask, R.mask), (D.complex1, R.complex1),
+                          (D.complex2, R.complex2)):
+            assert np.array_equal(got, want)
+        assert repr(seen["rep"].norms) \
+            == repr(compat_residuals(R, region).norms)
+        assert repr(D.diagnostics) == repr(R.diagnostics)
         return out
 
     @pytest.mark.parametrize("name,pair", [
