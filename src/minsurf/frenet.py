@@ -13,11 +13,14 @@ reconstruction up to congruence and no solver or seed enters.  Real x/y
 derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb).
 The system is real-linear and acts alike on every ambient coordinate of a
 factor, so a classical RK4 step of one factor across one grid cell is a
-5x5 propagator, built in closed form for all cells at once (half-step
-coefficients by cubic interpolation of the data lines).  Propagator
-products fill the first row, then all columns in lock-step.  The drift of
-<F_k, F_k> = 1 is reported; the mixed-partial commutator of the two step
-directions around every cell quantifies (non-)integrability of the data.
+5x5 propagator, built in closed form (half-step coefficients by cubic
+interpolation of the data lines).  Propagator products fill the line
+y = 0 by x-steps, then sweep the columns one y-step at a time, holding one
+column of frame states; the propagators are formed for about 512 cells of
+columns at a time, so no whole-grid propagator or state is held.  The
+drift of <F_k, F_k> = 1 is reported; the mixed-partial commutator of the
+two step directions around every cell, formed in the same sweep,
+quantifies (non-)integrability of the data.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ class FrameState:
 # ---------------------------------------------------------------------------
 
 _NFIELD = 15
+_BATCH_CELLS = 512      # grid cells whose RK4 propagators are formed at once
 
 
 def _pack_data(D: FundamentalData) -> np.ndarray:
@@ -190,25 +194,35 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
     return M
 
 
-def _propagators(lines: np.ndarray, h: float, p: int, eps: int, b: int,
-                 direction: str) -> np.ndarray:
+def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
+         b: int, direction: str) -> np.ndarray:
     """One classical RK4 step as a matrix (n-1, ..., 2, 5, 5) from each of
     the data lines (n, ..., 15) to the next, from the coefficients at the
-    start, middle and end of the step; built a few lines at a time, so the
-    temporaries stay small on any grid."""
-    half = _halves(lines)
+    start, middle (half, (n-1, ..., 15), from _halves) and end of the step.
+    Its temporaries are five such matrix arrays, so callers pass a few
+    hundred cells at a time."""
+    M = _frame_matrix(lines, p, eps, b, direction)
+    Mh = _frame_matrix(half, p, eps, b, direction)
     eye = np.eye(5)
-    out = np.empty(half.shape[:-1] + (2, 5, 5))
-    step = max(1, 512 * _NFIELD // lines[0].size)     # ~512 cells a batch
-    for j in range(0, len(half), step):
-        M = _frame_matrix(lines[j:j + step + 1], p, eps, b, direction)
-        Mh = _frame_matrix(half[j:j + step], p, eps, b, direction)
-        k2 = Mh @ (eye + (h / 2.0) * M[:-1])
-        k3 = Mh @ (eye + (h / 2.0) * k2)
-        k4 = M[1:] @ (eye + h * k3)
-        out[j:j + step] = eye + (h / 6.0) * (M[:-1] + 2.0 * k2 + 2.0 * k3
-                                             + k4)
-    return out
+    # k2 = Mh (1 + h/2 M), k3 = Mh (1 + h/2 k2), k4 = M' (1 + h k3)
+    t = np.multiply(h / 2.0, M[:-1])
+    t += eye
+    k2 = Mh @ t
+    np.multiply(h / 2.0, k2, out=t)
+    t += eye
+    k3 = Mh @ t
+    np.multiply(h, k3, out=t)
+    t += eye
+    k4 = np.matmul(M[1:], t, out=Mh)
+    # 1 + h/6 (M + 2 k2 + 2 k3 + k4), summed in that order
+    k2 *= 2.0
+    k2 += M[:-1]
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += eye
+    return k2
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +316,11 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     drift_budget is the "drift" gate's tolerance times the step count.
     Raises FrameConstructionError when D.mask is not all true, D spans
     fewer than 5 samples in either direction or a coefficient is not finite.
+
+    Memory: 37 floats per sample stay resident (the packed data, its
+    y-halves, the returned positions and the commutator of each cell);
+    forming the y-halves briefly adds two temporaries of 15 floats per
+    sample, and a batch of _BATCH_CELLS cells about 350 floats per cell.
     """
     if not D.mask.all():
         raise FrameConstructionError(
@@ -323,29 +342,46 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
         raise FrameConstructionError(
             f"{bad} of {n1 * n2} samples carry non-finite data; "
             f"reconstruction needs finite data at every sample")
-    # Px[k, l] steps (k, l) -> (k+1, l), Py[k, l] steps (k, l) -> (k, l+1)
-    Px = _propagators(W, D.hx, p, eps, b, "x")
-    Py = _propagators(W.swapaxes(0, 1), D.hy, p, eps, b, "y").swapaxes(0, 1)
-    # states (n1, n2, factor, (F, Re F_z, Im F_z, Re xi, Im xi), coordinate)
-    S = np.empty((n1, n2, 2, 5, 3))
-    S[0, 0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
-    for k in range(n1 - 1):             # first row
-        S[k + 1, 0] = Px[k, 0] @ S[k, 0]
-    for l in range(n2 - 1):             # all columns in lock-step
-        S[:, l + 1] = Py[:, l] @ S[:, l]
+    # the y-steps' half-step data, on whole lines (the end stencils are
+    # one-sided); an x-line is whole in every batch of columns
+    Wy = W.swapaxes(0, 1)
+    Hy = _halves(Wy)
 
-    values = S[..., 0, :]
+    def x_steps(cols):
+        """Px[k, j] steps (k, l) -> (k+1, l) for the columns l in cols."""
+        return _rk4(W[:, cols], _halves(W[:, cols]), D.hx, p, eps, b, "x")
+
+    # the state of one column: (n1, factor, (F, Re F_z, Im F_z, Re xi,
+    # Im xi), coordinate); the first column by x-steps from init
+    s = np.empty((n1, 2, 5, 3))
+    s[0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
+    Px = x_steps(slice(0, 1))[:, 0]
+    for k in range(n1 - 1):
+        s[k + 1] = Px[k] @ s[k]
+    values = np.empty((n1, n2, 2, 3))
+    values[:, 0] = s[:, :, 0]
+    # x-then-y against y-then-x around every cell (k, l), (k+1, l+1): the
+    # x-steps of column l carry over from the sweep's previous step
+    xs = Px @ s[:-1]
+    d = np.empty((n1 - 1, n2 - 1))
+    step = max(1, _BATCH_CELLS // n1)
+    for c in range(0, n2 - 1, step):
+        c1 = min(c + step, n2 - 1)
+        # Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1)
+        # for the columns l = c + j
+        Py = _rk4(Wy[c:c1 + 1], Hy[c:c1], D.hy, p, eps, b, "y")
+        Px = x_steps(slice(c + 1, c1 + 1))
+        for j, l in enumerate(range(c, c1)):
+            s = Py[j] @ s
+            values[:, l + 1] = s[:, :, 0]
+            e = Px[:, j] @ s[:-1]
+            d[:, l] = np.abs(Py[j, 1:] @ xs - e).max(axis=(1, 2, 3))
+            xs = e
+
     qres = np.abs(inner_arr(values, values, p) - 1.0)
     drift = float(np.max(qres))
     steps = (n1 - 1) + n1 * (n2 - 1)
     budget = tolerance("drift", max(D.hx, D.hy)) * steps
-
-    # x-then-y against y-then-x around every cell (k, l), (k+1, l+1), a
-    # grid row at a time; the sweep holds the first y-step, S[k, l+1]
-    d = np.empty((n1 - 1, n2 - 1))
-    for k in range(n1 - 1):
-        e = Py[k + 1] @ (Px[k, :-1] @ S[k, :-1]) - Px[k, 1:] @ S[k, 1:]
-        d[k] = np.abs(e).max(axis=(1, 2, 3))
     # summed in cell order, not pairwise
     report = ReconstructReport(drift, steps, budget, float(d.max()),
                                float(np.add.accumulate(d.ravel())[-1]),

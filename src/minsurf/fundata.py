@@ -274,8 +274,7 @@ class StreamedData:
         self.mask = ok & ~fr.bad
         self._sources = C.u, fr, kahler_fields(F)
         self._gaps = []
-        cx1, cx2 = by_rows(ok.shape, lambda B: tuple(
-            cx for *_, cx in self._snapped(B.rows)[1]))
+        cx1, cx2 = by_rows(ok.shape, lambda B: self._strata(B.rows)[2])
         self.complex1, self.complex2 = dilate(cx1, 2), dilate(cx2, 2)
         self._diag = {
             "frame_bad_points": int(np.sum(fr.bad & C.ok)),
@@ -290,21 +289,31 @@ class StreamedData:
     def diagnostics(self) -> dict:
         return {"A_disagreement": _sup(self._gaps), **self._diag}
 
-    def _snapped(self, r: slice):
-        """u and, for j = 1, 2, (C_j, gamma_j, f_j, raw stratum j) on the
-        grid rows r: gamma_j and f_j scale oriented_frame's products, and on
-        the stratum gamma_j = f_j = 0 and C_j is snapped to +-1."""
-        u, fr, kahler = self._sources
-        m, eps, b = self.mask[r], self.eps, self.b
+    def _strata(self, r: slice):
+        """u, gamma_1, gamma_2 (oriented_frame's products times -b) and
+        the raw strata |gamma_j|^2 <= fd_tol on the grid rows r."""
+        u, fr, _ = self._sources
+        m = self.mask[r]
         u = np.where(m, u[r], np.nan)
         tau = fd_tol(self, u)
+        gammas = tuple(_cut(g, r) * (-self.b) for g in (fr.g1, fr.g2))
+        return u, gammas, tuple(m & (np.abs(g.abs2()) <= tau)
+                                for g in gammas)
+
+    def _snapped(self, r: slice):
+        """u and, for j = 1, 2, (C_j, gamma_j, f_j) on the grid rows r:
+        f_j scales oriented_frame's product, and on the raw stratum j
+        gamma_j = f_j = 0 and C_j is snapped to +-1."""
+        u, gammas, strata = self._strata(r)
+        _, fr, kahler = self._sources
+        m, eps = self.mask[r], self.eps
         out = []
-        for g, zz, Cj in zip((fr.g1, fr.g2), (fr.zz1, fr.zz2), kahler):
-            gamma, f = _cut(g, r) * (-b), _cut(zz, r) * (-eps * b)
+        for gamma, cx, zz, Cj in zip(gammas, strata, (fr.zz1, fr.zz2),
+                                     kahler):
+            f = _cut(zz, r) * (-eps * self.b)
             Cj = np.where(m, Cj[r], np.nan)
-            cx = m & (np.abs(gamma.abs2()) <= tau)
             gamma, f = (se_where(~cx, z, 0.0) for z in (gamma, f))
-            out.append((np.where(cx, np.sign(Cj), Cj), gamma, f, cx))
+            out.append((np.where(cx, np.sign(Cj), Cj), gamma, f))
         return u, out
 
     def rows(self, rows: slice) -> FundamentalData:
@@ -316,7 +325,7 @@ class StreamedData:
         lo = max(rows.start - 1, 0)
         src, own = (slice(lo, min(rows.stop + 1, nx)),
                     slice(rows.start - lo, rows.stop - lo))
-        u, ((C1, g1, f1, _), (C2, g2, f2, _)) = self._snapped(src)
+        u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(src)
         valid = tuple(self.mask[src] & ~cx[src]
                       for cx in (self.complex1, self.complex2))
         uz = dz(u, hx, hy, eps)

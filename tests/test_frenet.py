@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +237,8 @@ class TestFrameMatrix:
         k3 = rhs(s + 0.5 * h * k2, dh)
         k4 = rhs(s + h * k3, d1)
         want = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P = frenet._propagators(W, h, D.p, D.eps, D.b, direction)
+        P = frenet._rk4(W, frenet._halves(W), h, D.p, D.eps, D.b,
+                        direction)
         P = P.reshape(-1, 2, 5, 5)
         assert self.rel(matrix_rhs(P, s), want) <= 1e-14
 
@@ -343,3 +345,48 @@ class TestRoundTripFamilies:
         h2 = max(0.4 / 32, 0.4 / 32) ** 2
         assert rt.max() < 50 * h2
         assert rt.rec.drift <= rt.rec.drift_budget
+
+
+# ---------------------------------------------------------------------------
+# the column sweep
+# ---------------------------------------------------------------------------
+
+def test_batched_sweep_equals_one_batch(families33, monkeypatch):
+    # propagators formed for one column, five columns or the whole record
+    # at a time: the same positions and report, bit for bit (the y-halves
+    # are formed on whole lines, not per batch)
+    for D in [*families33.values(), flat_lagrangian()]:
+        want_grid, want = reconstruct(D)
+        n1, n2 = D.shape
+        for cells in (n1, 5 * n1, n1 * n2):
+            monkeypatch.setattr(frenet, "_BATCH_CELLS", cells)
+            grid, rep = reconstruct(D)
+            assert np.array_equal(grid.values, want_grid.values)
+            assert dataclasses.astuple(rep) == dataclasses.astuple(want)
+        monkeypatch.undo()
+
+
+def test_values_own_their_memory(families33):
+    # the positions are not a view of a larger frame-state array, so the
+    # returned grid keeps no state alive
+    for D in families33.values():
+        grid, _ = reconstruct(D)
+        base = grid.values.base
+        assert base is None or base.nbytes <= grid.values.nbytes
+
+
+@pytest.mark.parametrize("theorem", ["B1", "C1"])
+def test_reconstruct_memory_bound(theorem):
+    # resident: the packed data, its y-halves, the positions and the cell
+    # commutators (37 floats a sample, 6.2 position arrays), plus the
+    # y-halves' two temporaries or one batch of columns' propagators; a
+    # first run on a small record imports what reconstruct imports lazily
+    reconstruct(gordon.family_stage(theorem, 33)[1])
+    D = gordon.family_stage(theorem, 129)[1]
+    tracemalloc.start()
+    try:
+        grid, _ = reconstruct(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * grid.values.nbytes
