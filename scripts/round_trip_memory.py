@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time and memory of each stage of the pipeline's round trip.
+
+    PYTHONPATH=src python3 scripts/round_trip_memory.py THEOREM N
+
+Runs the stages of `minsurf pipeline --theorem THEOREM --grid N` in
+cli._round_trip's order, without its gates: the family stage (Gordon
+solve, family data, trim), record_compat (crop and compat residuals),
+reconstruct, the extraction of the reconstruction's data
+(fundata.StreamedData: its normal frame and form norms) and the comparison
+(frenet.roundtrip_compare).  A first run is timed, a second traced with
+tracemalloc.  Prints one JSON object: per stage its wall time `s`, the
+traced memory held when it starts (`start_mb`) and its tracemalloc peak
+(`peak_mb`, everything traced since the run began); then the process's
+`ru_maxrss_mb` after the untraced run.  ru_maxrss is the whole process's,
+so run one case per process.
+"""
+
+import json
+import resource
+import sys
+import time
+import tracemalloc
+
+from minsurf import frenet, fundata, gordon
+
+MB = 1024.0 * 1024.0
+
+
+def round_trip(theorem, n, measure):
+    """The stages in order, each run through measure(name, fn)."""
+    _, D = measure("family_stage", lambda: gordon.family_stage(theorem, n))
+
+    def record_compat():
+        R = fundata.cropped(D)
+        fundata.compat_residuals(R)
+        return R
+    D = measure("record_compat", record_compat)
+    grid, rec = measure("reconstruct", lambda: frenet.reconstruct(D))
+    X = measure("extraction", lambda: fundata.StreamedData(grid, b=D.b))
+    measure("comparison",
+            lambda: frenet.roundtrip_compare(D, X, grid, rec))
+    return D.shape
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    theorem, n = argv[0], int(argv[1])
+    round_trip("C1", 17, lambda name, fn: fn())     # lazy imports
+    stages = {}
+
+    def timed(name, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        stages[name] = {"s": round(time.perf_counter() - t0, 4)}
+        return out
+
+    def traced(name, fn):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        stages[name].update(start_mb=round(start / MB, 3), peak_mb=round(
+            tracemalloc.get_traced_memory()[1] / MB, 3))
+        return out
+
+    shape = round_trip(theorem, n, timed)
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    try:
+        round_trip(theorem, n, traced)
+    finally:
+        tracemalloc.stop()
+    print(json.dumps({"theorem": theorem, "n": n, "record": list(shape),
+                      "stages": stages, "ru_maxrss_mb": round(maxrss, 1)}))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

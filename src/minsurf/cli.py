@@ -453,7 +453,7 @@ def _round_trip(D, h, report):
             report["failures"].append(name)
         return name in report["failures"]
 
-    D = fundata.restrict(D, fundata.crop_to_mask(D))
+    D = fundata.cropped(D)
     if failed("record_compat", fundata.compat_residuals(D).max(),
               fundata.tolerance("record_compat", h)):
         return None
@@ -461,7 +461,9 @@ def _round_trip(D, h, report):
     report["reconstruction"] = asdict(rec)
     if failed("drift", rec.drift, rec.drift_budget):
         return grid
-    D2 = fundata.extract(grid, b=D.b)
+    # the reconstruction's data, formed a row block at a time as the
+    # comparison reads them
+    D2 = fundata.StreamedData(grid, b=D.b)
     if failed("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
               fundata.tolerance("reconstruction_H", h)):
         return grid

@@ -16,11 +16,12 @@ factor, so a classical RK4 step of one factor across one grid cell is a
 5x5 propagator, built in closed form (half-step coefficients by cubic
 interpolation of the data lines).  Propagator products fill the line
 y = 0 by x-steps, then sweep the columns one y-step at a time, holding one
-column of frame states; the propagators are formed for about 512 cells of
-columns at a time, so no whole-grid propagator or state is held.  The
-drift of <F_k, F_k> = 1 is reported; the mixed-partial commutator of the
-two step directions around every cell, formed in the same sweep,
-quantifies (non-)integrability of the data.
+column of frame states; the data lines are packed and the propagators
+formed for about 512 cells of columns at a time, so no whole-grid data
+line, propagator or state is held.  The drift of <F_k, F_k> = 1 is
+reported; the mixed-partial commutator of the two step directions around
+every cell, formed in the same sweep, quantifies (non-)integrability of
+the data.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from .algebra import ScalarEps, inner_arr, unit_i
 from .errors import FrameConstructionError
 from .fundata import (
     FundamentalData,
+    StreamedData,
+    _peak,
+    _sup,
     compat_residuals,  # noqa: F401  (the benchmark's tracer test reads it)
-    crop_to_mask,
-    extract,
-    field_sup,
-    restrict,
+    cropped,
     tolerance,
 )
-from .immersion import ImmersionGrid
+from .immersion import ImmersionGrid, row_blocks
 from .product import J_product, g_inner
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
@@ -112,16 +113,23 @@ _NFIELD = 15
 _BATCH_CELLS = 512      # grid cells whose RK4 propagators are formed at once
 
 
-def _pack_data(D: FundamentalData) -> np.ndarray:
-    """The data lines (..., 15) of a record: e^{2u}, C_1, C_2, then the
-    (re, im) parts of gamma_1, gamma_2, f_1, f_2, A and u_z."""
-    out = np.empty(D.shape + (_NFIELD,))
-    cols = [D.e2u(), D.C1, D.C2,
+def _fields(D: FundamentalData) -> list:
+    """The 15 per-sample arrays behind the data lines, u standing for
+    e^{2u}."""
+    return [D.u, D.C1, D.C2,
             D.gamma1.re, D.gamma1.im, D.gamma2.re, D.gamma2.im,
             D.f1.re, D.f1.im, D.f2.re, D.f2.im,
             D.A.re, D.A.im, D.u_z.re, D.u_z.im]
-    for k, c in enumerate(cols):
-        out[..., k] = c
+
+
+def _pack_data(D: FundamentalData, cols: slice = slice(None)) -> np.ndarray:
+    """The data lines (n1, columns, 15) of D on the columns `cols` (all by
+    default): e^{2u}, C_1, C_2, then the (re, im) parts of gamma_1,
+    gamma_2, f_1, f_2, A and u_z."""
+    u, *rest = (a[:, cols] for a in _fields(D))
+    out = np.empty(u.shape + (_NFIELD,))
+    for k, a in enumerate([np.exp(2.0 * u), *rest]):
+        out[..., k] = a
     return out
 
 
@@ -317,15 +325,18 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     Raises FrameConstructionError when D.mask is not all true, D spans
     fewer than 5 samples in either direction or a coefficient is not finite.
 
-    Memory: 37 floats per sample stay resident (the packed data, its
-    y-halves, the returned positions and the commutator of each cell);
-    forming the y-halves briefly adds two temporaries of 15 floats per
-    sample, and a batch of _BATCH_CELLS cells about 350 floats per cell.
+    Memory: 7 floats per sample stay resident beside D (the returned
+    positions and the commutator of each cell).  Each batch of about
+    _BATCH_CELLS cells packs the data lines of its columns from D's
+    fields (each column once), forms their y-halves and the propagators
+    of both directions, about 430 floats per cell at its peak; the
+    finiteness check holds one boolean and one float per sample, and the
+    commutators' sum one float.
     """
     if not D.mask.all():
         raise FrameConstructionError(
             "the record's mask is not all true; reconstruct "
-            "fundata.restrict(D, fundata.crop_to_mask(D)) instead")
+            "fundata.cropped(D), D on its crop_to_mask window, instead")
     n1, n2 = D.shape
     # 4 samples for the cubic half steps, 5 for the output ImmersionGrid
     if min(n1, n2) < 5:
@@ -336,30 +347,56 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
         init = initial_frame(D)
     p, eps, b = D.p, D.eps, D.b
 
-    W = _pack_data(D)
-    bad = int(np.sum(~np.isfinite(W).all(axis=-1)))
+    u, *rest = _fields(D)
+    finite = np.isfinite(np.exp(2.0 * u))
+    for a in rest:
+        finite &= np.isfinite(a)
+    bad = n1 * n2 - int(np.count_nonzero(finite))
+    del finite
     if bad:
         raise FrameConstructionError(
             f"{bad} of {n1 * n2} samples carry non-finite data; "
             f"reconstruction needs finite data at every sample")
-    # the y-steps' half-step data, on whole lines (the end stencils are
-    # one-sided); an x-line is whole in every batch of columns
-    Wy = W.swapaxes(0, 1)
-    Hy = _halves(Wy)
 
-    def x_steps(cols):
-        """Px[k, j] steps (k, l) -> (k+1, l) for the columns l in cols."""
-        return _rk4(W[:, cols], _halves(W[:, cols]), D.hx, p, eps, b, "x")
+    def x_steps(W):
+        """Px[k, j] steps (k, l) -> (k+1, l) for the data lines W[:, j]."""
+        return _rk4(W, _halves(W), D.hx, p, eps, b, "x")
+
+    # the data lines of the columns lo .. lo + P.shape[1] - 1, each packed
+    # once: a batch keeps the columns it shares with the one before
+    P, lo = _pack_data(D, slice(0, 0)), 0
+
+    def batch(c, c1):
+        """(Py, Px) for the columns l = c + j < c1: Py[j, k] steps (k, l)
+        -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).  The y-half steps
+        read the columns c-1 .. c1+1, and at least four: the one-sided end
+        stencils of _halves fall on the record's first and last half steps
+        only, as on whole lines."""
+        nonlocal P, lo
+        first, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
+        P = np.concatenate([P[:, first - lo:], _pack_data(
+            D, slice(lo + P.shape[1], stop))], axis=1)
+        lo = first
+        Y = P.swapaxes(0, 1)
+        Py = _rk4(Y[c - lo:c1 + 1 - lo], _halves(Y)[c - lo:c1 - lo], D.hy,
+                  p, eps, b, "y")
+        return Py, x_steps(P[:, c + 1 - lo:c1 + 1 - lo])
 
     # the state of one column: (n1, factor, (F, Re F_z, Im F_z, Re xi,
     # Im xi), coordinate); the first column by x-steps from init
     s = np.empty((n1, 2, 5, 3))
     s[0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
-    Px = x_steps(slice(0, 1))[:, 0]
+    Px = x_steps(_pack_data(D, slice(0, 1)))[:, 0]
     for k in range(n1 - 1):
         s[k + 1] = Px[k] @ s[k]
     values = np.empty((n1, n2, 2, 3))
     values[:, 0] = s[:, :, 0]
+
+    def drift_on(cols):
+        """The largest |<F_k, F_k> - 1| on the columns cols."""
+        v = values[:, cols]
+        return np.max(np.abs(inner_arr(v, v, p) - 1.0))
+    drifts = [drift_on(slice(0, 1))]
     # x-then-y against y-then-x around every cell (k, l), (k+1, l+1): the
     # x-steps of column l carry over from the sweep's previous step
     xs = Px @ s[:-1]
@@ -367,19 +404,16 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     step = max(1, _BATCH_CELLS // n1)
     for c in range(0, n2 - 1, step):
         c1 = min(c + step, n2 - 1)
-        # Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1)
-        # for the columns l = c + j
-        Py = _rk4(Wy[c:c1 + 1], Hy[c:c1], D.hy, p, eps, b, "y")
-        Px = x_steps(slice(c + 1, c1 + 1))
+        Py, Px = batch(c, c1)
         for j, l in enumerate(range(c, c1)):
             s = Py[j] @ s
             values[:, l + 1] = s[:, :, 0]
             e = Px[:, j] @ s[:-1]
             d[:, l] = np.abs(Py[j, 1:] @ xs - e).max(axis=(1, 2, 3))
             xs = e
+        drifts.append(drift_on(slice(c + 1, c1 + 1)))
 
-    qres = np.abs(inner_arr(values, values, p) - 1.0)
-    drift = float(np.max(qres))
+    drift = float(np.max(drifts))
     steps = (n1 - 1) + n1 * (n2 - 1)
     budget = tolerance("drift", max(D.hx, D.hy)) * steps
     # summed in cell order, not pairwise
@@ -414,18 +448,26 @@ def roundtrip_report(D: FundamentalData,
                      init: FrameState = None) -> RoundTripReport:
     """Crop D to its largest all-valid window, reconstruct (from init, if
     given), extract and compare, with no gate between the stages."""
-    D = restrict(D, crop_to_mask(D))
+    D = cropped(D)
     grid, rec = reconstruct(D, init)
-    return roundtrip_compare(D, extract(grid, b=D.b), grid, rec)
+    return roundtrip_compare(D, StreamedData(grid, b=D.b), grid, rec)
 
 
 def roundtrip_compare(D, D2, grid, rec) -> RoundTripReport:
     """Sup differences of the gauge-invariant fields of the all-valid
-    record D and of D2, extracted from grid, D's reconstruction."""
-    common = D2.mask          # D's mask is all true
-    diffs = {k: field_sup(getattr(D, k) - getattr(D2, k), common)
-             for k in ("u", "C1", "C2")}
-    for k in ("gamma1", "gamma2", "f1", "f2"):
-        diffs[f"{k}_norm2"] = field_sup(
-            getattr(D, k).abs2() - getattr(D2, k).abs2(), common)
-    return RoundTripReport(diffs, int(np.sum(common)), grid, rec)
+    record D and of D2, the data of grid (D's reconstruction) as a
+    StreamedData or a FundamentalData, read a row block at a time, so no
+    whole-grid record of the reconstruction is formed."""
+    peaks, n = [], 0
+    for B in row_blocks(*D.shape):
+        a, z = D.rows(B.rows), D2.rows(B.rows)
+        common = z.mask          # D's mask is all true
+        peak = {k: _peak(getattr(a, k) - getattr(z, k), common)
+                for k in ("u", "C1", "C2")}
+        for k in ("gamma1", "gamma2", "f1", "f2"):
+            peak[f"{k}_norm2"] = _peak(
+                getattr(a, k).abs2() - getattr(z, k).abs2(), common)
+        peaks.append(peak)
+        n += int(np.sum(common))
+    diffs = {k: _sup(p[k] for p in peaks) for k in peaks[0]}
+    return RoundTripReport(diffs, n, grid, rec)

@@ -641,3 +641,12 @@ def crop_to_mask(D: FundamentalData):
     if window is None:
         raise EmptyInterior("no all-valid window of size >= 5x5 in the mask")
     return window
+
+
+def cropped(D: FundamentalData) -> FundamentalData:
+    """D on its crop_to_mask window: D itself when that is the whole
+    record, else restrict's copy."""
+    window = crop_to_mask(D)
+    if window == (0, D.shape[0], 0, D.shape[1]):
+        return D
+    return restrict(D, window)

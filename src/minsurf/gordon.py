@@ -35,7 +35,7 @@ from .errors import (
     DomainViolation,
     EmptyMask,
 )
-from .fundata import FundamentalData, restrict, se_where
+from .fundata import FundamentalData, _arrays, restrict, se_where
 from .immersion import GridSpec, diff2, dz, wirtinger, zzbar
 
 KINDS = {
@@ -611,9 +611,14 @@ def gordon_stage(theorem, nx=33, ny=None):
 def family_stage(theorem, nx=33, ny=None, t=0.0):
     """The family data of the Gordon solution, trimmed by up to 5 samples
     on each side, clear of the boundary layers of the discrete solves:
-    (sol, D)."""
+    (sol, D).  A sample whose data are not all finite is masked out: a
+    side of 5 or 6 samples is not trimmed, and its edge lines keep the nan
+    of the central differences."""
     spec, sol = gordon_stage(theorem, nx, ny)
     D = build_family(theorem, sol, t=t)
     mx = min(5, (spec.nx - 5) // 2)
     my = min(5, (spec.ny - 5) // 2)
-    return sol, restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
+    D = restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
+    for a in _arrays(D):
+        D.mask &= np.isfinite(a)
+    return sol, D

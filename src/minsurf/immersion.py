@@ -417,7 +417,8 @@ def second_fundamental_fields(F: ImmersionGrid):
 def _form_norms(F, C, rows, normal_part, hess):
     """(|H|, G(H, H), |h|^2) on the grid rows `rows`, from the normal
     projector and the Hessian (F_xx, F_xy, F_yy) there; the operations of
-    second_fundamental_fields, h12 formed after h11 and h22 are dropped."""
+    second_fundamental_fields, H formed in h11's array and h12 after h11
+    and h22 are dropped."""
     Fxx, Fxy, Fyy = hess
     es, e2u = C.eps_sign[rows], C.e2u[rows]
     emu2 = np.exp(-2.0 * C.u[rows])[..., None, None]
@@ -428,9 +429,13 @@ def _form_norms(F, C, rows, normal_part, hess):
     with np.errstate(invalid="ignore", divide="ignore"):
         h11 = normal_part(Fxx)
         h22 = normal_part(Fyy)
-        H = 0.5 * (h11 + es[..., None, None] * h22) / e2u[..., None, None]
         n = norm2(h11) + norm2(h22)
+        # H = 0.5 (h11 + eps_sign h22) / e^{2u}
+        h22 *= es[..., None, None]
+        H = np.add(h11, h22, out=h11)
         del h11, h22
+        H *= 0.5
+        H /= e2u[..., None, None]
         n12 = norm2(normal_part(Fxy))
     return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
             g_inner(H, H, F.p), n + 2.0 * es * n12)
@@ -541,8 +546,12 @@ def normal_frame(F, B, J: GridJets, N, n2, ok, b: int):
 
 def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
     """(A - eps i B)/scale: F_z from (F_x, F_y) with scale 2, and the
-    complex normal xi from (N, Ntilde) with scale sqrt(2)."""
-    return ScalarEps(A / scale, -eps * B / scale, eps)
+    complex normal xi from (N, Ntilde) with scale sqrt(2).  It is formed in
+    the arrays of A and B, which it overwrites."""
+    A /= scale
+    B *= -eps
+    B /= scale
+    return ScalarEps(A, B, eps)
 
 
 def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
@@ -556,7 +565,9 @@ def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
 
 def _frame_pass(F, C, b: int, pair: int, norms: bool):
     """One pass over the row blocks of F with reference pair `pair`, each
-    block's normal projector and Hessian built once: (parts, across).
+    block's normal projector and Hessian built once: (parts, across).  A
+    block's xi, F_z and F_zz are formed in the arrays of N and Ntilde, of
+    the jets and of the Hessian.
 
     parts are the stitched per-sample arrays: _form_norms' three if norms,
     then ill, bad, and the real and imaginary parts of G(J1 F_z, xibar),
@@ -595,9 +606,13 @@ def _frame_pass(F, C, b: int, pair: int, norms: bool):
         c2, g2 = g_pair(J_product(2, base, Fz, p), xi, p)
         del Fz
         Fxx, Fxy, Fyy = hess
-        # F_zz = (F_xx - eps F_yy)/4 - eps i F_xy/2
-        zz1, zz2 = g_pair(ScalarEps((Fxx - eps * Fyy) / 4.0,
-                                    -eps * Fxy / 2.0, eps), xi, p)
+        # F_zz = (F_xx - eps F_yy)/4 - eps i F_xy/2, in the Hessian's arrays
+        Fyy *= eps
+        Fxx -= Fyy
+        Fxx /= 4.0
+        Fxy *= -eps
+        Fxy /= 2.0
+        zz1, zz2 = g_pair(ScalarEps(Fxx, Fxy, eps), xi, p)
         out += (ill, bad) + tuple(a for z in (g1, c1, c2, g2, zz1, zz2)
                                   for a in (z.re, z.im))
         if eps == -1:
@@ -828,51 +843,127 @@ def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     return ImmersionGrid(p, eps, values, hx, hy, origin)
 
 
-def _decode_grid(text: str) -> dict:
-    """json.loads(text) for a grid document, except that the rows of its
+# characters of a grid file read at a time; an item longer than that is
+# read on in ever larger reads until it is whole
+_READ_CHARS = 1 << 18
+
+
+class _FileText:
+    """The text of an open file, read _READ_CHARS characters at a time for
+    _decode_grid.  Offsets count from the start of the file's text, which
+    is read forward only: the text before the offset last read from is
+    dropped."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.base, self.eof = fh, "", 0, False
+        self.lines, self.line_start = 0, 0      # of the dropped text
+
+    def _more(self, keep: int) -> bool:
+        """Drop the text before offset keep and read on; False at the end
+        of the file."""
+        if self.eof:
+            return False
+        cut = keep - self.base
+        nl = self.text.rfind("\n", 0, cut)
+        if nl >= 0:
+            self.lines += self.text.count("\n", 0, cut)
+            self.line_start = self.base + nl + 1
+        chunk = self.fh.read(max(_READ_CHARS, len(self.text) - cut))
+        self.text = self.text[cut:] + chunk
+        self.base, self.eof = keep, not chunk
+        return not self.eof
+
+    def peek(self, i: int) -> str:
+        """The character at offset i, '' past the end of the text."""
+        while i - self.base >= len(self.text) and self._more(i):
+            pass
+        return self.text[i - self.base:i - self.base + 1]
+
+    def skip(self, i: int) -> int:
+        """The offset of the first character from i on that is not
+        whitespace (the end of the text if none is)."""
+        while True:
+            i = self.base + _WHITESPACE(self.text, i - self.base).end()
+            if i - self.base < len(self.text) or not self._more(i):
+                return i
+
+    def scan(self, i: int):
+        """(value, end offset) of the JSON value at offset i.  A number's
+        end is known once the 3 characters after it are read (as in
+        '1e+5'), so a value counts only with those read or at the end of
+        the file."""
+        while True:
+            try:
+                value, end = _RAW_DECODE(self.text, i - self.base)
+            except json.JSONDecodeError as exc:
+                pos = self.base + exc.pos
+                if self._more(i):
+                    continue
+                raise self.error(exc.msg, pos) from None
+            end += self.base
+            if end - self.base + 3 <= len(self.text) or not self._more(i):
+                return value, end
+
+    def error(self, msg: str, i: int) -> json.JSONDecodeError:
+        """json.loads's error for msg at offset i of the text."""
+        cut = i - self.base
+        nl = self.text.rfind("\n", 0, cut)
+        line = self.lines + self.text.count("\n", 0, cut) + 1
+        start = self.base + nl + 1 if nl >= 0 else self.line_start
+        err = json.JSONDecodeError(msg, self.text, cut)
+        err.pos, err.lineno, err.colno = i, line, i - start + 1
+        err.args = (f"{msg}: line {line} column {err.colno} (char {i})",)
+        return err
+
+
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _decode_grid(fh) -> dict:
+    """json.load(fh) for a grid document, except that the rows of its
     "values" list are read one at a time and come as float arrays, so the
-    nested lists of the whole grid are never built.
+    nested lists of the whole grid are never built, and that the file is
+    read in bounded chunks (_FileText), never as one string.
 
-    As with json.loads, any whitespace and key order are accepted, NaN and
-    Infinity are read, the last of duplicated keys wins and trailing data is
-    an error.  A document that is not an object is rejected.
+    As with json.load, any whitespace and key order are accepted, NaN and
+    Infinity are read, the last of duplicated keys wins, trailing data is
+    an error and an error names json's line, column and character.  A
+    document that is not an object is rejected.
     """
-    scan = json.JSONDecoder().raw_decode
-    ws = json.decoder.WHITESPACE.match
-
-    def skip(idx):
-        return ws(text, idx).end()
+    src = _FileText(fh)
 
     def delimiter(idx, close):
         # the ',' or closing bracket after an item: (index past it, closed)
-        idx = skip(idx)
-        if text[idx:idx + 1] not in (",", close):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-        return idx + 1, text[idx] == close
+        idx = src.skip(idx)
+        c = src.peek(idx)
+        if c not in (",", close):
+            raise src.error("Expecting ',' delimiter", idx)
+        return idx + 1, c == close
 
-    idx = skip(0)
-    if text[idx:idx + 1] != "{":
+    idx = src.skip(0)
+    if src.peek(idx) != "{":
         raise ValueError(f"not a {GRID_SCHEMA} document")
     doc = {}
-    idx = skip(idx + 1)
-    closed = text[idx:idx + 1] == "}"
+    idx = src.skip(idx + 1)
+    closed = src.peek(idx) == "}"
     idx += closed
     while not closed:
-        idx = skip(idx)
-        if text[idx:idx + 1] != '"':
-            raise json.JSONDecodeError("Expecting property name enclosed in "
-                                       "double quotes", text, idx)
-        key, idx = scan(text, idx)
-        idx = skip(idx)
-        if text[idx:idx + 1] != ":":
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-        idx = skip(idx + 1)
-        if key == "values" and text[idx:idx + 1] == "[":
-            rows, idx = [], skip(idx + 1)
-            done = text[idx:idx + 1] == "]"
+        idx = src.skip(idx)
+        if src.peek(idx) != '"':
+            raise src.error("Expecting property name enclosed in double "
+                            "quotes", idx)
+        key, idx = src.scan(idx)
+        idx = src.skip(idx)
+        if src.peek(idx) != ":":
+            raise src.error("Expecting ':' delimiter", idx)
+        idx = src.skip(idx + 1)
+        if key == "values" and src.peek(idx) == "[":
+            rows, idx = [], src.skip(idx + 1)
+            done = src.peek(idx) == "]"
             idx += done
             while not done:
-                row, idx = scan(text, skip(idx))
+                row, idx = src.scan(src.skip(idx))
                 try:
                     row = np.array(row, dtype=float)
                 except (ValueError, TypeError, OverflowError):
@@ -881,16 +972,17 @@ def _decode_grid(text: str) -> dict:
                 idx, done = delimiter(idx, "]")
             doc[key] = rows
         else:
-            doc[key], idx = scan(text, idx)
+            doc[key], idx = src.scan(idx)
         idx, closed = delimiter(idx, "}")
-    if skip(idx) != len(text):
-        raise json.JSONDecodeError("Extra data", text, skip(idx))
+    end = src.skip(idx)
+    if src.peek(end):
+        raise src.error("Extra data", end)
     return doc
 
 
 def grid_from_json(path) -> ImmersionGrid:
     with open(path) as fh:
-        doc = _decode_grid(fh.read())
+        doc = _decode_grid(fh)
     if doc.get("schema") != GRID_SCHEMA:
         raise ValueError(f"not a {GRID_SCHEMA} document")
     try:

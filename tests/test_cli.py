@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurf import cli, frenet, fundata, immersion, surfaces
+from minsurf import cli, frenet, fundata, gordon, immersion, surfaces
 from minsurf.algebra import ScalarEps
 from minsurf.cli import (
     EXIT_FAIL,
@@ -570,6 +570,44 @@ class TestPipeline:
         assert "y-span [0, 0.5]" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", ["17", "21"])
+    def test_thin_record_has_no_window(self, grid, capsys):
+        # B2's record is 5 or 6 samples wide at these sizes, too narrow to
+        # trim, and its edge lines keep the nan of the central differences:
+        # they leave the mask, so the crop answers and not reconstruct
+        _, D = gordon.family_stage("B2", int(grid))
+        assert min(D.shape) in (5, 6)
+        assert all(np.all(np.isfinite(a[D.mask]))
+                   for a in fundata._arrays(D))
+        code = main(["pipeline", "--theorem", "B2", "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAIL
+        assert err.startswith("EmptyInterior: ")
+
+    def test_round_trip_holds_one_copy_of_the_record(self, monkeypatch):
+        # B1's crop at 129^2 is the whole 119 x 55 record, two row blocks:
+        # the round trip keeps the record rather than copying it, and reads
+        # the reconstruction's data a row block at a time, so it builds no
+        # record of the reconstructed grid's shape
+        _, D = gordon.family_stage("B1", 129)
+        assert fundata.crop_to_mask(D) == (0, D.shape[0], 0, D.shape[1])
+        assert len(immersion.row_blocks(*D.shape)) == 2
+        h = max(D.hx, D.hy)
+        report = {"gates": {}, "failures": [], "tolerances": cli._tolerances(
+            "pipeline", cli.RunConfig(command="pipeline"), h)}
+        shapes = []
+        post_init = fundata.FundamentalData.__post_init__
+
+        def recording(R):
+            post_init(R)
+            shapes.append(R.shape)
+        monkeypatch.setattr(fundata.FundamentalData, "__post_init__",
+                            recording)
+        grid = cli._round_trip(D, h, report)
+        assert report["failures"] == [] and report["roundtrip"]["n_compared"]
+        assert grid.values.shape[:2] == D.shape
+        assert shapes and D.shape not in shapes
+
     def test_requires_theorem(self, capsys):
         code, _ = run(["pipeline", "--grid", "17"], capsys)
         assert code == EXIT_USAGE
@@ -635,10 +673,10 @@ class TestPipelineGates:
             return fs
 
         def never(*args, **kwargs):
-            raise AssertionError("extract ran past a failed gate")
+            raise AssertionError("the extraction ran past a failed gate")
 
         monkeypatch.setattr(frenet, "initial_frame", off_quadric)
-        monkeypatch.setattr(fundata, "extract", never)
+        monkeypatch.setattr(fundata, "StreamedData", never)
         code, report = self.pipeline("A1", "--grid", "33")
         assert code == EXIT_FAIL
         assert report["failures"] == ["drift"]
@@ -714,6 +752,22 @@ class TestRuntimeImports:
 
 
 class TestScripts:
+    def test_round_trip_memory_prints_every_stage(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "round_trip_memory.py"),
+             "B1", "17"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert list(out["stages"]) == ["family_stage", "record_compat",
+                                       "reconstruct", "extraction",
+                                       "comparison"]
+        for stage in out["stages"].values():
+            assert stage["peak_mb"] >= stage["start_mb"] >= 0
+        assert out["ru_maxrss_mb"] > 0
+
     def test_convergence_study_runs_from_any_directory(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(

@@ -377,16 +377,19 @@ def test_values_own_their_memory(families33):
 
 @pytest.mark.parametrize("theorem", ["B1", "C1"])
 def test_reconstruct_memory_bound(theorem):
-    # resident: the packed data, its y-halves, the positions and the cell
-    # commutators (37 floats a sample, 6.2 position arrays), plus the
-    # y-halves' two temporaries or one batch of columns' propagators; a
-    # first run on a small record imports what reconstruct imports lazily
+    # one formula at every size: 8 floats a sample stay resident beside the
+    # record (the positions, the cell commutators and, at the end, their
+    # running sum), plus one batch of _BATCH_CELLS cells at 450 floats a
+    # cell (both directions' propagators, _rk4's temporaries, the packed
+    # data lines and y-halves); a first run on a small record imports what
+    # reconstruct imports lazily
     reconstruct(gordon.family_stage(theorem, 33)[1])
-    D = gordon.family_stage(theorem, 129)[1]
-    tracemalloc.start()
-    try:
-        grid, _ = reconstruct(D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * grid.values.nbytes
+    for n in (65, 129, 257):
+        D = gordon.family_stage(theorem, n)[1]
+        tracemalloc.start()
+        try:
+            reconstruct(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (8 * D.u.size + 450 * frenet._BATCH_CELLS), n

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import io
 import json
 import tracemalloc
 import weakref
@@ -547,6 +548,41 @@ class TestIO:
             path.write_text(text[:n])
             with pytest.raises(ValueError):
                 grid_from_json(path)
+
+    def test_json_reader_reads_in_chunks(self, monkeypatch):
+        # any chunk size decodes the document, and a truncated or edited
+        # one fails with the error of a read in one chunk, json's line,
+        # column and character included; a chunk may end inside a number,
+        # as in '2.5e' + '-07'
+        vals = np.tile(np.array([[0, 0, 1.0], [0, 0, 1.5e-3]]), (5, 5, 1, 1))
+        doc = grid_to_json(ImmersionGrid(0, 1, vals, 0.1234567, 2.5e-7,
+                                         (-1.5e-7, 2.25)))
+        values = doc.pop("values")
+        text = (json.dumps(doc, indent=1)[:-2] + ',\n "values": '
+                + json.dumps(values) + "\n}")
+        texts = [text[:n] for n in range(len(text) + 1)]
+        texts += [text.replace("0.0015", "0.0x15", 2), text + "1"]
+
+        def decode(chars):
+            monkeypatch.setattr(immersion, "_READ_CHARS", chars)
+            out = []
+            for t in texts:
+                try:
+                    d = immersion._decode_grid(io.StringIO(t))
+                    d["values"] = [np.asarray(r).tolist()
+                                   for r in d.get("values", [])]
+                    out.append(d)
+                except ValueError as exc:
+                    if isinstance(exc, json.JSONDecodeError):
+                        assert (exc.lineno, exc.colno) == (
+                            t.count("\n", 0, exc.pos) + 1,
+                            exc.pos - t.rfind("\n", 0, exc.pos))
+                    out.append(str(exc))
+            return out
+        whole = decode(len(text) + 1)
+        assert whole[len(text)]["values"] == values
+        for chars in (1, 2, 3, 5):
+            assert decode(chars) == whole, chars
 
     def test_json_reader_holds_one_grid_row(self, tmp_path):
         # json.load's nested lists of the whole grid peak at about 12x
