@@ -8,12 +8,16 @@ cli._round_trip's order, without its gates: the family stage (Gordon
 solve, family data, trim), record_compat (crop and compat residuals),
 reconstruct, the extraction of the reconstruction's data
 (fundata.StreamedData: its normal frame and form norms) and the comparison
-(frenet.roundtrip_compare).  A first run is timed, a second traced with
-tracemalloc.  Prints one JSON object: per stage its wall time `s`, the
-traced memory held when it starts (`start_mb`) and its tracemalloc peak
-(`peak_mb`, everything traced since the run began); then the process's
-`ru_maxrss_mb` after the untraced run.  ru_maxrss is the whole process's,
-so run one case per process.
+(frenet.roundtrip_compare).  A warm-up case (C1 at 17^2) runs first,
+then a run that is timed, then one traced with tracemalloc.  Prints one
+JSON object: per stage its wall time `s`, the process's `ru_maxrss_mb`
+after it in the timed run, the traced memory held when it starts
+(`start_mb`) and its tracemalloc peak (`peak_mb`, everything traced since
+the run began); then `ru_maxrss_mb` before and after the warm-up and after
+the timed run.  tracemalloc cannot see the pages a library maps on first
+use (BLAS, LAPACK, lazily imported modules); the warm-up's ru_maxrss step
+shows them.  ru_maxrss is the whole process's, so run one case per
+process.
 """
 
 import json
@@ -43,17 +47,25 @@ def round_trip(theorem, n, measure):
     return D.shape
 
 
+def maxrss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                 1)
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
     theorem, n = argv[0], int(argv[1])
+    maxrss = {"start": maxrss_mb()}
     round_trip("C1", 17, lambda name, fn: fn())     # lazy imports
+    maxrss["after_warm_up"] = maxrss_mb()
     stages = {}
 
     def timed(name, fn):
         t0 = time.perf_counter()
         out = fn()
-        stages[name] = {"s": round(time.perf_counter() - t0, 4)}
+        stages[name] = {"s": round(time.perf_counter() - t0, 4),
+                        "ru_maxrss_mb": maxrss_mb()}
         return out
 
     def traced(name, fn):
@@ -65,14 +77,14 @@ def main(argv):
         return out
 
     shape = round_trip(theorem, n, timed)
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    maxrss["after_run"] = maxrss_mb()
     tracemalloc.start()
     try:
         round_trip(theorem, n, traced)
     finally:
         tracemalloc.stop()
     print(json.dumps({"theorem": theorem, "n": n, "record": list(shape),
-                      "stages": stages, "ru_maxrss_mb": round(maxrss, 1)}))
+                      "stages": stages, "ru_maxrss_mb": maxrss}))
 
 
 if __name__ == "__main__":

@@ -183,3 +183,43 @@ def cross_arr(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 def j_arr(x: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """(Para-)complex structure j_x(v) = -cross_arr(x, v, p) of S2_p."""
     return -cross_arr(x, v, p)
+
+
+def eigh2(S: np.ndarray):
+    """Eigenvalues, ascending, and orthonormal eigenvectors of the
+    symmetric 2x2 matrices S (..., 2, 2), in closed form: (w, Q) as
+    numpy's eigh returns them, Q[..., :, i] belonging to w[..., i].
+
+    As LAPACK's dlaev2 forms them (LAPACK Users' Guide, 1999), the
+    eigenvalue of larger magnitude is (tr +- hypot(a - c, 2b))/2 and the
+    other is det/that one, so both are accurate to round-off in the
+    matrix's scale; the larger eigenvalue's eigenvector is formed from
+    whichever row of S - w I cancels less.  Sign rule: Q is a rotation,
+    and its second column has a positive component along e1 where
+    a >= c, along e2 where a < c (a, c the diagonal entries); the zero
+    and scalar matrices get Q = I.  The upper triangle is read.
+    """
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    df = a - c
+    rt = np.hypot(df, 2.0 * b)
+    big = a + c
+    big += np.copysign(rt, big)
+    big *= 0.5
+    # det/big, with each product scaled by big first, as dlaev2 does
+    amax = np.where(np.abs(a) > np.abs(c), a, c)
+    amin = np.where(np.abs(a) > np.abs(c), c, a)
+    safe = np.where(big == 0.0, 1.0, big)
+    small = (amax / safe) * amin - (b / safe) * b
+    up = ~np.signbit(big)
+    w = np.stack([np.where(up, small, big), np.where(up, big, small)], -1)
+    # (x, y) along the larger eigenvalue (a + c + rt)/2: (a - c + rt, 2b)
+    # or (2b, rt - a + c), the one without cancellation
+    pos = df >= 0.0
+    x = np.where(pos, df + rt, 2.0 * b)
+    y = np.where(pos, 2.0 * b, rt - df)
+    r = np.hypot(x, y)
+    zero = r == 0.0
+    r = np.where(zero, 1.0, r)
+    x, y = x / r, np.where(zero, 1.0, y / r)
+    Q = np.stack([y, x, -x, y], -1).reshape(x.shape + (2, 2))
+    return w, Q

@@ -385,7 +385,8 @@ def _check_grid(F, cfg: RunConfig):
 
         for name, val in norms.items():
             key = "compat" if name.startswith("compat_") else name
-            if key in tols and np.isfinite(val) and val > tols[key]:
+            # a gated norm that is not finite is a failure, as in pipeline
+            if key in tols and not (np.isfinite(val) and val <= tols[key]):
                 failures.append(name)
         if not cls.get("lagrangian_equivalence", True):
             failures.append("lagrangian_equivalence")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ScalarEps, inner_arr, unit_i
+from .algebra import ScalarEps, eigh2, inner_arr, unit_i
 from .errors import FrameConstructionError
 from .fundata import (
     FundamentalData,
@@ -133,19 +133,27 @@ def _pack_data(D: FundamentalData, cols: slice = slice(None)) -> np.ndarray:
     return out
 
 
-def _halves(lines: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of data lines at every half step k + 1/2.
+def _halves(lines: np.ndarray, start: int = 0, stop: int = None
+            ) -> np.ndarray:
+    """Cubic interpolation of data lines at the half steps k + 1/2 for
+    start <= k < stop (every one by default), one-sided at the lines' two
+    ends.
 
     The lines run along axis 0; trailing axes (columns, fields) ride along.
     """
     n = lines.shape[0]
-    out = np.empty((n - 1,) + lines.shape[1:])
-    out[0] = (5.0 * lines[0] + 15.0 * lines[1] - 5.0 * lines[2]
-              + lines[3]) / 16.0
-    out[1:n - 2] = (-lines[:n - 3] + 9.0 * lines[1:n - 2]
-                    + 9.0 * lines[2:n - 1] - lines[3:]) / 16.0
-    out[n - 2] = (5.0 * lines[n - 1] + 15.0 * lines[n - 2]
-                  - 5.0 * lines[n - 3] + lines[n - 4]) / 16.0
+    stop = n - 1 if stop is None else stop
+    out = np.empty((stop - start,) + lines.shape[1:])
+    lo, hi = max(start, 1), min(stop, n - 2)        # the centred stencils
+    if start == 0:
+        out[0] = (5.0 * lines[0] + 15.0 * lines[1] - 5.0 * lines[2]
+                  + lines[3]) / 16.0
+    out[lo - start:hi - start] = (
+        -lines[lo - 1:hi - 1] + 9.0 * lines[lo:hi]
+        + 9.0 * lines[lo + 1:hi + 1] - lines[lo + 2:hi + 2]) / 16.0
+    if stop == n - 1:
+        out[n - 2 - start] = (5.0 * lines[n - 1] + 15.0 * lines[n - 2]
+                              - 5.0 * lines[n - 3] + lines[n - 4]) / 16.0
     return out
 
 
@@ -237,16 +245,67 @@ def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
 # initial frame from the data values at the record's first sample
 # ---------------------------------------------------------------------------
 
+def _null_planes(A: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (k, 2, n) of the null planes of the k matrices
+    A (k, m, n) of rank n - 2: the last two columns of Q in the Householder
+    QR of A^T with column pivoting (Golub and Van Loan, Matrix
+    Computations, 4th ed., sec. 5.4), accurate to round-off."""
+    R = A.swapaxes(1, 2).copy()                 # (k, n, m)
+    k, n = R.shape[:2]
+    vs = []
+    for j in range(n - 2):
+        T = R[:, j:]
+        # pivot: the column with the most norm left in rows j:, which no
+        # column reflected before has
+        v = T[np.arange(k), :, np.argmax(np.einsum("kij,kij->kj", T, T), 1)]
+        v[:, 0] += np.copysign(np.sqrt(np.einsum("ki,ki->k", v, v)), v[:, 0])
+        v /= np.sqrt(np.einsum("ki,ki->k", v, v))[:, None]
+        T -= 2.0 * v[:, :, None] * np.einsum("ki,kij->kj", v, T)[:, None]
+        vs.append(v)
+    Z = np.zeros((k, n, 2))
+    Z[:, n - 2:] = np.eye(2)
+    for j in reversed(range(n - 2)):
+        v = vs[j]
+        Z[:, j:] -= (2.0 * v[:, :, None]
+                     * np.einsum("ki,kij->kj", v, Z[:, j:])[:, None])
+    return Z.swapaxes(1, 2)
+
+
+def _scales(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares (x, y) of x a + y b = rhs, by modified Gram-Schmidt
+    on the columns a, b."""
+    ra = np.sqrt(a @ a)
+    qa = a / ra
+    r12 = qa @ b
+    w = b - r12 * qa
+    rb = np.sqrt(w @ w)
+    y0 = qa @ rhs
+    y = (w @ (rhs - y0 * qa)) / (rb * rb)
+    return np.array([(y0 - r12 * y) / ra, y])
+
+
 def initial_frame(D: FundamentalData) -> FrameState:
     """Frame at the record's first sample (0, 0), in closed form from the
     data there.
 
     Both factors sit at (0,0,1).  The structure equations are linear in the
     8 tangent components of (F_z, xi) in each factor, solved by a plane: an
-    orbit of the isometries fixing (0,0,1), times a scale.  G = g (+) -g has
-    no cross-factor terms, so the six Gram relations are linear in the two
-    squared scales of one vector per plane: an eigenvector of
-    Re G(F_z, F_zbar) on it, both tried (for p = 1 the form is indefinite).
+    orbit of the isometries fixing (0,0,1), times a scale (_null_planes).
+    G = g (+) -g has no cross-factor terms, so the six Gram relations are
+    linear in the two squared scales of one vector per plane (_scales);
+    the first pair of vectors whose scales are positive and solve the
+    relations gives the frame.  For p = 1 the isometries are boosts,
+    Re G(F_z, F_zbar) is indefinite on the plane, and both of its
+    eigenvectors (algebra.eigh2) are tried, in ascending order of
+    eigenvalue.  For p = 0 and 2 they are rotations: the form is a
+    multiple of the identity on the plane, every vector of it gives a
+    congruent frame, and the one vector tried is the projection of a
+    fixed reference vector r.
+
+    Sign rule: every vector tried has a positive projection on
+    r = sqrt(2, 3, 5, ..., 19), taken on its factor's 8 components, so no
+    basis picked by a solve sets a sign, and the frame depends on the data
+    alone.  No LAPACK solver is called.
     """
     p, eps, b = D.p, D.eps, D.b
     e2u = float(np.exp(2.0 * D.u[0, 0]))
@@ -272,28 +331,44 @@ def initial_frame(D: FundamentalData) -> FrameState:
     # are the columns of their matrix; each factor has its own block
     unit = frames(np.eye(16))
     S = reals(unit.structure(C1, C2, g1, g2))               # (4, 16, 2, 3)
-    unknowns = np.arange(16).reshape(4, 2, 2)   # (quantity, factor, e1/e2)
-    candidates = []
-    for k in (0, 1):
-        idx = unknowns[:, k].ravel()
-        null = np.zeros((2, 16))
-        null[:, idx] = np.linalg.svd(S[:, idx, k].transpose(0, 2, 1)
-                                     .reshape(-1, 8))[2][-2:]
-        # Re G(F_z, F_zbar) on the plane, from its values at n0, n1, n0 + n1
-        q = frames(np.stack([*null, null[0] + null[1]])).gram()[1].re
-        q01 = (q[2] - q[0] - q[1]) / 2.0
-        Q = np.array([[q[0], q01], [q01, q[1]]])
-        candidates.append(np.linalg.eigh(Q)[1].T @ null)
+    # the unknowns of factor k, idx[k]: (quantity, e1/e2) in the state
+    idx = np.arange(16).reshape(4, 2, 2).swapaxes(0, 1).reshape(2, 8)
 
+    def lift(x):
+        """Factor k's vectors x[k] (..., 8) into the 16 unknowns."""
+        out = np.zeros(x.shape[:-1] + (16,))
+        for k in (0, 1):
+            out[k][..., idx[k]] = x[k]
+        return out
+
+    Z = _null_planes(np.stack(
+        [S[:, idx[k], k].transpose(0, 2, 1).reshape(-1, 8) for k in (0, 1)]))
+    ref = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19])
+    if p == 1:
+        # Re G(F_z, F_zbar) on each plane, from its values at z0, z1,
+        # z0 + z1; the isometries fixing (0,0,1) are boosts, so it is
+        # indefinite, and its eigenvectors are the candidates
+        q = frames(lift(np.concatenate(
+            [Z, Z[:, :1] + Z[:, 1:]], axis=1))).gram()[1].re
+        q01 = (q[:, 2] - q[:, 0] - q[:, 1]) / 2.0
+        cand = eigh2(np.stack([q[:, 0], q01, q01, q[:, 1]], axis=-1)
+                     .reshape(2, 2, 2))[1].swapaxes(1, 2) @ Z
+        cand *= np.where(cand @ ref < 0.0, -1.0, 1.0)[..., None]
+    else:
+        # rotations: the form is a multiple of the identity on the plane,
+        # and the one candidate is ref's projection on it
+        cand = (Z @ ref)[:, None, :] @ Z
+    cand = lift(cand)                                     # (factor, m, 16)
+    G = reals(frames(cand).gram())                        # (12, 2, m)
     rhs = np.ravel([(t, 0.0) for t in unit.gram_targets(e2u)])
     best = np.inf
-    for n1 in candidates[0]:
-        for n2 in candidates[1]:
-            M = reals(frames(np.stack([n1, n2])).gram())     # (12, 2)
-            lam = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    for i in range(cand.shape[1]):
+        for j in range(cand.shape[1]):
+            lam = _scales(G[:, 0, i], G[:, 1, j], rhs)
             if np.any(lam <= 0.0):
                 continue
-            fs = frames(np.sqrt(lam[0]) * n1 + np.sqrt(lam[1]) * n2)
+            fs = frames(np.sqrt(lam[0]) * cand[0, i]
+                        + np.sqrt(lam[1]) * cand[1, j])
             res = np.sqrt(np.sum(reals(fs.structure(C1, C2, g1, g2)) ** 2)
                           + np.sum((reals(fs.gram()) - rhs) ** 2))
             if res <= np.sqrt(2e-18):
@@ -378,7 +453,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
             D, slice(lo + P.shape[1], stop))], axis=1)
         lo = first
         Y = P.swapaxes(0, 1)
-        Py = _rk4(Y[c - lo:c1 + 1 - lo], _halves(Y)[c - lo:c1 - lo], D.hy,
+        Py = _rk4(Y[c - lo:c1 + 1 - lo], _halves(Y, c - lo, c1 - lo), D.hy,
                   p, eps, b, "y")
         return Py, x_steps(P[:, c + 1 - lo:c1 + 1 - lo])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ScalarEps, inner_arr, unit_i
+from .algebra import ScalarEps, eigh2, inner_arr, unit_i
 from .errors import DegenerateMetric
 from .product import (
     J_product,
@@ -489,8 +489,11 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
     scaled: (N, n2, ok, ill), with n2 the |N|^2 to scale by, ok where the
     pair is well conditioned and ill the usable samples where it is not.
     N projects a fixed ambient pair, so it varies continuously wherever it
-    is well conditioned; a Lorentzian N is an eigenvector, defined up to
-    sign."""
+    is well conditioned.  A Lorentzian N is an eigenvector of the 2x2 Gram
+    form of the projections (algebra.eigh2, in closed form), defined up to
+    sign: eigh2's rule fixes it per sample (its eigenvectors form a
+    rotation), and _frame_pass's relations then align it across the
+    grid."""
     B = _or_whole(F, B)
     p, eps, shape = F.p, F.eps, F.values[B.rows].shape
     gxx, gyy = C.gxx[B.rows], g_inner(J.Fy, J.Fy, p)
@@ -511,7 +514,7 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
         s12 = g_inner(nu1, nu2, p)
         S = np.stack([g_inner(nu1, nu1, p), s12, s12, g_inner(nu2, nu2, p)],
                      axis=-1)
-        lam, Q = np.linalg.eigh(np.nan_to_num(
+        lam, Q = eigh2(np.nan_to_num(
             S, copy=False).reshape(usable.shape + (2, 2)))
         ok = usable & (lam[..., 1] > _FRAME_TOL * scale) \
             & (-lam[..., 0] > _FRAME_TOL * scale)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from minsurf.algebra import (
     ScalarEps,
     cross_arr,
+    eigh2,
     exp_eps,
     inner_arr,
     j_arr,
@@ -264,3 +265,56 @@ class TestSignatureFlip:
         v = np.array(comps[3:])
         assert inner_arr(u[::-1], v[::-1], 3 - p) == pytest.approx(
             -inner_arr(u, v, p), rel=1e-12, abs=1e-9)
+
+
+class TestEigh2:
+    """The closed-form 2x2 eigen-solve against LAPACK's np.linalg.eigh."""
+
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(2000, 2, 2))
+        diag = np.zeros((500, 2, 2))
+        diag[:, [0, 1], [0, 1]] = rng.normal(size=(500, 2))
+        equal = np.eye(2) * rng.normal(size=(50, 1, 1))
+        v = rng.normal(size=(500, 2))
+        near_singular = v[:, :, None] * v[:, None, :] + 1e-13 * np.eye(2)
+        t = rng.uniform(0.0, 2.0 * np.pi, 500)
+        c, s = np.cos(t), np.sin(t)
+        R = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        lor = np.zeros((500, 2, 2))
+        lor[:, 0, 0] = rng.uniform(0.1, 2.0, 500)
+        lor[:, 1, 1] = -rng.uniform(0.1, 2.0, 500)
+        return {"random": A + A.swapaxes(1, 2), "diagonal": diag,
+                "equal": equal, "near_singular": near_singular,
+                "lorentzian": R @ lor @ R.swapaxes(1, 2),
+                "zero": np.zeros((3, 2, 2))}
+
+    @pytest.mark.parametrize("kind", ["random", "diagonal", "equal",
+                                      "near_singular", "lorentzian", "zero"])
+    def test_equals_lapack(self, kind):
+        S = self.stacks()[kind]
+        w, Q = eigh2(S)
+        w0, Q0 = np.linalg.eigh(S)
+        scale = np.abs(S).max(axis=(1, 2), keepdims=True)[:, :, 0]
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(w - w0) <= 4 * ulp * scale)
+        assert np.all(w[:, 0] <= w[:, 1])
+        QtQ = Q.swapaxes(1, 2) @ Q
+        assert np.abs(QtQ - np.eye(2)).max() <= 4 * ulp
+        assert np.allclose(np.linalg.det(Q), 1.0, rtol=0, atol=4 * ulp)
+        back = Q @ (w[:, :, None] * Q.swapaxes(1, 2))
+        assert np.all(np.abs(back - S) <= 8 * ulp * scale[:, :, None])
+        # where the eigenvalues are apart, the eigenvectors are LAPACK's
+        # up to sign
+        apart = (w0[:, 1] - w0[:, 0]) > 1e-3 * scale[:, 0]
+        dots = np.abs(np.einsum("kij,kij->kj", Q, Q0))[apart]
+        assert np.allclose(dots, 1.0, rtol=0, atol=1e-12)
+
+    def test_sign_rule(self):
+        S = self.stacks()["random"]
+        _, Q = eigh2(S)
+        first = S[:, 0, 0] >= S[:, 1, 1]
+        assert np.all(Q[first, 0, 1] > 0)
+        assert np.all(Q[~first, 1, 1] > 0)
+        np.testing.assert_array_equal(eigh2(np.zeros((2, 2)))[1], np.eye(2))

@@ -88,6 +88,19 @@ class TestVerify:
             "EmptyInterior: no valid interior points"
         assert not any(k.startswith("compat_") for k in report["norms"])
 
+    def test_non_finite_norm_is_a_failure(self, monkeypatch):
+        # a gated norm that is nan compares false against its tolerance;
+        # it must fail by name, as a pipeline gate does
+        def nan_field(F):
+            return np.full((F.nx, F.ny), np.nan)
+
+        monkeypatch.setattr(immersion, "mean_curvature_residual", nan_field)
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "slice:first", "--grid", "17"]))
+        assert np.isnan(report["norms"]["minimality"])
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["minimality"]
+
     def test_corrupted_input_fails_with_named_norm(self, tmp_path, capsys):
         F = build_example("slice:first", nx=17)
         F.values[5:8, 5:8] *= 1.01   # off the quadric
@@ -730,6 +743,37 @@ class TestDocs:
             for name, (group, c, k) in fundata.GATES.items()}
 
 
+class TestNoLapack:
+    SOLVERS = ("eigh", "eigvalsh", "svd", "lstsq", "solve", "eig", "qr",
+               "inv", "det")
+
+    def test_round_trip_and_checks_call_no_lapack(self, monkeypatch):
+        # the frames' small solves are closed forms in the package; no
+        # numpy.linalg solver is called, and the reports are as before
+        runs = [("pipeline", "--theorem", t, "--grid", "33")
+                for t in sorted(gordon.FAMILY_TABLE)]
+        runs += [("verify", "--example", ex, "--grid", "33x33")
+                 for ex in ("paraholo:z2", "paraholo:sit",
+                            "geodesic-product")]
+
+        def reports():
+            out = []
+            for argv in runs:
+                cfg = parse_args(list(argv))
+                cmd = run_pipeline if argv[0] == "pipeline" else cmd_verify
+                out.append(json.loads(json.dumps(cmd(cfg))))
+            return out
+
+        before = reports()
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("a numpy.linalg solver was called")
+
+        for name in self.SOLVERS:
+            monkeypatch.setattr(np.linalg, name, lapack)
+        assert reports() == before
+
+
 class TestRuntimeImports:
     def test_no_scipy_module_is_loaded(self):
         # a fresh interpreter, so modules imported by the tests don't count
@@ -766,7 +810,12 @@ class TestScripts:
                                        "comparison"]
         for stage in out["stages"].values():
             assert stage["peak_mb"] >= stage["start_mb"] >= 0
-        assert out["ru_maxrss_mb"] > 0
+        rss = out["ru_maxrss_mb"]
+        assert list(rss) == ["start", "after_warm_up", "after_run"]
+        steps = [rss["after_warm_up"]] + [
+            stage["ru_maxrss_mb"] for stage in out["stages"].values()]
+        assert 0 < rss["start"] <= steps[0]
+        assert steps == sorted(steps) and steps[-1] == rss["after_run"]
 
     def test_convergence_study_runs_from_any_directory(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

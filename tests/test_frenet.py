@@ -57,18 +57,30 @@ print(h.hexdigest())
 """
 
 
+def frame_residuals(D, fs):
+    """The Gram and structure residuals of the frame fs at D's first
+    sample."""
+    res = fs.invariant_residuals(float(np.exp(2 * D.u[0, 0])))
+    g1, g2 = (ScalarEps(g.re[0, 0], g.im[0, 0], D.eps)
+              for g in (D.gamma1, D.gamma2))
+    for k, E in enumerate(fs.structure(D.C1[0, 0], D.C2[0, 0], g1, g2)):
+        res[f"structure_{k + 1}"] = np.max(np.hypot(E.re, E.im))
+    return res
+
+
 class TestInitialFrame:
     def test_invariants_exact(self, family_cache):
         for theorem, n in itertools.product(sorted(FAMILY_CASES), (33, 65)):
             D = family_cache(theorem, n)
-            fs = initial_frame(D)
-            res = fs.invariant_residuals(float(np.exp(2 * D.u[0, 0])))
-            g1, g2 = (ScalarEps(g.re[0, 0], g.im[0, 0], D.eps)
-                      for g in (D.gamma1, D.gamma2))
-            for k, E in enumerate(fs.structure(D.C1[0, 0], D.C2[0, 0],
-                                               g1, g2)):
-                res[f"structure_{k + 1}"] = np.max(np.hypot(E.re, E.im))
+            res = frame_residuals(D, initial_frame(D))
             assert max(res.values()) < 1e-12, (theorem, res)
+
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_residuals_at_round_off(self, families33, theorem):
+        # the null planes, eigenvectors and scales are solved to round-off
+        D = families33[theorem]
+        res = frame_residuals(D, initial_frame(D))
+        assert max(res.values()) <= 1e-14, res
 
     def test_same_frame_in_every_process(self):
         tests = Path(__file__).parent
