@@ -331,9 +331,11 @@ def _check_grid(F, cfg: RunConfig):
     else:
         # trim the conformal factor tail and a margin around invalid
         # bands, where relative FD error diverges
-        e2u_ref = np.nanmax(np.where(ok, np.abs(C.e2u), np.nan))
+        e2u = np.abs(C.e2u)
+        e2u_ref = np.nanmax(np.where(ok, e2u, np.nan))
         bad_band = fundata.dilate(interior & ~ok, 4)
-        trimmed = ok & ~bad_band & (np.abs(C.e2u) >= 0.05 * e2u_ref)
+        trimmed = ok & ~bad_band & (e2u >= 0.05 * e2u_ref)
+        del e2u     # a whole-grid array, not kept through the checks below
         fr["trimmed"] = _fraction(trimmed, interior)
         norms["iso_residual"] = fundata.field_sup(C.iso_residual, trimmed)
         Hres = immersion.mean_curvature_residual(F)
@@ -373,8 +375,9 @@ def _check_grid(F, cfg: RunConfig):
                 if not np.any(region & D.mask):
                     region = None
                 rep = fundata.compat_residuals(D, region=region)
+                # nan: the residual does not apply; +inf fails its gate
                 for k, v in rep.norms.items():
-                    if np.isfinite(v):
+                    if not np.isnan(v):
                         norms[f"compat_{k}"] = v
                 report["extraction"] = {k: v for k, v in D.diagnostics.items()
                                         if np.isscalar(v) or isinstance(v, tuple)}

@@ -36,7 +36,6 @@ from .immersion import (
     diff,
     dz,
     gauss_curvature,
-    kahler_fields,
     mean_curvature_residual,
     oriented_frame,
     row_blocks,
@@ -154,20 +153,15 @@ def _se_div(num: ScalarEps, den: ScalarEps, valid: np.ndarray) -> ScalarEps:
     return se_where(safe, ScalarEps(z.re / d2s, z.im / d2s, num.eps), np.nan)
 
 
-def se_sup(z: ScalarEps, mask=None) -> float:
-    """Sup of the Euclidean modulus sqrt(re^2 + im^2) over a mask."""
-    return field_sup(np.sqrt(z.re ** 2 + z.im ** 2), mask)
-
-
-def field_sup(a: np.ndarray, mask=None) -> float:
-    """Sup of |a| over a mask; nan when no finite value remains."""
+def field_sup(a, mask=None) -> float:
+    """Sup of |a| over a mask, of the Euclidean modulus sqrt(re^2 + im^2)
+    for a ScalarEps a; nan when no finite value remains."""
     return _sup([_peak(a, mask)])
 
 
 def _peak(a, mask=None):
-    """One block's share of field_sup, or of se_sup for a ScalarEps a: (the
-    largest |a| over the mask, nan ignored, -inf if none; whether a finite
-    value is there)."""
+    """One block's share of field_sup: (the largest |a| over the mask, nan
+    ignored, -inf if none; whether a finite value is there)."""
     if isinstance(a, ScalarEps):
         a = np.sqrt(a.re ** 2 + a.im ** 2)
     a = np.abs(np.asarray(a, dtype=float))
@@ -272,7 +266,7 @@ class StreamedData:
         self.origin = F.origin
         self.meta = {"source": F.meta.get("name", "grid")}
         self.mask = ok & ~fr.bad
-        self._sources = C.u, fr, kahler_fields(F)
+        self._sources = C.u, fr, (C.C1, C.C2)
         self._gaps = []
         cx1, cx2 = by_rows(ok.shape, lambda B: self._strata(B.rows)[2])
         self.complex1, self.complex2 = dilate(cx1, 2), dilate(cx2, 2)
@@ -403,7 +397,9 @@ class CompatReport:
     n_points: int
 
     def max(self) -> float:
-        vals = [v for v in self.norms.values() if np.isfinite(v)]
+        """The largest norm, nan (does not apply) left out; +inf when a
+        residual that applies has no finite value."""
+        vals = [v for v in self.norms.values() if not np.isnan(v)]
         return max(vals) if vals else float("nan")
 
     def to_json(self) -> dict:
@@ -419,6 +415,10 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (used by refinement studies to compare like with like).
+
+    A norm is nan where its residual does not apply (its region, the mask
+    less the strata it excludes, is empty) and +inf where it applies but
+    holds no finite value, which no gate passes.
     """
     base = D.mask if region is None else (D.mask & region)
     if not np.any(base):
@@ -428,18 +428,26 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
         inside = np.zeros_like(base[B.halo])
         inside[B.own] = base[B.rows]
         peaks.append(_compat_peaks(D.rows(B.halo), inside))
-    return CompatReport({k: _sup(p[k] for p in peaks) for k in peaks[0]},
-                        int(np.sum(base)))
+    norms = {}
+    for k in peaks[0]:
+        norms[k] = _sup(p[k][:2] for p in peaks)
+        if np.isnan(norms[k]) and any(p[k][2] for p in peaks):
+            norms[k] = float("inf")
+    return CompatReport(norms, int(np.sum(base)))
 
 
 def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
-    """The _peak of every compatibility residual of D over the mask base."""
+    """The _peak of every compatibility residual of D over its mask within
+    base, with whether that mask holds a point: (top, finite, applies)."""
     eps, b, p = D.eps, D.b, D.p
     i_unit = unit_i(eps)
     e2u = D.e2u()
     em2u = np.exp(-2.0 * D.u)
     sgn_p1 = (-1.0) ** (p + 1)
     peaks = {}
+
+    def peak(name, r, m):
+        peaks[name] = _peak(r, m) + (bool(np.any(m)),)
 
     gammas = {1: D.gamma1, 2: D.gamma2}
     fs = {1: D.f1, 2: D.f2}
@@ -457,28 +465,28 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
         Cz = dz(Cs[j], D.hx, D.hy, eps)
         r = Cz + 2.0 * eps * b * i_unit * ScalarEps(em2u, 0.0, eps) \
             * gammas[j].conj() * fs[j]
-        peaks[f"kahler_{j}"] = _peak(r, m)
+        peak(f"kahler_{j}", r, m)
         # (gbar_j)_z - (-1)^{j+1} gbar_j A = 0
         gbz = dz(gammas[j].conj(), D.hx, D.hy, eps)
         r = gbz - sj * gammas[j].conj() * D.A
-        peaks[f"derivofgamma_{j}"] = _peak(r, m)
+        peak(f"derivofgamma_{j}", r, m)
         # (fbar_j)_z - (-1)^{j+1} fbar_j A
         #   - i eps (-1)^{p+1} e^{2u} gbar_j C_{j'} / 4 = 0
         fbz = dz(fs[j].conj(), D.hx, D.hy, eps)
         r = fbz - sj * fs[j].conj() * D.A \
             - 0.25 * eps * sgn_p1 * i_unit * ScalarEps(e2u * Cs[jp], 0.0, eps) \
             * gammas[j].conj()
-        peaks[f"deroff_{j}"] = _peak(r, m)
+        peak(f"deroff_{j}", r, m)
         # |gamma_j|^2 = (eps b e^{2u}/2)(eps C_j^2 + (-1)^{p+1})
         lhs = gammas[j].abs2()
         rhs = 0.5 * eps * b * e2u * (eps * Cs[j] ** 2 + sgn_p1)
-        peaks[f"gammanorsec_{j}"] = _peak(lhs - rhs, base)
+        peak(f"gammanorsec_{j}", lhs - rhs, base)
         # integrability: 2 u_zzb + 4 eps b e^{-2u}|f_j|^2
         #   + (-1)^j (Abar_z + A_zb) + eps (-1)^p e^{2u} C1 C2 / 2 = 0
         # (the |f|^2 term carries b, which drops out in the b=1 frames)
         r = 2.0 * uzzb + 4.0 * eps * b * em2u * fs[j].abs2() \
             + ((-1.0) ** j) * re_term + 0.5 * eps * ((-1.0) ** p) * e2u * D.C1 * D.C2
-        peaks[f"integrability_{j}"] = _peak(r, m)
+        peak(f"integrability_{j}", r, m)
         del Cz, gbz, fbz, lhs, rhs, r   # not kept beside the A pair below
 
     # A-consistency between the two defining expressions (nan when the
@@ -486,7 +494,7 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
     m12 = base & ~cxs[1] & ~cxs[2]
     A1, A2 = _a_pair(D.u_z, (D.C1, D.C2), (D.f1, D.f2),
                      (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
-    peaks["a_consistency"] = _peak(A1 - A2, m12)
+    peak("a_consistency", A1 - A2, m12)
     return peaks
 
 

@@ -267,45 +267,60 @@ def hessian(F: ImmersionGrid, B: RowBlock = None):
 
 @dataclass
 class ConformalFields:
-    """The conformal data per sample that later stages read; gyy and gxy
-    exist per block only (_conformal_block, _reference_normal)."""
+    """The first-order data per sample that later stages read: the metric
+    coefficient gxx, the conformal data and the Kahler functions C1, C2;
+    gyy and gxy exist per block only (_conformal_block, _reference_normal)."""
 
     gxx: np.ndarray
-    e2u: np.ndarray
     u: np.ndarray
-    eps_sign: np.ndarray      # sign(gxx * gyy); 0 where degenerate
+    eps_sign: np.ndarray      # int8 sign(gxx * gyy); 0 where degenerate
     iso_residual: np.ndarray
     ok: np.ndarray            # non-degenerate, positive e^{2u}
     degenerate: np.ndarray    # |gxx| or |gyy| below tolerance
     negdef: np.ndarray        # gxx < 0 (negative-definite/flipped metric)
+    C1: np.ndarray
+    C2: np.ndarray
+
+    @property
+    def e2u(self) -> np.ndarray:
+        """e^{2u}: gxx where ok, nan elsewhere; formed on each read (per
+        block readers take np.where(ok, gxx, nan) on their rows)."""
+        return np.where(self.ok, self.gxx, np.nan)
 
 
 def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
-    """ConformalFields' arrays on the rows of block B, degenerate below tol."""
+    """ConformalFields' arrays on the rows of block B, degenerate below tol;
+    C1 and C2 come from the isothermal pullback formulas on the same jets."""
     J = jets(F, B)
     p = F.p
     gxx = g_inner(J.Fx, J.Fx, p)
     gyy = g_inner(J.Fy, J.Fy, p)
     gxy = g_inner(J.Fx, J.Fy, p)
-    with np.errstate(invalid="ignore"):
+    base = F.values[B.rows]
+    w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
+                           base[..., k, :], p) for k in (0, 1))
+    with np.errstate(invalid="ignore", divide="ignore"):
         degenerate = (np.abs(gxx) <= tol) | (np.abs(gyy) <= tol)
         negdef = (gxx < -tol)
-        ok = np.isfinite(gxx) & ~degenerate & ~negdef
-        eps_sign = np.where(degenerate | ~np.isfinite(gxx), 0.0,
-                            np.sign(gxx * gyy))
-        e2u = np.where(ok, gxx, np.nan)
-        u = 0.5 * np.log(np.where(ok, np.abs(e2u), 1.0))
+        # gyy is nan on the edge columns and gxx on the edge rows
+        unknown = ~(np.isfinite(gxx) & np.isfinite(gyy))
+        ok = ~unknown & ~degenerate & ~negdef
+        eps_sign = np.where(degenerate | unknown, 0.0,
+                            np.sign(gxx * gyy)).astype(np.int8)
+        a = np.abs(np.where(ok, gxx, 1.0))
+        u = 0.5 * np.log(a)
         u[~ok] = np.nan
-        iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) \
-            / np.abs(np.where(ok, e2u, 1.0))
+        iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) / a
         iso[~ok] = np.nan
-    return gxx, e2u, u, eps_sign, iso, ok, degenerate, negdef
+        den = eps_sign * np.where(ok, gxx, np.nan)     # eps e^{2u}
+        C1, C2 = (w1 - w2) / den, (w1 + w2) / den
+    return gxx, u, eps_sign, iso, ok, degenerate, negdef, C1, C2
 
 
 def conformal_fields(F: ImmersionGrid) -> ConformalFields:
-    """The metric coefficients and conformal data per sample, cached;
-    formed a row block at a time, with the grid's deg_tol (a block's own
-    axes would give another)."""
+    """The metric coefficients, conformal data and Kahler functions per
+    sample, cached; formed a row block at a time from one set of jets, with
+    the grid's deg_tol (a block's own axes would give another)."""
     def make():
         tol = F.deg_tol()
         return ConformalFields(*by_rows(
@@ -317,26 +332,11 @@ def conformal_fields(F: ImmersionGrid) -> ConformalFields:
 # Kahler functions, classification
 # ---------------------------------------------------------------------------
 
-def _kahler_block(F: ImmersionGrid, B: RowBlock, C: ConformalFields):
-    """(C1, C2) on the rows of block B."""
-    J = jets(F, B)
-    base, p = F.values[B.rows], F.p
-    w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
-                           base[..., k, :], p) for k in (0, 1))
-    den = C.eps_sign[B.rows] * C.e2u[B.rows]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        C1 = (w1 - w2) / den
-        C2 = (w1 + w2) / den
-    return C1, C2
-
-
 def kahler_fields(F: ImmersionGrid):
-    """(C1, C2) grid fields from the isothermal pullback formulas, cached;
-    formed a row block at a time."""
-    def make():
-        C = conformal_fields(F)
-        return by_rows((F.nx, F.ny), lambda B: _kahler_block(F, B, C))
-    return F._cached("kahler", make)
+    """(C1, C2) grid fields from the isothermal pullback formulas, formed
+    with the conformal fields (conformal_fields)."""
+    C = conformal_fields(F)
+    return C.C1, C.C2
 
 
 def class_tol(F: ImmersionGrid, u) -> np.ndarray:
@@ -350,13 +350,12 @@ def class_masks(F: ImmersionGrid):
     the non-degenerate samples, thresholded by class_tol."""
     def make():
         C = conformal_fields(F)
-        C1, C2 = kahler_fields(F)
         tol = class_tol(F, np.where(C.ok, C.u, 0.0))
         s = (-1.0) ** (F.p + 1)
         with np.errstate(invalid="ignore"):
             return tuple(C.ok & (np.abs(x) <= tol) for x in
-                         (C1, C2, C.eps_sign * C1 * C1 + s,
-                          C.eps_sign * C2 * C2 + s))
+                         (C.C1, C.C2, C.eps_sign * C.C1 * C.C1 + s,
+                          C.eps_sign * C.C2 * C.C2 + s))
     return F._cached("classes", make)
 
 
@@ -420,7 +419,7 @@ def _form_norms(F, C, rows, normal_part, hess):
     second_fundamental_fields, H formed in h11's array and h12 after h11
     and h22 are dropped."""
     Fxx, Fxy, Fyy = hess
-    es, e2u = C.eps_sign[rows], C.e2u[rows]
+    es = C.eps_sign[rows]
     emu2 = np.exp(-2.0 * C.u[rows])[..., None, None]
 
     def norm2(h):
@@ -435,7 +434,7 @@ def _form_norms(F, C, rows, normal_part, hess):
         H = np.add(h11, h22, out=h11)
         del h11, h22
         H *= 0.5
-        H /= e2u[..., None, None]
+        H /= np.where(C.ok[rows], C.gxx[rows], np.nan)[..., None, None]
         n12 = norm2(normal_part(Fxy))
     return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
             g_inner(H, H, F.p), n + 2.0 * es * n12)
@@ -566,14 +565,15 @@ def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
             ScalarEps(rr - Z.eps * ii, ri + ir, Z.eps))
 
 
-def _frame_pass(F, C, b: int, pair: int, norms: bool):
+def _frame_pass(F, C, b: int, pair: int):
     """One pass over the row blocks of F with reference pair `pair`, each
-    block's normal projector and Hessian built once: (parts, across).  A
-    block's xi, F_z and F_zz are formed in the arrays of N and Ntilde, of
-    the jets and of the Hessian.
+    block's normal projector and Hessian built once: (parts, across, ill).
+    A block's xi, F_z and F_zz are formed in the arrays of N and Ntilde, of
+    the jets and of the Hessian; ill counts the usable samples where the
+    pair is ill-conditioned.
 
-    parts are the stitched per-sample arrays: _form_norms' three if norms,
-    then ill, bad, and the real and imaginary parts of G(J1 F_z, xibar),
+    parts are the stitched per-sample arrays: _form_norms' three on pair
+    0's pass, then bad, and the real and imaginary parts of G(J1 F_z, xibar),
     G(J1 F_z, xi), G(J2 F_z, xibar), G(J2 F_z, xi), G(F_zz, xibar) and
     G(F_zz, xi), with xi = (N - i eps Ntilde)/sqrt(2).  A Lorentzian N is
     not aligned here: parts end with its relations `down` (see
@@ -581,19 +581,20 @@ def _frame_pass(F, C, b: int, pair: int, norms: bool):
     across holds those along the center row, and every product is odd in N.
     """
     p, eps, center = F.p, F.eps, F.nx // 2
-    seam = {"above": None, "across": None}
+    seam = {"above": None, "across": None, "ill": 0}
 
     def block(B):
         J = jets(F, B)
         base = F.values[B.rows]
         normal_part = normal_projector(base, J.Fx, J.Fy, p)
         hess = hessian(F, B)
-        out = _form_norms(F, C, B.rows, normal_part, hess) if norms else ()
+        out = () if pair else _form_norms(F, C, B.rows, normal_part, hess)
         N, n2, ok, ill = _reference_normal(F, C, B, J, normal_part, b,
                                            pair)
         del normal_part
+        seam["ill"] += int(np.sum(ill))
         if eps == -1:
-            down = np.ones(ill.shape)
+            down = np.ones(ok.shape)
             down[1:] = _relation(N[1:], N[:-1])
             if seam["above"] is not None:
                 down[0] = _relation(N[0], seam["above"])
@@ -616,12 +617,12 @@ def _frame_pass(F, C, b: int, pair: int, norms: bool):
         Fxy *= -eps
         Fxy /= 2.0
         zz1, zz2 = g_pair(ScalarEps(Fxx, Fxy, eps), xi, p)
-        out += (ill, bad) + tuple(a for z in (g1, c1, c2, g2, zz1, zz2)
+        out += (bad,) + tuple(a for z in (g1, c1, c2, g2, zz1, zz2)
                                   for a in (z.re, z.im))
         if eps == -1:
             out += (down,)
         return out
-    return by_rows((F.nx, F.ny), block), seam["across"]
+    return by_rows((F.nx, F.ny), block), seam["across"], seam["ill"]
 
 
 @dataclass
@@ -642,8 +643,8 @@ class NormalFrame:
     pair: int
 
 
-def _second_order(F: ImmersionGrid, b: int):
-    """Cache oriented_frame(F, b), and form_norms(F) unless it is cached.
+def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
+    """oriented_frame(F, b), uncached; pair 0's pass caches form_norms(F).
 
     Each reference pair tried costs one pass over the row blocks; the pair
     with the fewest ill-conditioned points wins (mixing references
@@ -653,17 +654,15 @@ def _second_order(F: ImmersionGrid, b: int):
     so the signs multiply the products."""
     eps = F.eps
     C = conformal_fields(F)
-    norms = "form_norms" not in F._cache
     best = None
     for pair in range(len(_REFERENCES)):
-        parts, across = _frame_pass(F, C, b, pair, norms)
-        if norms:
-            F._cache["form_norms"], parts, norms = parts[:3], parts[3:], False
-        n_bad = int(np.sum(parts[0]))
-        if best is None or n_bad < best[0]:
-            best = (n_bad, pair, parts[1:], across)
+        parts, across, n_ill = _frame_pass(F, C, b, pair)
+        if pair == 0:
+            F._cache["form_norms"], parts = parts[:3], parts[3:]
+        if best is None or n_ill < best[0]:
+            best = (n_ill, pair, parts, across)
         del parts
-        if n_bad == 0:
+        if n_ill == 0:
             break
     _, pair, (bad, *rest), across = best
     del best
@@ -692,7 +691,7 @@ def _second_order(F: ImmersionGrid, b: int):
         for z in (g1, g2, zz1, zz2):
             z.re *= s
             z.im *= s
-    F._cache[f"frame_{b}"] = NormalFrame(bad, g1, g2, zz1, zz2, {
+    return NormalFrame(bad, g1, g2, zz1, zz2, {
         "orientation_flipped": flipped, "cross_component_fraction": frac},
         pair)
 
@@ -701,22 +700,17 @@ def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
     """Products of the grid-wide normal frame whose Ntilde-sign is fixed by
     the structure equations, cached per b: the frame is flipped globally
     if the cross components dominate (diag["orientation_flipped"]).  Formed
-    a row block at a time, with form_norms unless it is cached
-    (_second_order): xi, each J_k F_z and F_zz exist for one block at a
-    time."""
-    key = f"frame_{b}"
-    if key not in F._cache or "form_norms" not in F._cache:
-        _second_order(F, b)
-    return F._cache[key]
+    a row block at a time, with form_norms (_second_order): xi, each J_k F_z
+    and F_zz exist for one block at a time."""
+    return F._cached(f"frame_{b}", lambda: _second_order(F, b))
 
 
 def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
     """K = -4 e^{-2u} u_{z zbar}, the Gauss curvature of the induced metric
-    (the eps-weighted variant is eps*K; see curvature_from_data)."""
-    def make():
-        C = conformal_fields(F)
-        return gauss_curvature(C.u, F.hx, F.hy, C.eps_sign)
-    return F._cached("K", make)
+    (the eps-weighted variant is eps*K; see curvature_from_data); built
+    on each call."""
+    C = conformal_fields(F)
+    return gauss_curvature(C.u, F.hx, F.hy, C.eps_sign)
 
 
 def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
@@ -727,10 +721,9 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
         C = conformal_fields(F)
         eps = C.eps_sign
         K = gauss_curvature_field(F)
-        C1, C2 = kahler_fields(F)
         _, Hn2, habs2 = form_norms(F)
         sgn = (-1.0) ** F.p
-        r = np.abs(K - eps * sgn * C1 * C2 - 2.0 * Hn2 + habs2 / 2.0)
+        r = np.abs(K - eps * sgn * C.C1 * C.C2 - 2.0 * Hn2 + habs2 / 2.0)
         valid = C.ok & np.isfinite(K) & ~oriented_frame(F).bad
         out = np.full_like(r, np.nan)
         out[2:-2, 2:-2] = np.where(valid, r, np.nan)[2:-2, 2:-2]

@@ -24,7 +24,6 @@ from minsurf.fundata import (
     extract,
     field_sup,
     identity_residuals,
-    se_sup,
 )
 from minsurf.frenet import reconstruct, roundtrip_report
 from minsurf.gordon import build_family, family_mask, family_phase, solution_from_fields, solve_gordon
@@ -365,7 +364,7 @@ def test_criterion_8_family_pipeline(family_cache):
         q0 = family_phase(eps, 0.0, qn)
         rot = q * _inv(q0, eps)
         for g0, g1 in ((D0.gamma1, D1.gamma1), (D0.gamma2, D1.gamma2)):
-            assert se_sup(g1 - rot * g0, D0.mask) <= 1e-11, theorem
+            assert field_sup(g1 - rot * g0, D0.mask) <= 1e-11, theorem
     _report(8, "family pipeline: masks verbatim, t-invariance",
             theorems=len(G.FAMILY_TABLE))
 

@@ -388,6 +388,50 @@ class TestVerify:
         assert shapes and (F.nx, F.ny) not in shapes
         assert fundata.extract(F).shape == shapes[-1] == (F.nx, F.ny)
 
+    def test_check_sweeps_each_block_twice(self, monkeypatch):
+        # the first-order data (conformal factor and Kahler functions) and
+        # the frame pass of the first reference pair are the checks' two
+        # sweeps: each forms a block's jets once, and only the frame pass
+        # forms its Hessian (slice:first at 129^2: five row blocks, pair 0
+        # clean)
+        calls = {"jets": 0, "hessian": 0}
+
+        def counting(name):
+            fn = getattr(immersion, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        for name in calls:
+            monkeypatch.setattr(immersion, name, counting(name))
+        F = build_example("slice:first", nx=129)
+        blocks = len(immersion.row_blocks(F.nx, F.ny))
+        code, _ = cli._check_grid(
+            F, cli.RunConfig(command="verify", example="slice:first"))
+        assert code == EXIT_PASS and blocks == 5
+        assert immersion.oriented_frame(F).pair == 0
+        assert calls == {"jets": 2 * blocks, "hessian": blocks}
+
+    def test_compat_norm_that_applies_without_a_value_fails(self,
+                                                            monkeypatch):
+        # compat_residuals reads +inf for a residual that applies but has
+        # no finite value (nan for one that does not apply): verify fails
+        # it by name
+        compat = fundata.compat_residuals
+
+        def no_value(D, region=None):
+            rep = compat(D, region)
+            rep.norms["kahler_1"] = float("inf")
+            return rep
+        monkeypatch.setattr(fundata, "compat_residuals", no_value)
+        code, report = cli._check_grid(
+            build_example("holo:2z1-safe", nx=33),
+            cli.RunConfig(command="verify", example="holo:2z1-safe"))
+        assert code == EXIT_FAIL
+        assert report["norms"]["compat_kahler_1"] == float("inf")
+        assert report["failures"] == ["compat_kahler_1"]
+
     @pytest.mark.parametrize("name", ["slice:first", "paraholo:z2"])
     def test_check_caches_no_vector_field(self, name):
         # after the checks, every cached entry holds per-sample values: no
@@ -816,6 +860,23 @@ class TestScripts:
             stage["ru_maxrss_mb"] for stage in out["stages"].values()]
         assert 0 < rss["start"] <= steps[0]
         assert steps == sorted(steps) and steps[-1] == rss["after_run"]
+
+    def test_output_digest_names_every_output(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "output_digest.py"),
+             "--verify", "17", "--pipeline", "17"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert all(len(d) == 64 and int(d, 16) >= 0 for d in out.values())
+        for name in EXAMPLES:
+            assert f"verify/{name}/17/report" in out
+            assert f"verify/{name}/17/conformal.e2u" in out
+            assert f"verify/{name}/17/gauss" in out
+        for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
+            assert f"pipeline/{theorem}/17/t=0.3/report" in out
 
     def test_convergence_study_runs_from_any_directory(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -25,7 +25,6 @@ from minsurf.fundata import (
     gauge_rotate,
     identity_residuals,
     restrict,
-    se_sup,
     tolerance,
 )
 from minsurf.immersion import (
@@ -60,8 +59,8 @@ class TestExtract:
         m = D.mask
         assert field_sup(D.C1, m) < 1e-9
         assert field_sup(D.C2, m) < 1e-9
-        assert se_sup(D.f1, m) < 1e-9
-        assert se_sup(D.f2, m) < 1e-9
+        assert field_sup(D.f1, m) < 1e-9
+        assert field_sup(D.f2, m) < 1e-9
         # |gamma_j|^2 = 1/2 for the flat Lagrangian product (the FD
         # chord factor sin(h)/h shifts e^{2u} by O(h^2))
         h2 = max(F.hx, F.hy) ** 2
@@ -72,8 +71,8 @@ class TestExtract:
         F = build_example("holo:2z1-safe", nx=33)
         D = extract(F)
         assert D.complex1[D.mask].all()
-        assert se_sup(D.gamma1, D.mask) == 0.0
-        assert se_sup(D.f1, D.mask) == 0.0
+        assert field_sup(D.gamma1, D.mask) == 0.0
+        assert field_sup(D.f1, D.mask) == 0.0
         assert field_sup(D.C1 ** 2 - 1.0, D.mask) == 0.0
         # gamma_2 carries the Prop-7 style reduced data
         assert np.abs(D.gamma2.abs2()[D.mask & ~D.complex2]).min() > 1e-3
@@ -147,9 +146,9 @@ class TestGauge:
     def test_double_rotation(self, family_cache, eps_src):
         D = family_cache(eps_src, 33)
         G = gauge_rotate(gauge_rotate(D, 0.37), -0.37)
-        assert se_sup(G.gamma1 - D.gamma1, D.mask) < 1e-12
-        assert se_sup(G.gamma2 - D.gamma2, D.mask) < 1e-12
-        assert se_sup(G.f1 - D.f1, D.mask) < 1e-12
+        assert field_sup(G.gamma1 - D.gamma1, D.mask) < 1e-12
+        assert field_sup(G.gamma2 - D.gamma2, D.mask) < 1e-12
+        assert field_sup(G.f1 - D.f1, D.mask) < 1e-12
 
     def test_modulus_invariant_riemannian(self, family_cache):
         D = family_cache("A1", 33)
@@ -239,6 +238,24 @@ class TestCompat:
         assert ratios, name
         assert min(ratios.values()) > 3.5, (name, ratios)
 
+    def test_applied_residual_without_a_finite_value_reads_inf(self):
+        # a residual whose region holds points but no finite value reads
+        # +inf, which no gate passes; a residual whose region is empty
+        # does not apply and reads nan, which max() leaves out
+        D = flat_lagrangian()
+        nan = np.full(D.shape, np.nan)
+        no_f1 = dataclasses.replace(D, f1=ScalarEps(nan, nan, D.eps))
+        rep = compat_residuals(no_f1)
+        assert rep.norms["kahler_1"] == np.inf
+        assert rep.norms["kahler_2"] < 1e-12
+        assert rep.max() == np.inf
+        all_complex = dataclasses.replace(
+            no_f1, complex1=np.ones(D.shape, bool))
+        rep = compat_residuals(all_complex)
+        assert np.isnan(rep.norms["kahler_1"])
+        assert np.isnan(rep.norms["a_consistency"])
+        assert rep.max() == rep.norms["gammanorsec_1"] < 1e-12
+
     def test_a_consistency_small(self, family_cache):
         D = family_cache("B1", 65)
         rep = compat_residuals(D)
@@ -254,8 +271,8 @@ class TestDataLevelTheorems:
             tau = 10 * max(F.hx, F.hy) ** 2
             assert field_sup(D.C1, D.mask) <= tau
             assert field_sup(D.C2, D.mask) <= tau
-            assert se_sup(D.f1, D.mask) <= tau
-            assert se_sup(D.f2, D.mask) <= tau
+            assert field_sup(D.f1, D.mask) <= tau
+            assert field_sup(D.f2, D.mask) <= tau
 
     def test_totally_geodesic_classification(self):
         # data with f1 = f2 = 0: constant Kahler functions, both 0 or 1
@@ -487,4 +504,4 @@ class TestHopfCrossCheck:
         pred = (-E.eps * E.b * 0.5) * E.gamma1 * E.gamma2
         diff = ScalarEps(theta.re - pred.re, theta.im - pred.im, 1)
         h2 = max(E.hx, E.hy) ** 2
-        assert se_sup(diff, E.mask) < 50 * h2
+        assert field_sup(diff, E.mask) < 50 * h2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import minsurf.gordon as G
 from minsurf.errors import BranchMismatch, CFLViolation, DomainViolation, EmptyMask
-from minsurf.fundata import compat_residuals, field_sup, se_sup
+from minsurf.fundata import compat_residuals, field_sup
 from minsurf.gordon import (
     build_family,
     family_mask,
@@ -348,7 +348,7 @@ class TestBuildFamily:
         D = build_family("C1", sol, t=0.0)
         assert field_sup(D.C1, D.mask) == 0.0
         assert np.exp(2 * D.u[4, 4]) == pytest.approx(4.0)
-        assert se_sup(D.f1, D.mask) == 0.0
+        assert field_sup(D.f1, D.mask) == 0.0
 
     @pytest.mark.parametrize("theorem", sorted(G.FAMILY_TABLE))
     def test_gamma_norm_exact(self, family_cache, theorem):
@@ -431,7 +431,7 @@ class TestFamilyParameter:
             q = family_phase(1, 0.9, 1)
             for g0, g1 in ((D0.gamma1, D1.gamma1), (D0.gamma2, D1.gamma2)):
                 diff = g1 - q * g0
-                assert se_sup(diff, D0.mask) < 1e-12
+                assert field_sup(diff, D0.mask) < 1e-12
             assert field_sup(D1.gamma1.abs2() - D0.gamma1.abs2(),
                              D0.mask) < 1e-12
 
@@ -443,10 +443,10 @@ class TestFamilyParameter:
         D0 = family_cache("A1", 33, t=0.0)
         Dt = family_cache("A1", 33, t=t)
         Gg = gauge_rotate(D0, t / 2.0)
-        assert se_sup(Dt.gamma2 - Gg.gamma2, D0.mask) < 1e-12
-        assert se_sup(Dt.f2 - Gg.f2, D0.mask) < 1e-12
+        assert field_sup(Dt.gamma2 - Gg.gamma2, D0.mask) < 1e-12
+        assert field_sup(Dt.f2 - Gg.f2, D0.mask) < 1e-12
         q = family_phase(1, 2 * t, 1)   # exp(i t)
-        assert se_sup(Dt.gamma1 - q * Gg.gamma1, D0.mask) < 1e-12
+        assert field_sup(Dt.gamma1 - q * Gg.gamma1, D0.mask) < 1e-12
 
     def test_para_modulus_preserved(self, family_cache):
         D0 = family_cache("B1", 33, t=0.0)

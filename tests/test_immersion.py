@@ -115,6 +115,20 @@ class TestConformal:
         assert np.exp(2 * u) == pytest.approx(expected, rel=5 * h2)
         assert iso < 5 * h2
 
+    def test_edge_columns_are_not_valid(self):
+        # gyy is nan on the first and last columns, so the metric is not
+        # known there: ok is false and eps_sign is 0, and the frame's bad
+        # points on them are not counted
+        F = slice_grid(33)
+        C = conformal_fields(F)
+        for j in (0, -1):
+            assert not C.ok[:, j].any()
+            assert np.all(C.eps_sign[:, j] == 0)
+            assert np.all(np.isnan(C.u[:, j]) & np.isnan(C.e2u[:, j]))
+        assert C.ok[1:-1, 1:-1].all()
+        assert C.eps_sign.dtype == np.int8
+        assert extract(F).diagnostics["frame_bad_points"] == 0
+
     def test_geodesic_product_lorentzian(self):
         spec = GridSpec.from_box(17, 17, (0, 1), (0, 1))
         F = make_geodesic_product(0, ("space", "space"), spec)
