@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """sha256 digests of the outputs that a refactor should leave bit-identical.
 
-    PYTHONPATH=src python3 scripts/output_digest.py [--verify N ...]
-        [--pipeline N ...] [--t T]
+    PYTHONPATH=src python3 scripts/output_digest.py
 
-For every example of surfaces.EXAMPLES at each --verify size (default 33,
-65 and 129): verify's report (cli._check_grid) and each field of
-conformal_fields, kahler_fields, class_masks, form_norms, oriented_frame
-and gauss_residual_field.  For the six families at each --pipeline size
-(default 33 and 65) with --t (default 0.3): run_pipeline's report, or the
-error that ends it.
+For every example of surfaces.EXAMPLES at each of VERIFY_SIZES: verify's
+report (cli._check_grid) and each field of conformal_fields,
+kahler_fields, class_masks, form_norms, oriented_frame and
+gauss_residual_field.  For the six families at each of PIPELINE_SIZES,
+with t = T: run_pipeline's report, or the error that ends it.
 
 Prints one JSON object, key -> sha256 hex digest, with keys such as
 "verify/slice:first/33/conformal.u".  Arrays are hashed as float64 bytes,
@@ -19,7 +17,6 @@ whose field containers differ in layout still give comparable digests:
 run it on both and compare the two objects.
 """
 
-import argparse
 import hashlib
 import json
 
@@ -33,6 +30,9 @@ from minsurf.surfaces import EXAMPLES, build_example
 CONFORMAL = ("gxx", "e2u", "u", "eps_sign", "iso_residual", "ok",
              "degenerate", "negdef")
 FRAME = ("bad", "g1", "g2", "zz1", "zz2", "diag", "pair")
+VERIFY_SIZES = (33, 65, 129)
+PIPELINE_SIZES = (33, 65)
+T = 0.3
 
 
 def digest(x) -> str:
@@ -66,7 +66,10 @@ def verify_digests(name, n, out):
     F = build_example(name, nx=n)
     C = immersion.conformal_fields(F)
     for f in CONFORMAL:
-        put(out, f"{key}/conformal.{f}", getattr(C, f))
+        v = getattr(C, f)
+        # e2u is a stored array in older checkouts, a method since it is
+        # derived from gxx and ok
+        put(out, f"{key}/conformal.{f}", v() if callable(v) else v)
     put(out, f"{key}/kahler", tuple(immersion.kahler_fields(F)))
     put(out, f"{key}/classes", tuple(immersion.class_masks(F)))
     put(out, f"{key}/form_norms", tuple(immersion.form_norms(F)))
@@ -76,29 +79,24 @@ def verify_digests(name, n, out):
     put(out, f"{key}/gauss", immersion.gauss_residual_field(F))
 
 
-def pipeline_digests(theorem, n, t, out):
+def pipeline_digests(theorem, n, out):
     try:
         _, report = cli.run_pipeline(cli.RunConfig(
-            command="pipeline", theorem=theorem, nx=n, t=t))
+            command="pipeline", theorem=theorem, nx=n, t=T))
     except MinsurfError as exc:
         # minsurf pipeline exits 1 with this message
         report = f"{type(exc).__name__}: {exc}"
-    put(out, f"pipeline/{theorem}/{n}/t={t}/report", report)
+    put(out, f"pipeline/{theorem}/{n}/t={T}/report", report)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--verify", type=int, nargs="*", default=[33, 65, 129])
-    ap.add_argument("--pipeline", type=int, nargs="*", default=[33, 65])
-    ap.add_argument("--t", type=float, default=0.3)
-    args = ap.parse_args(argv)
+def main():
     out = {}
-    for n in args.verify:
+    for n in VERIFY_SIZES:
         for name in sorted(EXAMPLES):
             verify_digests(name, n, out)
-    for n in args.pipeline:
+    for n in PIPELINE_SIZES:
         for theorem in sorted(gordon.FAMILY_TABLE):
-            pipeline_digests(theorem, n, args.t, out)
+            pipeline_digests(theorem, n, out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

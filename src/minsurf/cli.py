@@ -331,7 +331,7 @@ def _check_grid(F, cfg: RunConfig):
     else:
         # trim the conformal factor tail and a margin around invalid
         # bands, where relative FD error diverges
-        e2u = np.abs(C.e2u)
+        e2u = np.abs(C.e2u())
         e2u_ref = np.nanmax(np.where(ok, e2u, np.nan))
         bad_band = fundata.dilate(interior & ~ok, 4)
         trimmed = ok & ~bad_band & (e2u >= 0.05 * e2u_ref)

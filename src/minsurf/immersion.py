@@ -281,11 +281,10 @@ class ConformalFields:
     C1: np.ndarray
     C2: np.ndarray
 
-    @property
-    def e2u(self) -> np.ndarray:
-        """e^{2u}: gxx where ok, nan elsewhere; formed on each read (per
-        block readers take np.where(ok, gxx, nan) on their rows)."""
-        return np.where(self.ok, self.gxx, np.nan)
+    def e2u(self, rows=slice(None)) -> np.ndarray:
+        """e^{2u} on the grid rows `rows`: gxx where ok, nan elsewhere;
+        a new array on each call."""
+        return np.where(self.ok[rows], self.gxx[rows], np.nan)
 
 
 def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
@@ -312,7 +311,9 @@ def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
         u[~ok] = np.nan
         iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) / a
         iso[~ok] = np.nan
-        den = eps_sign * np.where(ok, gxx, np.nan)     # eps e^{2u}
+        # eps e^{2u}, e^{2u} formed as ConformalFields.e2u forms it from
+        # this block's ok and gxx
+        den = eps_sign * np.where(ok, gxx, np.nan)
         C1, C2 = (w1 - w2) / den, (w1 + w2) / den
     return gxx, u, eps_sign, iso, ok, degenerate, negdef, C1, C2
 
@@ -409,7 +410,7 @@ def second_fundamental_fields(F: ImmersionGrid):
     with np.errstate(invalid="ignore", divide="ignore"):
         h11, h12, h22 = (normal_part(D) for D in hessian(F))
         H = 0.5 * (h11 + C.eps_sign[..., None, None] * h22) \
-            / C.e2u[..., None, None]
+            / C.e2u()[..., None, None]
     return h11, h12, h22, H
 
 
@@ -434,7 +435,7 @@ def _form_norms(F, C, rows, normal_part, hess):
         H = np.add(h11, h22, out=h11)
         del h11, h22
         H *= 0.5
-        H /= np.where(C.ok[rows], C.gxx[rows], np.nan)[..., None, None]
+        H /= C.e2u(rows)[..., None, None]
         n12 = norm2(normal_part(Fxy))
     return (np.sqrt(np.einsum("...ki,...ki->...", H, H)),
             g_inner(H, H, F.p), n + 2.0 * es * n12)
@@ -573,12 +574,13 @@ def _frame_pass(F, C, b: int, pair: int):
     pair is ill-conditioned.
 
     parts are the stitched per-sample arrays: _form_norms' three on pair
-    0's pass, then bad, and the real and imaginary parts of G(J1 F_z, xibar),
-    G(J1 F_z, xi), G(J2 F_z, xibar), G(J2 F_z, xi), G(F_zz, xibar) and
-    G(F_zz, xi), with xi = (N - i eps Ntilde)/sqrt(2).  A Lorentzian N is
-    not aligned here: parts end with its relations `down` (see
-    _continuity_signs, taken before N is scaled and across block edges),
-    across holds those along the center row, and every product is odd in N.
+    0's pass for b = 1, then bad, and the real and imaginary parts of
+    G(J1 F_z, xibar), G(J1 F_z, xi), G(J2 F_z, xibar), G(J2 F_z, xi),
+    G(F_zz, xibar) and G(F_zz, xi), with xi = (N - i eps Ntilde)/sqrt(2).
+    A Lorentzian N is not aligned here: parts end with its relations `down`
+    (see _continuity_signs, taken before N is scaled and across block
+    edges), across holds those along the center row, and every product is
+    odd in N.
     """
     p, eps, center = F.p, F.eps, F.nx // 2
     seam = {"above": None, "across": None, "ill": 0}
@@ -588,7 +590,8 @@ def _frame_pass(F, C, b: int, pair: int):
         base = F.values[B.rows]
         normal_part = normal_projector(base, J.Fx, J.Fy, p)
         hess = hessian(F, B)
-        out = () if pair else _form_norms(F, C, B.rows, normal_part, hess)
+        out = () if pair or b != 1 else _form_norms(F, C, B.rows,
+                                                    normal_part, hess)
         N, n2, ok, ill = _reference_normal(F, C, B, J, normal_part, b,
                                            pair)
         del normal_part
@@ -644,7 +647,8 @@ class NormalFrame:
 
 
 def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
-    """oriented_frame(F, b), uncached; pair 0's pass caches form_norms(F).
+    """oriented_frame(F, b), uncached; for b = 1, pair 0's pass caches
+    form_norms(F).
 
     Each reference pair tried costs one pass over the row blocks; the pair
     with the fewest ill-conditioned points wins (mixing references
@@ -657,7 +661,7 @@ def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
     best = None
     for pair in range(len(_REFERENCES)):
         parts, across, n_ill = _frame_pass(F, C, b, pair)
-        if pair == 0:
+        if pair == 0 and b == 1:
             F._cache["form_norms"], parts = parts[:3], parts[3:]
         if best is None or n_ill < best[0]:
             best = (n_ill, pair, parts, across)
@@ -700,8 +704,8 @@ def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
     """Products of the grid-wide normal frame whose Ntilde-sign is fixed by
     the structure equations, cached per b: the frame is flipped globally
     if the cross components dominate (diag["orientation_flipped"]).  Formed
-    a row block at a time, with form_norms (_second_order): xi, each J_k F_z
-    and F_zz exist for one block at a time."""
+    a row block at a time, for b = 1 with form_norms (_second_order): xi,
+    each J_k F_z and F_zz exist for one block at a time."""
     return F._cached(f"frame_{b}", lambda: _second_order(F, b))
 
 

@@ -124,7 +124,7 @@ class TestConformal:
         for j in (0, -1):
             assert not C.ok[:, j].any()
             assert np.all(C.eps_sign[:, j] == 0)
-            assert np.all(np.isnan(C.u[:, j]) & np.isnan(C.e2u[:, j]))
+            assert np.all(np.isnan(C.u[:, j]) & np.isnan(C.e2u()[:, j]))
         assert C.ok[1:-1, 1:-1].all()
         assert C.eps_sign.dtype == np.int8
         assert extract(F).diagnostics["frame_bad_points"] == 0
@@ -191,7 +191,7 @@ class TestKahler:
         i, j = 16, 16
         w1 = inner_arr(j_arr(F.values[i, j, 0], J.Fx[i, j, 0], 0),
                        J.Fy[i, j, 0], 0)
-        jac1_direct = w1 / (C.eps_sign[i, j] * C.e2u[i, j])
+        jac1_direct = w1 / (C.eps_sign[i, j] * C.e2u()[i, j])
         assert C.ok[i, j]
         C1, C2 = (c[i, j] for c in kahler_fields(F))
         assert jac1_direct == pytest.approx((C1 + C2) / 2, rel=1e-10)
@@ -372,6 +372,26 @@ class TestGridCache:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_form_norms_come_with_the_b1_frame_only(self, monkeypatch):
+        # form_norms asks for the b = 1 frame, so only its first pass forms
+        # them; the b = -1 frame forms none, in either order
+        calls = []
+        fn = immersion._form_norms
+
+        def counted(*args):
+            calls.append(1)
+            return fn(*args)
+        monkeypatch.setattr(immersion, "_form_norms", counted)
+        F = build_example("paraholo:z2", nx=33)
+        blocks = len(immersion.row_blocks(F.nx, F.ny))
+        oriented_frame(F, -1)
+        assert calls == []
+        norms = form_norms(F)
+        assert len(calls) == blocks
+        F._cache.pop("frame_-1")
+        oriented_frame(F, -1)
+        assert len(calls) == blocks and form_norms(F) is norms
 
 
 class TestRowBlocks:
