@@ -311,9 +311,7 @@ def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
         u[~ok] = np.nan
         iso = np.maximum(np.abs(gxx - eps_sign * gyy), np.abs(gxy)) / a
         iso[~ok] = np.nan
-        # eps e^{2u}, e^{2u} formed as ConformalFields.e2u forms it from
-        # this block's ok and gxx
-        den = eps_sign * np.where(ok, gxx, np.nan)
+        den = eps_sign * np.where(ok, gxx, np.nan)  # eps e^{2u}, as e2u()
         C1, C2 = (w1 - w2) / den, (w1 + w2) / den
     return gxx, u, eps_sign, iso, ok, degenerate, negdef, C1, C2
 
