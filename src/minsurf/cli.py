@@ -8,8 +8,9 @@
 Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
 fixed schema version; exit codes: 0 pass, 1 a failed gate (fundata.GATES)
-or domain failure, 2 usage / I-O error.  This module parses, applies the
-gates and formats; a run stopped by a gate still writes its report.
+or domain failure, 2 usage / I-O error or a grid too large to allocate.
+This module parses, applies the gates and formats; a run stopped by a gate
+still writes its report.
 
 ``verify --out`` writes grid.json and grid.csv from a forked child while
 the checks run, and joins it before returning; where os.fork is missing
@@ -311,6 +312,7 @@ def _check_grid(F, cfg: RunConfig):
     }
     norms = report["norms"]
     fr = report["fractions"]
+    cls = report["classification"]
     norms["quadric"] = F.quadric_residual()
     fr["valid"] = _fraction(ok, interior)
     fr["degenerate"] = _fraction(C.degenerate, interior)
@@ -325,9 +327,6 @@ def _check_grid(F, cfg: RunConfig):
         # nothing metric-positive to verify: a flagged outcome, not an error
         report["note"] = ("no valid points with the declared conformal "
                           "signature; metric checks skipped")
-        report["pass"] = norms["quadric"] <= tols["quadric"]
-        if not report["pass"]:
-            failures.append("quadric")
     else:
         # trim the conformal factor tail and a margin around invalid
         # bands, where relative FD error diverges
@@ -342,7 +341,6 @@ def _check_grid(F, cfg: RunConfig):
         norms["minimality"] = fundata.field_sup(Hres, trimmed)
 
         lag1, lag2, cx1, cx2 = immersion.class_masks(F)
-        cls = report["classification"]
         cls["lagrangian1_fraction"] = _fraction(lag1, ok)
         cls["lagrangian2_fraction"] = _fraction(lag2, ok)
         cls["complex1_fraction"] = _fraction(cx1, ok)
@@ -353,48 +351,45 @@ def _check_grid(F, cfg: RunConfig):
 
         # Gauss equation on a random interior sample
         cand = np.argwhere(trimmed)
-        if len(cand):
-            take = cand[rng.choice(len(cand), size=min(100, len(cand)),
-                                   replace=False)]
-            gvals = immersion.gauss_residual_field(F)[tuple(take.T)]
-            if np.any(np.isfinite(gvals)):
-                norms["gauss"] = float(np.nanmax(gvals))
+        take = cand[rng.choice(len(cand), size=min(100, len(cand)),
+                               replace=False)]
+        sample = np.zeros_like(trimmed)
+        sample[tuple(take.T)] = True
+        norms["gauss"] = fundata.field_sup(immersion.gauss_residual_field(F),
+                                           sample)
 
-        # fundamental data, when the surface is minimal enough to admit it
-        if norms["minimality"] <= tols["minimality"]:
-            try:
-                D = fundata.StreamedData(F)
-                # stay clear of isolated (para-)complex points, where the
-                # gamma-quotients converge only at first order
-                excl = np.zeros_like(D.mask)
-                for cx in (D.complex1, D.complex2):
-                    frac = np.mean(cx[D.mask]) if np.any(D.mask) else 0.0
-                    if 0.0 < frac < 0.5:
-                        excl |= fundata.dilate(cx, 6)
-                region = trimmed & ~excl
-                if not np.any(region & D.mask):
-                    region = None
-                rep = fundata.compat_residuals(D, region=region)
-                # nan: the residual does not apply; +inf fails its gate
-                for k, v in rep.norms.items():
-                    if not np.isnan(v):
-                        norms[f"compat_{k}"] = v
-                report["extraction"] = {k: v for k, v in D.diagnostics.items()
-                                        if np.isscalar(v) or isinstance(v, tuple)}
-            except MinsurfError as exc:
-                # a check that could not run is not a pass
-                report["extraction_error"] = f"{type(exc).__name__}: {exc}"
-                failures.append("extraction")
+        # the fundamental data, whatever minimality says
+        try:
+            D = fundata.StreamedData(F)
+            # stay clear of isolated (para-)complex points, where the
+            # gamma-quotients converge only at first order
+            excl = np.zeros_like(D.mask)
+            for cx in (D.complex1, D.complex2):
+                frac = np.mean(cx[D.mask]) if np.any(D.mask) else 0.0
+                if 0.0 < frac < 0.5:
+                    excl |= fundata.dilate(cx, 6)
+            region = trimmed & ~excl
+            if not np.any(region & D.mask):
+                region = None
+            rep = fundata.compat_residuals(D, region=region)
+            # nan: the residual does not apply; +inf fails its gate
+            norms.update({f"compat_{k}": v for k, v in rep.norms.items()
+                          if not np.isnan(v)})
+            report["extraction"] = {k: v for k, v in D.diagnostics.items()
+                                    if np.isscalar(v) or isinstance(v, tuple)}
+        except MinsurfError as exc:
+            # a check that could not run is not a pass
+            report["extraction_error"] = f"{type(exc).__name__}: {exc}"
+            failures.append("extraction")
 
-        for name, val in norms.items():
-            key = "compat" if name.startswith("compat_") else name
-            # a gated norm that is not finite is a failure, as in pipeline
-            if key in tols and not (np.isfinite(val) and val <= tols[key]):
-                failures.append(name)
-        if not cls.get("lagrangian_equivalence", True):
-            failures.append("lagrangian_equivalence")
-        report["pass"] = not failures
-
+    for name, val in norms.items():
+        key = "compat" if name.startswith("compat_") else name
+        # a gated norm that is not finite is a failure, as in pipeline
+        if key in tols and not (np.isfinite(val) and val <= tols[key]):
+            failures.append(name)
+    if not cls.get("lagrangian_equivalence", True):
+        failures.append("lagrangian_equivalence")
+    report["pass"] = not failures
     report["failures"] = failures
     return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
 
@@ -489,7 +484,7 @@ def main(argv=None) -> int:
     except MinsurfError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     summary = {k: report.get(k) for k in

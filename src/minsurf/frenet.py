@@ -35,6 +35,7 @@ from .errors import FrameConstructionError
 from .fundata import (
     FundamentalData,
     StreamedData,
+    _max_norm,
     _peak,
     _sup,
     compat_residuals,  # noqa: F401  (the benchmark's tracer test reads it)
@@ -510,8 +511,7 @@ class RoundTripReport:
     rec: ReconstructReport
 
     def max(self) -> float:
-        vals = [v for v in self.diffs.values() if np.isfinite(v)]
-        return max(vals) if vals else float("nan")
+        return _max_norm(self.diffs.values())
 
     def to_json(self) -> dict:
         return {"diffs": self.diffs, "drift": self.rec.drift,

@@ -155,28 +155,38 @@ def _se_div(num: ScalarEps, den: ScalarEps, valid: np.ndarray) -> ScalarEps:
 
 def field_sup(a, mask=None) -> float:
     """Sup of |a| over a mask, of the Euclidean modulus sqrt(re^2 + im^2)
-    for a ScalarEps a; nan when no finite value remains."""
+    for a ScalarEps a, as _sup judges it."""
     return _sup([_peak(a, mask)])
 
 
 def _peak(a, mask=None):
     """One block's share of field_sup: (the largest |a| over the mask, nan
-    ignored, -inf if none; whether a finite value is there)."""
+    ignored, -inf if none; whether the mask holds a point)."""
     if isinstance(a, ScalarEps):
         a = np.sqrt(a.re ** 2 + a.im ** 2)
     a = np.abs(np.asarray(a, dtype=float))
+    applies = a.size > 0 if mask is None else bool(np.any(mask))
     if mask is not None:
         a = np.where(mask, a, np.nan)
-    return (float(np.fmax.reduce(a, axis=None, initial=-np.inf)),
-            bool(np.any(np.isfinite(a))))
+    return float(np.fmax.reduce(a, axis=None, initial=-np.inf)), applies
 
 
 def _sup(peaks) -> float:
-    """field_sup over the union of blocks, from their _peak pairs."""
+    """field_sup over the union of blocks, from their _peak pairs, by the
+    one rule every norm is judged by: nan when no mask holds a point (the
+    check does not apply), +inf when the points hold no value but nan,
+    else the largest value, an infinite one included."""
     peaks = list(peaks)
-    if not any(finite for _, finite in peaks):
+    if not any(applies for _, applies in peaks):
         return float("nan")
-    return max(top for top, _ in peaks)
+    top = max(top for top, _ in peaks)
+    return top if top > -np.inf else float("inf")
+
+
+def _max_norm(norms) -> float:
+    """The largest of the norms, nan (does not apply) left out and +inf
+    kept; nan when none applies."""
+    return max((v for v in norms if not np.isnan(v)), default=float("nan"))
 
 
 # every gate on a norm, name -> (command, c, k): the tolerance c h^k at
@@ -233,7 +243,9 @@ def _a_pair(uz: ScalarEps, Cs, fs, gammas, valids, hx, hy, eps):
 
 
 def fd_tol(D_or_grid, u) -> np.ndarray:
-    """Scale-aware threshold for gamma ~ 0 stratification."""
+    """Scale-aware threshold for gamma ~ 0 stratification: it decides the
+    (para-)complex strata, which shape the region a norm is taken over
+    and judge nothing, so it is not one of GATES."""
     h = max(D_or_grid.hx, D_or_grid.hy)
     return max(10.0 * h * h, 1e-8) * np.exp(2.0 * np.asarray(u))
 
@@ -247,8 +259,7 @@ class StreamedData:
     declared signature, a normal frame there), the (para-)complex strata
     with their guard rings of radius 2h (complex1, complex2; gamma-
     divisions are excluded there, as isolated zeros of gamma pollute the
-    quotient), and the diagnostics but A_disagreement, which is the sup
-    over the rows formed so far.  EmptyInterior if no point has a valid
+    quotient), and the diagnostics.  EmptyInterior if no point has a valid
     metric; mean_curvature_sup is the sup of |H| over those points.
     """
 
@@ -267,10 +278,9 @@ class StreamedData:
         self.meta = {"source": F.meta.get("name", "grid")}
         self.mask = ok & ~fr.bad
         self._sources = C.u, fr, (C.C1, C.C2)
-        self._gaps = []
         cx1, cx2 = by_rows(ok.shape, lambda B: self._strata(B.rows)[2])
         self.complex1, self.complex2 = dilate(cx1, 2), dilate(cx2, 2)
-        self._diag = {
+        self.diagnostics = {
             "frame_bad_points": int(np.sum(fr.bad & C.ok)),
             "mean_curvature_sup": H_sup,
             "complex_points_raw": (int(np.sum(cx1)), int(np.sum(cx2))),
@@ -278,10 +288,6 @@ class StreamedData:
                                        int(np.sum(self.complex2))),
             **fr.diag,
         }
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"A_disagreement": _sup(self._gaps), **self._diag}
 
     def _strata(self, r: slice):
         """u, gamma_1, gamma_2 (oriented_frame's products times -b) and
@@ -327,9 +333,6 @@ class StreamedData:
                          eps)
         u, C1, C2, g1, g2, f1, f2, uz, A1, A2 = (
             _cut(z, own) for z in (u, C1, C2, g1, g2, f1, f2, uz, A1, A2))
-        valid = tuple(v[own] for v in valid)
-        self._gaps.append(_peak(A1 - A2, valid[0] & valid[1]
-                                & np.isfinite(A1.re) & np.isfinite(A2.re)))
         A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                       np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
         m = self.mask[rows]
@@ -397,10 +400,7 @@ class CompatReport:
     n_points: int
 
     def max(self) -> float:
-        """The largest norm, nan (does not apply) left out; +inf when a
-        residual that applies has no finite value."""
-        vals = [v for v in self.norms.values() if not np.isnan(v)]
-        return max(vals) if vals else float("nan")
+        return _max_norm(self.norms.values())
 
     def to_json(self) -> dict:
         return {"norms": {k: v for k, v in self.norms.items()},
@@ -416,9 +416,8 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     region: optional boolean field restricting the norms to a fixed
     sub-window (used by refinement studies to compare like with like).
 
-    A norm is nan where its residual does not apply (its region, the mask
-    less the strata it excludes, is empty) and +inf where it applies but
-    holds no finite value, which no gate passes.
+    Each norm follows _sup's rule on its region, the mask less the strata
+    it excludes: nan where that is empty, +inf where it holds only nan.
     """
     base = D.mask if region is None else (D.mask & region)
     if not np.any(base):
@@ -428,27 +427,19 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
         inside = np.zeros_like(base[B.halo])
         inside[B.own] = base[B.rows]
         peaks.append(_compat_peaks(D.rows(B.halo), inside))
-    norms = {}
-    for k in peaks[0]:
-        norms[k] = _sup(p[k][:2] for p in peaks)
-        if np.isnan(norms[k]) and any(p[k][2] for p in peaks):
-            norms[k] = float("inf")
+    norms = {k: _sup(p[k] for p in peaks) for k in peaks[0]}
     return CompatReport(norms, int(np.sum(base)))
 
 
 def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
     """The _peak of every compatibility residual of D over its mask within
-    base, with whether that mask holds a point: (top, finite, applies)."""
+    base."""
     eps, b, p = D.eps, D.b, D.p
     i_unit = unit_i(eps)
     e2u = D.e2u()
     em2u = np.exp(-2.0 * D.u)
     sgn_p1 = (-1.0) ** (p + 1)
     peaks = {}
-
-    def peak(name, r, m):
-        peaks[name] = _peak(r, m) + (bool(np.any(m)),)
-
     gammas = {1: D.gamma1, 2: D.gamma2}
     fs = {1: D.f1, 2: D.f2}
     Cs = {1: D.C1, 2: D.C2}
@@ -465,28 +456,28 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
         Cz = dz(Cs[j], D.hx, D.hy, eps)
         r = Cz + 2.0 * eps * b * i_unit * ScalarEps(em2u, 0.0, eps) \
             * gammas[j].conj() * fs[j]
-        peak(f"kahler_{j}", r, m)
+        peaks[f"kahler_{j}"] = _peak(r, m)
         # (gbar_j)_z - (-1)^{j+1} gbar_j A = 0
         gbz = dz(gammas[j].conj(), D.hx, D.hy, eps)
         r = gbz - sj * gammas[j].conj() * D.A
-        peak(f"derivofgamma_{j}", r, m)
+        peaks[f"derivofgamma_{j}"] = _peak(r, m)
         # (fbar_j)_z - (-1)^{j+1} fbar_j A
         #   - i eps (-1)^{p+1} e^{2u} gbar_j C_{j'} / 4 = 0
         fbz = dz(fs[j].conj(), D.hx, D.hy, eps)
         r = fbz - sj * fs[j].conj() * D.A \
             - 0.25 * eps * sgn_p1 * i_unit * ScalarEps(e2u * Cs[jp], 0.0, eps) \
             * gammas[j].conj()
-        peak(f"deroff_{j}", r, m)
+        peaks[f"deroff_{j}"] = _peak(r, m)
         # |gamma_j|^2 = (eps b e^{2u}/2)(eps C_j^2 + (-1)^{p+1})
         lhs = gammas[j].abs2()
         rhs = 0.5 * eps * b * e2u * (eps * Cs[j] ** 2 + sgn_p1)
-        peak(f"gammanorsec_{j}", lhs - rhs, base)
+        peaks[f"gammanorsec_{j}"] = _peak(lhs - rhs, base)
         # integrability: 2 u_zzb + 4 eps b e^{-2u}|f_j|^2
         #   + (-1)^j (Abar_z + A_zb) + eps (-1)^p e^{2u} C1 C2 / 2 = 0
         # (the |f|^2 term carries b, which drops out in the b=1 frames)
         r = 2.0 * uzzb + 4.0 * eps * b * em2u * fs[j].abs2() \
             + ((-1.0) ** j) * re_term + 0.5 * eps * ((-1.0) ** p) * e2u * D.C1 * D.C2
-        peak(f"integrability_{j}", r, m)
+        peaks[f"integrability_{j}"] = _peak(r, m)
         del Cz, gbz, fbz, lhs, rhs, r   # not kept beside the A pair below
 
     # A-consistency between the two defining expressions (nan when the
@@ -494,7 +485,7 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
     m12 = base & ~cxs[1] & ~cxs[2]
     A1, A2 = _a_pair(D.u_z, (D.C1, D.C2), (D.f1, D.f2),
                      (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
-    peak("a_consistency", A1 - A2, m12)
+    peaks["a_consistency"] = _peak(A1 - A2, m12)
     return peaks
 
 

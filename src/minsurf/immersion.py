@@ -104,6 +104,9 @@ class ImmersionGrid:
         return float(np.max(np.abs(n - 1.0)))
 
     def deg_tol(self) -> float:
+        """DEG_TOL_BASE times the squared chart extent: it decides which
+        samples are degenerate, left out of the norms rather than judged,
+        so it is not one of fundata.GATES."""
         xs, ys = self.axes()
         scale = max(1.0, np.max(np.abs(xs)), np.max(np.abs(ys)))
         return DEG_TOL_BASE * scale * scale
@@ -339,7 +342,9 @@ def kahler_fields(F: ImmersionGrid):
 
 
 def class_tol(F: ImmersionGrid, u) -> np.ndarray:
-    """Classification threshold 10 h^2 scaled by e^{-2u} where that exceeds 1."""
+    """Classification threshold 10 h^2 scaled by e^{-2u} where that exceeds 1:
+    it sorts samples into the classes verify reports as fractions, and no
+    norm is compared with it, so it is not one of fundata.GATES."""
     h2 = max(F.hx, F.hy) ** 2
     return 10.0 * h2 * np.maximum(1.0, np.exp(-2.0 * np.asarray(u)))
 
@@ -368,7 +373,9 @@ _REFERENCES = [
     (np.array([0.91287, -0.17321, 0.36843]), np.array([0.21911, 0.84522, -0.48714])),
     (np.array([-0.43627, 0.55118, 0.71042]), np.array([0.77653, 0.12894, 0.61672])),
 ]
-# a projected reference pair must keep this fraction of its squared length
+# a projected reference pair must keep this fraction of its squared length:
+# it decides which samples have a frame, the others counted (frame_bad_points)
+# and left out of the norms, not judged, so it is not one of fundata.GATES
 _FRAME_TOL = 1e-6
 
 
@@ -1016,8 +1023,13 @@ def grid_from_csv(path) -> ImmersionGrid:
             and np.array_equal(flat[order], np.arange(nx * ny))):
         raise ValueError(f"csv rows must hold each index (i, j) in "
                          f"[0, {nx}) x [0, {ny}) once")
-    vals = rows[order, 4:].reshape(nx, ny, 2, 3)
-    return _loaded_grid(kv, vals, (float(kv["ox"]), float(kv["oy"])))
+    F = _loaded_grid(kv, rows[order, 4:].reshape(nx, ny, 2, 3),
+                     (float(kv["ox"]), float(kv["oy"])))
+    (xs, ys), (x, y) = F.axes(), rows[order, 2:4].T.reshape(2, nx, ny)
+    if not (np.all(np.abs(x - xs[:, None]) <= 1e-9 * F.hx)
+            and np.all(np.abs(y - ys) <= 1e-9 * F.hy)):
+        raise ValueError("csv x and y must match the header's axes")
+    return F
 
 
 def grid_to_obj(F: ImmersionGrid, path_factor1, path_factor2):

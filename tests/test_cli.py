@@ -90,17 +90,45 @@ class TestVerify:
         assert not any(k.startswith("compat_") for k in report["norms"])
 
     def test_non_finite_norm_is_a_failure(self, monkeypatch):
-        # a gated norm that is nan compares false against its tolerance;
-        # it must fail by name, as a pipeline gate does
+        # a gated norm whose points hold no value but nan reads +inf; it
+        # must fail by name, as a pipeline gate does
         def nan_field(F):
             return np.full((F.nx, F.ny), np.nan)
 
         monkeypatch.setattr(immersion, "mean_curvature_residual", nan_field)
         code, report = cmd_verify(parse_args(
             ["verify", "--example", "slice:first", "--grid", "17"]))
-        assert np.isnan(report["norms"]["minimality"])
+        assert report["norms"]["minimality"] == np.inf
         assert code == EXIT_FAIL
         assert report["failures"] == ["minimality"]
+
+    def test_gauss_without_a_value_is_a_failure(self, monkeypatch):
+        # every sampled Gauss residual nan: the check applies and could not
+        # run, so it fails rather than drop out of the report
+        def nan_field(F):
+            return np.full((F.nx, F.ny), np.nan)
+
+        monkeypatch.setattr(immersion, "gauss_residual_field", nan_field)
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "slice:first", "--grid", "17"]))
+        assert report["norms"]["gauss"] == np.inf
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["gauss"]
+
+    def test_compat_runs_after_failed_minimality(self, monkeypatch):
+        # compat is measured whatever minimality says: a failed minimality
+        # leaves the compat norms and the extraction block in the report
+        def far_from_minimal(F):
+            return np.ones((F.nx, F.ny))
+
+        monkeypatch.setattr(immersion, "mean_curvature_residual",
+                            far_from_minimal)
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "holo:2z1-safe", "--grid", "33"]))
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["minimality"]
+        assert any(k.startswith("compat_") for k in report["norms"])
+        assert "extraction" in report
 
     def test_corrupted_input_fails_with_named_norm(self, tmp_path, capsys):
         F = build_example("slice:first", nx=17)
@@ -270,6 +298,8 @@ class TestVerify:
         ("json", lambda doc: {**doc, "p": 5}),
         ("csv", lambda rows: csv_header(rows, "eps=1", "eps=3")),
         ("csv", lambda rows: csv_header(rows, "p=0", "p=5")),
+        ("csv", lambda rows: rows[:2] + [rows[2][:2] + ["0.5"] + rows[2][3:]]
+         + rows[3:]),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -278,7 +308,8 @@ class TestVerify:
             "json-cut-after-first-value",
             "json-trailing-data", "json-ragged-row", "json-int-overflow",
             "json-no-origin", "json-origin-3d", "json-eps-3",
-            "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5"])
+            "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5",
+            "csv-x-off-axis"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn):
         F = build_example("slice:first", nx=17)
@@ -298,6 +329,20 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
         assert not recwarn.list, [str(w.message) for w in recwarn]
+
+    def test_grid_too_large_to_allocate_is_usage_error(self, monkeypatch,
+                                                        capsys):
+        # numpy's one-line message keeps the size; nothing is allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                              "shape (100000, 100000) and data type float64")
+
+        monkeypatch.setattr(gordon, "family_stage", too_large)
+        code = main(["pipeline", "--theorem", "A1", "--grid", "100000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == ("error: Unable to allocate 74.5 GiB for an array with "
+                       "shape (100000, 100000) and data type float64\n")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"
@@ -709,6 +754,31 @@ class TestPipelineGates:
         # the family's files are written; there is no reconstruction
         assert (out / "fundata.json").exists()
         assert not (out / "grid.json").exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan],
+                             ids=["all-inf", "no-finite-value"])
+    def test_roundtrip_field_without_a_finite_diff_fails(self, bad,
+                                                         monkeypatch):
+        # one field's differences all +inf, or none of them finite: the
+        # roundtrip gate fails on it though every other field passes
+        compare = frenet.roundtrip_compare
+
+        class Spoiled:
+            def __init__(self, D2):
+                self.D2 = D2
+
+            def rows(self, rows):
+                z = self.D2.rows(rows)
+                return dataclasses.replace(z, u=np.full(z.shape, bad))
+
+        monkeypatch.setattr(frenet, "roundtrip_compare",
+                            lambda D, D2, *a: compare(D, Spoiled(D2), *a))
+        code, report = self.pipeline("C1", "--grid", "33")
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["roundtrip"]
+        diffs = report["roundtrip"]["diffs"]
+        assert diffs.pop("u") == report["roundtrip"]["max"] == np.inf
+        assert max(diffs.values()) <= report["tolerances"]["roundtrip"]
 
     def test_compat_violation_blocks(self, monkeypatch):
         # A1's record fails its compatibility gate before the integration

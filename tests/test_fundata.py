@@ -15,6 +15,7 @@ from minsurf.errors import EmptyInterior, SignatureError
 from minsurf.frenet import roundtrip_report
 from minsurf.fundata import (
     FundamentalData,
+    StreamedData,
     compat_residuals,
     crop_to_mask,
     dilate,
@@ -94,6 +95,15 @@ class TestExtract:
         F = build_example("holo:2z1-safe", nx=17)
         with pytest.raises(SignatureError):
             extract(F, b=-1)
+
+    def test_diagnostics_do_not_depend_on_rows_formed(self):
+        # the diagnostics are fixed when the data are built: forming rows
+        # adds nothing to them
+        X = StreamedData(build_example("holo:2z1-safe", nx=17))
+        before = dict(X.diagnostics)
+        X.rows(slice(0, 17))
+        compat_residuals(X)
+        assert X.diagnostics == before
 
     def test_roundtrip_family(self, family_cache):
         # extract(reconstruct(D)) reproduces gauge-invariant fields at O(h^2)
