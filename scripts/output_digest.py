@@ -7,7 +7,11 @@ For every example of surfaces.EXAMPLES at each of VERIFY_SIZES: verify's
 report (cli._check_grid) and each field of conformal_fields,
 kahler_fields, class_masks, form_norms, oriented_frame and
 gauss_residual_field.  For the six families at each of PIPELINE_SIZES,
-with t = T: run_pipeline's report, or the error that ends it.
+with t = T: run_pipeline's report, or the error that ends it, and the
+bytes of each file it writes with --out (report.json, gordon.json,
+fundata.json and, when the frames were reconstructed, grid.json,
+grid.csv, factor1.obj and factor2.obj), under keys such as
+"pipeline/B1/33/t=0.3/out/grid.csv".
 
 Prints one JSON object, key -> sha256 hex digest, with keys such as
 "verify/slice:first/33/conformal.u".  Arrays are hashed as float64 bytes,
@@ -19,6 +23,8 @@ run it on both and compare the two objects.
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -80,13 +86,19 @@ def verify_digests(name, n, out):
 
 
 def pipeline_digests(theorem, n, out):
-    try:
-        _, report = cli.run_pipeline(cli.RunConfig(
-            command="pipeline", theorem=theorem, nx=n, t=T))
-    except MinsurfError as exc:
-        # minsurf pipeline exits 1 with this message
-        report = f"{type(exc).__name__}: {exc}"
-    put(out, f"pipeline/{theorem}/{n}/t={T}/report", report)
+    key = f"pipeline/{theorem}/{n}/t={T}"
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _, report = cli.run_pipeline(cli.RunConfig(
+                command="pipeline", theorem=theorem, nx=n, t=T, out=tmp))
+        except MinsurfError as exc:
+            # minsurf pipeline exits 1 with this message
+            report = f"{type(exc).__name__}: {exc}"
+        put(out, f"{key}/report", report)
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                out[f"{key}/out/{name}"] = hashlib.sha256(
+                    fh.read()).hexdigest()
 
 
 def main():

@@ -112,12 +112,6 @@ class ScalarEps:
         num = self * o.conj()
         return ScalarEps(num.re / den, num.im / den, self.eps)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return ScalarEps(-self.re, -self.im, self.eps)
-
     def conj(self) -> "ScalarEps":
         return ScalarEps(self.re, -self.im, self.eps)
 
@@ -126,13 +120,6 @@ class ScalarEps:
         return self.re * self.re + self.eps * self.im * self.im
 
     # -- structure ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarEps):
-            return NotImplemented
-        return (self.eps == other.eps
-                and np.array_equal(self.re, other.re)
-                and np.array_equal(self.im, other.im))
 
     def __repr__(self):
         return f"ScalarEps({self.re!r}, {self.im!r}, eps={self.eps})"

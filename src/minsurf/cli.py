@@ -158,21 +158,33 @@ def _parse_grid(s):
         raise ValueError(f"--grid expects N or NXxNY, got {s!r}") from None
 
 
+# add_argument's keywords for each flag; a subcommand takes the flags of
+# the keys it READS, and --config
+ARGUMENTS = {
+    "example": {}, "input": {}, "grid": {"help": "NXxNY"},
+    "h": {"help": "HX,HY"}, "tol": {"action": "append", "default": []},
+    "theorem": {"choices": sorted(gordon.FAMILY_TABLE)}, "t": {"type": float},
+    "out": {}, "seed": {"type": int}, "config": {}}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ValueErrors, so that main reports
+    them as every other usage error: one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="minsurf", description=__doc__)
+    # no abbreviations: pipeline would read --h as --help
+    ap = _Parser(prog="minsurf", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("verify", "pipeline"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--example")
-        sp.add_argument("--input")
-        sp.add_argument("--grid", help="NXxNY")
-        sp.add_argument("--h", help="HX,HY")
-        sp.add_argument("--theorem", choices=sorted(gordon.FAMILY_TABLE))
-        sp.add_argument("--t", type=float)
-        sp.add_argument("--tol", action="append", default=[])
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--config")
+    for name, keys in READS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        flags = {FLAGS.get(k, k) for k in keys} | {"config"}
+        for flag, kwargs in ARGUMENTS.items():
+            if flag in flags:
+                sp.add_argument(f"--{flag}", **kwargs)
     return ap
 
 
@@ -188,17 +200,18 @@ def parse_args(argv) -> RunConfig:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError("--config must hold a JSON object")
-    nx, ny = _parse_grid(ns.grid)
+    # a subcommand's namespace holds only the flags it takes
+    args = vars(ns)
+    nx, ny = _parse_grid(args.get("grid"))
     hx = hy = None
-    if ns.h:
+    if args.get("h"):
         parts = ns.h.split(",")
         if len(parts) > 2:
             raise ValueError(f"--h expects HX or HX,HY, got {ns.h!r}")
         hx = float(parts[0])
         hy = float(parts[1]) if len(parts) > 1 else hx
-    given = dict(example=ns.example, input=ns.input, nx=nx, ny=ny, hx=hx,
-                 hy=hy, theorem=ns.theorem, t=ns.t, tol=_parse_tols(ns.tol),
-                 out=ns.out, seed=ns.seed)
+    given = {k: v for k, v in args.items() if k in RunConfig.keys()}
+    given.update(nx=nx, ny=ny, hx=hx, hy=hy, tol=_parse_tols(ns.tol))
     # only explicit values count; RunConfig holds the defaults
     merged = dict(base, command=ns.command)
     merged.update({k: v for k, v in given.items() if v not in (None, {})})
@@ -368,10 +381,7 @@ def _check_grid(F, cfg: RunConfig):
                 frac = np.mean(cx[D.mask]) if np.any(D.mask) else 0.0
                 if 0.0 < frac < 0.5:
                     excl |= fundata.dilate(cx, 6)
-            region = trimmed & ~excl
-            if not np.any(region & D.mask):
-                region = None
-            rep = fundata.compat_residuals(D, region=region)
+            rep = fundata.compat_residuals(D, region=trimmed & ~excl)
             # nan: the residual does not apply; +inf fails its gate
             norms.update({f"compat_{k}": v for k, v in rep.norms.items()
                           if not np.isnan(v)})
@@ -479,8 +489,9 @@ def main(argv=None) -> int:
             code, report = cmd_verify(cfg)
         else:
             code, report = run_pipeline(cfg)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    except SystemExit:
+        # --help; the parser raises ValueError for every usage error
+        return EXIT_PASS
     except MinsurfError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL

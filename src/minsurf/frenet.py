@@ -404,10 +404,10 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     Memory: 7 floats per sample stay resident beside D (the returned
     positions and the commutator of each cell).  Each batch of about
     _BATCH_CELLS cells packs the data lines of its columns from D's
-    fields (each column once), forms their y-halves and the propagators
-    of both directions, about 430 floats per cell at its peak; the
-    finiteness check holds one boolean and one float per sample, and the
-    commutators' sum one float.
+    fields (a column two batches share is packed by both), forms their
+    y-halves and the propagators of both directions, about 430 floats per
+    cell at its peak; the finiteness check holds one boolean and one float
+    per sample, and the commutators' sum one float.
     """
     if not D.mask.all():
         raise FrameConstructionError(
@@ -438,21 +438,14 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
         """Px[k, j] steps (k, l) -> (k+1, l) for the data lines W[:, j]."""
         return _rk4(W, _halves(W), D.hx, p, eps, b, "x")
 
-    # the data lines of the columns lo .. lo + P.shape[1] - 1, each packed
-    # once: a batch keeps the columns it shares with the one before
-    P, lo = _pack_data(D, slice(0, 0)), 0
-
     def batch(c, c1):
         """(Py, Px) for the columns l = c + j < c1: Py[j, k] steps (k, l)
         -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).  The y-half steps
         read the columns c-1 .. c1+1, and at least four: the one-sided end
         stencils of _halves fall on the record's first and last half steps
         only, as on whole lines."""
-        nonlocal P, lo
-        first, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
-        P = np.concatenate([P[:, first - lo:], _pack_data(
-            D, slice(lo + P.shape[1], stop))], axis=1)
-        lo = first
+        lo, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
+        P = _pack_data(D, slice(lo, stop))
         Y = P.swapaxes(0, 1)
         Py = _rk4(Y[c - lo:c1 + 1 - lo], _halves(Y, c - lo, c1 - lo), D.hy,
                   p, eps, b, "y")

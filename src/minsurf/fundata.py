@@ -269,9 +269,9 @@ class StreamedData:
         if eps == 1 and b != 1:
             raise SignatureError("Riemannian induced metric forces b = +1")
         ok = C.ok & (C.eps_sign == eps)
-        H_sup = field_sup(mean_curvature_residual(F), ok)
-        if not np.isfinite(H_sup):
+        if not np.any(ok):
             raise EmptyInterior("no valid interior points")
+        H_sup = field_sup(mean_curvature_residual(F), ok)
         fr = oriented_frame(F, b)
         self.p, self.eps, self.b, self.hx, self.hy = F.p, eps, b, F.hx, F.hy
         self.origin = F.origin
@@ -414,14 +414,16 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     combine by max, so a StreamedData is never formed on the whole grid.
 
     region: optional boolean field restricting the norms to a fixed
-    sub-window (used by refinement studies to compare like with like).
+    sub-window (verify's trimmed region; refinement studies compare like
+    with like).  EmptyInterior when the mask holds no point of it.
 
     Each norm follows _sup's rule on its region, the mask less the strata
     it excludes: nan where that is empty, +inf where it holds only nan.
     """
     base = D.mask if region is None else (D.mask & region)
     if not np.any(base):
-        raise EmptyInterior("no valid points in the data mask")
+        raise EmptyInterior("no valid points in the data mask"
+                            + ("" if region is None else " within the region"))
     peaks = []
     for B in row_blocks(*base.shape):
         inside = np.zeros_like(base[B.halo])

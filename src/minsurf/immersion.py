@@ -991,6 +991,12 @@ def grid_from_json(path) -> ImmersionGrid:
     if doc.get("schema") != GRID_SCHEMA:
         raise ValueError(f"not a {GRID_SCHEMA} document")
     try:
+        # a header number must be a JSON number: float() would read true
+        # as 1 and "0.3" as 0.3 (the CSV header is text, parsed as such)
+        head = [(k, doc[k]) for k in ("p", "eps", "nx", "ny", "hx", "hy")]
+        for k, v in head + [("origin", o) for o in doc["origin"]]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"grid {k} must be a number, not {v!r}")
         return _loaded_grid(doc, np.asarray(doc["values"], dtype=float),
                             tuple(float(o) for o in doc["origin"]))
     except (KeyError, TypeError, OverflowError) as exc:

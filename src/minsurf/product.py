@@ -29,7 +29,7 @@ def g_inner(X, Y, p: int):
     Extends bilinearly when X or Y is a ScalarEps with array components.
     """
     if isinstance(X, ScalarEps) or isinstance(Y, ScalarEps):
-        Xs = X if isinstance(X, ScalarEps) else ScalarEps(X, np.zeros_like(X), _eps_of(Y))
+        Xs = X if isinstance(X, ScalarEps) else ScalarEps(X, np.zeros_like(X), Y.eps)
         Ys = Y if isinstance(Y, ScalarEps) else ScalarEps(Y, np.zeros_like(Y), Xs.eps)
         if Xs.eps != Ys.eps:
             raise SignatureError("mixing ScalarEps of different eps")
@@ -42,10 +42,6 @@ def g_inner(X, Y, p: int):
     # which a (..., 6) matmul against the signature does not
     s = np.einsum("...ki,...ki->...k", X * sig_diag(p), Y)
     return s[..., 0] - s[..., 1]
-
-
-def _eps_of(Z):
-    return Z.eps if isinstance(Z, ScalarEps) else 1
 
 
 def factor_omega(Xk, Yk, base_k, p: int):

@@ -42,6 +42,20 @@ def csv_header(rows, old, new):
     return [[" ".join(new if t == old else t for t in head)]] + rows[1:]
 
 
+def inf_at_one_valid_sample(monkeypatch):
+    """Patch fundata's |H| field to read +inf at the first sample of F
+    with a valid metric of the declared signature."""
+    field = fundata.mean_curvature_residual
+
+    def spoiled(F):
+        H = field(F)
+        C = immersion.conformal_fields(F)
+        H[tuple(np.argwhere(C.ok & (C.eps_sign == F.eps))[0])] = np.inf
+        return H
+
+    monkeypatch.setattr(fundata, "mean_curvature_residual", spoiled)
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out.strip().splitlines()
@@ -115,6 +129,35 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert report["failures"] == ["gauss"]
 
+    def test_infinite_H_at_one_sample_is_no_empty_interior(self,
+                                                           monkeypatch):
+        # the extraction reports the +inf; minimality judges |H| on its own
+        inf_at_one_valid_sample(monkeypatch)
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "slice:first", "--grid", "33"]))
+        assert "extraction_error" not in report
+        assert report["extraction"]["mean_curvature_sup"] == np.inf
+        assert report["norms"]["minimality"] <= report["tolerances"][
+            "minimality"]
+        assert code == EXIT_PASS
+
+    def test_empty_compat_region_fails_extraction(self, monkeypatch):
+        # a strata exclusion that covers the grid leaves compat no point:
+        # the check could not run, so verify fails it by name rather than
+        # measure compat on the whole mask
+        dilate = fundata.dilate
+        monkeypatch.setattr(fundata, "dilate", lambda m, r: np.ones_like(m)
+                            if r == 6 else dilate(m, r))
+        code, report = cmd_verify(parse_args(
+            ["verify", "--example", "holo:z2", "--grid", "33"]))
+        assert code == EXIT_FAIL
+        # holo:z2 fails gauss at 33^2 with or without the patch
+        assert report["failures"] == ["extraction", "gauss"]
+        assert report["extraction_error"] == ("EmptyInterior: no valid "
+                                              "points in the data mask "
+                                              "within the region")
+        assert not any(k.startswith("compat_") for k in report["norms"])
+
     def test_compat_runs_after_failed_minimality(self, monkeypatch):
         # compat is measured whatever minimality says: a failed minimality
         # leaves the compat norms and the extraction block in the report
@@ -142,6 +185,16 @@ class TestVerify:
     def test_missing_source_is_usage_error(self, capsys):
         code, _ = run(["verify"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", {"example", "input", "grid", "h", "tol", "out", "seed"}),
+        ("pipeline", {"theorem", "grid", "t", "tol", "out"}),
+    ])
+    def test_help_lists_the_flags_the_command_takes(self, command, flags,
+                                                    capsys):
+        assert main([command, "--help"]) == EXIT_PASS
+        listed = set(re.findall(r"--([a-z]+)", capsys.readouterr().out))
+        assert listed == flags | {"help", "config"}
 
     @pytest.mark.parametrize("args", [
         ["verify", "--example", "nope"],
@@ -199,6 +252,14 @@ class TestVerify:
         ["pipeline", "--theorem", "C1", {"t": 10 ** 400}],
         ["verify", "--example", "holo:z", "--h", "0.1,0.1,7", "--grid", "9"],
         ["verify", "--example", "holo:z", "--h", "inf", "--grid", "9"],
+        # argparse's own errors, and abbreviated flags
+        ["verify", "--bogus"],
+        ["verify", "--example", "slice:first", "--grid"],
+        ["pipeline", "--theorem", "Z9"],
+        ["verify", "--ex", "slice:first"],
+        # a --tol without its value, and a config theorem outside the six
+        ["verify", "--example", "slice:first", "--tol", "gauss"],
+        ["pipeline", {"theorem": "Z9"}],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         # a dict or list stands for a --config file holding it
@@ -300,6 +361,13 @@ class TestVerify:
         ("csv", lambda rows: csv_header(rows, "p=0", "p=5")),
         ("csv", lambda rows: rows[:2] + [rows[2][:2] + ["0.5"] + rows[2][3:]]
          + rows[3:]),
+        # JSON header values that float() would read as numbers
+        ("json", lambda doc: {**doc, "p": True}),
+        ("json", lambda doc: {**doc, "hx": str(doc["hx"])}),
+        ("json", lambda doc: {**doc, "hx": True}),
+        ("json", lambda doc: {**doc, "nx": str(doc["nx"])}),
+        ("json", lambda doc: {**doc, "origin": [True, 0.0]}),
+        ("csv", lambda rows: csv_header(rows, "p=0", "p=zero")),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -309,7 +377,8 @@ class TestVerify:
             "json-trailing-data", "json-ragged-row", "json-int-overflow",
             "json-no-origin", "json-origin-3d", "json-eps-3",
             "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5",
-            "csv-x-off-axis"])
+            "csv-x-off-axis", "json-p-true", "json-hx-string", "json-hx-true",
+            "json-nx-string", "json-origin-true", "csv-p-text"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn):
         F = build_example("slice:first", nx=17)
@@ -780,6 +849,21 @@ class TestPipelineGates:
         assert diffs.pop("u") == report["roundtrip"]["max"] == np.inf
         assert max(diffs.values()) <= report["tolerances"]["roundtrip"]
 
+    def test_infinite_H_at_one_sample_fails_its_gate(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # one +inf |H| of the reconstruction is a failed reconstruction_H
+        # gate with its report, not an empty interior without one
+        inf_at_one_valid_sample(monkeypatch)
+        code, summary = run(["pipeline", "--theorem", "C1", "--grid", "33",
+                             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_FAIL
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["failures"] == summary["failures"] == [
+            "reconstruction_H"]
+        assert report["gates"]["reconstruction_H"]["norm"] == np.inf
+        assert report["reconstruction"] is not None
+        assert report["roundtrip"] is None
+
     def test_compat_violation_blocks(self, monkeypatch):
         # A1's record fails its compatibility gate before the integration
         def never(*args, **kwargs):
@@ -950,6 +1034,12 @@ class TestScripts:
             assert f"verify/{name}/17/gauss" in out
         for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
             assert f"pipeline/{theorem}/17/t=0.3/report" in out
+        # B2's stage raises at 17^2, before any file is written
+        for theorem in ("A1", "A2", "B1", "C1", "C2"):
+            for name in ("report.json", "gordon.json", "fundata.json",
+                         "grid.json", "grid.csv", "factor1.obj",
+                         "factor2.obj"):
+                assert f"pipeline/{theorem}/17/t=0.3/out/{name}" in out
 
     def test_convergence_study_runs_from_any_directory(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

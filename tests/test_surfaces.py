@@ -91,6 +91,21 @@ class TestReferenceFormula:
                                   np.hypot(0.2, 0.1), 0.0)
         assert g1 == pytest.approx(float(g2), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["paraholo:z2", "paraholo:sit"])
+    def test_para_graph_matches_finite_differences(self, name):
+        # the analytic G(F_x, F_x) of a para-holomorphic graph against the
+        # grid's finite differences, two cells inside the box: O(h^2)
+        errs = []
+        for n in (33, 65, 129):
+            F = build_example(name, nx=n)
+            X, Y = np.meshgrid(*F.axes(), indexing="ij")
+            d = conformal_fields(F).gxx - holo_graph_metric_xx(
+                HOLO_FUNCTIONS[name], X, Y)
+            errs.append(np.max(np.abs(d[2:-2, 2:-2])))
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert np.all(orders > 1.6), orders
+        assert errs[-1] < 1e-3
+
 
 class TestDegeneracy:
     def test_contour_near_circle(self):
