@@ -11,7 +11,11 @@ with t = T: run_pipeline's report, or the error that ends it, and the
 bytes of each file it writes with --out (report.json, gordon.json,
 fundata.json and, when the frames were reconstructed, grid.json,
 grid.csv, factor1.obj and factor2.obj), under keys such as
-"pipeline/B1/33/t=0.3/out/grid.csv".
+"pipeline/B1/33/t=0.3/out/grid.csv".  For every example at IO_SIZE,
+written as JSON and as CSV: the bytes of that input file, and the report
+and the bytes of each file of ``verify --input PATH --out DIR`` on it,
+under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
+grid reader and writer stand inside the comparison too.
 
 Prints one JSON object, key -> sha256 hex digest, with keys such as
 "verify/slice:first/33/conformal.u".  Arrays are hashed as float64 bytes,
@@ -21,6 +25,7 @@ whose field containers differ in layout still give comparable digests:
 run it on both and compare the two objects.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,6 +43,7 @@ CONFORMAL = ("gxx", "e2u", "u", "eps_sign", "iso_residual", "ok",
 FRAME = ("bad", "g1", "g2", "zz1", "zz2", "diag", "pair")
 VERIFY_SIZES = (33, 65, 129)
 PIPELINE_SIZES = (33, 65)
+IO_SIZE = 33
 T = 0.3
 
 
@@ -85,6 +91,31 @@ def verify_digests(name, n, out):
     put(out, f"{key}/gauss", immersion.gauss_residual_field(F))
 
 
+def file_digest(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def verify_io_digests(name, n, out):
+    """verify --input PATH --out DIR on the example written as JSON and as
+    CSV: each input's bytes, its report and the bytes of its outputs.  The
+    paths are relative to a fresh directory, as the report names the
+    input."""
+    F = build_example(name, nx=n)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for kind, write in (("json", immersion.grid_to_json),
+                            ("csv", immersion.grid_to_csv)):
+            key, src = f"verify-io/{name}/{n}/{kind}", f"input.{kind}"
+            write(F, src)
+            out[f"{key}/input"] = file_digest(src)
+            _, report = cli.cmd_verify(cli.RunConfig(
+                command="verify", input=src, out=kind))
+            put(out, f"{key}/report", report)
+            for file in sorted(os.listdir(kind)):
+                out[f"{key}/out/{file}"] = file_digest(
+                    os.path.join(kind, file))
+
+
 def pipeline_digests(theorem, n, out):
     key = f"pipeline/{theorem}/{n}/t={T}"
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,9 +127,7 @@ def pipeline_digests(theorem, n, out):
             report = f"{type(exc).__name__}: {exc}"
         put(out, f"{key}/report", report)
         for name in sorted(os.listdir(tmp)):
-            with open(os.path.join(tmp, name), "rb") as fh:
-                out[f"{key}/out/{name}"] = hashlib.sha256(
-                    fh.read()).hexdigest()
+            out[f"{key}/out/{name}"] = file_digest(os.path.join(tmp, name))
 
 
 def main():
@@ -106,6 +135,8 @@ def main():
     for n in VERIFY_SIZES:
         for name in sorted(EXAMPLES):
             verify_digests(name, n, out)
+    for name in sorted(EXAMPLES):
+        verify_io_digests(name, IO_SIZE, out)
     for n in PIPELINE_SIZES:
         for theorem in sorted(gordon.FAMILY_TABLE):
             pipeline_digests(theorem, n, out)

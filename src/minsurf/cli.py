@@ -310,7 +310,8 @@ def _check_grid(F, cfg: RunConfig):
 
     C = immersion.conformal_fields(F)
     interior = np.zeros((F.nx, F.ny), dtype=bool)
-    interior[2:-2, 2:-2] = True
+    core = slice(2 * immersion.R, -2 * immersion.R)
+    interior[core, core] = True
     ok = C.ok & interior & (C.eps_sign == F.eps)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import ScalarEps, unit_i
+from . import immersion
 from .errors import EmptyInterior, SignatureError
 from .immersion import (
     ImmersionGrid,
@@ -91,8 +92,7 @@ class FundamentalData:
         return np.exp(2.0 * self.u)
 
     def rows(self, rows: slice) -> "FundamentalData":
-        """The record on the grid rows `rows`, its fields views of D's (as
-        StreamedData.rows forms them)."""
+        """The record on the grid rows `rows`, its fields views of D's."""
         return _map_fields(self, lambda a: a[rows],
                            origin=_row_origin(self, rows))
 
@@ -257,7 +257,7 @@ class StreamedData:
 
     Built, it holds the strata step: the mask (metric valid with the
     declared signature, a normal frame there), the (para-)complex strata
-    with their guard rings of radius 2h (complex1, complex2; gamma-
+    with their guard rings of 2R samples (complex1, complex2; gamma-
     divisions are excluded there, as isolated zeros of gamma pollute the
     quotient), and the diagnostics.  EmptyInterior if no point has a valid
     metric; mean_curvature_sup is the sup of |H| over those points.
@@ -279,7 +279,8 @@ class StreamedData:
         self.mask = ok & ~fr.bad
         self._sources = C.u, fr, (C.C1, C.C2)
         cx1, cx2 = by_rows(ok.shape, lambda B: self._strata(B.rows)[2])
-        self.complex1, self.complex2 = dilate(cx1, 2), dilate(cx2, 2)
+        self.complex1, self.complex2 = (dilate(cx, 2 * immersion.R)
+                                        for cx in (cx1, cx2))
         self.diagnostics = {
             "frame_bad_points": int(np.sum(fr.bad & C.ok)),
             "mean_curvature_sup": H_sup,
@@ -317,25 +318,19 @@ class StreamedData:
         return u, out
 
     def rows(self, rows: slice) -> FundamentalData:
-        """The record on the grid rows `rows`, extract's there: u_z and the
-        A pair read the snapped fields one row beyond each end of `rows`,
-        so they hold on its first and last rows too (nan on the grid's edge
-        lines, as on the whole grid)."""
-        nx, eps, hx, hy = len(self.mask), self.eps, self.hx, self.hy
-        lo = max(rows.start - 1, 0)
-        src, own = (slice(lo, min(rows.stop + 1, nx)),
-                    slice(rows.start - lo, rows.stop - lo))
-        u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(src)
-        valid = tuple(self.mask[src] & ~cx[src]
-                      for cx in (self.complex1, self.complex2))
+        """The record on the grid rows `rows`, extract's there but that u_z
+        and A, which read the snapped fields R rows to each side, are nan
+        on the R rows at each end of `rows`: a caller reads them on a row
+        block's halo (immersion.row_blocks) and keeps the rows it needs."""
+        eps, hx, hy = self.eps, self.hx, self.hy
+        u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(rows)
+        m = self.mask[rows]
+        valid = tuple(m & ~cx[rows] for cx in (self.complex1, self.complex2))
         uz = dz(u, hx, hy, eps)
         A1, A2 = _a_pair(uz, (C1, C2), (f1, f2), (g1, g2), valid, hx, hy,
                          eps)
-        u, C1, C2, g1, g2, f1, f2, uz, A1, A2 = (
-            _cut(z, own) for z in (u, C1, C2, g1, g2, f1, f2, uz, A1, A2))
         A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                       np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
-        m = self.mask[rows]
         g1, g2, f1, f2 = (se_where(m, z, np.nan) for z in (g1, g2, f1, f2))
         return FundamentalData(
             p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u, C1=C1, C2=C2,
@@ -346,11 +341,11 @@ class StreamedData:
 
 def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """The fundamental data of F as one record, ungated: StreamedData's
-    rows, a row block at a time, stitched (diagnostics and strata as
-    StreamedData has them)."""
+    rows on each row block's halo, cut to the block's rows and stitched
+    (diagnostics and strata as StreamedData has them)."""
     X = StreamedData(F, b)
-    it = iter(by_rows(X.mask.shape,
-                      lambda B: tuple(_arrays(X.rows(B.rows)))))
+    it = iter(by_rows(X.mask.shape, lambda B: tuple(
+        a[B.own] for a in _arrays(X.rows(B.halo)))))
     return FundamentalData(
         p=X.p, eps=X.eps, b=X.b, hx=X.hx, hy=X.hy, origin=X.origin,
         diagnostics=X.diagnostics, meta=X.meta,
@@ -410,8 +405,8 @@ class CompatReport:
 def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     """Sup-norms of every first-order compatibility equation of D, a
     FundamentalData or a StreamedData, taken a row block at a time: each
-    block's residuals read D.rows of its one-row halo, and the block sups
-    combine by max, so a StreamedData is never formed on the whole grid.
+    block's residuals read D.rows on its halo of 2R rows, and the block
+    sups combine by max, so a StreamedData is never formed on the whole grid.
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (verify's trimmed region; refinement studies compare like
@@ -425,7 +420,7 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
         raise EmptyInterior("no valid points in the data mask"
                             + ("" if region is None else " within the region"))
     peaks = []
-    for B in row_blocks(*base.shape):
+    for B in row_blocks(*base.shape, radii=2):
         inside = np.zeros_like(base[B.halo])
         inside[B.own] = base[B.rows]
         peaks.append(_compat_peaks(D.rows(B.halo), inside))

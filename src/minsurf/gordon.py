@@ -190,12 +190,13 @@ def _krylov_step(d, r, hx, hy):
 
 
 def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
-    """Damped Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
+    """Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
 
     Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points.  The
     initial iterate is the harmonic extension of the boundary data (plus
-    forcing); each step solves J du = -r by `_krylov_step`, followed by
-    Armijo backtracking on |r|_2.  Newton stops once
+    forcing); each step solves J du = -r by `_krylov_step` and is taken
+    whole if it lowers |r|_2, else Newton stops unconverged.  It converges
+    once
 
         max|r| <= max(4 _NEWTON_TOL, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
 
@@ -204,8 +205,9 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
     Laplacian by up to 4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating
     the stencil in floating point adds as much again.  Returns
     (u, converged, iterations, history); history holds, per iteration,
-    max|r| at its start, the Armijo lambda of its step and the MINRES
-    iteration count (lambda None when no step was taken).
+    max|r| at its start, the MINRES iteration count and why Newton stopped
+    there: "converged", "krylov" (MINRES did not converge) or "no descent"
+    (the step did not lower |r|_2); None when it went on.
     """
     nx, ny = spec.nx, spec.ny
     X, Y = spec.mesh()
@@ -232,31 +234,24 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
     history = []
     for it in range(1, _NEWTON_MAXITER + 1):
         rn = float(np.max(np.abs(r)))
-        step = {"residual": rn, "lam": None, "krylov": 0}
+        step = {"residual": rn, "krylov": 0, "stopped": None}
         history.append(step)
         if rn <= stop(u):
             converged = True
+            step["stopped"] = "converged"
             break
         d = 4.0 * s * dN(2.0 * u[1:-1, 1:-1])
         du, ok, step["krylov"] = _krylov_step(d, r, hx, hy)
         if not ok:
+            step["stopped"] = "krylov"
             break
-        # Armijo backtracking on the residual norm
-        lam, ok = 1.0, False
-        r2 = np.linalg.norm(r)
-        for _ in range(30):
-            un = u.copy()
-            un[1:-1, 1:-1] += lam * du
-            rn_ = residual(un)
-            if np.linalg.norm(rn_) <= (1.0 - 1e-4 * lam) * r2:
-                u, r, ok = un, rn_, True
-                step["lam"] = lam
-                break
-            lam *= 0.5
-        if not ok:
+        un = u.copy()
+        un[1:-1, 1:-1] += du
+        rn_ = residual(un)
+        if not np.linalg.norm(rn_) < np.linalg.norm(r):
+            step["stopped"] = "no descent"
             break
-    else:
-        it = _NEWTON_MAXITER
+        u, r = un, rn_
     if np.max(np.abs(r)) <= stop(u):
         converged = True
     return u, converged, it, history

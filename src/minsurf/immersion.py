@@ -121,13 +121,21 @@ class ImmersionGrid:
 # finite differences (interior valid, nan boundary)
 # ---------------------------------------------------------------------------
 
+R = 1  # the stencil radius; every nan edge line, halo and trim counts it
+
+
+def _taps(n: int):
+    """(centre, next, previous) samples of an axis of n, R in from its ends."""
+    return slice(R, n - R), slice(R + 1, n - R + 1), slice(R - 1, n - R - 1)
+
+
 def diff(a: np.ndarray, h: float, axis: int,
          edges: bool = False) -> np.ndarray:
-    """First difference along axis 0 (x) or 1 (y): central inside; at the
-    two edge lines nan, or second-order one-sided stencils when edges."""
+    """First difference along axis 0 (x) or 1 (y), central; nan on the R
+    edge lines, but one-sided (second order) on the outer two when edges."""
     a = np.swapaxes(a, 0, axis)
-    out = np.full_like(a, np.nan)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    (c, nxt, prv), out = _taps(len(a)), np.full_like(a, np.nan)
+    out[c] = (a[nxt] - a[prv]) / (2.0 * h)
     if edges:
         out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
         out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
@@ -137,14 +145,15 @@ def diff(a: np.ndarray, h: float, axis: int,
 def diff2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central second difference along axis 0 (x) or 1 (y); nan edges."""
     a = np.swapaxes(a, 0, axis)
-    out = np.full_like(a, np.nan)
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (h * h)
+    (c, nxt, prv), out = _taps(len(a)), np.full_like(a, np.nan)
+    out[c] = (a[nxt] - 2.0 * a[c] + a[prv]) / (h * h)
     return np.swapaxes(out, 0, axis)
 
 
 def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    (x, x1, x0), (y, y1, y0) = map(_taps, a.shape[:2])
     out = np.full_like(a, np.nan)
-    out[1:-1, 1:-1] = (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) \
+    out[x, y] = (a[x1, y1] - a[x1, y0] - a[x0, y1] + a[x0, y0]) \
         / (4.0 * hx * hy)
     return out
 
@@ -189,27 +198,30 @@ _BLOCK_SAMPLES = 4096
 
 @dataclass(frozen=True)
 class RowBlock:
-    """Rows `rows` of a grid, read through `halo`: those rows and the row
-    on each side of them that lies inside the grid, so that a 3 x 3 stencil
-    on the block's rows reads halo only.  `own` picks the block's rows out
-    of an array on halo."""
+    """Rows `rows` of a grid, read through `halo`: those rows and the rows
+    inside the grid within its reach (radii * R, row_blocks) on each side,
+    so stencils of that reach on the block's rows read halo only.  `own`
+    picks the block's rows out of an array on halo."""
 
     rows: slice
     halo: slice
     own: slice
 
 
-def row_blocks(nx: int, ny: int) -> list:
-    """The row blocks of an nx x ny grid, in order: as few as hold at most
-    _BLOCK_SAMPLES samples each (but one row at least), of equal heights
-    but for the last."""
+WHOLE = RowBlock(slice(None), slice(None), slice(None))  # all of a grid
+
+
+def row_blocks(nx: int, ny: int, radii: int = 1) -> list:
+    """The row blocks of an nx x ny grid, in order, with halos of radii R
+    rows: as few as hold at most _BLOCK_SAMPLES samples each (but one row
+    at least), of equal heights but for the last."""
     most = max(1, _BLOCK_SAMPLES // ny)     # rows a block may hold
     count = -(-nx // most)                  # the fewest blocks
     height = -(-nx // count)
     blocks = []
     for i0 in range(0, nx, height):
         i1 = min(i0 + height, nx)
-        a, b = max(i0 - 1, 0), min(i1 + 1, nx)
+        a, b = max(i0 - radii * R, 0), min(i1 + radii * R, nx)
         blocks.append(RowBlock(slice(i0, i1), slice(a, b),
                                slice(i0 - a, i1 - a)))
     return blocks
@@ -233,14 +245,6 @@ def by_rows(shape, kernel):
     return out
 
 
-def _or_whole(F: ImmersionGrid, B: RowBlock = None) -> RowBlock:
-    """B, or the whole grid of F as one block."""
-    if B is None:
-        rows = slice(0, F.nx)
-        return RowBlock(rows, rows, rows)
-    return B
-
-
 # ---------------------------------------------------------------------------
 # jets and first-order data
 # ---------------------------------------------------------------------------
@@ -251,18 +255,16 @@ class GridJets:
     Fy: np.ndarray
 
 
-def jets(F: ImmersionGrid, B: RowBlock = None) -> GridJets:
+def jets(F: ImmersionGrid, B: RowBlock = WHOLE) -> GridJets:
     """First central differences of the samples on the rows of block B (on
     the whole grid without); built on each call."""
-    B = _or_whole(F, B)
     V = F.values[B.halo]
     return GridJets(diff(V, F.hx, 0)[B.own], diff(V[B.own], F.hy, 1))
 
 
-def hessian(F: ImmersionGrid, B: RowBlock = None):
+def hessian(F: ImmersionGrid, B: RowBlock = WHOLE):
     """Second central differences (F_xx, F_xy, F_yy) of the samples on the
     rows of block B (on the whole grid without); built on each call."""
-    B = _or_whole(F, B)
     V = F.values[B.halo]
     return (diff2(V, F.hx, 0)[B.own], d_xy(V, F.hx, F.hy)[B.own],
             diff2(V[B.own], F.hy, 1))
@@ -489,8 +491,8 @@ def _continuity_signs(down: np.ndarray, across: np.ndarray) -> np.ndarray:
 
 def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
                       pair: int):
-    """N of reference pair `pair` on the rows of block B (the whole grid
-    without) of F with conformal fields C and jets J there, before it is
+    """N of reference pair `pair` on the rows of block B (WHOLE for the
+    whole grid) of F with conformal fields C and jets J there, before it is
     scaled: (N, n2, ok, ill), with n2 the |N|^2 to scale by, ok where the
     pair is well conditioned and ill the usable samples where it is not.
     N projects a fixed ambient pair, so it varies continuously wherever it
@@ -499,7 +501,6 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
     sign: eigh2's rule fixes it per sample (its eigenvectors form a
     rotation), and _frame_pass's relations then align it across the
     grid."""
-    B = _or_whole(F, B)
     p, eps, shape = F.p, F.eps, F.values[B.rows].shape
     gxx, gyy = C.gxx[B.rows], g_inner(J.Fy, J.Fy, p)
     usable = np.isfinite(gxx) & (np.abs(gxx) > 0) & (np.abs(gyy) > 0)
@@ -530,13 +531,12 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
 
 
 def normal_frame(F, B, J: GridJets, N, n2, ok, b: int):
-    """Normal pair (N, Ntilde, bad) on the rows of block B (the whole grid
-    without) from _reference_normal's (N, n2, ok) there and the jets J: N
+    """Normal pair (N, Ntilde, bad) on the rows of block B (WHOLE for the
+    whole grid) from _reference_normal's (N, n2, ok) there and the jets J: N
     scaled in place to |N|^2 = -eps b, and Ntilde, with |Ntilde|^2 = -b,
     the normal G-orthogonal to N that orients (F_x, F_y, N, Ntilde)
     positively for the product orientation pi1*w ^ pi2*w; both nan on bad,
     the samples without a frame.  Ntilde is odd in N."""
-    B = _or_whole(F, B)
     p, base = F.p, F.values[B.rows]
     with np.errstate(invalid="ignore", divide="ignore"):
         N /= np.sqrt(np.where(ok, n2, 1.0))[..., None, None]
@@ -724,8 +724,8 @@ def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
 
 def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
     """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan within
-    two samples of the edge, at degenerate samples and where there is no
-    normal frame."""
+    2R samples of the edge (K's second differences of u's first), at
+    degenerate samples and where there is no normal frame."""
     def make():
         C = conformal_fields(F)
         eps = C.eps_sign
@@ -734,8 +734,8 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
         sgn = (-1.0) ** F.p
         r = np.abs(K - eps * sgn * C.C1 * C.C2 - 2.0 * Hn2 + habs2 / 2.0)
         valid = C.ok & np.isfinite(K) & ~oriented_frame(F).bad
-        out = np.full_like(r, np.nan)
-        out[2:-2, 2:-2] = np.where(valid, r, np.nan)[2:-2, 2:-2]
+        out, core = np.full_like(r, np.nan), slice(2 * R, -2 * R)
+        out[core, core] = np.where(valid, r, np.nan)[core, core]
         return out
     return F._cached("gauss", make)
 

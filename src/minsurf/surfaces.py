@@ -23,6 +23,7 @@ import numpy as np
 
 from .algebra import inner_arr
 from .errors import UnsupportedSignature
+from . import immersion
 from .immersion import GridSpec, ImmersionGrid, conformal_fields
 
 
@@ -294,19 +295,21 @@ def degeneracy_locus(F: ImmersionGrid):
         mask = np.abs(gxx) <= tol
     mask &= np.isfinite(gxx)
     xs, ys = F.axes()
+    r = immersion.R     # the scan keeps R samples from every edge
+    core, first, last = slice(r, -r), slice(r, -r - 1), slice(r + 1, -r)
 
     def crossings(g0, g1):
         # sign changes between the interior samples g0 and their neighbors
-        # g1, in row-major order of the sample index (offset by 1)
+        # g1, in row-major order of the sample index (offset by R)
         with np.errstate(invalid="ignore"):
             hit = np.isfinite(g0) & np.isfinite(g1) & (g0 * g1 < 0)
         hit[hit] = np.maximum(np.abs(g0[hit]), np.abs(g1[hit])) > tol
         i, j = np.nonzero(hit)
-        return i + 1, j + 1, g0[hit] / (g0[hit] - g1[hit])
+        return i + r, j + r, g0[hit] / (g0[hit] - g1[hit])
 
-    i, j, t = crossings(gxx[1:-2, 1:-1], gxx[2:-1, 1:-1])
+    i, j, t = crossings(gxx[first, core], gxx[last, core])
     along_x = np.stack([xs[i] + t * F.hx, ys[j]], axis=-1)
-    i, j, t = crossings(gxx[1:-1, 1:-2], gxx[1:-1, 2:-1])
+    i, j, t = crossings(gxx[core, first], gxx[core, last])
     along_y = np.stack([xs[i], ys[j] + t * F.hy], axis=-1)
     return mask, np.concatenate([along_x, along_y])
 

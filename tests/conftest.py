@@ -139,9 +139,9 @@ def normal_curvature_field(F, b=1):
     fr = oriented_frame(F, b)
     J = jets(F)
     normal_part = immersion.normal_projector(F.values, J.Fx, J.Fy, F.p)
-    N, n2, ok, _ = immersion._reference_normal(F, C, None, J, normal_part,
-                                               b, fr.pair)
-    N, Nt, _ = immersion.normal_frame(F, None, J, N, n2, ok, b)
+    N, n2, ok, _ = immersion._reference_normal(
+        F, C, immersion.WHOLE, J, normal_part, b, fr.pair)
+    N, Nt, _ = immersion.normal_frame(F, immersion.WHOLE, J, N, n2, ok, b)
     if fr.diag["orientation_flipped"]:
         Nt = -Nt
     a11, a12, a22 = (g_inner(h, N, F.p) for h in he)

@@ -32,6 +32,12 @@ class TestScalarEps:
             i2 = unit_i(eps) * unit_i(eps)
             assert i2.re == -eps and i2.im == 0.0
 
+    def test_repr_names_both_parts_and_eps(self):
+        z = ScalarEps(1.5, -0.25, -1)
+        assert repr(z) == "ScalarEps(1.5, -0.25, eps=-1)"
+        w = eval(repr(z))
+        assert (w.re, w.im, w.eps) == (z.re, z.im, z.eps)
+
     @given(a=finite, b=finite, eps=st.sampled_from([1, -1]))
     def test_conjugate_modulus(self, a, b, eps):
         z = ScalarEps(a, b, eps)

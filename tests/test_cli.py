@@ -583,6 +583,24 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert "quadric" in summary["failures"]
 
+    def test_lagrangian_equivalence_fails(self, monkeypatch):
+        # factor 1 Lagrangian on every valid point, factor 2 on none: the
+        # equivalence fails, and verify exits 1 naming it alone
+        masks = immersion.class_masks
+
+        def one_lagrangian(F):
+            lag1, lag2, cx1, cx2 = masks(F)
+            return lag1, np.zeros_like(lag2), cx1, cx2
+        monkeypatch.setattr(immersion, "class_masks", one_lagrangian)
+        F = build_example("geodesic-product", nx=17)
+        code, report = cli._check_grid(F, cli.RunConfig(command="verify"))
+        cls = report["classification"]
+        assert cls["lagrangian1_fraction"] == 1.0
+        assert cls["lagrangian2_fraction"] == 0.0
+        assert cls["lagrangian_equivalence"] is False
+        assert code == EXIT_FAIL
+        assert report["failures"] == ["lagrangian_equivalence"]
+
 
 class TestVerifyGridWriter:
     """verify --out writes grid.json and grid.csv from a forked child."""
@@ -681,7 +699,7 @@ class TestPipeline:
         for which, it in zip("vw", gd["iterations"]):
             hist = gd["history"][which]
             assert len(hist) == it
-            assert all(sorted(e) == ["krylov", "lam", "residual"]
+            assert all(sorted(e) == ["krylov", "residual", "stopped"]
                        for e in hist)
 
     def test_t_invariance_across_runs(self, tmp_path, capsys):
@@ -1025,6 +1043,7 @@ class TestScripts:
         out = {}
         for name in EXAMPLES:
             digest.verify_digests(name, 17, out)
+            digest.verify_io_digests(name, 17, out)
         for theorem in gordon.FAMILY_TABLE:
             digest.pipeline_digests(theorem, 17, out)
         assert all(len(d) == 64 and int(d, 16) >= 0 for d in out.values())
@@ -1032,6 +1051,16 @@ class TestScripts:
             assert f"verify/{name}/17/report" in out
             assert f"verify/{name}/17/conformal.e2u" in out
             assert f"verify/{name}/17/gauss" in out
+            # verify --input --out on the grid written as JSON and as CSV
+            for kind in ("json", "csv"):
+                key = f"verify-io/{name}/17/{kind}"
+                assert {f"{key}/{k}" for k in (
+                    "input", "report", "out/report.json", "out/grid.json",
+                    "out/grid.csv")} <= out.keys()
+            # both inputs hold one grid: its files come out the same
+            for file in ("grid.json", "grid.csv"):
+                assert out[f"verify-io/{name}/17/json/out/{file}"] \
+                    == out[f"verify-io/{name}/17/csv/out/{file}"]
         for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
             assert f"pipeline/{theorem}/17/t=0.3/report" in out
         # B2's stage raises at 17^2, before any file is written

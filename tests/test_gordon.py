@@ -191,7 +191,24 @@ class TestEllipticKrylov:
         _, sol = G.gordon_stage("C1", 33)
         assert not sol.converged
         step = sol.meta["history"]["v"][-1]
-        assert step["lam"] is None and step["krylov"] == 1
+        assert step["stopped"] == "krylov" and step["krylov"] == 1
+
+    def test_step_without_descent_not_taken(self, monkeypatch):
+        # a step that raises |r|_2 ends Newton unconverged, untaken, and
+        # the history says why
+        krylov = G._krylov_step
+
+        def uphill(d, r, hx, hy):
+            du, ok, its = krylov(d, r, hx, hy)
+            return -du, ok, its
+        monkeypatch.setattr(G, "_krylov_step", uphill)
+        _, sol = G.gordon_stage("C1", 33)
+        assert not sol.converged and sol.iterations == (1, 1)
+        for k in "vw":
+            (step,) = sol.meta["history"][k]
+            assert step["stopped"] == "no descent" and step["krylov"] > 0
+        assert max(sol.meta["history"][k][0]["residual"] for k in "vw") \
+            == 4.0 * sol.residual_norm
 
     @pytest.mark.parametrize("theorem, iters", [("A1", (4, 3)),
                                                 ("C1", (4, 4))])
@@ -210,7 +227,8 @@ class TestEllipticKrylov:
             for hist, it in zip(hists, sol.iterations):
                 assert len(hist) == it
                 assert all(0 < e["krylov"] <= 20 for e in hist[:-1]), (n, hist)
-                assert hist[-1]["lam"] is None
+                assert hist[-1]["stopped"] == "converged"
+                assert all(e["stopped"] is None for e in hist[:-1])
             # the Newton loop and residual_norm use one stencil
             assert max(h[-1]["residual"] for h in hists) == \
                 4.0 * sol.residual_norm

@@ -462,11 +462,15 @@ class TestRowBlocks:
         ("holo:2z1", 1),        # 288, 286 and 288
     ])
     def test_stitched_fields_equal_one_block(self, name, pair, monkeypatch):
+        assert self.stitched_equal_one_block(name, monkeypatch) == pair
+
+    def stitched_equal_one_block(self, name, monkeypatch):
+        """Assert that the fields of the example at 33^2 are the same
+        split into 11 row blocks as in one; the reference pair chosen."""
         F = build_example(name, nx=33)
         monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", F.nx * F.ny)
         assert len(immersion.row_blocks(F.nx, F.ny)) == 1
         whole = self.fields(F)
-        assert whole["frame1.pair"] == pair
         monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", 3 * F.ny)
         assert len(immersion.row_blocks(F.nx, F.ny)) == 11
         blocked = self.fields(ImmersionGrid(F.p, F.eps, F.values, F.hx,
@@ -481,6 +485,7 @@ class TestRowBlocks:
             else:
                 # repr is exact for floats and the same for every nan
                 assert repr(got) == repr(want), key
+        return whole["frame1.pair"]
 
     def test_blocks_cover_the_rows_once(self):
         for nx, ny in ((5, 5), (64, 64), (65, 65), (257, 257), (7, 5000)):
@@ -494,6 +499,52 @@ class TestRowBlocks:
                 assert B.halo.stop == min(B.rows.stop + 1, nx)
                 assert range(nx)[B.halo][B.own] == range(nx)[B.rows]
         assert len(immersion.row_blocks(64, 64)) == 1
+
+    @pytest.mark.parametrize("name", ["holo:z2", "paraholo:z2"])
+    def test_every_reach_follows_R(self, name, monkeypatch):
+        # a stencil radius of 2 around the unchanged 3-point stencils: the
+        # nan edge lines, the halos, the strata rings and the edge trims
+        # widen with R, and many row blocks still equal one bit for bit
+        monkeypatch.setattr(immersion, "R", 2)
+        a = np.arange(8.0) ** 2
+        edge = [0, 1, 6, 7]
+        for d, inner in ((immersion.diff(a, 1.0, 0), 2.0 * np.arange(2, 6)),
+                         (immersion.diff2(a, 1.0, 0), [2.0] * 4)):
+            assert np.isnan(d[edge]).all() and list(d[2:6]) == list(inner)
+        xy = immersion.d_xy(np.multiply.outer(a, a), 1.0, 1.0)
+        assert np.isnan(xy[edge]).all() and np.isnan(xy[:, edge]).all()
+        assert np.isfinite(xy[2:6, 2:6]).all()
+        for radii in (1, 2):
+            for B in immersion.row_blocks(65, 65, radii):
+                assert B.halo == slice(max(B.rows.start - 2 * radii, 0),
+                                       min(B.rows.stop + 2 * radii, 65))
+                assert range(65)[B.halo][B.own] == range(65)[B.rows]
+
+        F = build_example(name, nx=33)
+        gxx = conformal_fields(F).gxx
+        assert np.isnan(gxx[[0, 1, -2, -1]]).all()
+        assert np.isfinite(gxx[2:-2]).all()
+        core = np.zeros((33, 33), dtype=bool)
+        core[4:-4, 4:-4] = True
+        gauss = np.isfinite(gauss_residual_field(F))
+        assert gauss.any() and not gauss[~core].any()
+        X = fundata.StreamedData(F)
+        raws = X._strata(slice(None))[2]
+        assert np.array_equal(X.complex1, fundata.dilate(raws[0], 4))
+        assert np.array_equal(X.complex2, fundata.dilate(raws[1], 4))
+        assert any(not np.array_equal(fundata.dilate(raw, 4),
+                                      fundata.dilate(raw, 2))
+                   for raw in raws)
+        seen = {}
+
+        def spy(D, region=None):
+            seen["region"] = region
+            return compat_residuals(D, region)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fundata, "compat_residuals", spy)
+            cli._check_grid(F, cli.RunConfig(command="verify"))
+        assert seen["region"].any() and not seen["region"][~core].any()
+        self.stitched_equal_one_block(name, monkeypatch)
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minsurf import cli
 from minsurf.immersion import GridSpec, conformal_fields, mean_curvature_residual
 from minsurf.surfaces import (
     EXAMPLES,
@@ -180,6 +181,25 @@ class TestConstructors:
         # the {q} x S^2 slice carries -g: every sample with a gxx is flagged
         assert F.eps == 1
         assert C.negdef[1:-1].all() and not C.ok.any()
+
+    def test_second_slice_para_chart_swapped(self):
+        # {q} x S2_1 through the swapped para chart: <F_x, F_x> > 0, a
+        # Lorentzian metric, complex in both factors; verify passes it
+        spec = GridSpec.from_box(17, 17, (-0.5, 0.5), (-0.5, 0.5))
+        F = make_slice("second", 1, spec)
+        assert F.eps == -1 and F.quadric_residual() < 1e-15
+        assert np.all(F.values[:, :, 0] == [0.0, 0.0, 1.0])
+        C = conformal_fields(F)
+        assert C.ok[1:-1, 1:-1].all() and (C.eps_sign[1:-1, 1:-1] == -1).all()
+        code, report = cli._check_grid(F, cli.RunConfig(command="verify"))
+        assert code == cli.EXIT_PASS and report["failures"] == []
+        assert report["fractions"] == {"valid": 1.0, "degenerate": 0.0,
+                                       "negative_definite": 0.0,
+                                       "trimmed": 1.0}
+        assert report["classification"] == {
+            "lagrangian1_fraction": 0.0, "lagrangian2_fraction": 0.0,
+            "complex1_fraction": 1.0, "complex2_fraction": 1.0,
+            "lagrangian_equivalence": True}
 
     def test_lorentzian_slice_complex(self):
         F = build_example("slice:first-ds2", nx=33)
