@@ -4,14 +4,15 @@
     PYTHONPATH=src python3 scripts/output_digest.py
 
 For every example of surfaces.EXAMPLES at each of VERIFY_SIZES: verify's
-report (cli._check_grid) and each field of conformal_fields,
+report (cli._check_grid), each field of conformal_fields,
 kahler_fields, class_masks, form_norms, oriented_frame and
-gauss_residual_field.  For the six families at each of PIPELINE_SIZES,
-with t = T: run_pipeline's report, or the error that ends it, and the
-bytes of each file it writes with --out (report.json, gordon.json,
-fundata.json and, when the frames were reconstructed, grid.json,
-grid.csv, factor1.obj and factor2.obj), under keys such as
-"pipeline/B1/33/t=0.3/out/grid.csv".  For every example at IO_SIZE,
+gauss_residual_field, and each field of fundata.extract's record, or the
+error it raises.  For the six families at each of PIPELINE_SIZES, with
+t = T: the compat norms of the cropped family record, run_pipeline's
+report (or, for either, the error that ends it), and the bytes of each
+file it writes with --out (report.json, gordon.json, fundata.json and,
+when the frames were reconstructed, grid.json, grid.csv, factor1.obj and
+factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".  For every example at IO_SIZE,
 written as JSON and as CSV: the bytes of that input file, and the report
 and the bytes of each file of ``verify --input PATH --out DIR`` on it,
 under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
@@ -33,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from minsurf import cli, gordon, immersion
+from minsurf import cli, fundata, gordon, immersion
 from minsurf.algebra import ScalarEps
 from minsurf.errors import MinsurfError
 from minsurf.surfaces import EXAMPLES, build_example
@@ -41,10 +42,17 @@ from minsurf.surfaces import EXAMPLES, build_example
 CONFORMAL = ("gxx", "e2u", "u", "eps_sign", "iso_residual", "ok",
              "degenerate", "negdef")
 FRAME = ("bad", "g1", "g2", "zz1", "zz2", "diag", "pair")
+EXTRACT = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A", "mask",
+           "complex1", "complex2", "u_z", "diagnostics")
 VERIFY_SIZES = (33, 65, 129)
 PIPELINE_SIZES = (33, 65)
 IO_SIZE = 33
 T = 0.3
+
+
+def error_text(exc) -> str:
+    """An error as minsurf prints it before it exits 1."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def digest(x) -> str:
@@ -89,6 +97,13 @@ def verify_digests(name, n, out):
     for f in FRAME:
         put(out, f"{key}/frame.{f}", getattr(fr, f))
     put(out, f"{key}/gauss", immersion.gauss_residual_field(F))
+    try:
+        D = fundata.extract(build_example(name, nx=n))
+    except MinsurfError as exc:
+        put(out, f"{key}/extract", error_text(exc))
+    else:
+        for f in EXTRACT:
+            put(out, f"{key}/extract.{f}", getattr(D, f))
 
 
 def file_digest(path) -> str:
@@ -118,13 +133,18 @@ def verify_io_digests(name, n, out):
 
 def pipeline_digests(theorem, n, out):
     key = f"pipeline/{theorem}/{n}/t={T}"
+    try:
+        _, D = gordon.family_stage(theorem, n, None, T)
+        norms = fundata.compat_residuals(fundata.cropped(D)).norms
+    except MinsurfError as exc:
+        norms = error_text(exc)
+    put(out, f"{key}/record_compat", norms)
     with tempfile.TemporaryDirectory() as tmp:
         try:
             _, report = cli.run_pipeline(cli.RunConfig(
                 command="pipeline", theorem=theorem, nx=n, t=T, out=tmp))
         except MinsurfError as exc:
-            # minsurf pipeline exits 1 with this message
-            report = f"{type(exc).__name__}: {exc}"
+            report = error_text(exc)
         put(out, f"{key}/report", report)
         for name in sorted(os.listdir(tmp)):
             out[f"{key}/out/{name}"] = file_digest(os.path.join(tmp, name))

@@ -527,8 +527,8 @@ def roundtrip_compare(D, D2, grid, rec) -> RoundTripReport:
     StreamedData or a FundamentalData, read a row block at a time, so no
     whole-grid record of the reconstruction is formed."""
     peaks, n = [], 0
-    for B in row_blocks(*D.shape):
-        a, z = D.rows(B.rows), D2.rows(B.rows)
+    for rows in row_blocks(*D.shape):
+        a, z = D.rows(rows), D2.rows(rows)
         common = z.mask          # D's mask is all true
         peak = {k: _peak(getattr(a, k) - getattr(z, k), common)
                 for k in ("u", "C1", "C2")}

@@ -39,6 +39,7 @@ from .immersion import (
     gauss_curvature,
     mean_curvature_residual,
     oriented_frame,
+    reach,
     row_blocks,
     zzbar,
 )
@@ -127,8 +128,8 @@ def _arrays(D: FundamentalData):
 
 
 def _row_origin(D, rows: slice) -> tuple:
-    """The origin of D's record on the grid rows `rows`."""
-    return D.origin[0] + rows.start * D.hx, D.origin[1]
+    """The origin of D's record on the grid rows `rows`, any slice."""
+    return D.origin[0] + rows.indices(len(D.mask))[0] * D.hx, D.origin[1]
 
 
 def _cut(z, rows: slice):
@@ -278,7 +279,7 @@ class StreamedData:
         self.meta = {"source": F.meta.get("name", "grid")}
         self.mask = ok & ~fr.bad
         self._sources = C.u, fr, (C.C1, C.C2)
-        cx1, cx2 = by_rows(ok.shape, lambda B: self._strata(B.rows)[2])
+        cx1, cx2 = by_rows(ok.shape, lambda r: self._strata(r)[2])
         self.complex1, self.complex2 = (dilate(cx, 2 * immersion.R)
                                         for cx in (cx1, cx2))
         self.diagnostics = {
@@ -318,34 +319,34 @@ class StreamedData:
         return u, out
 
     def rows(self, rows: slice) -> FundamentalData:
-        """The record on the grid rows `rows`, extract's there but that u_z
-        and A, which read the snapped fields R rows to each side, are nan
-        on the R rows at each end of `rows`: a caller reads them on a row
-        block's halo (immersion.row_blocks) and keeps the rows it needs."""
+        """extract's record on the grid rows `rows`: u_z and A read the
+        snapped fields R rows to each side, so every field is formed on
+        the rows' reach (immersion.reach) and cut back to them."""
         eps, hx, hy = self.eps, self.hx, self.hy
-        u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(rows)
-        m = self.mask[rows]
-        valid = tuple(m & ~cx[rows] for cx in (self.complex1, self.complex2))
+        wide, cut = reach(rows, len(self.mask))
+        u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(wide)
+        m = self.mask[wide]
+        valid = tuple(m & ~cx[wide] for cx in (self.complex1, self.complex2))
         uz = dz(u, hx, hy, eps)
         A1, A2 = _a_pair(uz, (C1, C2), (f1, f2), (g1, g2), valid, hx, hy,
                          eps)
         A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                       np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
         g1, g2, f1, f2 = (se_where(m, z, np.nan) for z in (g1, g2, f1, f2))
-        return FundamentalData(
+        return _map_fields(FundamentalData(
             p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u, C1=C1, C2=C2,
             gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=m,
-            complex1=self.complex1[rows], complex2=self.complex2[rows],
-            origin=_row_origin(self, rows), u_z=uz, meta=dict(self.meta))
+            complex1=self.complex1[wide], complex2=self.complex2[wide],
+            u_z=uz, meta=dict(self.meta)), lambda a: a[cut],
+            origin=_row_origin(self, rows))
 
 
 def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """The fundamental data of F as one record, ungated: StreamedData's
-    rows on each row block's halo, cut to the block's rows and stitched
-    (diagnostics and strata as StreamedData has them)."""
+    rows on each row block, stitched (diagnostics and strata as
+    StreamedData has them)."""
     X = StreamedData(F, b)
-    it = iter(by_rows(X.mask.shape, lambda B: tuple(
-        a[B.own] for a in _arrays(X.rows(B.halo)))))
+    it = iter(by_rows(X.mask.shape, lambda r: tuple(_arrays(X.rows(r)))))
     return FundamentalData(
         p=X.p, eps=X.eps, b=X.b, hx=X.hx, hy=X.hy, origin=X.origin,
         diagnostics=X.diagnostics, meta=X.meta,
@@ -405,8 +406,8 @@ class CompatReport:
 def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     """Sup-norms of every first-order compatibility equation of D, a
     FundamentalData or a StreamedData, taken a row block at a time: each
-    block's residuals read D.rows on its halo of 2R rows, and the block
-    sups combine by max, so a StreamedData is never formed on the whole grid.
+    block's residuals read D.rows on the block's reach, and the block sups
+    combine by max, so a StreamedData is never formed on the whole grid.
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (verify's trimmed region; refinement studies compare like
@@ -420,10 +421,11 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
         raise EmptyInterior("no valid points in the data mask"
                             + ("" if region is None else " within the region"))
     peaks = []
-    for B in row_blocks(*base.shape, radii=2):
-        inside = np.zeros_like(base[B.halo])
-        inside[B.own] = base[B.rows]
-        peaks.append(_compat_peaks(D.rows(B.halo), inside))
+    for rows in row_blocks(*base.shape):
+        wide, cut = reach(rows, base.shape[0])
+        inside = np.zeros_like(base[wide])
+        inside[cut] = base[rows]
+        peaks.append(_compat_peaks(D.rows(wide), inside))
     norms = {k: _sup(p[k] for p in peaks) for k in peaks[0]}
     return CompatReport(norms, int(np.sum(base)))
 

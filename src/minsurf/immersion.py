@@ -121,7 +121,7 @@ class ImmersionGrid:
 # finite differences (interior valid, nan boundary)
 # ---------------------------------------------------------------------------
 
-R = 1  # the stencil radius; every nan edge line, halo and trim counts it
+R = 1  # the stencil radius; every nan edge line, reach and trim counts it
 
 
 def _taps(n: int):
@@ -196,52 +196,40 @@ def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
 _BLOCK_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
-class RowBlock:
-    """Rows `rows` of a grid, read through `halo`: those rows and the rows
-    inside the grid within its reach (radii * R, row_blocks) on each side,
-    so stencils of that reach on the block's rows read halo only.  `own`
-    picks the block's rows out of an array on halo."""
-
-    rows: slice
-    halo: slice
-    own: slice
-
-
-WHOLE = RowBlock(slice(None), slice(None), slice(None))  # all of a grid
-
-
-def row_blocks(nx: int, ny: int, radii: int = 1) -> list:
-    """The row blocks of an nx x ny grid, in order, with halos of radii R
-    rows: as few as hold at most _BLOCK_SAMPLES samples each (but one row
-    at least), of equal heights but for the last."""
+def row_blocks(nx: int, ny: int) -> list:
+    """The row blocks of an nx x ny grid, in order, as slices of its rows:
+    as few as hold at most _BLOCK_SAMPLES samples each (but one row at
+    least), of equal heights but for the last."""
     most = max(1, _BLOCK_SAMPLES // ny)     # rows a block may hold
     count = -(-nx // most)                  # the fewest blocks
     height = -(-nx // count)
-    blocks = []
-    for i0 in range(0, nx, height):
-        i1 = min(i0 + height, nx)
-        a, b = max(i0 - radii * R, 0), min(i1 + radii * R, nx)
-        blocks.append(RowBlock(slice(i0, i1), slice(a, b),
-                               slice(i0 - a, i1 - a)))
-    return blocks
+    return [slice(i0, min(i0 + height, nx)) for i0 in range(0, nx, height)]
+
+
+def reach(rows: slice, n: int):
+    """(wide, cut): the rows `rows` of an axis of n widened by R to each
+    side within it, the rows a stencil on them reads, and the slice that
+    picks `rows` out of an array on wide."""
+    i0, i1, _ = rows.indices(n)
+    wide = slice(max(i0 - R, 0), min(i1 + R, n))
+    return wide, slice(i0 - wide.start, i1 - wide.start)
 
 
 def by_rows(shape, kernel):
-    """kernel(B) for each row block B of a grid of shape (nx, ny), in
+    """kernel(rows) for each row block of a grid of shape (nx, ny), in
     order, with its tuple of per-sample arrays (rows first) stitched along
     the rows; a one-block grid's arrays come back as the kernel made them."""
     blocks = row_blocks(*shape)
     if len(blocks) == 1:
         return kernel(blocks[0])
     out = None
-    for B in blocks:
-        parts = kernel(B)
+    for rows in blocks:
+        parts = kernel(rows)
         if out is None:
             out = tuple(np.empty(shape[:1] + a.shape[1:], a.dtype)
                         for a in parts)
         for whole, part in zip(out, parts):
-            whole[B.rows] = part
+            whole[rows] = part
     return out
 
 
@@ -255,19 +243,21 @@ class GridJets:
     Fy: np.ndarray
 
 
-def jets(F: ImmersionGrid, B: RowBlock = WHOLE) -> GridJets:
-    """First central differences of the samples on the rows of block B (on
-    the whole grid without); built on each call."""
-    V = F.values[B.halo]
-    return GridJets(diff(V, F.hx, 0)[B.own], diff(V[B.own], F.hy, 1))
+def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
+    """First central differences of the samples on the grid rows `rows`
+    (all of them without); built on each call."""
+    wide, cut = reach(rows, F.nx)
+    V = F.values[wide]
+    return GridJets(diff(V, F.hx, 0)[cut], diff(V[cut], F.hy, 1))
 
 
-def hessian(F: ImmersionGrid, B: RowBlock = WHOLE):
+def hessian(F: ImmersionGrid, rows: slice = slice(None)):
     """Second central differences (F_xx, F_xy, F_yy) of the samples on the
-    rows of block B (on the whole grid without); built on each call."""
-    V = F.values[B.halo]
-    return (diff2(V, F.hx, 0)[B.own], d_xy(V, F.hx, F.hy)[B.own],
-            diff2(V[B.own], F.hy, 1))
+    grid rows `rows` (all of them without); built on each call."""
+    wide, cut = reach(rows, F.nx)
+    V = F.values[wide]
+    return (diff2(V, F.hx, 0)[cut], d_xy(V, F.hx, F.hy)[cut],
+            diff2(V[cut], F.hy, 1))
 
 
 @dataclass
@@ -292,15 +282,15 @@ class ConformalFields:
         return np.where(self.ok[rows], self.gxx[rows], np.nan)
 
 
-def _conformal_block(F: ImmersionGrid, B: RowBlock, tol: float):
-    """ConformalFields' arrays on the rows of block B, degenerate below tol;
+def _conformal_block(F: ImmersionGrid, rows: slice, tol: float):
+    """ConformalFields' arrays on the grid rows `rows`, degenerate below tol;
     C1 and C2 come from the isothermal pullback formulas on the same jets."""
-    J = jets(F, B)
+    J = jets(F, rows)
     p = F.p
     gxx = g_inner(J.Fx, J.Fx, p)
     gyy = g_inner(J.Fy, J.Fy, p)
     gxy = g_inner(J.Fx, J.Fy, p)
-    base = F.values[B.rows]
+    base = F.values[rows]
     w1, w2 = (factor_omega(J.Fx[..., k, :], J.Fy[..., k, :],
                            base[..., k, :], p) for k in (0, 1))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -328,7 +318,7 @@ def conformal_fields(F: ImmersionGrid) -> ConformalFields:
     def make():
         tol = F.deg_tol()
         return ConformalFields(*by_rows(
-            (F.nx, F.ny), lambda B: _conformal_block(F, B, tol)))
+            (F.nx, F.ny), lambda rows: _conformal_block(F, rows, tol)))
     return F._cached("conformal", make)
 
 
@@ -489,10 +479,10 @@ def _continuity_signs(down: np.ndarray, across: np.ndarray) -> np.ndarray:
     return s
 
 
-def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
+def _reference_normal(F, C, rows, J: GridJets, normal_part, b: int,
                       pair: int):
-    """N of reference pair `pair` on the rows of block B (WHOLE for the
-    whole grid) of F with conformal fields C and jets J there, before it is
+    """N of reference pair `pair` on the grid rows `rows` (slice(None) for
+    all) of F with conformal fields C and jets J there, before it is
     scaled: (N, n2, ok, ill), with n2 the |N|^2 to scale by, ok where the
     pair is well conditioned and ill the usable samples where it is not.
     N projects a fixed ambient pair, so it varies continuously wherever it
@@ -501,8 +491,8 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
     sign: eigh2's rule fixes it per sample (its eigenvectors form a
     rotation), and _frame_pass's relations then align it across the
     grid."""
-    p, eps, shape = F.p, F.eps, F.values[B.rows].shape
-    gxx, gyy = C.gxx[B.rows], g_inner(J.Fy, J.Fy, p)
+    p, eps, shape = F.p, F.eps, F.values[rows].shape
+    gxx, gyy = C.gxx[rows], g_inner(J.Fy, J.Fy, p)
     usable = np.isfinite(gxx) & (np.abs(gxx) > 0) & (np.abs(gyy) > 0)
     r1, r2 = _REFERENCES[pair]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -530,14 +520,14 @@ def _reference_normal(F, C, B, J: GridJets, normal_part, b: int,
         return N, b * lam[..., c], ok, usable & ~ok
 
 
-def normal_frame(F, B, J: GridJets, N, n2, ok, b: int):
-    """Normal pair (N, Ntilde, bad) on the rows of block B (WHOLE for the
-    whole grid) from _reference_normal's (N, n2, ok) there and the jets J: N
+def normal_frame(F, rows, J: GridJets, N, n2, ok, b: int):
+    """Normal pair (N, Ntilde, bad) on the grid rows `rows` (slice(None) for
+    all) from _reference_normal's (N, n2, ok) there and the jets J: N
     scaled in place to |N|^2 = -eps b, and Ntilde, with |Ntilde|^2 = -b,
     the normal G-orthogonal to N that orients (F_x, F_y, N, Ntilde)
     positively for the product orientation pi1*w ^ pi2*w; both nan on bad,
     the samples without a frame.  Ntilde is odd in N."""
-    p, base = F.p, F.values[B.rows]
+    p, base = F.p, F.values[rows]
     with np.errstate(invalid="ignore", divide="ignore"):
         N /= np.sqrt(np.where(ok, n2, 1.0))[..., None, None]
         # G(V, V) = vol(F_x, F_y, N, V) has the sign -b of |Ntilde|^2, so
@@ -590,14 +580,14 @@ def _frame_pass(F, C, b: int, pair: int):
     p, eps, center = F.p, F.eps, F.nx // 2
     seam = {"above": None, "across": None, "ill": 0}
 
-    def block(B):
-        J = jets(F, B)
-        base = F.values[B.rows]
+    def block(rows):
+        J = jets(F, rows)
+        base = F.values[rows]
         normal_part = normal_projector(base, J.Fx, J.Fy, p)
-        hess = hessian(F, B)
-        out = () if pair or b != 1 else _form_norms(F, C, B.rows,
+        hess = hessian(F, rows)
+        out = () if pair or b != 1 else _form_norms(F, C, rows,
                                                     normal_part, hess)
-        N, n2, ok, ill = _reference_normal(F, C, B, J, normal_part, b,
+        N, n2, ok, ill = _reference_normal(F, C, rows, J, normal_part, b,
                                            pair)
         del normal_part
         seam["ill"] += int(np.sum(ill))
@@ -607,10 +597,10 @@ def _frame_pass(F, C, b: int, pair: int):
             if seam["above"] is not None:
                 down[0] = _relation(N[0], seam["above"])
             seam["above"] = N[-1].copy()
-            if B.rows.start <= center < B.rows.stop:
-                row = N[center - B.rows.start]
+            if rows.start <= center < rows.stop:
+                row = N[center - rows.start]
                 seam["across"] = _relation(row[1:], row[:-1])
-        N, Nt, bad = normal_frame(F, B, J, N, n2, ok, b)
+        N, Nt, bad = normal_frame(F, rows, J, N, n2, ok, b)
         xi = complex_vector(N, Nt, eps, np.sqrt(2.0))
         del N, Nt
         Fz = complex_vector(J.Fx, J.Fy, eps, 2.0)

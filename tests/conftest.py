@@ -140,8 +140,8 @@ def normal_curvature_field(F, b=1):
     J = jets(F)
     normal_part = immersion.normal_projector(F.values, J.Fx, J.Fy, F.p)
     N, n2, ok, _ = immersion._reference_normal(
-        F, C, immersion.WHOLE, J, normal_part, b, fr.pair)
-    N, Nt, _ = immersion.normal_frame(F, immersion.WHOLE, J, N, n2, ok, b)
+        F, C, slice(None), J, normal_part, b, fr.pair)
+    N, Nt, _ = immersion.normal_frame(F, slice(None), J, N, n2, ok, b)
     if fr.diag["orientation_flipped"]:
         Nt = -Nt
     a11, a12, a22 = (g_inner(h, N, F.p) for h in he)

@@ -1051,6 +1051,9 @@ class TestScripts:
             assert f"verify/{name}/17/report" in out
             assert f"verify/{name}/17/conformal.e2u" in out
             assert f"verify/{name}/17/gauss" in out
+            # extract's record field by field, or the error it raises
+            assert f"verify/{name}/17/extract" in out \
+                or f"verify/{name}/17/extract.A.re" in out
             # verify --input --out on the grid written as JSON and as CSV
             for kind in ("json", "csv"):
                 key = f"verify-io/{name}/17/{kind}"
@@ -1063,6 +1066,8 @@ class TestScripts:
                     == out[f"verify-io/{name}/17/csv/out/{file}"]
         for theorem in ("A1", "A2", "B1", "B2", "C1", "C2"):
             assert f"pipeline/{theorem}/17/t=0.3/report" in out
+            # the cropped family record's compat norms, or the error
+            assert f"pipeline/{theorem}/17/t=0.3/record_compat" in out
         # B2's stage raises at 17^2, before any file is written
         for theorem in ("A1", "A2", "B1", "C1", "C2"):
             for name in ("report.json", "gordon.json", "fundata.json",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import binary_dilation
 
-from minsurf import cli, gordon
+from minsurf import cli, fundata, gordon, immersion
 from minsurf.algebra import ScalarEps
 from minsurf.errors import EmptyInterior, SignatureError
 from minsurf.frenet import roundtrip_report
@@ -104,6 +104,31 @@ class TestExtract:
         X.rows(slice(0, 17))
         compat_residuals(X)
         assert X.diagnostics == before
+
+    @pytest.mark.parametrize("name", ["holo:z2", "paraholo:z2"])
+    def test_streamed_rows_equal_extract_there(self, name):
+        # StreamedData.rows(r) is extract's record on r bit for bit, u_z
+        # and A on r's end rows included, wherever r starts and stops
+        F = build_example(name, nx=33)
+        X, D, R = StreamedData(F), extract(F), immersion.R
+        for r in (slice(0, R + 1), slice(16, 17), slice(9, 23),
+                  slice(30, 33), slice(None)):
+            got, want = X.rows(r), D.rows(r)
+            assert got.origin == want.origin
+            for a, b in zip(fundata._arrays(got), fundata._arrays(want),
+                            strict=True):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f")
+
+    def test_rows_origin_of_open_and_negative_slices(self):
+        # rows reads an open or negative slice as indexing does
+        _, D = gordon.family_stage("C2", 33, t=0.3)
+        X = StreamedData(build_example("holo:z2", nx=33))
+        for rec in (D, X):
+            n, (x0, y0) = len(rec.mask), rec.origin
+            assert rec.rows(slice(None)).origin == (x0, y0)
+            assert rec.rows(slice(-3, None)).origin \
+                == (x0 + (n - 3) * rec.hx, y0)
 
     def test_roundtrip_family(self, family_cache):
         # extract(reconstruct(D)) reproduces gauge-invariant fields at O(h^2)
@@ -265,6 +290,25 @@ class TestCompat:
         assert np.isnan(rep.norms["kahler_1"])
         assert np.isnan(rep.norms["a_consistency"])
         assert rep.max() == rep.norms["gammanorsec_1"] < 1e-12
+
+    def test_block_residuals_read_the_block_reach(self, monkeypatch):
+        # a block's residuals are formed on its reach (immersion.reach),
+        # the block's rows and R rows to each side, for both record kinds
+        F = build_example("holo:z2", nx=129)
+        peaks, seen = fundata._compat_peaks, []
+
+        def spy(D, base):
+            seen.append(D.shape[0])
+            return peaks(D, base)
+        monkeypatch.setattr(fundata, "_compat_peaks", spy)
+        count = len(immersion.row_blocks(F.nx, F.ny))
+        height = -(-F.nx // count)      # all blocks' but the last
+        assert count > 1
+        for D in (StreamedData(F), extract(F)):
+            seen.clear()
+            compat_residuals(D)
+            assert len(seen) == count
+            assert max(seen) <= height + 2 * immersion.R
 
     def test_a_consistency_small(self, family_cache):
         D = family_cache("B1", 65)

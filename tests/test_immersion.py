@@ -490,14 +490,15 @@ class TestRowBlocks:
     def test_blocks_cover_the_rows_once(self):
         for nx, ny in ((5, 5), (64, 64), (65, 65), (257, 257), (7, 5000)):
             blocks = immersion.row_blocks(nx, ny)
-            rows = [i for B in blocks for i in range(nx)[B.rows]]
-            assert rows == list(range(nx))
-            for B in blocks:
-                assert (B.rows.stop - B.rows.start) * ny \
+            assert [i for r in blocks for i in range(nx)[r]] \
+                == list(range(nx))
+            for rows in blocks:
+                assert (rows.stop - rows.start) * ny \
                     <= max(immersion._BLOCK_SAMPLES, ny)
-                assert B.halo.start == max(B.rows.start - 1, 0)
-                assert B.halo.stop == min(B.rows.stop + 1, nx)
-                assert range(nx)[B.halo][B.own] == range(nx)[B.rows]
+                wide, cut = immersion.reach(rows, nx)
+                assert wide.start == max(rows.start - 1, 0)
+                assert wide.stop == min(rows.stop + 1, nx)
+                assert range(nx)[wide][cut] == range(nx)[rows]
         assert len(immersion.row_blocks(64, 64)) == 1
 
     @pytest.mark.parametrize("name", ["holo:z2", "paraholo:z2"])
@@ -514,11 +515,16 @@ class TestRowBlocks:
         xy = immersion.d_xy(np.multiply.outer(a, a), 1.0, 1.0)
         assert np.isnan(xy[edge]).all() and np.isnan(xy[:, edge]).all()
         assert np.isfinite(xy[2:6, 2:6]).all()
-        for radii in (1, 2):
-            for B in immersion.row_blocks(65, 65, radii):
-                assert B.halo == slice(max(B.rows.start - 2 * radii, 0),
-                                       min(B.rows.stop + 2 * radii, 65))
-                assert range(65)[B.halo][B.own] == range(65)[B.rows]
+        for rows in immersion.row_blocks(65, 65):
+            # a block's reach, and the reach of that, which StreamedData
+            # forms when compat reads the block
+            r = rows
+            for radii in (1, 2):
+                wide, cut = immersion.reach(r, 65)
+                assert wide == slice(max(rows.start - 2 * radii, 0),
+                                     min(rows.stop + 2 * radii, 65))
+                assert range(65)[wide][cut] == range(65)[r]
+                r = wide
 
         F = build_example(name, nx=33)
         gxx = conformal_fields(F).gxx
