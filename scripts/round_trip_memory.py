@@ -3,21 +3,21 @@
 
     PYTHONPATH=src python3 scripts/round_trip_memory.py THEOREM N
 
-Runs the stages of `minsurf pipeline --theorem THEOREM --grid N` in
-cli._round_trip's order, without its gates: the family stage (Gordon
-solve, family data, trim), record_compat (crop and compat residuals),
-reconstruct, the extraction of the reconstruction's data
-(fundata.StreamedData: its normal frame and form norms) and the comparison
-(frenet.roundtrip_compare).  A warm-up case (C1 at 17^2) runs first,
-then a run that is timed, then one traced with tracemalloc.  Prints one
-JSON object: per stage its wall time `s`, the process's `ru_maxrss_mb`
-after it in the timed run, the traced memory held when it starts
-(`start_mb`) and its tracemalloc peak (`peak_mb`, everything traced since
-the run began); then `ru_maxrss_mb` before and after the warm-up and after
-the timed run.  tracemalloc cannot see the pages a library maps on first
-use (BLAS, LAPACK, lazily imported modules); the warm-up's ru_maxrss step
-shows them.  ru_maxrss is the whole process's, so run one case per
-process.
+Runs the stages of `minsurf pipeline --theorem THEOREM --grid N` without
+their gates: the family stage (Gordon solve, family data, trim), then the
+stages of frenet.round_trip, the one chain cli._round_trip gates, each
+one next() of it: record_compat (crop and compat residuals), reconstruct,
+the extraction of the reconstruction's data (fundata.StreamedData: its
+normal frame and form norms) and the comparison
+(frenet.roundtrip_compare).  A warm-up case (C1 at 17^2) runs first, then
+a run that is timed, then one traced with tracemalloc.  Prints one JSON
+object: per stage its wall time `s`, the process's `ru_maxrss_mb` after it
+in the timed run, the traced memory held when it starts (`start_mb`) and
+its tracemalloc peak (`peak_mb`, everything traced since the run began);
+then `ru_maxrss_mb` before and after the warm-up and after the timed run.
+tracemalloc cannot see the pages a library maps on first use (BLAS,
+LAPACK, lazily imported modules); the warm-up's ru_maxrss step shows
+them.  ru_maxrss is the whole process's, so run one case per process.
 """
 
 import json
@@ -26,25 +26,21 @@ import sys
 import time
 import tracemalloc
 
-from minsurf import frenet, fundata, gordon
+from minsurf import frenet, gordon
 
 MB = 1024.0 * 1024.0
+# the stages of frenet.round_trip, in the order it yields them
+STAGES = ("record_compat", "reconstruct", "extraction", "comparison")
 
 
 def round_trip(theorem, n, measure):
-    """The stages in order, each run through measure(name, fn)."""
+    """The stages in order, each run through measure(name, fn); returns
+    the shape of the cropped record."""
     _, D = measure("family_stage", lambda: gordon.family_stage(theorem, n))
-
-    def record_compat():
-        R = fundata.cropped(D)
-        fundata.compat_residuals(R)
-        return R
-    D = measure("record_compat", record_compat)
-    grid, rec = measure("reconstruct", lambda: frenet.reconstruct(D))
-    X = measure("extraction", lambda: fundata.StreamedData(grid, b=D.b))
-    measure("comparison",
-            lambda: frenet.roundtrip_compare(D, X, grid, rec))
-    return D.shape
+    stages = frenet.round_trip(D)
+    for name in STAGES:
+        *_, state = measure(name, lambda: next(stages))
+    return state["grid"].values.shape[:2]
 
 
 def maxrss_mb():

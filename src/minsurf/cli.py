@@ -411,7 +411,6 @@ def run_pipeline(cfg: RunConfig):
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
     sol, D = gordon.family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
-    h = max(D.hx, D.hy)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "pipeline",
@@ -426,11 +425,11 @@ def run_pipeline(cfg: RunConfig):
         "mask_points": int(np.sum(D.mask)),
         "roundtrip": None,
         "reconstruction": None,
-        "tolerances": _tolerances("pipeline", cfg, h),
+        "tolerances": _tolerances("pipeline", cfg, max(D.hx, D.hy)),
         "gates": {},
         "failures": [],
     }
-    grid = _round_trip(D, h, report)
+    grid = _round_trip(D, report)
     report["pass"] = not report["failures"]
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
@@ -453,34 +452,21 @@ def run_pipeline(cfg: RunConfig):
     return (EXIT_PASS if report["pass"] else EXIT_FAIL), report
 
 
-def _round_trip(D, h, report):
-    """Crop, reconstruct, extract and compare D, each stage followed by its
-    gate, into report; the first gate that fails ends the run.  Returns
-    the reconstructed grid, or None."""
-    def failed(name, norm, tol):
+def _round_trip(D, report):
+    """frenet.round_trip's stages of D, each followed by its gate (--tol's
+    value over the default), into report; the first gate that fails ends
+    the run.  Returns the reconstructed grid, or None."""
+    for name, norm, tol, state in frenet.round_trip(D):
+        tol = report["tolerances"].get(name, tol)
         report["gates"][name] = {"norm": norm, "tol": tol}
+        if "rec" in state:
+            report["reconstruction"] = asdict(state["rec"])
+        if "report" in state:
+            report["roundtrip"] = state["report"].to_json()
         if not (np.isfinite(norm) and norm <= tol):
             report["failures"].append(name)
-        return name in report["failures"]
-
-    D = fundata.cropped(D)
-    if failed("record_compat", fundata.compat_residuals(D).max(),
-              fundata.tolerance("record_compat", h)):
-        return None
-    grid, rec = frenet.reconstruct(D)
-    report["reconstruction"] = asdict(rec)
-    if failed("drift", rec.drift, rec.drift_budget):
-        return grid
-    # the reconstruction's data, formed a row block at a time as the
-    # comparison reads them
-    D2 = fundata.StreamedData(grid, b=D.b)
-    if failed("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
-              fundata.tolerance("reconstruction_H", h)):
-        return grid
-    rt = frenet.roundtrip_compare(D, D2, grid, rec)
-    report["roundtrip"] = rt.to_json()
-    failed("roundtrip", rt.max(), report["tolerances"]["roundtrip"])
-    return grid
+            break
+    return state.get("grid")
 
 
 def main(argv=None) -> int:

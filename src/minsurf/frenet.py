@@ -35,10 +35,11 @@ from .errors import FrameConstructionError
 from .fundata import (
     FundamentalData,
     StreamedData,
+    _arrays,
     _max_norm,
     _peak,
     _sup,
-    compat_residuals,  # noqa: F401  (the benchmark's tracer test reads it)
+    compat_residuals,
     cropped,
     tolerance,
 )
@@ -116,11 +117,8 @@ _BATCH_CELLS = 512      # grid cells whose RK4 propagators are formed at once
 
 def _fields(D: FundamentalData) -> list:
     """The 15 per-sample arrays behind the data lines, u standing for
-    e^{2u}."""
-    return [D.u, D.C1, D.C2,
-            D.gamma1.re, D.gamma1.im, D.gamma2.re, D.gamma2.im,
-            D.f1.re, D.f1.im, D.f2.re, D.f2.im,
-            D.A.re, D.A.im, D.u_z.re, D.u_z.im]
+    e^{2u}: the float arrays of fundata._arrays, in its order."""
+    return [a for a in _arrays(D) if a.dtype != bool]
 
 
 def _pack_data(D: FundamentalData, cols: slice = slice(None)) -> np.ndarray:
@@ -512,13 +510,34 @@ class RoundTripReport:
                 "n_compared": self.n_compared, "max": self.max()}
 
 
+def round_trip(D: FundamentalData, init: FrameState = None):
+    """Crop D to its largest all-valid window and take its compat
+    residuals, reconstruct (from init, if given), extract the
+    reconstruction's data (StreamedData) and compare, gating nothing.
+    After each stage it yields (gate, norm, default tol, state): state is
+    one dict, with "grid" and "rec" once reconstructed and "report" (the
+    RoundTripReport) at the end."""
+    h = max(D.hx, D.hy)
+    D = cropped(D)
+    state = {}
+    yield ("record_compat", compat_residuals(D).max(),
+           tolerance("record_compat", h), state)
+    grid, rec = reconstruct(D, init)
+    state.update(grid=grid, rec=rec)
+    yield "drift", rec.drift, rec.drift_budget, state
+    D2 = StreamedData(grid, b=D.b)
+    yield ("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
+           tolerance("reconstruction_H", h), state)
+    rt = state["report"] = roundtrip_compare(D, D2, grid, rec)
+    yield "roundtrip", rt.max(), tolerance("roundtrip", h), state
+
+
 def roundtrip_report(D: FundamentalData,
                      init: FrameState = None) -> RoundTripReport:
-    """Crop D to its largest all-valid window, reconstruct (from init, if
-    given), extract and compare, with no gate between the stages."""
-    D = cropped(D)
-    grid, rec = reconstruct(D, init)
-    return roundtrip_compare(D, StreamedData(grid, b=D.b), grid, rec)
+    """round_trip run to its end, with no gate between the stages."""
+    for *_, state in round_trip(D, init):
+        pass
+    return state["report"]
 
 
 def roundtrip_compare(D, D2, grid, rec) -> RoundTripReport:

@@ -343,15 +343,10 @@ class StreamedData:
 
 def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
     """The fundamental data of F as one record, ungated: StreamedData's
-    rows on each row block, stitched (diagnostics and strata as
-    StreamedData has them)."""
+    rows on the whole grid (diagnostics and strata as StreamedData has
+    them)."""
     X = StreamedData(F, b)
-    it = iter(by_rows(X.mask.shape, lambda r: tuple(_arrays(X.rows(r)))))
-    return FundamentalData(
-        p=X.p, eps=X.eps, b=X.b, hx=X.hx, hy=X.hy, origin=X.origin,
-        diagnostics=X.diagnostics, meta=X.meta,
-        **{name: ScalarEps(next(it), next(it), X.eps) if kind is ScalarEps
-           else next(it) for name, kind in _FIELDS.items()})
+    return replace(X.rows(slice(None)), diagnostics=X.diagnostics)
 
 
 # ---------------------------------------------------------------------------

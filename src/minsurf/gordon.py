@@ -69,9 +69,8 @@ class GordonSolution:
 
     def dz(self, which: str) -> ScalarEps:
         """d/dz of v or w, using exact derivatives when available."""
-        f = self.v if which == "v" else self.w
-        fx = self.v_x if which == "v" else self.w_x
-        fy = self.v_y if which == "v" else self.w_y
+        f, fx, fy = ((self.v, self.v_x, self.v_y) if which == "v"
+                     else (self.w, self.w_x, self.w_y))
         if fx is not None and fy is not None:
             return wirtinger(ScalarEps(fx, 0.0, self.eps),
                              ScalarEps(fy, 0.0, self.eps), self.eps, False)
@@ -189,14 +188,14 @@ def _krylov_step(d, r, hx, hy):
     return x, False, _KRYLOV_MAXITER
 
 
-def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
+def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
     """Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
 
-    Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points.  The
-    initial iterate is the harmonic extension of the boundary data (plus
-    forcing); each step solves J du = -r by `_krylov_step` and is taken
-    whole if it lowers |r|_2, else Newton stops unconverged.  It converges
-    once
+    Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points, f the
+    forcing array or None.  The initial iterate is the harmonic extension
+    of the boundary data (plus forcing); each step solves J du = -r by
+    `_krylov_step` and is taken whole if it lowers |r|_2, else Newton stops
+    unconverged.  It converges once
 
         max|r| <= max(4 _NEWTON_TOL, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
 
@@ -209,12 +208,9 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
     there: "converged", "krylov" (MINRES did not converge) or "no descent"
     (the step did not lower |r|_2); None when it went on.
     """
-    nx, ny = spec.nx, spec.ny
     X, Y = spec.mesh()
     hx, hy = spec.hx, spec.hy
-    u = np.asarray(bc(X, Y), dtype=float) * np.ones((nx, ny))
-    f = None if forcing is None else \
-        np.asarray(forcing(X, Y), dtype=float) * np.ones((nx, ny))
+    u = np.asarray(bc(X, Y), dtype=float) * np.ones(X.shape)
     floor_coef = 8.0 * np.finfo(float).eps * (1.0 / hx ** 2 + 1.0 / hy ** 2)
 
     def residual(u):
@@ -229,15 +225,12 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
     rhs = -lap_g if f is None else 4.0 * f[1:-1, 1:-1] - lap_g
     u[1:-1, 1:-1] = _dirichlet_poisson(rhs, hx, hy)
     r = residual(u)
-    it = 0
-    converged = False
     history = []
     for it in range(1, _NEWTON_MAXITER + 1):
         rn = float(np.max(np.abs(r)))
         step = {"residual": rn, "krylov": 0, "stopped": None}
         history.append(step)
         if rn <= stop(u):
-            converged = True
             step["stopped"] = "converged"
             break
         d = 4.0 * s * dN(2.0 * u[1:-1, 1:-1])
@@ -252,24 +245,20 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, forcing):
             step["stopped"] = "no descent"
             break
         u, r = un, rn_
-    if np.max(np.abs(r)) <= stop(u):
-        converged = True
-    return u, converged, it, history
+    return u, bool(np.max(np.abs(r)) <= stop(u)), it, history
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic path: explicit leapfrog marching in y
 # ---------------------------------------------------------------------------
 
-def _leapfrog(N, s, spec: GridSpec, init, bc, forcing):
+def _leapfrog(N, s, spec: GridSpec, init, bc, f):
     nx, ny = spec.nx, spec.ny
     hx, hy = spec.hx, spec.hy
     if hy > hx + 1e-14:
         raise CFLViolation(f"leapfrog requires hy <= hx (hy={hy}, hx={hx})")
     xs, ys = spec.axes()
-    X, Y = spec.mesh()
-    f = np.zeros((nx, ny)) if forcing is None else \
-        np.asarray(forcing(X, Y), dtype=float) * np.ones((nx, ny))
+    f = np.zeros((nx, ny)) if f is None else f
     v0_fn, vy0_fn = init
     u = np.empty((nx, ny))
     u[:, 0] = v0_fn(xs)
@@ -302,9 +291,10 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
     N, dN, signs = KINDS[kind]
-    fv = fw = None
-    if forcing is not None:
-        fv, fw = forcing
+    # the forcing arrays, None where there is none
+    X, Y = spec.mesh()
+    fv, fw = (None if g is None else np.asarray(g(X, Y), dtype=float)
+              * np.ones(X.shape) for g in forcing or (None, None))
 
     if eps == 1:
         if boundary is None:
@@ -326,10 +316,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     else:
         raise ValueError("eps must be +1 or -1")
 
-    X, Y = spec.mesh()
-    fva = None if fv is None else np.asarray(fv(X, Y), dtype=float) * np.ones_like(v)
-    fwa = None if fw is None else np.asarray(fw(X, Y), dtype=float) * np.ones_like(w)
-    res = _pair_residual(kind, eps, spec, v, w, fva, fwa)
+    res = _pair_residual(kind, eps, spec, v, w, fv, fw)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
                           res, converged, iters,
                           meta={"history": {"v": hv, "w": hw}})
@@ -419,9 +406,7 @@ def family_phase(eps: int, t: float, qnorm: int) -> ScalarEps:
     cosh + i sinh for eps=-1); qnorm=-1: the frame factor exp_eps, whose
     para modulus is -1 (needed when |gamma|^2 < 0 on the family).
     """
-    if qnorm == 1:
-        if eps == 1:
-            return ScalarEps(np.cos(t / 2.0), np.sin(t / 2.0), 1)
+    if qnorm == 1 and eps == -1:
         return ScalarEps(np.cosh(t / 2.0), np.sinh(t / 2.0), -1)
     return exp_eps(t / 2.0, eps)
 
@@ -444,10 +429,8 @@ def family_mask(theorem: str, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _sqrt_signed(r: np.ndarray, eps: int) -> ScalarEps:
     """sqrt of a real field inside the eps-scalars: i*sqrt(-r) where r < 0."""
-    pos = r >= 0
-    re = np.where(pos, np.sqrt(np.abs(r)), 0.0)
-    im = np.where(pos, 0.0, np.sqrt(np.abs(r)))
-    return ScalarEps(re, im, eps)
+    pos, root = r >= 0, np.sqrt(np.abs(r))
+    return ScalarEps(np.where(pos, root, 0.0), np.where(pos, 0.0, root), eps)
 
 
 def build_family(theorem: str, sol: GordonSolution,
@@ -575,7 +558,10 @@ def gordon_stage(theorem, nx=33, ny=None):
 
     Elliptic families solve a Dirichlet problem on their box (ny = nx by
     default); hyperbolic ones march from flat-edged x-profiles at y = 0
-    with hy = hx / 2, between edge columns from the 1-D y-reduction.
+    with hy = hx / 2, between edge columns from the 1-D y-reduction;
+    their ny defaults to (nx - 1) // 2 + 1, or (nx - 1) // 4 + 1 for a
+    family with yquarter (B2), and a ValueError names the least nx when
+    that is below 5.
     """
     eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
     data = PIPELINE_DATA[theorem]
@@ -589,8 +575,12 @@ def gordon_stage(theorem, nx=33, ny=None):
         x0, x1 = data["xspan"]
         hx = (x1 - x0) / (nx - 1)
         div = 4 if data.get("yquarter") else 2
-        spec = GridSpec(nx, ny or ((nx - 1) // div + 1), hx, hx / 2.0,
-                        (x0, 0.0))
+        ny = ny or (nx - 1) // div + 1
+        if ny < 5:
+            raise ValueError(
+                f"{theorem} has ny = {ny} < 5 at nx = {nx}; its default ny, "
+                f"(nx - 1) // {div} + 1, needs nx >= {4 * div + 1}")
+        spec = GridSpec(nx, ny, hx, hx / 2.0, (x0, 0.0))
         ys = spec.axes()[1]
         # 1-D y-reduction of the equation: g'' = 2 s N(2g)
         prof_v = _edge_profile(signs[0], nonlin, data["a_v"], ys)

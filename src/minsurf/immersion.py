@@ -803,18 +803,23 @@ def grid_to_csv(F: ImmersionGrid, path):
     write_grid(F, csv_path=path)
 
 
+def _header_float(d: dict, key: str, want: str = "a number") -> float:
+    """Field `key` of a grid header as a float, or ValueError naming it."""
+    try:
+        return float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"grid {key} must be {want}, not {d[key]!r}") \
+            from None
+
+
 def _header_int(d: dict, key: str, allowed=None) -> int:
     """Field `key` of a grid header as an int; ValueError unless it is an
     integral number (in `allowed`, when given)."""
-    try:
-        n = int(float(d[key]))
-        integral = n == float(d[key])
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or (allowed is not None and n not in allowed):
-        want = "an integer" if allowed is None else f"one of {allowed}"
+    want = "an integer" if allowed is None else f"one of {allowed}"
+    x = _header_float(d, key, want)
+    if not x.is_integer() or (allowed is not None and x not in allowed):
         raise ValueError(f"grid {key} must be {want}, not {d[key]!r}")
-    return n
+    return int(x)
 
 
 def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
@@ -825,7 +830,7 @@ def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     p = _header_int(d, "p", (0, 1, 2))
     eps = _header_int(d, "eps", (1, -1))
     nx, ny = _header_int(d, "nx"), _header_int(d, "ny")
-    hx, hy = float(d["hx"]), float(d["hy"])
+    hx, hy = _header_float(d, "hx"), _header_float(d, "hy")
     if len(origin) != 2:
         raise ValueError(f"grid origin holds {len(origin)} numbers, not 2")
     if values.shape != (nx, ny, 2, 3):
@@ -998,7 +1003,10 @@ def grid_from_csv(path) -> ImmersionGrid:
         header = fh.readline().strip()
         if not header.startswith(f"# {GRID_SCHEMA}"):
             raise ValueError(f"not a {GRID_SCHEMA} csv file")
-        kv = dict(tok.split("=", 1) for tok in header.split()[2:])
+        kv = dict(tok.partition("=")[::2] for tok in header.split()[2:])
+        bare = [k for k, v in kv.items() if not v]
+        if bare:
+            raise ValueError(f"csv header token {bare[0]!r} has no value")
         missing = {"p", "eps", "nx", "ny", "hx", "hy", "ox", "oy"} - set(kv)
         if missing:
             raise ValueError(f"csv header lacks {sorted(missing)}")
@@ -1020,7 +1028,7 @@ def grid_from_csv(path) -> ImmersionGrid:
         raise ValueError(f"csv rows must hold each index (i, j) in "
                          f"[0, {nx}) x [0, {ny}) once")
     F = _loaded_grid(kv, rows[order, 4:].reshape(nx, ny, 2, 3),
-                     (float(kv["ox"]), float(kv["oy"])))
+                     (_header_float(kv, "ox"), _header_float(kv, "oy")))
     (xs, ys), (x, y) = F.axes(), rows[order, 2:4].T.reshape(2, nx, ny)
     if not (np.all(np.abs(x - xs[:, None]) <= 1e-9 * F.hx)
             and np.all(np.abs(y - ys) <= 1e-9 * F.hy)):

@@ -42,6 +42,14 @@ def csv_header(rows, old, new):
     return [[" ".join(new if t == old else t for t in head)]] + rows[1:]
 
 
+# the malformed CSV header cases of test_malformed_input_is_usage_error,
+# with the text that names the field in their error
+HEADER_ERRORS = {"csv-eps-3": "grid eps ", "csv-p-5": "grid p ",
+                 "csv-p-text": "grid p ", "csv-hx-text": "grid hx ",
+                 "csv-ox-text": "grid ox ",
+                 "csv-token-without-equals": "token 'hx0.15' "}
+
+
 def inf_at_one_valid_sample(monkeypatch):
     """Patch fundata's |H| field to read +inf at the first sample of F
     with a valid metric of the declared signature."""
@@ -260,6 +268,11 @@ class TestVerify:
         # a --tol without its value, and a config theorem outside the six
         ["verify", "--example", "slice:first", "--tol", "gauss"],
         ["pipeline", {"theorem": "Z9"}],
+        # a hyperbolic --grid N whose derived ny, (N - 1) // 2 + 1 or
+        # (N - 1) // 4 + 1 for B2, is below 5
+        ["pipeline", "--theorem", "B2", "--grid", "5"],
+        ["pipeline", "--theorem", "B2", "--grid", "16"],
+        ["pipeline", "--theorem", "A2", "--grid", "8"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         # a dict or list stands for a --config file holding it
@@ -368,6 +381,9 @@ class TestVerify:
         ("json", lambda doc: {**doc, "nx": str(doc["nx"])}),
         ("json", lambda doc: {**doc, "origin": [True, 0.0]}),
         ("csv", lambda rows: csv_header(rows, "p=0", "p=zero")),
+        ("csv", lambda rows: csv_header(rows, "hx=0.15", "hx0.15")),
+        ("csv", lambda rows: csv_header(rows, "hx=0.15", "hx=abc0.15")),
+        ("csv", lambda rows: csv_header(rows, "ox=-1.2", "ox=abc")),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -378,9 +394,10 @@ class TestVerify:
             "json-no-origin", "json-origin-3d", "json-eps-3",
             "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5",
             "csv-x-off-axis", "json-p-true", "json-hx-string", "json-hx-true",
-            "json-nx-string", "json-origin-true", "csv-p-text"])
+            "json-nx-string", "json-origin-true", "csv-p-text",
+            "csv-token-without-equals", "csv-hx-text", "csv-ox-text"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
-                                            capsys, recwarn):
+                                            capsys, recwarn, request):
         F = build_example("slice:first", nx=17)
         path = tmp_path / f"grid.{fmt}"
         if fmt == "csv":
@@ -398,6 +415,8 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
         assert not recwarn.list, [str(w.message) for w in recwarn]
+        # a malformed CSV header field is named, as the JSON reader names it
+        assert HEADER_ERRORS.get(request.node.callspec.id, "") in captured.err
 
     def test_grid_too_large_to_allocate_is_usage_error(self, monkeypatch,
                                                         capsys):
@@ -793,7 +812,7 @@ class TestPipeline:
             shapes.append(R.shape)
         monkeypatch.setattr(fundata.FundamentalData, "__post_init__",
                             recording)
-        grid = cli._round_trip(D, h, report)
+        grid = cli._round_trip(D, report)
         assert report["failures"] == [] and report["roundtrip"]["n_compared"]
         assert grid.values.shape[:2] == D.shape
         assert shapes and D.shape not in shapes
@@ -906,7 +925,7 @@ class TestPipelineGates:
             raise AssertionError("the extraction ran past a failed gate")
 
         monkeypatch.setattr(frenet, "initial_frame", off_quadric)
-        monkeypatch.setattr(fundata, "StreamedData", never)
+        monkeypatch.setattr(frenet, "StreamedData", never)
         code, report = self.pipeline("A1", "--grid", "33")
         assert code == EXIT_FAIL
         assert report["failures"] == ["drift"]
@@ -940,6 +959,9 @@ class TestPipelineGates:
         assert report["gates"]["roundtrip"] == {
             "norm": report["roundtrip"]["max"],
             "tol": report["tolerances"]["roundtrip"]}
+        # the ungated round trip runs the same chain to the same numbers
+        _, D = gordon.family_stage("C1", 33)
+        assert frenet.roundtrip_report(D).to_json() == report["roundtrip"]
 
 
 class TestDocs:
