@@ -16,7 +16,10 @@ factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".  For every
 written as JSON and as CSV: the bytes of that input file, and the report
 and the bytes of each file of ``verify --input PATH --out DIR`` on it,
 under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
-grid reader and writer stand inside the comparison too.
+grid reader and writer stand inside the comparison too.  For each family:
+gordon.family_phase at each t of PHASE_TS, and fundata.gauge_rotate of its
+family_stage record at GAUGE_SIZE (t = T) by the constant GAUGE_THETA and
+by a field theta, under keys such as "gauge/B1/33/field/gamma1.re".
 
 Prints one JSON object, key -> sha256 hex digest, with keys such as
 "verify/slice:first/33/conformal.u".  Arrays are hashed as float64 bytes,
@@ -41,13 +44,16 @@ from minsurf.surfaces import EXAMPLES, build_example
 
 CONFORMAL = ("gxx", "e2u", "u", "eps_sign", "iso_residual", "ok",
              "degenerate", "negdef")
-FRAME = ("bad", "g1", "g2", "zz1", "zz2", "diag", "pair")
+FRAME = ("bad", "g1", "g2", "zz1", "zz2", "diag")
 EXTRACT = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A", "mask",
            "complex1", "complex2", "u_z", "diagnostics")
 VERIFY_SIZES = (33, 65, 129)
 PIPELINE_SIZES = (33, 65)
 IO_SIZE = 33
 T = 0.3
+PHASE_TS = (0.0, 0.3, 1.0)
+GAUGE_SIZE = 33
+GAUGE_THETA = 0.37
 
 
 def error_text(exc) -> str:
@@ -96,6 +102,9 @@ def verify_digests(name, n, out):
     fr = immersion.oriented_frame(F)
     for f in FRAME:
         put(out, f"{key}/frame.{f}", getattr(fr, f))
+    # the reference pair is a field in older checkouts, a diag entry since
+    put(out, f"{key}/frame.pair",
+        fr.diag["reference_pair"] if "reference_pair" in fr.diag else fr.pair)
     put(out, f"{key}/gauss", immersion.gauss_residual_field(F))
     try:
         D = fundata.extract(build_example(name, nx=n))
@@ -150,6 +159,27 @@ def pipeline_digests(theorem, n, out):
             out[f"{key}/out/{name}"] = file_digest(os.path.join(tmp, name))
 
 
+def rotation_digests(theorem, out):
+    """family_phase at PHASE_TS, and gauge_rotate of the family record by a
+    constant and by a field theta (linear in x, quadratic in y)."""
+    eps, *_, qnorm = gordon.FAMILY_TABLE[theorem]
+    for t in PHASE_TS:
+        put(out, f"phase/{theorem}/t={t}", gordon.family_phase(eps, t, qnorm))
+    key = f"gauge/{theorem}/{GAUGE_SIZE}"
+    try:
+        _, D = gordon.family_stage(theorem, GAUGE_SIZE, None, T)
+    except MinsurfError as exc:
+        put(out, key, error_text(exc))
+        return
+    x = np.linspace(-1.0, 1.0, D.shape[0])[:, None]
+    y = np.linspace(-1.0, 1.0, D.shape[1])
+    for kind, theta in (("const", GAUGE_THETA),
+                        ("field", 0.4 * x - 0.3 * y ** 2)):
+        G = fundata.gauge_rotate(D, theta)
+        for f in EXTRACT:
+            put(out, f"{key}/{kind}/{f}", getattr(G, f))
+
+
 def main():
     out = {}
     for n in VERIFY_SIZES:
@@ -160,6 +190,8 @@ def main():
     for n in PIPELINE_SIZES:
         for theorem in sorted(gordon.FAMILY_TABLE):
             pipeline_digests(theorem, n, out)
+    for theorem in sorted(gordon.FAMILY_TABLE):
+        rotation_digests(theorem, out)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

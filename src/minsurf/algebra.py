@@ -115,6 +115,10 @@ class ScalarEps:
     def conj(self) -> "ScalarEps":
         return ScalarEps(self.re, -self.im, self.eps)
 
+    def map(self, fn) -> "ScalarEps":
+        """fn applied to both parts, e.g. a slice or a np.where."""
+        return ScalarEps(fn(self.re), fn(self.im), self.eps)
+
     def abs2(self):
         """z * conj(z) = re^2 + eps * im^2 (real; may be negative for eps=-1)."""
         return self.re * self.re + self.eps * self.im * self.im
@@ -130,14 +134,17 @@ def unit_i(eps: int) -> ScalarEps:
     return ScalarEps(0.0, 1.0, eps)
 
 
+def rotation(theta, eps: int) -> ScalarEps:
+    """The unit rotation q(theta): cos t + i sin t (eps=1), the boost
+    cosh t + i sinh t (eps=-1); |q|^2 = 1 and q(0) = 1."""
+    cos, sin = (np.cos, np.sin) if eps == 1 else (np.cosh, np.sinh)
+    return ScalarEps(cos(theta), sin(theta), eps)
+
+
 def exp_eps(theta, eps: int) -> ScalarEps:
-    """Frame-rotation factor: cos t + i sin t (eps=1), sinh t + i cosh t (eps=-1)."""
-    theta = np.asarray(theta, dtype=float) if not np.isscalar(theta) else float(theta)
-    if eps == 1:
-        return ScalarEps(np.cos(theta), np.sin(theta), 1)
-    if eps == -1:
-        return ScalarEps(np.sinh(theta), np.cosh(theta), -1)
-    raise SignatureError(f"eps must be +1 or -1, got {eps}")
+    """Frame factor: q(t) (eps=1), i q(t) = sinh t + i cosh t (eps=-1)."""
+    q = rotation(theta, eps)
+    return q if eps == 1 else unit_i(eps) * q
 
 
 # ---------------------------------------------------------------------------

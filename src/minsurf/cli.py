@@ -386,8 +386,7 @@ def _check_grid(F, cfg: RunConfig):
             # nan: the residual does not apply; +inf fails its gate
             norms.update({f"compat_{k}": v for k, v in rep.norms.items()
                           if not np.isnan(v)})
-            report["extraction"] = {k: v for k, v in D.diagnostics.items()
-                                    if np.isscalar(v) or isinstance(v, tuple)}
+            report["extraction"] = dict(D.diagnostics)
         except MinsurfError as exc:
             # a check that could not run is not a pass
             report["extraction_error"] = f"{type(exc).__name__}: {exc}"
@@ -425,6 +424,7 @@ def run_pipeline(cfg: RunConfig):
         "mask_points": int(np.sum(D.mask)),
         "roundtrip": None,
         "reconstruction": None,
+        "extraction": None,
         "tolerances": _tolerances("pipeline", cfg, max(D.hx, D.hy)),
         "gates": {},
         "failures": [],
@@ -454,13 +454,16 @@ def run_pipeline(cfg: RunConfig):
 
 def _round_trip(D, report):
     """frenet.round_trip's stages of D, each followed by its gate (--tol's
-    value over the default), into report; the first gate that fails ends
-    the run.  Returns the reconstructed grid, or None."""
+    value over the default), into report with the reconstruction's data's
+    diagnostics; the first gate that fails ends the run.  Returns the
+    reconstructed grid, or None."""
     for name, norm, tol, state in frenet.round_trip(D):
         tol = report["tolerances"].get(name, tol)
         report["gates"][name] = {"norm": norm, "tol": tol}
         if "rec" in state:
             report["reconstruction"] = asdict(state["rec"])
+        if "data" in state:
+            report["extraction"] = dict(state["data"].diagnostics)
         if "report" in state:
             report["roundtrip"] = state["report"].to_json()
         if not (np.isfinite(norm) and norm <= tol):

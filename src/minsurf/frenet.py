@@ -44,7 +44,7 @@ from .fundata import (
     tolerance,
 )
 from .immersion import ImmersionGrid, row_blocks
-from .product import J_product, g_inner
+from .product import J_product, g_pair
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
 
@@ -77,10 +77,9 @@ class FrameState:
         """Left sides of the six Gram relations G(F_z,F_z), G(F_z,F_zbar),
         G(xi,xi), G(xi,xibar), G(F_z,xi), G(F_z,xibar); gram_targets holds
         the right sides."""
-        Fz, xi, p = self.Fz, self.xi, self.p
-        return [g_inner(Fz, Fz, p), g_inner(Fz, Fz.conj(), p),
-                g_inner(xi, xi, p), g_inner(xi, xi.conj(), p),
-                g_inner(Fz, xi, p), g_inner(Fz, xi.conj(), p)]
+        Fz, xi = self.Fz, self.xi
+        return [g for a, b in ((Fz, Fz), (xi, xi), (Fz, xi))
+                for g in g_pair(a, b, self.p)[::-1]]
 
     def gram_targets(self, e2u: float) -> tuple:
         return (0.0, e2u / 2.0, 0.0, -self.eps * self.b, 0.0, 0.0)
@@ -309,8 +308,7 @@ def initial_frame(D: FundamentalData) -> FrameState:
     p, eps, b = D.p, D.eps, D.b
     e2u = float(np.exp(2.0 * D.u[0, 0]))
     C1, C2 = float(D.C1[0, 0]), float(D.C2[0, 0])
-    g1, g2 = (ScalarEps(float(g.re[0, 0]), float(g.im[0, 0]), eps)
-              for g in (D.gamma1, D.gamma2))
+    g1, g2 = (g.map(lambda a: float(a[0, 0])) for g in (D.gamma1, D.gamma2))
     if not np.isfinite(e2u + C1 + C2 + g1.re + g1.im + g2.re + g2.im):
         raise FrameConstructionError("data invalid at the first sample")
     origin = np.zeros(STATE_LEN)
@@ -515,7 +513,8 @@ def round_trip(D: FundamentalData, init: FrameState = None):
     residuals, reconstruct (from init, if given), extract the
     reconstruction's data (StreamedData) and compare, gating nothing.
     After each stage it yields (gate, norm, default tol, state): state is
-    one dict, with "grid" and "rec" once reconstructed and "report" (the
+    one dict, with "grid" and "rec" once reconstructed, "data" (the
+    reconstruction's StreamedData) once extracted and "report" (the
     RoundTripReport) at the end."""
     h = max(D.hx, D.hy)
     D = cropped(D)
@@ -525,7 +524,7 @@ def round_trip(D: FundamentalData, init: FrameState = None):
     grid, rec = reconstruct(D, init)
     state.update(grid=grid, rec=rec)
     yield "drift", rec.drift, rec.drift_budget, state
-    D2 = StreamedData(grid, b=D.b)
+    D2 = state["data"] = StreamedData(grid, b=D.b)
     yield ("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
            tolerance("reconstruction_H", h), state)
     rt = state["report"] = roundtrip_compare(D, D2, grid, rec)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import ScalarEps, unit_i
+from .algebra import ScalarEps, rotation, unit_i
 from . import immersion
 from .errors import EmptyInterior, SignatureError
 from .immersion import (
@@ -111,11 +111,8 @@ _FIELDS = {"u": float, "C1": float, "C2": float,
 def _map_fields(D: FundamentalData, fn, **changes) -> FundamentalData:
     """D with fn applied to every per-sample array (to both parts of a
     ScalarEps), then the given changes; diagnostics and meta are copied."""
-    def apply(z):
-        if isinstance(z, ScalarEps):
-            return ScalarEps(fn(z.re), fn(z.im), z.eps)
-        return fn(z)
-    new = {k: apply(getattr(D, k)) for k in _FIELDS}
+    new = {k: getattr(D, k).map(fn) if kind is ScalarEps else fn(getattr(D, k))
+           for k, kind in _FIELDS.items()}
     return replace(D, **{**new, **changes}, diagnostics=dict(D.diagnostics),
                    meta=dict(D.meta))
 
@@ -132,26 +129,12 @@ def _row_origin(D, rows: slice) -> tuple:
     return D.origin[0] + rows.indices(len(D.mask))[0] * D.hx, D.origin[1]
 
 
-def _cut(z, rows: slice):
-    """Rows of a per-sample array or ScalarEps, as a view."""
-    if isinstance(z, ScalarEps):
-        return ScalarEps(z.re[rows], z.im[rows], z.eps)
-    return z[rows]
-
-
-def se_where(mask, z: ScalarEps, fill) -> ScalarEps:
-    """z where mask holds, fill elsewhere."""
-    return ScalarEps(np.where(mask, z.re, fill), np.where(mask, z.im, fill),
-                     z.eps)
-
-
 def _se_div(num: ScalarEps, den: ScalarEps, valid: np.ndarray) -> ScalarEps:
     """Field division with an explicit validity mask (nan outside)."""
     d2 = den.abs2()
     safe = valid & np.isfinite(d2) & (np.abs(d2) > 1e-300)
     d2s = np.where(safe, d2, 1.0)
-    z = num * den.conj()
-    return se_where(safe, ScalarEps(z.re / d2s, z.im / d2s, num.eps), np.nan)
+    return (num * den.conj()).map(lambda a: np.where(safe, a / d2s, np.nan))
 
 
 def field_sup(a, mask=None) -> float:
@@ -298,7 +281,7 @@ class StreamedData:
         m = self.mask[r]
         u = np.where(m, u[r], np.nan)
         tau = fd_tol(self, u)
-        gammas = tuple(_cut(g, r) * (-self.b) for g in (fr.g1, fr.g2))
+        gammas = tuple(g.map(lambda a: a[r]) * -self.b for g in (fr.g1, fr.g2))
         return u, gammas, tuple(m & (np.abs(g.abs2()) <= tau)
                                 for g in gammas)
 
@@ -312,9 +295,10 @@ class StreamedData:
         out = []
         for gamma, cx, zz, Cj in zip(gammas, strata, (fr.zz1, fr.zz2),
                                      kahler):
-            f = _cut(zz, r) * (-eps * self.b)
+            f = zz.map(lambda a: a[r]) * (-eps * self.b)
             Cj = np.where(m, Cj[r], np.nan)
-            gamma, f = (se_where(~cx, z, 0.0) for z in (gamma, f))
+            gamma, f = (z.map(lambda a: np.where(~cx, a, 0.0))
+                        for z in (gamma, f))
             out.append((np.where(cx, np.sign(Cj), Cj), gamma, f))
         return u, out
 
@@ -332,7 +316,8 @@ class StreamedData:
                          eps)
         A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                       np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
-        g1, g2, f1, f2 = (se_where(m, z, np.nan) for z in (g1, g2, f1, f2))
+        g1, g2, f1, f2 = (z.map(lambda a: np.where(m, a, np.nan))
+                          for z in (g1, g2, f1, f2))
         return _map_fields(FundamentalData(
             p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u, C1=C1, C2=C2,
             gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=m,
@@ -354,9 +339,8 @@ def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
 # ---------------------------------------------------------------------------
 
 def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
-    """Frame rotation xi -> q xi acting on the data, with q = cos theta
-    + i sin theta (eps = 1) or the boost cosh theta + i sinh theta
-    (eps = -1), so that |q|^2 = 1 and theta = 0 leaves D as it is.
+    """Frame rotation xi -> q xi acting on the data, with q = rotation(theta)
+    (a boost for eps = -1), so that theta = 0 leaves D as it is.
 
     theta is a scalar or a field that broadcasts to D.shape (ValueError
     otherwise); u and C_j are unchanged, gamma_1, f_1 pick up q(-theta),
@@ -373,9 +357,7 @@ def gauge_rotate(D: FundamentalData, theta) -> FundamentalData:
                              f"broadcast to the data shape {D.shape}") from None
         shifted["A"] = D.A + unit_i(D.eps) * dz(theta, D.hx, D.hy, D.eps,
                                                 edges=True)
-    cos, sin = (np.cos, np.sin) if D.eps == 1 else (np.cosh, np.sinh)
-    q_plus, q_minus = (ScalarEps(cos(a), sin(a), D.eps)
-                       for a in (theta, -theta))
+    q_plus, q_minus = (rotation(a, D.eps) for a in (theta, -theta))
     return _map_fields(D, np.copy, gamma1=q_minus * D.gamma1,
                        gamma2=q_plus * D.gamma2, f1=q_minus * D.f1,
                        f2=q_plus * D.f2, **shifted)

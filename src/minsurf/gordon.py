@@ -28,14 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ScalarEps, exp_eps, unit_i
+from .algebra import ScalarEps, rotation, unit_i
 from .errors import (
     BranchMismatch,
     CFLViolation,
     DomainViolation,
     EmptyMask,
 )
-from .fundata import FundamentalData, _arrays, restrict, se_where
+from .fundata import FundamentalData, _arrays, restrict
 from .immersion import GridSpec, diff2, dz, wirtinger, zzbar
 
 KINDS = {
@@ -400,15 +400,10 @@ FAMILY_TABLE = {
 
 
 def family_phase(eps: int, t: float, qnorm: int) -> ScalarEps:
-    """Constant phase of the 1-parameter family.
-
-    qnorm=+1: the norm-preserving rotation (cos + i sin for eps=1,
-    cosh + i sinh for eps=-1); qnorm=-1: the frame factor exp_eps, whose
-    para modulus is -1 (needed when |gamma|^2 < 0 on the family).
-    """
-    if qnorm == 1 and eps == -1:
-        return ScalarEps(np.cosh(t / 2.0), np.sinh(t / 2.0), -1)
-    return exp_eps(t / 2.0, eps)
+    """Constant phase of the 1-parameter family: q(t/2), or for qnorm=-1
+    i q(t/2), of para modulus -1 (eps=-1 where |gamma|^2 < 0)."""
+    q = rotation(t / 2.0, eps)
+    return q if qnorm == 1 else unit_i(eps) * q
 
 
 def family_mask(theorem: str, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -478,7 +473,7 @@ def build_family(theorem: str, sol: GordonSolution,
         f2 = (-sigma * i_unit) * g2 * Sbz
         u = np.where(mask, 0.5 * np.log(np.where(mask, e2u, 1.0)), np.nan)
 
-    g1, g2, f1, f2, A, uz = (se_where(mask, z, np.nan)
+    g1, g2, f1, f2, A, uz = (z.map(lambda a: np.where(mask, a, np.nan))
                              for z in (g1, g2, f1, f2, A, uz))
     return FundamentalData(
         p=p, eps=eps, b=b, hx=sol.hx, hy=sol.hy, u=u,

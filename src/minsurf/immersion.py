@@ -26,6 +26,7 @@ from .product import (
     J_product,
     factor_omega,
     g_inner,
+    g_pair,
     orientation_dual,
     tangent_project_arr,
 )
@@ -168,11 +169,10 @@ def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
 def dz(f, hx: float, hy: float, eps: int, conj: bool = False,
        edges: bool = False) -> ScalarEps:
     """d/dz (d/dzbar with conj) of a real or ScalarEps grid field."""
-    re, im = (f.re, f.im) if isinstance(f, ScalarEps) else (f, None)
-
     def partial(h, axis):
-        d_im = np.zeros_like(f) if im is None else diff(im, h, axis, edges)
-        return ScalarEps(diff(re, h, axis, edges), d_im, eps)
+        if isinstance(f, ScalarEps):
+            return f.map(lambda a: diff(a, h, axis, edges))
+        return ScalarEps(diff(f, h, axis, edges), np.zeros_like(f), eps)
     return wirtinger(partial(hx, 0), partial(hy, 1), eps, conj)
 
 
@@ -552,15 +552,6 @@ def complex_vector(A, B, eps: int, scale: float) -> ScalarEps:
     return ScalarEps(A, B, eps)
 
 
-def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
-    """(G(Z, xibar), G(Z, xi)) from the four real products both share;
-    bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
-    rr, ii = g_inner(Z.re, xi.re, p), g_inner(Z.im, xi.im, p)
-    ri, ir = g_inner(Z.re, xi.im, p), g_inner(Z.im, xi.re, p)
-    return (ScalarEps(rr + Z.eps * ii, ir - ri, Z.eps),
-            ScalarEps(rr - Z.eps * ii, ri + ir, Z.eps))
-
-
 def _frame_pass(F, C, b: int, pair: int):
     """One pass over the row blocks of F with reference pair `pair`, each
     block's normal projector and Hessian built once: (parts, across, ill).
@@ -630,7 +621,7 @@ class NormalFrame:
     J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z + eps gamma2 xibar,
     so gamma_j = -b g_j; zz1 = G(F_zz, xibar), zz2 = G(F_zz, xi), so
     f_j = -eps b zz_j.  No vector field: the frame is that of reference
-    pair `pair` (see _reference_normal and normal_frame)."""
+    pair diag["reference_pair"] (see _reference_normal and normal_frame)."""
 
     bad: np.ndarray
     g1: ScalarEps
@@ -638,7 +629,6 @@ class NormalFrame:
     zz1: ScalarEps
     zz2: ScalarEps
     diag: dict
-    pair: int
 
 
 def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
@@ -650,12 +640,14 @@ def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
     pointwise would splice discontinuous frames together), and a pair with
     none ends the search.  A Lorentzian frame is then aligned by
     continuity: N -> -N maps Ntilde, xi and every product to its negative,
-    so the signs multiply the products."""
+    so the signs multiply the products.  diag names the pair chosen and
+    each tried pair's ill-conditioned count (ill_points_per_pair)."""
     eps = F.eps
     C = conformal_fields(F)
-    best = None
+    best, ills = None, []
     for pair in range(len(_REFERENCES)):
         parts, across, n_ill = _frame_pass(F, C, b, pair)
+        ills.append(n_ill)
         if pair == 0 and b == 1:
             F._cache["form_norms"], parts = parts[:3], parts[3:]
         if best is None or n_ill < best[0]:
@@ -691,8 +683,8 @@ def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
             z.re *= s
             z.im *= s
     return NormalFrame(bad, g1, g2, zz1, zz2, {
-        "orientation_flipped": flipped, "cross_component_fraction": frac},
-        pair)
+        "orientation_flipped": flipped, "cross_component_fraction": frac,
+        "reference_pair": pair, "ill_points_per_pair": tuple(ills)})
 
 
 def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
@@ -927,9 +919,9 @@ def _decode_grid(fh) -> dict:
     read in bounded chunks (_FileText), never as one string.
 
     As with json.load, any whitespace and key order are accepted, NaN and
-    Infinity are read, the last of duplicated keys wins, trailing data is
-    an error and an error names json's line, column and character.  A
-    document that is not an object is rejected.
+    Infinity are read, trailing data is an error and an error names json's
+    line, column and character.  Unlike json.load, a key given twice is an
+    error, as is a document that is not an object.
     """
     src = _FileText(fh)
 
@@ -954,6 +946,8 @@ def _decode_grid(fh) -> dict:
             raise src.error("Expecting property name enclosed in double "
                             "quotes", idx)
         key, idx = src.scan(idx)
+        if key in doc:
+            raise ValueError(f"grid key {key!r} is given twice")
         idx = src.skip(idx)
         if src.peek(idx) != ":":
             raise src.error("Expecting ':' delimiter", idx)
@@ -980,11 +974,24 @@ def _decode_grid(fh) -> dict:
     return doc
 
 
+def _schema_keys(keys, names):
+    """ValueError naming the first of a grid file's keys that is not one of
+    names or is given twice, or the names that it lacks."""
+    for k, key in enumerate(keys):
+        if key not in names or key in keys[:k]:
+            how = "given twice" if key in names else f"not in {GRID_SCHEMA}"
+            raise ValueError(f"grid key {key!r} is {how}")
+    if set(names) - set(keys):
+        raise ValueError(f"grid lacks {sorted(set(names) - set(keys))}")
+
+
 def grid_from_json(path) -> ImmersionGrid:
     with open(path) as fh:
         doc = _decode_grid(fh)
     if doc.get("schema") != GRID_SCHEMA:
         raise ValueError(f"not a {GRID_SCHEMA} document")
+    _schema_keys(list(doc), ("schema", "p", "eps", "nx", "ny", "hx", "hy",
+                             "origin", "values"))
     try:
         # a header number must be a JSON number: float() would read true
         # as 1 and "0.3" as 0.3 (the CSV header is text, parsed as such)
@@ -1003,13 +1010,13 @@ def grid_from_csv(path) -> ImmersionGrid:
         header = fh.readline().strip()
         if not header.startswith(f"# {GRID_SCHEMA}"):
             raise ValueError(f"not a {GRID_SCHEMA} csv file")
-        kv = dict(tok.partition("=")[::2] for tok in header.split()[2:])
-        bare = [k for k, v in kv.items() if not v]
+        pairs = [tok.partition("=")[::2] for tok in header.split()[2:]]
+        bare = [k for k, v in pairs if not v]
         if bare:
             raise ValueError(f"csv header token {bare[0]!r} has no value")
-        missing = {"p", "eps", "nx", "ny", "hx", "hy", "ox", "oy"} - set(kv)
-        if missing:
-            raise ValueError(f"csv header lacks {sorted(missing)}")
+        _schema_keys([k for k, _ in pairs],
+                     ("p", "eps", "nx", "ny", "hx", "hy", "ox", "oy"))
+        kv = dict(pairs)
         nx, ny = _header_int(kv, "nx"), _header_int(kv, "ny")
         fh.readline()  # column header
         with warnings.catch_warnings():

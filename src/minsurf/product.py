@@ -26,22 +26,28 @@ from .errors import SignatureError
 def g_inner(X, Y, p: int):
     """Neutral metric G(X, Y) = <X1,Y1>_p - <X2,Y2>_p on (...,2,3) arrays.
 
-    Extends bilinearly when X or Y is a ScalarEps with array components.
+    Extends bilinearly when X or Y is a ScalarEps with array components,
+    as g_pair(X, Y)[1].
     """
     if isinstance(X, ScalarEps) or isinstance(Y, ScalarEps):
         Xs = X if isinstance(X, ScalarEps) else ScalarEps(X, np.zeros_like(X), Y.eps)
         Ys = Y if isinstance(Y, ScalarEps) else ScalarEps(Y, np.zeros_like(Y), Xs.eps)
-        if Xs.eps != Ys.eps:
-            raise SignatureError("mixing ScalarEps of different eps")
-        rr = g_inner(Xs.re, Ys.re, p)
-        ii = g_inner(Xs.im, Ys.im, p)
-        ri = g_inner(Xs.re, Ys.im, p)
-        ir = g_inner(Xs.im, Ys.re, p)
-        return ScalarEps(rr - Xs.eps * ii, ri + ir, Xs.eps)
+        return g_pair(Xs, Ys, p)[1]
     # one einsum for both factors; its sums match inner_arr's bit for bit,
     # which a (..., 6) matmul against the signature does not
     s = np.einsum("...ki,...ki->...k", X * sig_diag(p), Y)
     return s[..., 0] - s[..., 1]
+
+
+def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
+    """(G(Z, xibar), G(Z, xi)) from the four real products both share;
+    bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
+    if Z.eps != xi.eps:
+        raise SignatureError("mixing ScalarEps of different eps")
+    rr, ii = g_inner(Z.re, xi.re, p), g_inner(Z.im, xi.im, p)
+    ri, ir = g_inner(Z.re, xi.im, p), g_inner(Z.im, xi.re, p)
+    return (ScalarEps(rr + Z.eps * ii, ir - ri, Z.eps),
+            ScalarEps(rr - Z.eps * ii, ri + ir, Z.eps))
 
 
 def factor_omega(Xk, Yk, base_k, p: int):
@@ -58,8 +64,7 @@ def J_product(k: int, base: np.ndarray, X, p: int):
     """Apply J_k at base (...,2,3) to a product vector X (array or ScalarEps)."""
     _check_k(k)
     if isinstance(X, ScalarEps):
-        return ScalarEps(J_product(k, base, X.re, p),
-                         J_product(k, base, X.im, p), X.eps)
+        return X.map(lambda a: J_product(k, base, a, p))
     out = j_arr(base, X, p)
     if k == 2:
         np.negative(out[..., 1, :], out=out[..., 1, :])

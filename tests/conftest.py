@@ -140,7 +140,7 @@ def normal_curvature_field(F, b=1):
     J = jets(F)
     normal_part = immersion.normal_projector(F.values, J.Fx, J.Fy, F.p)
     N, n2, ok, _ = immersion._reference_normal(
-        F, C, slice(None), J, normal_part, b, fr.pair)
+        F, C, slice(None), J, normal_part, b, fr.diag["reference_pair"])
     N, Nt, _ = immersion.normal_frame(F, slice(None), J, N, n2, ok, b)
     if fr.diag["orientation_flipped"]:
         Nt = -Nt

@@ -10,10 +10,12 @@ from minsurf.algebra import (
     exp_eps,
     inner_arr,
     j_arr,
+    rotation,
     sig_diag,
     unit_i,
 )
 from minsurf.errors import SignatureError, UnsupportedSignature, ZeroDivisorError
+from minsurf.gordon import FAMILY_TABLE, family_phase
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -259,6 +261,55 @@ class TestExpEps:
             prod = exp_eps(0.7, eps) * exp_eps(-0.7, eps)
             assert prod.re == pytest.approx(1.0, abs=1e-14)
             assert prod.im == pytest.approx(0.0, abs=1e-14)
+
+
+# angles whose cosh is finite
+angles = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False)
+
+
+def bits(z):
+    """The float64 bytes of both parts of a ScalarEps, and its eps."""
+    return (np.asarray(z.re, dtype=np.float64).tobytes(),
+            np.asarray(z.im, dtype=np.float64).tobytes(), z.eps)
+
+
+class TestRotation:
+    """The one (para-)complex rotation q(theta) and what is built on it,
+    bit for bit."""
+
+    @given(theta=angles, eps=st.sampled_from([1, -1]))
+    def test_closed_form(self, theta, eps):
+        cos, sin = (np.cos, np.sin) if eps == 1 else (np.cosh, np.sinh)
+        assert bits(rotation(theta, eps)) == bits(
+            ScalarEps(cos(theta), sin(theta), eps))
+
+    @given(theta=angles)
+    def test_exp_eps_is_the_rotation(self, theta):
+        assert bits(exp_eps(theta, 1)) == bits(rotation(theta, 1))
+        z = exp_eps(theta, -1)
+        assert bits(z) == bits(unit_i(-1) * rotation(theta, -1))
+        # the closed form sinh + i cosh, but for the sign of a zero real
+        # part at theta = -0.0
+        assert (z.re, z.im) == (np.sinh(theta), np.cosh(theta))
+
+    @given(thetas=st.lists(angles, min_size=1, max_size=8))
+    def test_arrays_as_scalars(self, thetas):
+        for eps in (1, -1):
+            z = rotation(np.array(thetas), eps)
+            for k, theta in enumerate(thetas):
+                assert bits(ScalarEps(z.re[k], z.im[k], eps)) \
+                    == bits(rotation(theta, eps))
+
+    @given(t=st.floats(min_value=-1400.0, max_value=1400.0, allow_nan=False))
+    def test_family_phase(self, t):
+        # q(t/2), or i q(t/2) where the phase's para modulus is -1; as the
+        # closed forms cos + i sin, cosh + i sinh and sinh + i cosh
+        for eps, *_, qnorm in FAMILY_TABLE.values():
+            z = family_phase(eps, t, qnorm)
+            q = rotation(t / 2.0, eps)
+            assert bits(z) == bits(q if qnorm == 1 else unit_i(eps) * q)
+            closed = (q.re, q.im) if qnorm == 1 else (q.im, q.re)
+            assert (z.re, z.im) == closed
 
 
 class TestSignatureFlip:

@@ -42,12 +42,16 @@ def csv_header(rows, old, new):
     return [[" ".join(new if t == old else t for t in head)]] + rows[1:]
 
 
-# the malformed CSV header cases of test_malformed_input_is_usage_error,
-# with the text that names the field in their error
+# the malformed header cases of test_malformed_input_is_usage_error,
+# with the text that names the field or key in their error
 HEADER_ERRORS = {"csv-eps-3": "grid eps ", "csv-p-5": "grid p ",
                  "csv-p-text": "grid p ", "csv-hx-text": "grid hx ",
                  "csv-ox-text": "grid ox ",
-                 "csv-token-without-equals": "token 'hx0.15' "}
+                 "csv-token-without-equals": "token 'hx0.15' ",
+                 "csv-unknown-key": "grid key 'foo' ",
+                 "csv-repeated-key": "grid key 'nx' ",
+                 "json-unknown-key": "grid key 'foo' ",
+                 "json-repeated-key": "grid key 'nx' "}
 
 
 def inf_at_one_valid_sample(monkeypatch):
@@ -148,6 +152,14 @@ class TestVerify:
         assert report["norms"]["minimality"] <= report["tolerances"][
             "minimality"]
         assert code == EXIT_PASS
+
+    def test_extraction_names_the_reference_pair(self):
+        # pair 0 leaves 4 samples of paraholo:sit at 33^2 ill-conditioned,
+        # pair 1 leaves 9 and pair 2 none
+        _, report = cmd_verify(parse_args(
+            ["verify", "--example", "paraholo:sit", "--grid", "33"]))
+        assert report["extraction"]["reference_pair"] == 2
+        assert report["extraction"]["ill_points_per_pair"] == (4, 9, 0)
 
     def test_empty_compat_region_fails_extraction(self, monkeypatch):
         # a strata exclusion that covers the grid leaves compat no point:
@@ -384,6 +396,11 @@ class TestVerify:
         ("csv", lambda rows: csv_header(rows, "hx=0.15", "hx0.15")),
         ("csv", lambda rows: csv_header(rows, "hx=0.15", "hx=abc0.15")),
         ("csv", lambda rows: csv_header(rows, "ox=-1.2", "ox=abc")),
+        # a header key the schema does not define, or one given twice
+        ("csv", lambda rows: [[rows[0][0] + " foo=1"]] + rows[1:]),
+        ("csv", lambda rows: [[rows[0][0] + " nx=17"]] + rows[1:]),
+        ("json", lambda doc: {**doc, "foo": 1}),
+        ("json", lambda doc: json.dumps(doc)[:-1] + ', "nx": 17}'),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -395,7 +412,9 @@ class TestVerify:
             "json-nx-non-integral", "json-p-5", "csv-eps-3", "csv-p-5",
             "csv-x-off-axis", "json-p-true", "json-hx-string", "json-hx-true",
             "json-nx-string", "json-origin-true", "csv-p-text",
-            "csv-token-without-equals", "csv-hx-text", "csv-ox-text"])
+            "csv-token-without-equals", "csv-hx-text", "csv-ox-text",
+            "csv-unknown-key", "csv-repeated-key", "json-unknown-key",
+            "json-repeated-key"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn, request):
         F = build_example("slice:first", nx=17)
@@ -544,7 +563,7 @@ class TestVerify:
         code, _ = cli._check_grid(
             F, cli.RunConfig(command="verify", example="slice:first"))
         assert code == EXIT_PASS and blocks == 5
-        assert immersion.oriented_frame(F).pair == 0
+        assert immersion.oriented_frame(F).diag["reference_pair"] == 0
         assert calls == {"jets": 2 * blocks, "hessian": blocks}
 
     def test_compat_norm_that_applies_without_a_value_fails(self,
@@ -720,6 +739,19 @@ class TestPipeline:
             assert len(hist) == it
             assert all(sorted(e) == ["krylov", "residual", "stopped"]
                        for e in hist)
+
+    def test_report_names_the_reference_pair(self, tmp_path, capsys):
+        # B1 at 65^2 with t of the benchmark's seed 1: pair 0 leaves a
+        # sample of the reconstruction ill-conditioned, so another pair
+        # frames its data
+        code, _ = run(["pipeline", "--theorem", "B1", "--grid", "65", "--t",
+                       "0.763774618976614", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        ext = report["extraction"]
+        assert ext["reference_pair"] != 0
+        assert ext["ill_points_per_pair"][0] > 0
+        assert ext["ill_points_per_pair"][ext["reference_pair"]] == 0
 
     def test_t_invariance_across_runs(self, tmp_path, capsys):
         us = {}

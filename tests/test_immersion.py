@@ -421,7 +421,7 @@ class TestRowBlocks:
         for b in ((1, -1) if F.eps == -1 else (1,)):
             fr = oriented_frame(F, b)
             put(f"frame{b}", [fr.bad, fr.g1, fr.g2, fr.zz1, fr.zz2])
-            out[f"frame{b}.diag"], out[f"frame{b}.pair"] = fr.diag, fr.pair
+            out[f"frame{b}.diag"] = fr.diag
             try:
                 D = extract(F, b)
                 put(f"extract{b}", [getattr(D, k) for k in fundata._FIELDS])
@@ -485,7 +485,7 @@ class TestRowBlocks:
             else:
                 # repr is exact for floats and the same for every nan
                 assert repr(got) == repr(want), key
-        return whole["frame1.pair"]
+        return whole["frame1.diag"]["reference_pair"]
 
     def test_blocks_cover_the_rows_once(self):
         for nx, ny in ((5, 5), (64, 64), (65, 65), (257, 257), (7, 5000)):
@@ -617,10 +617,16 @@ class TestIO:
             else {**head, "values": values}
         text = json.dumps(doc, indent=indent, sort_keys=sort_keys)
         if duplicate:
-            # a first occurrence, not a valid value, that the later overrides
+            # a key given twice is an error, though json.loads would keep
+            # the later value
             text = "{" + json.dumps(duplicate) + ': [["decoy"]], ' + text[1:]
         path = tmp_path_factory.mktemp("layout") / "grid.json"
         path.write_text(text)
+        if duplicate:
+            with pytest.raises(ValueError, match=f"grid key '{duplicate}' "
+                               "is given twice"):
+                grid_from_json(path)
+            return
         want = json.loads(text)
         G = grid_from_json(path)
         ref = np.array(want["values"])

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from minsurf.algebra import inner_arr, j_arr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minsurf.algebra import ScalarEps, inner_arr, j_arr
 from minsurf.product import (
     J_product,
     factor_omega,
     g_inner,
+    g_pair,
     omega_product,
     orientation_dual,
     tangent_project_arr,
@@ -97,6 +101,40 @@ class TestAgainstReference:
             J_product(k, base, X, 0)
         with pytest.raises(ValueError, match="structure index"):
             omega_product(k, base, X, X, 0)
+
+
+class TestOneBilinearG:
+    """g_inner of ScalarEps operands is g_pair's second entry, formed from
+    the four real products of two_call_g_inner, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([0, 1, 2]),
+           eps=st.sampled_from([1, -1]), real=st.sampled_from([None, 0, 1]))
+    def test_g_inner_is_g_pair(self, seed, p, eps, real):
+        rng = np.random.default_rng(seed)
+        X, Y = (ScalarEps(rng.normal(size=(4, 5, 2, 3)),
+                          rng.normal(size=(4, 5, 2, 3)), eps)
+                for _ in range(2))
+        if real is not None:
+            # one operand real: its imaginary part is zero
+            args = [X, Y]
+            args[real] = ScalarEps(args[real].re,
+                                   np.zeros_like(args[real].re), eps)
+            X, Y = args
+        ops = [X, Y] if real is None else [X.re if real == 0 else X,
+                                           Y.re if real == 1 else Y]
+        got = g_inner(*ops, p)
+        want = g_pair(X, Y, p)[1]
+        rr, ii, ri, ir = (two_call_g_inner(A, B, p) for A, B in (
+            (X.re, Y.re), (X.im, Y.im), (X.re, Y.im), (X.im, Y.re)))
+        for z in (got, want):
+            assert z.eps == eps
+            assert np.asarray(z.re).tobytes() == (rr - eps * ii).tobytes()
+            assert np.asarray(z.im).tobytes() == (ri + ir).tobytes()
+        xibar = g_pair(X, Y, p)[0]
+        conj = g_inner(X, Y.conj(), p)
+        assert xibar.re.tobytes() == conj.re.tobytes()
+        assert xibar.im.tobytes() == conj.im.tobytes()
 
 
 class TestOrientationDual:
