@@ -56,8 +56,13 @@ GAUGE_SIZE = 33
 GAUGE_THETA = 0.37
 
 
+# what ends a pipeline run: a failure (exit 1), or a usage error (exit 2)
+# such as a grid too small for the family
+STOPS = (MinsurfError, ValueError)
+
+
 def error_text(exc) -> str:
-    """An error as minsurf prints it before it exits 1."""
+    """An error as minsurf prints a MinsurfError before it exits 1."""
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -145,14 +150,14 @@ def pipeline_digests(theorem, n, out):
     try:
         _, D = gordon.family_stage(theorem, n, None, T)
         norms = fundata.compat_residuals(fundata.cropped(D)).norms
-    except MinsurfError as exc:
+    except STOPS as exc:
         norms = error_text(exc)
     put(out, f"{key}/record_compat", norms)
     with tempfile.TemporaryDirectory() as tmp:
         try:
             _, report = cli.run_pipeline(cli.RunConfig(
                 command="pipeline", theorem=theorem, nx=n, t=T, out=tmp))
-        except MinsurfError as exc:
+        except STOPS as exc:
             report = error_text(exc)
         put(out, f"{key}/report", report)
         for name in sorted(os.listdir(tmp)):

@@ -13,7 +13,7 @@ explicit families), ``frenet`` (frame reconstruction), ``cli`` (the
 
 __version__ = "0.1.0"
 
-from .algebra import ScalarEps, exp_eps  # noqa: F401
+from .algebra import ScalarEps  # noqa: F401
 from .immersion import GridSpec, ImmersionGrid  # noqa: F401
 from .fundata import FundamentalData  # noqa: F401
 from .gordon import GordonSolution  # noqa: F401

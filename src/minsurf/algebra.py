@@ -141,12 +141,6 @@ def rotation(theta, eps: int) -> ScalarEps:
     return ScalarEps(cos(theta), sin(theta), eps)
 
 
-def exp_eps(theta, eps: int) -> ScalarEps:
-    """Frame factor: q(t) (eps=1), i q(t) = sinh t + i cosh t (eps=-1)."""
-    q = rotation(theta, eps)
-    return q if eps == 1 else unit_i(eps) * q
-
-
 # ---------------------------------------------------------------------------
 # vectorized array backend (trailing axis = 3)
 # ---------------------------------------------------------------------------

@@ -127,8 +127,16 @@ class RunConfig:
                 raise ValueError(f"tolerance {k} must be >= 0, got {v!r}")
         if not math.isfinite(cfg.t):
             raise ValueError(f"--t must be a finite number, got {cfg.t!r}")
-        if any(n is not None and n < 5 for n in (cfg.nx, cfg.ny)):
-            raise ValueError("--grid dimensions must be at least 5")
+        if cfg.theorem is not None:
+            eps, *_, qnorm = gordon.FAMILY_TABLE[cfg.theorem]
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = gordon.family_phase(eps, cfg.t, qnorm)
+            if not (np.isfinite(q.re) and np.isfinite(q.im)):
+                raise ValueError(f"--t {cfg.t!r} overflows the phase q(t/2) "
+                                 f"of {cfg.theorem}")
+        least = immersion.MIN_SIDE
+        if any(n is not None and n < least for n in (cfg.nx, cfg.ny)):
+            raise ValueError(f"--grid dimensions must be at least {least}")
         if cfg.hx is not None or cfg.hy is not None:
             if not cfg.nx:
                 raise ValueError("--h needs --grid")

@@ -43,7 +43,7 @@ from .fundata import (
     cropped,
     tolerance,
 )
-from .immersion import ImmersionGrid, row_blocks
+from .immersion import MIN_SIDE, ImmersionGrid, row_blocks
 from .product import J_product, g_pair
 
 STATE_LEN = 30  # F (6) + Fz (12) + xi (12)
@@ -395,7 +395,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     Returns (ImmersionGrid, ReconstructReport) and gates nothing; its
     drift_budget is the "drift" gate's tolerance times the step count.
     Raises FrameConstructionError when D.mask is not all true, D spans
-    fewer than 5 samples in either direction or a coefficient is not finite.
+    fewer than MIN_SIDE samples a side or a coefficient is not finite.
 
     Memory: 7 floats per sample stay resident beside D (the returned
     positions and the commutator of each cell).  Each batch of about
@@ -410,11 +410,10 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
             "the record's mask is not all true; reconstruct "
             "fundata.cropped(D), D on its crop_to_mask window, instead")
     n1, n2 = D.shape
-    # 4 samples for the cubic half steps, 5 for the output ImmersionGrid
-    if min(n1, n2) < 5:
+    if min(n1, n2) < MIN_SIDE:
         raise FrameConstructionError(
             f"the record spans {n1} x {n2} samples; reconstruction needs "
-            f"at least 5 in each direction")
+            f"at least {MIN_SIDE} in each direction")
     if init is None:
         init = initial_frame(D)
     p, eps, b = D.p, D.eps, D.b

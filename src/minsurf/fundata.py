@@ -589,16 +589,16 @@ def restrict(D: FundamentalData, window) -> FundamentalData:
 
 def crop_to_mask(D: FundamentalData):
     """Largest-area index window (i0, i1, j0, j1) with an all-valid mask
-    and at least 5 samples on each side; EmptyInterior when there is none.
+    and at least MIN_SIDE samples a side; EmptyInterior when there is none.
 
     runs[j] counts the valid samples of column j that end at row i.  Each
     maximal window ends at some row and is as tall as the run of one of
     its columns, so a stack of rising runs meets every one of them (the
     largest rectangle under a histogram, once per row).
     """
-    mask = D.mask
+    mask, least = D.mask, immersion.MIN_SIDE
     nx, ny = mask.shape
-    if mask.all() and min(nx, ny) >= 5:
+    if mask.all() and min(nx, ny) >= least:
         return 0, nx, 0, ny
     best, window = 0, None
     runs = np.zeros(ny + 1, dtype=int)      # a zero run closes every row
@@ -610,11 +610,12 @@ def crop_to_mask(D: FundamentalData):
             while stack and stack[-1][1] >= height:
                 start, top = stack.pop()
                 area = top * (j - start)
-                if min(top, j - start) >= 5 and area > best:
+                if min(top, j - start) >= least and area > best:
                     best, window = area, (i + 1 - top, i + 1, start, j)
             stack.append((start, height))
     if window is None:
-        raise EmptyInterior("no all-valid window of size >= 5x5 in the mask")
+        raise EmptyInterior(f"no all-valid window of size >= {least}x{least} "
+                            "in the mask")
     return window
 
 

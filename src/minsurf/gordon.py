@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import ScalarEps, rotation, unit_i
+from . import immersion
 from .errors import (
     BranchMismatch,
     CFLViolation,
@@ -555,26 +556,28 @@ def gordon_stage(theorem, nx=33, ny=None):
     default); hyperbolic ones march from flat-edged x-profiles at y = 0
     with hy = hx / 2, between edge columns from the 1-D y-reduction;
     their ny defaults to (nx - 1) // 2 + 1, or (nx - 1) // 4 + 1 for a
-    family with yquarter (B2), and a ValueError names the least nx when
-    that is below 5.
+    family with yquarter (B2).  Each side needs MIN_SIDE + 2 R samples,
+    MIN_SIDE once family_stage trims the R nan edge lines; a ValueError
+    names the least nx or ny.
     """
     eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
     data = PIPELINE_DATA[theorem]
+    least = immersion.MIN_SIDE + 2 * immersion.R
+    div = 1 if eps == 1 else 4 if data.get("yquarter") else 2
+    least_nx = least if ny else (least - 1) * div + 1
+    ny = ny or (nx - 1) // div + 1
+    if nx < least_nx or ny < least:
+        raise ValueError(f"{theorem} needs nx >= {least_nx} and ny >= "
+                         f"{least}, got {nx} x {ny}")
     initial = None
     if eps == 1:
         box = data["box"]
-        spec = GridSpec.from_box(nx, ny or nx, box[0], box[1])
+        spec = GridSpec.from_box(nx, ny, box[0], box[1])
         boundary = (data["gv"], data["gw"])
     else:
         nonlin, _, signs = KINDS[kind]
         x0, x1 = data["xspan"]
         hx = (x1 - x0) / (nx - 1)
-        div = 4 if data.get("yquarter") else 2
-        ny = ny or (nx - 1) // div + 1
-        if ny < 5:
-            raise ValueError(
-                f"{theorem} has ny = {ny} < 5 at nx = {nx}; its default ny, "
-                f"(nx - 1) // {div} + 1, needs nx >= {4 * div + 1}")
         spec = GridSpec(nx, ny, hx, hx / 2.0, (x0, 0.0))
         ys = spec.axes()[1]
         # 1-D y-reduction of the equation: g'' = 2 s N(2g)
@@ -591,13 +594,11 @@ def gordon_stage(theorem, nx=33, ny=None):
 def family_stage(theorem, nx=33, ny=None, t=0.0):
     """The family data of the Gordon solution, trimmed by up to 5 samples
     on each side, clear of the boundary layers of the discrete solves:
-    (sol, D).  A sample whose data are not all finite is masked out: a
-    side of 5 or 6 samples is not trimmed, and its edge lines keep the nan
-    of the central differences."""
+    (sol, D).  A sample whose data are not all finite is masked out."""
     spec, sol = gordon_stage(theorem, nx, ny)
     D = build_family(theorem, sol, t=t)
-    mx = min(5, (spec.nx - 5) // 2)
-    my = min(5, (spec.ny - 5) // 2)
+    mx = min(5, (spec.nx - immersion.MIN_SIDE) // 2)
+    my = min(5, (spec.ny - immersion.MIN_SIDE) // 2)
     D = restrict(D, (mx, spec.nx - mx, my, spec.ny - my))
     for a in _arrays(D):
         D.mask &= np.isfinite(a)

@@ -80,8 +80,8 @@ class ImmersionGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 4 or self.values.shape[2:] != (2, 3):
             raise ValueError("values must have shape (nx, ny, 2, 3)")
-        if self.nx < 5 or self.ny < 5:
-            raise ValueError("grids must be at least 5 x 5")
+        if min(self.nx, self.ny) < MIN_SIDE:
+            raise ValueError(f"grids must be at least {MIN_SIDE} x {MIN_SIDE}")
         self._cache = {}
 
     @property
@@ -123,6 +123,9 @@ class ImmersionGrid:
 # ---------------------------------------------------------------------------
 
 R = 1  # the stencil radius; every nan edge line, reach and trim counts it
+# the fewest samples along any axis of a grid or record: the cubic half
+# steps of the frame march read 4, and a reconstructed grid needs 5
+MIN_SIDE = 5
 
 
 def _taps(n: int):
@@ -439,14 +442,12 @@ def _form_norms(F, C, rows, normal_part, hess):
 
 
 def form_norms(F: ImmersionGrid):
-    """Cached per-sample contractions (|H|, G(H, H), |h|^2) of the second
+    """Per-sample contractions (|H|, G(H, H), |h|^2) of the second
     fundamental form, with |H| Euclidean and |h|^2 taken in the frame
-    e_k = e^{-u} F_k; formed by oriented_frame(F) a row block at a time,
-    with its products, so both share each block's normal projector and
-    Hessian."""
-    if "form_norms" not in F._cache:
-        oriented_frame(F)
-    return F._cache["form_norms"]
+    e_k = e^{-u} F_k: the norms of oriented_frame(F), formed a row block
+    at a time with its products, so both share each block's normal
+    projector and Hessian."""
+    return oriented_frame(F).norms
 
 
 def mean_curvature_residual(F: ImmersionGrid) -> np.ndarray:
@@ -470,7 +471,7 @@ def _continuity_signs(down: np.ndarray, across: np.ndarray) -> np.ndarray:
     center row ia, across[j] = _relation(W[ia, j+1], W[ia, j])."""
     n, m = down.shape
     ia, ja = n // 2, m // 2
-    # grids are at least 5 x 5, so no chain below is empty
+    # grids are at least MIN_SIDE a side, so no chain below is empty
     s = np.ones((n, m))
     s[ia, ja + 1:] = np.cumprod(across[ja:], axis=0)
     s[ia, :ja] = np.cumprod(across[ja - 1::-1], axis=0)[::-1]
@@ -621,7 +622,8 @@ class NormalFrame:
     J1 F_z = i C1 F_z + eps gamma1 xi, J2 F_z = i C2 F_z + eps gamma2 xibar,
     so gamma_j = -b g_j; zz1 = G(F_zz, xibar), zz2 = G(F_zz, xi), so
     f_j = -eps b zz_j.  No vector field: the frame is that of reference
-    pair diag["reference_pair"] (see _reference_normal and normal_frame)."""
+    pair diag["reference_pair"] (see _reference_normal and normal_frame).
+    For b = 1, norms holds form_norms(F), from pair 0's pass; else None."""
 
     bad: np.ndarray
     g1: ScalarEps
@@ -629,11 +631,12 @@ class NormalFrame:
     zz1: ScalarEps
     zz2: ScalarEps
     diag: dict
+    norms: tuple = None
 
 
 def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
-    """oriented_frame(F, b), uncached; for b = 1, pair 0's pass caches
-    form_norms(F).
+    """oriented_frame(F, b), uncached; for b = 1, pair 0's pass forms
+    its norms.
 
     Each reference pair tried costs one pass over the row blocks; the pair
     with the fewest ill-conditioned points wins (mixing references
@@ -644,12 +647,12 @@ def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
     each tried pair's ill-conditioned count (ill_points_per_pair)."""
     eps = F.eps
     C = conformal_fields(F)
-    best, ills = None, []
+    best, ills, norms = None, [], None
     for pair in range(len(_REFERENCES)):
         parts, across, n_ill = _frame_pass(F, C, b, pair)
         ills.append(n_ill)
         if pair == 0 and b == 1:
-            F._cache["form_norms"], parts = parts[:3], parts[3:]
+            norms, parts = parts[:3], parts[3:]
         if best is None or n_ill < best[0]:
             best = (n_ill, pair, parts, across)
         del parts
@@ -684,7 +687,7 @@ def _second_order(F: ImmersionGrid, b: int) -> NormalFrame:
             z.im *= s
     return NormalFrame(bad, g1, g2, zz1, zz2, {
         "orientation_flipped": flipped, "cross_component_fraction": frac,
-        "reference_pair": pair, "ill_points_per_pair": tuple(ills)})
+        "reference_pair": pair, "ill_points_per_pair": tuple(ills)}, norms)
 
 
 def oriented_frame(F: ImmersionGrid, b: int = 1) -> NormalFrame:
@@ -816,10 +819,10 @@ def _header_int(d: dict, key: str, allowed=None) -> int:
 
 def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     """ImmersionGrid from a file's values, origin and fields d (p, eps, nx,
-    ny, hx, hy); p must be 0, 1 or 2, eps 1 or -1, nx and ny integers,
-    values of shape (nx, ny, 2, 3), coordinates finite, spacings positive
-    and the origin two numbers."""
-    p = _header_int(d, "p", (0, 1, 2))
+    ny, hx, hy); p must be 0 or 1 (cross_arr's signatures), eps 1 or -1,
+    nx and ny integers, values of shape (nx, ny, 2, 3), coordinates
+    finite, spacings positive and the origin two numbers."""
+    p = _header_int(d, "p", (0, 1))
     eps = _header_int(d, "eps", (1, -1))
     nx, ny = _header_int(d, "nx"), _header_int(d, "ny")
     hx, hy = _header_float(d, "hx"), _header_float(d, "hy")

@@ -7,8 +7,8 @@ with w(., .) = g(j., .) on each factor.
 
 Array helpers operate on "product vectors": arrays of shape (..., 2, 3)
 whose axis -2 indexes the factor.  ScalarEps-valued product vectors are
-ScalarEps instances whose components are such arrays; the metric and the
-structures extend bilinearly / componentwise to them.
+ScalarEps instances whose components are such arrays; g_pair extends the
+metric to them bilinearly, J_product the structures componentwise.
 """
 
 from __future__ import annotations
@@ -24,15 +24,8 @@ from .errors import SignatureError
 # ---------------------------------------------------------------------------
 
 def g_inner(X, Y, p: int):
-    """Neutral metric G(X, Y) = <X1,Y1>_p - <X2,Y2>_p on (...,2,3) arrays.
-
-    Extends bilinearly when X or Y is a ScalarEps with array components,
-    as g_pair(X, Y)[1].
-    """
-    if isinstance(X, ScalarEps) or isinstance(Y, ScalarEps):
-        Xs = X if isinstance(X, ScalarEps) else ScalarEps(X, np.zeros_like(X), Y.eps)
-        Ys = Y if isinstance(Y, ScalarEps) else ScalarEps(Y, np.zeros_like(Y), Xs.eps)
-        return g_pair(Xs, Ys, p)[1]
+    """Neutral metric G(X, Y) = <X1,Y1>_p - <X2,Y2>_p on (...,2,3) arrays;
+    g_pair takes ScalarEps vectors."""
     # one einsum for both factors; its sums match inner_arr's bit for bit,
     # which a (..., 6) matmul against the signature does not
     s = np.einsum("...ki,...ki->...k", X * sig_diag(p), Y)
@@ -40,8 +33,8 @@ def g_inner(X, Y, p: int):
 
 
 def g_pair(Z: ScalarEps, xi: ScalarEps, p: int):
-    """(G(Z, xibar), G(Z, xi)) from the four real products both share;
-    bit-identical to two g_inner calls, as G(X, -Y) = -G(X, Y) exactly."""
+    """(G(Z, xibar), G(Z, xi)) of two ScalarEps vectors, from the four
+    real products both share (G(X, -Y) = -G(X, Y) exactly)."""
     if Z.eps != xi.eps:
         raise SignatureError("mixing ScalarEps of different eps")
     rr, ii = g_inner(Z.re, xi.re, p), g_inner(Z.im, xi.im, p)

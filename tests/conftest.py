@@ -16,7 +16,7 @@ from minsurf.immersion import (
     oriented_frame,
     second_fundamental_fields,
 )
-from minsurf.product import J_product, g_inner
+from minsurf.product import J_product, g_inner, g_pair
 
 
 def ode_profile(sigma, nonlin, a0, xs, da0=0.0):
@@ -119,8 +119,8 @@ def hopf_fields(F):
     """Hopf quantity theta = G(J1 F_z, J2 F_z)/2 and its dbar-derivative."""
     J = jets(F)
     Fz = complex_vector(J.Fx, J.Fy, F.eps, 2.0)
-    theta = g_inner(J_product(1, F.values, Fz, F.p),
-                    J_product(2, F.values, Fz, F.p), F.p) * 0.5
+    theta = g_pair(J_product(1, F.values, Fz, F.p),
+                   J_product(2, F.values, Fz, F.p), F.p)[1] * 0.5
     return theta, dz(theta, F.hx, F.hy, F.eps, conj=True)
 
 

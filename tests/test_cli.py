@@ -51,7 +51,8 @@ HEADER_ERRORS = {"csv-eps-3": "grid eps ", "csv-p-5": "grid p ",
                  "csv-unknown-key": "grid key 'foo' ",
                  "csv-repeated-key": "grid key 'nx' ",
                  "json-unknown-key": "grid key 'foo' ",
-                 "json-repeated-key": "grid key 'nx' "}
+                 "json-repeated-key": "grid key 'nx' ",
+                 "json-p-2": "grid p ", "csv-p-2": "grid p "}
 
 
 def inf_at_one_valid_sample(monkeypatch):
@@ -285,6 +286,13 @@ class TestVerify:
         ["pipeline", "--theorem", "B2", "--grid", "5"],
         ["pipeline", "--theorem", "B2", "--grid", "16"],
         ["pipeline", "--theorem", "A2", "--grid", "8"],
+        # a family side of 5 or 6 samples: its R nan edge lines leave no
+        # all-valid 5 x 5 window
+        ["pipeline", "--theorem", "B2", "--grid", "24"],
+        ["pipeline", "--theorem", "A1", "--grid", "6"],
+        ["pipeline", "--theorem", "B1", "--grid", "12"],
+        ["pipeline", "--theorem", "B1", "--grid", "33x6"],
+        ["pipeline", "--theorem", "A1", "--grid", "33x6"],
     ])
     def test_bad_argument_is_usage_error(self, args, tmp_path, capsys):
         # a dict or list stands for a --config file holding it
@@ -401,6 +409,9 @@ class TestVerify:
         ("csv", lambda rows: [[rows[0][0] + " nx=17"]] + rows[1:]),
         ("json", lambda doc: {**doc, "foo": 1}),
         ("json", lambda doc: json.dumps(doc)[:-1] + ', "nx": 17}'),
+        # p = 2, which no check supports
+        ("json", lambda doc: {**doc, "p": 2}),
+        ("csv", lambda rows: csv_header(rows, "p=0", "p=2")),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -414,7 +425,7 @@ class TestVerify:
             "json-nx-string", "json-origin-true", "csv-p-text",
             "csv-token-without-equals", "csv-hx-text", "csv-ox-text",
             "csv-unknown-key", "csv-repeated-key", "json-unknown-key",
-            "json-repeated-key"])
+            "json-repeated-key", "json-p-2", "csv-p-2"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn, request):
         F = build_example("slice:first", nx=17)
@@ -813,17 +824,15 @@ class TestPipeline:
 
     @pytest.mark.parametrize("grid", ["17", "21"])
     def test_thin_record_has_no_window(self, grid, capsys):
-        # B2's record is 5 or 6 samples wide at these sizes, too narrow to
-        # trim, and its edge lines keep the nan of the central differences:
-        # they leave the mask, so the crop answers and not reconstruct
-        _, D = gordon.family_stage("B2", int(grid))
-        assert min(D.shape) in (5, 6)
-        assert all(np.all(np.isfinite(a[D.mask]))
-                   for a in fundata._arrays(D))
+        # B2's record would be 5 or 6 samples wide at these sizes, too
+        # narrow to trim, and its edge lines would keep the nan of the
+        # central differences, leaving no window to crop: the grid is
+        # refused before the solve, naming the least nx
         code = main(["pipeline", "--theorem", "B2", "--grid", grid])
         err = capsys.readouterr().err
-        assert code == EXIT_FAIL
-        assert err.startswith("EmptyInterior: ")
+        assert code == EXIT_USAGE
+        assert err == f"error: B2 needs nx >= 25 and ny >= 7, got {grid} x " \
+            f"{(int(grid) - 1) // 4 + 1}\n"
 
     def test_round_trip_holds_one_copy_of_the_record(self, monkeypatch):
         # B1's crop at 129^2 is the whole 119 x 55 record, two row blocks:
@@ -849,6 +858,28 @@ class TestPipeline:
         assert grid.values.shape[:2] == D.shape
         assert shapes and D.shape not in shapes
 
+    @pytest.mark.parametrize("theorem", ["A2", "B1", "B2", "C2"])
+    @pytest.mark.parametrize("t", ["1421", "-1500", "1e308"])
+    def test_t_overflowing_the_phase_is_usage_error(self, theorem, t, capsys,
+                                                    recwarn):
+        # cosh(t/2) overflows for |t| > 1420.9: the family phase q(t/2) has
+        # no finite value, so no family data either
+        code = main(["pipeline", "--theorem", theorem, "--grid", "25",
+                     "--t", t])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: --t ") and err.count("\n") == 1
+        assert not recwarn.list, [str(w.message) for w in recwarn]
+
+    @pytest.mark.parametrize("theorem", ["A1", "C1"])
+    def test_elliptic_phase_takes_any_finite_t(self, theorem, tmp_path,
+                                               capsys):
+        # cos and sin of t/2 are finite for every finite t
+        code, _ = run(["pipeline", "--theorem", theorem, "--grid", "7",
+                       "--t", "1e308", "--out", str(tmp_path)], capsys)
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        assert (tmp_path / "report.json").exists()
+
     def test_requires_theorem(self, capsys):
         code, _ = run(["pipeline", "--grid", "17"], capsys)
         assert code == EXIT_USAGE
@@ -861,6 +892,47 @@ class TestPipeline:
         assert gordon_doc["eps"] == -1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["gordon"]["history"] == {"v": [], "w": []}
+
+
+# the least --grid N of each family: MIN_SIDE + 2 R samples a side, so
+# that MIN_SIDE stay once family_stage trims the R nan edge lines; the
+# hyperbolic families' default ny is (N - 1) // 2 + 1, B2's (N - 1) // 4 + 1
+LEAST_GRID = {"A1": 7, "C1": 7, "A2": 13, "B1": 13, "C2": 13, "B2": 25}
+
+
+class TestLeastSide:
+    @pytest.mark.parametrize("theorem", sorted(LEAST_GRID))
+    def test_least_grid_writes_a_report(self, theorem, tmp_path, capsys):
+        n = LEAST_GRID[theorem]
+        for grid in (str(n), "33x7"):
+            out = tmp_path / grid
+            code, summary = run(["pipeline", "--theorem", theorem, "--grid",
+                                 grid, "--out", str(out)], capsys)
+            assert code in (EXIT_PASS, EXIT_FAIL), grid
+            report = json.loads((out / "report.json").read_text())
+            assert report["pass"] == summary["pass"]
+
+    @pytest.mark.parametrize("theorem", sorted(LEAST_GRID))
+    def test_one_sample_fewer_names_the_least(self, theorem, capsys):
+        n = LEAST_GRID[theorem]
+        for grid, least in ((str(n - 1), f"nx >= {n} "), ("33x6", "ny >= 7"),
+                            ("6x7", "nx >= 7 ")):
+            code = main(["pipeline", "--theorem", theorem, "--grid", grid])
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE, grid
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert least in err, (grid, err)
+
+    @pytest.mark.parametrize("theorem", sorted(LEAST_GRID))
+    def test_least_grid_follows_R(self, theorem, monkeypatch, capsys):
+        # as test_every_reach_follows_R: at R = 2 each side needs 9
+        # samples, so the least N moves to 9, 17 and 33 by itself
+        monkeypatch.setattr(immersion, "R", 2)
+        n = {7: 9, 13: 17, 25: 33}[LEAST_GRID[theorem]]
+        for grid, least in ((str(n - 1), f"nx >= {n} "), ("33x8", "ny >= 9")):
+            assert main(["pipeline", "--theorem", theorem, "--grid",
+                         grid]) == EXIT_USAGE
+            assert least in capsys.readouterr().err
 
 
 class TestPipelineGates:
@@ -1122,7 +1194,8 @@ class TestScripts:
             assert f"pipeline/{theorem}/17/t=0.3/report" in out
             # the cropped family record's compat norms, or the error
             assert f"pipeline/{theorem}/17/t=0.3/record_compat" in out
-        # B2's stage raises at 17^2, before any file is written
+        # B2 needs nx >= 25: its stage raises at 17^2, before any file is
+        # written
         for theorem in ("A1", "A2", "B1", "C1", "C2"):
             for name in ("report.json", "gordon.json", "fundata.json",
                          "grid.json", "grid.csv", "factor1.obj",

@@ -265,10 +265,15 @@ class TestSecondFundamentalForm:
             a = rng.standard_normal((7, 5, 2, 3))
             a[rng.random(a.shape) < 0.05] = np.nan
             return a
+        def G(X, Y):
+            # (a + ib)(c + id) = ac - eps bd + i(ad + bc), by four real G's
+            def g(A, B):
+                return g_inner(A, B, p)
+            return ScalarEps(g(X.re, Y.re) - eps * g(X.im, Y.im),
+                             g(X.re, Y.im) + g(X.im, Y.re), eps)
         Z = ScalarEps(field(), field(), eps)
         xi = ScalarEps(field(), field(), eps)
-        for got, want in zip(g_pair(Z, xi, p),
-                             (g_inner(Z, xi.conj(), p), g_inner(Z, xi, p))):
+        for got, want in zip(g_pair(Z, xi, p), (G(Z, xi.conj()), G(Z, xi))):
             assert got.eps == want.eps == eps
             assert np.array_equal(got.re, want.re, equal_nan=True)
             assert np.array_equal(got.im, want.im, equal_nan=True)
@@ -392,6 +397,9 @@ class TestGridCache:
         F._cache.pop("frame_-1")
         oriented_frame(F, -1)
         assert len(calls) == blocks and form_norms(F) is norms
+        # the b = 1 frame carries them; the b = -1 frame carries none
+        assert norms is oriented_frame(F).norms
+        assert oriented_frame(F, -1).norms is None
 
 
 class TestRowBlocks:
