@@ -134,8 +134,9 @@ class RunConfig:
             if not (np.isfinite(q.re) and np.isfinite(q.im)):
                 raise ValueError(f"--t {cfg.t!r} overflows the phase q(t/2) "
                                  f"of {cfg.theorem}")
-        least = immersion.MIN_SIDE
-        if any(n is not None and n < least for n in (cfg.nx, cfg.ny)):
+        least = immersion.MIN_SIDE      # gordon_stage names a pipeline's
+        if command != "pipeline" and any(
+                n is not None and n < least for n in (cfg.nx, cfg.ny)):
             raise ValueError(f"--grid dimensions must be at least {least}")
         if cfg.hx is not None or cfg.hy is not None:
             if not cfg.nx:
@@ -317,9 +318,7 @@ def _check_grid(F, cfg: RunConfig):
     tols = _tolerances("verify", cfg, max(F.hx, F.hy))
 
     C = immersion.conformal_fields(F)
-    interior = np.zeros((F.nx, F.ny), dtype=bool)
-    core = slice(2 * immersion.R, -2 * immersion.R)
-    interior[core, core] = True
+    interior = immersion.curvature_core((F.nx, F.ny))
     ok = C.ok & interior & (C.eps_sign == F.eps)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -417,7 +416,8 @@ def run_pipeline(cfg: RunConfig):
     theorem = cfg.theorem
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
-    sol, D = gordon.family_stage(theorem, cfg.nx or 33, cfg.ny, cfg.t)
+    nx = 33 if cfg.nx is None else cfg.nx
+    sol, D = gordon.family_stage(theorem, nx, cfg.ny, cfg.t)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "pipeline",
@@ -463,20 +463,25 @@ def run_pipeline(cfg: RunConfig):
 def _round_trip(D, report):
     """frenet.round_trip's stages of D, each followed by its gate (--tol's
     value over the default), into report with the reconstruction's data's
-    diagnostics; the first gate that fails ends the run.  Returns the
-    reconstructed grid, or None."""
-    for name, norm, tol, state in frenet.round_trip(D):
-        tol = report["tolerances"].get(name, tol)
-        report["gates"][name] = {"norm": norm, "tol": tol}
-        if "rec" in state:
-            report["reconstruction"] = asdict(state["rec"])
-        if "data" in state:
-            report["extraction"] = dict(state["data"].diagnostics)
-        if "report" in state:
-            report["roundtrip"] = state["report"].to_json()
-        if not (np.isfinite(norm) and norm <= tol):
-            report["failures"].append(name)
-            break
+    diagnostics; the first gate that fails, or stage that raises (its error
+    named as verify's), ends the run.  Returns the grid, or None."""
+    state = {}
+    try:
+        for name, norm, tol, state in frenet.round_trip(D):
+            tol = report["tolerances"].get(name, tol)
+            report["gates"][name] = {"norm": norm, "tol": tol}
+            if "rec" in state:
+                report["reconstruction"] = asdict(state["rec"])
+            if "data" in state:
+                report["extraction"] = dict(state["data"].diagnostics)
+            if "report" in state:
+                report["roundtrip"] = state["report"].to_json()
+            if not (np.isfinite(norm) and norm <= tol):
+                report["failures"].append(name)
+                break
+    except MinsurfError as exc:
+        report[f"{exc.stage}_error"] = f"{type(exc).__name__}: {exc}"
+        report["failures"].append(exc.stage)
     return state.get("grid")
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ScalarEps, eigh2, inner_arr, unit_i
-from .errors import FrameConstructionError
+from .errors import FrameConstructionError, MinsurfError
 from .fundata import (
     FundamentalData,
     StreamedData,
@@ -93,17 +93,6 @@ class FrameState:
                 - eps * g1 * xi,
                 J_product(2, self.F, Fz, self.p) - i_u * C2 * Fz
                 - eps * g2 * xi.conj())
-
-    def invariant_residuals(self, e2u: float) -> dict:
-        """Deviations from the frame Gram relations at conformal factor e2u."""
-        p = self.p
-        out = {"quadric_1": abs(inner_arr(self.F[0], self.F[0], p) - 1.0),
-               "quadric_2": abs(inner_arr(self.F[1], self.F[1], p) - 1.0)}
-        dev = [float(np.hypot(z.re - t, z.im))
-               for z, t in zip(self.gram(), self.gram_targets(e2u))]
-        out.update(zip(("isotropy", "norm_fz", "xi_isotropy", "norm_xi"), dev))
-        out["orthogonality"] = max(dev[4:])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +499,29 @@ class RoundTripReport:
 def round_trip(D: FundamentalData, init: FrameState = None):
     """Crop D to its largest all-valid window and take its compat
     residuals, reconstruct (from init, if given), extract the
-    reconstruction's data (StreamedData) and compare, gating nothing.
-    After each stage it yields (gate, norm, default tol, state): state is
-    one dict, with "grid" and "rec" once reconstructed, "data" (the
-    reconstruction's StreamedData) once extracted and "report" (the
-    RoundTripReport) at the end."""
-    h = max(D.hx, D.hy)
-    D = cropped(D)
-    state = {}
-    yield ("record_compat", compat_residuals(D).max(),
-           tolerance("record_compat", h), state)
-    grid, rec = reconstruct(D, init)
-    state.update(grid=grid, rec=rec)
-    yield "drift", rec.drift, rec.drift_budget, state
-    D2 = state["data"] = StreamedData(grid, b=D.b)
-    yield ("reconstruction_H", D2.diagnostics["mean_curvature_sup"],
-           tolerance("reconstruction_H", h), state)
-    rt = state["report"] = roundtrip_compare(D, D2, grid, rec)
-    yield "roundtrip", rt.max(), tolerance("roundtrip", h), state
+    reconstruction's data and compare, gating nothing.  After each stage
+    it yields (gate, norm, default tol, state): state is one dict, with
+    "grid" and "rec" once reconstructed, "data" (a StreamedData) once
+    extracted and "report" (the RoundTripReport) at the end.  A stage's
+    MinsurfError leaves with the stage's gate as its `stage`."""
+    h, state, stage = max(D.hx, D.hy), {}, "record_compat"
+    try:
+        D = cropped(D)
+        yield stage, compat_residuals(D).max(), tolerance(stage, h), state
+        stage = "drift"
+        grid, rec = reconstruct(D, init)
+        state.update(grid=grid, rec=rec)
+        yield stage, rec.drift, rec.drift_budget, state
+        stage = "reconstruction_H"
+        D2 = state["data"] = StreamedData(grid, b=D.b)
+        yield (stage, D2.diagnostics["mean_curvature_sup"],
+               tolerance(stage, h), state)
+        stage = "roundtrip"
+        rt = state["report"] = roundtrip_compare(D, D2, grid, rec)
+        yield stage, rt.max(), tolerance(stage, h), state
+    except MinsurfError as exc:
+        exc.stage = stage
+        raise
 
 
 def roundtrip_report(D: FundamentalData,

@@ -11,8 +11,8 @@ For eps = +1 the conformal variable is complex and 4 v_zzb = v_xx + v_yy
 (elliptic: damped Newton with Dirichlet data, each step solved by MINRES
 preconditioned with a DST-I fast Poisson solve); for eps = -1 it is
 para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
-y from initial data on y = 0).  An optional forcing turns either solver
-into a manufactured-solution test bench: the discrete equation is
+y).  Both discretize it by this module's own 5-point stencil of radius 1,
+_box.  A forcing turns either into a manufactured-solution test bench:
 v_zzb + (s/2) N(2v) = forcing.
 
 The pipeline's six families (FAMILY_TABLE) take their boundary data from
@@ -37,7 +37,7 @@ from .errors import (
     EmptyMask,
 )
 from .fundata import FundamentalData, _arrays, restrict
-from .immersion import GridSpec, diff2, dz, wirtinger, zzbar
+from .immersion import GridSpec, dz, wirtinger
 
 KINDS = {
     "sinh_plus": (np.sinh, np.cosh, (1.0, 1.0)),
@@ -78,21 +78,38 @@ class GordonSolution:
         return dz(f, self.hx, self.hy, self.eps)
 
 
-def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy) -> np.ndarray:
-    """Centered-difference residual of v_zzb + (s/2) N(2v), interior."""
-    N, _, signs = KINDS[kind]
-    return _component_residual(N, signs[0], eps, u, hx, hy)
+# ---------------------------------------------------------------------------
+# the operator (4 v_zzb, 5-point, radius 1), its inverse, the elliptic path
+# ---------------------------------------------------------------------------
+
+def _inner(a):
+    """The samples the stencil is defined at: a view of a, edge lines cut."""
+    return a[(slice(1, -1),) * a.ndim]
 
 
-def _component_residual(N, s, eps, u, hx, hy, forcing=None):
+def _d2(a, h):
+    """The 3-point second difference along axis 0, at its inner lines."""
+    return (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (h * h)
+
+
+def _box(u, hx, hy, eps):
+    """4 u_zzb = u_xx + eps u_yy at _inner(u), the 5-point stencil."""
+    return _d2(u, hx)[:, 1:-1] + eps * _d2(u.T, hy).T[1:-1]
+
+
+def _residual(N, s, eps, u, hx, hy, f=None):
+    """v_zzb + (s/2) N(2v) - f at _inner(u), f the forcing or None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = zzbar(u, hx, hy, eps) + 0.5 * s * N(2.0 * u)
-        return r if forcing is None else r - forcing
+        r = _box(u, hx, hy, eps) / 4.0 + 0.5 * s * N(2.0 * _inner(u))
+        return r if f is None else r - _inner(f)
 
 
-# ---------------------------------------------------------------------------
-# elliptic path: damped Newton on the 5-point discretization
-# ---------------------------------------------------------------------------
+def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy) -> np.ndarray:
+    """_residual of the kind's first equation at u, with nan edge lines."""
+    N, _, signs = KINDS[kind]
+    return np.pad(_residual(N, signs[0], eps, u, hx, hy), 1,
+                  constant_values=np.nan)
+
 
 @lru_cache(maxsize=8)
 def _dst1_matrix(n):
@@ -112,7 +129,7 @@ def _dst1_matrix(n):
 
 
 def _dirichlet_poisson(b, hx, hy):
-    """Solve Lap u = b for the interior 5-point Laplacian, zero Dirichlet data.
+    """Invert the radius-1 stencil: _box(u) = b at eps = +1, zero edge lines.
 
     The DST-I diagonalises both second differences (orthonormal, so it is
     its own inverse); the eigenvalues are -4/h^2 sin^2(pi k / (2 (n + 1))).
@@ -137,7 +154,7 @@ _NEWTON_TOL = 1e-11
 
 
 def _krylov_step(d, r, hx, hy):
-    """Solve (Lap + diag(d)) du = -r by preconditioned MINRES.
+    """Solve (Lap + diag(d)) du = -r by preconditioned MINRES, Lap = _box.
 
     J = Lap + diag(d) is symmetric but may be indefinite.  The
     preconditioner -Lap^-1 is SPD and makes the preconditioned operator a
@@ -146,12 +163,6 @@ def _krylov_step(d, r, hx, hy):
     preconditioned residual norm has dropped by the factor _KRYLOV_RTOL.
     Returns (du, converged, iterations).
     """
-    pad = np.zeros((r.shape[0] + 2, r.shape[1] + 2))
-
-    def jac(x):
-        pad[1:-1, 1:-1] = x
-        return 4.0 * zzbar(pad, hx, hy, 1)[1:-1, 1:-1] + d * x
-
     def prec(x):
         return -_dirichlet_poisson(x, hx, hy)
 
@@ -166,7 +177,7 @@ def _krylov_step(d, r, hx, hy):
     phibar, cs, sn = beta1, -1.0, 0.0
     for it in range(1, _KRYLOV_MAXITER + 1):
         v = y / beta
-        y = jac(v)
+        y = _box(np.pad(v, 1), hx, hy, 1) + d * v      # J v, zero edge lines
         if it > 1:
             y -= (beta / oldb) * r1
         alfa = np.vdot(v, y)
@@ -192,18 +203,18 @@ def _krylov_step(d, r, hx, hy):
 def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
     """Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
 
-    Works on r = 4 (v_zzb + (s/2) N(2v) - f) at the interior points, f the
-    forcing array or None.  The initial iterate is the harmonic extension
-    of the boundary data (plus forcing); each step solves J du = -r by
-    `_krylov_step` and is taken whole if it lowers |r|_2, else Newton stops
-    unconverged.  It converges once
+    Works on r = 4 _residual (the radius-1 stencil _box at the inner
+    samples), f the forcing array or None.  The initial iterate is the
+    harmonic extension of the boundary data (plus forcing); each step
+    solves J du = -r by `_krylov_step` and is taken whole if it lowers
+    |r|_2, else Newton stops unconverged.  It converges once
 
         max|r| <= max(4 _NEWTON_TOL, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
 
-    the second term being the round-off floor of the 5-point residual at
-    this h: rounding u by eps_mach |u| per point moves the 5-point
-    Laplacian by up to 4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating
-    the stencil in floating point adds as much again.  Returns
+    the second term being the round-off floor of _box at this h: rounding
+    u by eps_mach |u| per point moves the 5-point stencil by up to
+    4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating it in floating point
+    adds as much again.  Returns
     (u, converged, iterations, history); history holds, per iteration,
     max|r| at its start, the MINRES iteration count and why Newton stopped
     there: "converged", "krylov" (MINRES did not converge) or "no descent"
@@ -215,16 +226,16 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
     floor_coef = 8.0 * np.finfo(float).eps * (1.0 / hx ** 2 + 1.0 / hy ** 2)
 
     def residual(u):
-        return 4.0 * _component_residual(N, s, 1, u, hx, hy, f)[1:-1, 1:-1]
+        return 4.0 * _residual(N, s, 1, u, hx, hy, f)
 
     def stop(u):
         return max(4.0 * _NEWTON_TOL, floor_coef * np.max(np.abs(u)))
 
     # initial iterate: harmonic extension of the boundary data (+forcing)
-    u[1:-1, 1:-1] = 0.0
-    lap_g = 4.0 * zzbar(u, hx, hy, 1)[1:-1, 1:-1]
-    rhs = -lap_g if f is None else 4.0 * f[1:-1, 1:-1] - lap_g
-    u[1:-1, 1:-1] = _dirichlet_poisson(rhs, hx, hy)
+    _inner(u)[...] = 0.0
+    lap_g = _box(u, hx, hy, 1)
+    rhs = -lap_g if f is None else 4.0 * _inner(f) - lap_g
+    _inner(u)[...] = _dirichlet_poisson(rhs, hx, hy)
     r = residual(u)
     history = []
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -234,13 +245,13 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
         if rn <= stop(u):
             step["stopped"] = "converged"
             break
-        d = 4.0 * s * dN(2.0 * u[1:-1, 1:-1])
+        d = 4.0 * s * dN(2.0 * _inner(u))
         du, ok, step["krylov"] = _krylov_step(d, r, hx, hy)
         if not ok:
             step["stopped"] = "krylov"
             break
         un = u.copy()
-        un[1:-1, 1:-1] += du
+        _inner(un)[...] += du
         rn_ = residual(un)
         if not np.linalg.norm(rn_) < np.linalg.norm(r):
             step["stopped"] = "no descent"
@@ -264,13 +275,14 @@ def _leapfrog(N, s, spec: GridSpec, init, bc, f):
     u = np.empty((nx, ny))
     u[:, 0] = v0_fn(xs)
     for j in range(ny - 1):
-        # PDE: v_yy = v_xx + 2 s N(2v) - 4 f (the nan edge values of diff2
-        # are overwritten by the boundary data)
-        acc = diff2(u[:, j], hx, 0) + 2.0 * s * N(2.0 * u[:, j]) - 4.0 * f[:, j]
+        # PDE: v_yy = v_xx + 2 s N(2v) - 4 f at the inner samples, v_xx by
+        # _box's x part _d2; the edge samples are the boundary data
+        a, new = _inner(u[:, j]), _inner(u[:, j + 1])
+        acc = _d2(u[:, j], hx) + 2.0 * s * N(2.0 * a) - 4.0 * _inner(f[:, j])
         if j == 0:  # second-order first step
-            u[:, 1] = u[:, 0] + hy * vy0_fn(xs) + 0.5 * hy ** 2 * acc
+            new[...] = a + hy * _inner(vy0_fn(xs)) + 0.5 * hy ** 2 * acc
         else:
-            u[:, j + 1] = 2.0 * u[:, j] - u[:, j - 1] + hy ** 2 * acc
+            new[...] = 2.0 * a - _inner(u[:, j - 1]) + hy ** 2 * acc
         u[0, j + 1] = bc(xs[0], ys[j + 1])
         u[-1, j + 1] = bc(xs[-1], ys[j + 1])
     return u
@@ -303,8 +315,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
         gv, gw = boundary
         v, cv, iv, hv = _newton_elliptic(N, dN, signs[0], spec, gv, fv)
         w, cw, iw, hw = _newton_elliptic(N, dN, signs[1], spec, gw, fw)
-        converged = cv and cw
-        iters = (iv, iw)
+        converged, iters = cv and cw, (iv, iw)
     elif eps == -1:
         if initial is None or boundary is None:
             raise ValueError("hyperbolic solve requires initial and boundary data")
@@ -326,18 +337,9 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
 def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:
     """Max-norm of the discrete residuals of both equations of the pair."""
     N, _, signs = KINDS[kind]
-    rv = _component_residual(N, signs[0], eps, v, spec.hx, spec.hy, fv)
-    rw = _component_residual(N, signs[1], eps, w, spec.hx, spec.hy, fw)
+    rv = _residual(N, signs[0], eps, v, spec.hx, spec.hy, fv)
+    rw = _residual(N, signs[1], eps, w, spec.hx, spec.hy, fw)
     return float(max(np.nanmax(np.abs(rv)), np.nanmax(np.abs(rw))))
-
-
-def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
-                         v_x=None, v_y=None, w_x=None, w_y=None) -> GordonSolution:
-    """Wrap externally computed (v, w) fields (closed forms, ODE oracles)."""
-    v, w = np.asarray(v, float), np.asarray(w, float)
-    res = _pair_residual(kind, eps, spec, v, w, None, None)
-    return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, True, (0, 0), v_x, v_y, w_x, w_y)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +566,8 @@ def gordon_stage(theorem, nx=33, ny=None):
     data = PIPELINE_DATA[theorem]
     least = immersion.MIN_SIDE + 2 * immersion.R
     div = 1 if eps == 1 else 4 if data.get("yquarter") else 2
-    least_nx = least if ny else (least - 1) * div + 1
-    ny = ny or (nx - 1) // div + 1
+    least_nx = least if ny is not None else (least - 1) * div + 1
+    ny = (nx - 1) // div + 1 if ny is None else ny
     if nx < least_nx or ny < least:
         raise ValueError(f"{theorem} needs nx >= {least_nx} and ny >= "
                          f"{least}, got {nx} x {ny}")

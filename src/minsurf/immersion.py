@@ -189,6 +189,13 @@ def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
     return -4.0 * np.exp(-2.0 * u) * zzbar(u, hx, hy, eps)
 
 
+def curvature_core(shape) -> np.ndarray:
+    """Where K (second differences of u's first) is defined: 2R from edges."""
+    out, core = np.zeros(shape, dtype=bool), slice(2 * R, -2 * R)
+    out[core, core] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # row blocks
 # ---------------------------------------------------------------------------
@@ -708,9 +715,8 @@ def gauss_curvature_field(F: ImmersionGrid) -> np.ndarray:
 
 
 def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
-    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan within
-    2R samples of the edge (K's second differences of u's first), at
-    degenerate samples and where there is no normal frame."""
+    """|K - eps (-1)^p C1 C2 - 2|H|^2 + |h|^2 / 2| per sample; nan off
+    curvature_core, at degenerate samples and where no normal frame is."""
     def make():
         C = conformal_fields(F)
         eps = C.eps_sign
@@ -719,9 +725,7 @@ def gauss_residual_field(F: ImmersionGrid) -> np.ndarray:
         sgn = (-1.0) ** F.p
         r = np.abs(K - eps * sgn * C.C1 * C.C2 - 2.0 * Hn2 + habs2 / 2.0)
         valid = C.ok & np.isfinite(K) & ~oriented_frame(F).bad
-        out, core = np.full_like(r, np.nan), slice(2 * R, -2 * R)
-        out[core, core] = np.where(valid, r, np.nan)[core, core]
-        return out
+        return np.where(valid & curvature_core(r.shape), r, np.nan)
     return F._cached("gauss", make)
 
 

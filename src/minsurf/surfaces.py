@@ -94,11 +94,6 @@ class HoloFn:
         c, d = np.broadcast_arrays(np.asarray(c, float), np.asarray(d, float))
         return c, -self.eps * d, d, c
 
-    def cr_residual(self, a, b) -> float:
-        """Cauchy-Riemann residual of the supplied partials (exact zero)."""
-        ux, uy, vx, vy = self.partials(a, b)
-        return float(np.max(np.abs(ux - vy)) + np.max(np.abs(uy + self.eps * vx)))
-
 
 def _holo_z(eps):
     return HoloFn("z", eps, lambda a, b: (a, b),

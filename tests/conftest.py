@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import minsurf.gordon as gordon
 import minsurf.immersion as immersion
-from minsurf.gordon import build_family, solution_from_fields
+from minsurf.gordon import GordonSolution, build_family
 from minsurf.immersion import (
     GridSpec,
     complex_vector,
@@ -17,6 +17,16 @@ from minsurf.immersion import (
     second_fundamental_fields,
 )
 from minsurf.product import J_product, g_inner, g_pair
+
+
+def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
+                         v_x=None, v_y=None, w_x=None, w_y=None):
+    """A GordonSolution wrapping externally computed (v, w) fields (closed
+    forms, ODE oracles), with exact first derivatives where given."""
+    v, w = np.asarray(v, float), np.asarray(w, float)
+    res = gordon._pair_residual(kind, eps, spec, v, w, None, None)
+    return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
+                          res, True, (0, 0), v_x, v_y, w_x, w_y)
 
 
 def ode_profile(sigma, nonlin, a0, xs, da0=0.0):

@@ -13,6 +13,7 @@ from conftest import (
     interior_region,
     normal_curvature_field,
     ratio_table,
+    solution_from_fields,
 )
 
 import minsurf.gordon as G
@@ -26,7 +27,7 @@ from minsurf.fundata import (
     identity_residuals,
 )
 from minsurf.frenet import reconstruct, roundtrip_report
-from minsurf.gordon import build_family, family_mask, family_phase, solution_from_fields, solve_gordon
+from minsurf.gordon import build_family, family_mask, family_phase, solve_gordon
 from minsurf.immersion import (
     GridSpec,
     conformal_fields,

@@ -923,6 +923,20 @@ class TestLeastSide:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert least in err, (grid, err)
 
+    @pytest.mark.parametrize("grid", ["4", "0", "-3", "33x4", "33x0"])
+    def test_small_grid_names_the_family_least(self, grid, capsys):
+        # gordon_stage alone names a pipeline's least side, below
+        # RunConfig's MIN_SIDE too, which guards verify's grids only
+        for theorem, n in LEAST_GRID.items():
+            code = main(["pipeline", "--theorem", theorem, "--grid", grid])
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE, (theorem, grid)
+            least = "ny >= 7" if "x" in grid else f"nx >= {n} "
+            assert err.startswith("error: ") and least in err, (grid, err)
+        assert main(["verify", "--example", "holo:z", "--grid", "4"]) \
+            == EXIT_USAGE
+        assert "at least 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("theorem", sorted(LEAST_GRID))
     def test_least_grid_follows_R(self, theorem, monkeypatch, capsys):
         # as test_every_reach_follows_R: at R = 2 each side needs 9
@@ -942,6 +956,37 @@ class TestPipelineGates:
     @staticmethod
     def pipeline(*args):
         return run_pipeline(parse_args(["pipeline", "--theorem", *args]))
+
+    def test_stage_that_raises_writes_its_report(self, tmp_path, capsys):
+        # at t = 1420 A2's phase is near overflow and its record has no
+        # all-valid window to crop: record_compat's stage raises, and the
+        # run exits 1 with a report naming the stage and its error, as
+        # verify names an extraction that could not run
+        out = tmp_path / "out"
+        code, summary = run(["pipeline", "--theorem", "A2", "--grid", "17",
+                             "--t", "1420", "--out", str(out)], capsys)
+        assert code == EXIT_FAIL
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == summary["failures"] == ["record_compat"]
+        assert report["record_compat_error"].startswith("EmptyInterior: ")
+        assert report["pass"] is False and report["gates"] == {}
+        assert {p.name for p in out.iterdir()} == {
+            "report.json", "gordon.json", "fundata.json"}
+
+    @pytest.mark.parametrize("stage, name", [
+        ("cropped", "record_compat"), ("reconstruct", "drift"),
+        ("StreamedData", "reconstruction_H"),
+        ("roundtrip_compare", "roundtrip")])
+    def test_each_stage_that_raises_is_named(self, stage, name, monkeypatch):
+        def broken(*args, **kwargs):
+            raise EmptyInterior("broken stage")
+        monkeypatch.setattr(frenet, stage, broken)
+        code, report = self.pipeline("B1", "--grid", "25")
+        assert code == EXIT_FAIL and report["failures"] == [name]
+        assert report[f"{name}_error"] == "EmptyInterior: broken stage"
+        # the stages before it ran, and their gates passed
+        stages = ["record_compat", "drift", "reconstruction_H", "roundtrip"]
+        assert list(report["gates"]) == stages[:stages.index(name)]
 
     @pytest.mark.parametrize("theorem, grid, norm, tol", [
         ("A1", "65", 9.863e-03, 3.052e-03),

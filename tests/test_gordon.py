@@ -3,18 +3,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dst
-from conftest import ode_profile, ratio_table
+from conftest import ode_profile, ratio_table, solution_from_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minsurf.gordon as G
+from minsurf import immersion
 from minsurf.errors import BranchMismatch, CFLViolation, DomainViolation, EmptyMask
-from minsurf.fundata import compat_residuals, field_sup
+from minsurf.fundata import _arrays, compat_residuals, field_sup
 from minsurf.gordon import (
     build_family,
     family_mask,
     family_phase,
-    solution_from_fields,
     solve_gordon,
     vw_from_C,
 )
@@ -232,6 +232,23 @@ class TestEllipticKrylov:
             # the Newton loop and residual_norm use one stencil
             assert max(h[-1]["residual"] for h in hists) == \
                 4.0 * sol.residual_norm
+
+
+class TestOwnOperator:
+    @pytest.mark.parametrize("theorem", sorted(G.FAMILY_TABLE))
+    def test_family_stage_ignores_immersion_R(self, theorem, monkeypatch):
+        # the solves read gordon's own radius-1 stencil, so a wider
+        # immersion.R moves no solution; family_stage's trim (5 samples,
+        # 2 on B2's 9 rows) clears the R nan edge lines of the family
+        # data's derivatives, so nothing it returns moves either
+        def stage():
+            sol, D = G.family_stage(theorem, 33)
+            return [repr(sol.residual_norm), sol.iterations] + [
+                (a.dtype.str, a.shape, a.tobytes())
+                for a in (sol.v, sol.w, *_arrays(D))]
+        want = stage()
+        monkeypatch.setattr(immersion, "R", 2)
+        assert stage() == want
 
 
 class TestPipelineEdgeProfile:

@@ -55,8 +55,8 @@ CALLERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
                   *(ROOT / "perfbench").glob("*.py")])
 # package names only the tests call (ROADMAP item 14): the list shrinks as
 # they move into the tests, and grows never
-TEST_ONLY = {"fundata_from_json", "discrete_residual", "solution_from_fields",
-             "vw_from_C", "omega_product", "holo_graph_metric_xx"}
+TEST_ONLY = {"fundata_from_json", "discrete_residual", "vw_from_C",
+             "omega_product", "holo_graph_metric_xx"}
 
 
 def named(node) -> set:
