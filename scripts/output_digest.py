@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """sha256 digests of the outputs that a refactor should leave bit-identical.
 
-    PYTHONPATH=src python3 scripts/output_digest.py
+    PYTHONPATH=src python3 scripts/output_digest.py > saved.json
+    PYTHONPATH=src python3 scripts/output_digest.py --against saved.json
 
 For every example of surfaces.EXAMPLES at each of VERIFY_SIZES: verify's
 report (cli._check_grid), each field of conformal_fields,
@@ -26,13 +27,17 @@ Prints one JSON object, key -> sha256 hex digest, with keys such as
 so that a change of dtype alone moves no digest; reports as their JSON
 text with sorted keys.  Fields are read by name, so that two checkouts
 whose field containers differ in layout still give comparable digests:
-run it on both and compare the two objects.
+save one checkout's object and run the other with --against it, which
+prints each key whose digest differs, appears or vanishes, and exits 1 if
+any does.
 """
 
+import argparse
 import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -185,7 +190,25 @@ def rotation_digests(theorem, out):
             put(out, f"{key}/{kind}/{f}", getattr(G, f))
 
 
-def main():
+def compare(out, saved) -> int:
+    """Print each key whose digest differs from, appears beside or vanishes
+    from the saved run, and a count; 1 if any key does, else 0."""
+    moved = [(k, "differs") for k in sorted(out.keys() & saved.keys())
+             if out[k] != saved[k]]
+    moved += [(k, "appears") for k in sorted(out.keys() - saved.keys())]
+    moved += [(k, "vanishes") for k in sorted(saved.keys() - out.keys())]
+    for key, how in moved:
+        print(f"{how}: {key}")
+    print(f"{len(moved)} of {len(out.keys() | saved.keys())} keys moved")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="FILE",
+                    help="a saved run's output: print the keys whose digest "
+                         "differs, appears or vanishes, and exit 1 if any")
+    args = ap.parse_args(argv)
     out = {}
     for n in VERIFY_SIZES:
         for name in sorted(EXAMPLES):
@@ -197,8 +220,12 @@ def main():
             pipeline_digests(theorem, n, out)
     for theorem in sorted(gordon.FAMILY_TABLE):
         rotation_digests(theorem, out)
-    print(json.dumps(out, indent=1, sort_keys=True))
+    if args.against is None:
+        print(json.dumps(out, indent=1, sort_keys=True))
+        return 0
+    with open(args.against) as fh:
+        return compare(out, json.load(fh))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SignatureError, UnsupportedSignature, ZeroDivisorError
+from .errors import SignatureError, UnsupportedSignature
 
 _SIG = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 _SIG.flags.writeable = False
@@ -100,17 +100,6 @@ class ScalarEps:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        den = o.re * o.re + self.eps * o.im * o.im
-        if np.any(np.abs(den) < 1e-300):
-            if self.eps == -1:
-                raise ZeroDivisorError(
-                    "division by split-complex zero divisor (re^2 == im^2)")
-            raise ZeroDivisionError("division by zero")
-        num = self * o.conj()
-        return ScalarEps(num.re / den, num.im / den, self.eps)
 
     def conj(self) -> "ScalarEps":
         return ScalarEps(self.re, -self.im, self.eps)

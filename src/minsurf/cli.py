@@ -9,8 +9,8 @@ Both commands accept --config PATH (JSON with the same keys); a flag or
 key the command does not read is a usage error.  Reports are JSON with a
 fixed schema version; exit codes: 0 pass, 1 a failed gate (fundata.GATES)
 or domain failure, 2 usage / I-O error or a grid too large to allocate.
-This module parses, applies the gates and formats; a run stopped by a gate
-still writes its report.
+This module parses, applies the gates and formats; a run stopped by a gate,
+or by a stage that raises, still writes its report.
 
 ``verify --out`` writes grid.json and grid.csv from a forked child while
 the checks run, and joins it before returning; where os.fork is missing
@@ -134,7 +134,7 @@ class RunConfig:
             if not (np.isfinite(q.re) and np.isfinite(q.im)):
                 raise ValueError(f"--t {cfg.t!r} overflows the phase q(t/2) "
                                  f"of {cfg.theorem}")
-        least = immersion.MIN_SIDE      # gordon_stage names a pipeline's
+        least = immersion.MIN_SIDE  # gordon.pipeline_grid names a pipeline's
         if command != "pipeline" and any(
                 n is not None and n < least for n in (cfg.nx, cfg.ny)):
             raise ValueError(f"--grid dimensions must be at least {least}")
@@ -416,34 +416,48 @@ def run_pipeline(cfg: RunConfig):
     theorem = cfg.theorem
     if theorem is None:
         raise ValueError("pipeline requires --theorem")
-    nx = 33 if cfg.nx is None else cfg.nx
-    sol, D = gordon.family_stage(theorem, nx, cfg.ny, cfg.t)
+    nx, ny = gordon.pipeline_grid(
+        theorem, 33 if cfg.nx is None else cfg.nx, cfg.ny)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "pipeline",
         "theorem": theorem,
         "t": cfg.t,
-        "grid": list(sol.v.shape),
-        "gordon": {"kind": sol.eq_kind, "eps": sol.eps,
-                   "residual": sol.residual_norm,
-                   "converged": bool(sol.converged),
-                   "iterations": list(sol.iterations),
-                   "history": sol.meta["history"]},
-        "mask_points": int(np.sum(D.mask)),
+        "grid": [nx, ny],
+        "gordon": None,
+        "mask_points": None,
         "roundtrip": None,
         "reconstruction": None,
         "extraction": None,
-        "tolerances": _tolerances("pipeline", cfg, max(D.hx, D.hy)),
+        "tolerances": {},
         "gates": {},
         "failures": [],
     }
-    grid = _round_trip(D, report)
+    sol = grid = None
+    try:
+        sol, D = gordon.family_stage(theorem, nx, ny, cfg.t)
+    except MinsurfError as exc:
+        # no family to gate: the stage is named as _round_trip names one
+        report["family_error"] = f"{type(exc).__name__}: {exc}"
+        report["failures"].append("family")
+    else:
+        report.update(
+            gordon={"kind": sol.eq_kind, "eps": sol.eps,
+                    "residual": sol.residual_norm,
+                    "converged": bool(sol.converged),
+                    "iterations": list(sol.iterations),
+                    "history": sol.meta["history"]},
+            mask_points=int(np.sum(D.mask)),
+            tolerances=_tolerances("pipeline", cfg, max(D.hx, D.hy)))
+        grid = _round_trip(D, report)
     report["pass"] = not report["failures"]
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         out = functools.partial(os.path.join, cfg.out)
         with open(out("report.json"), "w") as fh:
             json.dump(report, fh, indent=1)
+        if sol is None:
+            return EXIT_FAIL, report
         with open(out("gordon.json"), "w") as fh:
             fh.write(json.dumps({
                 "schema": "minsurf-gordon-1", "eq_kind": sol.eq_kind,

@@ -13,10 +13,6 @@ class UnsupportedSignature(MinsurfError):
     """Requested signature index has no implemented convention."""
 
 
-class ZeroDivisorError(MinsurfError):
-    """Division by a split-complex zero divisor (re**2 == im**2)."""
-
-
 class DegenerateMetric(MinsurfError):
     """Pulled-back metric is (numerically) degenerate at the point."""
 

@@ -461,7 +461,7 @@ def build_family(theorem: str, sol: GordonSolution,
 
     phi, dlog, sigma = BRANCHES[branch]
     Sa, Sb, Saz, Sbz = (Sm, Sp, Smz, Spz) if sigma > 0 else (Sp, Sm, Spz, Smz)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         C1, C2 = sigma * dlog(Sa), sigma * dlog(Sb)
         e2u = 4.0 * phi(Sp) * phi(Sm)
         if theorem == "A2":
@@ -551,26 +551,34 @@ def _edge(a, c, xspan):
     return lambda x: a + c * _bump((x - x0) / (x1 - x0))
 
 
-def gordon_stage(theorem, nx=33, ny=None):
-    """The pipeline's boundary data and Gordon solve: (spec, sol).
-
-    Elliptic families solve a Dirichlet problem on their box (ny = nx by
-    default); hyperbolic ones march from flat-edged x-profiles at y = 0
-    with hy = hx / 2, between edge columns from the 1-D y-reduction;
-    their ny defaults to (nx - 1) // 2 + 1, or (nx - 1) // 4 + 1 for a
-    family with yquarter (B2).  Each side needs MIN_SIDE + 2 R samples,
-    MIN_SIDE once family_stage trims the R nan edge lines; a ValueError
-    names the least nx or ny.
-    """
-    eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
-    data = PIPELINE_DATA[theorem]
+def pipeline_grid(theorem, nx=33, ny=None):
+    """The (nx, ny) of theorem's pipeline grid.  ny defaults to nx for an
+    elliptic family, to (nx - 1) // 2 + 1 for a hyperbolic one, or to
+    (nx - 1) // 4 + 1 for a family with yquarter (B2).  Each side needs
+    MIN_SIDE + 2 R samples, MIN_SIDE once family_stage trims the R nan
+    edge lines; a ValueError names the least nx or ny."""
     least = immersion.MIN_SIDE + 2 * immersion.R
-    div = 1 if eps == 1 else 4 if data.get("yquarter") else 2
+    div = (1 if FAMILY_TABLE[theorem][0] == 1
+           else 4 if PIPELINE_DATA[theorem].get("yquarter") else 2)
     least_nx = least if ny is not None else (least - 1) * div + 1
     ny = (nx - 1) // div + 1 if ny is None else ny
     if nx < least_nx or ny < least:
         raise ValueError(f"{theorem} needs nx >= {least_nx} and ny >= "
                          f"{least}, got {nx} x {ny}")
+    return nx, ny
+
+
+def gordon_stage(theorem, nx=33, ny=None):
+    """The pipeline's boundary data and Gordon solve on pipeline_grid's
+    grid: (spec, sol).
+
+    Elliptic families solve a Dirichlet problem on their box; hyperbolic
+    ones march from flat-edged x-profiles at y = 0 with hy = hx / 2,
+    between edge columns from the 1-D y-reduction.
+    """
+    eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
+    data = PIPELINE_DATA[theorem]
+    nx, ny = pipeline_grid(theorem, nx, ny)
     initial = None
     if eps == 1:
         box = data["box"]

@@ -21,14 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import inner_arr
 from .errors import UnsupportedSignature
 from . import immersion
 from .immersion import GridSpec, ImmersionGrid, conformal_fields
 
 
 # ---------------------------------------------------------------------------
-# charts with analytic jets
+# charts
 # ---------------------------------------------------------------------------
 
 def stereographic(x, y):
@@ -38,18 +37,6 @@ def stereographic(x, y):
     return np.stack([2.0 * x / d, 2.0 * y / d, (d - 2.0) / d], axis=-1)
 
 
-def stereographic_jet(x, y):
-    """(s, s_x, s_y) with analytic first derivatives."""
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    d = x * x + y * y + 1.0
-    s = stereographic(x, y)
-    sx = np.stack([2.0 * d - 4.0 * x * x, -4.0 * x * y, 4.0 * x],
-                  axis=-1) / (d * d)[..., None]
-    sy = np.stack([-4.0 * x * y, 2.0 * d - 4.0 * y * y, 4.0 * y],
-                  axis=-1) / (d * d)[..., None]
-    return s, sx, sy
-
-
 def para_stereographic(t, s):
     """Inverse stereographic chart of the de Sitter quadric (p = 1)."""
     t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
@@ -57,102 +44,28 @@ def para_stereographic(t, s):
     return np.stack([2.0 * t / e, 2.0 * s / e, (e - 2.0) / e], axis=-1)
 
 
-def para_stereographic_jet(t, s):
-    """(sigma, sigma_t, sigma_s) with analytic first derivatives."""
-    t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-    e = s * s - t * t + 1.0
-    sig = para_stereographic(t, s)
-    st = np.stack([2.0 * e + 4.0 * t * t, 4.0 * s * t, -4.0 * t],
-                  axis=-1) / (e * e)[..., None]
-    ss = np.stack([-4.0 * t * s, 2.0 * e - 4.0 * s * s, 4.0 * s],
-                  axis=-1) / (e * e)[..., None]
-    return sig, st, ss
-
-
 # ---------------------------------------------------------------------------
-# (para-)holomorphic functions with analytic derivatives
+# (para-)holomorphic functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HoloFn:
-    """w(z) with analytic value and derivative; eps tags the scalar type.
-
-    value(a, b) returns (u, v); deriv(a, b) returns the components of
-    w'(z).  The first-order partials follow from the Cauchy-Riemann
-    structure: with w' = (c, d), the first-argument partials are
-    (u, v)_1 = (c, d) and the second-argument partials (u, v)_2 =
-    (-eps d, c); the relations u_1 = v_2 and u_2 = -eps v_1 hold exactly.
-    """
-
-    name: str
-    eps: int
-    value: Callable
-    deriv: Callable
-
-    def partials(self, a, b):
-        c, d = self.deriv(a, b)
-        c, d = np.broadcast_arrays(np.asarray(c, float), np.asarray(d, float))
-        return c, -self.eps * d, d, c
-
-
-def _holo_z(eps):
-    return HoloFn("z", eps, lambda a, b: (a, b),
-                  lambda a, b: (np.ones_like(a), np.zeros_like(b)))
-
-
-def _holo_z2(eps):
-    # (a + i b)^2 = (a^2 - eps b^2) + i (2 a b), i^2 = -eps
-    return HoloFn("z2", eps,
-                  lambda a, b: (a * a - eps * b * b, 2.0 * a * b),
-                  lambda a, b: (2.0 * a, 2.0 * b))
-
-
-def _holo_iz():
-    # i z = -y + i x (complex case); totally degenerate graph metric
-    return HoloFn("iz", 1, lambda a, b: (-b, a),
-                  lambda a, b: (np.zeros_like(a), np.ones_like(b)))
-
-
-def _holo_halfz():
-    # w = z/2: nondegenerate scaled-diagonal complex curve for |z| < sqrt(2)
-    return HoloFn("halfz", 1, lambda a, b: (a / 2.0, b / 2.0),
-                  lambda a, b: (np.full_like(a, 0.5), np.zeros_like(b)))
-
-
-def _holo_2z1():
-    # w = 2z + 1: the affine graph degenerating on (x+1)^2 + y^2 = 1
-    return HoloFn("2z1", 1, lambda a, b: (2.0 * a + 1.0, 2.0 * b),
-                  lambda a, b: (2.0 * np.ones_like(a), np.zeros_like(b)))
-
-
-def _para_sit():
-    # w(t + i s) = s + i t
-    return HoloFn("sit", -1, lambda a, b: (b, a),
-                  lambda a, b: (np.zeros_like(a), np.ones_like(b)))
-
-
-def _para_invz():
-    # 1/z for para-complex z = t + i s: (t - i s)/(t^2 - s^2).
-    # The graph metric is totally degenerate on its chart.
-    def val(a, b):
-        d = a * a - b * b
-        return a / d, -b / d
-
-    def der(a, b):
-        d = a * a - b * b
-        return -(a * a + b * b) / d ** 2, 2.0 * a * b / d ** 2
-    return HoloFn("invz", -1, val, der)
-
-
+# graph name -> (eps, w): w(a, b) = (u, v) is the (para-)holomorphic
+# function u + i v of z = a + i b, i^2 = -eps
 HOLO_FUNCTIONS = {
-    "holo:z": _holo_z(1),
-    "holo:z2": _holo_z2(1),
-    "holo:halfz": _holo_halfz(),
-    "holo:2z1": _holo_2z1(),
-    "holo:iz": _holo_iz(),
-    "paraholo:z2": _holo_z2(-1),
-    "paraholo:sit": _para_sit(),
-    "paraholo:invz": _para_invz(),
+    "holo:z": (1, lambda a, b: (a, b)),
+    # (a + i b)^2 = (a^2 - eps b^2) + i (2 a b)
+    "holo:z2": (1, lambda a, b: (a * a - b * b, 2.0 * a * b)),
+    # w = z/2: nondegenerate scaled-diagonal complex curve for |z| < sqrt(2)
+    "holo:halfz": (1, lambda a, b: (a / 2.0, b / 2.0)),
+    # w = 2z + 1: the affine graph degenerating on (x+1)^2 + y^2 = 1
+    "holo:2z1": (1, lambda a, b: (2.0 * a + 1.0, 2.0 * b)),
+    # i z = -y + i x; totally degenerate graph metric
+    "holo:iz": (1, lambda a, b: (-b, a)),
+    "paraholo:z2": (-1, lambda a, b: (a * a + b * b, 2.0 * a * b)),
+    # w(t + i s) = s + i t
+    "paraholo:sit": (-1, lambda a, b: (b, a)),
+    # 1/z = (t - i s)/(t^2 - s^2); totally degenerate graph metric
+    "paraholo:invz": (-1, lambda a, b: (a / (a * a - b * b),
+                                        -b / (a * a - b * b))),
 }
 
 
@@ -160,46 +73,26 @@ HOLO_FUNCTIONS = {
 # constructors
 # ---------------------------------------------------------------------------
 
-def make_holo_graph(hf: HoloFn, spec: GridSpec) -> ImmersionGrid:
-    """Graph F = (chart(z), chart(w(z))) of a (para-)holomorphic function."""
+def make_holo_graph(name: str, spec: GridSpec) -> ImmersionGrid:
+    """Graph F = (chart(z), chart(w(z))) of w = HOLO_FUNCTIONS[name]."""
+    eps, w = HOLO_FUNCTIONS[name]
     X, Y = spec.mesh()
-    if hf.eps == 1:
-        u, v = hf.value(X, Y)
+    if eps == 1:
+        u, v = w(X, Y)
         vals = np.stack([stereographic(X, Y), stereographic(u, v)], axis=2)
         return ImmersionGrid(0, 1, vals, spec.hx, spec.hy, spec.origin,
-                             {"name": f"holo:{hf.name}"})
+                             {"name": name})
     # para case: grid (x, y) = (s, t); w is a function of (t, s)
     T, S = Y, X
-    u, v = hf.value(T, S)
+    u, v = w(T, S)
     vals = np.stack([para_stereographic(T, S), para_stereographic(u, v)],
                     axis=2)
     return ImmersionGrid(1, -1, vals, spec.hx, spec.hy, spec.origin,
-                         {"name": f"paraholo:{hf.name}"})
+                         {"name": name})
 
 
-def holo_graph_metric_xx(hf: HoloFn, x, y):
-    """Analytic G(F_x, F_x) of the graph (no finite differences)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if hf.eps == 1:
-        _, sx, _ = stereographic_jet(x, y)
-        u, v = hf.value(x, y)
-        ux, _, vx, _ = hf.partials(x, y)
-        _, su, sv = stereographic_jet(u, v)
-        f2x = su * ux[..., None] + sv * vx[..., None]
-        return inner_arr(sx, sx, 0) - inner_arr(f2x, f2x, 0)
-    # para case, x-direction = s-direction of the chart
-    t, s = y, x
-    _, st, ss = para_stereographic_jet(t, s)
-    u, v = hf.value(t, s)
-    _, us, _, vs = hf.partials(t, s)
-    _, su, sv = para_stereographic_jet(u, v)
-    f2x = su * us[..., None] + sv * vs[..., None]
-    return inner_arr(ss, ss, 1) - inner_arr(f2x, f2x, 1)
-
-
-def make_slice(which: str, p: int, spec: GridSpec, q=None) -> ImmersionGrid:
-    """Totally geodesic slice: chart x {q} or {q} x chart."""
+def make_slice(which: str, p: int, spec: GridSpec) -> ImmersionGrid:
+    """Totally geodesic slice: chart x {q} or {q} x chart, q = (0, 0, 1)."""
     if p == 0:
         X, Y = spec.mesh()
         chart = stereographic(X, Y)
@@ -213,10 +106,7 @@ def make_slice(which: str, p: int, spec: GridSpec, q=None) -> ImmersionGrid:
         eps = -1
     else:
         raise UnsupportedSignature("slices implemented for p in {0, 1}")
-    if q is None:
-        q = np.array([0.0, 0.0, 1.0])
-    q = np.asarray(q, dtype=float)
-    other = np.broadcast_to(q, chart.shape)
+    other = np.broadcast_to(np.array([0.0, 0.0, 1.0]), chart.shape)
     if which == "first":
         vals = np.stack([chart, other], axis=2)
     elif which == "second":
@@ -322,9 +212,7 @@ class ExampleEntry:
 
 
 def _graph_builder(key):
-    def build(spec):
-        return make_holo_graph(HOLO_FUNCTIONS[key], spec)
-    return build
+    return lambda spec: make_holo_graph(key, spec)
 
 
 EXAMPLES = {

@@ -17,6 +17,7 @@ from minsurf.immersion import (
     second_fundamental_fields,
 )
 from minsurf.product import J_product, g_inner, g_pair
+from minsurf.surfaces import HOLO_FUNCTIONS
 
 
 def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
@@ -27,6 +28,32 @@ def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
     res = gordon._pair_residual(kind, eps, spec, v, w, None, None)
     return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
                           res, True, (0, 0), v_x, v_y, w_x, w_y)
+
+
+def stereographic_derivatives(x, y):
+    """(s_x, s_y) of the inverse stereographic projection
+    s = (2x, 2y, x^2 + y^2 - 1)/d, d = 1 + x^2 + y^2, in closed form."""
+    d = 1.0 + x * x + y * y
+    return (np.array([2.0 * d - 4.0 * x * x, -4.0 * x * y, 4.0 * x]) / d ** 2,
+            np.array([-4.0 * x * y, 2.0 * d - 4.0 * y * y, 4.0 * y]) / d ** 2)
+
+
+def holo_graph_metric_xx(name, x, y, w_prime):
+    """G(F_x, F_x) of the graph F = (chart(z), chart(w(z))) of
+    w = HOLO_FUNCTIONS[name], in closed form: the charts are conformal
+    with factor lam(a, b) = 2/(1 + eps a^2 + b^2) and w is (para-)
+    holomorphic, so G(F_x, F_x) = lam(a, b)^2 - lam(w)^2 |w'|^2_eps with
+    |c + i d|^2_eps = c^2 + eps d^2.  The chart point is (a, b) = (x, y)
+    for eps = 1 and (t, s) = (y, x) for eps = -1; w_prime(a, b) = (c, d)."""
+    eps, w = HOLO_FUNCTIONS[name]
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    a, b = (x, y) if eps == 1 else (y, x)
+    u, v = w(a, b)
+    c, d = w_prime(a, b)
+
+    def lam(a, b):
+        return 2.0 / (1.0 + eps * a * a + b * b)
+    return lam(a, b) ** 2 - lam(u, v) ** 2 * (c * c + eps * d * d)
 
 
 def ode_profile(sigma, nonlin, a0, xs, da0=0.0):

@@ -13,7 +13,7 @@ from minsurf.algebra import (
     sig_diag,
     unit_i,
 )
-from minsurf.errors import SignatureError, UnsupportedSignature, ZeroDivisorError
+from minsurf.errors import SignatureError, UnsupportedSignature
 from minsurf.gordon import FAMILY_TABLE, family_phase
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -69,18 +69,6 @@ class TestScalarEps:
             ScalarEps(1.0, 0.0, 1) * ScalarEps(1.0, 0.0, -1)
         with pytest.raises(SignatureError):
             ScalarEps(1.0, 0.0, 1) + ScalarEps(0.0, 1.0, -1)
-
-    def test_zero_divisor_division(self):
-        # para-complex 1+i is a zero divisor: (1+i)(1-i) = 1 - i^2 = 0
-        z = ScalarEps(1.0, 1.0, -1)
-        with pytest.raises(ZeroDivisorError):
-            ScalarEps(1.0, 0.0, -1) / z
-
-    def test_division_inverse(self):
-        for eps in (1, -1):
-            z = ScalarEps(1.3, 0.4, eps)
-            w = (z / z)
-            assert w.re == pytest.approx(1.0) and abs(w.im) < 1e-15
 
     def test_array_components(self):
         z = ScalarEps(np.array([1.0, 2.0]), np.array([0.5, -1.0]), -1)

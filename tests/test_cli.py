@@ -811,16 +811,28 @@ class TestPipeline:
         assert rt["drift"] == rec["drift"]
         assert rt["drift_budget"] == rec["drift_budget"]
 
-    def test_edge_ode_blow_up_is_a_domain_failure(self, capsys):
+    def test_edge_ode_blow_up_is_a_domain_failure(self, tmp_path, capsys):
         # ny = 33 stretches B2's y-span to 0.5; the edge profile from
-        # g(0) = 1.35 blows up before y = 0.43
-        code = main(["pipeline", "--theorem", "B2", "--grid", "33x33"])
-        err = capsys.readouterr().err
-        assert code == EXIT_FAIL
+        # g(0) = 1.35 blows up before y = 0.43: the family stage raises,
+        # and the run exits 1 with a report naming it and its error
+        out = tmp_path / "out"
+        code = main(["pipeline", "--theorem", "B2", "--grid", "33x33",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAIL and captured.err == ""
+        summary = json.loads(captured.out)
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == summary["failures"] == ["family"]
+        err = report["family_error"]
         assert err.startswith("DomainViolation: the edge ODE g'' = 2 sigma "
                               "sinh(2g)")
         assert "y-span [0, 0.5]" in err
-        assert err.count("\n") == 1
+        assert "\n" not in err
+        assert report["pass"] is False and report["grid"] == [33, 33]
+        # the keys perfbench's Workload.evaluate reads of a pipeline case
+        assert {"pass", "grid", "t", "gordon", "mask_points", "roundtrip",
+                "reconstruction"} <= set(report)
+        assert {p.name for p in out.iterdir()} == {"report.json"}
 
     @pytest.mark.parametrize("grid", ["17", "21"])
     def test_thin_record_has_no_window(self, grid, capsys):
@@ -925,7 +937,7 @@ class TestLeastSide:
 
     @pytest.mark.parametrize("grid", ["4", "0", "-3", "33x4", "33x0"])
     def test_small_grid_names_the_family_least(self, grid, capsys):
-        # gordon_stage alone names a pipeline's least side, below
+        # gordon.pipeline_grid alone names a pipeline's least side, below
         # RunConfig's MIN_SIDE too, which guards verify's grids only
         for theorem, n in LEAST_GRID.items():
             code = main(["pipeline", "--theorem", theorem, "--grid", grid])
@@ -1205,12 +1217,26 @@ class TestScripts:
         assert 0 < rss["start"] <= steps[0]
         assert steps == sorted(steps) and steps[-1] == rss["after_run"]
 
-    def test_output_digest_names_every_output(self):
+    @staticmethod
+    def output_digest():
         path = Path(__file__).resolve().parents[1] / "scripts" \
             / "output_digest.py"
         spec = importlib.util.spec_from_file_location("output_digest", path)
         digest = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(digest)
+        return digest
+
+    def test_output_digest_against_names_each_moved_key(self, capsys):
+        compare = self.output_digest().compare
+        saved = {"a": "1", "b": "2", "c": "3"}
+        assert compare(dict(saved), saved) == 0
+        assert capsys.readouterr().out == "0 of 3 keys moved\n"
+        assert compare({"a": "1", "b": "9", "d": "4"}, saved) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: b", "appears: d", "vanishes: c", "3 of 4 keys moved"]
+
+    def test_output_digest_names_every_output(self):
+        digest = self.output_digest()
         out = {}
         for name in EXAMPLES:
             digest.verify_digests(name, 17, out)

@@ -143,9 +143,9 @@ def frame_rhs(fs, dat, direction):
            + eps * sgn * b / 2.0 * g1 * g2 * F)
     Fzzb = -sgn * eps * C1 * C2 * e2u / 4.0 * F - e2u / 4.0 * Fhat
     xi_z = (2.0 * eps / e2u * b * f2 * Fz.conj() + A * xi
-            - sgn * i * b * C1 * g2 / 2.0 * F)
+            - sgn * i * b * C1 * g2 * 0.5 * F)
     xibar_z = (2.0 * eps / e2u * b * f1 * Fz.conj() - A * xi.conj()
-               - sgn * i * b * C2 * g1 / 2.0 * F)
+               - sgn * i * b * C2 * g1 * 0.5 * F)
     # Q_x = Q_z + Q_zb, Q_y = i (Q_z - Q_zb)
     pairs = [(Fz, Fz.conj()), (Fzz, Fzzb), (xi_z, xibar_z.conj())]
     dF, dFz, dxi = ([qz + qzb for qz, qzb in pairs] if direction == "x"

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import hopf_fields, jacobians, normal_curvature_field
+from conftest import (
+    hopf_fields,
+    jacobians,
+    normal_curvature_field,
+    stereographic_derivatives,
+)
 
 from minsurf import cli, fundata, immersion
 from minsurf.errors import DegenerateMetric, MinsurfError
@@ -46,8 +51,6 @@ from minsurf.surfaces import (
     make_holo_graph,
     make_slice,
     stereographic,
-    stereographic_jet,
-    HOLO_FUNCTIONS,
 )
 
 
@@ -73,7 +76,7 @@ class TestJets:
             i = j = 3 * (n - 1) // 4  # the same (x, y) on both grids
             J = jets(F)
             Fx, Fy = J.Fx[i, j], J.Fy[i, j]
-            _, sx, sy = stereographic_jet(xs[i], ys[j])
+            sx, sy = stereographic_derivatives(xs[i], ys[j])
             errs[n] = max(np.max(np.abs(Fx[0] - sx)), np.max(np.abs(Fy[0] - sy)))
         assert errs[17] / errs[33] > 3.5
 
@@ -141,7 +144,7 @@ class TestConformal:
     def test_degenerate_circle_point(self):
         # the affine graph degenerates on (x+1)^2 + y^2 = 1
         spec = GridSpec.from_box(65, 65, (-0.002, 0.002), (-0.002, 0.002))
-        F = make_holo_graph(HOLO_FUNCTIONS["holo:2z1"], spec)
+        F = make_holo_graph("holo:2z1", spec)
         C = conformal_fields(F)
         assert C.degenerate[32, 32] and not C.ok[32, 32]
         with pytest.raises(DegenerateMetric):

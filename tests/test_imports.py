@@ -56,7 +56,7 @@ CALLERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
 # package names only the tests call (ROADMAP item 14): the list shrinks as
 # they move into the tests, and grows never
 TEST_ONLY = {"fundata_from_json", "discrete_residual", "vw_from_C",
-             "omega_product", "holo_graph_metric_xx"}
+             "omega_product"}
 
 
 def named(node) -> set:
