@@ -10,12 +10,16 @@ kahler_fields, class_masks, form_norms, oriented_frame and
 gauss_residual_field, and each field of fundata.extract's record, or the
 error it raises.  For the six families at each of PIPELINE_SIZES, with
 t = T: the compat norms of the cropped family record, run_pipeline's
-report (or, for either, the error that ends it), and the bytes of each
+report (or, for either, the error that ends it) and its "gordon" block
+on its own, and the bytes of each
 file it writes with --out (report.json, gordon.json, fundata.json and,
 when the frames were reconstructed, grid.json, grid.csv, factor1.obj and
-factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".  For every example at IO_SIZE,
-written as JSON and as CSV: the bytes of that input file, and the report
-and the bytes of each file of ``verify --input PATH --out DIR`` on it,
+factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".
+The same for each (family, nx, ny) of RAISING, a grid whose family stage
+raises, under keys such as "pipeline/B2/33x33/t=0.3/report", so the report
+that names a failed family stage is compared too.  For every example at
+IO_SIZE, written as JSON and as CSV: the bytes of that input file, and the
+report and the bytes of each file of ``verify --input PATH --out DIR`` on it,
 under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
 grid reader and writer stand inside the comparison too.  For each family:
 gordon.family_phase at each t of PHASE_TS, and fundata.gauge_rotate of its
@@ -54,6 +58,9 @@ EXTRACT = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A", "mask",
            "complex1", "complex2", "u_z", "diagnostics")
 VERIFY_SIZES = (33, 65, 129)
 PIPELINE_SIZES = (33, 65)
+# pipeline grids whose family stage raises (B2's edge ODE blows up inside
+# a y-span as long as the x-span)
+RAISING = (("B2", 33, 33),)
 IO_SIZE = 33
 T = 0.3
 PHASE_TS = (0.0, 0.3, 1.0)
@@ -150,10 +157,10 @@ def verify_io_digests(name, n, out):
                     os.path.join(kind, file))
 
 
-def pipeline_digests(theorem, n, out):
-    key = f"pipeline/{theorem}/{n}/t={T}"
+def pipeline_digests(theorem, n, out, ny=None):
+    key = f"pipeline/{theorem}/{n}{'' if ny is None else f'x{ny}'}/t={T}"
     try:
-        _, D = gordon.family_stage(theorem, n, None, T)
+        _, D = gordon.family_stage(theorem, n, ny, T)
         norms = fundata.compat_residuals(fundata.cropped(D)).norms
     except STOPS as exc:
         norms = error_text(exc)
@@ -161,10 +168,14 @@ def pipeline_digests(theorem, n, out):
     with tempfile.TemporaryDirectory() as tmp:
         try:
             _, report = cli.run_pipeline(cli.RunConfig(
-                command="pipeline", theorem=theorem, nx=n, t=T, out=tmp))
+                command="pipeline", theorem=theorem, nx=n, ny=ny, t=T,
+                out=tmp))
         except STOPS as exc:
             report = error_text(exc)
         put(out, f"{key}/report", report)
+        if isinstance(report, dict):
+            # the Gordon solve alone, which no stencil of immersion reads
+            put(out, f"{key}/report.gordon", report["gordon"])
         for name in sorted(os.listdir(tmp)):
             out[f"{key}/out/{name}"] = file_digest(os.path.join(tmp, name))
 
@@ -218,6 +229,8 @@ def main(argv=None) -> int:
     for n in PIPELINE_SIZES:
         for theorem in sorted(gordon.FAMILY_TABLE):
             pipeline_digests(theorem, n, out)
+    for theorem, nx, ny in RAISING:
+        pipeline_digests(theorem, nx, out, ny)
     for theorem in sorted(gordon.FAMILY_TABLE):
         rotation_digests(theorem, out)
     if args.against is None:

@@ -499,8 +499,9 @@ def identity_residuals(D: FundamentalData) -> dict:
     = e^{-2u} (f_x^2 + eps f_y^2) of the induced metric.  f_norm is left out
     on all-complex data, log_sqrt off Riemannian (eps = 1) p = 1 data.
 
-    lap_c's eps placements are the ones under which it holds at O(h^2) on
-    every explicit family, Lorentzian ones too; arctan_c holds on the
+    lap_c's eps placements are the ones under which it holds at the
+    stencils' order on every explicit family, Lorentzian ones too (order 4
+    from 33^2 to 65^2, down to a floor near 1e-9); arctan_c holds on the
     tan-branch (sin-Gordon) families C1, C2 and stays O(1) on the others
     (scripts/convergence_study.py prints every entry's order).
     """

@@ -69,13 +69,15 @@ class GordonSolution:
     meta: dict = field(default_factory=dict)
 
     def dz(self, which: str) -> ScalarEps:
-        """d/dz of v or w, using exact derivatives when available."""
+        """d/dz of v or w, using exact derivatives when available, else
+        immersion's differences with their one-sided edge lines: the
+        family data have no nan edge lines."""
         f, fx, fy = ((self.v, self.v_x, self.v_y) if which == "v"
                      else (self.w, self.w_x, self.w_y))
         if fx is not None and fy is not None:
             return wirtinger(ScalarEps(fx, 0.0, self.eps),
                              ScalarEps(fy, 0.0, self.eps), self.eps, False)
-        return dz(f, self.hx, self.hy, self.eps)
+        return dz(f, self.hx, self.hy, self.eps, edges=True)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +557,12 @@ def pipeline_grid(theorem, nx=33, ny=None):
     """The (nx, ny) of theorem's pipeline grid.  ny defaults to nx for an
     elliptic family, to (nx - 1) // 2 + 1 for a hyperbolic one, or to
     (nx - 1) // 4 + 1 for a family with yquarter (B2).  Each side needs
-    MIN_SIDE + 2 R samples, MIN_SIDE once family_stage trims the R nan
-    edge lines; a ValueError names the least nx or ny."""
-    least = immersion.MIN_SIDE + 2 * immersion.R
+    MIN_SIDE + 2 samples, MIN_SIDE once family_stage trims at least one
+    line off each side, clear of the solve's boundary layer.  The
+    stencil radius R does not count: the family data's derivatives are
+    one-sided on their edge lines (GordonSolution.dz), so they have no nan
+    line for the trim to remove.  A ValueError names the least nx or ny."""
+    least = immersion.MIN_SIDE + 2
     div = (1 if FAMILY_TABLE[theorem][0] == 1
            else 4 if PIPELINE_DATA[theorem].get("yquarter") else 2)
     least_nx = least if ny is not None else (least - 1) * div + 1

@@ -1,10 +1,11 @@
 """Sampled immersions F = (F1, F2) on rectangular parameter grids.
 
-All derivatives are second-order central differences; derived fields
-(conformal factor, Kahler functions, curvatures) live on the interior
-of gradually shrinking stencils and are nan elsewhere.  Degenerate and
-negative-definite points are first-class outcomes: they are flagged and
-excluded from residual norms rather than raised mid-sweep.
+All derivatives are fourth-order central differences of radius R = 2
+(5-point stencils); derived fields (conformal factor, Kahler functions,
+curvatures) live on the interior of gradually shrinking stencils and are
+nan elsewhere.  Degenerate and negative-definite points are first-class
+outcomes: they are flagged and excluded from residual norms rather than
+raised mid-sweep.
 
 Conventions: <F_x,F_x> = eps <F_y,F_y> = e^{2u} > 0, <F_x,F_y> = 0,
 z = x + i y with i^2 = -eps, so d/dz = (d/dx - eps i d/dy)/2 and the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -122,44 +124,77 @@ class ImmersionGrid:
 # finite differences (interior valid, nan boundary)
 # ---------------------------------------------------------------------------
 
-R = 1  # the stencil radius; every nan edge line, reach and trim counts it
+R = 2  # the stencil radius; every nan edge line, reach and trim counts it
 # the fewest samples along any axis of a grid or record: the cubic half
 # steps of the frame march read 4, and a reconstructed grid needs 5
 MIN_SIDE = 5
 
 
-def _taps(n: int):
-    """(centre, next, previous) samples of an axis of n, R in from its ends."""
-    return slice(R, n - R), slice(R + 1, n - R + 1), slice(R - 1, n - R - 1)
+def _flat(a: np.ndarray, axis: int):
+    """(f, tap): a's samples as one flat C-ordered array f, and tap(k), the
+    slice of f k steps along axis from the samples R or more steps from
+    f's ends.  A flat shift by k steps is a shift by k along axis except on
+    the R edge lines of axis, where it wraps into the next line: a kernel
+    forms every sample of tap(0) from contiguous arrays, then _nan_edges
+    overwrites those lines."""
+    f = np.ascontiguousarray(a).reshape(-1)
+    s, n = math.prod(a.shape[axis + 1:]), f.size
+    return f, lambda k: slice((R + k) * s, n - (R - k) * s)
+
+
+def _nan_edges(out: np.ndarray, axis: int) -> np.ndarray:
+    """out with nan on its R edge lines along axis."""
+    e = np.swapaxes(out, 0, axis)
+    e[:R] = e[len(e) - R:] = np.nan
+    return out
 
 
 def diff(a: np.ndarray, h: float, axis: int,
          edges: bool = False) -> np.ndarray:
-    """First difference along axis 0 (x) or 1 (y), central; nan on the R
-    edge lines, but one-sided (second order) on the outer two when edges."""
-    a = np.swapaxes(a, 0, axis)
-    (c, nxt, prv), out = _taps(len(a)), np.full_like(a, np.nan)
-    out[c] = (a[nxt] - a[prv]) / (2.0 * h)
+    """First difference along axis 0 (x) or 1 (y), fourth-order central,
+    (8 (a[+1] - a[-1]) - (a[+2] - a[-2])) / 12h; nan on the R edge lines,
+    or with edges, those filled by the fourth-order one-sided weights
+    (-25, 48, -36, 16, -3) / 12h and (-3, -10, 18, -6, 1) / 12h on the
+    five end samples, mirrored at the far end (Fornberg, Math. Comp. 51,
+    1988)."""
+    f, tap = _flat(a, axis)
+    out = np.empty(a.shape, f.dtype)
+    c = out.reshape(-1)[tap(0)]     # formed in place, in the formula's order
+    np.subtract(f[tap(1)], f[tap(-1)], out=c)
+    c *= 8.0
+    c -= f[tap(2)] - f[tap(-2)]
+    c /= 12.0 * h
+    _nan_edges(out, axis)
     if edges:
-        out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-        out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
-    return np.swapaxes(out, 0, axis)
+        a, e = np.swapaxes(a, 0, axis), np.swapaxes(out, 0, axis)
+        e[0] = (-25.0 * a[0] + 48.0 * a[1] - 36.0 * a[2] + 16.0 * a[3]
+                - 3.0 * a[4]) / (12.0 * h)
+        e[1] = (-3.0 * a[0] - 10.0 * a[1] + 18.0 * a[2] - 6.0 * a[3]
+                + a[4]) / (12.0 * h)
+        e[-2] = (3.0 * a[-1] + 10.0 * a[-2] - 18.0 * a[-3] + 6.0 * a[-4]
+                 - a[-5]) / (12.0 * h)
+        e[-1] = (25.0 * a[-1] - 48.0 * a[-2] + 36.0 * a[-3] - 16.0 * a[-4]
+                 + 3.0 * a[-5]) / (12.0 * h)
+    return out
 
 
 def diff2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central second difference along axis 0 (x) or 1 (y); nan edges."""
-    a = np.swapaxes(a, 0, axis)
-    (c, nxt, prv), out = _taps(len(a)), np.full_like(a, np.nan)
-    out[c] = (a[nxt] - 2.0 * a[c] + a[prv]) / (h * h)
-    return np.swapaxes(out, 0, axis)
+    """Second difference along axis 0 (x) or 1 (y), fourth-order central,
+    (16 (a[+1] + a[-1]) - 30 a - (a[+2] + a[-2])) / 12h^2; nan edges."""
+    f, tap = _flat(a, axis)
+    out = np.empty(a.shape, f.dtype)
+    c = out.reshape(-1)[tap(0)]     # formed in place, in the formula's order
+    np.add(f[tap(1)], f[tap(-1)], out=c)
+    c *= 16.0
+    c -= 30.0 * f[tap(0)]
+    c -= f[tap(2)] + f[tap(-2)]
+    c /= 12.0 * h * h
+    return _nan_edges(out, axis)
 
 
 def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    (x, x1, x0), (y, y1, y0) = map(_taps, a.shape[:2])
-    out = np.full_like(a, np.nan)
-    out[x, y] = (a[x1, y1] - a[x1, y0] - a[x0, y1] + a[x0, y0]) \
-        / (4.0 * hx * hy)
-    return out
+    """The mixed second difference: diff along x of diff along y."""
+    return diff(diff(a, hy, 1), hx, 0)
 
 
 def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
@@ -254,7 +289,7 @@ class GridJets:
 
 
 def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
-    """First central differences of the samples on the grid rows `rows`
+    """First differences (diff) of the samples on the grid rows `rows`
     (all of them without); built on each call."""
     wide, cut = reach(rows, F.nx)
     V = F.values[wide]
@@ -262,7 +297,7 @@ def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
 
 
 def hessian(F: ImmersionGrid, rows: slice = slice(None)):
-    """Second central differences (F_xx, F_xy, F_yy) of the samples on the
+    """Second differences (F_xx, F_xy, F_yy) of the samples on the
     grid rows `rows` (all of them without); built on each call."""
     wide, cut = reach(rows, F.nx)
     V = F.values[wide]

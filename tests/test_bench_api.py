@@ -5,11 +5,11 @@
 ``perfbench/bench_workloads.py`` reads three pipeline helpers of ``cli``,
 which ``cli`` imports from ``gordon``.  These tests catch a rename or
 deletion in ``src`` that would break the benchmark, without running it,
-and run the small families case of every family: it repeats
-``gordon.family_stage``'s set-up in its own code, which must keep giving
-the stage's numbers exactly.  ``Workload.evaluate`` indexes the keys of a
-pipeline report directly, so a report that fails a gate must still carry
-every one of them.
+and run the families case of every family at every size of the
+benchmark: it repeats ``gordon.family_stage``'s set-up in its own code,
+which must keep giving the stage's numbers exactly.  ``Workload.evaluate``
+indexes the keys of a pipeline report directly, so a report that fails a
+gate must still carry every one of them.
 """
 
 import importlib
@@ -17,6 +17,7 @@ import math
 from pathlib import Path
 
 from minsurf import cli, fundata, gordon
+from minsurf.errors import MinsurfError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,14 +40,33 @@ def test_workload_helpers_exist():
 
 
 def test_families_case_runs(monkeypatch):
+    # at every size of the benchmark, measured and --smoke: the families
+    # case, each family's pipeline and verify on each verify example run
+    # to a report or a MinsurfError, which the benchmark counts as a failed
+    # case; any other exception aborts perfbench/run.py
     monkeypatch.syspath_prepend(str(PERFBENCH))
     bench_workloads = importlib.import_module("bench_workloads")
-    for theorem in sorted(gordon.FAMILY_TABLE):
-        out = bench_workloads.solve_family(theorem, 25, 0.5)
-        assert out["mask_points"] > 0
-        assert math.isfinite(out["compat"]["max"])
-        D = gordon.family_stage(theorem, 25, t=0.5)[1]
-        assert out["compat"] == fundata.compat_residuals(D).to_json(), theorem
+    sizes = sorted({n for pair in bench_workloads.SIZES.values()
+                    for n in pair})
+    for n in sizes:
+        for theorem in sorted(gordon.FAMILY_TABLE):
+            out = bench_workloads.solve_family(theorem, n, 0.5)
+            assert out["mask_points"] > 0
+            assert math.isfinite(out["compat"]["max"])
+            D = gordon.family_stage(theorem, n, t=0.5)[1]
+            assert out["compat"] == fundata.compat_residuals(D).to_json(), \
+                (theorem, n)
+            try:
+                cli.run_pipeline(cli.parse_args(
+                    ["pipeline", "--theorem", theorem, "--grid", str(n)]))
+            except MinsurfError:
+                pass
+        for example in bench_workloads.VERIFY_EXAMPLES:
+            try:
+                cli.cmd_verify(cli.parse_args(
+                    ["verify", "--example", example, "--grid", str(n)]))
+            except MinsurfError:
+                pass
 
 
 def test_pipeline_reports_evaluate(monkeypatch, tmp_path):

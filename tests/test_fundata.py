@@ -63,7 +63,7 @@ class TestExtract:
         assert field_sup(D.f1, m) < 1e-9
         assert field_sup(D.f2, m) < 1e-9
         # |gamma_j|^2 = 1/2 for the flat Lagrangian product (the FD
-        # chord factor sin(h)/h shifts e^{2u} by O(h^2))
+        # stencil's factor 1 - h^4/30 on a sine shifts e^{2u} by O(h^4))
         h2 = max(F.hx, F.hy) ** 2
         assert field_sup(D.gamma1.abs2() - 0.5, m) < h2
         assert field_sup(D.gamma2.abs2() - 0.5, m) < h2
@@ -79,7 +79,10 @@ class TestExtract:
         assert np.abs(D.gamma2.abs2()[D.mask & ~D.complex2]).min() > 1e-3
 
     def test_nonminimal_rejected(self):
-        spec = GridSpec.from_box(17, 17, (-0.5, 0.5), (-0.5, 0.5))
+        # 33^2, so that the 2R-sample band where |H| is not defined is as
+        # wide as at 17^2 with R = 1: |H|'s sup, 1.94, is the one 17^2 read
+        # then, against a quarter of the tolerance
+        spec = GridSpec.from_box(33, 33, (-0.5, 0.5), (-0.5, 0.5))
         X, Y = spec.mesh()
         vals = np.stack([stereographic(X, Y),
                          stereographic(X / 2 + 0.2 * X ** 2, Y / 2)], axis=2)

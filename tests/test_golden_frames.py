@@ -5,13 +5,13 @@
 initial frame and, started from that frame, every reconstructed position
 together with the full ``ReconstructReport``.  JSON keeps each float as
 its exact repr.  Initial frames, step counts and drift budgets are compared
-exactly.  The positions were recorded by the step-by-step RK4 sweep that
-the per-cell propagators replaced (A1 and C1 by the propagators, after
-the Krylov Gordon solve moved their data by round-off); products of
-propagators round differently, so positions and the quadric drift taken
-from them compare to 1e-13 absolute (measured 4e-15).  The commutator fields, recorded by the
-propagators and covering every cell, compare to 1e-9 relative: they are
-differences of O(1) states of size about 1e-5.
+exactly.  Positions, drift and commutator fields were recorded by the
+per-cell propagators on the family data of the fourth-order stencils.
+Positions and the quadric drift taken from them compare to 1e-13
+absolute, the bound set when they were recorded by the step-by-step RK4
+sweep the propagators replaced (measured 4e-15 between the two).  The
+commutator fields, covering every cell, compare to 1e-9 relative: they
+are differences of O(1) states of size about 1e-5.
 Regenerate (only for an intended change of results) with
 ``PYTHONPATH=src python tests/test_golden_frames.py``.
 """

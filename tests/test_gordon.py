@@ -238,16 +238,17 @@ class TestOwnOperator:
     @pytest.mark.parametrize("theorem", sorted(G.FAMILY_TABLE))
     def test_family_stage_ignores_immersion_R(self, theorem, monkeypatch):
         # the solves read gordon's own radius-1 stencil, so a wider
-        # immersion.R moves no solution; family_stage's trim (5 samples,
-        # 2 on B2's 9 rows) clears the R nan edge lines of the family
-        # data's derivatives, so nothing it returns moves either
+        # immersion.R moves no solution; at R = 3 the family data's
+        # derivatives are nan on the line inside their two one-sided edge
+        # lines, which family_stage's trim (5 samples at 65^2, B2's 17
+        # rows included) clears, so nothing it returns moves either
         def stage():
-            sol, D = G.family_stage(theorem, 33)
+            sol, D = G.family_stage(theorem, 65)
             return [repr(sol.residual_norm), sol.iterations] + [
                 (a.dtype.str, a.shape, a.tobytes())
                 for a in (sol.v, sol.w, *_arrays(D))]
         want = stage()
-        monkeypatch.setattr(immersion, "R", 2)
+        monkeypatch.setattr(immersion, "R", immersion.R + 1)
         assert stage() == want
 
 

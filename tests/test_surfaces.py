@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import holo_graph_metric_xx
 
-from minsurf import cli
+from minsurf import cli, immersion
 from minsurf.immersion import GridSpec, conformal_fields, mean_curvature_residual
 from minsurf.surfaces import (
     EXAMPLES,
@@ -27,6 +27,11 @@ W_PRIME = {
     "paraholo:invz": lambda a, b: (-(a * a + b * b) / (a * a - b * b) ** 2,
                                    2.0 * a * b / (a * a - b * b) ** 2),
 }
+
+
+# the samples R (the stencil radius) or more from every edge, where the
+# first differences, and so the metric, are defined
+CORE = slice(immersion.R, -immersion.R)
 
 
 def graph_metric_xx(name, x, y):
@@ -93,7 +98,7 @@ class TestReferenceFormula:
     @pytest.mark.parametrize("name", ["paraholo:z2", "paraholo:sit"])
     def test_para_graph_matches_finite_differences(self, name):
         # the closed-form G(F_x, F_x) of a para-holomorphic graph against the
-        # grid's finite differences, two cells inside the box: O(h^2)
+        # grid's finite differences, two cells inside the box: O(h^4)
         errs = []
         for n in (33, 65, 129):
             F = build_example(name, nx=n)
@@ -127,24 +132,24 @@ class TestDegeneracy:
     def test_slice_empty(self):
         F = build_example("slice:first", nx=33)
         mask, pts = degeneracy_locus(F)
-        assert not mask[1:-1, 1:-1].any()
+        assert not mask[CORE, CORE].any()
         assert len(pts) == 0
 
     def test_iz_totally_degenerate(self):
         F = build_example("holo:iz", nx=17)
         C = conformal_fields(F)
-        assert C.degenerate[1:-1, 1:-1].all()
+        assert C.degenerate[CORE, CORE].all()
 
     def test_para_invz_totally_degenerate(self):
         F = build_example("paraholo:invz", nx=17)
         C = conformal_fields(F)
-        assert C.degenerate[1:-1, 1:-1].all()
+        assert C.degenerate[CORE, CORE].all()
 
     def test_diagonal_totally_degenerate(self):
         # the neutral metric kills the diagonal graph of the identity
         F = build_example("holo:z", nx=17)
         C = conformal_fields(F)
-        assert C.degenerate[1:-1, 1:-1].all()
+        assert C.degenerate[CORE, CORE].all()
 
     def test_para_examples_nondegenerate(self):
         for name in ("paraholo:z2", "paraholo:sit"):
@@ -177,7 +182,7 @@ class TestConstructors:
         C = conformal_fields(F)
         # the {q} x S^2 slice carries -g: every sample with a gxx is flagged
         assert F.eps == 1
-        assert C.negdef[1:-1].all() and not C.ok.any()
+        assert C.negdef[CORE].all() and not C.ok.any()
 
     def test_second_slice_para_chart_swapped(self):
         # {q} x S2_1 through the swapped para chart: <F_x, F_x> > 0, a
@@ -187,7 +192,7 @@ class TestConstructors:
         assert F.eps == -1 and F.quadric_residual() < 1e-15
         assert np.all(F.values[:, :, 0] == [0.0, 0.0, 1.0])
         C = conformal_fields(F)
-        assert C.ok[1:-1, 1:-1].all() and (C.eps_sign[1:-1, 1:-1] == -1).all()
+        assert C.ok[CORE, CORE].all() and (C.eps_sign[CORE, CORE] == -1).all()
         code, report = cli._check_grid(F, cli.RunConfig(command="verify"))
         assert code == cli.EXIT_PASS and report["failures"] == []
         assert report["fractions"] == {"valid": 1.0, "degenerate": 0.0,
