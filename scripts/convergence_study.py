@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Grid-refinement study of the compatibility residuals and the pointwise
-Kahler identities.
+"""Grid-refinement study of the Gordon solves, the compatibility residuals
+and the pointwise Kahler identities.
 
-Prints sup-norm residual tables at 33^2 / 65^2 / 129^2, with the observed
-convergence orders: the compatibility residuals of the example surfaces and
-of the six explicit families, then each family's identity residuals
+Prints sup-norm tables at 33^2 / 65^2 / 129^2, with the observed
+convergence orders: the error of gordon.solve_gordon against the
+manufactured solutions of the tests (conftest.manufactured_error) on both
+paths, the compatibility residuals of the example surfaces and of the six
+explicit families, then each family's identity residuals
 (fundata.identity_residuals).
+
+    PYTHONPATH=src python3 scripts/convergence_study.py
 """
 
 import sys
@@ -15,7 +19,12 @@ import numpy as np
 
 # the oracle families live beside the tests; find them from any directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import FAMILY_CASES, interior_region, oracle_family  # noqa: E402
+from conftest import (  # noqa: E402
+    FAMILY_CASES,
+    interior_region,
+    manufactured_error,
+    oracle_family,
+)
 
 from minsurf.fundata import (  # noqa: E402
     compat_residuals,
@@ -48,7 +57,17 @@ def table(name, norms):
               + "  " + " ".join(f"{o:4.2f}" for o in orders))
 
 
+# (label, equation kind, eps) of the manufactured Gordon solves
+MANUFACTURED = (("elliptic sinh_plus", "sinh_plus", 1),
+                ("elliptic sin_mixed", "sin_mixed", 1),
+                ("hyperbolic sinh_minus", "sinh_minus", -1))
+
+
 def main():
+    table("gordon: manufactured solutions, max |(v, w) - exact|",
+          {n: {label: manufactured_error(kind, eps, n)
+               for label, kind, eps in MANUFACTURED} for n in NS})
+
     for name, box in EXTRACTED:
         norms = {}
         for n in NS:

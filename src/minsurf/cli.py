@@ -446,7 +446,8 @@ def run_pipeline(cfg: RunConfig):
                     "residual": sol.residual_norm,
                     "converged": bool(sol.converged),
                     "iterations": list(sol.iterations),
-                    "history": sol.meta["history"]},
+                    "history": sol.meta["history"],
+                    "correction": sol.meta["correction"]},
             mask_points=int(np.sum(D.mask)),
             tolerances=_tolerances("pipeline", cfg, max(D.hx, D.hy)))
         grid = _round_trip(D, report)

@@ -12,7 +12,12 @@ For eps = +1 the conformal variable is complex and 4 v_zzb = v_xx + v_yy
 preconditioned with a DST-I fast Poisson solve); for eps = -1 it is
 para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
 y).  Both discretize it by this module's own 5-point stencil of radius 1,
-_box.  A forcing turns either into a manufactured-solution test bench:
+_box, and then correct the defect once (Stetter, Numer. Math. 29, 1978):
+the solve is repeated with the forcing less _truncation(v)/4, the
+fourth-order stencils' estimate of the 5-point truncation error at the
+first solution, which makes the solution fourth-order accurate (third
+order on the hyperbolic path, whose first step is second order).  A
+forcing turns either into a manufactured-solution test bench:
 v_zzb + (s/2) N(2v) = forcing.
 
 The pipeline's six families (FAMILY_TABLE) take their boundary data from
@@ -97,6 +102,31 @@ def _d2(a, h):
 def _box(u, hx, hy, eps):
     """4 u_zzb = u_xx + eps u_yy at _inner(u), the 5-point stencil."""
     return _d2(u, hx)[:, 1:-1] + eps * _d2(u.T, hy).T[1:-1]
+
+
+# fourth-order u'' at the second of six samples, times 12 h^2
+_EDGE4 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0])
+LEAST_AXIS = len(_EDGE4)
+
+
+def _d4(a, h):
+    """The fourth-order second difference along axis 0, at its inner
+    lines: the 5-point centred stencil (-1, 16, -30, 16, -1)/12h^2, and
+    _EDGE4's one-sided weights on the first and last inner line."""
+    out = np.empty_like(a[1:-1])
+    out[1:-1] = (16.0 * (a[1:-3] + a[3:-1]) - 30.0 * a[2:-2]
+                 - (a[:-4] + a[4:])) / 12.0
+    out[0] = np.tensordot(_EDGE4, a[:6], 1) / 12.0
+    out[-1] = np.tensordot(_EDGE4, a[:-7:-1], 1) / 12.0
+    return out / (h * h)
+
+
+def _truncation(u, hx, hy, eps):
+    """The fourth-order estimate of _box's truncation error at _inner(u):
+    (d4 - d2) u along x plus eps times the same along y, about
+    4 u_zzb - _box(u) to O(h^4)."""
+    return ((_d4(u, hx) - _d2(u, hx))[:, 1:-1]
+            + eps * (_d4(u.T, hy) - _d2(u.T, hy)).T[1:-1])
 
 
 def _residual(N, s, eps, u, hx, hy, f=None):
@@ -202,29 +232,39 @@ def _krylov_step(d, r, hx, hy):
     return x, False, _KRYLOV_MAXITER
 
 
-def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
+def _harmonic(spec: GridSpec, bc, f):
+    """Newton's initial iterate: the boundary data bc on the edge lines and
+    the Dirichlet solve of _box(u) = 4 f at the inner samples."""
+    X, Y = spec.mesh()
+    u = np.asarray(bc(X, Y), dtype=float) * np.ones(X.shape)
+    _inner(u)[...] = 0.0
+    rhs = 4.0 * _inner(f) - _box(u, spec.hx, spec.hy, 1)
+    _inner(u)[...] = _dirichlet_poisson(rhs, spec.hx, spec.hy)
+    return u
+
+
+def _newton_elliptic(N, dN, s, u, hx, hy, f):
     """Newton for the Dirichlet problem of v_zzb + (s/2) N(2v) = f.
 
-    Works on r = 4 _residual (the radius-1 stencil _box at the inner
-    samples), f the forcing array or None.  The initial iterate is the
-    harmonic extension of the boundary data (plus forcing); each step
-    solves J du = -r by `_krylov_step` and is taken whole if it lowers
-    |r|_2, else Newton stops unconverged.  It converges once
+    Starts from the iterate u, whose edge lines hold the Dirichlet data,
+    and works on r = 4 _residual (the radius-1 stencil _box at the inner
+    samples), f the forcing array.  Each step solves J du = -r by
+    `_krylov_step` and is taken whole if it lowers |r|_2, else Newton
+    stops unconverged.  It converges once
 
         max|r| <= max(4 _NEWTON_TOL, 8 eps_mach max|u| (1/hx^2 + 1/hy^2)),
 
     the second term being the round-off floor of _box at this h: rounding
     u by eps_mach |u| per point moves the 5-point stencil by up to
     4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating it in floating point
-    adds as much again.  Returns
+    adds as much again.  The defect-corrected solve keeps this floor: it
+    moves only f, which stays fixed while Newton runs, so it rounds the
+    same stencil at the same h.  Returns
     (u, converged, iterations, history); history holds, per iteration,
     max|r| at its start, the MINRES iteration count and why Newton stopped
     there: "converged", "krylov" (MINRES did not converge) or "no descent"
     (the step did not lower |r|_2); None when it went on.
     """
-    X, Y = spec.mesh()
-    hx, hy = spec.hx, spec.hy
-    u = np.asarray(bc(X, Y), dtype=float) * np.ones(X.shape)
     floor_coef = 8.0 * np.finfo(float).eps * (1.0 / hx ** 2 + 1.0 / hy ** 2)
 
     def residual(u):
@@ -233,11 +273,6 @@ def _newton_elliptic(N, dN, s, spec: GridSpec, bc, f):
     def stop(u):
         return max(4.0 * _NEWTON_TOL, floor_coef * np.max(np.abs(u)))
 
-    # initial iterate: harmonic extension of the boundary data (+forcing)
-    _inner(u)[...] = 0.0
-    lap_g = _box(u, hx, hy, 1)
-    rhs = -lap_g if f is None else 4.0 * _inner(f) - lap_g
-    _inner(u)[...] = _dirichlet_poisson(rhs, hx, hy)
     r = residual(u)
     history = []
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -272,22 +307,24 @@ def _leapfrog(N, s, spec: GridSpec, init, bc, f):
     if hy > hx + 1e-14:
         raise CFLViolation(f"leapfrog requires hy <= hx (hy={hy}, hx={hx})")
     xs, ys = spec.axes()
-    f = np.zeros((nx, ny)) if f is None else f
     v0_fn, vy0_fn = init
-    u = np.empty((nx, ny))
-    u[:, 0] = v0_fn(xs)
+    # row j of u is the line y = ys[j]; its edge samples are the boundary
+    # data, its inner ones are marched
+    u = np.empty((ny, nx))
+    u[0] = v0_fn(xs)
+    u[1:, 0] = bc(xs[0], ys[1:])
+    u[1:, -1] = bc(xs[-1], ys[1:])
+    f4 = 4.0 * f.T
     for j in range(ny - 1):
         # PDE: v_yy = v_xx + 2 s N(2v) - 4 f at the inner samples, v_xx by
-        # _box's x part _d2; the edge samples are the boundary data
-        a, new = _inner(u[:, j]), _inner(u[:, j + 1])
-        acc = _d2(u[:, j], hx) + 2.0 * s * N(2.0 * a) - 4.0 * _inner(f[:, j])
+        # _box's x part _d2
+        a, new = _inner(u[j]), _inner(u[j + 1])
+        acc = _d2(u[j], hx) + 2.0 * s * N(2.0 * a) - _inner(f4[j])
         if j == 0:  # second-order first step
             new[...] = a + hy * _inner(vy0_fn(xs)) + 0.5 * hy ** 2 * acc
         else:
-            new[...] = 2.0 * a - _inner(u[:, j - 1]) + hy ** 2 * acc
-        u[0, j + 1] = bc(xs[0], ys[j + 1])
-        u[-1, j + 1] = bc(xs[-1], ys[j + 1])
-    return u
+            new[...] = 2.0 * a - _inner(u[j - 1]) + hy ** 2 * acc
+    return np.ascontiguousarray(u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -296,44 +333,71 @@ def _leapfrog(N, s, spec: GridSpec, init, bc, f):
 
 def solve_gordon(kind: str, eps: int, spec: GridSpec,
                  boundary=None, initial=None, forcing=None) -> GordonSolution:
-    """Solve the chosen Gordon pair on the grid.
+    """Solve the chosen Gordon pair on the grid, to fourth order.
 
     eps=+1: ``boundary`` = (g_v, g_w) Dirichlet callables (x, y).
     eps=-1: ``initial`` = ((v0, vy0), (w0, wy0)) callables of x on y=0 and
     ``boundary`` supplies the two x-edge columns.  ``forcing`` is an
     optional pair of callables adding a right-hand side to each equation.
+
+    Each field is first solved on the 5-point stencil.  If both converged,
+    each is solved again with its forcing less _truncation(u)/4 at the
+    inner samples: Newton goes on from u with that forcing frozen, or the
+    march is repeated.  residual_norm is then the corrected system's,
+    iterations counts both solves (Newton iterations, or ny rows per
+    march), meta["history"] holds the first solve's Newton history and
+    meta["correction"] per field the size max|tau|/4 and the corrected
+    solve's history, or None where the first solve did not converge.
+    Each axis needs LEAST_AXIS samples, _truncation's one-sided stencil.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
+    if min(spec.nx, spec.ny) < LEAST_AXIS:
+        raise ValueError(f"solve_gordon needs at least {LEAST_AXIS} samples "
+                         f"on each axis, got {spec.nx} x {spec.ny}")
     N, dN, signs = KINDS[kind]
-    # the forcing arrays, None where there is none
+    hx, hy = spec.hx, spec.hy
     X, Y = spec.mesh()
-    fv, fw = (None if g is None else np.asarray(g(X, Y), dtype=float)
-              * np.ones(X.shape) for g in forcing or (None, None))
+    fs = [np.zeros(X.shape) if g is None
+          else np.asarray(g(X, Y), dtype=float) * np.ones(X.shape)
+          for g in forcing or (None, None)]
 
     if eps == 1:
         if boundary is None:
             raise ValueError("elliptic solve requires Dirichlet boundary data")
-        gv, gw = boundary
-        v, cv, iv, hv = _newton_elliptic(N, dN, signs[0], spec, gv, fv)
-        w, cw, iw, hw = _newton_elliptic(N, dN, signs[1], spec, gw, fw)
-        converged, iters = cv and cw, (iv, iw)
+        initial = (None, None)
+
+        def solve(s, bc, init, f, u=None):
+            u = _harmonic(spec, bc, f) if u is None else u
+            return _newton_elliptic(N, dN, s, u, hx, hy, f)
     elif eps == -1:
         if initial is None or boundary is None:
             raise ValueError("hyperbolic solve requires initial and boundary data")
-        (vi, wi) = initial
-        gv, gw = boundary
-        v = _leapfrog(N, signs[0], spec, vi, gv, fv)
-        w = _leapfrog(N, signs[1], spec, wi, gw, fw)
-        converged, iters = True, (spec.ny, spec.ny)
-        hv, hw = [], []
+
+        def solve(s, bc, init, f, u=None):
+            return _leapfrog(N, s, spec, init, bc, f), True, spec.ny, []
     else:
         raise ValueError("eps must be +1 or -1")
 
-    res = _pair_residual(kind, eps, spec, v, w, fv, fw)
-    return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, converged, iters,
-                          meta={"history": {"v": hv, "w": hw}})
+    args = list(zip(signs, boundary, initial, fs))
+    runs = [solve(*a) for a in args]
+    correction = None
+    if all(ok for _, ok, _, _ in runs):
+        correction = {}
+        for k, ((s, bc, init, f), (u, _, it, hist)) in enumerate(
+                zip(args, runs)):
+            tau = _truncation(u, hx, hy, eps) / 4.0
+            fs[k] = f = f - np.pad(tau, 1)
+            u, ok, more, fixed = solve(s, bc, init, f, u)
+            runs[k] = (u, ok, it + more, hist)
+            correction["vw"[k]] = {"size": float(np.max(np.abs(tau))),
+                                   "history": fixed}
+    (v, cv, iv, hv), (w, cw, iw, hw) = runs
+    res = _pair_residual(kind, eps, spec, v, w, *fs)
+    return GordonSolution(kind, eps, v, w, hx, hy, spec.origin,
+                          res, cv and cw, (iv, iw),
+                          meta={"history": {"v": hv, "w": hw},
+                                "correction": correction})
 
 
 def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:

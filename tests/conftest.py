@@ -82,6 +82,43 @@ def oracle_family(theorem, v0, w0, xmax, n, t=0.3):
     return build_family(theorem, sol, t=t)
 
 
+def manufactured_error(kind, eps, n):
+    """Max error of solve_gordon's (v, w) against a manufactured solution:
+    the forcing that makes it exact, on the unit square at n^2 (eps = +1,
+    Dirichlet data) or on [0, 1] x [0, 1/2] with hy = hx/2 (eps = -1,
+    initial data at y = 0 and the two x-edge columns)."""
+    nonlin, _, signs = gordon.KINDS[kind]
+    if eps == 1:
+        def vstar(x, y):
+            return 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.1
+
+        def zzb(x, y):
+            return -0.2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+        spec = GridSpec.from_box(n, n, (0.0, 1.0), (0.0, 1.0))
+        initial = None
+    else:
+        def vstar(x, y):
+            return 0.3 * np.sin(np.pi * x) * np.cos(2.0 * y) + 0.05
+
+        def zzb(x, y):   # (v_xx - v_yy) / 4
+            return 0.3 * (4.0 - np.pi ** 2) / 4.0 * np.sin(np.pi * x) \
+                * np.cos(2.0 * y)
+        hx = 1.0 / (n - 1)
+        spec = GridSpec(n, (n - 1) // 2 + 1, hx, hx / 2, (0.0, 0.0))
+        v0 = (lambda x: vstar(x, 0.0), np.zeros_like)
+        initial = (v0, v0)
+
+    def forcing(sign):
+        return lambda x, y: zzb(x, y) + 0.5 * sign * nonlin(2 * vstar(x, y))
+
+    sol = gordon.solve_gordon(kind, eps, spec, boundary=(vstar, vstar),
+                              initial=initial,
+                              forcing=tuple(map(forcing, signs)))
+    assert sol.converged
+    want = vstar(*spec.mesh())
+    return max(np.max(np.abs(sol.v - want)), np.max(np.abs(sol.w - want)))
+
+
 # gentle profiles staying inside each admissible region with margin
 FAMILY_CASES = {
     "A1": (1.0, 0.15, 0.25),

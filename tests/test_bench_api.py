@@ -70,13 +70,14 @@ def test_families_case_runs(monkeypatch):
 
 
 def test_pipeline_reports_evaluate(monkeypatch, tmp_path):
-    # A1 fails its record_compat gate at 65^2 and still returns a report
-    # the benchmark reads; C1 passes its re-checks
+    # A2 marched to y = 0.5 fails its record_compat gate and still returns
+    # a report the benchmark reads; A1 and C1 at 65^2 pass its re-checks
     monkeypatch.syspath_prepend(str(PERFBENCH))
     bench_workloads = importlib.import_module("bench_workloads")
     wl = bench_workloads.Workload("pipeline-65", 0, False, str(tmp_path))
-    for theorem, passed in (("A1", False), ("C1", True)):
+    for theorem, grid, passed in (("A2", "33x65", False), ("A1", "65", True),
+                                  ("C1", "65", True)):
         result = cli.run_pipeline(cli.parse_args(
-            ["pipeline", "--theorem", theorem, "--grid", "65"]))
+            ["pipeline", "--theorem", theorem, "--grid", grid]))
         out = wl.evaluate(f"pipeline:{theorem}", result, 1.0)
         assert (out.passed, out.problems) == (passed, []), theorem

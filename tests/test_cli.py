@@ -746,10 +746,11 @@ class TestPipeline:
             report["reconstruction"]["drift_budget"]
         gd = report["gordon"]
         for which, it in zip("vw", gd["iterations"]):
-            hist = gd["history"][which]
-            assert len(hist) == it
+            hist, corr = gd["history"][which], gd["correction"][which]
+            assert len(hist) + len(corr["history"]) == it
             assert all(sorted(e) == ["krylov", "residual", "stopped"]
-                       for e in hist)
+                       for e in hist + corr["history"])
+            assert 0.0 < corr["size"] < 1.0
 
     def test_report_names_the_reference_pair(self, tmp_path, capsys):
         # B1 at 65^2 with t = 0.3: pair 0 leaves a sample of the
@@ -1004,9 +1005,9 @@ class TestPipelineGates:
         assert list(report["gates"]) == stages[:stages.index(name)]
 
     @pytest.mark.parametrize("theorem, grid, norm, tol", [
-        ("A1", "65", 5.643e-03, 3.052e-03),
-        ("A2", "33x65", 1.063e+02, 4.883e-02),
-    ], ids=["A1-65", "A2-33x65"])
+        ("A2", "65x129", 1.051e+02, 1.221e-02),
+        ("A2", "33x65", 1.061e+02, 4.883e-02),
+    ], ids=["A2-65x129", "A2-33x65"])
     def test_failed_gate_writes_its_report(self, theorem, grid, norm, tol,
                                            tmp_path, capsys):
         out = tmp_path / "out"
@@ -1066,12 +1067,13 @@ class TestPipelineGates:
         assert report["roundtrip"] is None
 
     def test_compat_violation_blocks(self, monkeypatch):
-        # A1's record fails its compatibility gate before the integration
+        # C2's record marched to y = 0.5 on 17 x 129 samples fails its
+        # compatibility gate before the integration
         def never(*args, **kwargs):
             raise AssertionError("reconstruct ran past a failed gate")
 
         monkeypatch.setattr(frenet, "reconstruct", never)
-        code, report = self.pipeline("A1", "--grid", "65")
+        code, report = self.pipeline("C2", "--grid", "17x129")
         assert code == EXIT_FAIL
         assert report["failures"] == ["record_compat"]
         assert list(report["gates"]) == ["record_compat"]
