@@ -365,30 +365,30 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     if eps == 1:
         if boundary is None:
             raise ValueError("elliptic solve requires Dirichlet boundary data")
-        initial = (None, None)
-
-        def solve(s, bc, init, f, u=None):
-            u = _harmonic(spec, bc, f) if u is None else u
-            return _newton_elliptic(N, dN, s, u, hx, hy, f)
     elif eps == -1:
         if initial is None or boundary is None:
             raise ValueError("hyperbolic solve requires initial and boundary data")
-
-        def solve(s, bc, init, f, u=None):
-            return _leapfrog(N, s, spec, init, bc, f), True, spec.ny, []
     else:
         raise ValueError("eps must be +1 or -1")
 
-    args = list(zip(signs, boundary, initial, fs))
-    runs = [solve(*a) for a in args]
+    def solve(k, u=None):
+        """Field k's solve with forcing fs[k]: (u, converged, iterations,
+        history), Newton going on from u where one is given."""
+        if eps == -1:
+            return (_leapfrog(N, signs[k], spec, initial[k], boundary[k],
+                              fs[k]), True, spec.ny, [])
+        if u is None:
+            u = _harmonic(spec, boundary[k], fs[k])
+        return _newton_elliptic(N, dN, signs[k], u, hx, hy, fs[k])
+
+    runs = [solve(k) for k in (0, 1)]
     correction = None
     if all(ok for _, ok, _, _ in runs):
         correction = {}
-        for k, ((s, bc, init, f), (u, _, it, hist)) in enumerate(
-                zip(args, runs)):
+        for k, (u, _, it, hist) in enumerate(runs):
             tau = _truncation(u, hx, hy, eps) / 4.0
-            fs[k] = f = f - np.pad(tau, 1)
-            u, ok, more, fixed = solve(s, bc, init, f, u)
+            fs[k] = fs[k] - np.pad(tau, 1)
+            u, ok, more, fixed = solve(k, u)
             runs[k] = (u, ok, it + more, hist)
             correction["vw"[k]] = {"size": float(np.max(np.abs(tau))),
                                    "history": fixed}
