@@ -5,9 +5,11 @@ and the pointwise Kahler identities.
 Prints sup-norm tables at 33^2 / 65^2 / 129^2, with the observed
 convergence orders: the error of gordon.solve_gordon against the
 manufactured solutions of the tests (conftest.manufactured_error) on both
-paths, the compatibility residuals of the example surfaces and of the six
-explicit families, then each family's identity residuals
-(fundata.identity_residuals).
+paths; each pipeline family's record_compat, the compat norm that
+`minsurf pipeline` gates first (the cropped family_stage record at
+t = 0.3), at 33^2 to 257^2; the compatibility residuals of the example
+surfaces and of the six explicit families, then each family's identity
+residuals (fundata.identity_residuals).
 
     PYTHONPATH=src python3 scripts/convergence_study.py
 """
@@ -26,12 +28,14 @@ from conftest import (  # noqa: E402
     oracle_family,
 )
 
+from minsurf.frenet import cropped  # noqa: E402
 from minsurf.fundata import (  # noqa: E402
     compat_residuals,
     extract,
     field_sup,
     identity_residuals,
 )
+from minsurf.gordon import FAMILY_TABLE, family_stage  # noqa: E402
 from minsurf.immersion import GridSpec  # noqa: E402
 from minsurf.surfaces import EXAMPLES, build_example  # noqa: E402
 
@@ -43,15 +47,16 @@ EXTRACTED = [
 ]
 
 NS = (33, 65, 129)
+PIPELINE_NS = (33, 65, 129, 257)
 
 
-def table(name, norms):
-    keys = sorted(k for k in norms[NS[0]]
-                  if np.isfinite(norms[NS[0]][k]) and norms[NS[-1]][k] > 1e-13)
+def table(name, norms, ns=NS):
+    keys = sorted(k for k in norms[ns[0]]
+                  if np.isfinite(norms[ns[0]][k]) and norms[ns[-1]][k] > 1e-13)
     print(f"\n== {name} ==")
-    print(f"{'norm':22s} " + " ".join(f"n={n:<9d}" for n in NS) + " orders")
+    print(f"{'norm':22s} " + " ".join(f"n={n:<9d}" for n in ns) + " orders")
     for k in keys:
-        row = [norms[n][k] for n in NS]
+        row = [norms[n][k] for n in ns]
         orders = [np.log2(row[i] / row[i + 1]) for i in range(len(row) - 1)]
         print(f"{k:22s} " + " ".join(f"{v:9.2e}" for v in row)
               + "  " + " ".join(f"{o:4.2f}" for o in orders))
@@ -67,6 +72,12 @@ def main():
     table("gordon: manufactured solutions, max |(v, w) - exact|",
           {n: {label: manufactured_error(kind, eps, n)
                for label, kind, eps in MANUFACTURED} for n in NS})
+
+    table("pipeline families: record_compat at t = 0.3",
+          {n: {theorem: compat_residuals(cropped(
+              family_stage(theorem, n, t=0.3)[1])).max()
+              for theorem in sorted(FAMILY_TABLE)} for n in PIPELINE_NS},
+          PIPELINE_NS)
 
     for name, box in EXTRACTED:
         norms = {}

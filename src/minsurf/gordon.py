@@ -11,18 +11,21 @@ For eps = +1 the conformal variable is complex and 4 v_zzb = v_xx + v_yy
 (elliptic: damped Newton with Dirichlet data, each step solved by MINRES
 preconditioned with a DST-I fast Poisson solve); for eps = -1 it is
 para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
-y).  Both discretize it by this module's own 5-point stencil of radius 1,
-_box, and then correct the defect once (Stetter, Numer. Math. 29, 1978):
-the solve is repeated with the forcing less _truncation(v)/4, the
-fourth-order stencils' estimate of the 5-point truncation error at the
-first solution, which makes the solution fourth-order accurate (third
-order on the hyperbolic path, whose first step is second order).  A
-forcing turns either into a manufactured-solution test bench:
+y on an x-line widened past the reach of its edge columns, then cut back
+to the box).  Both discretize it by this module's own 5-point stencil of
+radius 1, _box, and then correct the defect once (Stetter, Numer. Math.
+29, 1978): the solve is repeated with the forcing less _truncation(v)/4,
+the fourth-order stencils' estimate of the 5-point truncation error at
+the first solution, which makes the solution fourth-order accurate
+(third order on the hyperbolic path, whose first step is second order).
+A forcing turns either into a manufactured-solution test bench:
 v_zzb + (s/2) N(2v) = forcing.
 
 The pipeline's six families (FAMILY_TABLE) take their boundary data from
 PIPELINE_DATA: gordon_stage solves each one's Gordon pair and family_stage
 builds its family data, trimmed clear of the solves' boundary layers.
+The hyperbolic families start from smooth, 1-periodic lines with v_y = 0,
+and their records converge at order 3.75-3.94 from 129^2 to 257^2.
 """
 
 from __future__ import annotations
@@ -301,21 +304,20 @@ def _newton_elliptic(N, dN, s, u, hx, hy, f):
 # hyperbolic path: explicit leapfrog marching in y
 # ---------------------------------------------------------------------------
 
-def _leapfrog(N, s, spec: GridSpec, init, bc, f):
-    nx, ny = spec.nx, spec.ny
-    hx, hy = spec.hx, spec.hy
+def _leapfrog(N, s, xs, ys, hx, hy, init, bc, f):
+    """March the line xs from y = ys[0] through the rows ys; f is the
+    forcing on the (xs, ys) mesh."""
     if hy > hx + 1e-14:
         raise CFLViolation(f"leapfrog requires hy <= hx (hy={hy}, hx={hx})")
-    xs, ys = spec.axes()
     v0_fn, vy0_fn = init
     # row j of u is the line y = ys[j]; its edge samples are the boundary
     # data, its inner ones are marched
-    u = np.empty((ny, nx))
+    u = np.empty((len(ys), len(xs)))
     u[0] = v0_fn(xs)
     u[1:, 0] = bc(xs[0], ys[1:])
     u[1:, -1] = bc(xs[-1], ys[1:])
     f4 = 4.0 * f.T
-    for j in range(ny - 1):
+    for j in range(len(ys) - 1):
         # PDE: v_yy = v_xx + 2 s N(2v) - 4 f at the inner samples, v_xx by
         # _box's x part _d2
         a, new = _inner(u[j]), _inner(u[j + 1])
@@ -337,8 +339,17 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
 
     eps=+1: ``boundary`` = (g_v, g_w) Dirichlet callables (x, y).
     eps=-1: ``initial`` = ((v0, vy0), (w0, wy0)) callables of x on y=0 and
-    ``boundary`` supplies the two x-edge columns.  ``forcing`` is an
-    optional pair of callables adding a right-hand side to each equation.
+    ``boundary`` supplies the two x-edge columns of a line widened by
+    ny + 3 samples on each side of the box.  In each march an edge column
+    reaches one sample further in per row, and the truncation estimate
+    that links the two marches reads up to three samples past the first
+    march's reach (at its one-sided first row), so the corrected march's
+    discrete domain of dependence ends ny + 1 samples in from the edge
+    column: the edge columns only close the widened line, and the box
+    holds the Cauchy solution of its own initial line, which ``initial``
+    (and ``forcing``) must give on the widened line too.  ``forcing`` is
+    an optional pair of callables adding a right-hand side to each
+    equation.
 
     Each field is first solved on the 5-point stencil.  If both converged,
     each is solved again with its forcing less _truncation(u)/4 at the
@@ -348,7 +359,8 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     march), meta["history"] holds the first solve's Newton history and
     meta["correction"] per field the size max|tau|/4 and the corrected
     solve's history, or None where the first solve did not converge.
-    Each axis needs LEAST_AXIS samples, _truncation's one-sided stencil.
+    Both norms are taken at the box's inner samples.  Each axis needs
+    LEAST_AXIS samples, _truncation's one-sided stencil.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -357,10 +369,8 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
                          f"on each axis, got {spec.nx} x {spec.ny}")
     N, dN, signs = KINDS[kind]
     hx, hy = spec.hx, spec.hy
-    X, Y = spec.mesh()
-    fs = [np.zeros(X.shape) if g is None
-          else np.asarray(g(X, Y), dtype=float) * np.ones(X.shape)
-          for g in forcing or (None, None)]
+    xs, ys = spec.axes()
+    box = (slice(None), slice(None))
 
     if eps == 1:
         if boundary is None:
@@ -368,15 +378,22 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     elif eps == -1:
         if initial is None or boundary is None:
             raise ValueError("hyperbolic solve requires initial and boundary data")
+        pad = spec.ny + 3
+        xs = spec.origin[0] + hx * np.arange(-pad, spec.nx + pad)
+        box = (slice(pad, pad + spec.nx), slice(None))
     else:
         raise ValueError("eps must be +1 or -1")
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fs = [np.zeros(X.shape) if g is None
+          else np.asarray(g(X, Y), dtype=float) * np.ones(X.shape)
+          for g in forcing or (None, None)]
 
     def solve(k, u=None):
         """Field k's solve with forcing fs[k]: (u, converged, iterations,
         history), Newton going on from u where one is given."""
         if eps == -1:
-            return (_leapfrog(N, signs[k], spec, initial[k], boundary[k],
-                              fs[k]), True, spec.ny, [])
+            return (_leapfrog(N, signs[k], xs, ys, hx, hy, initial[k],
+                              boundary[k], fs[k]), True, spec.ny, [])
         if u is None:
             u = _harmonic(spec, boundary[k], fs[k])
         return _newton_elliptic(N, dN, signs[k], u, hx, hy, fs[k])
@@ -386,14 +403,16 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     if all(ok for _, ok, _, _ in runs):
         correction = {}
         for k, (u, _, it, hist) in enumerate(runs):
-            tau = _truncation(u, hx, hy, eps) / 4.0
-            fs[k] = fs[k] - np.pad(tau, 1)
+            tau = np.pad(_truncation(u, hx, hy, eps) / 4.0, 1)
+            fs[k] = fs[k] - tau
             u, ok, more, fixed = solve(k, u)
             runs[k] = (u, ok, it + more, hist)
-            correction["vw"[k]] = {"size": float(np.max(np.abs(tau))),
-                                   "history": fixed}
+            correction["vw"[k]] = {
+                "size": float(np.max(np.abs(_inner(tau[box])))),
+                "history": fixed}
     (v, cv, iv, hv), (w, cw, iw, hw) = runs
-    res = _pair_residual(kind, eps, spec, v, w, *fs)
+    v, w = v[box], w[box]
+    res = _pair_residual(kind, eps, spec, v, w, fs[0][box], fs[1][box])
     return GordonSolution(kind, eps, v, w, hx, hy, spec.origin,
                           res, cv and cw, (iv, iw),
                           meta={"history": {"v": hv, "w": hw},
@@ -556,8 +575,9 @@ def build_family(theorem: str, sol: GordonSolution,
 # ---------------------------------------------------------------------------
 
 def _bump(x):
-    # flat to third order at both edges, with tame higher derivatives
-    return np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 4
+    # flat to third order at 0 and 1, smooth and 1-periodic past them, so
+    # a widened march continues the initial line without a kink
+    return np.sin(np.pi * x) ** 4
 
 
 PIPELINE_DATA = {
@@ -570,7 +590,7 @@ PIPELINE_DATA = {
                gv=lambda x, y: 0.5 + 0.05 * np.cos(2 * np.pi * x)
                + 0.04 * np.sin(2 * np.pi * y),
                gw=lambda x, y: 0.12 + 0.02 * np.cos(np.pi * y)),
-    # hyperbolic: x-profiles flat at the edges, 1-D edge columns
+    # hyperbolic: 1-periodic x-profiles, 1-D edge columns off the box
     "A2": dict(xspan=(0.0, 1.0), a_v=0.12, c_v=0.04, a_w=0.9, c_w=0.03),
     "B1": dict(xspan=(0.0, 1.0), a_v=0.25, c_v=0.05, a_w=0.4, c_w=0.04),
     "B2": dict(xspan=(0.0, 1.0), a_v=1.35, c_v=0.03, a_w=0.22, c_w=0.02,
@@ -612,7 +632,8 @@ def _edge_profile(sigma, nonlin, a0, ys):
 
 
 def _edge(a, c, xspan):
-    """Edge datum a + c bump(x), flat to third order at both ends of xspan."""
+    """Initial line a + c bump(x), flat to third order at both ends of
+    xspan and periodic in its length."""
     x0, x1 = xspan
     return lambda x: a + c * _bump((x - x0) / (x1 - x0))
 
@@ -642,8 +663,10 @@ def gordon_stage(theorem, nx=33, ny=None):
     grid: (spec, sol).
 
     Elliptic families solve a Dirichlet problem on their box; hyperbolic
-    ones march from flat-edged x-profiles at y = 0 with hy = hx / 2,
-    between edge columns from the 1-D y-reduction.
+    ones march from the x-profiles a + c bump(x) at y = 0 with
+    hy = hx / 2.  bump is smooth and 1-periodic, so the profile goes on
+    past the box on solve_gordon's widened line, which edge columns from
+    the 1-D y-reduction close out of the box's reach.
     """
     eps, p, b, kind, branch, qn = FAMILY_TABLE[theorem]
     data = PIPELINE_DATA[theorem]

@@ -1004,9 +1004,11 @@ class TestPipelineGates:
         stages = ["record_compat", "drift", "reconstruction_H", "roundtrip"]
         assert list(report["gates"]) == stages[:stages.index(name)]
 
+    # an A2 march to y = 0.5 fails for a reason other than its edge
+    # columns, which no longer reach the box
     @pytest.mark.parametrize("theorem, grid, norm, tol", [
-        ("A2", "65x129", 1.051e+02, 1.221e-02),
-        ("A2", "33x65", 1.061e+02, 4.883e-02),
+        ("A2", "65x129", 1.773e+03, 1.221e-02),
+        ("A2", "33x65", 3.464e+02, 4.883e-02),
     ], ids=["A2-65x129", "A2-33x65"])
     def test_failed_gate_writes_its_report(self, theorem, grid, norm, tol,
                                            tmp_path, capsys):

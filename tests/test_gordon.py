@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import minsurf.gordon as G
 from minsurf import immersion
 from minsurf.errors import BranchMismatch, CFLViolation, DomainViolation, EmptyMask
+from minsurf.frenet import cropped
 from minsurf.fundata import _arrays, compat_residuals, field_sup
 from minsurf.gordon import (
     build_family,
@@ -348,6 +349,74 @@ class TestSolveHyperbolic:
         assert errs[0] / errs[1] > 3.5, errs
         order = np.log2(errs[1] / errs[2])
         assert order >= 2.8, order
+
+
+HYPERBOLIC = [t for t in sorted(G.FAMILY_TABLE) if G.FAMILY_TABLE[t][0] == -1]
+
+
+def stage_call(theorem, n, monkeypatch):
+    """The arguments of gordon_stage's solve_gordon call, and its solution."""
+    calls, solve = [], G.solve_gordon
+    with monkeypatch.context() as m:
+        m.setattr(G, "solve_gordon",
+                  lambda *a, **kw: calls.append((a, kw)) or solve(*a, **kw))
+        _, sol = G.gordon_stage(theorem, n)
+    (args, kw), = calls
+    return args, kw, sol
+
+
+class TestWidenedMarch:
+    @pytest.mark.parametrize("theorem", HYPERBOLIC)
+    def test_box_is_clear_of_the_edge_columns(self, theorem, monkeypatch):
+        # the widened line holds the corrected march's domain of
+        # dependence, so other edge columns, or a line wider still, move
+        # no bit of the box; hx = 1/64 and x0 = 0 keep a wider line's x
+        # samples exact
+        args, kw, sol = stage_call(theorem, 65, monkeypatch)
+        zero = lambda x, y: np.zeros(np.shape(y))  # noqa: E731
+        other = solve_gordon(*args, **{**kw, "boundary": (zero, zero)})
+        spec, m = args[2], args[2].ny
+        wide = GridSpec(spec.nx + 2 * m, spec.ny, spec.hx, spec.hy,
+                        (spec.origin[0] - m * spec.hx, spec.origin[1]))
+        wider = solve_gordon(args[0], args[1], wide, **kw)
+        for u, a, b in ((sol.v, other.v, wider.v), (sol.w, other.w, wider.w)):
+            assert np.array_equal(u, a)
+            assert np.array_equal(u, b[m:m + spec.nx])
+
+    @pytest.mark.parametrize("theorem", HYPERBOLIC)
+    def test_record_compat_order_four(self, theorem):
+        # the box holds the Cauchy solution of the smooth initial line, so
+        # the record converges at the solve's order: 3.86, 3.94, 3.75 and
+        # 3.94 read on A2, B1, B2 and C2; edge columns in reach read 1.4-1.6
+        norms = [compat_residuals(cropped(
+            G.family_stage(theorem, n, t=0.3)[1])).max() for n in (129, 257)]
+        assert np.log2(norms[0] / norms[1]) >= 3.5, norms
+
+    def test_correction_and_residual_are_the_boxes(self, monkeypatch):
+        # both norms are read at the box's inner samples; the widened
+        # line's ends, kinked by the edge columns, read far more
+        taus, truncation = [], G._truncation
+
+        def recorded(*args):
+            tau = truncation(*args)
+            taus.append(tau / 4.0)
+            return tau
+
+        monkeypatch.setattr(G, "_truncation", recorded)
+        args, kw, sol = stage_call("B1", 65, monkeypatch)
+        spec = args[2]
+        pad = spec.ny + 3
+        N, _, signs = G.KINDS[sol.eq_kind]
+        res = []
+        for k, s, u, tau in zip("vw", signs, (sol.v, sol.w), taus):
+            # tau[i] sits at sample i + 1 of the widened line
+            size = np.max(np.abs(tau[pad:pad + spec.nx - 2]))
+            assert sol.meta["correction"][k]["size"] == size
+            assert np.max(np.abs(tau)) > 100.0 * size
+            f = -np.pad(tau, 1)[pad:pad + spec.nx]
+            res.append(np.max(np.abs(
+                G._residual(N, s, -1, u, spec.hx, spec.hy, f))))
+        assert sol.residual_norm == max(res)
 
 
 class TestDictionary:
