@@ -7,7 +7,9 @@ convergence orders: the error of gordon.solve_gordon against the
 manufactured solutions of the tests (conftest.manufactured_error) on both
 paths; each pipeline family's record_compat, the compat norm that
 `minsurf pipeline` gates first (the cropped family_stage record at
-t = 0.3), at 33^2 to 257^2; the compatibility residuals of the example
+t = 0.3), and the three norms it gates after reconstructing that record
+from its centre (frenet.round_trip: drift, reconstruction_H and
+roundtrip), at 33^2 to 257^2; the compatibility residuals of the example
 surfaces and of the six explicit families, then each family's identity
 residuals (fundata.identity_residuals).
 
@@ -28,7 +30,7 @@ from conftest import (  # noqa: E402
     oracle_family,
 )
 
-from minsurf.frenet import cropped  # noqa: E402
+from minsurf.frenet import cropped, round_trip  # noqa: E402
 from minsurf.fundata import (  # noqa: E402
     compat_residuals,
     extract,
@@ -77,6 +79,14 @@ def main():
           {n: {theorem: compat_residuals(cropped(
               family_stage(theorem, n, t=0.3)[1])).max()
               for theorem in sorted(FAMILY_TABLE)} for n in PIPELINE_NS},
+          PIPELINE_NS)
+
+    table("pipeline families: round trip gates at t = 0.3",
+          {n: {f"{theorem} {gate}": norm
+               for theorem in sorted(FAMILY_TABLE)
+               for gate, norm, *_ in round_trip(
+                   family_stage(theorem, n, t=0.3)[1])
+               if gate != "record_compat"} for n in PIPELINE_NS},
           PIPELINE_NS)
 
     for name, box in EXTRACTED:

@@ -7,21 +7,24 @@ The first-order frame system in the state (F, F_z, xi) reads
     xi_z   = 2 eps e^{-2u} b f2 F_zb + A xi + (-1)^{p+1} (i b C1 g2 / 2) F
     xibar_z= 2 eps e^{-2u} b f1 F_zb - A xibar + (-1)^{p+1} (i b C2 g1 / 2) F
 
-with Fhat = (F1, -F2).  The frame at the record's first sample is built in
-closed form from the data there (initial_frame), so the data determine the
-reconstruction up to congruence and no solver or seed enters.  Real x/y
-derivatives are recovered from Q_x = Q_z + Q_zb and Q_y = i (Q_z - Q_zb).
-The system is real-linear and acts alike on every ambient coordinate of a
-factor, so a classical RK4 step of one factor across one grid cell is a
-5x5 propagator, built in closed form (half-step coefficients by cubic
-interpolation of the data lines).  Propagator products fill the line
-y = 0 by x-steps, then sweep the columns one y-step at a time, holding one
-column of frame states; the data lines are packed and the propagators
-formed for about 512 cells of columns at a time, so no whole-grid data
-line, propagator or state is held.  The drift of <F_k, F_k> = 1 is
-reported; the mixed-partial commutator of the two step directions around
-every cell, formed in the same sweep, quantifies (non-)integrability of
-the data.
+with Fhat = (F1, -F2).  The frame at the record's centre sample, within
+about (n1 + n2) / 2 steps of every sample and far from the corners, is
+built in closed form from the data there (initial_frame), so the data
+determine the reconstruction up to congruence and no solver or seed
+enters.  Real x/y derivatives are recovered from Q_x = Q_z + Q_zb and
+Q_y = i (Q_z - Q_zb).  The system is real-linear and acts alike on every
+ambient coordinate of a factor, so a classical RK4 step of one factor
+across one grid cell is a 5x5 propagator, built in closed form (half-step
+coefficients by cubic interpolation of the data lines; a step against the
+grid's direction has length -h on the reversed lines).  Propagator
+products fill the centre column by x-steps both ways, then sweep the
+columns one y-step at a time to the last column and, from the centre
+column refilled, to the first, holding one column of frame states; the
+data lines are packed and the propagators formed for about 512 cells of
+columns at a time, so no whole-grid data line, propagator or state is
+held.  The drift of <F_k, F_k> = 1 is reported; the mixed-partial
+commutator of the two step directions around every cell, formed with the
+forward x-steps of its columns, measures the data's (non-)integrability.
 """
 
 from __future__ import annotations
@@ -199,9 +202,10 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
 
 def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
          b: int, direction: str) -> np.ndarray:
-    """One classical RK4 step as a matrix (n-1, ..., 2, 5, 5) from each of
-    the data lines (n, ..., 15) to the next, from the coefficients at the
-    start, middle (half, (n-1, ..., 15), from _halves) and end of the step.
+    """One classical RK4 step of length h (a float, or an array per line
+    broadcasting to (..., 1, 1, 1)) as a matrix (n-1, ..., 2, 5, 5) from
+    each of the data lines (n, ..., 15) to the next, from the coefficients
+    at the start, middle (half, (n-1, ..., 15), from _halves) and end.
     Its temporaries are five such matrix arrays, so callers pass a few
     hundred cells at a time."""
     M = _frame_matrix(lines, p, eps, b, direction)
@@ -229,8 +233,13 @@ def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
 
 
 # ---------------------------------------------------------------------------
-# initial frame from the data values at the record's first sample
+# initial frame from the data values at the record's centre sample
 # ---------------------------------------------------------------------------
+
+def centre(shape) -> tuple:
+    """The centre sample (n1 // 2, n2 // 2) of a record of that shape."""
+    return shape[0] // 2, shape[1] // 2
+
 
 def _null_planes(A: np.ndarray) -> np.ndarray:
     """Orthonormal bases (k, 2, n) of the null planes of the k matrices
@@ -272,8 +281,8 @@ def _scales(a: np.ndarray, b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def initial_frame(D: FundamentalData) -> FrameState:
-    """Frame at the record's first sample (0, 0), in closed form from the
-    data there.
+    """Frame at the record's centre sample, centre(D.shape), in closed form
+    from the data there.
 
     Both factors sit at (0,0,1).  The structure equations are linear in the
     8 tangent components of (F_z, xi) in each factor, solved by a plane: an
@@ -294,12 +303,12 @@ def initial_frame(D: FundamentalData) -> FrameState:
     basis picked by a solve sets a sign, and the frame depends on the data
     alone.  No LAPACK solver is called.
     """
-    p, eps, b = D.p, D.eps, D.b
-    e2u = float(np.exp(2.0 * D.u[0, 0]))
-    C1, C2 = float(D.C1[0, 0]), float(D.C2[0, 0])
-    g1, g2 = (g.map(lambda a: float(a[0, 0])) for g in (D.gamma1, D.gamma2))
+    p, eps, b, c = D.p, D.eps, D.b, centre(D.shape)
+    e2u = float(np.exp(2.0 * D.u[c]))
+    C1, C2 = float(D.C1[c]), float(D.C2[c])
+    g1, g2 = (g.map(lambda a: float(a[c])) for g in (D.gamma1, D.gamma2))
     if not np.isfinite(e2u + C1 + C2 + g1.re + g1.im + g2.re + g2.im):
-        raise FrameConstructionError("data invalid at the first sample")
+        raise FrameConstructionError("data invalid at the centre sample")
     origin = np.zeros(STATE_LEN)
     origin[[2, 5]] = 1.0                    # both factors at (0,0,1)
     # the unknowns x (..., 16): (e1, e2) components of F_z, xi in the state
@@ -375,11 +384,13 @@ class ReconstructReport:
     commutator_max: float
     commutator_cumulative: float
     cells_checked: int
+    start: list              # [i0, j0], the sample init is the frame at
 
 
 def reconstruct(D: FundamentalData, init: FrameState = None):
     """Integrate the frame system over the whole record D, from init or
-    else initial_frame(D) at its first sample.
+    else initial_frame(D), the frame at its centre sample, in the two
+    sweeps of the module docstring.
 
     Returns (ImmersionGrid, ReconstructReport) and gates nothing; its
     drift_budget is the "drift" gate's tolerance times the step count.
@@ -387,12 +398,12 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     fewer than MIN_SIDE samples a side or a coefficient is not finite.
 
     Memory: 7 floats per sample stay resident beside D (the returned
-    positions and the commutator of each cell).  Each batch of about
-    _BATCH_CELLS cells packs the data lines of its columns from D's
-    fields (a column two batches share is packed by both), forms their
-    y-halves and the propagators of both directions, about 430 floats per
-    cell at its peak; the finiteness check holds one boolean and one float
-    per sample, and the commutators' sum one float.
+    positions and the commutator of each cell), and one column of frame
+    states.  Each batch of about _BATCH_CELLS cells packs the data lines
+    of its columns from D's fields (a column two batches share is packed
+    by both), forms their y-halves and the propagators of both directions,
+    about 430 floats per cell at its peak; the finiteness check holds one
+    boolean and one float per sample, and the commutators' sum one float.
     """
     if not D.mask.all():
         raise FrameConstructionError(
@@ -406,6 +417,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     if init is None:
         init = initial_frame(D)
     p, eps, b = D.p, D.eps, D.b
+    i0, j0 = centre(D.shape)
 
     u, *rest = _fields(D)
     finite = np.isfinite(np.exp(2.0 * u))
@@ -418,53 +430,56 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
             f"{bad} of {n1 * n2} samples carry non-finite data; "
             f"reconstruction needs finite data at every sample")
 
-    def x_steps(W):
-        """Px[k, j] steps (k, l) -> (k+1, l) for the data lines W[:, j]."""
-        return _rk4(W, _halves(W), D.hx, p, eps, b, "x")
-
-    def batch(c, c1):
-        """(Py, Px) for the columns l = c + j < c1: Py[j, k] steps (k, l)
-        -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).  The y-half steps
-        read the columns c-1 .. c1+1, and at least four: the one-sided end
-        stencils of _halves fall on the record's first and last half steps
-        only, as on whole lines."""
+    def batch(c, c1, sgn):
+        """(Py, Px) for the columns l = c + j < c1 of values[:, ::sgn]:
+        Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).
+        The y-half steps read the columns c-1 .. c1+1, and at least four:
+        the one-sided end stencils of _halves fall on the record's first
+        and last half steps only, as on whole lines."""
         lo, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
-        P = _pack_data(D, slice(lo, stop))
-        Y = P.swapaxes(0, 1)
-        Py = _rk4(Y[c - lo:c1 + 1 - lo], _halves(Y, c - lo, c1 - lo), D.hy,
-                  p, eps, b, "y")
-        return Py, x_steps(P[:, c + 1 - lo:c1 + 1 - lo])
+        cols = slice(lo, stop) if sgn > 0 else slice(n2 - stop, n2 - lo)
+        P = _pack_data(D, cols)[:, ::sgn]
+        Y, X = P.swapaxes(0, 1), P[:, c + 1 - lo:c1 + 1 - lo]
+        return (_rk4(Y[c - lo:c1 + 1 - lo], _halves(Y, c - lo, c1 - lo),
+                     sgn * D.hy, p, eps, b, "y"),
+                _rk4(X, _halves(X), D.hx, p, eps, b, "x"))
 
-    # the state of one column: (n1, factor, (F, Re F_z, Im F_z, Re xi,
-    # Im xi), coordinate); the first column by x-steps from init
-    s = np.empty((n1, 2, 5, 3))
-    s[0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
-    Px = x_steps(_pack_data(D, slice(0, 1)))[:, 0]
-    for k in range(n1 - 1):
-        s[k + 1] = Px[k] @ s[k]
     values = np.empty((n1, n2, 2, 3))
-    values[:, 0] = s[:, :, 0]
-
-    def drift_on(cols):
-        """The largest |<F_k, F_k> - 1| on the columns cols."""
-        v = values[:, cols]
-        return np.max(np.abs(inner_arr(v, v, p) - 1.0))
-    drifts = [drift_on(slice(0, 1))]
-    # x-then-y against y-then-x around every cell (k, l), (k+1, l+1): the
-    # x-steps of column l carry over from the sweep's previous step
-    xs = Px @ s[:-1]
     d = np.empty((n1 - 1, n2 - 1))
-    step = max(1, _BATCH_CELLS // n1)
-    for c in range(0, n2 - 1, step):
-        c1 = min(c + step, n2 - 1)
-        Py, Px = batch(c, c1)
-        for j, l in enumerate(range(c, c1)):
-            s = Py[j] @ s
-            values[:, l + 1] = s[:, :, 0]
-            e = Px[:, j] @ s[:-1]
-            d[:, l] = np.abs(Py[j, 1:] @ xs - e).max(axis=(1, 2, 3))
-            xs = e
-        drifts.append(drift_on(slice(c + 1, c1 + 1)))
+    # the centre column's data lines, run both ways by its x-steps
+    W = _pack_data(D, slice(j0, j0 + 1))
+    hx = np.array([-D.hx, D.hx])[:, None, None, None]
+    drifts, step = [], max(1, _BATCH_CELLS // n1)
+    for sgn in (1, -1):
+        # the sweep on views whose columns run its way, the centre one c0
+        view, cells = values[:, ::sgn], d[:, ::sgn]
+        c0 = j0 if sgn > 0 else n2 - 1 - j0
+        # the state of one column: (n1, factor, (F, Re F_z, Im F_z, Re xi,
+        # Im xi), coordinate), the centre one first
+        s = np.empty((n1, 2, 5, 3))
+        s[i0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
+        # Px[m, 0] steps the rows n1-1-m -> n1-2-m, Px[k, 1] k -> k+1
+        Px = _rk4(np.concatenate([W[::-1], W], 1), np.concatenate(
+            [_halves(W)[::-1], _halves(W)], 1), hx, p, eps, b, "x")
+        for k in range(i0, 0, -1):
+            s[k - 1] = Px[n1 - 1 - k, 0] @ s[k]
+        for k in range(i0, n1 - 1):
+            s[k + 1] = Px[k, 1] @ s[k]
+        view[:, c0] = s[:, :, 0]
+        # x-then-y against y-then-x around every cell (k, l), (k+1, l+1):
+        # the x-steps of column l carry over from the sweep's previous step
+        xs = Px[:, 1] @ s[:-1]
+        for c in range(c0, n2 - 1, step):
+            c1 = min(c + step, n2 - 1)
+            Py, Px = batch(c, c1, sgn)
+            for j, l in enumerate(range(c, c1)):
+                s = Py[j] @ s
+                view[:, l + 1] = s[:, :, 0]
+                e = Px[:, j] @ s[:-1]
+                cells[:, l] = np.abs(Py[j, 1:] @ xs - e).max(axis=(1, 2, 3))
+                xs = e
+            v = view[:, c:c1 + 1]
+            drifts.append(np.max(np.abs(inner_arr(v, v, p) - 1.0)))
 
     drift = float(np.max(drifts))
     steps = (n1 - 1) + n1 * (n2 - 1)
@@ -472,7 +487,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     # summed in cell order, not pairwise
     report = ReconstructReport(drift, steps, budget, float(d.max()),
                                float(np.add.accumulate(d.ravel())[-1]),
-                               d.size)
+                               d.size, [i0, j0])
 
     grid = ImmersionGrid(p, eps, values, D.hx, D.hy, D.origin,
                          {"name": "reconstructed", "drift": drift,
@@ -486,6 +501,7 @@ class RoundTripReport:
     n_compared: int
     grid: ImmersionGrid          # the reconstruction the diffs compare
     rec: ReconstructReport
+    where: dict                  # the largest finite diff's max_* keys
 
     def max(self) -> float:
         return _max_norm(self.diffs.values())
@@ -493,7 +509,8 @@ class RoundTripReport:
     def to_json(self) -> dict:
         return {"diffs": self.diffs, "drift": self.rec.drift,
                 "drift_budget": self.rec.drift_budget,
-                "n_compared": self.n_compared, "max": self.max()}
+                "n_compared": self.n_compared, "max": self.max(),
+                **self.where}
 
 
 def round_trip(D: FundamentalData, init: FrameState = None):
@@ -536,17 +553,25 @@ def roundtrip_compare(D, D2, grid, rec) -> RoundTripReport:
     """Sup differences of the gauge-invariant fields of the all-valid
     record D and of D2, the data of grid (D's reconstruction) as a
     StreamedData or a FundamentalData, read a row block at a time, so no
-    whole-grid record of the reconstruction is formed."""
-    peaks, n = [], 0
+    whole-grid record of the reconstruction is formed.  The largest finite
+    one is named (max_key), placed (max_index, [i, j]) and told apart from
+    the start (max_distance, |i - i0| + |j - j0| samples)."""
+    peaks, n, top, where = [], 0, -np.inf, {}
     for rows in row_blocks(*D.shape):
         a, z = D.rows(rows), D2.rows(rows)
         common = z.mask          # D's mask is all true
-        peak = {k: _peak(getattr(a, k) - getattr(z, k), common)
-                for k in ("u", "C1", "C2")}
+        diff = {k: getattr(a, k) - getattr(z, k) for k in ("u", "C1", "C2")}
         for k in ("gamma1", "gamma2", "f1", "f2"):
-            peak[f"{k}_norm2"] = _peak(
-                getattr(a, k).abs2() - getattr(z, k).abs2(), common)
+            diff[f"{k}_norm2"] = getattr(a, k).abs2() - getattr(z, k).abs2()
+        peak = {k: _peak(v, common) for k, v in diff.items()}
+        for k, v in diff.items():
+            if peak[k][0] > top:
+                at = np.argwhere(common & (np.abs(v) == peak[k][0]))[0]
+                i, j = rows.start + int(at[0]), int(at[1])
+                top, where = peak[k][0], {
+                    "max_key": k, "max_index": [i, j], "max_distance": abs(
+                        i - rec.start[0]) + abs(j - rec.start[1])}
         peaks.append(peak)
         n += int(np.sum(common))
     diffs = {k: _sup(p[k] for p in peaks) for k in peaks[0]}
-    return RoundTripReport(diffs, n, grid, rec)
+    return RoundTripReport(diffs, n, grid, rec, where)

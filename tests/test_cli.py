@@ -753,10 +753,10 @@ class TestPipeline:
             assert 0.0 < corr["size"] < 1.0
 
     def test_report_names_the_reference_pair(self, tmp_path, capsys):
-        # B1 at 65^2 with t = 0.3: pair 0 leaves a sample of the
+        # A2 at 33^2 with t = 0.7: pair 0 leaves a sample of the
         # reconstruction ill-conditioned, so another pair frames its data
-        code, _ = run(["pipeline", "--theorem", "B1", "--grid", "65", "--t",
-                       "0.3", "--out", str(tmp_path)], capsys)
+        code, _ = run(["pipeline", "--theorem", "A2", "--grid", "33", "--t",
+                       "0.7", "--out", str(tmp_path)], capsys)
         assert code == EXIT_PASS
         report = json.loads((tmp_path / "report.json").read_text())
         ext = report["extraction"]
@@ -1124,7 +1124,7 @@ class TestPipelineGates:
         assert list(report["gates"]) == ["record_compat", "drift",
                                          "reconstruction_H"]
         gate = report["gates"]["reconstruction_H"]
-        assert gate["norm"] == pytest.approx(4.083e-01, rel=5e-4)
+        assert gate["norm"] == pytest.approx(1.119e-01, rel=5e-4)
         assert gate["tol"] == pytest.approx(4.883e-02, rel=5e-4)
         assert report["reconstruction"] is not None
         assert report["roundtrip"] is None

@@ -71,12 +71,13 @@ def invariant_residuals(fs, e2u: float) -> dict:
 
 
 def frame_residuals(D, fs):
-    """The Gram and structure residuals of the frame fs at D's first
-    sample."""
-    res = invariant_residuals(fs, float(np.exp(2 * D.u[0, 0])))
-    g1, g2 = (ScalarEps(g.re[0, 0], g.im[0, 0], D.eps)
+    """The Gram and structure residuals of the frame fs at D's centre
+    sample, where initial_frame builds it."""
+    c = frenet.centre(D.shape)
+    res = invariant_residuals(fs, float(np.exp(2 * D.u[c])))
+    g1, g2 = (ScalarEps(g.re[c], g.im[c], D.eps)
               for g in (D.gamma1, D.gamma2))
-    for k, E in enumerate(fs.structure(D.C1[0, 0], D.C2[0, 0], g1, g2)):
+    for k, E in enumerate(fs.structure(D.C1[c], D.C2[c], g1, g2)):
         res[f"structure_{k + 1}"] = np.max(np.hypot(E.re, E.im))
     return res
 
@@ -94,6 +95,18 @@ class TestInitialFrame:
         D = families33[theorem]
         res = frame_residuals(D, initial_frame(D))
         assert max(res.values()) <= 1e-14, res
+
+    @pytest.mark.parametrize("theorem", sorted(gordon.FAMILY_TABLE))
+    def test_built_at_the_centre(self, families33, theorem):
+        # the frame is the one at centre(D.shape): both factors sit at
+        # (0,0,1) there, the sweeps start there and the report says so
+        D = families33[theorem]
+        i0, j0 = frenet.centre(D.shape)
+        assert (i0, j0) == (D.shape[0] // 2, D.shape[1] // 2)
+        assert np.array_equal(initial_frame(D).F, [[0, 0, 1], [0, 0, 1]])
+        grid, rec = reconstruct(D)
+        assert rec.start == [i0, j0]
+        assert np.array_equal(grid.values[i0, j0], [[0, 0, 1], [0, 0, 1]])
 
     def test_same_frame_in_every_process(self):
         tests = Path(__file__).parent
@@ -364,6 +377,33 @@ class TestRoundTripFamilies:
             reps[n] = rt.diffs
         ratios = ratio_table(reps[33], reps[65])
         assert min(ratios.values()) > 3.0, (theorem, ratios)
+
+    @pytest.fixture(scope="class")
+    def pipeline_round_trips(self):
+        # the pipeline's own records (t = 0.3) at 65^2 and 129^2
+        return {(theorem, n): roundtrip_report(
+            gordon.family_stage(theorem, n, t=0.3)[1]).max()
+            for theorem in sorted(gordon.FAMILY_TABLE) if theorem != "B2"
+            for n in (65, 129)}
+
+    @pytest.mark.parametrize("theorem", ["A2", "B1", "C2"])
+    def test_fourth_order_from_the_centre(self, pipeline_round_trips,
+                                          theorem):
+        # the hyperbolic families' data are fourth-order accurate, and so
+        # is their round trip from the centre (4.0 each; 1.9 on A2 from
+        # the record's corner)
+        rt = pipeline_round_trips
+        order = np.log2(rt[theorem, 65] / rt[theorem, 129])
+        assert order >= 3.5, (theorem, order)
+
+    @pytest.mark.parametrize("theorem", ["A1", "C1"])
+    def test_elliptic_round_trips_converge(self, pipeline_round_trips,
+                                           theorem):
+        # A1's and C1's data keep a corner layer; started from the centre,
+        # their round trips still fall (3.0x and 5.4x; 0.99x and 0.77x
+        # from the record's corner)
+        rt = pipeline_round_trips
+        assert rt[theorem, 65] >= 2.0 * rt[theorem, 129], theorem
 
     def test_para_family_roundtrip(self, family_cache):
         rt = roundtrip_report(family_cache("B1", 33))

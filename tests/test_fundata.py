@@ -178,11 +178,10 @@ class TestGauge:
         G = gauge_rotate(D, theta)
         assert np.all(np.isfinite(G.A.re)) and np.all(np.isfinite(G.A.im))
         # the rotation moves the round trip by the frame integration's own
-        # error on the rotated data, which the fourth-order Gordon solve no
-        # longer hides (2.5e-7 to 4.1e-6 here, A2 the largest): at most
-        # 2.5e-5 of the gate 200 h^2
+        # error on the rotated data: at most 5% of it (0.2% to 3.8% here,
+        # C1 the largest)
         rt0, rt1 = roundtrip_report(D).max(), roundtrip_report(G).max()
-        assert abs(rt1 - rt0) <= 2.5e-5 * 200.0 * max(D.hx, D.hy) ** 2
+        assert abs(rt1 - rt0) <= 0.05 * rt0
 
     @pytest.mark.parametrize("eps_src", ["C1", "B1"])
     def test_double_rotation(self, family_cache, eps_src):

@@ -5,8 +5,9 @@
 initial frame and, started from that frame, every reconstructed position
 together with the full ``ReconstructReport``.  JSON keeps each float as
 its exact repr.  Initial frames, step counts and drift budgets are compared
-exactly.  Positions, drift and commutator fields were recorded by the
-per-cell propagators on the family data of the fourth-order stencils.
+exactly, as is the sample the sweeps start from.  Positions, drift and
+commutator fields were recorded by the per-cell propagators on the family
+data of the fourth-order stencils, swept from the record's centre.
 Positions and the quadric drift taken from them compare to 1e-13
 absolute, the bound set when they were recorded by the step-by-step RK4
 sweep the propagators replaced (measured 4e-15 between the two).  The
@@ -60,7 +61,7 @@ def test_reconstruction_unchanged(golden, families, theorem):
     got = sweep(families[theorem], want["init"])
     got_rep, want_rep = got["report"], want["report"]
     assert got["shape"] == want["shape"]
-    for key in ("steps", "drift_budget", "cells_checked"):
+    for key in ("steps", "drift_budget", "cells_checked", "start"):
         assert got_rep[key] == want_rep[key], key
     np.testing.assert_allclose(got["values"], want["values"],
                                rtol=0, atol=1e-13)
