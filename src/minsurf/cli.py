@@ -249,6 +249,19 @@ def _tolerances(command, cfg: RunConfig, h) -> dict:
             for name in fundata.GATES if name in TOLS[command]}
 
 
+def _within(norm, tol) -> bool:
+    """The gate rule of both commands: a norm passes when it is finite and
+    at most its gate."""
+    return np.isfinite(norm) and norm <= tol
+
+
+def _stage_failed(report, failures, stage, exc):
+    """The stage-failure rule of both commands: a stage that raised is
+    named in failures, with its error under report's "<stage>_error"."""
+    report[f"{stage}_error"] = f"{type(exc).__name__}: {exc}"
+    failures.append(stage)
+
+
 def _fraction(mask, denom_mask):
     n = int(np.sum(denom_mask))
     return float(np.sum(mask & denom_mask)) / n if n else float("nan")
@@ -396,13 +409,11 @@ def _check_grid(F, cfg: RunConfig):
             report["extraction"] = dict(D.diagnostics)
         except MinsurfError as exc:
             # a check that could not run is not a pass
-            report["extraction_error"] = f"{type(exc).__name__}: {exc}"
-            failures.append("extraction")
+            _stage_failed(report, failures, "extraction", exc)
 
     for name, val in norms.items():
         key = "compat" if name.startswith("compat_") else name
-        # a gated norm that is not finite is a failure, as in pipeline
-        if key in tols and not (np.isfinite(val) and val <= tols[key]):
+        if key in tols and not _within(val, tols[key]):
             failures.append(name)
     if not cls.get("lagrangian_equivalence", True):
         failures.append("lagrangian_equivalence")
@@ -437,9 +448,8 @@ def run_pipeline(cfg: RunConfig):
     try:
         sol, D = gordon.family_stage(theorem, nx, ny, cfg.t)
     except MinsurfError as exc:
-        # no family to gate: the stage is named as _round_trip names one
-        report["family_error"] = f"{type(exc).__name__}: {exc}"
-        report["failures"].append("family")
+        # no family to gate
+        _stage_failed(report, report["failures"], "family", exc)
     else:
         report.update(
             gordon={"kind": sol.eq_kind, "eps": sol.eps,
@@ -478,8 +488,8 @@ def run_pipeline(cfg: RunConfig):
 def _round_trip(D, report):
     """frenet.round_trip's stages of D, each followed by its gate (--tol's
     value over the default), into report with the reconstruction's data's
-    diagnostics; the first gate that fails, or stage that raises (its error
-    named as verify's), ends the run.  Returns the grid, or None."""
+    diagnostics; the first gate that fails, or stage that raises, ends the
+    run.  Returns the grid, or None."""
     state = {}
     try:
         for name, norm, tol, state in frenet.round_trip(D):
@@ -491,12 +501,11 @@ def _round_trip(D, report):
                 report["extraction"] = dict(state["data"].diagnostics)
             if "report" in state:
                 report["roundtrip"] = state["report"].to_json()
-            if not (np.isfinite(norm) and norm <= tol):
+            if not _within(norm, tol):
                 report["failures"].append(name)
                 break
     except MinsurfError as exc:
-        report[f"{exc.stage}_error"] = f"{type(exc).__name__}: {exc}"
-        report["failures"].append(exc.stage)
+        _stage_failed(report, report["failures"], exc.stage, exc)
     return state.get("grid")
 
 

@@ -25,10 +25,6 @@ class CFLViolation(MinsurfError):
     """Hyperbolic step sizes violate the CFL bound hy <= hx."""
 
 
-class BranchMismatch(MinsurfError):
-    """Kahler function values incompatible with the requested branch."""
-
-
 class DomainViolation(MinsurfError):
     """Grid point violates the admissible-region inequalities."""
 

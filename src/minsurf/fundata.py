@@ -555,29 +555,6 @@ def fundata_to_json(D: FundamentalData, path=None):
     return doc
 
 
-def fundata_from_json(src) -> FundamentalData:
-    if isinstance(src, dict):
-        doc = src
-    else:
-        with open(src) as fh:
-            doc = json.load(fh)
-    if doc.get("schema") != FUNDATA_SCHEMA:
-        raise ValueError(f"not a {FUNDATA_SCHEMA} document")
-    eps = int(doc["eps"])
-
-    def read(v, kind):
-        if kind is ScalarEps:
-            return ScalarEps(np.array(v["re"], dtype=float),
-                             np.array(v["im"], dtype=float), eps)
-        return np.array(v, dtype=kind)
-    return FundamentalData(
-        p=int(doc["p"]), eps=eps, b=int(doc["b"]), hx=float(doc["hx"]),
-        hy=float(doc["hy"]), origin=tuple(doc["origin"]),
-        meta=doc.get("meta", {}),
-        **{name: read(doc[name], kind) for name, kind in _FIELDS.items()
-           if name in doc})
-
-
 def restrict(D: FundamentalData, window) -> FundamentalData:
     """Copy of D on the index window (i0, i1, j0, j1): every per-sample
     field sliced, u_z too, and the origin moved to sample (i0, j0)."""

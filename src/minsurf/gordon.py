@@ -1,5 +1,5 @@
-"""Sinh/sin-Gordon layer: solvers, the (v,w) <-> (C1,C2) dictionary, and
-the explicit one-parameter families of minimal fundamental data.
+"""Sinh/sin-Gordon layer: solvers and the explicit one-parameter families
+of minimal fundamental data.
 
 Equation kinds (always a pair of real fields v, w):
 
@@ -38,14 +38,9 @@ import numpy as np
 
 from .algebra import ScalarEps, rotation, unit_i
 from . import immersion
-from .errors import (
-    BranchMismatch,
-    CFLViolation,
-    DomainViolation,
-    EmptyMask,
-)
+from .errors import CFLViolation, DomainViolation, EmptyMask
 from .fundata import FundamentalData, _arrays, restrict
-from .immersion import GridSpec, dz, wirtinger
+from .immersion import GridSpec, dz
 
 KINDS = {
     "sinh_plus": (np.sinh, np.cosh, (1.0, 1.0)),
@@ -69,22 +64,12 @@ class GordonSolution:
     residual_norm: float = float("nan")
     converged: bool = True
     iterations: tuple = (0, 0)
-    # exact first derivatives when the construction provides them
-    v_x: np.ndarray = None
-    v_y: np.ndarray = None
-    w_x: np.ndarray = None
-    w_y: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     def dz(self, which: str) -> ScalarEps:
-        """d/dz of v or w, using exact derivatives when available, else
-        immersion's differences with their one-sided edge lines: the
-        family data have no nan edge lines."""
-        f, fx, fy = ((self.v, self.v_x, self.v_y) if which == "v"
-                     else (self.w, self.w_x, self.w_y))
-        if fx is not None and fy is not None:
-            return wirtinger(ScalarEps(fx, 0.0, self.eps),
-                             ScalarEps(fy, 0.0, self.eps), self.eps, False)
+        """d/dz of v or w by immersion's differences with their one-sided
+        edge lines: the family data have no nan edge lines."""
+        f = self.v if which == "v" else self.w
         return dz(f, self.hx, self.hy, self.eps, edges=True)
 
 
@@ -137,13 +122,6 @@ def _residual(N, s, eps, u, hx, hy, f=None):
     with np.errstate(over="ignore", invalid="ignore"):
         r = _box(u, hx, hy, eps) / 4.0 + 0.5 * s * N(2.0 * _inner(u))
         return r if f is None else r - _inner(f)
-
-
-def discrete_residual(kind: str, eps: int, u: np.ndarray, hx, hy) -> np.ndarray:
-    """_residual of the kind's first equation at u, with nan edge lines."""
-    N, _, signs = KINDS[kind]
-    return np.pad(_residual(N, signs[0], eps, u, hx, hy), 1,
-                  constant_values=np.nan)
 
 
 @lru_cache(maxsize=8)
@@ -425,38 +403,6 @@ def _pair_residual(kind, eps, spec, v, w, fv, fw) -> float:
     rv = _residual(N, signs[0], eps, v, spec.hx, spec.hy, fv)
     rw = _residual(N, signs[1], eps, w, spec.hx, spec.hy, fw)
     return float(max(np.nanmax(np.abs(rv)), np.nanmax(np.abs(rw))))
-
-
-# ---------------------------------------------------------------------------
-# the (v, w) <-> (C1, C2) dictionary
-# ---------------------------------------------------------------------------
-
-def vw_from_C(C1, C2, branch: str):
-    """Invert the Kahler-function dictionary on the chosen branch.
-
-    coth: C_j = coth(v + (-1)^j w); tanh: C_j = tanh(v + (-1)^j w);
-    tan: C1 = tan(v + w), C2 = tan(v - w).
-    """
-    C1 = np.asarray(C1, dtype=float)
-    C2 = np.asarray(C2, dtype=float)
-    if branch == "coth":
-        if np.any(C1 ** 2 <= 1.0) or np.any(C2 ** 2 <= 1.0):
-            raise BranchMismatch("coth branch requires C_j^2 > 1")
-        a1 = np.arctanh(1.0 / C1)   # = v - w
-        a2 = np.arctanh(1.0 / C2)   # = v + w
-    elif branch == "tanh":
-        if np.any(C1 ** 2 >= 1.0) or np.any(C2 ** 2 >= 1.0):
-            raise BranchMismatch("tanh branch requires C_j^2 < 1")
-        a1 = np.arctanh(C1)
-        a2 = np.arctanh(C2)
-    elif branch == "tan":
-        a2 = np.arctan(C1)          # = v + w
-        a1 = np.arctan(C2)          # = v - w
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    v = (a2 + a1) / 2.0
-    w = (a2 - a1) / 2.0
-    return v, w
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,6 @@ def J_product(k: int, base: np.ndarray, X, p: int):
     return out
 
 
-def omega_product(k: int, base: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int):
-    """Omega_k(X, Y) on (...,2,3) arrays at the given base points."""
-    _check_k(k)
-    w1 = factor_omega(X[..., 0, :], Y[..., 0, :], base[..., 0, :], p)
-    w2 = factor_omega(X[..., 1, :], Y[..., 1, :], base[..., 1, :], p)
-    return w1 - w2 if k == 1 else w1 + w2
-
-
 def orientation_dual(base, X, Y, Z, p: int):
     """The tangent vector V with G(V, W) = (pi1*w ^ pi2*w)(X, Y, Z, W) for
     every tangent W, the orientation form of the product; V is G-orthogonal

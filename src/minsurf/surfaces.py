@@ -203,12 +203,14 @@ def degeneracy_locus(F: ImmersionGrid):
 # named example registry (CLI entry points)
 # ---------------------------------------------------------------------------
 
+# samples a side of an example's default grid
+DEFAULT_N = 65
+
+
 @dataclass
 class ExampleEntry:
     builder: Callable
     default_box: tuple
-    default_n: int = 65
-    note: str = ""
 
 
 def _graph_builder(key):
@@ -216,33 +218,33 @@ def _graph_builder(key):
 
 
 EXAMPLES = {
-    "holo:z": ExampleEntry(_graph_builder("holo:z"), ((-1.0, 1.0), (-1.0, 1.0)),
-                           note="diagonal: totally degenerate under (g,-g)"),
+    # diagonal: totally degenerate under (g,-g)
+    "holo:z": ExampleEntry(_graph_builder("holo:z"), ((-1.0, 1.0), (-1.0, 1.0))),
     "holo:halfz": ExampleEntry(_graph_builder("holo:halfz"),
                                ((-0.8, 0.8), (-0.8, 0.8))),
+    # degenerate on (x+1)^2 + y^2 = 1
     "holo:2z1": ExampleEntry(_graph_builder("holo:2z1"),
-                             ((-2.5, 1.0), (-1.6, 1.6)),
-                             note="degenerate on (x+1)^2 + y^2 = 1"),
+                             ((-2.5, 1.0), (-1.6, 1.6))),
+    # away from the degeneracy circle
     "holo:2z1-safe": ExampleEntry(_graph_builder("holo:2z1"),
-                                  ((0.3, 1.8), (-0.75, 0.75)),
-                                  note="away from the degeneracy circle"),
+                                  ((0.3, 1.8), (-0.75, 0.75))),
+    # inside its radial degeneracy circle
     "holo:z2": ExampleEntry(_graph_builder("holo:z2"),
-                            ((-0.26, 0.26), (-0.26, 0.26)),
-                            note="inside its radial degeneracy circle"),
-    "holo:iz": ExampleEntry(_graph_builder("holo:iz"), ((-1.0, 1.0), (-1.0, 1.0)),
-                            note="totally degenerate metric"),
+                            ((-0.26, 0.26), (-0.26, 0.26))),
+    # totally degenerate metric
+    "holo:iz": ExampleEntry(_graph_builder("holo:iz"), ((-1.0, 1.0), (-1.0, 1.0))),
     "paraholo:z2": ExampleEntry(_graph_builder("paraholo:z2"),
                                 ((-0.35, 0.35), (1.6, 2.4))),
     "paraholo:sit": ExampleEntry(_graph_builder("paraholo:sit"),
                                  ((-0.4, 0.4), (-0.4, 0.4))),
+    # totally degenerate metric
     "paraholo:invz": ExampleEntry(_graph_builder("paraholo:invz"),
-                                  ((-0.35, 0.35), (1.6, 2.4)),
-                                  note="totally degenerate metric"),
+                                  ((-0.35, 0.35), (1.6, 2.4))),
     "slice:first": ExampleEntry(lambda spec: make_slice("first", 0, spec),
                                 ((-1.2, 1.2), (-1.2, 1.2))),
+    # negative definite
     "slice:second": ExampleEntry(lambda spec: make_slice("second", 0, spec),
-                                 ((-1.2, 1.2), (-1.2, 1.2)),
-                                 note="negative definite"),
+                                 ((-1.2, 1.2), (-1.2, 1.2))),
     "slice:first-ds2": ExampleEntry(lambda spec: make_slice("first", 1, spec),
                                     ((-0.5, 0.5), (-0.5, 0.5))),
     "geodesic-product": ExampleEntry(
@@ -264,7 +266,6 @@ def build_example(name: str, nx: int = None, ny: int = None,
         raise KeyError(f"unknown example {name!r}; known: {sorted(EXAMPLES)}")
     entry = EXAMPLES[name]
     if spec is None:
-        n = entry.default_n
-        spec = GridSpec.from_box(nx or n, ny or nx or n,
-                                 entry.default_box[0], entry.default_box[1])
+        nx = nx or DEFAULT_N
+        spec = GridSpec.from_box(nx, ny or nx, *entry.default_box)
     return entry.builder(spec)

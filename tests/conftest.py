@@ -1,11 +1,14 @@
 """Shared oracles and cached data builders for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import minsurf.gordon as gordon
 import minsurf.immersion as immersion
+from minsurf.algebra import ScalarEps
 from minsurf.gordon import GordonSolution, build_family
 from minsurf.immersion import (
     GridSpec,
@@ -15,19 +18,49 @@ from minsurf.immersion import (
     jets,
     oriented_frame,
     second_fundamental_fields,
+    wirtinger,
 )
-from minsurf.product import J_product, g_inner, g_pair
+from minsurf.product import J_product, _check_k, factor_omega, g_inner, g_pair
 from minsurf.surfaces import HOLO_FUNCTIONS
+
+
+@dataclass
+class ExactGordonSolution(GordonSolution):
+    """A GordonSolution carrying exact first derivatives of (v, w), where
+    its construction provides them; dz reads them instead of differences."""
+
+    v_x: np.ndarray = None
+    v_y: np.ndarray = None
+    w_x: np.ndarray = None
+    w_y: np.ndarray = None
+
+    def dz(self, which: str) -> ScalarEps:
+        fx, fy = ((self.v_x, self.v_y) if which == "v"
+                  else (self.w_x, self.w_y))
+        if fx is None or fy is None:
+            return super().dz(which)
+        return wirtinger(ScalarEps(fx, 0.0, self.eps),
+                         ScalarEps(fy, 0.0, self.eps), self.eps, False)
 
 
 def solution_from_fields(kind: str, eps: int, spec: GridSpec, v, w,
                          v_x=None, v_y=None, w_x=None, w_y=None):
-    """A GordonSolution wrapping externally computed (v, w) fields (closed
-    forms, ODE oracles), with exact first derivatives where given."""
+    """An ExactGordonSolution wrapping externally computed (v, w) fields
+    (closed forms, ODE oracles), with exact first derivatives where given."""
     v, w = np.asarray(v, float), np.asarray(w, float)
     res = gordon._pair_residual(kind, eps, spec, v, w, None, None)
-    return GordonSolution(kind, eps, v, w, spec.hx, spec.hy, spec.origin,
-                          res, True, (0, 0), v_x, v_y, w_x, w_y)
+    return ExactGordonSolution(kind, eps, v, w, spec.hx, spec.hy,
+                               spec.origin, res, True, (0, 0),
+                               v_x=v_x, v_y=v_y, w_x=w_x, w_y=w_y)
+
+
+def omega_product(k: int, base: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                  p: int):
+    """Omega_k(X, Y) on (...,2,3) arrays at the given base points."""
+    _check_k(k)
+    w1 = factor_omega(X[..., 0, :], Y[..., 0, :], base[..., 0, :], p)
+    w2 = factor_omega(X[..., 1, :], Y[..., 1, :], base[..., 1, :], p)
+    return w1 - w2 if k == 1 else w1 + w2
 
 
 def stereographic_derivatives(x, y):

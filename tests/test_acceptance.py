@@ -14,6 +14,7 @@ from conftest import (
     interior_region,
     manufactured_error,
     normal_curvature_field,
+    omega_product,
     ratio_table,
     solution_from_fields,
 )
@@ -41,7 +42,6 @@ from minsurf.immersion import (
 from minsurf.product import (
     J_product,
     g_inner,
-    omega_product,
     tangent_project_arr,
 )
 from minsurf.surfaces import (

@@ -21,7 +21,6 @@ from minsurf.fundata import (
     dilate,
     extract,
     field_sup,
-    fundata_from_json,
     fundata_to_json,
     gauge_rotate,
     identity_residuals,
@@ -428,6 +427,31 @@ def assert_same_fields(D, E, sl=(slice(None), slice(None))):
         for a, b in zip(arrays(getattr(D, name)), arrays(getattr(E, name)),
                         strict=True):
             assert_bitwise(a[sl], b)
+
+
+def fundata_from_json(src) -> FundamentalData:
+    """The record a fundata_to_json document (a dict, or a path to its
+    file) holds; a field missing from it takes FundamentalData's default."""
+    if isinstance(src, dict):
+        doc = src
+    else:
+        with open(src) as fh:
+            doc = json.load(fh)
+    if doc.get("schema") != fundata.FUNDATA_SCHEMA:
+        raise ValueError(f"not a {fundata.FUNDATA_SCHEMA} document")
+    eps = int(doc["eps"])
+
+    def read(v, kind):
+        if kind is ScalarEps:
+            return ScalarEps(np.array(v["re"], dtype=float),
+                             np.array(v["im"], dtype=float), eps)
+        return np.array(v, dtype=kind)
+    return FundamentalData(
+        p=int(doc["p"]), eps=eps, b=int(doc["b"]), hx=float(doc["hx"]),
+        hy=float(doc["hy"]), origin=tuple(doc["origin"]),
+        meta=doc.get("meta", {}),
+        **{name: read(doc[name], kind)
+           for name, kind in fundata._FIELDS.items() if name in doc})
 
 
 class TestSerialization:

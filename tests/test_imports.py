@@ -53,10 +53,6 @@ PACKAGE = ROOT / "src" / "minsurf"
 # read for the names they call, never edited to make this test pass
 CALLERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
                   *(ROOT / "perfbench").glob("*.py")])
-# package names only the tests call (ROADMAP item 14): the list shrinks as
-# they move into the tests, and grows never
-TEST_ONLY = {"fundata_from_json", "discrete_residual", "vw_from_C",
-             "omega_product"}
 
 
 def named(node) -> set:
@@ -98,6 +94,5 @@ def test_every_src_name_has_a_caller():
                 defined[own] = path.name
             calls |= named(node) - {own}
     uncalled = {name: mod for name, mod in defined.items()
-                if name not in calls and name not in TEST_ONLY}
+                if name not in calls}
     assert uncalled == {}
-    assert TEST_ONLY <= set(defined) - calls

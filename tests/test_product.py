@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-
+from conftest import omega_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,6 @@ from minsurf.product import (
     factor_omega,
     g_inner,
     g_pair,
-    omega_product,
     orientation_dual,
     tangent_project_arr,
 )
