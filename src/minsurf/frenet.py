@@ -17,9 +17,9 @@ ambient coordinate of a factor, so a classical RK4 step of one factor
 across one grid cell is a 5x5 propagator, built in closed form (half-step
 coefficients by cubic interpolation of the data lines; a step against the
 grid's direction has length -h on the reversed lines).  Propagator
-products fill the centre column by x-steps both ways, then sweep the
-columns one y-step at a time to the last column and, from the centre
-column refilled, to the first, holding one column of frame states; the
+products fill the centre column once by x-steps both ways, then sweep
+the columns one y-step at a time from it to the last column and to the
+first, holding a few columns of frame states; the
 data lines are packed and the propagators formed for about 512 cells of
 columns at a time, so no whole-grid data line, propagator or state is
 held.  The drift of <F_k, F_k> = 1 is reported; the mixed-partial
@@ -398,11 +398,13 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     fewer than MIN_SIDE samples a side or a coefficient is not finite.
 
     Memory: 7 floats per sample stay resident beside D (the returned
-    positions and the commutator of each cell), and one column of frame
-    states.  Each batch of about _BATCH_CELLS cells packs the data lines
-    of its columns from D's fields (a column two batches share is packed
-    by both), forms their y-halves and the propagators of both directions,
-    about 430 floats per cell at its peak; the finiteness check holds one
+    positions and the commutator of each cell), and four columns of frame
+    states (the centre column's and its x-steps', which both sweeps start
+    from, and the sweep's current ones).  Each batch of about _BATCH_CELLS
+    cells packs the data lines of its columns from D's fields (a column
+    two batches share is packed by both), forms their y-halves and the
+    propagators of both directions, about 430 floats per cell at its peak,
+    and is dropped before the next is formed; the finiteness check holds one
     boolean and one float per sample, and the commutators' sum one float.
     """
     if not D.mask.all():
@@ -446,29 +448,31 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
 
     values = np.empty((n1, n2, 2, 3))
     d = np.empty((n1 - 1, n2 - 1))
-    # the centre column's data lines, run both ways by its x-steps
+    # the state of the centre column, which both sweeps start from: (n1,
+    # factor, (F, Re F_z, Im F_z, Re xi, Im xi), coordinate), filled from
+    # the centre sample by its data lines' x-steps, run both ways
     W = _pack_data(D, slice(j0, j0 + 1))
     hx = np.array([-D.hx, D.hx])[:, None, None, None]
+    s0 = np.empty((n1, 2, 5, 3))
+    s0[i0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
+    # Px0[m, 0] steps the rows n1-1-m -> n1-2-m, Px0[k, 1] k -> k+1
+    Px0 = _rk4(np.concatenate([W[::-1], W], 1), np.concatenate(
+        [_halves(W)[::-1], _halves(W)], 1), hx, p, eps, b, "x")
+    for k in range(i0, 0, -1):
+        s0[k - 1] = Px0[n1 - 1 - k, 0] @ s0[k]
+    for k in range(i0, n1 - 1):
+        s0[k + 1] = Px0[k, 1] @ s0[k]
+    values[:, j0] = s0[:, :, 0]
+    # x-then-y against y-then-x around every cell (k, l), (k+1, l+1): the
+    # x-steps of column l carry over from the sweep's previous step
+    xs0 = Px0[:, 1] @ s0[:-1]
+    del W, Px0
     drifts, step = [], max(1, _BATCH_CELLS // n1)
     for sgn in (1, -1):
         # the sweep on views whose columns run its way, the centre one c0
         view, cells = values[:, ::sgn], d[:, ::sgn]
         c0 = j0 if sgn > 0 else n2 - 1 - j0
-        # the state of one column: (n1, factor, (F, Re F_z, Im F_z, Re xi,
-        # Im xi), coordinate), the centre one first
-        s = np.empty((n1, 2, 5, 3))
-        s[i0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
-        # Px[m, 0] steps the rows n1-1-m -> n1-2-m, Px[k, 1] k -> k+1
-        Px = _rk4(np.concatenate([W[::-1], W], 1), np.concatenate(
-            [_halves(W)[::-1], _halves(W)], 1), hx, p, eps, b, "x")
-        for k in range(i0, 0, -1):
-            s[k - 1] = Px[n1 - 1 - k, 0] @ s[k]
-        for k in range(i0, n1 - 1):
-            s[k + 1] = Px[k, 1] @ s[k]
-        view[:, c0] = s[:, :, 0]
-        # x-then-y against y-then-x around every cell (k, l), (k+1, l+1):
-        # the x-steps of column l carry over from the sweep's previous step
-        xs = Px[:, 1] @ s[:-1]
+        s, xs = s0, xs0
         for c in range(c0, n2 - 1, step):
             c1 = min(c + step, n2 - 1)
             Py, Px = batch(c, c1, sgn)
@@ -478,6 +482,7 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
                 e = Px[:, j] @ s[:-1]
                 cells[:, l] = np.abs(Py[j, 1:] @ xs - e).max(axis=(1, 2, 3))
                 xs = e
+            del Py, Px      # before the next batch is formed
             v = view[:, c:c1 + 1]
             drifts.append(np.max(np.abs(inner_arr(v, v, p) - 1.0)))
 

@@ -141,22 +141,33 @@ def _dst1_matrix(n):
     return S
 
 
+@lru_cache(maxsize=8)
+def _dst1_eigenvalues(shape, hx, hy):
+    """The eigenvalues of _box at eps = +1 on the inner samples `shape`
+    under the DST-I of both axes, read-only: -4/h^2 sin^2(pi k / (2 (n + 1)))
+    per axis, summed over the two (a solve uses one table, so a few
+    cached ones bound the memory held)."""
+    def eig(n, h):
+        k = np.arange(1, n + 1)
+        return -4.0 / h ** 2 * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+
+    lam = eig(shape[0], hx)[:, None] + eig(shape[1], hy)[None, :]
+    lam.flags.writeable = False
+    return lam
+
+
 def _dirichlet_poisson(b, hx, hy):
     """Invert the radius-1 stencil: _box(u) = b at eps = +1, zero edge lines.
 
     The DST-I diagonalises both second differences (orthonormal, so it is
-    its own inverse); the eigenvalues are -4/h^2 sin^2(pi k / (2 (n + 1))).
+    its own inverse), with the eigenvalues of `_dst1_eigenvalues`.
     The transforms are dense products with `_dst1_matrix`: O(n^3) work,
     against an FFT's O(n^2 log n).  On one core that is faster than an
     FFT-based DST up to about 129^2 points and half as fast at 513^2
     (BENCH_numpy_runtime.json).
     """
-    def eig(n, h):
-        k = np.arange(1, n + 1)
-        return -4.0 / h ** 2 * np.sin(np.pi * k / (2 * (n + 1))) ** 2
-
     Sx, Sy = _dst1_matrix(b.shape[0]), _dst1_matrix(b.shape[1])
-    lam = eig(b.shape[0], hx)[:, None] + eig(b.shape[1], hy)[None, :]
+    lam = _dst1_eigenvalues(b.shape, hx, hy)
     return Sx @ ((Sx @ b @ Sy) / lam) @ Sy
 
 
@@ -188,9 +199,11 @@ def _krylov_step(d, r, hx, hy):
         return x, True, 0
     oldb = dbar = epsln = 0.0
     phibar, cs, sn = beta1, -1.0, 0.0
+    padded = np.zeros(tuple(n + 2 for n in r.shape))   # v on zero edge lines
     for it in range(1, _KRYLOV_MAXITER + 1):
         v = y / beta
-        y = _box(np.pad(v, 1), hx, hy, 1) + d * v      # J v, zero edge lines
+        _inner(padded)[...] = v
+        y = _box(padded, hx, hy, 1) + d * v             # J v
         if it > 1:
             y -= (beta / oldb) * r1
         alfa = np.vdot(v, y)

@@ -1,11 +1,15 @@
 """Sampled immersions F = (F1, F2) on rectangular parameter grids.
 
-All derivatives are fourth-order central differences of radius R = 2
-(5-point stencils); derived fields (conformal factor, Kahler functions,
-curvatures) live on the interior of gradually shrinking stencils and are
-nan elsewhere.  Degenerate and negative-definite points are first-class
-outcomes: they are flagged and excluded from residual norms rather than
-raised mid-sweep.
+First derivatives (the tangents, the metric, the Kahler functions) and
+the second differences of derived fields are fourth-order central
+differences of radius R = 2 (5-point stencils); the Hessian of the
+positions, the source of the second fundamental form, is sixth order
+(7-point stencils, off-centre on the lines next to the edge lines).  A
+difference is nan on the R edge lines of its axis, and derived fields
+(conformal factor, Kahler functions, curvatures) live on the interior of
+gradually shrinking stencils and are nan elsewhere.  Degenerate and
+negative-definite points are first-class outcomes: they are flagged and
+excluded from residual norms rather than raised mid-sweep.
 
 Conventions: <F_x,F_x> = eps <F_y,F_y> = e^{2u} > 0, <F_x,F_y> = 0,
 z = x + i y with i^2 = -eps, so d/dz = (d/dx - eps i d/dy)/2 and the
@@ -124,22 +128,27 @@ class ImmersionGrid:
 # finite differences (interior valid, nan boundary)
 # ---------------------------------------------------------------------------
 
-R = 2  # the stencil radius; every nan edge line, reach and trim counts it
+# the radius of diff's and diff2's stencils and the width of every nan edge
+# line; every reach, halo and trim counts it but the Hessian's reach
+R = 2
+# the rows past a row block that its Hessian reads (hessian): the
+# off-centre stencil of line 2 reads line 6
+HESSIAN_REACH = 4
 # the fewest samples along any axis of a grid or record: the cubic half
 # steps of the frame march read 4, and a reconstructed grid needs 5
 MIN_SIDE = 5
 
 
-def _flat(a: np.ndarray, axis: int):
+def _flat(a: np.ndarray, axis: int, r: int = R):
     """(f, tap): a's samples as one flat C-ordered array f, and tap(k), the
-    slice of f k steps along axis from the samples R or more steps from
+    slice of f k steps along axis from the samples r or more steps from
     f's ends.  A flat shift by k steps is a shift by k along axis except on
-    the R edge lines of axis, where it wraps into the next line: a kernel
-    forms every sample of tap(0) from contiguous arrays, then _nan_edges
-    overwrites those lines."""
+    the r edge lines of axis, where it wraps into the next line: a kernel
+    forms every sample of tap(0) from contiguous arrays, then overwrites
+    those lines (_nan_edges for r = R)."""
     f = np.ascontiguousarray(a).reshape(-1)
     s, n = math.prod(a.shape[axis + 1:]), f.size
-    return f, lambda k: slice((R + k) * s, n - (R - k) * s)
+    return f, lambda k: slice((r + k) * s, n - (r - k) * s)
 
 
 def _nan_edges(out: np.ndarray, axis: int) -> np.ndarray:
@@ -192,9 +201,61 @@ def diff2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     return _nan_edges(out, axis)
 
 
+# sixth-order weights (Fornberg, Math. Comp. 51, 1988) by the order of the
+# difference: (denominator, central weights at offsets 1, 2, 3, the
+# centre's weight, off-centre weights over lines 0-6 at line 2)
+_SIXTH = {
+    1: (60.0, (45.0, -9.0, 1.0), 0.0,
+        (2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0)),
+    2: (180.0, (270.0, -27.0, 2.0), -490.0,
+        (-13.0, 228.0, -420.0, 200.0, 15.0, -12.0, 2.0)),
+}
+
+
+def diff6(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """First (order 1) or second (order 2) difference along axis 0 (x) or
+    1 (y), sixth order: the central (-1, 9, -45, 0, 45, -9, 1) / 60h and
+    (2, -27, 270, -490, 270, -27, 2) / 180h^2, and on lines 2 and n - 3 the
+    off-centre (2, -24, -35, 80, -30, 8, -1) / 60h and
+    (-13, 228, -420, 200, 15, -12, 2) / 180h^2 over lines 0-6, mirrored at
+    the far end (the first difference's weights also negated); nan on the
+    R edge lines.  An axis shorter than 7 keeps diff's or diff2's 5-point
+    form.  A row block's reach (hessian) is shorter than 7 lines of a
+    longer axis only where the block holds edge lines alone, nan in
+    either form."""
+    if a.shape[axis] < 7:
+        return diff(a, h, axis) if order == 1 else diff2(a, h, axis)
+    den, central, centre, edge = _SIXTH[order]
+    pair, sign = (np.subtract, -1.0) if order == 1 else (np.add, 1.0)
+    den *= h ** order
+    f, tap = _flat(a, axis, 3)
+    out = np.empty(a.shape, f.dtype)
+    c = out.reshape(-1)[tap(0)]     # formed in place, in the formula's order
+    t = np.empty_like(c)
+    pair(f[tap(1)], f[tap(-1)], out=c)
+    c *= central[0]
+    for k in (2, 3):
+        pair(f[tap(k)], f[tap(-k)], out=t)
+        t *= central[k - 1]
+        c += t
+    if centre:
+        np.multiply(f[tap(0)], centre, out=t)
+        c += t
+    c /= den
+    e, a = np.swapaxes(out, 0, axis), np.swapaxes(a, 0, axis)
+    for line, lines, w in ((2, a[:7], 1.0), (-3, a[:-8:-1], sign)):
+        acc = edge[0] * lines[0]
+        for k in range(1, 7):
+            acc += edge[k] * lines[k]
+        e[line] = acc / (w * den)
+    return _nan_edges(out, axis)
+
+
 def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """The mixed second difference: diff along x of diff along y."""
-    return diff(diff(a, hy, 1), hx, 0)
+    """The mixed second difference: diff6's first difference along x of
+    its first difference along y, sixth order (fourth along an axis
+    shorter than 7)."""
+    return diff6(diff6(a, hy, 1, 1), hx, 0, 1)
 
 
 def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
@@ -251,12 +312,12 @@ def row_blocks(nx: int, ny: int) -> list:
     return [slice(i0, min(i0 + height, nx)) for i0 in range(0, nx, height)]
 
 
-def reach(rows: slice, n: int):
-    """(wide, cut): the rows `rows` of an axis of n widened by R to each
+def reach(rows: slice, n: int, r: int = R):
+    """(wide, cut): the rows `rows` of an axis of n widened by r to each
     side within it, the rows a stencil on them reads, and the slice that
     picks `rows` out of an array on wide."""
     i0, i1, _ = rows.indices(n)
-    wide = slice(max(i0 - R, 0), min(i1 + R, n))
+    wide = slice(max(i0 - r, 0), min(i1 + r, n))
     return wide, slice(i0 - wide.start, i1 - wide.start)
 
 
@@ -297,12 +358,14 @@ def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
 
 
 def hessian(F: ImmersionGrid, rows: slice = slice(None)):
-    """Second differences (F_xx, F_xy, F_yy) of the samples on the
-    grid rows `rows` (all of them without); built on each call."""
-    wide, cut = reach(rows, F.nx)
+    """Sixth-order second differences (F_xx, F_xy, F_yy) of the samples on
+    the grid rows `rows` (all of them without), by diff6 and d_xy (fourth
+    order along an axis shorter than 7); built on each call.  They read
+    the rows' HESSIAN_REACH, so a row block's equal the whole grid's."""
+    wide, cut = reach(rows, F.nx, HESSIAN_REACH)
     V = F.values[wide]
-    return (diff2(V, F.hx, 0)[cut], d_xy(V, F.hx, F.hy)[cut],
-            diff2(V[cut], F.hy, 1))
+    return (diff6(V, F.hx, 0, 2)[cut], d_xy(V, F.hx, F.hy)[cut],
+            diff6(V[cut], F.hy, 1, 2))
 
 
 @dataclass

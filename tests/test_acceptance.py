@@ -364,16 +364,19 @@ def test_criterion_10_curvature_identity_battery(family_cache):
         vals[n] = gauss_equation_residual(F, n // 2, n // 2)
     ratios["gauss"] = vals[33] / vals[65]
 
-    # dual normal-curvature computation agreement
-    vals = {}
+    # dual normal-curvature computation agreement: with the sixth-order
+    # Hessian both sides agree to round-off from 33^2 on, where no ratio
+    # measures an order, so it is bounded at each size (4.4e-14 read at
+    # 65^2 with the fourth-order Hessian)
+    kperp = {}
     for n in (33, 65):
         F = build_example("paraholo:z2", nx=n)
         D = extract(F)
         _, Kp_f = curvature_from_data(D)
         i = j = n // 2
         Kp_c = normal_curvature_field(F)[i, j]
-        vals[n] = abs(Kp_c - Kp_f[i, j])
-    ratios["kperp_dual"] = vals[33] / vals[65]
+        kperp[n] = float(abs(Kp_c - Kp_f[i, j]))
+    assert max(kperp.values()) <= 4e-14, kperp
 
     # gradient and Laplacian identities on generated data
     for theorem in ("A1", "C1"):
@@ -413,7 +416,8 @@ def test_criterion_10_curvature_identity_battery(family_cache):
     for k, r in ratios.items():
         assert r >= 3.0, (k, ratios)
     _report(10, "curvature identity battery",
-            **{k: float(v) for k, v in ratios.items()})
+            **{k: float(v) for k, v in ratios.items()},
+            **{f"kperp_dual_{n}": v for n, v in kperp.items()})
 
 
 def test_criterion_11_riemannian_bound(family_cache):

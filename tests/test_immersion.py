@@ -128,9 +128,10 @@ def stencils(f, hx, hy):
 
 
 class TestStencils:
-    """diff, diff2 and d_xy are fourth order: exact on polynomials of
-    degree 4, order 4 on smooth fields, nan on the R edge lines only
-    (diff(edges=True) on none)."""
+    """diff, diff2 and d_xy are fourth order at least (d_xy is sixth, see
+    TestSixthOrder): exact on polynomials of degree 4, order 4 or more on
+    smooth fields, nan on the R edge lines only (diff(edges=True) on
+    none)."""
 
     @staticmethod
     def grid(n):
@@ -198,6 +199,145 @@ class TestStencils:
         for name, got, _ in stencils(np.exp(X) * np.cos(Y), hx, hy):
             assert np.array_equal(np.isfinite(got),
                                   np.broadcast_to(want[name], X.shape)), name
+
+
+def poly_grid(nx, ny, degree, seed=3):
+    """Values (nx, ny, 2, 3) of a random polynomial of the given degree in
+    (x, y) per component, on a box of spacings (hx, hy), with their exact
+    (F_xx, F_xy, F_yy): (hx, hy, values, hessian)."""
+    spec = GridSpec.from_box(nx, ny, (-0.7, 1.1), (0.3, 1.4))
+    X, Y = (a[..., None, None] for a in spec.mesh())
+    rng = np.random.default_rng(seed)
+    f, d = 0.0, [0.0] * 3
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            c = rng.uniform(-1.0, 1.0, (2, 3))
+            x = [X ** max(i - k, 0) for k in range(3)]
+            y = [Y ** max(j - k, 0) for k in range(3)]
+            f = f + c * x[0] * y[0]
+            parts = (i * (i - 1) * x[2] * y[0], i * j * x[1] * y[1],
+                     j * (j - 1) * x[0] * y[2])
+            d = [a + c * b for a, b in zip(d, parts)]
+    return spec.hx, spec.hy, f + np.zeros((nx, ny, 2, 3)), d
+
+
+class TestSixthOrder:
+    """The Hessian's kernels: diff6 (first and second differences) and
+    d_xy are sixth order with 7-point stencils, off-centre on the lines 2
+    and n - 3, nan on the R edge lines, and keep the 5-point form along an
+    axis shorter than 7, whatever its row blocks."""
+
+    @staticmethod
+    def hessian_of(values, hx, hy):
+        """The Hessian of a grid of these values, formed a row block at a
+        time (by_rows, as the checks form it) and stitched."""
+        F = ImmersionGrid(0, 1, values, hx, hy)
+        return immersion.by_rows((F.nx, F.ny), lambda r: hessian(F, r))
+
+    @pytest.mark.parametrize("n", [7, 8, 11])
+    def test_exact_on_sextics(self, n):
+        hx, hy, V, want = poly_grid(n, n + 2, 6)
+        R = immersion.R
+        inner = (slice(R, -R),) * 2
+        for got, exact in zip(self.hessian_of(V, hx, hy), want):
+            assert np.isfinite(got[inner]).all()
+            scale = np.max(np.abs(exact[inner]))
+            err = np.max(np.abs(got[inner] - exact[inner]))
+            assert err < 1e-11 * scale, err / scale
+        # the first difference on its own, at the central and off-centre
+        # lines of both axes
+        x = np.linspace(-0.7, 1.1, n)
+        h = x[1] - x[0]
+        c = np.random.default_rng(5).uniform(-1.0, 1.0, 7)
+        f = np.polynomial.polynomial.polyval(x, c)
+        for order in (1, 2):
+            exact = np.polynomial.polynomial.polyval(
+                x, np.polynomial.polynomial.polyder(c, order))
+            got = immersion.diff6(f, h, 0, order)
+            err = np.max(np.abs(got[R:-R] - exact[R:-R]))
+            assert err < 1e-11 * np.max(np.abs(exact)), (order, err)
+            col = immersion.diff6(np.tile(f, (5, 1)), h, 1, order)
+            assert np.array_equal(col, np.tile(got, (5, 1)),
+                                  equal_nan=True)
+
+    def test_order_on_a_smooth_field(self):
+        # sixth order on the central lines; the off-centre second
+        # difference is fifth order on its own lines
+        errs = {}
+        for n in (33, 65):
+            x = np.linspace(-1.0, 1.3, n)
+            f = np.sin(2.0 * x + 1.0)
+            exact = (2.0 * np.cos(2.0 * x + 1.0), -4.0 * f)
+            for order in (1, 2):
+                got = immersion.diff6(f, x[1] - x[0], 0, order)
+                errs[order, n] = np.abs(got - exact[order - 1])
+        for order, least in ((1, 5.8), (2, 5.8)):
+            coarse, fine = errs[order, 33], errs[order, 65][::2]
+            assert np.log2(np.nanmax(coarse[3:-3])
+                           / np.nanmax(fine[3:-3])) >= least, order
+        for order, least in ((1, 5.8), (2, 4.8)):
+            for k in (2, -3):
+                ratio = errs[order, 33][k] / errs[order, 65][k]
+                assert np.log2(ratio) >= least, (order, k)
+
+    def test_nan_on_exactly_the_R_edge_lines(self):
+        hx, hy, V, _ = poly_grid(9, 12, 3)
+        R = immersion.R
+        inner_x = np.zeros((9, 12), dtype=bool)
+        inner_x[R:-R] = True
+        inner_y = np.zeros((9, 12), dtype=bool)
+        inner_y[:, R:-R] = True
+        Fxx, Fxy, Fyy = self.hessian_of(V, hx, hy)
+        for got, want in ((Fxx, inner_x), (Fxy, inner_x & inner_y),
+                          (Fyy, inner_y)):
+            assert np.array_equal(np.isfinite(got).all(axis=(2, 3)), want)
+            assert np.array_equal(np.isnan(got).all(axis=(2, 3)), ~want)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_five_point_form_on_short_axes(self, n, monkeypatch):
+        # an axis of 5 or 6 samples keeps diff2's and diff's stencils: a
+        # 5- or 6-row grid, also split into one-row blocks, and the same
+        # along y; the long axis is sixth order
+        hx, hy, V, _ = poly_grid(n, 9, 4)
+        Fxx, Fxy, Fyy = self.hessian_of(V, hx, hy)
+        assert np.array_equal(Fxx, immersion.diff2(V, hx, 0),
+                              equal_nan=True)
+        assert np.array_equal(
+            Fxy, immersion.diff(immersion.diff6(V, hy, 1, 1), hx, 0),
+            equal_nan=True)
+        assert np.array_equal(Fyy, immersion.diff6(V, hy, 1, 2),
+                              equal_nan=True)
+        for f, h, axis in ((V, hx, 0), (V.swapaxes(0, 1), hy, 1)):
+            assert np.array_equal(immersion.diff6(f, h, axis, 1),
+                                  immersion.diff(f, h, axis),
+                                  equal_nan=True)
+        monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", 9)
+        assert len(immersion.row_blocks(n, 9)) == n
+        blocked = self.hessian_of(V, hx, hy)
+        for got, want in zip(blocked, (Fxx, Fxy, Fyy)):
+            assert np.array_equal(got, want, equal_nan=True)
+        hx, hy, V, _ = poly_grid(9, n, 4)
+        _, _, Fyy = self.hessian_of(V, hx, hy)
+        assert np.array_equal(Fyy, immersion.diff2(V, hy, 1),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_row_blocks_equal_one_block(self, n, monkeypatch):
+        # a 7- or 8-row grid keeps its 7-point form when split into blocks
+        # shorter than 7 rows, and so does a long one: the Hessian reads
+        # HESSIAN_REACH rows past a block
+        for nx in (n, 23):
+            hx, hy, V, _ = poly_grid(nx, 9, 6)
+            whole = self.hessian_of(V, hx, hy)
+            assert np.array_equal(whole[0], immersion.diff6(V, hx, 0, 2),
+                                  equal_nan=True)
+            for most in (1, 2, 3):
+                monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", most * 9)
+                assert len(immersion.row_blocks(nx, 9)) == -(-nx // most)
+                blocked = self.hessian_of(V, hx, hy)
+                for got, want in zip(blocked, whole):
+                    assert np.array_equal(got, want, equal_nan=True), most
+                monkeypatch.undo()
 
 
 class TestConformal:
