@@ -15,9 +15,9 @@ on its own, and the bytes of each
 file it writes with --out (report.json, gordon.json, fundata.json and,
 when the frames were reconstructed, grid.json, grid.csv, factor1.obj and
 factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".
-The same for each (family, nx, ny) of RAISING, a grid whose family stage
-raises, under keys such as "pipeline/B2/33x33/t=0.3/report", so the report
-that names a failed family stage is compared too.  For every example at
+The same for each (family, nx, ny) of FAILING, a grid whose pipeline
+fails, under keys such as "pipeline/B2/33x33/t=0.3/report", so the reports
+that name a failed family stage or a failed gate are compared too.  For every example at
 IO_SIZE, written as JSON and as CSV: the bytes of that input file, and the
 report and the bytes of each file of ``verify --input PATH --out DIR`` on it,
 under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
@@ -58,9 +58,10 @@ EXTRACT = ("u", "C1", "C2", "gamma1", "gamma2", "f1", "f2", "A", "mask",
            "complex1", "complex2", "u_z", "diagnostics")
 VERIFY_SIZES = (33, 65, 129)
 PIPELINE_SIZES = (33, 65)
-# pipeline grids whose family stage raises (B2's edge ODE blows up inside
-# a y-span as long as the x-span)
-RAISING = (("B2", 33, 33),)
+# pipeline grids that fail: B2's family stage raises (its edge ODE blows
+# up inside a y-span as long as the x-span), and A2's record fails its
+# record_compat gate (a march to y = 0.5)
+FAILING = (("B2", 33, 33), ("A2", 33, 65))
 IO_SIZE = 33
 T = 0.3
 PHASE_TS = (0.0, 0.3, 1.0)
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     for n in PIPELINE_SIZES:
         for theorem in sorted(gordon.FAMILY_TABLE):
             pipeline_digests(theorem, n, out)
-    for theorem, nx, ny in RAISING:
+    for theorem, nx, ny in FAILING:
         pipeline_digests(theorem, nx, out, ny)
     for theorem in sorted(gordon.FAMILY_TABLE):
         rotation_digests(theorem, out)
