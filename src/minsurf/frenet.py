@@ -147,16 +147,16 @@ def _halves(lines: np.ndarray, start: int = 0, stop: int = None
     return out
 
 
-def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
-                  direction: str) -> np.ndarray:
-    """Coefficient matrices M (..., 2, 5, 5) of the frame system at data
-    dat (..., 15) from _pack_data, one block per factor.
-
-    On each ambient coordinate of a factor, the x- or y-derivative of
-    (F, Re F_z, Im F_z, Re xi, Im xi) is M times it.  Multiplication by
-    a + i b is the block [[a, -eps b], [b, a]], conjugation diag(1, -1);
-    the factors differ only through Fhat in F_zzb.
-    """
+def _blocks(dat: np.ndarray, p: int, eps: int, b: int) -> tuple:
+    """The blocks (Mz, Mzb, fhat) of the frame system at data dat (..., 15)
+    from _pack_data, which _assemble turns into either direction's
+    matrices: d/dz (Mz, (4, 5, ...)) and d/dzb (Mzb) of (Re F_z, Im F_z,
+    Re xi, Im xi) on the columns (F, Re F_z, Im F_z, Re xi, Im xi), and
+    the two factors' weights of F in F_zzb (fhat, (2, ...)); the batch
+    axes come last, so each entry is written in one contiguous pass.
+    Multiplication by a + i b is the block [[a, -eps b], [b, a]],
+    conjugation diag(1, -1); F is real, so its column is the first one of
+    a block."""
     (e2u, C1, C2, g1r, g1i, g2r, g2i, f1r, f1i, f2r, f2i, Ar, Ai,
      uzr, uzi) = np.moveaxis(dat, -1, 0)
     sp1 = (-1.0) ** (p + 1)
@@ -165,12 +165,9 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
     q1 = sp1 * (0.5 * b * C1)
     q2 = -sp1 * (0.5 * b * C2)
     wf1r, wf1i, wf2r, wf2i = w * f1r, w * f1i, w * f2r, w * f2i
-    # d/dz (Mz) and d/dzb (Mzb) of (F_z, xi) on the columns (F, F_z, xi),
-    # written out block by block; F is real, so its column is the first
-    # one of a block
-    Mz = np.zeros(e2u.shape + (4, 5))
+    Mz = np.zeros((4, 5) + e2u.shape)
     Mzb = np.zeros_like(Mz)
-    Mzb[..., 0, 0] = sp1 * eps * C1 * C2 * e2u / 4.0
+    Mzb[0, 0] = sp1 * eps * C1 * C2 * e2u / 4.0
     for B, r0, rows in (
             (Mz, 0, ((c * (g1r * g2r - eps * g1i * g2i), 2.0 * uzr,
                       -eps * (2.0 * uzi), f1r + f2r, eps * f2i - eps * f1i),
@@ -182,34 +179,47 @@ def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
                       (q2 * g1r, -wf1i, wf1r, Ai, -Ar)))):
         for r, row in enumerate(rows, r0):
             for k, v in enumerate(row):
-                B[..., r, k] = v
-    fhat = (e2u / 4.0)[..., None] * np.array([1.0, -1.0])   # in F_zzb
+                B[r, k] = v
+    fhat = np.multiply.outer([1.0, -1.0], e2u / 4.0)
+    return Mz, Mzb, fhat
 
-    M = np.zeros(e2u.shape + (2, 5, 5))
+
+def _assemble(blocks, eps: int, direction: str) -> np.ndarray:
+    """Coefficient matrices M (..., 2, 5, 5) of the frame system in the x-
+    or y-direction from _blocks' (Mz, Mzb, fhat), one block per factor: on
+    each ambient coordinate of a factor, the derivative of (F, Re F_z,
+    Im F_z, Re xi, Im xi) is M times it.  The factors differ only through
+    fhat."""
+    Mz, Mzb, fhat = blocks
+    M = np.empty(Mz.shape[2:] + (2, 5, 5))
+    M[..., 0, :] = 0.0
     if direction == "x":
         M[..., 0, 1] = 2.0
-        M[..., 1:, :] = (Mz + Mzb)[..., None, :, :]
-        M[..., 1, 0] -= fhat
+        rows, k, fhat = Mz + Mzb, 1, -fhat
     else:
         M[..., 0, 2] = -2.0 * eps
         # times i: the (re, im) rows of a block become (-eps im, re)
-        sign = np.array([[-eps], [1.0], [-eps], [1.0]])
-        times_i = (Mz - Mzb)[..., [1, 0, 3, 2], :] * sign
-        M[..., 1:, :] = times_i[..., None, :, :]
-        M[..., 2, 0] += fhat
+        rows, k = (Mz - Mzb)[[1, 0, 3, 2]], 2
+        rows[0::2] *= -eps
+    M[..., 1:, :] = np.moveaxis(rows, (0, 1), (-2, -1))[..., None, :, :]
+    M[..., k, 0] += np.moveaxis(fhat, 0, -1)
     return M
 
 
-def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
-         b: int, direction: str) -> np.ndarray:
+def _frame_matrix(dat: np.ndarray, p: int, eps: int, b: int,
+                  direction: str) -> np.ndarray:
+    """Coefficient matrices M (..., 2, 5, 5) of the frame system at data
+    dat (..., 15) from _pack_data in one direction (_blocks, _assemble)."""
+    return _assemble(_blocks(dat, p, eps, b), eps, direction)
+
+
+def _step(M: np.ndarray, Mh: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step of length h (a float, or an array per line
     broadcasting to (..., 1, 1, 1)) as a matrix (n-1, ..., 2, 5, 5) from
-    each of the data lines (n, ..., 15) to the next, from the coefficients
-    at the start, middle (half, (n-1, ..., 15), from _halves) and end.
-    Its temporaries are five such matrix arrays, so callers pass a few
-    hundred cells at a time."""
-    M = _frame_matrix(lines, p, eps, b, direction)
-    Mh = _frame_matrix(half, p, eps, b, direction)
+    each of n nodes of a line to the next, from the coefficient matrices
+    M (n, ..., 2, 5, 5) at the nodes and Mh (n-1, ...) at the half steps,
+    which it overwrites.  Its temporaries are three such matrix arrays, so
+    callers pass a few hundred cells at a time."""
     eye = np.eye(5)
     # k2 = Mh (1 + h/2 M), k3 = Mh (1 + h/2 k2), k4 = M' (1 + h k3)
     t = np.multiply(h / 2.0, M[:-1])
@@ -230,6 +240,14 @@ def _rk4(lines: np.ndarray, half: np.ndarray, h: float, p: int, eps: int,
     k2 *= h / 6.0
     k2 += eye
     return k2
+
+
+def _rk4(lines: np.ndarray, half: np.ndarray, h, p: int, eps: int, b: int,
+         direction: str) -> np.ndarray:
+    """_step from the data lines (n, ..., 15) and their half steps (half,
+    (n-1, ..., 15), from _halves)."""
+    return _step(_frame_matrix(lines, p, eps, b, direction),
+                 _frame_matrix(half, p, eps, b, direction), h)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +420,8 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     states (the centre column's and its x-steps', which both sweeps start
     from, and the sweep's current ones).  Each batch of about _BATCH_CELLS
     cells packs the data lines of its columns from D's fields (a column
-    two batches share is packed by both), forms their y-halves and the
+    two batches share is packed by both), forms their y-halves, the
+    coefficient blocks of its nodes (once for both directions) and the
     propagators of both directions, about 430 floats per cell at its peak,
     and is dropped before the next is formed; the finiteness check holds one
     boolean and one float per sample, and the commutators' sum one float.
@@ -437,14 +456,23 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
         Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).
         The y-half steps read the columns c-1 .. c1+1, and at least four:
         the one-sided end stencils of _halves fall on the record's first
-        and last half steps only, as on whole lines."""
+        and last half steps only, as on whole lines.  The y-steps' nodes,
+        the columns c .. c1, hold the x-steps' nodes, c+1 .. c1: their
+        blocks are formed once, for both directions."""
         lo, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
         cols = slice(lo, stop) if sgn > 0 else slice(n2 - stop, n2 - lo)
         P = _pack_data(D, cols)[:, ::sgn]
         Y, X = P.swapaxes(0, 1), P[:, c + 1 - lo:c1 + 1 - lo]
-        return (_rk4(Y[c - lo:c1 + 1 - lo], _halves(Y, c - lo, c1 - lo),
-                     sgn * D.hy, p, eps, b, "y"),
-                _rk4(X, _halves(X), D.hx, p, eps, b, "x"))
+        nodes = _blocks(Y[c - lo:c1 + 1 - lo], p, eps, b)
+        Mx = _assemble([a[..., 1:, :].swapaxes(-1, -2) for a in nodes],
+                       eps, "x")
+        My = _assemble(nodes, eps, "y")
+        del nodes
+        Py = _step(My, _frame_matrix(_halves(Y, c - lo, c1 - lo), p, eps,
+                                     b, "y"), sgn * D.hy)
+        del My
+        return Py, _step(Mx, _frame_matrix(_halves(X), p, eps, b, "x"),
+                         D.hx)
 
     values = np.empty((n1, n2, 2, 3))
     d = np.empty((n1 - 1, n2 - 1))
