@@ -15,7 +15,8 @@ enters.  Real x/y derivatives are recovered from Q_x = Q_z + Q_zb and
 Q_y = i (Q_z - Q_zb).  The system is real-linear and acts alike on every
 ambient coordinate of a factor, so a classical RK4 step of one factor
 across one grid cell is a 5x5 propagator, built in closed form (half-step
-coefficients by cubic interpolation of the data lines; a step against the
+coefficients by quintic interpolation of the data lines, whose u_z, A and
+f_j the family data form from sixth-order differences; a step against the
 grid's direction has length -h on the reversed lines).  Propagator
 products fill the centre column once by x-steps both ways, then sweep
 the columns one y-step at a time from it to the last column and to the
@@ -99,7 +100,7 @@ class FrameState:
 
 
 # ---------------------------------------------------------------------------
-# data lines: packed coefficient table with cubic half-step interpolation
+# data lines: packed coefficient table with quintic half-step interpolation
 # ---------------------------------------------------------------------------
 
 _NFIELD = 15
@@ -123,27 +124,48 @@ def _pack_data(D: FundamentalData, cols: slice = slice(None)) -> np.ndarray:
     return out
 
 
+# the half-step weights by the least line length they need: (denominator,
+# the centred weights of half step k over the lines k + 1 - m/2 .. k + m/2,
+# the one-sided weights of the first m/2 - 1 half steps over the lines'
+# first m samples, mirrored at the far end); Lagrange interpolation at the
+# half offsets (Fornberg, Math. Comp. 51, 1988)
+_HALF = {
+    4: (16.0, (-1.0, 9.0, 9.0, -1.0), ((5.0, 15.0, -5.0, 1.0),)),
+    6: (256.0, (3.0, -25.0, 150.0, 150.0, -25.0, 3.0),
+        ((63.0, 315.0, -210.0, 126.0, -45.0, 7.0),
+         (-7.0, 105.0, 210.0, -70.0, 21.0, -3.0))),
+}
+
+
 def _halves(lines: np.ndarray, start: int = 0, stop: int = None
             ) -> np.ndarray:
-    """Cubic interpolation of data lines at the half steps k + 1/2 for
-    start <= k < stop (every one by default), one-sided at the lines' two
-    ends.
+    """Interpolation of data lines at the half steps k + 1/2 for
+    start <= k < stop (every one by default), summed tap by tap in
+    _HALF's order: quintic, one-sided on the two half steps at each end;
+    on lines shorter than 6, cubic, one-sided on the end ones.
 
     The lines run along axis 0; trailing axes (columns, fields) ride along.
     """
     n = lines.shape[0]
     stop = n - 1 if stop is None else stop
+    den, central, ends = _HALF[6 if n >= 6 else 4]
+    r = len(central) // 2
     out = np.empty((stop - start,) + lines.shape[1:])
-    lo, hi = max(start, 1), min(stop, n - 2)        # the centred stencils
-    if start == 0:
-        out[0] = (5.0 * lines[0] + 15.0 * lines[1] - 5.0 * lines[2]
-                  + lines[3]) / 16.0
-    out[lo - start:hi - start] = (
-        -lines[lo - 1:hi - 1] + 9.0 * lines[lo:hi]
-        + 9.0 * lines[lo + 1:hi + 1] - lines[lo + 2:hi + 2]) / 16.0
-    if stop == n - 1:
-        out[n - 2 - start] = (5.0 * lines[n - 1] + 15.0 * lines[n - 2]
-                              - 5.0 * lines[n - 3] + lines[n - 4]) / 16.0
+    lo = max(start, r - 1)                          # the centred stencils
+    hi = max(lo, min(stop, n - r))
+    c = out[lo - start:hi - start]
+    np.multiply(central[0], lines[lo + 1 - r:hi + 1 - r], out=c)
+    for j, w in enumerate(central[1:], 2 - r):
+        c += w * lines[lo + j:hi + j]
+    c /= den
+    for k, w in enumerate(ends):
+        for half, taps in ((k, lines[:2 * r]),
+                           (n - 2 - k, lines[:-2 * r - 1:-1])):
+            if start <= half < stop:
+                acc = w[0] * taps[0]
+                for wi, tap in zip(w[1:], taps[1:]):
+                    acc += wi * tap
+                out[half - start] = acc / den
     return out
 
 
@@ -454,12 +476,12 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     def batch(c, c1, sgn):
         """(Py, Px) for the columns l = c + j < c1 of values[:, ::sgn]:
         Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).
-        The y-half steps read the columns c-1 .. c1+1, and at least four:
-        the one-sided end stencils of _halves fall on the record's first
-        and last half steps only, as on whole lines.  The y-steps' nodes,
+        The y-half steps read the columns c-2 .. c1+2, and at least six:
+        the one-sided end stencils of _halves fall on the record's two
+        first and two last half steps only, as on whole lines.  The y-steps' nodes,
         the columns c .. c1, hold the x-steps' nodes, c+1 .. c1: their
         blocks are formed once, for both directions."""
-        lo, stop = max(0, min(c - 1, n2 - 4)), min(n2, max(c1 + 2, 4))
+        lo, stop = max(0, min(c - 2, n2 - 6)), min(n2, max(c1 + 3, 6))
         cols = slice(lo, stop) if sgn > 0 else slice(n2 - stop, n2 - lo)
         P = _pack_data(D, cols)[:, ::sgn]
         Y, X = P.swapaxes(0, 1), P[:, c + 1 - lo:c1 + 1 - lo]

@@ -67,10 +67,12 @@ class GordonSolution:
     meta: dict = field(default_factory=dict)
 
     def dz(self, which: str) -> ScalarEps:
-        """d/dz of v or w by immersion's differences with their one-sided
-        edge lines: the family data have no nan edge lines."""
+        """d/dz of v or w by immersion.diff6's sixth-order first
+        differences with their one-sided edge lines (diff's fourth-order
+        ones along an axis shorter than 7): the family data have no nan
+        edge lines."""
         f = self.v if which == "v" else self.w
-        return dz(f, self.hx, self.hy, self.eps, edges=True)
+        return dz(f, self.hx, self.hy, self.eps, edges=True, order=6)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +479,10 @@ def _sqrt_signed(r: np.ndarray, eps: int) -> ScalarEps:
 
 def build_family(theorem: str, sol: GordonSolution,
                  t: float = 0.0) -> FundamentalData:
-    """Fundamental data of the 1-parameter family attached to a Gordon pair."""
+    """Fundamental data of the 1-parameter family attached to a Gordon pair.
+
+    u_z, A and f_j read v_z and w_z from sol.dz, sixth order in the
+    solution's samples; the other fields read v and w alone."""
     if theorem not in FAMILY_TABLE:
         raise ValueError(f"unknown theorem {theorem!r}")
     eps, p, b, kind, branch, qnorm = FAMILY_TABLE[theorem]

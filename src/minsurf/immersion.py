@@ -134,8 +134,9 @@ R = 2
 # the rows past a row block that its Hessian reads (hessian): the
 # off-centre stencil of line 2 reads line 6
 HESSIAN_REACH = 4
-# the fewest samples along any axis of a grid or record: the cubic half
-# steps of the frame march read 4, and a reconstructed grid needs 5
+# the fewest samples along any axis of a grid or record: a reconstructed
+# grid needs 5, and the frame march's half steps, quintic on lines of 6
+# samples or more, stay cubic, reading 4, on shorter ones
 MIN_SIDE = 5
 
 
@@ -210,21 +211,29 @@ _SIXTH = {
     2: (180.0, (270.0, -27.0, 2.0), -490.0,
         (-13.0, 228.0, -420.0, 200.0, 15.0, -12.0, 2.0)),
 }
+# the first difference's one-sided weights over lines 0-6 at lines 0 and 1
+# (diff6 with edges), over the same denominator 60
+_SIXTH_EDGES = ((-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0),
+                (-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0))
 
 
-def diff6(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+def diff6(a: np.ndarray, h: float, axis: int, order: int,
+          edges: bool = False) -> np.ndarray:
     """First (order 1) or second (order 2) difference along axis 0 (x) or
     1 (y), sixth order: the central (-1, 9, -45, 0, 45, -9, 1) / 60h and
     (2, -27, 270, -490, 270, -27, 2) / 180h^2, and on lines 2 and n - 3 the
     off-centre (2, -24, -35, 80, -30, 8, -1) / 60h and
     (-13, 228, -420, 200, 15, -12, 2) / 180h^2 over lines 0-6, mirrored at
     the far end (the first difference's weights also negated); nan on the
-    R edge lines.  An axis shorter than 7 keeps diff's or diff2's 5-point
+    R edge lines, or with edges (order 1), those filled by the one-sided
+    (-147, 360, -450, 400, -225, 72, -10) / 60h on line 0 and
+    (-10, -77, 150, -100, 50, -15, 2) / 60h on line 1, mirrored.  An axis
+    shorter than 7 keeps diff's (with its edges) or diff2's 5-point
     form.  A row block's reach (hessian) is shorter than 7 lines of a
     longer axis only where the block holds edge lines alone, nan in
     either form."""
     if a.shape[axis] < 7:
-        return diff(a, h, axis) if order == 1 else diff2(a, h, axis)
+        return diff(a, h, axis, edges) if order == 1 else diff2(a, h, axis)
     den, central, centre, edge = _SIXTH[order]
     pair, sign = (np.subtract, -1.0) if order == 1 else (np.add, 1.0)
     den *= h ** order
@@ -243,12 +252,15 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
         c += t
     c /= den
     e, a = np.swapaxes(out, 0, axis), np.swapaxes(a, 0, axis)
-    for line, lines, w in ((2, a[:7], 1.0), (-3, a[:-8:-1], sign)):
-        acc = edge[0] * lines[0]
-        for k in range(1, 7):
-            acc += edge[k] * lines[k]
-        e[line] = acc / (w * den)
-    return _nan_edges(out, axis)
+    for near, weights in ((2, edge), *(enumerate(_SIXTH_EDGES) if edges
+                                       else ())):
+        for line, lines, w in ((near, a[:7], 1.0),
+                               (-1 - near, a[:-8:-1], sign)):
+            acc = weights[0] * lines[0]
+            for k in range(1, 7):
+                acc += weights[k] * lines[k]
+            e[line] = acc / (w * den)
+    return out if edges else _nan_edges(out, axis)
 
 
 def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -266,12 +278,19 @@ def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
 
 
 def dz(f, hx: float, hy: float, eps: int, conj: bool = False,
-       edges: bool = False) -> ScalarEps:
-    """d/dz (d/dzbar with conj) of a real or ScalarEps grid field."""
+       edges: bool = False, order: int = 4) -> ScalarEps:
+    """d/dz (d/dzbar with conj) of a real or ScalarEps grid field, by
+    diff's fourth-order or (order 6) diff6's sixth-order first
+    differences."""
+    def first(a, h, axis):
+        if order == 6:
+            return diff6(a, h, axis, 1, edges)
+        return diff(a, h, axis, edges)
+
     def partial(h, axis):
         if isinstance(f, ScalarEps):
-            return f.map(lambda a: diff(a, h, axis, edges))
-        return ScalarEps(diff(f, h, axis, edges), np.zeros_like(f), eps)
+            return f.map(lambda a: first(a, h, axis))
+        return ScalarEps(first(f, h, axis), np.zeros_like(f), eps)
     return wirtinger(partial(hx, 0), partial(hy, 1), eps, conj)
 
 

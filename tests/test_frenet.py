@@ -412,6 +412,52 @@ class TestRoundTripFamilies:
         assert rt.rec.drift <= rt.rec.drift_budget
 
 
+def cubic_halves(lines):
+    """The cubic half steps, written out: (-1, 9, 9, -1) / 16, and
+    (5, 15, -5, 1) / 16 on the first and (mirrored) last half step."""
+    n = lines.shape[0]
+    out = np.empty((n - 1,) + lines.shape[1:])
+    out[0] = (5.0 * lines[0] + 15.0 * lines[1] - 5.0 * lines[2]
+              + lines[3]) / 16.0
+    out[1:n - 2] = (-lines[:n - 3] + 9.0 * lines[1:n - 2]
+                    + 9.0 * lines[2:n - 1] - lines[3:]) / 16.0
+    out[n - 2] = (5.0 * lines[n - 1] + 15.0 * lines[n - 2]
+                  - 5.0 * lines[n - 3] + lines[n - 4]) / 16.0
+    return out
+
+
+class TestHalves:
+    """frenet._halves: quintic on lines of 6 samples or more, one-sided on
+    the two half steps at each end; cubic on shorter lines."""
+
+    @pytest.mark.parametrize("n", [6, 7, 9, 12])
+    def test_exact_on_quintics(self, n):
+        x = np.linspace(-0.4, 1.3, n)
+        c = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3))
+        lines = np.polynomial.polynomial.polyval(x, c).T        # (n, 3)
+        want = np.polynomial.polynomial.polyval((x[:-1] + x[1:]) / 2, c).T
+        got = frenet._halves(lines)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= 1e-14 * np.max(np.abs(want))), err
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cubic_on_short_lines(self, n):
+        lines = np.random.default_rng(n).standard_normal((n, 3, 15))
+        assert np.array_equal(frenet._halves(lines), cubic_halves(lines))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
+    def test_ranges_equal_whole_lines(self, n):
+        # the half steps start <= k < stop are those of the whole lines,
+        # bit for bit, as reconstruct's batches form them
+        lines = np.random.default_rng(n).standard_normal((n, 2, 15))
+        whole = frenet._halves(lines)
+        for start in range(n - 1):
+            for stop in range(start + 1, n):
+                assert np.array_equal(frenet._halves(lines, start, stop),
+                                      whole[start:stop]), (start, stop)
+
+
 # ---------------------------------------------------------------------------
 # the column sweep
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ together with the full ``ReconstructReport``.  JSON keeps each float as
 its exact repr.  Initial frames, step counts and drift budgets are compared
 exactly, as is the sample the sweeps start from.  Positions, drift and
 commutator fields were recorded by the per-cell propagators on the family
-data of the fourth-order stencils, swept from the record's centre.
+data of sixth-order v_z and w_z, with quintic half steps, swept from the
+record's centre.
 Positions and the quadric drift taken from them compare to 1e-13
 absolute, the bound set when they were recorded by the step-by-step RK4
 sweep the propagators replaced (measured 4e-15 between the two).  The

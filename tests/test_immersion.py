@@ -321,6 +321,36 @@ class TestSixthOrder:
         assert np.array_equal(Fyy, immersion.diff2(V, hy, 1),
                               equal_nan=True)
 
+    @pytest.mark.parametrize("n", [7, 8, 11])
+    def test_edges_exact_on_sextics(self, n):
+        # the first difference with edges (GordonSolution.dz's) is exact on
+        # sextics on every line of both axes, the one-sided lines 0 and 1
+        # and their mirrors included, and equals the nan-edged form on the
+        # lines that form has
+        x = np.linspace(-0.7, 1.1, n)
+        c = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 4))
+        f = np.polynomial.polynomial.polyval(x, c)          # (4, n)
+        exact = np.polynomial.polynomial.polyval(
+            x, np.polynomial.polynomial.polyder(c))
+        R, h = immersion.R, x[1] - x[0]
+        for got, want in ((immersion.diff6(f, h, 1, 1, edges=True), exact),
+                          (immersion.diff6(f.T, h, 0, 1, edges=True),
+                           exact.T)):
+            assert np.isfinite(got).all()
+            err = np.max(np.abs(got - want))
+            assert err < 1e-11 * np.max(np.abs(want)), err
+        nan_edged = immersion.diff6(f, h, 1, 1)
+        assert np.array_equal(
+            immersion.diff6(f, h, 1, 1, edges=True)[:, R:-R],
+            nan_edged[:, R:-R])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_edges_keep_the_fourth_order_form_below_7(self, n):
+        hx, hy, V, _ = poly_grid(n, 9, 4)
+        for f, h, axis in ((V, hx, 0), (V.swapaxes(0, 1), hy, 1)):
+            assert np.array_equal(immersion.diff6(f, h, axis, 1, edges=True),
+                                  immersion.diff(f, h, axis, edges=True))
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_row_blocks_equal_one_block(self, n, monkeypatch):
         # a 7- or 8-row grid keeps its 7-point form when split into blocks
