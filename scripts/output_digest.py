@@ -16,10 +16,11 @@ file it writes with --out (report.json, gordon.json, fundata.json and,
 when the frames were reconstructed, grid.json, grid.csv, factor1.obj and
 factor2.obj), under keys such as "pipeline/B1/33/t=0.3/out/grid.csv".
 The same for each (family, nx, ny) of FAILING, a grid whose pipeline
-fails, under keys such as "pipeline/B2/33x33/t=0.3/report", so the reports
-that name a failed family stage or a failed gate are compared too.  For every example at
-IO_SIZE, written as JSON and as CSV: the bytes of that input file, and the
-report and the bytes of each file of ``verify --input PATH --out DIR`` on it,
+fails, under keys such as "pipeline/B2/33x33/t=0.3/report", so the
+reports that name a failed family stage or a failed gate are compared
+too.  For every example at IO_SIZE, written as JSON and as CSV: the bytes
+of that input file, and the report and the bytes of each file of
+``verify --input PATH --out DIR`` on it,
 under keys such as "verify-io/slice:first/33/csv/out/grid.json", so the
 grid reader and writer stand inside the comparison too.  For each family:
 gordon.family_phase at each t of PHASE_TS, and fundata.gauge_rotate of its

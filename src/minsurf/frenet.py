@@ -478,9 +478,9 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
         Py[j, k] steps (k, l) -> (k, l+1), Px[k, j] (k, l+1) -> (k+1, l+1).
         The y-half steps read the columns c-2 .. c1+2, and at least six:
         the one-sided end stencils of _halves fall on the record's two
-        first and two last half steps only, as on whole lines.  The y-steps' nodes,
-        the columns c .. c1, hold the x-steps' nodes, c+1 .. c1: their
-        blocks are formed once, for both directions."""
+        first and two last half steps only, as on whole lines.  The
+        y-steps' nodes, the columns c .. c1, hold the x-steps' nodes,
+        c+1 .. c1: their blocks are formed once, for both directions."""
         lo, stop = max(0, min(c - 2, n2 - 6)), min(n2, max(c1 + 3, 6))
         cols = slice(lo, stop) if sgn > 0 else slice(n2 - stop, n2 - lo)
         P = _pack_data(D, cols)[:, ::sgn]

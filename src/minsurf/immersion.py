@@ -252,8 +252,8 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
         c += t
     c /= den
     e, a = np.swapaxes(out, 0, axis), np.swapaxes(a, 0, axis)
-    for near, weights in ((2, edge), *(enumerate(_SIXTH_EDGES) if edges
-                                       else ())):
+    rows = [(2, edge)] + (list(enumerate(_SIXTH_EDGES)) if edges else [])
+    for near, weights in rows:
         for line, lines, w in ((near, a[:7], 1.0),
                                (-1 - near, a[:-8:-1], sign)):
             acc = weights[0] * lines[0]
