@@ -218,7 +218,7 @@ _SIXTH_EDGES = ((-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0),
 
 
 def diff6(a: np.ndarray, h: float, axis: int, order: int,
-          edges: bool = False) -> np.ndarray:
+          edges: bool = False, keep: slice = slice(None)) -> np.ndarray:
     """First (order 1) or second (order 2) difference along axis 0 (x) or
     1 (y), sixth order: the central (-1, 9, -45, 0, 45, -9, 1) / 60h and
     (2, -27, 270, -490, 270, -27, 2) / 180h^2, and on lines 2 and n - 3 the
@@ -227,13 +227,15 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
     the far end (the first difference's weights also negated); nan on the
     R edge lines, or with edges (order 1), those filled by the one-sided
     (-147, 360, -450, 400, -225, 72, -10) / 60h on line 0 and
-    (-10, -77, 150, -100, 50, -15, 2) / 60h on line 1, mirrored.  An axis
-    shorter than 7 keeps diff's (with its edges) or diff2's 5-point
-    form.  A row block's reach (hessian) is shorter than 7 lines of a
-    longer axis only where the block holds edge lines alone, nan in
-    either form."""
+    (-10, -77, 150, -100, 50, -15, 2) / 60h on line 1, mirrored.  Only the
+    lines `keep` of axis are returned, and an off-centre or one-sided line
+    outside them is not formed.  An axis shorter than 7 keeps diff's (with
+    its edges) or diff2's 5-point form.  A row block's reach (hessian) is
+    shorter than 7 lines of a longer axis only where the block holds edge
+    lines alone, nan in either form."""
     if a.shape[axis] < 7:
-        return diff(a, h, axis, edges) if order == 1 else diff2(a, h, axis)
+        out = diff(a, h, axis, edges) if order == 1 else diff2(a, h, axis)
+        return np.swapaxes(np.swapaxes(out, 0, axis)[keep], 0, axis)
     den, central, centre, edge = _SIXTH[order]
     pair, sign = (np.subtract, -1.0) if order == 1 else (np.add, 1.0)
     den *= h ** order
@@ -252,22 +254,40 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
         c += t
     c /= den
     e, a = np.swapaxes(out, 0, axis), np.swapaxes(a, 0, axis)
+    if not edges:
+        _nan_edges(out, axis)
+    # the off-centre (and one-sided) lines that keep holds, each over its
+    # seven lines, formed together: one gather, then the taps summed in
+    # order on contiguous arrays
+    n, kept = len(e), range(len(e))[keep]
     rows = [(2, edge)] + (list(enumerate(_SIXTH_EDGES)) if edges else [])
-    for near, weights in rows:
-        for line, lines, w in ((near, a[:7], 1.0),
-                               (-1 - near, a[:-8:-1], sign)):
-            acc = weights[0] * lines[0]
-            for k in range(1, 7):
-                acc += weights[k] * lines[k]
-            e[line] = acc / (w * den)
-    return out if edges else _nan_edges(out, axis)
+    lines, src, weights, dens = [], [], [], []
+    for near, w in rows:
+        for line, taps, s in ((near, range(7), 1.0),
+                              (n - 1 - near, range(n - 1, n - 8, -1), sign)):
+            if line in kept:
+                lines.append(line)
+                src.append(taps)
+                weights.append(w)
+                dens.append(s * den)
+    if lines:
+        pad = (1,) * (a.ndim - 1)
+        T = a[np.array(src).T]                          # (7, lines, ...)
+        T *= np.array(weights).T.reshape((7, len(lines)) + pad)
+        acc = T[0]
+        for k in range(1, 7):
+            acc += T[k]
+        acc /= np.array(dens).reshape((len(lines),) + pad)
+        e[lines] = acc
+    return np.swapaxes(e[keep], 0, axis)
 
 
-def d_xy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """The mixed second difference: diff6's first difference along x of
-    its first difference along y, sixth order (fourth along an axis
-    shorter than 7)."""
-    return diff6(diff6(a, hy, 1, 1), hx, 0, 1)
+def d_xy(a: np.ndarray, hx: float, hy: float,
+         keep: slice = slice(None)) -> np.ndarray:
+    """The mixed second difference on the lines `keep` along x: diff6's
+    first difference along x of its first difference along y, sixth order
+    (fourth along an axis shorter than 7)."""
+    return diff6(diff6(a, hy, 1, 1), hx, 0, 1, keep=keep)
 
 
 def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
@@ -383,7 +403,7 @@ def hessian(F: ImmersionGrid, rows: slice = slice(None)):
     the rows' HESSIAN_REACH, so a row block's equal the whole grid's."""
     wide, cut = reach(rows, F.nx, HESSIAN_REACH)
     V = F.values[wide]
-    return (diff6(V, F.hx, 0, 2)[cut], d_xy(V, F.hx, F.hy)[cut],
+    return (diff6(V, F.hx, 0, 2, keep=cut), d_xy(V, F.hx, F.hy, cut),
             diff6(V[cut], F.hy, 1, 2))
 
 

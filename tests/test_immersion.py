@@ -351,6 +351,22 @@ class TestSixthOrder:
             assert np.array_equal(immersion.diff6(f, h, axis, 1, edges=True),
                                   immersion.diff(f, h, axis, edges=True))
 
+    @pytest.mark.parametrize("n", [5, 7, 8, 12])
+    def test_kept_lines_equal_the_whole(self, n):
+        # keep returns those lines of the whole difference, bit for bit,
+        # whether or not it holds the off-centre and one-sided lines
+        V = np.random.default_rng(n).standard_normal((n, 9, 2, 3))
+        for order, edges in ((1, False), (1, True), (2, False)):
+            for axis in (0, 1):
+                whole = immersion.diff6(V, 0.1, axis, order, edges)
+                for keep in (slice(None), slice(0, 3), slice(2, n - 2),
+                             slice(3, n - 3), slice(n - 3, None)):
+                    got = immersion.diff6(V, 0.1, axis, order, edges, keep)
+                    want = np.swapaxes(np.swapaxes(whole, 0, axis)[keep],
+                                       0, axis)
+                    assert np.array_equal(got, want, equal_nan=True), \
+                        (order, edges, axis, keep)
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_row_blocks_equal_one_block(self, n, monkeypatch):
         # a 7- or 8-row grid keeps its 7-point form when split into blocks
