@@ -18,9 +18,12 @@ across one grid cell is a 5x5 propagator, built in closed form (half-step
 coefficients by quintic interpolation of the data lines, whose u_z, A and
 f_j the family data form from sixth-order differences; a step against the
 grid's direction has length -h on the reversed lines).  Propagator
-products fill the centre column once by x-steps both ways, then sweep
-the columns one y-step at a time from it to the last column and to the
-first, holding a few columns of frame states; the
+products fill the centre column once, every sample's path crossing it,
+by two x-steps of h/2 per cell both ways: its data line refined to half
+steps, the quarter points from _halves of the refined line, and each
+cell's two propagators composed.  They then sweep the columns one y-step
+at a time from it to the last column and to the first, holding a few
+columns of frame states; the
 data lines are packed and the propagators formed for about 512 cells of
 columns at a time, so no whole-grid data line, propagator or state is
 held.  The drift of <F_k, F_k> = 1 is reported; the mixed-partial
@@ -440,7 +443,10 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     Memory: 7 floats per sample stay resident beside D (the returned
     positions and the commutator of each cell), and four columns of frame
     states (the centre column's and its x-steps', which both sweeps start
-    from, and the sweep's current ones).  Each batch of about _BATCH_CELLS
+    from, and the sweep's current ones).  The centre column's half steps
+    are formed in pieces of _BATCH_CELLS / 4 cells, both directions in one
+    _rk4 call, and the one-step x-steps that its cells' commutators read
+    in pieces of _BATCH_CELLS.  Each batch of about _BATCH_CELLS
     cells packs the data lines of its columns from D's fields (a column
     two batches share is packed by both), forms their y-halves, the
     coefficient blocks of its nodes (once for both directions) and the
@@ -500,23 +506,41 @@ def reconstruct(D: FundamentalData, init: FrameState = None):
     d = np.empty((n1 - 1, n2 - 1))
     # the state of the centre column, which both sweeps start from: (n1,
     # factor, (F, Re F_z, Im F_z, Re xi, Im xi), coordinate), filled from
-    # the centre sample by its data lines' x-steps, run both ways
+    # the centre sample by two x-steps per cell, run both ways, on its data
+    # line refined to half steps (the line's nodes and half steps in turn)
     W = _pack_data(D, slice(j0, j0 + 1))
-    hx = np.array([-D.hx, D.hx])[:, None, None, None]
+    fine = np.empty((2 * n1 - 1,) + W.shape[1:])
+    fine[::2], fine[1::2] = W, _halves(W)
+    quarters = _halves(fine)
+    hx = np.array([-D.hx, D.hx])[:, None, None, None] / 2.0
+    # Px0[k, 0] steps the rows k+1 -> k, Px0[k, 1] k -> k+1; a piece of
+    # cells k0 .. k1-1 forms 4 (k1 - k0) half-step propagators at once
+    Px0 = np.empty((n1 - 1, 2, 2, 5, 5))
+    piece = max(1, _BATCH_CELLS // 4)
+    for k0 in range(0, n1 - 1, piece):
+        k1 = min(k0 + piece, n1 - 1)
+        nodes, halves = fine[2 * k0:2 * k1 + 1], quarters[2 * k0:2 * k1]
+        P = _rk4(np.concatenate([nodes[::-1], nodes], 1), np.concatenate(
+            [halves[::-1], halves], 1), hx, p, eps, b, "x")
+        # P[i, 1] steps the fine node 2 k0 + i on, P[i, 0] 2 k1 - i back
+        P = P[1::2] @ P[::2]
+        Px0[k0:k1, 0], Px0[k0:k1, 1] = P[::-1, 0], P[:, 1]
     s0 = np.empty((n1, 2, 5, 3))
     s0[i0] = init.pack().reshape(5, 2, 3).swapaxes(0, 1)
-    # Px0[m, 0] steps the rows n1-1-m -> n1-2-m, Px0[k, 1] k -> k+1
-    Px0 = _rk4(np.concatenate([W[::-1], W], 1), np.concatenate(
-        [_halves(W)[::-1], _halves(W)], 1), hx, p, eps, b, "x")
     for k in range(i0, 0, -1):
-        s0[k - 1] = Px0[n1 - 1 - k, 0] @ s0[k]
+        s0[k - 1] = Px0[k - 1, 0] @ s0[k]
     for k in range(i0, n1 - 1):
         s0[k + 1] = Px0[k, 1] @ s0[k]
     values[:, j0] = s0[:, :, 0]
     # x-then-y against y-then-x around every cell (k, l), (k+1, l+1): the
-    # x-steps of column l carry over from the sweep's previous step
-    xs0 = Px0[:, 1] @ s0[:-1]
-    del W, Px0
+    # x-steps of column l carry over from the sweep's previous step, and
+    # are one RK4 step, as every other column's
+    xs0 = np.empty((n1 - 1, 2, 5, 3))
+    for k0 in range(0, n1 - 1, _BATCH_CELLS):
+        k1 = min(k0 + _BATCH_CELLS, n1 - 1)
+        xs0[k0:k1] = _rk4(W[k0:k1 + 1], fine[2 * k0 + 1:2 * k1:2], D.hx, p,
+                          eps, b, "x")[:, 0] @ s0[k0:k1]
+    del W, fine, quarters, P, Px0
     drifts, step = [], max(1, _BATCH_CELLS // n1)
     for sgn in (1, -1):
         # the sweep on views whose columns run its way, the centre one c0

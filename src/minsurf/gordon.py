@@ -16,16 +16,22 @@ to the box).  Both discretize it by this module's own 5-point stencil of
 radius 1, _box, and then correct the defect once (Stetter, Numer. Math.
 29, 1978): the solve is repeated with the forcing less _truncation(v)/4,
 the fourth-order stencils' estimate of the 5-point truncation error at
-the first solution, which makes the solution fourth-order accurate
-(third order on the hyperbolic path, whose first step is second order).
+the first solution, which makes the solution fourth-order accurate.  The
+hyperbolic path starts every march from a fourth-order Taylor step
+(_taylor_start) and corrects the defect twice (iterated deferred
+correction, Pereyra, Numer. Math. 10, 1967), the second time by the
+sixth-order estimate _truncation(v, _d6)/4 at the corrected march: it is
+fifth-order accurate on data whose odd y-derivatives vanish at y = 0.
 A forcing turns either into a manufactured-solution test bench:
 v_zzb + (s/2) N(2v) = forcing.
 
 The pipeline's six families (FAMILY_TABLE) take their boundary data from
 PIPELINE_DATA: gordon_stage solves each one's Gordon pair and family_stage
 builds its family data, trimmed clear of the solves' boundary layers.
-The hyperbolic families start from smooth, 1-periodic lines with v_y = 0,
-and their records converge at order 3.75-3.94 from 129^2 to 257^2.
+The hyperbolic families start from smooth, 1-periodic lines with v_y = 0;
+their solves converge at order 5.06 from 33^2 to 65^2, and their records
+at order 3.86-3.94 from 129^2 to 257^2, the order of the fourth-order
+compatibility residuals.
 """
 
 from __future__ import annotations
@@ -111,12 +117,37 @@ def _d4(a, h):
     return out / (h * h)
 
 
-def _truncation(u, hx, hy, eps):
-    """The fourth-order estimate of _box's truncation error at _inner(u):
-    (d4 - d2) u along x plus eps times the same along y, about
-    4 u_zzb - _box(u) to O(h^4)."""
-    return ((_d4(u, hx) - _d2(u, hx))[:, 1:-1]
-            + eps * (_d4(u.T, hy) - _d2(u.T, hy)).T[1:-1])
+# sixth-order u'' times 180 h^2: the 7-point centred stencil, and the
+# weights at the second and third of seven samples (Fornberg, Math. Comp.
+# 51, 1988), fifth order there
+_D6 = (2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0)
+_EDGE6 = ((137.0, -147.0, -255.0, 470.0, -285.0, 93.0, -13.0),
+          (-13.0, 228.0, -420.0, 200.0, 15.0, -12.0, 2.0))
+
+
+def _d6(a, h):
+    """The sixth-order second difference along axis 0, at its inner
+    lines: the 7-point centred stencil _D6/180h^2, and _EDGE6's one-sided
+    weights over the first (last) seven samples on the two first (last)
+    inner lines; _d4 on an axis shorter than 7."""
+    n = len(a)
+    if n < 7:
+        return _d4(a, h)
+    out = np.empty_like(a[1:-1])
+    out[2:-2] = sum(w * a[k:n - 6 + k] for k, w in enumerate(_D6))
+    for k, w in enumerate(_EDGE6):
+        out[k] = np.tensordot(w, a[:7], 1)
+        out[-1 - k] = np.tensordot(w, a[:-8:-1], 1)
+    return out / (180.0 * h * h)
+
+
+def _truncation(u, hx, hy, eps, d=_d4):
+    """The estimate of _box's truncation error at _inner(u) by the second
+    difference d, _d4 (fourth order) or _d6 (sixth): (d - d2) u along x
+    plus eps times the same along y, about 4 u_zzb - _box(u) to O(h^4) or
+    O(h^6)."""
+    return ((d(u, hx) - _d2(u, hx))[:, 1:-1]
+            + eps * (d(u.T, hy) - _d2(u.T, hy)).T[1:-1])
 
 
 def _residual(N, s, eps, u, hx, hy, f=None):
@@ -297,28 +328,62 @@ def _newton_elliptic(N, dN, s, u, hx, hy, f):
 # hyperbolic path: explicit leapfrog marching in y
 # ---------------------------------------------------------------------------
 
-def _leapfrog(N, s, xs, ys, hx, hy, init, bc, f):
-    """March the line xs from y = ys[0] through the rows ys; f is the
-    forcing on the (xs, ys) mesh."""
+# the one-sided fourth-order first difference at the first of five
+# samples, times 12 h, and the third-order second difference, times 12 h^2
+_START1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+_START2 = np.array([35.0, -104.0, 114.0, -56.0, 11.0])
+
+
+def _taylor_start(N, dN, s, xs, hx, hy, init, f):
+    """The rows y = 0 and y = hy of a march: the initial line v, and the
+    inner samples of the Taylor step
+
+        v + hy g + hy^2/2 a0 + hy^3/6 a1 + hy^4/24 a2,
+
+    g = v_y and a_k the k-th y-derivative of v_yy = v_xx + 2 s N(2v) - 4 f
+    at y = 0: a0 = v_xx + 2 s N(2v) - 4 f, a1 = g_xx + 4 s N'(2v) g - 4 f_y
+    and a2 = (a0)_xx + 4 s N'(2v) a0 + 8 s N''(2v) g^2 - 4 f_yy, the x
+    differences by _d4 (a2's one sample short at each end, which takes its
+    neighbour's) and f_y, f_yy by one-sided differences over the forcing's
+    first five rows.  The step errs by O(hy^5), O(hy^6) where v's odd
+    y-derivatives vanish at y = 0; f is the problem's forcing, never a
+    corrected one."""
+    v, gline = (np.asarray(fn(xs), dtype=float) * np.ones(len(xs))
+                for fn in init)
+    g = _inner(gline)
+    f0, fy, fyy = (_inner(a) for a in (
+        f[:, 0], f[:, :5] @ _START1 / (12.0 * hy),
+        f[:, :5] @ _START2 / (12.0 * hy * hy)))
+    w = _inner(v)
+    n0, n1 = N(2.0 * w), dN(2.0 * w)
+    n2 = n0 if N is np.sinh else -n0            # sinh'' = sinh, sin'' = -sin
+    a0 = _d4(v, hx) + 2.0 * s * n0 - 4.0 * f0
+    a1 = _d4(gline, hx) + 4.0 * s * n1 * g - 4.0 * fy
+    a2 = (np.pad(_d4(a0, hx), 1, mode="edge") + 4.0 * s * n1 * a0
+          + 8.0 * s * n2 * g * g - 4.0 * fyy)
+    return v, w + hy * (g + hy / 2.0 * (a0 + hy / 3.0 * (
+        a1 + hy / 4.0 * a2)))
+
+
+def _leapfrog(N, s, xs, ys, hx, hy, start, bc, f):
+    """March the line xs from the rows y = ys[0] and ys[1], start (from
+    _taylor_start), through the rows ys; f is the forcing on the (xs, ys)
+    mesh."""
     if hy > hx + 1e-14:
         raise CFLViolation(f"leapfrog requires hy <= hx (hy={hy}, hx={hx})")
-    v0_fn, vy0_fn = init
     # row j of u is the line y = ys[j]; its edge samples are the boundary
     # data, its inner ones are marched
     u = np.empty((len(ys), len(xs)))
-    u[0] = v0_fn(xs)
+    u[0], _inner(u[1])[...] = start
     u[1:, 0] = bc(xs[0], ys[1:])
     u[1:, -1] = bc(xs[-1], ys[1:])
     f4 = 4.0 * f.T
-    for j in range(len(ys) - 1):
+    for j in range(1, len(ys) - 1):
         # PDE: v_yy = v_xx + 2 s N(2v) - 4 f at the inner samples, v_xx by
         # _box's x part _d2
-        a, new = _inner(u[j]), _inner(u[j + 1])
+        a = _inner(u[j])
         acc = _d2(u[j], hx) + 2.0 * s * N(2.0 * a) - _inner(f4[j])
-        if j == 0:  # second-order first step
-            new[...] = a + hy * _inner(vy0_fn(xs)) + 0.5 * hy ** 2 * acc
-        else:
-            new[...] = 2.0 * a - _inner(u[j - 1]) + hy ** 2 * acc
+        _inner(u[j + 1])[...] = 2.0 * a - _inner(u[j - 1]) + hy ** 2 * acc
     return np.ascontiguousarray(u.T)
 
 
@@ -333,27 +398,40 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     eps=+1: ``boundary`` = (g_v, g_w) Dirichlet callables (x, y).
     eps=-1: ``initial`` = ((v0, vy0), (w0, wy0)) callables of x on y=0 and
     ``boundary`` supplies the two x-edge columns of a line widened by
-    ny + 3 samples on each side of the box.  In each march an edge column
-    reaches one sample further in per row, and the truncation estimate
-    that links the two marches reads up to three samples past the first
-    march's reach (at its one-sided first row), so the corrected march's
-    discrete domain of dependence ends ny + 1 samples in from the edge
-    column: the edge columns only close the widened line, and the box
-    holds the Cauchy solution of its own initial line, which ``initial``
-    (and ``forcing``) must give on the widened line too.  ``forcing`` is
-    an optional pair of callables adding a right-hand side to each
-    equation.
+    ny + 9 samples on each side of the box.  Count, from the edge column
+    (sample 0), the last sample a march's row j depends on through the
+    edge columns or the line's ends.  The Taylor start (_taylor_start),
+    one row shared by the three marches, reaches sample 3 (its one-sided
+    _d4 at sample 1, read again by a2's _d4), and each row of a march one
+    sample further than the row before, so the first march reaches
+    j + 2.  Its truncation estimate (_d4, radius 2) reaches r + 4 at row
+    r, and 7 at row 1, whose one-sided stencil reads the rows 0-5; the
+    second march, forced by it, reaches 7 at row 2 and j + 5 from there.
+    The sixth-order estimate on the second march (_d6, radius 3) reaches
+    r + 8 at row r and 11 at rows 1 and 2, which read the rows 0-6; the
+    third march reaches 11 at row 2 and j + 9 from there, ny + 8 at its
+    last row j = ny - 1.  So the edge columns only close the widened line,
+    and the box holds the Cauchy solution of its own initial line, which
+    ``initial`` (and ``forcing``) must give on the widened line too.
+    ``forcing`` is an optional pair of callables adding a right-hand side
+    to each equation.
 
     Each field is first solved on the 5-point stencil.  If both converged,
     each is solved again with its forcing less _truncation(u)/4 at the
     inner samples: Newton goes on from u with that forcing frozen, or the
-    march is repeated.  residual_norm is then the corrected system's,
-    iterations counts both solves (Newton iterations, or ny rows per
-    march), meta["history"] holds the first solve's Newton history and
-    meta["correction"] per field the size max|tau|/4 and the corrected
-    solve's history, or None where the first solve did not converge.
-    Both norms are taken at the box's inner samples.  Each axis needs
-    LEAST_AXIS samples, _truncation's one-sided stencil.
+    march is repeated.  On the hyperbolic path the march is repeated once
+    more, with the problem's forcing less the sixth-order estimate
+    _truncation(u, _d6)/4 at the corrected march's u (iterated deferred
+    correction, Pereyra, Numer. Math. 10, 1967); every march starts from
+    the same Taylor step, on the problem's forcing.  residual_norm is then
+    the last corrected system's, iterations counts every solve (Newton
+    iterations, or ny rows per march), meta["history"] holds the first
+    solve's Newton history and meta["correction"] per field the size
+    max|tau|/4 and the corrected solve's history, with the second
+    correction's the same under "second" (hyperbolic path), or None where
+    the first solve did not converge.  Every norm is taken at the box's
+    inner samples.  Each axis needs LEAST_AXIS samples, _truncation's
+    one-sided stencil.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -371,7 +449,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     elif eps == -1:
         if initial is None or boundary is None:
             raise ValueError("hyperbolic solve requires initial and boundary data")
-        pad = spec.ny + 3
+        pad = spec.ny + 9
         xs = spec.origin[0] + hx * np.arange(-pad, spec.nx + pad)
         box = (slice(pad, pad + spec.nx), slice(None))
     else:
@@ -381,11 +459,15 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
           else np.asarray(g(X, Y), dtype=float) * np.ones(X.shape)
           for g in forcing or (None, None)]
 
+    if eps == -1:
+        starts = [_taylor_start(N, dN, signs[k], xs, hx, hy, initial[k],
+                                fs[k]) for k in (0, 1)]
+
     def solve(k, u=None):
         """Field k's solve with forcing fs[k]: (u, converged, iterations,
         history), Newton going on from u where one is given."""
         if eps == -1:
-            return (_leapfrog(N, signs[k], xs, ys, hx, hy, initial[k],
+            return (_leapfrog(N, signs[k], xs, ys, hx, hy, starts[k],
                               boundary[k], fs[k]), True, spec.ny, [])
         if u is None:
             u = _harmonic(spec, boundary[k], fs[k])
@@ -394,15 +476,19 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     runs = [solve(k) for k in (0, 1)]
     correction = None
     if all(ok for _, ok, _, _ in runs):
-        correction = {}
+        correction, given = {}, list(fs)
         for k, (u, _, it, hist) in enumerate(runs):
-            tau = np.pad(_truncation(u, hx, hy, eps) / 4.0, 1)
-            fs[k] = fs[k] - tau
-            u, ok, more, fixed = solve(k, u)
-            runs[k] = (u, ok, it + more, hist)
-            correction["vw"[k]] = {
-                "size": float(np.max(np.abs(_inner(tau[box])))),
-                "history": fixed}
+            steps = []
+            for d in (_d4,) if eps == 1 else (_d4, _d6):
+                tau = np.pad(_truncation(u, hx, hy, eps, d) / 4.0, 1)
+                fs[k] = given[k] - tau
+                u, ok, more, fixed = solve(k, u)
+                it += more
+                steps.append({"size": float(np.max(np.abs(_inner(tau[box])))),
+                              "history": fixed})
+            runs[k] = (u, ok, it, hist)
+            correction["vw"[k]] = dict(steps[0], **(
+                {"second": steps[1]} if len(steps) > 1 else {}))
     (v, cv, iv, hv), (w, cw, iw, hw) = runs
     v, w = v[box], w[box]
     res = _pair_residual(kind, eps, spec, v, w, fs[0][box], fs[1][box])

@@ -131,8 +131,8 @@ class ImmersionGrid:
 # the radius of diff's and diff2's stencils and the width of every nan edge
 # line; every reach, halo and trim counts it but the Hessian's reach
 R = 2
-# the rows past a row block that its Hessian reads (hessian): the
-# off-centre stencil of line 2 reads line 6
+# the rows past a row block that its jets and Hessian read (jets,
+# hessian): the off-centre stencil of line 2 reads line 6
 HESSIAN_REACH = 4
 # the fewest samples along any axis of a grid or record: a reconstructed
 # grid needs 5, and the frame march's half steps, quintic on lines of 6
@@ -389,11 +389,13 @@ class GridJets:
 
 
 def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
-    """First differences (diff) of the samples on the grid rows `rows`
-    (all of them without); built on each call."""
-    wide, cut = reach(rows, F.nx)
+    """Sixth-order first differences (diff6; fourth order along an axis
+    shorter than 7) of the samples on the grid rows `rows` (all of them
+    without), the order of hessian's; built on each call.  They read the
+    rows' HESSIAN_REACH, so a row block's equal the whole grid's."""
+    wide, cut = reach(rows, F.nx, HESSIAN_REACH)
     V = F.values[wide]
-    return GridJets(diff(V, F.hx, 0)[cut], diff(V[cut], F.hy, 1))
+    return GridJets(diff6(V, F.hx, 0, 1, keep=cut), diff6(V[cut], F.hy, 1, 1))
 
 
 def hessian(F: ImmersionGrid, rows: slice = slice(None)):

@@ -349,12 +349,14 @@ class TestSolveHyperbolic:
                          initial=((zfun, zfun), (zfun, zfun)))
 
     def test_manufactured_order3(self):
-        # the march's second-order first step bounds the defect-corrected
-        # march at order 3 (3.01 read; 17 -> 33 reads 8.1)
+        # the fourth-order Taylor start and the two defect corrections make
+        # the march fifth order on data whose odd y-derivatives vanish at
+        # y = 0 (5.01 read, 5.02 from 17 -> 33; 3.01 with a second-order
+        # start and one correction)
         errs = [manufactured_error("sinh_minus", -1, n) for n in (17, 33, 65)]
         assert errs[0] / errs[1] > 3.5, errs
         order = np.log2(errs[1] / errs[2])
-        assert order >= 2.8, order
+        assert order >= 4.5, order
 
 
 HYPERBOLIC = [t for t in sorted(G.FAMILY_TABLE) if G.FAMILY_TABLE[t][0] == -1]
@@ -389,6 +391,19 @@ class TestWidenedMarch:
             assert np.array_equal(u, a)
             assert np.array_equal(u, b[m:m + spec.nx])
 
+    @pytest.mark.parametrize("theorem", ["A2", "B1", "C2"])
+    def test_pipeline_solves_order_five(self, theorem):
+        # the pipeline's own solves against one refined 4x, sampled at the
+        # coarse grid: 5.06 each from 33^2 to 65^2 (3.08 with a
+        # second-order start and one correction)
+        errs = []
+        for n in (33, 65):
+            sol = G.gordon_stage(theorem, n)[1]
+            fine = G.gordon_stage(theorem, 4 * (n - 1) + 1)[1]
+            errs.append(max(np.max(np.abs(u - f[::4, ::4])) for u, f in (
+                (sol.v, fine.v), (sol.w, fine.w))))
+        assert np.log2(errs[0] / errs[1]) >= 4.5, errs
+
     @pytest.mark.parametrize("theorem", HYPERBOLIC)
     def test_record_compat_order_four(self, theorem):
         # the box holds the Cauchy solution of the smooth initial line, so
@@ -399,8 +414,10 @@ class TestWidenedMarch:
         assert np.log2(norms[0] / norms[1]) >= 3.5, norms
 
     def test_correction_and_residual_are_the_boxes(self, monkeypatch):
-        # both norms are read at the box's inner samples; the widened
-        # line's ends, kinked by the edge columns, read far more
+        # every norm is read at the box's inner samples; the widened
+        # line's ends, kinked by the edge columns, read far more.  Each
+        # field is corrected twice, by the fourth- and then the
+        # sixth-order estimate, and the residual is the last system's
         taus, truncation = [], G._truncation
 
         def recorded(*args):
@@ -411,15 +428,19 @@ class TestWidenedMarch:
         monkeypatch.setattr(G, "_truncation", recorded)
         args, kw, sol = stage_call("B1", 65, monkeypatch)
         spec = args[2]
-        pad = spec.ny + 3
+        pad = spec.ny + 9
         N, _, signs = G.KINDS[sol.eq_kind]
+        assert len(taus) == 4 and sol.iterations == (3 * spec.ny,) * 2
         res = []
-        for k, s, u, tau in zip("vw", signs, (sol.v, sol.w), taus):
-            # tau[i] sits at sample i + 1 of the widened line
-            size = np.max(np.abs(tau[pad:pad + spec.nx - 2]))
-            assert sol.meta["correction"][k]["size"] == size
-            assert np.max(np.abs(tau)) > 100.0 * size
-            f = -np.pad(tau, 1)[pad:pad + spec.nx]
+        for k, s, u, (tau4, tau6) in zip("vw", signs, (sol.v, sol.w),
+                                         (taus[:2], taus[2:])):
+            meta = sol.meta["correction"][k]
+            for tau, level in ((tau4, meta), (tau6, meta["second"])):
+                # tau[i] sits at sample i + 1 of the widened line
+                size = np.max(np.abs(tau[pad:pad + spec.nx - 2]))
+                assert level["size"] == size and level["history"] == []
+                assert np.max(np.abs(tau)) > 100.0 * size
+            f = -np.pad(tau6, 1)[pad:pad + spec.nx]
             res.append(np.max(np.abs(
                 G._residual(N, s, -1, u, spec.hx, spec.hy, f))))
         assert sol.residual_norm == max(res)
