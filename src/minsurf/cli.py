@@ -238,8 +238,16 @@ def _load_grid(cfg: RunConfig) -> immersion.ImmersionGrid:
             box = surfaces.EXAMPLES[cfg.example].default_box
             spec = GridSpec(cfg.nx, cfg.ny or cfg.nx, cfg.hx,
                             cfg.hy or cfg.hx, (box[0][0], box[1][0]))
-        return surfaces.build_example(cfg.example, nx=cfg.nx, ny=cfg.ny,
-                                      spec=spec)
+        # the charts square the samples' coordinates, deg_tol their extent
+        try:
+            with np.errstate(over="raise"):
+                F = surfaces.build_example(cfg.example, nx=cfg.nx,
+                                           ny=cfg.ny, spec=spec)
+                F.deg_tol()
+        except FloatingPointError:
+            raise ValueError(f"--h {cfg.hx!r},{cfg.hy or cfg.hx!r} overflows "
+                             f"the chart of {cfg.example}") from None
+        return F
     raise ValueError("verify needs --example or --input")
 
 

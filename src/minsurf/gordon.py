@@ -13,17 +13,16 @@ preconditioned with a DST-I fast Poisson solve); for eps = -1 it is
 para-complex and 4 v_zzb = v_xx - v_yy (hyperbolic, leapfrog marching in
 y on an x-line widened past the reach of its edge columns, then cut back
 to the box).  Both discretize it by this module's own 5-point stencil of
-radius 1, _box, and then correct the defect once (Stetter, Numer. Math.
-29, 1978): the solve is repeated with the forcing less _truncation(v)/4,
-the fourth-order stencils' estimate of the 5-point truncation error at
-the first solution, which makes the solution fourth-order accurate.  The
-hyperbolic path starts every march from a fourth-order Taylor step
-(_taylor_start) and corrects the defect twice (iterated deferred
-correction, Pereyra, Numer. Math. 10, 1967), the second time by the
-sixth-order estimate _truncation(v, _d6)/4 at the corrected march: it is
-fifth-order accurate on data whose odd y-derivatives vanish at y = 0.
-A forcing turns either into a manufactured-solution test bench:
-v_zzb + (s/2) N(2v) = forcing.
+radius 1, _box, and then correct the defect twice (Stetter, Numer. Math.
+29, 1978; iterated, Pereyra, Numer. Math. 10, 1967): the solve is
+repeated with the forcing less _truncation(v)/4, the fourth-order
+stencils' estimate of the 5-point truncation error at the first
+solution, and then less the sixth-order estimate _truncation(v, _d6)/4
+at the corrected one.  That makes both fifth-order accurate or better on
+smooth data, the hyperbolic path where v's odd y-derivatives vanish at
+y = 0, each march starting from a fourth-order Taylor step
+(_taylor_start).  A forcing turns either into a manufactured-solution
+test bench: v_zzb + (s/2) N(2v) = forcing.
 
 The pipeline's six families (FAMILY_TABLE) take their boundary data from
 PIPELINE_DATA: gordon_stage solves each one's Gordon pair and family_stage
@@ -31,7 +30,9 @@ builds its family data, trimmed clear of the solves' boundary layers.
 The hyperbolic families start from smooth, 1-periodic lines with v_y = 0;
 their solves converge at order 5.06 from 33^2 to 65^2, and their records
 at order 3.86-3.94 from 129^2 to 257^2, the order of the fourth-order
-compatibility residuals.
+compatibility residuals.  The elliptic families' Dirichlet data do not
+meet the equation at the box's corners: their solves converge at order
+2.00 over the box, and at 5.87-6.41 over [3/16, 13/16]^2 (33^2 to 65^2).
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ def _newton_elliptic(N, dN, s, u, hx, hy, f):
     the second term being the round-off floor of _box at this h: rounding
     u by eps_mach |u| per point moves the 5-point stencil by up to
     4 eps_mach |u| (1/hx^2 + 1/hy^2), and evaluating it in floating point
-    adds as much again.  The defect-corrected solve keeps this floor: it
-    moves only f, which stays fixed while Newton runs, so it rounds the
-    same stencil at the same h.  Returns
+    adds as much again.  Both defect-corrected solves keep this floor:
+    each moves only f, frozen while its Newton runs, so it rounds the same
+    stencil at the same h.  Returns
     (u, converged, iterations, history); history holds, per iteration,
     max|r| at its start, the MINRES iteration count and why Newton stopped
     there: "converged", "krylov" (MINRES did not converge) or "no descent"
@@ -393,7 +394,7 @@ def _leapfrog(N, s, xs, ys, hx, hy, start, bc, f):
 
 def solve_gordon(kind: str, eps: int, spec: GridSpec,
                  boundary=None, initial=None, forcing=None) -> GordonSolution:
-    """Solve the chosen Gordon pair on the grid, to fourth order.
+    """Solve the chosen Gordon pair on the grid, defect-corrected twice.
 
     eps=+1: ``boundary`` = (g_v, g_w) Dirichlet callables (x, y).
     eps=-1: ``initial`` = ((v0, vy0), (w0, wy0)) callables of x on y=0 and
@@ -417,21 +418,18 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
     to each equation.
 
     Each field is first solved on the 5-point stencil.  If both converged,
-    each is solved again with its forcing less _truncation(u)/4 at the
-    inner samples: Newton goes on from u with that forcing frozen, or the
-    march is repeated.  On the hyperbolic path the march is repeated once
-    more, with the problem's forcing less the sixth-order estimate
-    _truncation(u, _d6)/4 at the corrected march's u (iterated deferred
-    correction, Pereyra, Numer. Math. 10, 1967); every march starts from
-    the same Taylor step, on the problem's forcing.  residual_norm is then
-    the last corrected system's, iterations counts every solve (Newton
-    iterations, or ny rows per march), meta["history"] holds the first
-    solve's Newton history and meta["correction"] per field the size
-    max|tau|/4 and the corrected solve's history, with the second
-    correction's the same under "second" (hyperbolic path), or None where
-    the first solve did not converge.  Every norm is taken at the box's
-    inner samples.  Each axis needs LEAST_AXIS samples, _truncation's
-    one-sided stencil.
+    each is corrected twice, solved with the problem's forcing less
+    _truncation(u)/4 at the inner samples and then less the sixth-order
+    _truncation(u, _d6)/4 at the corrected u: Newton goes on from u with
+    that forcing frozen, or the march is repeated from the same Taylor
+    step, on the problem's forcing.  residual_norm is then the last
+    corrected system's, iterations counts every solve (Newton iterations,
+    or ny rows per march), meta["history"] holds the first solve's Newton
+    history and meta["correction"] per field the size max|tau|/4 and the
+    first corrected solve's history, the second's the same under
+    "second", or None where the first solve did not converge.  Every norm
+    is taken at the box's inner samples.  Each axis needs LEAST_AXIS
+    samples, _truncation's one-sided stencil.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -479,7 +477,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
         correction, given = {}, list(fs)
         for k, (u, _, it, hist) in enumerate(runs):
             steps = []
-            for d in (_d4,) if eps == 1 else (_d4, _d6):
+            for d in (_d4, _d6):
                 tau = np.pad(_truncation(u, hx, hy, eps, d) / 4.0, 1)
                 fs[k] = given[k] - tau
                 u, ok, more, fixed = solve(k, u)
@@ -487,8 +485,7 @@ def solve_gordon(kind: str, eps: int, spec: GridSpec,
                 steps.append({"size": float(np.max(np.abs(_inner(tau[box])))),
                               "history": fixed})
             runs[k] = (u, ok, it, hist)
-            correction["vw"[k]] = dict(steps[0], **(
-                {"second": steps[1]} if len(steps) > 1 else {}))
+            correction["vw"[k]] = dict(steps[0], second=steps[1])
     (v, cv, iv, hv), (w, cw, iw, hw) = runs
     v, w = v[box], w[box]
     res = _pair_residual(kind, eps, spec, v, w, fs[0][box], fs[1][box])

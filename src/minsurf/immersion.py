@@ -964,7 +964,7 @@ def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     """ImmersionGrid from a file's values, origin and fields d (p, eps, nx,
     ny, hx, hy); p must be 0 or 1 (cross_arr's signatures), eps 1 or -1,
     nx and ny integers, values of shape (nx, ny, 2, 3), coordinates
-    finite, spacings positive and the origin two numbers."""
+    finite, spacings positive, the origin two numbers and deg_tol finite."""
     p = _header_int(d, "p", (0, 1))
     eps = _header_int(d, "eps", (1, -1))
     nx, ny = _header_int(d, "nx"), _header_int(d, "ny")
@@ -974,11 +974,15 @@ def _loaded_grid(d: dict, values, origin) -> ImmersionGrid:
     if values.shape != (nx, ny, 2, 3):
         raise ValueError(f"grid values have shape {values.shape}, not "
                          f"(nx, ny, 2, 3) = ({nx}, {ny}, 2, 3)")
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
-            and 0 < hx < np.inf and 0 < hy < np.inf):
-        raise ValueError("grid coordinates and origin must be finite and "
-                         "spacings positive")
-    return ImmersionGrid(p, eps, values, hx, hy, origin)
+    F = ImmersionGrid(p, eps, values, hx, hy, origin)
+    with np.errstate(over="ignore"):    # deg_tol squares the extent
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(origin))
+                and 0 < hx < np.inf and 0 < hy < np.inf
+                and np.isfinite(F.deg_tol())):
+            raise ValueError("grid coordinates and origin must be finite and "
+                             f"spacings hx = {hx!r}, hy = {hy!r} positive, "
+                             "with a finite square of the samples' extent")
+    return F
 
 
 # characters of a grid file read at a time; an item longer than that is

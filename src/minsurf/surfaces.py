@@ -77,35 +77,26 @@ def make_holo_graph(name: str, spec: GridSpec) -> ImmersionGrid:
     """Graph F = (chart(z), chart(w(z))) of w = HOLO_FUNCTIONS[name]."""
     eps, w = HOLO_FUNCTIONS[name]
     X, Y = spec.mesh()
-    if eps == 1:
-        u, v = w(X, Y)
-        vals = np.stack([stereographic(X, Y), stereographic(u, v)], axis=2)
-        return ImmersionGrid(0, 1, vals, spec.hx, spec.hy, spec.origin,
-                             {"name": name})
     # para case: grid (x, y) = (s, t); w is a function of (t, s)
-    T, S = Y, X
-    u, v = w(T, S)
-    vals = np.stack([para_stereographic(T, S), para_stereographic(u, v)],
-                    axis=2)
-    return ImmersionGrid(1, -1, vals, spec.hx, spec.hy, spec.origin,
+    p, chart, z = ((0, stereographic, (X, Y)) if eps == 1
+                   else (1, para_stereographic, (Y, X)))
+    vals = np.stack([chart(*z), chart(*w(*z))], axis=2)
+    return ImmersionGrid(p, eps, vals, spec.hx, spec.hy, spec.origin,
                          {"name": name})
 
 
 def make_slice(which: str, p: int, spec: GridSpec) -> ImmersionGrid:
     """Totally geodesic slice: chart x {q} or {q} x chart, q = (0, 0, 1)."""
-    if p == 0:
-        X, Y = spec.mesh()
-        chart = stereographic(X, Y)
-        eps = 1
-    elif p == 1:
-        X, Y = spec.mesh()
-        if which == "first":
-            chart = para_stereographic(Y, X)   # (x, y) = (s, t)
-        else:
-            chart = para_stereographic(X, Y)   # swapped so <F_x,F_x> > 0
-        eps = -1
-    else:
+    if p not in (0, 1):
         raise UnsupportedSignature("slices implemented for p in {0, 1}")
+    X, Y = spec.mesh()
+    if p == 0:
+        chart = stereographic(X, Y)
+    elif which == "first":
+        chart = para_stereographic(Y, X)   # (x, y) = (s, t)
+    else:
+        chart = para_stereographic(X, Y)   # swapped so <F_x,F_x> > 0
+    eps = 1 if p == 0 else -1
     other = np.broadcast_to(np.array([0.0, 0.0, 1.0]), chart.shape)
     if which == "first":
         vals = np.stack([chart, other], axis=2)

@@ -52,7 +52,9 @@ HEADER_ERRORS = {"csv-eps-3": "grid eps ", "csv-p-5": "grid p ",
                  "csv-repeated-key": "grid key 'nx' ",
                  "json-unknown-key": "grid key 'foo' ",
                  "json-repeated-key": "grid key 'nx' ",
-                 "json-p-2": "grid p ", "csv-p-2": "grid p "}
+                 "json-p-2": "grid p ", "csv-p-2": "grid p ",
+                 "json-hx-past-the-chart": "hx = 1e+200, hy = 0.15 ",
+                 "csv-hy-past-the-chart": "hx = 0.15, hy = 1e+160 "}
 
 
 def inf_at_one_valid_sample(monkeypatch):
@@ -362,6 +364,27 @@ class TestVerify:
         # the default box's lower-left corner, not its centre
         assert doc["origin"] == [x0, y0] != [0.0, 0.0]
 
+    @pytest.mark.parametrize("name, h", [
+        ("slice:first", "1e200,0.1"), ("slice:first", "1e160,0.1"),
+        ("geodesic-product", "1e200,1e200"), ("holo:z2", "1e200,1e200"),
+        ("paraholo:z2", "1e200,1e200"), ("holo:z2", "1e150,1e150")])
+    def test_spacing_past_the_chart_is_usage_error(self, name, h, capsys,
+                                                   recwarn):
+        # the charts square the samples' coordinates (holo:z2 the squares
+        # of z^2) and deg_tol squares their extent: a spacing that
+        # overflows either is refused, with no RuntimeWarning, where it
+        # used to end on a nan quadric, or pass with deg_tol infinite
+        code = main(["verify", "--example", name, "--grid", "9", "--h", h])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: --h ") and err.count("\n") == 1
+        assert not recwarn.list, [str(w.message) for w in recwarn]
+
+    def test_spacing_1e150_is_inside_the_chart(self, capsys, recwarn):
+        code, _ = run(["verify", "--example", "slice:first", "--grid", "9",
+                       "--h", "1e150,0.1"], capsys)
+        assert code == EXIT_PASS and not recwarn.list
+
     @pytest.mark.parametrize("fmt, edit", [
         ("csv", lambda rows: rows[:-40]),
         ("csv", lambda rows: rows[:2] + [["17"] + rows[2][1:]] + rows[3:]),
@@ -412,6 +435,10 @@ class TestVerify:
         # p = 2, which no check supports
         ("json", lambda doc: {**doc, "p": 2}),
         ("csv", lambda rows: csv_header(rows, "p=0", "p=2")),
+        # spacings that put samples where the square of their extent, which
+        # scales deg_tol, overflows
+        ("json", lambda doc: {**doc, "hx": 1e200}),
+        ("csv", lambda rows: csv_header(rows, "hy=0.15", "hy=1e160")),
     ], ids=["csv-rows-missing", "csv-index-out-of-range", "csv-nan",
             "json-nan", "json-no-hx", "json-null-p", "json-nx-wrong",
             "csv-9-columns", "csv-non-numeric", "csv-empty-body",
@@ -425,7 +452,8 @@ class TestVerify:
             "json-nx-string", "json-origin-true", "csv-p-text",
             "csv-token-without-equals", "csv-hx-text", "csv-ox-text",
             "csv-unknown-key", "csv-repeated-key", "json-unknown-key",
-            "json-repeated-key", "json-p-2", "csv-p-2"])
+            "json-repeated-key", "json-p-2", "csv-p-2",
+            "json-hx-past-the-chart", "csv-hy-past-the-chart"])
     def test_malformed_input_is_usage_error(self, fmt, edit, tmp_path,
                                             capsys, recwarn, request):
         F = build_example("slice:first", nx=17)
@@ -746,11 +774,14 @@ class TestPipeline:
             report["reconstruction"]["drift_budget"]
         gd = report["gordon"]
         for which, it in zip("vw", gd["iterations"]):
-            hist, corr = gd["history"][which], gd["correction"][which]
-            assert len(hist) + len(corr["history"]) == it
+            corr = gd["correction"][which]
+            hist = (gd["history"][which] + corr["history"]
+                    + corr["second"]["history"])
+            assert len(hist) == it
             assert all(sorted(e) == ["krylov", "residual", "stopped"]
-                       for e in hist + corr["history"])
+                       for e in hist)
             assert 0.0 < corr["size"] < 1.0
+            assert 0.0 < corr["second"]["size"] < 1.0
 
     def test_report_names_the_reference_pair(self, tmp_path, capsys):
         # A2 at 33^2 with t = 0.7: pair 0 leaves a sample of the

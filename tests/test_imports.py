@@ -1,6 +1,6 @@
 """No module of the package or of scripts/ imports a name it does not use,
-and every top-level function and class of the package has a caller
-outside the tests.
+and every top-level function, class and constant of the package has a
+caller outside the tests.
 
 No linter is installed, so the checks read each module's syntax tree: a
 name an import binds is used when the module loads it anywhere (a bare
@@ -77,22 +77,30 @@ def named(node) -> set:
     return out
 
 
+def own_names(node) -> set:
+    """The names a top-level def, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
 def test_every_src_name_has_a_caller():
-    # a top-level def or class counts as called when a module of the
-    # package, scripts/ or perfbench/ names it outside its own definition;
-    # the package's __init__ only re-exports, which calls nothing
+    # a top-level def, class or constant counts as called when a module of
+    # the package, scripts/ or perfbench/ names it outside its own
+    # definition; the package's __init__ only re-exports, which calls
+    # nothing
     defined, calls = {}, set()
     for path in CALLERS:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path == PACKAGE / "__init__.py":
             continue
         for node in tree.body:
-            own = None
-            if path.parent == PACKAGE and isinstance(
-                    node, (ast.FunctionDef, ast.ClassDef)):
-                own = node.name
-                defined[own] = path.name
-            calls |= named(node) - {own}
+            own = own_names(node) if path.parent == PACKAGE else set()
+            defined.update(dict.fromkeys(own, path.name))
+            calls |= named(node) - own
     uncalled = {name: mod for name, mod in defined.items()
                 if name not in calls}
     assert uncalled == {}
