@@ -125,6 +125,9 @@ class RunConfig:
                                  f"checks {sorted(names)}")
             if not _is(v, NUMBER) or not v >= 0:
                 raise ValueError(f"tolerance {k} must be >= 0, got {v!r}")
+        if cfg.seed < 0:
+            raise ValueError(f"{_names(['seed'])} must be >= 0, "
+                             f"got {cfg.seed!r}")
         if not math.isfinite(cfg.t):
             raise ValueError(f"--t must be a finite number, got {cfg.t!r}")
         if cfg.theorem is not None:

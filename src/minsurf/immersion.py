@@ -4,7 +4,8 @@ First derivatives (the tangents, the metric, the Kahler functions) and
 the second differences of derived fields are fourth-order central
 differences of radius R = 2 (5-point stencils); the Hessian of the
 positions, the source of the second fundamental form, is sixth order
-(7-point stencils, off-centre on the lines next to the edge lines).  A
+(7-point central stencils; on the lines next to the edge lines, 7-point
+off-centre first and 8-point off-centre second differences).  A
 difference is nan on the R edge lines of its axis, and derived fields
 (conformal factor, Kahler functions, curvatures) live on the interior of
 gradually shrinking stencils and are nan elsewhere.  Degenerate and
@@ -132,8 +133,8 @@ class ImmersionGrid:
 # line; every reach, halo and trim counts it but the Hessian's reach
 R = 2
 # the rows past a row block that its jets and Hessian read (jets,
-# hessian): the off-centre stencil of line 2 reads line 6
-HESSIAN_REACH = 4
+# hessian): the off-centre second difference of line 2 reads line 7
+HESSIAN_REACH = 5
 # the fewest samples along any axis of a grid or record: a reconstructed
 # grid needs 5, and the frame march's half steps, quintic on lines of 6
 # samples or more, stay cubic, reading 4, on shorter ones
@@ -204,12 +205,14 @@ def diff2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 # sixth-order weights (Fornberg, Math. Comp. 51, 1988) by the order of the
 # difference: (denominator, central weights at offsets 1, 2, 3, the
-# centre's weight, off-centre weights over lines 0-6 at line 2)
+# centre's weight, off-centre rows at line 2, the longest first: the second
+# difference's over lines 0-7 and, on an axis of 7, over lines 0-6)
 _SIXTH = {
     1: (60.0, (45.0, -9.0, 1.0), 0.0,
-        (2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0)),
+        ((2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0),)),
     2: (180.0, (270.0, -27.0, 2.0), -490.0,
-        (-13.0, 228.0, -420.0, 200.0, 15.0, -12.0, 2.0)),
+        ((-11.0, 214.0, -378.0, 130.0, 85.0, -54.0, 16.0, -2.0),
+         (-13.0, 228.0, -420.0, 200.0, 15.0, -12.0, 2.0))),
 }
 # the first difference's one-sided weights over lines 0-6 at lines 0 and 1
 # (diff6 with edges), over the same denominator 60
@@ -222,21 +225,25 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
     """First (order 1) or second (order 2) difference along axis 0 (x) or
     1 (y), sixth order: the central (-1, 9, -45, 0, 45, -9, 1) / 60h and
     (2, -27, 270, -490, 270, -27, 2) / 180h^2, and on lines 2 and n - 3 the
-    off-centre (2, -24, -35, 80, -30, 8, -1) / 60h and
-    (-13, 228, -420, 200, 15, -12, 2) / 180h^2 over lines 0-6, mirrored at
-    the far end (the first difference's weights also negated); nan on the
-    R edge lines, or with edges (order 1), those filled by the one-sided
-    (-147, 360, -450, 400, -225, 72, -10) / 60h on line 0 and
+    off-centre (2, -24, -35, 80, -30, 8, -1) / 60h over lines 0-6 and
+    (-11, 214, -378, 130, 85, -54, 16, -2) / 180h^2 over lines 0-7,
+    mirrored at the far end (the first difference's weights also negated);
+    nan on the R edge lines, or with edges (order 1), those filled by the
+    one-sided (-147, 360, -450, 400, -225, 72, -10) / 60h on line 0 and
     (-10, -77, 150, -100, 50, -15, 2) / 60h on line 1, mirrored.  Only the
     lines `keep` of axis are returned, and an off-centre or one-sided line
-    outside them is not formed.  An axis shorter than 7 keeps diff's (with
-    its edges) or diff2's 5-point form.  A row block's reach (hessian) is
-    shorter than 7 lines of a longer axis only where the block holds edge
-    lines alone, nan in either form."""
-    if a.shape[axis] < 7:
+    outside them is not formed.  By the axis length n: n >= 8 is as above;
+    n = 7 keeps the second difference's 7-point off-centre
+    (-13, 228, -420, 200, 15, -12, 2) / 180h^2 over lines 0-6, fifth order;
+    n < 7 keeps diff's (with its edges) or diff2's 5-point form.  A row
+    block's reach (hessian) is shorter than 8 lines of a longer axis only
+    where the block holds edge lines alone, nan in every form."""
+    n = a.shape[axis]
+    if n < 7:
         out = diff(a, h, axis, edges) if order == 1 else diff2(a, h, axis)
         return np.swapaxes(np.swapaxes(out, 0, axis)[keep], 0, axis)
-    den, central, centre, edge = _SIXTH[order]
+    den, central, centre, offs = _SIXTH[order]
+    edge = next(w for w in offs if len(w) <= n)
     pair, sign = (np.subtract, -1.0) if order == 1 else (np.add, 1.0)
     den *= h ** order
     f, tap = _flat(a, axis, 3)
@@ -257,14 +264,15 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
     if not edges:
         _nan_edges(out, axis)
     # the off-centre (and one-sided) lines that keep holds, each over its
-    # seven lines, formed together: one gather, then the taps summed in
-    # order on contiguous arrays
-    n, kept = len(e), range(len(e))[keep]
+    # m lines, formed together: one gather, then the taps summed in order
+    # on contiguous arrays
+    kept, m = range(n)[keep], len(edge)
     rows = [(2, edge)] + (list(enumerate(_SIXTH_EDGES)) if edges else [])
     lines, src, weights, dens = [], [], [], []
     for near, w in rows:
-        for line, taps, s in ((near, range(7), 1.0),
-                              (n - 1 - near, range(n - 1, n - 8, -1), sign)):
+        for line, taps, s in ((near, range(m), 1.0),
+                              (n - 1 - near, range(n - 1, n - 1 - m, -1),
+                               sign)):
             if line in kept:
                 lines.append(line)
                 src.append(taps)
@@ -272,10 +280,10 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
                 dens.append(s * den)
     if lines:
         pad = (1,) * (a.ndim - 1)
-        T = a[np.array(src).T]                          # (7, lines, ...)
-        T *= np.array(weights).T.reshape((7, len(lines)) + pad)
+        T = a[np.array(src).T]                          # (m, lines, ...)
+        T *= np.array(weights).T.reshape((m, len(lines)) + pad)
         acc = T[0]
-        for k in range(1, 7):
+        for k in range(1, m):
             acc += T[k]
         acc /= np.array(dens).reshape((len(lines),) + pad)
         e[lines] = acc

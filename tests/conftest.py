@@ -1,6 +1,7 @@
 """Shared oracles and cached data builders for the test suite."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,36 @@ def ratio_table(coarse: dict, fine: dict, floor=1e-11):
         elif f > 0:
             out[k] = v / f
     return out
+
+
+def fornberg(m, x0, nodes):
+    """The exact weights of the m-th derivative at x0 over the nodes, as
+    Fractions: Fornberg's recursion (Math. Comp. 51, 1988), for checking
+    the hand-written stencil rows of src."""
+    x0, xs = Fraction(x0), [Fraction(x) for x in nodes]
+    n = len(xs)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(m + 1)]
+    c[0][0][0] = c1 = Fraction(1)
+    for i in range(1, n):
+        c2 = Fraction(1)
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            for k in range(min(i, m) + 1):
+                lower = k * c[k - 1][i - 1][j] if k else 0
+                c[k][i][j] = ((xs[i] - x0) * c[k][i - 1][j] - lower) / c3
+        for k in range(min(i, m) + 1):
+            lower = k * c[k - 1][i - 1][i - 1] if k else 0
+            c[k][i][i] = c1 / c2 * (lower
+                                    - (xs[i - 1] - x0) * c[k][i - 1][i - 1])
+        c1 = c2
+    return c[m][n - 1]
+
+
+def assert_fornberg_row(row, den, m, x0, nodes):
+    """row / den, a stencil row as src writes it, is exactly Fornberg's."""
+    got = [Fraction(w) / Fraction(den) for w in row]
+    assert got == fornberg(m, x0, nodes), (row, den, m, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,23 @@ class TestVerify:
         code, _ = run(["verify"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("given", [["--seed", "-1"], {"seed": -1}])
+    def test_negative_seed_is_named_before_any_grid(self, given, tmp_path,
+                                                    capsys, monkeypatch):
+        # a seed below 0 is a usage error of --seed (or the config key
+        # seed) when the arguments are parsed, before a grid is built
+        def build(*a, **kw):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(surfaces, "build_example", build)
+        argv = ["verify", "--example", "slice:first", "--grid", "9"]
+        if isinstance(given, dict):
+            cfgp = tmp_path / "c.json"
+            cfgp.write_text(json.dumps(given))
+            given = ["--config", str(cfgp)]
+        assert main(argv + given) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: seed (--seed) must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command, flags", [
         ("verify", {"example", "input", "grid", "h", "tol", "out", "seed"}),
         ("pipeline", {"theorem", "grid", "t", "tol", "out"}),

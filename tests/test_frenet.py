@@ -4,11 +4,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FAMILY_CASES, normal_curvature_field, ratio_table
+from conftest import (
+    FAMILY_CASES,
+    assert_fornberg_row,
+    normal_curvature_field,
+    ratio_table,
+)
 
 import minsurf
 from minsurf import frenet, gordon
@@ -445,6 +451,17 @@ class TestHalves:
         assert got.shape == want.shape
         err = np.max(np.abs(got - want), axis=1)
         assert np.all(err <= 1e-14 * np.max(np.abs(want))), err
+
+    def test_rows_are_lagranges(self):
+        # every _HALF row is Fornberg's interpolation (derivative 0) at its
+        # half step, in exact rationals: the centred row at the middle of
+        # its m lines, the one-sided rows at the first half steps
+        for m, (den, central, ends) in frenet._HALF.items():
+            assert_fornberg_row(central, den, 0, Fraction(m - 1, 2),
+                                range(m))
+            for k, w in enumerate(ends):
+                assert_fornberg_row(w, den, 0, Fraction(2 * k + 1, 2),
+                                    range(m))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cubic_on_short_lines(self, n):

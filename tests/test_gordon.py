@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dst
 from conftest import (
+    assert_fornberg_row,
     manufactured_error,
     ode_profile,
     ratio_table,
@@ -151,6 +152,15 @@ class TestTruncation:
             errs.append(np.max(np.abs(
                 G._truncation(u, spec.hx, spec.hy, 1) - err)))
         assert errs[0] / errs[1] > 14.0, errs
+
+    def test_rows_are_fornbergs(self):
+        # the second differences' weight rows are Fornberg's, in exact
+        # rationals: _EDGE4 at line 1 of 0-5, _D6 at line 3 of 0-6 and
+        # _EDGE6 at lines 1 and 2 of 0-6
+        assert_fornberg_row(G._EDGE4, 12, 2, 1, range(6))
+        assert_fornberg_row(G._D6, 180, 2, 3, range(7))
+        for line, w in enumerate(G._EDGE6, 1):
+            assert_fornberg_row(w, 180, 2, line, range(7))
 
 
 def kron_laplacian(ni, nj, hx, hy):
@@ -382,7 +392,7 @@ class TestSolveHyperbolic:
             solve_gordon("sinh_plus", -1, spec, boundary=(zfun, zfun),
                          initial=((zfun, zfun), (zfun, zfun)))
 
-    def test_manufactured_order3(self):
+    def test_manufactured_march_fifth_order(self):
         # the fourth-order Taylor start and the two defect corrections make
         # the march fifth order on data whose odd y-derivatives vanish at
         # y = 0 (5.01 read, 5.02 from 17 -> 33; 3.01 with a second-order

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    assert_fornberg_row,
     hopf_fields,
     jacobians,
     normal_curvature_field,
@@ -223,9 +224,11 @@ def poly_grid(nx, ny, degree, seed=3):
 
 class TestSixthOrder:
     """The Hessian's kernels: diff6 (first and second differences) and
-    d_xy are sixth order with 7-point stencils, off-centre on the lines 2
-    and n - 3, nan on the R edge lines, and keep the 5-point form along an
-    axis shorter than 7, whatever its row blocks."""
+    d_xy are sixth order with 7-point central stencils and, on the lines 2
+    and n - 3, 7-point off-centre first and 8-point off-centre second
+    differences (7-point, fifth order, on an axis of 7), nan on the R edge
+    lines, and keep the 5-point form along an axis shorter than 7,
+    whatever its row blocks."""
 
     @staticmethod
     def hessian_of(values, hx, hy):
@@ -235,7 +238,7 @@ class TestSixthOrder:
         return immersion.by_rows((F.nx, F.ny), lambda r: hessian(F, r))
 
     @pytest.mark.parametrize("n", [7, 8, 11])
-    def test_exact_on_sextics(self, n):
+    def test_exact_on_sextics(self, n, monkeypatch):
         hx, hy, V, want = poly_grid(n, n + 2, 6)
         R = immersion.R
         inner = (slice(R, -R),) * 2
@@ -244,6 +247,16 @@ class TestSixthOrder:
             scale = np.max(np.abs(exact[inner]))
             err = np.max(np.abs(got[inner] - exact[inner]))
             assert err < 1e-11 * scale, err / scale
+        if n >= 8:
+            # the 8-point off-centre second difference is exact on septics
+            # too, on lines 2 and n - 3 of both axes, also a row at a time
+            hx, hy, V, want = poly_grid(n, n + 2, 7)
+            monkeypatch.setattr(immersion, "_BLOCK_SAMPLES", n + 2)
+            Fxx, _, Fyy = self.hessian_of(V, hx, hy)
+            for got, exact in ((Fxx[[2, -3]], want[0][[2, -3]]),
+                               (Fyy[:, [2, -3]], want[2][:, [2, -3]])):
+                err = np.max(np.abs(got - exact))
+                assert err < 1e-11 * np.max(np.abs(exact)), err
         # the first difference on its own, at the central and off-centre
         # lines of both axes
         x = np.linspace(-0.7, 1.1, n)
@@ -261,10 +274,13 @@ class TestSixthOrder:
                                   equal_nan=True)
 
     def test_order_on_a_smooth_field(self):
-        # sixth order on the central lines; the off-centre second
-        # difference is fifth order on its own lines
+        # sixth order on the central lines and on the off-centre lines,
+        # whose orders are read from 65 to 129 samples: at 33 the second
+        # difference's error on line n - 3 nearly cancels (1.1e-10, then
+        # 1.2e-9 at 65 and 2.5e-11 at 129; 5.84 and 5.57 read on lines 2
+        # and n - 3)
         errs = {}
-        for n in (33, 65):
+        for n in (33, 65, 129):
             x = np.linspace(-1.0, 1.3, n)
             f = np.sin(2.0 * x + 1.0)
             exact = (2.0 * np.cos(2.0 * x + 1.0), -4.0 * f)
@@ -275,9 +291,9 @@ class TestSixthOrder:
             coarse, fine = errs[order, 33], errs[order, 65][::2]
             assert np.log2(np.nanmax(coarse[3:-3])
                            / np.nanmax(fine[3:-3])) >= least, order
-        for order, least in ((1, 5.8), (2, 4.8)):
+        for order, least in ((1, 5.8), (2, 5.3)):
             for k in (2, -3):
-                ratio = errs[order, 33][k] / errs[order, 65][k]
+                ratio = errs[order, 65][k] / errs[order, 129][k]
                 assert np.log2(ratio) >= least, (order, k)
 
     def test_nan_on_exactly_the_R_edge_lines(self):
@@ -351,6 +367,20 @@ class TestSixthOrder:
             assert np.array_equal(immersion.diff6(f, h, axis, 1, edges=True),
                                   immersion.diff(f, h, axis, edges=True))
 
+    def test_rows_are_fornbergs(self):
+        # every weight row of diff6 is Fornberg's, in exact rationals: the
+        # central rows at line 3 of 0-6, the off-centre rows at line 2, the
+        # one-sided rows at lines 0 and 1
+        for order, (den, central, centre, offs) in immersion._SIXTH.items():
+            sign = -1.0 if order == 1 else 1.0
+            row = [sign * w for w in central[::-1]] + [centre, *central]
+            assert_fornberg_row(row, den, order, 3, range(7))
+            for w in offs:
+                assert_fornberg_row(w, den, order, 2, range(len(w)))
+        assert [len(w) for w in immersion._SIXTH[2][3]] == [8, 7]
+        for line, w in enumerate(immersion._SIXTH_EDGES):
+            assert_fornberg_row(w, 60, 1, line, range(7))
+
     @pytest.mark.parametrize("n", [5, 7, 8, 12])
     def test_kept_lines_equal_the_whole(self, n):
         # keep returns those lines of the whole difference, bit for bit,
@@ -369,9 +399,9 @@ class TestSixthOrder:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_row_blocks_equal_one_block(self, n, monkeypatch):
-        # a 7- or 8-row grid keeps its 7-point form when split into blocks
-        # shorter than 7 rows, and so does a long one: the Hessian reads
-        # HESSIAN_REACH rows past a block
+        # a 7- or 8-row grid keeps its 7- or 8-point form when split into
+        # blocks shorter than 7 rows, and so does a long one: the Hessian
+        # reads HESSIAN_REACH rows past a block
         for nx in (n, 23):
             hx, hy, V, _ = poly_grid(nx, 9, 6)
             whole = self.hessian_of(V, hx, hy)
