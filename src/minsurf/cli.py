@@ -208,8 +208,11 @@ def parse_args(argv) -> RunConfig:
     ns = _PARSER.parse_args(argv)
     base = {}
     if ns.config:
-        with open(ns.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(ns.config) as fh:
+                base = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"--config {ns.config}: {exc}") from None
         if not isinstance(base, dict):
             raise ValueError("--config must hold a JSON object")
     # a subcommand's namespace holds only the flags it takes

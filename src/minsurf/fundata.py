@@ -34,7 +34,7 @@ from .immersion import (
     ImmersionGrid,
     by_rows,
     conformal_fields,
-    diff,
+    diff6,
     dz,
     gauss_curvature,
     mean_curvature_residual,
@@ -214,14 +214,17 @@ def dilate(mask: np.ndarray, cells: int) -> np.ndarray:
 # extraction
 # ---------------------------------------------------------------------------
 
-def _a_pair(uz: ScalarEps, Cs, fs, gammas, valids, hx, hy, eps):
+def _a_pair(uz: ScalarEps, Cs, fs, gammas, valids, hx, hy, eps,
+            keep: slice = slice(None)):
     """The two defining expressions of the connection form,
     A = 2 u_z - (2 eps i C_1 f_1 + gamma_1z)/gamma_1
       = -2 u_z + (2 eps i C_2 f_2 + gamma_2z)/gamma_2,
-    each divided only where its validity mask holds."""
+    each divided only where its validity mask holds: on the rows `keep` of
+    the gammas' rows, which every other argument holds alone."""
     i_unit = unit_i(eps)
     q1, q2 = (_se_div(2.0 * eps * i_unit * ScalarEps(C, 0.0, eps) * f
-                      + dz(g, hx, hy, eps), g, m)
+                      + dz(g, hx, hy, eps, keep=keep),
+                      g.map(lambda a: a[keep]), m)
               for C, f, g, m in zip(Cs, fs, gammas, valids))
     return 2.0 * uz - q1, -2.0 * uz + q2
 
@@ -303,27 +306,29 @@ class StreamedData:
         return u, out
 
     def rows(self, rows: slice) -> FundamentalData:
-        """extract's record on the grid rows `rows`: u_z and A read the
-        snapped fields R rows to each side, so every field is formed on
-        the rows' reach (immersion.reach) and cut back to them."""
+        """extract's record on the grid rows `rows`: u_z and A difference
+        the snapped u and gamma_j on the rows' reach (immersion.reach),
+        which they form the rows of alone."""
         eps, hx, hy = self.eps, self.hx, self.hy
         wide, cut = reach(rows, len(self.mask))
         u, ((C1, g1, f1), (C2, g2, f2)) = self._snapped(wide)
-        m = self.mask[wide]
-        valid = tuple(m & ~cx[wide] for cx in (self.complex1, self.complex2))
-        uz = dz(u, hx, hy, eps)
+        m = self.mask[rows]
+        valid = tuple(m & ~cx[rows] for cx in (self.complex1, self.complex2))
+        uz = dz(u, hx, hy, eps, keep=cut)
+        C1, C2 = C1[cut], C2[cut]
+        f1, f2 = (f.map(lambda a: a[cut]) for f in (f1, f2))
         A1, A2 = _a_pair(uz, (C1, C2), (f1, f2), (g1, g2), valid, hx, hy,
-                         eps)
+                         eps, cut)
         A = ScalarEps(np.where(np.isfinite(A1.re), A1.re, A2.re),
                       np.where(np.isfinite(A1.im), A1.im, A2.im), eps)
         g1, g2, f1, f2 = (z.map(lambda a: np.where(m, a, np.nan))
-                          for z in (g1, g2, f1, f2))
-        return _map_fields(FundamentalData(
-            p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u, C1=C1, C2=C2,
-            gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=m,
-            complex1=self.complex1[wide], complex2=self.complex2[wide],
-            u_z=uz, meta=dict(self.meta)), lambda a: a[cut],
-            origin=_row_origin(self, rows))
+                          for z in (g1.map(lambda a: a[cut]),
+                                    g2.map(lambda a: a[cut]), f1, f2))
+        return FundamentalData(
+            p=self.p, eps=eps, b=self.b, hx=hx, hy=hy, u=u[cut], C1=C1,
+            C2=C2, gamma1=g1, gamma2=g2, f1=f1, f2=f2, A=A, mask=m,
+            complex1=self.complex1[rows], complex2=self.complex2[rows],
+            origin=_row_origin(self, rows), u_z=uz, meta=dict(self.meta))
 
 
 def extract(F: ImmersionGrid, b: int = 1) -> FundamentalData:
@@ -383,8 +388,11 @@ class CompatReport:
 def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     """Sup-norms of every first-order compatibility equation of D, a
     FundamentalData or a StreamedData, taken a row block at a time: each
-    block's residuals read D.rows on the block's reach, and the block sups
-    combine by max, so a StreamedData is never formed on the whole grid.
+    block's residuals difference D.rows on the block's reach
+    (immersion.reach) at sixth order, the order of every field they
+    compare, and are formed on the block's rows alone; the block sups
+    combine by max, so a StreamedData is never formed on the whole grid,
+    and the norms equal one whole-grid block's bit for bit.
 
     region: optional boolean field restricting the norms to a fixed
     sub-window (verify's trimmed region; refinement studies compare like
@@ -400,17 +408,17 @@ def compat_residuals(D, region: np.ndarray = None) -> CompatReport:
     peaks = []
     for rows in row_blocks(*base.shape):
         wide, cut = reach(rows, base.shape[0])
-        inside = np.zeros_like(base[wide])
-        inside[cut] = base[rows]
-        peaks.append(_compat_peaks(D.rows(wide), inside))
+        peaks.append(_compat_peaks(D.rows(wide), base[rows], cut))
     norms = {k: _sup(p[k] for p in peaks) for k in peaks[0]}
     return CompatReport(norms, int(np.sum(base)))
 
 
-def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
-    """The _peak of every compatibility residual of D over its mask within
-    base."""
-    eps, b, p = D.eps, D.b, D.p
+def _compat_peaks(W: FundamentalData, base: np.ndarray, cut: slice) -> dict:
+    """The _peak of every compatibility residual over base, on the rows
+    `cut` of the record W, which holds their reach: the differences are
+    formed on those rows alone, from W's rows around them."""
+    eps, b, p, hx, hy = W.eps, W.b, W.p, W.hx, W.hy
+    D = W.rows(cut)
     i_unit = unit_i(eps)
     e2u = D.e2u()
     em2u = np.exp(-2.0 * D.u)
@@ -421,25 +429,26 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
     Cs = {1: D.C1, 2: D.C2}
     cxs = {1: D.complex1, 2: D.complex2}
 
-    uzzb = zzbar(D.u, D.hx, D.hy, eps)
-    re_term = 2.0 * dz(D.A, D.hx, D.hy, eps, conj=True).re  # Abar_z + A_zbar
+    uzzb = zzbar(W.u, hx, hy, eps, cut)
+    # Abar_z + A_zbar
+    re_term = 2.0 * dz(W.A, hx, hy, eps, conj=True, keep=cut).re
 
     for j in (1, 2):
         jp = 3 - j
         sj = (-1.0) ** (j + 1)
         m = base & ~cxs[j]
         # (C_j)_z + 2 i eps b e^{-2u} conj(gamma_j) f_j = 0
-        Cz = dz(Cs[j], D.hx, D.hy, eps)
+        Cz = dz((W.C1, W.C2)[j - 1], hx, hy, eps, keep=cut)
         r = Cz + 2.0 * eps * b * i_unit * ScalarEps(em2u, 0.0, eps) \
             * gammas[j].conj() * fs[j]
         peaks[f"kahler_{j}"] = _peak(r, m)
         # (gbar_j)_z - (-1)^{j+1} gbar_j A = 0
-        gbz = dz(gammas[j].conj(), D.hx, D.hy, eps)
+        gbz = dz((W.gamma1, W.gamma2)[j - 1].conj(), hx, hy, eps, keep=cut)
         r = gbz - sj * gammas[j].conj() * D.A
         peaks[f"derivofgamma_{j}"] = _peak(r, m)
         # (fbar_j)_z - (-1)^{j+1} fbar_j A
         #   - i eps (-1)^{p+1} e^{2u} gbar_j C_{j'} / 4 = 0
-        fbz = dz(fs[j].conj(), D.hx, D.hy, eps)
+        fbz = dz((W.f1, W.f2)[j - 1].conj(), hx, hy, eps, keep=cut)
         r = fbz - sj * fs[j].conj() * D.A \
             - 0.25 * eps * sgn_p1 * i_unit * ScalarEps(e2u * Cs[jp], 0.0, eps) \
             * gammas[j].conj()
@@ -460,7 +469,7 @@ def _compat_peaks(D: FundamentalData, base: np.ndarray) -> dict:
     # strata leave no point where both are defined)
     m12 = base & ~cxs[1] & ~cxs[2]
     A1, A2 = _a_pair(D.u_z, (D.C1, D.C2), (D.f1, D.f2),
-                     (D.gamma1, D.gamma2), (m12, m12), D.hx, D.hy, eps)
+                     (W.gamma1, W.gamma2), (m12, m12), hx, hy, eps, cut)
     peaks["a_consistency"] = _peak(A1 - A2, m12)
     return peaks
 
@@ -499,11 +508,12 @@ def identity_residuals(D: FundamentalData) -> dict:
     = e^{-2u} (f_x^2 + eps f_y^2) of the induced metric.  f_norm is left out
     on all-complex data, log_sqrt off Riemannian (eps = 1) p = 1 data.
 
-    lap_c's eps placements are the ones under which it holds at the
-    stencils' order on every explicit family, Lorentzian ones too (order 4
-    from 33^2 to 65^2, down to a floor near 1e-9); arctan_c holds on the
-    tan-branch (sin-Gordon) families C1, C2 and stays O(1) on the others
-    (scripts/convergence_study.py prints every entry's order).
+    Every difference is sixth order (immersion.diff6, zzbar).  lap_c's eps
+    placements are the ones under which it holds at the stencils' order
+    on every explicit family, Lorentzian ones too (order 4 to 5.6 from 9^2
+    to 17^2, down to a floor of 1e-10 to 5e-9 from 33^2); arctan_c holds on
+    the tan-branch (sin-Gordon) families C1, C2 and stays O(1) on the
+    others (scripts/convergence_study.py prints every entry's order).
     """
     eps, b, p, hx, hy = D.eps, D.b, D.p, D.hx, D.hy
     K, Kperp = curvature_from_data(D)
@@ -520,7 +530,8 @@ def identity_residuals(D: FundamentalData) -> dict:
         term = eps * K + eps * b * sj * Kperp + sgn * D.C1 * D.C2
         if has_f:
             out[f"f_norm_{j}"] = f.abs2() - (b * e4u / 8.0) * term
-        grad2 = em2u * (diff(C, hx, 0) ** 2 + eps * diff(C, hy, 1) ** 2)
+        grad2 = em2u * (diff6(C, hx, 0, 1) ** 2
+                        + eps * diff6(C, hy, 1, 1) ** 2)
         out[f"grad_c_{j}"] = grad2 - (eps * C ** 2 + sgn) * term
         out[f"lap_c_{j}"] = lap(C) - 2.0 * eps * C * (K + b * sj * Kperp) \
             + eps * Cp * (1.0 - eps * sgn * C ** 2)

@@ -29,8 +29,9 @@ PIPELINE_DATA: gordon_stage solves each one's Gordon pair and family_stage
 builds its family data, trimmed clear of the solves' boundary layers.
 The hyperbolic families start from smooth, 1-periodic lines with v_y = 0;
 their solves converge at order 5.06 from 33^2 to 65^2, and their records
-at order 3.86-3.94 from 129^2 to 257^2, the order of the fourth-order
-compatibility residuals.  The elliptic families' Dirichlet data do not
+at order 5.7-6.6 from 65^2 to 129^2 under the sixth-order compatibility
+residuals, down to the second correction's round-off, 3e-9 to 1.2e-8, at
+129^2 and 257^2.  The elliptic families' Dirichlet data do not
 meet the equation at the box's corners: their solves converge at order
 2.00 over the box, and at 5.87-6.41 over [3/16, 13/16]^2 (33^2 to 65^2).
 """
@@ -74,12 +75,11 @@ class GordonSolution:
     meta: dict = field(default_factory=dict)
 
     def dz(self, which: str) -> ScalarEps:
-        """d/dz of v or w by immersion.diff6's sixth-order first
-        differences with their one-sided edge lines (diff's fourth-order
-        ones along an axis shorter than 7): the family data have no nan
-        edge lines."""
+        """d/dz of v or w by immersion.dz's sixth-order first differences
+        with their one-sided edge lines: the family data have no nan edge
+        lines."""
         f = self.v if which == "v" else self.w
-        return dz(f, self.hx, self.hy, self.eps, edges=True, order=6)
+        return dz(f, self.hx, self.hy, self.eps, edges=True)
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +646,24 @@ PIPELINE_DATA = {
 }
 
 
+# RK4 substeps per sample of the edge ODE (_edge_profile)
+_EDGE_SUBSTEPS = 2
+
+
 def _edge_profile(sigma, nonlin, a0, ys):
-    """Fine-step RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0.
+    """RK4 solution of g'' = 2 sigma N(2 g), g(0)=a0, g'(0)=0, in
+    _EDGE_SUBSTEPS steps per sample.
 
     ``nonlin`` is np.sinh or np.sin; the steps call its ``math`` twin on
-    Python floats.
+    Python floats.  The profile fills the edge columns of solve_gordon's
+    widened line, which the box never reads (gordon_stage), so its accuracy
+    moves no solution: v, w and residual_norm are the same bits with 1, 2,
+    4 or 40 substeps.  Two keep the error of the profile itself near 1e-8
+    on the pipeline grids, and the blow-up of a profile is still caught
+    (a DomainViolation naming the y it passes).
     """
     scalar = getattr(math, nonlin.__name__)
-    m = 40
+    m = _EDGE_SUBSTEPS
     hy = float(ys[1] - ys[0]) / m
     # 0.5 * hy * l1 multiplies as (0.5 * hy) * l1, so hoisting keeps bits
     h2, h6, s2 = 0.5 * hy, hy / 6.0, 2.0 * sigma

@@ -1,14 +1,14 @@
 """Sampled immersions F = (F1, F2) on rectangular parameter grids.
 
-First derivatives (the tangents, the metric, the Kahler functions) and
-the second differences of derived fields are fourth-order central
-differences of radius R = 2 (5-point stencils); the Hessian of the
-positions, the source of the second fundamental form, is sixth order
-(7-point central stencils; on the lines next to the edge lines, 7-point
-off-centre first and 8-point off-centre second differences).  A
-difference is nan on the R edge lines of its axis, and derived fields
-(conformal factor, Kahler functions, curvatures) live on the interior of
-gradually shrinking stencils and are nan elsewhere.  Degenerate and
+Every difference is sixth order (diff6): the tangents, the metric and the
+Kahler functions, the Hessian of the positions (the source of the second
+fundamental form), and the first and second differences of derived
+fields (dz, zzbar), by 7-point central stencils of radius REACH = 3 and,
+on the lines next to the edge lines, 7-point off-centre first and
+8-point off-centre second differences.  A difference is nan on the R = 2
+edge lines of its axis, and derived fields (conformal factor, Kahler
+functions, curvatures) live on the interior of gradually shrinking
+stencils and are nan elsewhere.  Degenerate and
 negative-definite points are first-class outcomes: they are flagged and
 excluded from residual norms rather than raised mid-sweep.
 
@@ -130,27 +130,27 @@ class ImmersionGrid:
 # ---------------------------------------------------------------------------
 
 # the radius of diff's and diff2's stencils and the width of every nan edge
-# line; every reach, halo and trim counts it but the Hessian's reach
+# line, which the edge trims and strata rings count
 R = 2
-# the rows past a row block that its jets and Hessian read (jets,
-# hessian): the off-centre second difference of line 2 reads line 7
-HESSIAN_REACH = 5
+# the radius of diff6's central stencils: the rows past a row block that a
+# sixth-order difference on it reads (reach)
+REACH = 3
 # the fewest samples along any axis of a grid or record: a reconstructed
 # grid needs 5, and the frame march's half steps, quintic on lines of 6
 # samples or more, stay cubic, reading 4, on shorter ones
 MIN_SIDE = 5
 
 
-def _flat(a: np.ndarray, axis: int, r: int = R):
+def _flat(a: np.ndarray, axis: int):
     """(f, tap): a's samples as one flat C-ordered array f, and tap(k), the
-    slice of f k steps along axis from the samples r or more steps from
+    slice of f k steps along axis from the samples R or more steps from
     f's ends.  A flat shift by k steps is a shift by k along axis except on
-    the r edge lines of axis, where it wraps into the next line: a kernel
+    the R edge lines of axis, where it wraps into the next line: a kernel
     forms every sample of tap(0) from contiguous arrays, then overwrites
-    those lines (_nan_edges for r = R)."""
+    those lines (_nan_edges)."""
     f = np.ascontiguousarray(a).reshape(-1)
     s, n = math.prod(a.shape[axis + 1:]), f.size
-    return f, lambda k: slice((r + k) * s, n - (r - k) * s)
+    return f, lambda k: slice((R + k) * s, n - (R - k) * s)
 
 
 def _nan_edges(out: np.ndarray, axis: int) -> np.ndarray:
@@ -231,13 +231,13 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
     nan on the R edge lines, or with edges (order 1), those filled by the
     one-sided (-147, 360, -450, 400, -225, 72, -10) / 60h on line 0 and
     (-10, -77, 150, -100, 50, -15, 2) / 60h on line 1, mirrored.  Only the
-    lines `keep` of axis are returned, and an off-centre or one-sided line
-    outside them is not formed.  By the axis length n: n >= 8 is as above;
-    n = 7 keeps the second difference's 7-point off-centre
+    lines `keep` of axis are returned; along axis 0 only they are formed,
+    along axis 1 every line is, then cut.  By the axis length n: n >= 8 is
+    as above; n = 7 keeps the second difference's 7-point off-centre
     (-13, 228, -420, 200, 15, -12, 2) / 180h^2 over lines 0-6, fifth order;
     n < 7 keeps diff's (with its edges) or diff2's 5-point form.  A row
-    block's reach (hessian) is shorter than 8 lines of a longer axis only
-    where the block holds edge lines alone, nan in every form."""
+    block's reach (reach) holds 8 lines of a longer axis wherever it holds
+    a line that is not central, so its lines take the whole grid's form."""
     n = a.shape[axis]
     if n < 7:
         out = diff(a, h, axis, edges) if order == 1 else diff2(a, h, axis)
@@ -246,38 +246,51 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
     edge = next(w for w in offs if len(w) <= n)
     pair, sign = (np.subtract, -1.0) if order == 1 else (np.add, 1.0)
     den *= h ** order
-    f, tap = _flat(a, axis, 3)
-    out = np.empty(a.shape, f.dtype)
-    c = out.reshape(-1)[tap(0)]     # formed in place, in the formula's order
-    t = np.empty_like(c)
-    pair(f[tap(1)], f[tap(-1)], out=c)
+    f = np.ascontiguousarray(a).reshape(-1)
+    s = math.prod(a.shape[axis + 1:])
+    if axis == 0:   # the kept lines, the central ones in lo to hi
+        kept = range(n)[keep]
+        lo = max(kept.start, REACH)
+        hi = max(min(kept.stop, n - REACH), lo)
+        out = np.empty((len(kept),) + a.shape[1:], f.dtype)
+    else:           # every line, over the flattened leading axes
+        kept, lo, hi = range(n), REACH, f.size // s - REACH
+        out = np.empty(a.shape, f.dtype)
+    k0 = kept.start
+    # a shift by k lines of the central ones; along axis 1 it wraps into
+    # the next line on the edge lines, overwritten below
+    def tap(k):
+        return f[(lo + k) * s:(hi + k) * s]
+    c = out.reshape(-1)[(lo - k0) * s:(hi - k0) * s]   # formed in place,
+    t = np.empty_like(c)                               # in formula order
+    pair(tap(1), tap(-1), out=c)
     c *= central[0]
     for k in (2, 3):
-        pair(f[tap(k)], f[tap(-k)], out=t)
+        pair(tap(k), tap(-k), out=t)
         t *= central[k - 1]
         c += t
     if centre:
-        np.multiply(f[tap(0)], centre, out=t)
+        np.multiply(tap(0), centre, out=t)
         c += t
     c /= den
     e, a = np.swapaxes(out, 0, axis), np.swapaxes(a, 0, axis)
     if not edges:
-        _nan_edges(out, axis)
+        e[[i - k0 for i in (0, 1, n - 2, n - 1) if i in kept]] = np.nan
     # the off-centre (and one-sided) lines that keep holds, each over its
     # m lines, formed together: one gather, then the taps summed in order
     # on contiguous arrays
-    kept, m = range(n)[keep], len(edge)
+    m = len(edge)
     rows = [(2, edge)] + (list(enumerate(_SIXTH_EDGES)) if edges else [])
     lines, src, weights, dens = [], [], [], []
     for near, w in rows:
-        for line, taps, s in ((near, range(m), 1.0),
-                              (n - 1 - near, range(n - 1, n - 1 - m, -1),
-                               sign)):
+        for line, taps, sg in ((near, range(m), 1.0),
+                               (n - 1 - near, range(n - 1, n - 1 - m, -1),
+                                sign)):
             if line in kept:
-                lines.append(line)
+                lines.append(line - k0)
                 src.append(taps)
                 weights.append(w)
-                dens.append(s * den)
+                dens.append(sg * den)
     if lines:
         pad = (1,) * (a.ndim - 1)
         T = a[np.array(src).T]                          # (m, lines, ...)
@@ -287,7 +300,7 @@ def diff6(a: np.ndarray, h: float, axis: int, order: int,
             acc += T[k]
         acc /= np.array(dens).reshape((len(lines),) + pad)
         e[lines] = acc
-    return np.swapaxes(e[keep], 0, axis)
+    return out if axis == 0 else np.swapaxes(e[keep], 0, axis)
 
 
 def d_xy(a: np.ndarray, hx: float, hy: float,
@@ -306,25 +319,33 @@ def wirtinger(fx: ScalarEps, fy: ScalarEps, eps: int,
 
 
 def dz(f, hx: float, hy: float, eps: int, conj: bool = False,
-       edges: bool = False, order: int = 4) -> ScalarEps:
-    """d/dz (d/dzbar with conj) of a real or ScalarEps grid field, by
-    diff's fourth-order or (order 6) diff6's sixth-order first
-    differences."""
-    def first(a, h, axis):
-        if order == 6:
-            return diff6(a, h, axis, 1, edges)
-        return diff(a, h, axis, edges)
+       edges: bool = False, keep: slice = slice(None)) -> ScalarEps:
+    """d/dz (d/dzbar with conj) of a real or ScalarEps grid field on its
+    lines `keep` along x (all of them without), by diff6's sixth-order
+    first differences (diff's fourth-order ones along an axis shorter than
+    7): the x-difference forms the kept lines alone, and the y-difference
+    reads them alone."""
+    def first(a, axis):
+        if axis == 0:
+            return diff6(a, hx, 0, 1, edges, keep)
+        return diff6(a[keep], hy, 1, 1, edges)
 
-    def partial(h, axis):
+    def partial(axis):
         if isinstance(f, ScalarEps):
-            return f.map(lambda a: first(a, h, axis))
-        return ScalarEps(first(f, h, axis), np.zeros_like(f), eps)
-    return wirtinger(partial(hx, 0), partial(hy, 1), eps, conj)
+            return f.map(lambda a: first(a, axis))
+        d = first(f, axis)
+        return ScalarEps(d, np.zeros_like(d), eps)
+    return wirtinger(partial(0), partial(1), eps, conj)
 
 
-def zzbar(f: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
-    """f_{z zbar} = (f_xx + eps f_yy)/4 of a real field, nan edges."""
-    return (diff2(f, hx, 0) + eps * diff2(f, hy, 1)) / 4.0
+def zzbar(f: np.ndarray, hx: float, hy: float, eps,
+          keep: slice = slice(None)) -> np.ndarray:
+    """f_{z zbar} = (f_xx + eps f_yy)/4 of a real field on its lines `keep`
+    along x (all of them without; eps a number or a field on them), by
+    diff6's sixth-order second differences (diff2's fourth-order ones along
+    an axis shorter than 7); nan edges."""
+    return (diff6(f, hx, 0, 2, keep=keep)
+            + eps * diff6(f[keep], hy, 1, 2)) / 4.0
 
 
 def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
@@ -333,8 +354,10 @@ def gauss_curvature(u: np.ndarray, hx: float, hy: float, eps) -> np.ndarray:
 
 
 def curvature_core(shape) -> np.ndarray:
-    """Where K (second differences of u's first) is defined: 2R from edges."""
-    out, core = np.zeros(shape, dtype=bool), slice(2 * R, -2 * R)
+    """Where K is defined: K's sixth-order second differences (zzbar) of u,
+    nan on the R edge lines, read REACH lines to each side, so the core
+    lies R + REACH = 5 lines from the edges."""
+    out, core = np.zeros(shape, dtype=bool), slice(R + REACH, -(R + REACH))
     out[core, core] = True
     return out
 
@@ -359,13 +382,21 @@ def row_blocks(nx: int, ny: int) -> list:
     return [slice(i0, min(i0 + height, nx)) for i0 in range(0, nx, height)]
 
 
-def reach(rows: slice, n: int, r: int = R):
-    """(wide, cut): the rows `rows` of an axis of n widened by r to each
-    side within it, the rows a stencil on them reads, and the slice that
-    picks `rows` out of an array on wide."""
+def reach(rows: slice, n: int):
+    """(wide, cut): the rows a sixth-order difference (diff6) on the rows
+    `rows` of an axis of n reads, and the slice that picks `rows` out of
+    an array on wide.  wide is rows widened by REACH to each side within
+    the axis, and to lines 0-7 (n - 8 to n - 1) where rows hold one of
+    lines 0-2 (n - 3 to n - 1), which diff6's off-centre and one-sided
+    lines read; so a difference on wide, cut back to rows, equals the
+    whole axis's on them, bit for bit."""
     i0, i1, _ = rows.indices(n)
-    wide = slice(max(i0 - r, 0), min(i1 + r, n))
-    return wide, slice(i0 - wide.start, i1 - wide.start)
+    lo, hi = max(i0 - REACH, 0), min(i1 + REACH, n)
+    if i0 < REACH:
+        hi = max(hi, min(8, n))
+    if i1 > n - REACH:
+        lo = min(lo, max(n - 8, 0))
+    return slice(lo, hi), slice(i0 - lo, i1 - lo)
 
 
 def by_rows(shape, kernel):
@@ -400,8 +431,8 @@ def jets(F: ImmersionGrid, rows: slice = slice(None)) -> GridJets:
     """Sixth-order first differences (diff6; fourth order along an axis
     shorter than 7) of the samples on the grid rows `rows` (all of them
     without), the order of hessian's; built on each call.  They read the
-    rows' HESSIAN_REACH, so a row block's equal the whole grid's."""
-    wide, cut = reach(rows, F.nx, HESSIAN_REACH)
+    rows' reach, so a row block's equal the whole grid's."""
+    wide, cut = reach(rows, F.nx)
     V = F.values[wide]
     return GridJets(diff6(V, F.hx, 0, 1, keep=cut), diff6(V[cut], F.hy, 1, 1))
 
@@ -410,8 +441,8 @@ def hessian(F: ImmersionGrid, rows: slice = slice(None)):
     """Sixth-order second differences (F_xx, F_xy, F_yy) of the samples on
     the grid rows `rows` (all of them without), by diff6 and d_xy (fourth
     order along an axis shorter than 7); built on each call.  They read
-    the rows' HESSIAN_REACH, so a row block's equal the whole grid's."""
-    wide, cut = reach(rows, F.nx, HESSIAN_REACH)
+    the rows' reach, so a row block's equal the whole grid's."""
+    wide, cut = reach(rows, F.nx)
     V = F.values[wide]
     return (diff6(V, F.hx, 0, 2, keep=cut), d_xy(V, F.hx, F.hy, cut),
             diff6(V[cut], F.hy, 1, 2))

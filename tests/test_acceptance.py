@@ -240,9 +240,12 @@ EXTRACT_CASES = [
 def test_criterion_6_fundamental_data_convergence(family_cache):
     t0 = time.perf_counter()
     worst_all = np.inf
+    # from 17^2 to 33^2: at sixth order several residuals reach their
+    # round-off floor from 33^2 on (paraholo:z2's integrability_2 rises
+    # 1.2e-8 -> 3.9e-8 from 33^2 to 65^2, C1's record 1.3e-10 -> 3.0e-10)
     for name, box in EXTRACT_CASES:
         norms = {}
-        for n in (33, 65):
+        for n in (17, 33):
             if box is None:
                 F = build_example(name, nx=n)
             else:
@@ -251,14 +254,14 @@ def test_criterion_6_fundamental_data_convergence(family_cache):
             D = extract(F)
             margin = 3.5 * max(F.hx, F.hy) * (n - 1) / 32
             norms[n] = compat_residuals(D, region=interior_region(F, margin)).norms
-        ratios = ratio_table(norms[33], norms[65], floor=1e-9)
+        ratios = ratio_table(norms[17], norms[33], floor=1e-9)
         assert ratios, name
         assert min(ratios.values()) >= 3.5, (name, ratios)
         worst_all = min(worst_all, min(ratios.values()))
     for theorem in sorted(G.FAMILY_TABLE):
+        r17 = compat_residuals(family_cache(theorem, 17)).norms
         r33 = compat_residuals(family_cache(theorem, 33)).norms
-        r65 = compat_residuals(family_cache(theorem, 65)).norms
-        ratios = ratio_table(r33, r65, floor=1e-11)
+        ratios = ratio_table(r17, r33, floor=1e-11)
         assert min(ratios.values()) >= 3.5, (theorem, ratios)
         worst_all = min(worst_all, min(ratios.values()))
     dt = time.perf_counter() - t0
@@ -378,30 +381,31 @@ def test_criterion_10_curvature_identity_battery(family_cache):
         kperp[n] = float(abs(Kp_c - Kp_f[i, j]))
     assert max(kperp.values()) <= 4e-14, kperp
 
-    # gradient and Laplacian identities on generated data
+    # gradient and Laplacian identities on generated data, from 17^2 to
+    # 33^2: at sixth order C1's read their floor, about 3e-10, from 33^2
     for theorem in ("A1", "C1"):
         norms = {}
-        for n in (33, 65):
+        for n in (17, 33):
             out = identity_residuals(family_cache(theorem, n))
             norms[n] = {
                 "grad": max(field_sup(out[f"grad_c_{j}"]) for j in (1, 2)),
                 "lap": max(field_sup(out[f"lap_c_{j}"]) for j in (1, 2)),
             }
         for key in ("grad", "lap"):
-            ratios[f"{key}_{theorem}"] = norms[33][key] / norms[65][key]
+            ratios[f"{key}_{theorem}"] = norms[17][key] / norms[33][key]
 
-    # arctan and log-sqrt pointwise identities
+    # arctan and log-sqrt pointwise identities, from 17^2 to 33^2 as well
     for theorem in ("C1", "C2"):
         vals = {}
-        for n in (33, 65):
+        for n in (17, 33):
             out = identity_residuals(family_cache(theorem, n))
             vals[n] = max(field_sup(out[f"arctan_c_{j}"]) for j in (1, 2))
-        ratios[f"arctan_{theorem}"] = vals[33] / vals[65]
+        ratios[f"arctan_{theorem}"] = vals[17] / vals[33]
     vals = {}
-    for n in (33, 65):
+    for n in (17, 33):
         out = identity_residuals(family_cache("C1", n))
         vals[n] = max(field_sup(out[f"log_sqrt_{m}"]) for m in (1, 2))
-    ratios["log_sqrt"] = vals[33] / vals[65]
+    ratios["log_sqrt"] = vals[17] / vals[33]
 
     # holomorphy of the Hopf quantity on a reconstructed family surface
     vals = {}

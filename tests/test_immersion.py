@@ -273,6 +273,45 @@ class TestSixthOrder:
             assert np.array_equal(col, np.tile(got, (5, 1)),
                                   equal_nan=True)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_dz_and_zzbar_exact_on_sextics(self, eps):
+        # dz's first and zzbar's second differences are sixth order: exact
+        # on a sextic on every line they form, central and off-centre, nan
+        # on the R edge lines, and the rows `keep` are the whole's rows
+        spec = GridSpec.from_box(11, 13, (-0.7, 1.1), (0.3, 1.4))
+        X, Y = spec.mesh()
+        c = np.random.default_rng(11).uniform(-1.0, 1.0, (7, 7))
+        P = np.polynomial.polynomial
+        c = np.where(np.add.outer(range(7), range(7)) <= 6, c, 0.0)
+        f = P.polyval2d(X, Y, c)
+        fx, fy = (P.polyval2d(X, Y, P.polyder(c, axis=k)) for k in (0, 1))
+        fxx, fyy = (P.polyval2d(X, Y, P.polyder(c, 2, axis=k))
+                    for k in (0, 1))
+        R = immersion.R
+        inner = (slice(R, -R),) * 2
+        for conj in (False, True):
+            got = immersion.dz(f, spec.hx, spec.hy, eps, conj)
+            exact = immersion.wirtinger(ScalarEps(fx, 0.0, eps),
+                                        ScalarEps(fy, 0.0, eps), eps, conj)
+            for g, e in ((got.re, exact.re), (got.im, exact.im)):
+                assert np.isfinite(g[inner]).all()
+                assert np.isnan(g[[0, 1, -2, -1]]).all()
+                assert np.isnan(g[:, [0, 1, -2, -1]]).all()
+                err = np.max(np.abs(g[inner] - e[inner]))
+                assert err < 1e-11 * np.max(np.abs(e[inner])), err
+            kept = immersion.dz(f, spec.hx, spec.hy, eps, conj,
+                                keep=slice(2, 6))
+            assert np.array_equal(kept.re, got.re[2:6], equal_nan=True)
+            assert np.array_equal(kept.im, got.im[2:6], equal_nan=True)
+        got = immersion.zzbar(f, spec.hx, spec.hy, eps)
+        exact = (fxx + eps * fyy) / 4.0
+        assert np.isfinite(got[inner]).all()
+        err = np.max(np.abs(got[inner] - exact[inner]))
+        assert err < 1e-11 * np.max(np.abs(exact[inner])), err
+        assert np.array_equal(
+            immersion.zzbar(f, spec.hx, spec.hy, eps, slice(3, 11)),
+            got[3:11], equal_nan=True)
+
     def test_order_on_a_smooth_field(self):
         # sixth order on the central lines and on the off-centre lines,
         # whose orders are read from 65 to 129 samples: at 33 the second
@@ -401,7 +440,8 @@ class TestSixthOrder:
     def test_row_blocks_equal_one_block(self, n, monkeypatch):
         # a 7- or 8-row grid keeps its 7- or 8-point form when split into
         # blocks shorter than 7 rows, and so does a long one: the Hessian
-        # reads HESSIAN_REACH rows past a block
+        # reads a block's reach, REACH rows past it and lines 0-7 (n - 8
+        # to n - 1) for a block that holds one of the three edge lines
         for nx in (n, 23):
             hx, hy, V, _ = poly_grid(nx, 9, 6)
             whole = self.hessian_of(V, hx, hy)
@@ -819,21 +859,40 @@ class TestRowBlocks:
                 assert (rows.stop - rows.start) * ny \
                     <= max(immersion._BLOCK_SAMPLES, ny)
                 wide, cut = immersion.reach(rows, nx)
-                assert wide.start == max(rows.start - immersion.R, 0)
-                assert wide.stop == min(rows.stop + immersion.R, nx)
+                # at least REACH to each side (exactly: the test below)
+                assert wide.start <= max(rows.start - immersion.REACH, 0)
+                assert wide.stop >= min(rows.stop + immersion.REACH, nx)
                 assert range(nx)[wide][cut] == range(nx)[rows]
         assert len(immersion.row_blocks(64, 64)) == 1
 
+    def test_a_reach_holds_the_lines_its_edge_stencils_read(self):
+        # rows holding one of lines 0-2 (n - 3 to n - 1), where diff6 is
+        # not central, reach lines 0-7 (n - 8 to n - 1), and only they
+        # reach further than REACH to a side
+        n, r = 40, immersion.REACH
+        for i0 in range(n):
+            for i1 in range(i0 + 1, min(i0 + 5, n) + 1):
+                wide, cut = immersion.reach(slice(i0, i1), n)
+                lo, hi = max(i0 - r, 0), min(i1 + r, n)
+                assert wide == slice(min(lo, n - 8) if i1 > n - 3 else lo,
+                                     max(hi, 8) if i0 < 3 else hi)
+                assert range(n)[wide][cut] == range(i0, i1)
+        assert immersion.reach(slice(0, 1), 6) == (slice(0, 6), slice(0, 1))
+
     @pytest.mark.parametrize("name", ["holo:z2", "paraholo:z2"])
     def test_every_reach_follows_R(self, name, monkeypatch):
-        # the 5-point stencils' radius R = 2: the nan edge lines, the
-        # halos, the strata rings and the edge trims are R wide, and many
-        # row blocks still equal one bit for bit
-        assert immersion.R == 2
+        # the nan edge lines and the strata rings are R = 2 wide, a row
+        # block's reach is REACH = 3, the sixth-order stencils' radius, and
+        # the curvature core lies R + REACH in; many row blocks still equal
+        # one bit for bit
+        assert (immersion.R, immersion.REACH) == (2, 3)
         a = np.arange(8.0) ** 2
         edge = [0, 1, 6, 7]
         for d, inner in ((immersion.diff(a, 1.0, 0), 2.0 * np.arange(2, 6)),
-                         (immersion.diff2(a, 1.0, 0), [2.0] * 4)):
+                         (immersion.diff2(a, 1.0, 0), [2.0] * 4),
+                         (immersion.diff6(a, 1.0, 0, 1),
+                          2.0 * np.arange(2, 6)),
+                         (immersion.diff6(a, 1.0, 0, 2), [2.0] * 4)):
             assert np.isnan(d[edge]).all() and list(d[2:6]) == list(inner)
         xy = immersion.d_xy(np.multiply.outer(a, a), 1.0, 1.0)
         assert np.isnan(xy[edge]).all() and np.isnan(xy[:, edge]).all()
@@ -844,8 +903,8 @@ class TestRowBlocks:
             r = rows
             for radii in (1, 2):
                 wide, cut = immersion.reach(r, 65)
-                assert wide == slice(max(rows.start - 2 * radii, 0),
-                                     min(rows.stop + 2 * radii, 65))
+                assert wide == slice(max(rows.start - 3 * radii, 0),
+                                     min(rows.stop + 3 * radii, 65))
                 assert range(65)[wide][cut] == range(65)[r]
                 r = wide
 
@@ -854,7 +913,11 @@ class TestRowBlocks:
         assert np.isnan(gxx[[0, 1, -2, -1]]).all()
         assert np.isfinite(gxx[2:-2]).all()
         core = np.zeros((33, 33), dtype=bool)
-        core[4:-4, 4:-4] = True
+        core[5:-5, 5:-5] = True
+        assert np.array_equal(immersion.curvature_core((33, 33)), core)
+        # K's stencils reach the core's edge, and no further
+        K = np.isfinite(immersion.gauss_curvature_field(F))
+        assert K[core].all() and not K[~core].any()
         gauss = np.isfinite(gauss_residual_field(F))
         assert gauss.any() and not gauss[~core].any()
         X = fundata.StreamedData(F)

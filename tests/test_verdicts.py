@@ -1,4 +1,4 @@
-"""The verdict table: a verdict that moves shows as a diff.
+"""The verdict table: a verdict that moves is named, row by row.
 
 ``tests/data/verdicts.json`` holds, for the six pipelines (``--t 0.3``) and
 the ``verify`` examples (default seed) at each size of SIZES, the exit code
@@ -44,8 +44,25 @@ def verdicts():
     }
 
 
+def moved_rows(got, want):
+    """The rows of two verdict tables that differ, as lines naming the
+    command, the family or example, the size and the old and new
+    verdicts (None where a table lacks the row)."""
+    lines = []
+    for command in sorted(set(got) | set(want)):
+        g, w = got.get(command, {}), want.get(command, {})
+        for key in sorted(set(g) | set(w)):
+            gk, wk = g.get(key, {}), w.get(key, {})
+            for size in sorted(set(gk) | set(wk), key=int):
+                old, new = wk.get(size), gk.get(size)
+                if old != new:
+                    lines.append(f"{command} {key} {size}: {old} -> {new}")
+    return lines
+
+
 def test_verdicts_unchanged():
-    assert verdicts() == json.loads(VERDICTS.read_text())
+    lines = moved_rows(verdicts(), json.loads(VERDICTS.read_text()))
+    assert not lines, "moved verdict rows:\n" + "\n".join(lines)
 
 
 if __name__ == "__main__":
